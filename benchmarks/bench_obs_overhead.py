@@ -14,11 +14,11 @@ registry, then time that many no-op calls in isolation.
 The v2 telemetry pipeline (profiler + sampler) extends the claim in two
 directions:
 
-* **disabled tax** — profiling is opt-in, so the per-operation cost of
-  its *off* state (one ``Table._profile`` call returning the shared
-  null context, one ``TelemetrySampler.tick`` clock check) must also
-  stay under 5% of the NullRegistry workload, measured in isolation the
-  same way; and
+* **disabled tax** — profiling and tracing are opt-in, so the
+  per-operation cost of their *off* state (one ``Tracer.span`` bracket
+  with no sink armed, one ``TelemetrySampler.tick`` clock check) must
+  also stay under 5% of the NullRegistry workload, measured in isolation
+  the same way; and
 * **enabled determinism** — the full pipeline's event counts on the
   seeded replay workload are pinned against the committed baseline
   (``benchmarks/baselines/obs_overhead.json``), so a telemetry
@@ -129,10 +129,11 @@ def bench_observed_and_silent_runs_agree(run_check):
 def bench_disabled_telemetry_tax_under_5_percent(run_check):
     """Profiler/sampler *off* must cost <5% of the NullRegistry workload.
 
-    The hooks stay compiled into every Table operation; this times the
-    exact per-operation off-state work — the ``_profile(...)`` call that
-    returns the shared null context, plus one interval-gated
-    ``sampler.tick()`` — once per workload operation, in isolation.
+    The bracket stays compiled into every Table operation; this times
+    the per-operation off-state work — one ``tracer.span(...)`` carrying
+    the profile and trace arguments with neither sink armed, plus one
+    interval-gated ``sampler.tick()`` — once per workload operation, in
+    isolation.
     """
 
     def body():
@@ -142,8 +143,9 @@ def bench_disabled_telemetry_tax_under_5_percent(run_check):
         db = _run_workload(NULL_REGISTRY)
         loop_s = time.perf_counter() - start
 
-        table = db.table("t")
-        assert table.profiler is None  # opt-in: never attached here
+        tracer = db.tracer
+        assert tracer.profiler is None  # opt-in: never armed here
+        assert tracer.trace is None
         sampler = TelemetrySampler(
             NULL_REGISTRY, clock=db.cost_model, interval_ns=float("inf")
         )
@@ -151,7 +153,7 @@ def bench_disabled_telemetry_tax_under_5_percent(run_check):
 
         events = N_ROWS + N_LOOKUPS  # one hook crossing per operation
         off_s = min(
-            _time_disabled_hooks(table, sampler, events) for _ in range(3)
+            _time_disabled_hooks(tracer, sampler, events) for _ in range(3)
         )
 
         tax = off_s / loop_s
@@ -165,13 +167,17 @@ def bench_disabled_telemetry_tax_under_5_percent(run_check):
     run_check(body)
 
 
-def _time_disabled_hooks(table, sampler, n):
-    profile = table._profile
+def _time_disabled_hooks(tracer, sampler, n):
+    span = tracer.span
     tick = sampler.tick
     project = ("name", "n")
     start = time.perf_counter()
     for _ in range(n):
-        with profile("lookup", index_name="by_name", project=project):
+        with span(
+            "query.lookup", timed=False,
+            profile=("lookup", "t", "by_name", None, project),
+            trace={"table": "t"},
+        ):
             pass
         tick()
     return time.perf_counter() - start
@@ -182,7 +188,7 @@ def bench_disabled_controller_tax_under_5_percent(run_check):
 
     Two off-states exist and both are timed, once per workload operation
     in isolation: the detached state (the per-operation
-    ``_ticker is not None`` test, the only cost until
+    ``tracer.tick()`` with no ticker armed, the only cost until
     ``Database.enable_adaptive`` runs) and the attached-but-disabled
     state (``controller.tick()`` returning before it touches the
     sampler).  The gate takes the worse of the two.
@@ -196,14 +202,14 @@ def bench_disabled_controller_tax_under_5_percent(run_check):
         db = _run_workload(NULL_REGISTRY)
         loop_s = time.perf_counter() - start
 
-        table = db.table("t")
-        assert table.ticker is None  # opt-in: never attached here
+        tracer = db.tracer
+        assert tracer.ticker is None  # opt-in: never armed here
         events = N_ROWS + N_LOOKUPS  # one hook crossing per operation
 
         detached_s = min(
-            _time_controller_hook(table, events) for _ in range(3)
+            _time_controller_hook(tracer, events) for _ in range(3)
         )
-        table.ticker = AdaptiveController(
+        tracer.ticker = AdaptiveController(
             TelemetrySampler(
                 NULL_REGISTRY, clock=db.cost_model, interval_ns=float("inf")
             ),
@@ -211,9 +217,9 @@ def bench_disabled_controller_tax_under_5_percent(run_check):
             enabled=False,
         )
         disabled_s = min(
-            _time_controller_hook(table, events) for _ in range(3)
+            _time_controller_hook(tracer, events) for _ in range(3)
         )
-        table.ticker = None
+        tracer.ticker = None
 
         tax = max(detached_s, disabled_s) / loop_s
         print(
@@ -227,12 +233,11 @@ def bench_disabled_controller_tax_under_5_percent(run_check):
     run_check(body)
 
 
-def _time_controller_hook(table, n):
+def _time_controller_hook(tracer, n):
+    tick = tracer.tick  # the exact hot-path call
     start = time.perf_counter()
     for _ in range(n):
-        ticker = table._ticker  # the exact hot-path attribute test
-        if ticker is not None:
-            ticker.tick()
+        tick()
     return time.perf_counter() - start
 
 

@@ -70,13 +70,7 @@ from repro.obs.registry import (
 )
 from repro.obs.report import derived_rates, export_json, flatten, format_report
 from repro.obs.sampler import TelemetryPoint, TelemetrySampler, select
-from repro.obs.tracer import (
-    DEFAULT_RING_SIZE,
-    NullTracer,
-    NULL_TRACER,
-    SpanEvent,
-    Tracer,
-)
+from repro.obs.tracer import DEFAULT_RING_SIZE, SpanEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -98,8 +92,6 @@ __all__ = [
     "flatten",
     "format_report",
     "DEFAULT_RING_SIZE",
-    "NullTracer",
-    "NULL_TRACER",
     "SpanEvent",
     "Tracer",
     "QueryProfiler",

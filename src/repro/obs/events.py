@@ -28,14 +28,17 @@ from __future__ import annotations
 import fnmatch
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.obs.registry import (
+    Clock,
+    MetricsRegistry,
+    resolve_clock,
+    resolve_registry,
+)
 
 #: Default capacity of the journal ring.
 DEFAULT_JOURNAL_CAPACITY = 2048
-
-Clock = Callable[[], float]
 
 # -- event kinds (the closed vocabulary; emitters use these constants) -------
 
@@ -62,10 +65,6 @@ EVENT_KINDS = (
     MIGRATION_INTENT, MIGRATION_COMMIT, REBALANCE_BEGIN, REBALANCE_END,
     TUNING_ACTION, SLO_BREACH, SLO_CLEAR,
 )
-
-
-def _zero_clock() -> float:
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ class EngineEvent:
 class EventJournal:
     """Bounded, causally-ordered, queryable ring of :class:`EngineEvent`.
 
-    ``clock`` follows the Tracer duck-typing (callable / ``now_ns``
-    object / None).  ``trace_source`` is an optional
+    ``clock`` follows :func:`~repro.obs.registry.resolve_clock`.
+    ``trace_source`` is an optional
     :class:`~repro.obs.trace.TraceCollector`; when set, emitted events
     are stamped with the active trace id automatically.
 
@@ -131,17 +130,12 @@ class EventJournal:
         capacity: int = DEFAULT_JOURNAL_CAPACITY,
         trace_source=None,
     ) -> None:
-        if clock is None:
-            self._clock: Clock = _zero_clock
-        elif callable(clock):
-            self._clock = clock  # type: ignore[assignment]
-        else:
-            self._clock = lambda: clock.now_ns  # type: ignore[attr-defined]
+        self._clock = resolve_clock(clock)
         self._registry = resolve_registry(registry)
         self._ring: deque[EngineEvent] = deque(maxlen=capacity)
         self._next_seq = 1
         self._shard_seqs: dict[int | None, int] = {}
-        self._trace_source = trace_source
+        self.trace_source = trace_source
         self._emitted = self._registry.counter("events.emitted")
         self._dropped = self._registry.counter("events.dropped")
 
@@ -150,14 +144,6 @@ class EventJournal:
 
     def __iter__(self) -> Iterator[EngineEvent]:
         return iter(self._ring)
-
-    @property
-    def trace_source(self):
-        return self._trace_source
-
-    @trace_source.setter
-    def trace_source(self, value) -> None:
-        self._trace_source = value
 
     def emit(
         self,
@@ -168,8 +154,8 @@ class EventJournal:
     ) -> EngineEvent:
         """Append one event.  ``trace_id`` defaults to the trace source's
         active trace, if any."""
-        if trace_id is None and self._trace_source is not None:
-            active = self._trace_source.active
+        if trace_id is None and self.trace_source is not None:
+            active = self.trace_source.active
             if active is not None:
                 trace_id = active.trace_id
         shard_seq = self._shard_seqs.get(shard, 0) + 1

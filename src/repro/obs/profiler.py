@@ -20,9 +20,9 @@ that merely parks in the group-commit buffer is still charged to the
 operation that logged it, not to whichever later operation happens to
 trip the flush.
 
-Profiling is strictly opt-in (``Database.enable_profiling``): with no
-profiler attached the hot path pays one ``is not None`` test per
-operation, and the NullRegistry zero-overhead guarantee is untouched.
+Profiling is strictly opt-in (``Database.enable_profiling`` arms the
+profiler on the engine's tracer, DESIGN.md §5k): unarmed, the op bracket
+skips it, and the NullRegistry zero-overhead guarantee is untouched.
 This module imports only :mod:`repro.obs.registry`, so the query layer
 can depend on it without cycles.
 """
@@ -32,9 +32,14 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.obs.registry import (
+    Clock,
+    MetricsRegistry,
+    resolve_clock,
+    resolve_registry,
+)
 
 #: Fingerprints beyond this many aggregate under :data:`OVERFLOW_FINGERPRINT`
 #: so a fingerprint explosion (e.g. a bug interpolating keys into table
@@ -58,8 +63,6 @@ CAPTURED_COUNTERS: tuple[tuple[str, str], ...] = (
     ("wal_records", "wal.records"),
     ("retries", "faults.retries"),
 )
-
-Clock = Callable[[], float]
 
 
 def batch_bucket(n: int) -> int:
@@ -248,9 +251,7 @@ def _plan_shape(
 class QueryProfiler:
     """Charges engine-wide instrument deltas to per-query fingerprints.
 
-    ``clock`` follows the :class:`~repro.obs.tracer.Tracer` convention: a
-    zero-argument callable returning simulated ns, or an object with a
-    ``now_ns`` attribute (a :class:`~repro.sim.cost_model.CostModel`).
+    ``clock`` follows :func:`~repro.obs.registry.resolve_clock`.
     ``wal`` is the (duck-typed) :class:`~repro.wal.log.WalWriter`; when
     present, per-operation WAL bytes include its group-commit buffer so
     attribution is flush-timing-independent.
@@ -266,13 +267,7 @@ class QueryProfiler:
         max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
     ) -> None:
         reg = resolve_registry(registry)
-        self._registry = reg
-        if clock is None:
-            self._clock: Clock = lambda: 0.0
-        elif callable(clock):
-            self._clock = clock  # type: ignore[assignment]
-        else:  # duck-typed CostModel
-            self._clock = lambda: clock.now_ns  # type: ignore[attr-defined]
+        self._clock = resolve_clock(clock)
         self._wal = wal
         self._counters = [
             (fname, reg.counter(metric)) for fname, metric in CAPTURED_COUNTERS
@@ -291,28 +286,10 @@ class QueryProfiler:
     # -- profiling ------------------------------------------------------------
 
     @contextmanager
-    def operation(
-        self,
-        op: str,
-        table: str,
-        index_name: str | None = None,
-        index: object | None = None,
-        project: tuple[str, ...] | None = None,
-        batch: int = 1,
-    ) -> Iterator[None]:
-        """Bracket one operation; nested operations charge to the
-        outermost bracket only (a lookup issued inside a profiled join is
-        part of the join's cost, not a second query)."""
-        if self._depth:
-            yield
-            return
-        self._depth = 1
-        project_t = tuple(project) if project is not None else None
-        before = self._capture()
-        start = self._clock()
-        # PlainIndex keeps heap fetches as a plain attribute (no registry
-        # counter on that path); fold its delta in when the index is known.
-        plain_before = getattr(index, "heap_fetches", None) if index is not None else None
+    def operation(self, *args, **kwargs) -> Iterator[None]:
+        """:meth:`begin` / :meth:`end` as a context manager (same
+        arguments as :meth:`begin`), for callers outside the op bracket."""
+        token = self.begin(*args, **kwargs)
         error = False
         try:
             yield
@@ -320,28 +297,57 @@ class QueryProfiler:
             error = True
             raise
         finally:
-            self._depth = 0
-            elapsed = self._clock() - start
-            after = self._capture()
-            profile = QueryProfile(
-                seq=self._seq,
-                fingerprint=fingerprint(op, table, index_name, project_t, batch),
-                op=op,
-                table=table,
-                index=index_name,
-                plan=_plan_shape(op, table, index_name, index, project_t, batch),
-                batch=batch,
-                elapsed_ns=elapsed,
-                error=error,
-            )
-            self._seq += 1
-            for i, (fname, _counter) in enumerate(self._counters):
-                setattr(profile, fname, after[i] - before[i])
-            profile.wal_bytes = after[-1] - before[-1]
-            if plain_before is not None:
-                plain_after = getattr(index, "heap_fetches", plain_before)
-                profile.heap_fetches += plain_after - plain_before
-            self._absorb(profile)
+            self.end(token, error)
+
+    def begin(
+        self,
+        op: str,
+        table: str,
+        index_name: str | None = None,
+        index: object | None = None,
+        project: tuple[str, ...] | None = None,
+        batch: int = 1,
+    ) -> tuple | None:
+        """Open a profile; returns the token :meth:`end` closes it with.
+
+        ``None`` inside an already-open profile: nested operations charge
+        to the outermost bracket only (a lookup issued inside a profiled
+        join is part of the join's cost, not a second query)."""
+        if self._depth:
+            return None
+        self._depth = 1
+        project_t = tuple(project) if project is not None else None
+        profile = QueryProfile(
+            seq=self._seq,
+            fingerprint=fingerprint(op, table, index_name, project_t, batch),
+            op=op,
+            table=table,
+            index=index_name,
+            plan=_plan_shape(op, table, index_name, index, project_t, batch),
+            batch=batch,
+        )
+        # PlainIndex keeps heap fetches as a plain attribute (no registry
+        # counter on that path); fold its delta in when the index is known.
+        plain_before = getattr(index, "heap_fetches", None) if index is not None else None
+        return profile, index, plain_before, self._capture(), self._clock()
+
+    def end(self, token: tuple | None, error: bool = False) -> None:
+        """Close and absorb the profile behind ``token`` (``None``: no-op)."""
+        if token is None:
+            return
+        profile, index, plain_before, before, start = token
+        self._depth = 0
+        profile.elapsed_ns = self._clock() - start
+        profile.error = error
+        after = self._capture()
+        self._seq += 1
+        for i, (fname, _counter) in enumerate(self._counters):
+            setattr(profile, fname, after[i] - before[i])
+        profile.wal_bytes = after[-1] - before[-1]
+        if plain_before is not None:
+            plain_after = getattr(index, "heap_fetches", plain_before)
+            profile.heap_fetches += plain_after - plain_before
+        self._absorb(profile)
 
     def _capture(self) -> list[int]:
         values = [counter.value for _fname, counter in self._counters]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ObservabilityError
 
@@ -395,3 +395,19 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
 def resolve_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
     """``registry`` if given, else the current default (usually null)."""
     return registry if registry is not None else _default_registry
+
+
+#: A resolved clock: zero arguments, returns simulated nanoseconds.
+Clock = Callable[[], float]
+
+
+def resolve_clock(clock: Clock | object | None) -> Clock:
+    """The one clock convention of ``repro.obs``: a zero-argument
+    callable returning simulated ns is used as-is, any object with a
+    ``now_ns`` attribute (a :class:`~repro.sim.cost_model.CostModel`) is
+    read through it, and ``None`` is a clock that always reads zero."""
+    if clock is None:
+        return lambda: 0.0
+    if callable(clock):
+        return clock  # type: ignore[return-value]
+    return lambda: clock.now_ns  # type: ignore[attr-defined]

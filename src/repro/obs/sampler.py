@@ -43,15 +43,17 @@ from __future__ import annotations
 import fnmatch
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.registry import (
+    Clock,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     percentile_from_buckets,
+    resolve_clock,
     resolve_registry,
 )
 
@@ -65,8 +67,6 @@ QUANTILES: tuple[tuple[str, float], ...] = (
     ("p95", 0.95),
     ("p99", 0.99),
 )
-
-Clock = Callable[[], float]
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,11 @@ def select(point: TelemetryPoint, selector: str) -> float | None:
 class TelemetrySampler:
     """Fixed-memory ring of registry-delta samples on a logical clock.
 
-    ``clock`` follows the tracer convention — a zero-argument callable of
-    simulated ns, or an object with ``now_ns`` (a cost model), or
-    ``None`` for callers that pass explicit timestamps to
-    :meth:`sample`.  ``interval_ns`` is the :meth:`tick` cadence; ticks
-    inside the interval are free no-ops, so hooking ``tick()`` into a
-    per-operation loop gives interval-spaced samples.
+    ``clock`` follows :func:`~repro.obs.registry.resolve_clock`; pass
+    ``None`` when every :meth:`sample` call gets an explicit timestamp.
+    ``interval_ns`` is the :meth:`tick` cadence; ticks inside the
+    interval are free no-ops, so hooking ``tick()`` into a per-operation
+    loop gives interval-spaced samples.
     """
 
     def __init__(
@@ -180,12 +179,7 @@ class TelemetrySampler:
         if interval_ns < 0:
             raise ObservabilityError("sampler interval_ns must be >= 0")
         self._registry = resolve_registry(registry)
-        if clock is None:
-            self._clock: Clock = lambda: 0.0
-        elif callable(clock):
-            self._clock = clock  # type: ignore[assignment]
-        else:  # duck-typed CostModel
-            self._clock = lambda: clock.now_ns  # type: ignore[attr-defined]
+        self._clock = resolve_clock(clock)
         self._interval = float(interval_ns)
         self._points: deque[TelemetryPoint] = deque(maxlen=capacity)
         self._prev_counters: dict[str, int] = {}

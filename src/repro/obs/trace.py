@@ -21,8 +21,8 @@ or as Chrome ``trace_event`` format (load the file in ``about:tracing``
 Clock discipline matches the rest of ``repro.obs``: spans *read*
 simulated clocks and registries, never advance them, so arming tracing
 cannot perturb a deterministic workload.  The off path is the usual
-contract — until a collector is attached, every hook site pays a single
-``is None`` test.
+contract — until a collector is armed on the engine's tracer
+(DESIGN.md §5k), every hook site pays a single ``is None`` test.
 """
 
 from __future__ import annotations
@@ -30,28 +30,17 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.obs.registry import (
+    Clock,
+    MetricsRegistry,
+    resolve_clock,
+    resolve_registry,
+)
 
 #: Default capacity of the finished-trace ring buffer.
 DEFAULT_TRACE_RING = 64
-
-Clock = Callable[[], float]
-
-
-def _zero_clock() -> float:
-    return 0.0
-
-
-def _resolve_clock(clock: Clock | object | None) -> Clock:
-    """Same duck-typing as :class:`~repro.obs.tracer.Tracer`: a callable,
-    an object with ``now_ns`` (a CostModel), or None for a zero clock."""
-    if clock is None:
-        return _zero_clock
-    if callable(clock):
-        return clock  # type: ignore[return-value]
-    return lambda: clock.now_ns  # type: ignore[attr-defined]
 
 
 @dataclass
@@ -207,13 +196,13 @@ class TraceCollector:
         auto_root: bool = True,
         shard_clocks: dict[int, Clock | object] | None = None,
     ) -> None:
-        self._clock = _resolve_clock(clock)
+        self._clock = resolve_clock(clock)
         #: Per-shard clocks: a span tagged ``shard=i`` is timed on shard
         #: ``i``'s own simulated clock (machines have local time; the
         #: Chrome export scopes each shard to its own pid/timeline).
         #: Spans with ``shard=None`` use the facade clock.
         self._shard_clocks: dict[int, Clock] = {
-            i: _resolve_clock(c) for i, c in (shard_clocks or {}).items()
+            i: resolve_clock(c) for i, c in (shard_clocks or {}).items()
         }
         self._registry = resolve_registry(registry)
         self._ring: deque[Trace] = deque(maxlen=capacity)
@@ -261,77 +250,83 @@ class TraceCollector:
 
     # -- recording -----------------------------------------------------------
 
-    @contextmanager
-    def trace(
-        self, name: str, shard: int | None = None, **baggage: object
-    ) -> Iterator[Trace]:
-        """Open a root span (or, nested under an active trace, a child
-        span whose baggage merges into the active context)."""
-        if self._active is not None:
-            self._active.context.baggage.update(baggage)
-            with self.span(name, shard=shard):
-                yield self._active
-            return
-        context = TraceContext(self._next_trace_id, dict(baggage))
-        self._next_trace_id += 1
-        clock = self._clock_for(shard)
-        root = TraceSpan(
-            self._next_span_id, None, name, shard, clock(), {}
+    def begin(
+        self,
+        name: str,
+        shard: int | None = None,
+        attrs: dict[str, object] | None = None,
+        baggage: dict[str, object] | None = None,
+    ) -> TraceSpan | None:
+        """Open a span and return it for :meth:`end`.
+
+        Under an active trace this is a child of the innermost open span
+        and ``baggage`` merges into the active context.  Outside one it
+        mints a fresh root when ``baggage`` is given (:meth:`trace`) or
+        ``auto_root`` is on, and otherwise opens nothing (``None``).
+        """
+        trace = self._active
+        if trace is None and baggage is None and not self._auto_root:
+            return None
+        parent = self._stack[-1] if trace is not None else None
+        span = TraceSpan(
+            self._next_span_id, parent.span_id if parent else None, name,
+            shard, self._clock_for(shard)(), dict(attrs or ()),
         )
         self._next_span_id += 1
-        trace = Trace(context, root)
-        self._active = trace
-        self._stack.append(root)
-        self._started.inc()
+        if trace is None:
+            context = TraceContext(self._next_trace_id, dict(baggage or ()))
+            self._next_trace_id += 1
+            self._active = Trace(context, span)
+            self._started.inc()
+        else:
+            if baggage:
+                trace.context.baggage.update(baggage)
+            parent.children.append(span)
+            trace.spans.append(span)
+        self._stack.append(span)
         self._span_count.inc()
-        try:
-            yield trace
-        except BaseException:
-            root.error = True
+        return span
+
+    def end(self, span: TraceSpan | None, error: bool = False) -> None:
+        """Close the span :meth:`begin` opened (no-op for ``None``); a
+        closing root retires its trace into the ring."""
+        if span is None:
+            return
+        if error:
+            span.error = True
             self._errors.inc()
-            raise
-        finally:
-            self._stack.pop()
-            root.end_ns = clock()
+        self._stack.pop()
+        span.end_ns = self._clock_for(span.shard)()
+        if span.parent_id is None:
+            trace = self._active
             self._active = None
             self._ring.append(trace)
             self._finished.inc()
             self._fanout.record(len(trace.shards_touched()))
 
+    def trace(self, name: str, shard: int | None = None, **baggage: object):
+        """``with``: a root span (or, nested under an active trace, a
+        child span whose baggage merges into the active context);
+        yields the :class:`Trace`."""
+        return self._bracket(name, shard, None, baggage)
+
+    def span(self, name: str, shard: int | None = None, **attrs: object):
+        """``with``: a child span of the active trace, yielded.  Outside
+        any trace this mints a one-span root (``auto_root``) or yields
+        None."""
+        return self._bracket(name, shard, attrs, None)
+
     @contextmanager
-    def span(
-        self, name: str, shard: int | None = None, **attrs: object
-    ) -> Iterator[TraceSpan | None]:
-        """A child span of the active trace.  Outside any trace this
-        mints a one-span root (``auto_root``) or yields None."""
-        if self._active is None:
-            if self._auto_root:
-                with self.trace(name, shard=shard) as trace:
-                    trace.root.attrs.update(attrs)
-                    yield trace.root
-                return
-            yield None
-            return
-        parent = self._stack[-1]
-        clock = self._clock_for(shard)
-        span = TraceSpan(
-            self._next_span_id, parent.span_id, name, shard,
-            clock(), dict(attrs),
-        )
-        self._next_span_id += 1
-        parent.children.append(span)
-        self._active.spans.append(span)
-        self._stack.append(span)
-        self._span_count.inc()
+    def _bracket(self, name, shard, attrs, baggage) -> Iterator:
+        span = self.begin(name, shard, attrs, baggage)
+        error = False
         try:
-            yield span
+            yield span if baggage is None else self._active
         except BaseException:
-            span.error = True
-            self._errors.inc()
+            error = True
             raise
         finally:
-            self._stack.pop()
-            span.end_ns = clock()
+            self.end(span, error)
 
     def annotate(self, **attrs: object) -> None:
         """Merge attributes into the innermost open span (no-op outside)."""
@@ -390,8 +385,3 @@ class TraceCollector:
             for pid in sorted(pids)
         ]
         return {"traceEvents": meta + events, "displayTimeUnit": "ns"}
-
-
-#: Shared helper: hook sites hold ``collector_or_none`` and do
-#: ``if trace is not None: ...`` — no null-object is provided on purpose,
-#: the is-None test *is* the off path.

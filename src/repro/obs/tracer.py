@@ -1,35 +1,31 @@
-"""Span tracing against the simulated clock.
+"""The op bracket: spans on the simulated clock, fanned out to sinks.
 
-A :class:`Tracer` times nested operations (``with tracer.span("lookup")``)
-and charges the *simulated* nanoseconds that elapsed on the
-:class:`~repro.sim.cost_model.CostModel` clock into per-span log2
-latency histograms (``span.<name>.ns``).  Because the clock is the cost
-model's, span latencies are deterministic and mean the same thing as the
-experiment figures — no wall-clock noise.
-
-Recent spans land in a bounded ring buffer (:meth:`Tracer.recent`) so a
-misbehaving run can be inspected without a debugger.  :class:`NullTracer`
-is the no-op twin for uninstrumented paths.
+One :class:`Tracer` per engine is all the query layer knows about
+observation (DESIGN.md §5k).  ``with tracer.span("query.lookup")`` charges
+the *simulated* nanoseconds that elapsed on the
+:class:`~repro.sim.cost_model.CostModel` clock into the ``span.<name>.ns``
+log2 histogram — deterministic, in the unit of the experiment figures —
+keeps the span in a bounded ring (:meth:`Tracer.recent`), and opens and
+closes whichever sinks are armed around the same body.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.obs.registry import (
+    Clock,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
+    resolve_clock,
     resolve_registry,
 )
 
 #: Default capacity of the recent-span ring buffer.
 DEFAULT_RING_SIZE = 256
-
-Clock = Callable[[], float]
 
 
 @dataclass(frozen=True)
@@ -48,17 +44,17 @@ class SpanEvent:
         return self.end_ns - self.start_ns
 
 
-def _zero_clock() -> float:
-    return 0.0
-
-
 class Tracer:
-    """Times spans on a simulated clock and records them as metrics.
+    """Times spans, records them, and feeds the sinks armed on it.
 
-    ``clock`` may be a zero-argument callable returning simulated ns, or
-    any object with a ``now_ns`` attribute (a :class:`CostModel`).  With
-    no clock, spans still count (and nest, and ring-buffer) but measure
-    zero elapsed time.
+    ``clock`` follows :func:`~repro.obs.registry.resolve_clock`; with no
+    clock, spans still count (and nest, and ring-buffer) but measure
+    zero, and on the null registry they export nothing.  The sinks are
+    plain attributes, ``None`` until armed: ``profiler`` (a §5e
+    :class:`~repro.obs.profiler.QueryProfiler`), ``trace`` (a §5j
+    :class:`~repro.obs.trace.TraceCollector`, whose spans are tagged
+    with ``shard``, this engine's id under a sharded facade) and
+    ``ticker`` (anything with a ``tick()``: the §5f controller).
     """
 
     def __init__(
@@ -68,15 +64,14 @@ class Tracer:
         ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
         self._registry = resolve_registry(registry)
-        if clock is None:
-            self._clock: Clock = _zero_clock
-        elif callable(clock):
-            self._clock = clock  # type: ignore[assignment]
-        else:  # duck-typed CostModel
-            self._clock = lambda: clock.now_ns  # type: ignore[attr-defined]
+        self._clock = resolve_clock(clock)
         self._ring: deque[SpanEvent] = deque(maxlen=ring_size)
         self._depth = 0
         self._histograms: dict[str, Histogram] = {}
+        self.profiler = None
+        self.trace = None
+        self.shard: int | None = None
+        self.ticker = None
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -87,12 +82,51 @@ class Tracer:
         """Current nesting depth (0 outside any span)."""
         return self._depth
 
+    def arm(self, profiler=None, trace=None, shard=None, ticker=None) -> None:
+        """Arm sinks, once per engine; those left ``None`` keep what they
+        had, and ``shard`` is set together with ``trace``."""
+        if profiler is not None:
+            self.profiler = profiler
+        if trace is not None:
+            self.trace, self.shard = trace, shard
+        if ticker is not None:
+            self.ticker = ticker
+
+    def tick(self) -> None:
+        """Tick the armed controller.  Called *before* a span opens: no
+        pin is held, so a knob change (pool resize, WAL flush) is safe."""
+        if self.ticker is not None:
+            self.ticker.tick()
+
     @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
-        """Time a block; exception-safe (errors still record the span)."""
-        start = self._clock()
-        depth = self._depth
-        self._depth = depth + 1
+    def span(
+        self,
+        name: str,
+        profile: tuple | None = None,
+        trace: dict[str, object] | None = None,
+        timed: bool = True,
+        **attrs: object,
+    ) -> Iterator[None]:
+        """Bracket a block; exception-safe (errors still record the span).
+
+        ``profile`` is the argument tuple of ``QueryProfiler.begin``
+        (``op, table[, index_name, index, project, batch]``) and ``trace``
+        the attributes of the trace span ``name``; each goes only to an
+        armed sink.  ``timed=False`` brackets for the sinks alone — no
+        histogram, ring event or depth — for ops without a ``span.*``
+        series and the lazy row scan, whose bracket outlives the call.
+        """
+        profiler = self.profiler if profile is not None else None
+        collector = self.trace if trace is not None else None
+        traced = (
+            collector.begin(name, self.shard, trace)
+            if collector is not None else None
+        )
+        profiled = profiler.begin(*profile) if profiler is not None else None
+        if timed:
+            start = self._clock()
+            depth = self._depth
+            self._depth = depth + 1
         error = False
         try:
             yield
@@ -100,21 +134,26 @@ class Tracer:
             error = True
             raise
         finally:
-            self._depth = depth
-            end = self._clock()
-            self._histogram(name).record(end - start)
-            if error:
-                self._registry.counter(f"span.{name}.errors").inc()
-            self._ring.append(
-                SpanEvent(
-                    name=name,
-                    start_ns=start,
-                    end_ns=end,
-                    depth=depth,
-                    attrs=tuple(sorted(attrs.items())),
-                    error=error,
+            if timed:
+                self._depth = depth
+                end = self._clock()
+                self._histogram(name).record(end - start)
+                if error:
+                    self._registry.counter(f"span.{name}.errors").inc()
+                self._ring.append(
+                    SpanEvent(
+                        name=name,
+                        start_ns=start,
+                        end_ns=end,
+                        depth=depth,
+                        attrs=tuple(sorted(attrs.items())),
+                        error=error,
+                    )
                 )
-            )
+            if profiled is not None:
+                profiler.end(profiled, error)
+            if traced is not None:
+                collector.end(traced, error)
 
     def _histogram(self, name: str) -> Histogram:
         hist = self._histograms.get(name)
@@ -130,21 +169,3 @@ class Tracer:
 
     def clear(self) -> None:
         self._ring.clear()
-
-
-class NullTracer(Tracer):
-    """A tracer whose spans cost one try/finally and record nothing."""
-
-    def __init__(self) -> None:
-        super().__init__(NULL_REGISTRY, clock=None, ring_size=1)
-
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
-        yield
-
-    def recent(self, n: int | None = None) -> list[SpanEvent]:
-        return []
-
-
-#: Shared inert tracer for components built without one.
-NULL_TRACER = NullTracer()

@@ -131,7 +131,11 @@ class Database:
         if cost_model is None:
             cost_model = CostModel()
         self._cost = cost_model
+        #: The engine's one op bracket (DESIGN.md §5k): profiler, trace
+        #: collector and controller are armed on it, never per table.
         self._tracer = Tracer(metrics, clock=cost_model)
+        if self._wal is not None:
+            self._wal.tracer = self._tracer
         self._data_pool = BufferPool(
             self._disk, data_pool_pages, policy=eviction, cost_hook=cost_model,
             registry=metrics, retry_policy=retry_policy,
@@ -149,12 +153,8 @@ class Database:
         self._catalog = Catalog()
         self._rng = DeterministicRng(seed)
         self._recovery = None
-        self._profiler = None
-        self._adaptive = None
         self._txn_manager = None
         self._columnar = None
-        self._trace = None
-        self._trace_shard: int | None = None
         self._journal = None
         self._journal_shard: int | None = None
         #: Database-wide cache-fill admission fraction, pushed into every
@@ -216,17 +216,17 @@ class Database:
     @property
     def profiler(self) -> "QueryProfiler | None":
         """The query profiler, once :meth:`enable_profiling` has run."""
-        return self._profiler
+        return self._tracer.profiler
 
     @property
     def adaptive(self) -> "AdaptiveController | None":
         """The adaptive controller, once :meth:`enable_adaptive` has run."""
-        return self._adaptive
+        return self._tracer.ticker
 
     @property
     def trace(self) -> "TraceCollector | None":
         """The §5j trace collector, once :meth:`enable_tracing` has run."""
-        return self._trace
+        return self._tracer.trace
 
     @property
     def journal(self) -> "EventJournal | None":
@@ -317,30 +317,27 @@ class Database:
     ) -> "QueryProfiler":
         """Attach a :class:`~repro.obs.profiler.QueryProfiler`.
 
-        Every table — existing and future — routes its operations through
-        the profiler, which brackets each one with registry/WAL snapshots
-        and charges the deltas to the query's normalized fingerprint.
-        Idempotent: calling again returns the already-installed profiler.
-        Profiling is strictly opt-in; until this runs, the per-operation
-        cost is a single ``is not None`` test.
+        Armed on the engine's tracer (DESIGN.md §5k), so every table —
+        existing and future — has each operation bracketed with
+        registry/WAL snapshots and the deltas charged to the query's
+        normalized fingerprint.  Strictly opt-in; idempotent: calling
+        again returns the already-installed profiler.
         """
-        if self._profiler is None:
+        if self._tracer.profiler is None:
             from repro.obs.profiler import QueryProfiler
 
             kwargs = {}
             if max_fingerprints is not None:
                 kwargs["max_fingerprints"] = max_fingerprints
-            self._profiler = QueryProfiler(
+            self._tracer.arm(profiler=QueryProfiler(
                 self._metrics,
                 clock=self._cost,
                 wal=self._wal,
                 slow_log_size=slow_log_size,
                 slow_threshold_ns=slow_threshold_ns,
                 **kwargs,
-            )
-        for entry_name in self._catalog.table_names:
-            self.table(entry_name).profiler = self._profiler
-        return self._profiler
+            ))
+        return self._tracer.profiler
 
     @property
     def columnar(self) -> "ColumnarManager | None":
@@ -391,8 +388,9 @@ class Database:
     ) -> "AdaptiveController":
         """Attach an :class:`~repro.obs.adaptive.AdaptiveController`.
 
-        Every table — existing and future — ticks the controller before
-        each operation; the controller samples a telemetry window when
+        Armed on the engine's tracer (DESIGN.md §5k), so every table —
+        existing and future — ticks the controller before each
+        operation; the controller samples a telemetry window when
         ``interval_ns`` of *simulated* time has elapsed, judges the SLO
         rules, and steps the registered knobs (see
         :mod:`repro.obs.adaptive` for the hysteresis contract).
@@ -406,11 +404,10 @@ class Database:
         in their own ``sampler`` (built on this database's cost model)
         and push points through ``controller.evaluate``.
 
-        Idempotent: calling again returns the installed controller.
-        Strictly opt-in; until this runs, the per-operation cost is a
-        single ``is not None`` test.
+        Strictly opt-in; idempotent: calling again returns the
+        installed controller.
         """
-        if self._adaptive is None:
+        if self._tracer.ticker is None:
             from repro.obs.adaptive import (
                 AdaptiveController,
                 WAL_FLUSH_AMPLIFICATION_RULE,
@@ -432,44 +429,36 @@ class Database:
                 knobs = database_knobs(self)
             if bindings is None:
                 bindings = default_bindings(knobs, rules)
-            self._adaptive = AdaptiveController(
+            self._tracer.arm(ticker=AdaptiveController(
                 sampler,
                 rules=rules,
                 knobs=knobs,
                 bindings=bindings,
                 registry=self._metrics,
                 audit_capacity=audit_capacity,
-            )
-        for entry_name in self._catalog.table_names:
-            self.table(entry_name).ticker = self._adaptive
-        return self._adaptive
+                journal=self._journal,
+            ))
+        return self._tracer.ticker
 
     def enable_tracing(self, capacity: int | None = None) -> "TraceCollector":
         """Attach a §5j :class:`~repro.obs.trace.TraceCollector`.
 
-        Every table — existing and future — opens one trace per logical
-        operation (auto-rooted at this facade); the WAL's group-commit
-        flushes and session commit/abort nest inside whatever trace is
-        active.  Finished traces land in a bounded ring, exportable as
-        JSON or Chrome ``trace_event`` format.  Idempotent; strictly
-        opt-in — until this runs, the per-operation cost is a single
-        ``is None`` test per hook.
+        Armed on the engine's tracer (DESIGN.md §5k), so every table —
+        existing and future — opens one trace per logical operation
+        (auto-rooted at this facade); the WAL's group-commit flushes and
+        session commit/abort nest inside whatever trace is active.
+        Finished traces land in a bounded ring, exportable as JSON or
+        Chrome ``trace_event`` format.  Idempotent; strictly opt-in.
         """
-        if self._trace is None:
+        if self._tracer.trace is None:
             from repro.obs.trace import DEFAULT_TRACE_RING, TraceCollector
 
-            self._trace = TraceCollector(
+            self.attach_tracing(TraceCollector(
                 clock=self._cost,
                 registry=self._metrics,
                 capacity=capacity or DEFAULT_TRACE_RING,
-            )
-            if self._wal is not None:
-                self._wal.trace = self._trace
-            if self._journal is not None:
-                self._journal.trace_source = self._trace
-        for entry_name in self._catalog.table_names:
-            self.table(entry_name).trace = self._trace
-        return self._trace
+            ))
+        return self._tracer.trace
 
     def enable_events(self, capacity: int | None = None) -> "EventJournal":
         """Attach a §5j :class:`~repro.obs.events.EventJournal`.
@@ -486,34 +475,20 @@ class Database:
                 EventJournal,
             )
 
-            self._journal = EventJournal(
+            self.attach_events(EventJournal(
                 clock=self._cost,
                 registry=self._metrics,
                 capacity=capacity or DEFAULT_JOURNAL_CAPACITY,
-                trace_source=self._trace,
-            )
-        if self._wal is not None:
-            self._wal.journal = self._journal
-        if self._recovery is not None:
-            self._recovery.journal = self._journal
-        if self._adaptive is not None:
-            self._adaptive.journal = self._journal
+                trace_source=self._tracer.trace,
+            ))
         return self._journal
 
     def attach_tracing(self, collector, shard: int | None = None) -> None:
         """Adopt an externally owned trace collector (the sharded
         facade's), tagging this engine's spans with ``shard``."""
-        self._trace = collector
-        self._trace_shard = shard
-        if self._wal is not None:
-            self._wal.trace = collector
-            self._wal.journal_shard = shard
+        self._tracer.arm(trace=collector, shard=shard)
         if self._journal is not None:
             self._journal.trace_source = collector
-        for entry_name in self._catalog.table_names:
-            table = self.table(entry_name)
-            table.trace = collector
-            table.trace_shard = shard
 
     def attach_events(self, journal, shard: int | None = None) -> None:
         """Adopt an externally owned event journal (the sharded
@@ -526,8 +501,8 @@ class Database:
         if self._recovery is not None:
             self._recovery.journal = journal
             self._recovery.journal_shard = shard
-        if self._adaptive is not None:
-            self._adaptive.journal = journal
+        if self._tracer.ticker is not None:
+            self._tracer.ticker.journal = journal
 
     def checkpoint(self) -> int:
         """Append a fuzzy checkpoint record (see
@@ -594,18 +569,7 @@ class Database:
     ) -> Table:
         """Create an empty table."""
         heap = HeapFile(self._data_pool, append_only=append_only)
-        table = Table(
-            name, schema, heap, tracer=self._tracer, wal=self._wal,
-            profiler=self._profiler,
-        )
-        self._catalog.register_table(name, schema, table)
-        if self._adaptive is not None:
-            table.ticker = self._adaptive
-        if self._columnar is not None:
-            self._columnar.attach(table)
-        if self._trace is not None:
-            table.trace = self._trace
-            table.trace_shard = self._trace_shard
+        table = self._register_table(name, schema, heap)
         if self._wal is not None:
             self._wal.log_create_table(table_meta(name, schema, heap))
         return table
@@ -618,23 +582,7 @@ class Database:
         split_fraction: float = 0.5,
     ) -> PlainIndex:
         """Create a classic (uncached) unique index on an empty table."""
-        table = self.table(table_name)
-        self._require_empty(table, index_name)
-        codec = codec_for_columns(
-            [table.schema.column(c) for c in key_columns]
-        )
-        tree = BPlusTree(
-            self._index_pool, codec.size, RID_SIZE, name=index_name,
-            split_fraction=split_fraction, registry=self._metrics,
-        )
-        index = PlainIndex(tree, table.heap, table.schema, key_columns)
-        table.attach_index(index_name, index)
-        entry = self._catalog.register_index(
-            index_name, table_name, tuple(key_columns), index
-        )
-        if self._wal is not None:
-            self._wal.log_create_index(index_meta(entry))
-        return index
+        return self._add_index(table_name, index_name, key_columns, split_fraction)
 
     def create_cached_index(
         self,
@@ -648,43 +596,10 @@ class Database:
         split_fraction: float = 0.5,
     ) -> CachedBTree:
         """Create a §2.1 cached index on an empty table."""
-        table = self.table(table_name)
-        self._require_empty(table, index_name)
-        codec = codec_for_columns(
-            [table.schema.column(c) for c in key_columns]
+        return self._add_index(
+            table_name, index_name, key_columns, split_fraction,
+            (cached_fields, policy, invalidation_log_threshold, latch_contention),
         )
-        tree = BPlusTree(
-            self._index_pool, codec.size, RID_SIZE, name=index_name,
-            split_fraction=split_fraction, registry=self._metrics,
-        )
-        index = CachedBTree(
-            tree,
-            table.heap,
-            table.schema,
-            key_columns,
-            cached_fields,
-            policy=policy,
-            # crc32, not hash(): str hashes are salted per process
-            # (PYTHONHASHSEED), which made the swap policy's random
-            # walk — and thus cache layout and metrics — differ
-            # between otherwise identical runs.
-            rng=self._rng.child(zlib.crc32(index_name.encode()) & 0xFFFF),
-            invalidation=CacheInvalidation(
-                invalidation_log_threshold, registry=self._metrics
-            ),
-            latch=LatchSimulator(latch_contention, self._rng.child(0x1A7C)),
-            cost_model=self._cost,
-            registry=self._metrics,
-        )
-        if self._cache_admission != 1.0:
-            index.set_cache_admission(self._cache_admission)
-        table.attach_index(index_name, index)
-        entry = self._catalog.register_index(
-            index_name, table_name, tuple(key_columns), index
-        )
-        if self._wal is not None:
-            self._wal.log_create_index(index_meta(entry))
-        return index
 
     # -- recovery DDL ------------------------------------------------------------
     #
@@ -704,19 +619,7 @@ class Database:
         """Register a table over existing heap pages (WAL replay)."""
         heap = HeapFile(self._data_pool, append_only=append_only)
         heap.adopt_pages(list(page_ids))
-        table = Table(
-            name, schema, heap, tracer=self._tracer, wal=self._wal,
-            profiler=self._profiler,
-        )
-        self._catalog.register_table(name, schema, table)
-        if self._adaptive is not None:
-            table.ticker = self._adaptive
-        if self._columnar is not None:
-            self._columnar.attach(table)
-        if self._trace is not None:
-            table.trace = self._trace
-            table.trace_shard = self._trace_shard
-        return table
+        return self._register_table(name, schema, heap)
 
     def restore_index(
         self,
@@ -727,21 +630,9 @@ class Database:
     ) -> PlainIndex:
         """Recreate a plain index and bulk-load it from the (restored)
         heap — indexes are derived data, never redone record-by-record."""
-        table = self.table(table_name)
-        codec = codec_for_columns(
-            [table.schema.column(c) for c in key_columns]
+        return self._add_index(
+            table_name, index_name, key_columns, split_fraction, restore=True
         )
-        tree = BPlusTree(
-            self._index_pool, codec.size, RID_SIZE, name=index_name,
-            split_fraction=split_fraction, registry=self._metrics,
-        )
-        index = PlainIndex(tree, table.heap, table.schema, key_columns)
-        index.rebuild_from_heap()
-        table.attach_index(index_name, index)
-        self._catalog.register_index(
-            index_name, table_name, tuple(key_columns), index
-        )
-        return index
 
     def restore_cached_index(
         self,
@@ -759,37 +650,11 @@ class Database:
         The cache itself starts cold: cached tuple copies are the most
         derived data of all and are simply dropped by a crash.
         """
-        table = self.table(table_name)
-        codec = codec_for_columns(
-            [table.schema.column(c) for c in key_columns]
+        return self._add_index(
+            table_name, index_name, key_columns, split_fraction,
+            (cached_fields, policy, invalidation_log_threshold, latch_contention),
+            restore=True,
         )
-        tree = BPlusTree(
-            self._index_pool, codec.size, RID_SIZE, name=index_name,
-            split_fraction=split_fraction, registry=self._metrics,
-        )
-        index = CachedBTree(
-            tree,
-            table.heap,
-            table.schema,
-            key_columns,
-            cached_fields,
-            policy=policy,
-            rng=self._rng.child(zlib.crc32(index_name.encode()) & 0xFFFF),
-            invalidation=CacheInvalidation(
-                invalidation_log_threshold, registry=self._metrics
-            ),
-            latch=LatchSimulator(latch_contention, self._rng.child(0x1A7C)),
-            cost_model=self._cost,
-            registry=self._metrics,
-        )
-        if self._cache_admission != 1.0:
-            index.set_cache_admission(self._cache_admission)
-        index.rebuild_from_heap()
-        table.attach_index(index_name, index)
-        self._catalog.register_index(
-            index_name, table_name, tuple(key_columns), index
-        )
-        return index
 
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog (pages are not reclaimed —
@@ -807,10 +672,70 @@ class Database:
 
     # -- internals ---------------------------------------------------------------
 
-    @staticmethod
-    def _require_empty(table: Table, index_name: str) -> None:
-        if table.num_rows:
+    def _register_table(self, name: str, schema: Schema, heap: HeapFile) -> Table:
+        """Wrap ``heap`` as a table on the engine's tracer — whatever is
+        armed there, now or later, observes it — and catalog it."""
+        table = Table(name, schema, heap, tracer=self._tracer, wal=self._wal)
+        self._catalog.register_table(name, schema, table)
+        if self._columnar is not None:
+            self._columnar.attach(table)
+        return table
+
+    def _add_index(
+        self, table_name, index_name, key_columns, split_fraction,
+        cached=None, restore=False,
+    ):
+        """The one path every index is born on.
+
+        ``cached`` is ``(cached_fields, policy, invalidation_log_threshold,
+        latch_contention)`` for a §2.1 cached index, ``None`` for a plain
+        one.  ``restore`` bulk-loads the index from the heap instead of
+        requiring an empty table, and logs no CREATE INDEX record.
+        """
+        table = self.table(table_name)
+        if not restore and table.num_rows:
             raise QueryError(
                 f"cannot create index {index_name!r}: table "
                 f"{table.name!r} already has rows (no back-fill support)"
             )
+        codec = codec_for_columns(
+            [table.schema.column(c) for c in key_columns]
+        )
+        tree = BPlusTree(
+            self._index_pool, codec.size, RID_SIZE, name=index_name,
+            split_fraction=split_fraction, registry=self._metrics,
+        )
+        if cached is None:
+            index = PlainIndex(tree, table.heap, table.schema, key_columns)
+        else:
+            cached_fields, policy, log_threshold, latch_contention = cached
+            index = CachedBTree(
+                tree,
+                table.heap,
+                table.schema,
+                key_columns,
+                cached_fields,
+                policy=policy,
+                # crc32, not hash(): str hashes are salted per process
+                # (PYTHONHASHSEED), which made the swap policy's random
+                # walk — and thus cache layout and metrics — differ
+                # between otherwise identical runs.
+                rng=self._rng.child(zlib.crc32(index_name.encode()) & 0xFFFF),
+                invalidation=CacheInvalidation(
+                    log_threshold, registry=self._metrics
+                ),
+                latch=LatchSimulator(latch_contention, self._rng.child(0x1A7C)),
+                cost_model=self._cost,
+                registry=self._metrics,
+            )
+            if self._cache_admission != 1.0:
+                index.set_cache_admission(self._cache_admission)
+        if restore:
+            index.rebuild_from_heap()
+        table.attach_index(index_name, index)
+        entry = self._catalog.register_index(
+            index_name, table_name, tuple(key_columns), index
+        )
+        if not restore and self._wal is not None:
+            self._wal.log_create_index(index_meta(entry))
+        return index

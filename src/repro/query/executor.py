@@ -21,7 +21,6 @@ before they can serve old parent fields.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.index_cache.cache import IndexCache
@@ -33,9 +32,6 @@ from repro.query.table import PlainIndex, Table
 from repro.schema.record import pack_record_map, unpack_fields, unpack_record
 from repro.storage.heap import Rid
 from repro.util.rng import DeterministicRng
-
-#: Shared no-op context for unprofiled probes (see query.table).
-_UNPROFILED = nullcontext()
 
 
 @dataclass
@@ -139,26 +135,21 @@ class FkJoinCache:
 
     # -- probes ----------------------------------------------------------------
 
-    def _profile(self, op: str, project: tuple[str, ...], batch: int = 1):
-        """The child table's profiling bracket for one join probe.
+    def _span(self, op: str, project: tuple[str, ...], batch: int = 1):
+        """The op bracket for one join probe (profile only: joins have no
+        ``span.*`` series and no trace span of their own).
 
-        Joins ride on the child table's profiler (the child heap page is
+        Joins ride on the child table's tracer (the child heap page is
         the one being read), fingerprinted against the *parent* index the
         probe would descend on a cache miss.  The internal parent
         ``lookup``/``lookup_many`` fallbacks run inside this bracket, so
         their page and WAL traffic is charged to the join — the depth
         guard keeps them from double-counting as standalone lookups.
         """
-        profiler = self._child.profiler
-        if profiler is None:
-            return _UNPROFILED
-        return profiler.operation(
-            op,
-            self._child.name,
-            index_name=self._parent_index_name,
-            index=self._parent_index,
-            project=project,
-            batch=batch,
+        return self._child.tracer.span(
+            f"query.{op}", timed=False,
+            profile=(op, self._child.name, self._parent_index_name,
+                     self._parent_index, project, batch),
         )
 
     def join_fetch(
@@ -169,7 +160,7 @@ class FkJoinCache:
         ``project`` may name columns from either side; parent columns must
         be among the configured ``parent_fields``.
         """
-        with self._profile("join", project):
+        with self._span("join", project):
             return self._join_fetch(child_rid, project)
 
     def _join_fetch(
@@ -232,7 +223,7 @@ class FkJoinCache:
         missed twice in one batch still counts one parent lookup per
         probe, exactly like the scalar loop, but is filled once).
         """
-        with self._profile("join_many", project, batch=len(child_rids)):
+        with self._span("join_many", project, batch=len(child_rids)):
             return self._join_fetch_many(child_rids, project)
 
     def _join_fetch_many(

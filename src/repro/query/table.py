@@ -10,7 +10,6 @@ notify cached indexes so stale cache entries are invalidated through the
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterator, Union
 
 from repro.btree.keycodec import KeyCodec, codec_for_columns
@@ -18,7 +17,8 @@ from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree, LookupResult
 from repro.errors import QueryError, ReproError
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracer import Tracer
 from repro.query.predicates import Predicate, TruePredicate
 from repro.schema.record import (
     pack_record_map,
@@ -27,11 +27,6 @@ from repro.schema.record import (
 )
 from repro.schema.schema import Schema
 from repro.storage.heap import HeapFile, Rid, RID_SIZE
-
-#: Shared no-op context for the profiler-off path: ``nullcontext`` is
-#: stateless and reentrant, so one instance serves every unprofiled
-#: operation without a per-call allocation.
-_UNPROFILED = nullcontext()
 
 
 class PlainIndex:
@@ -174,18 +169,15 @@ class Table:
         heap: HeapFile,
         tracer: Tracer | None = None,
         wal=None,
-        profiler=None,
     ) -> None:
         self._name = name
         self._schema = schema
         self._heap = heap
         self._indexes: dict[str, AnyIndex] = {}
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional repro.obs.profiler.QueryProfiler (duck-typed).  When
-        #: set, every operation runs inside ``profiler.operation(...)``
-        #: and is charged to its normalized fingerprint; when None, the
-        #: hot path pays one attribute test per operation.
-        self._profiler = profiler
+        #: The engine's op bracket — all this table knows about
+        #: observation (DESIGN.md §5k); a table built without one gets
+        #: an inert tracer of its own.
+        self._tracer = tracer if tracer is not None else Tracer(NULL_REGISTRY)
         #: Optional repro.wal.log.WalWriter (duck-typed to avoid the
         #: import cycle).  When set, every heap mutation follows the
         #: reserve-LSN / apply-with-LSN / append-record protocol, and the
@@ -193,12 +185,6 @@ class Table:
         #: redo records so replay always lands on the state the engine
         #: actually reached.
         self._wal = wal
-        #: Optional repro.obs.adaptive.AdaptiveController (duck-typed:
-        #: anything with a ``tick()``).  When set, every operation ticks
-        #: the controller *before* doing its work — no pins are held, so
-        #: a triggered knob change (pool resize, WAL flush) is always
-        #: safe.  When None, the hot path pays one attribute test.
-        self._ticker = None
         #: Write observers (e.g. FkJoinCaches keyed on this table as the
         #: join parent) notified after every update/delete so derived
         #: caches living *outside* this table's indexes can invalidate.
@@ -210,14 +196,6 @@ class Table:
         #: delete — exactly the index fan-out contract.  When None, the
         #: hot path pays one attribute test.
         self._columnar = None
-        #: Optional repro.obs.trace.TraceCollector (duck-typed).  When
-        #: set, every operation opens a §5j trace span (a fresh root at
-        #: the facade, a child when nested inside a scatter-gather
-        #: trace); ``trace_shard`` tags the span with the engine's shard
-        #: id under a sharded facade.  When None, the hot path pays one
-        #: attribute test.
-        self._trace = None
-        self._trace_shard: int | None = None
 
     # -- properties ----------------------------------------------------------
 
@@ -285,72 +263,12 @@ class Table:
         return self._tracer
 
     @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-
-    @property
-    def ticker(self):
-        return self._ticker
-
-    @ticker.setter
-    def ticker(self, value) -> None:
-        self._ticker = value
-
-    @property
     def columnar(self):
         return self._columnar
 
     @columnar.setter
     def columnar(self, value) -> None:
         self._columnar = value
-
-    @property
-    def trace(self):
-        return self._trace
-
-    @trace.setter
-    def trace(self, value) -> None:
-        self._trace = value
-
-    @property
-    def trace_shard(self) -> int | None:
-        return self._trace_shard
-
-    @trace_shard.setter
-    def trace_shard(self, value: int | None) -> None:
-        self._trace_shard = value
-
-    def _trace_op(self, op: str, **attrs):
-        """The §5j trace bracket for one operation, or the shared no-op."""
-        if self._trace is None:
-            return _UNPROFILED
-        return self._trace.span(
-            op, shard=self._trace_shard, table=self._name, **attrs
-        )
-
-    def _profile(
-        self,
-        op: str,
-        index_name: str | None = None,
-        index=None,
-        project: tuple[str, ...] | None = None,
-        batch: int = 1,
-    ):
-        """The profiling bracket for one operation, or the shared no-op."""
-        if self._profiler is None:
-            return _UNPROFILED
-        return self._profiler.operation(
-            op,
-            self._name,
-            index_name=index_name,
-            index=index,
-            project=project,
-            batch=batch,
-        )
 
     def insert(self, row: dict[str, object], txn_id: int = 0) -> Rid:
         """Insert a row into the heap and every index.
@@ -365,11 +283,11 @@ class Table:
         (0 = autocommit); the session layer passes it so crash recovery
         can tell committed writes from in-flight ones.
         """
-        if self._ticker is not None:
-            self._ticker.tick()
-        with self._trace_op("query.insert"), self._profile(
-            "insert"
-        ), self._tracer.span("query.insert", table=self._name):
+        self._tracer.tick()
+        with self._tracer.span(
+            "query.insert", profile=("insert", self._name),
+            trace={"table": self._name}, table=self._name,
+        ):
             record = pack_record_map(self._schema, row)
             rid = self._wal_insert(record, txn_id=txn_id)
             inserted: list[AnyIndex] = []
@@ -400,17 +318,18 @@ class Table:
         Key columns of *any* attached index may not change (that would be
         a delete+insert, which callers do explicitly).
         """
-        if self._ticker is not None:
-            self._ticker.tick()
+        self._tracer.tick()
         for index in self._indexes.values():
             bad = set(changes) & set(index.key_columns)
             if bad:
                 raise QueryError(
                     f"cannot update index key columns {sorted(bad)}"
                 )
-        with self._trace_op("query.update"), self._profile(
-            "update", index_name=index_name, index=self.index(index_name)
-        ), self._tracer.span("query.update", table=self._name):
+        with self._tracer.span(
+            "query.update",
+            profile=("update", self._name, index_name, self.index(index_name)),
+            trace={"table": self._name}, table=self._name,
+        ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
                 return False
@@ -438,11 +357,12 @@ class Table:
         the delete either happens completely or not at all, and can be
         retried verbatim after a heal.
         """
-        if self._ticker is not None:
-            self._ticker.tick()
-        with self._trace_op("query.delete"), self._profile(
-            "delete", index_name=index_name, index=self.index(index_name)
-        ), self._tracer.span("query.delete", table=self._name):
+        self._tracer.tick()
+        with self._tracer.span(
+            "query.delete",
+            profile=("delete", self._name, index_name, self.index(index_name)),
+            trace={"table": self._name}, table=self._name,
+        ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
                 return False
@@ -477,13 +397,12 @@ class Table:
         project: tuple[str, ...] | None = None,
     ) -> LookupResult:
         """Point lookup through the named index."""
-        if self._ticker is not None:
-            self._ticker.tick()
+        self._tracer.tick()
         index = self.index(index_name)
-        with self._trace_op("query.lookup"), self._profile(
-            "lookup", index_name=index_name, index=index, project=project
-        ), self._tracer.span(
-            "query.lookup", table=self._name, index=index_name
+        with self._tracer.span(
+            "query.lookup",
+            profile=("lookup", self._name, index_name, index, project),
+            trace={"table": self._name}, table=self._name, index=index_name,
         ):
             return index.lookup(key_value, project)
 
@@ -501,19 +420,14 @@ class Table:
         ``BufferPool.fetch_many``).  Results align positionally with
         ``key_values`` and equal a per-key :meth:`lookup` loop.
         """
-        if self._ticker is not None:
-            self._ticker.tick()
+        self._tracer.tick()
         index = self.index(index_name)
-        with self._trace_op(
-            "query.lookup_many", batch=len(key_values)
-        ), self._profile(
-            "lookup_many",
-            index_name=index_name,
-            index=index,
-            project=project,
-            batch=len(key_values),
-        ), self._tracer.span(
-            "query.lookup_many", table=self._name, index=index_name
+        batch = len(key_values)
+        with self._tracer.span(
+            "query.lookup_many",
+            profile=("lookup_many", self._name, index_name, index, project, batch),
+            trace={"table": self._name, "batch": batch},
+            table=self._name, index=index_name,
         ):
             return index.lookup_many(list(key_values), project)
 
@@ -554,10 +468,13 @@ class Table:
                 # it can be trace-spanned; the lazy row path cannot (a
                 # span over a half-drained iterator would dangle) — its
                 # spans come from the scatter-gather facade instead.
-                with self._trace_op("query.scan", columnar=True), \
-                        self._profile("scan", project=project):
+                with self._tracer.span(
+                    "query.scan", timed=False,
+                    profile=("scan", self._name, None, None, project),
+                    trace={"table": self._name, "columnar": True},
+                ):
                     return iter(self._columnar.scan(kernel, predicate, project))
-        if self._profiler is None:
+        if self._tracer.profiler is None:
             return self._scan_rows(predicate, project)
         return self._profiled_scan(predicate, project)
 
@@ -580,26 +497,26 @@ class Table:
         # (core.encoding's package init imports Table for migrate).
         from repro.columnar.executor import aggregate_rows, normalize_specs
 
-        if self._ticker is not None:
-            self._ticker.tick()
+        self._tracer.tick()
         predicate = predicate if predicate is not None else TruePredicate()
         normalized = tuple(normalize_specs(specs, self._schema))
         labels = tuple(
             "count" if op == "count" else f"{op}({column})"
             for op, column in normalized
         )
+        kernel = None
+        trace: dict[str, object] = {"table": self._name}
         if use_columnar and self._columnar is not None:
             kernel = self._columnar.plan_scan(predicate)
             if kernel is not None:
-                with self._trace_op(
-                    "query.aggregate", columnar=True
-                ), self._profile("aggregate", project=labels):
-                    return self._columnar.aggregate(
-                        kernel, predicate, normalized
-                    )
-        with self._trace_op("query.aggregate"), self._profile(
-            "aggregate", project=labels
+                trace["columnar"] = True
+        with self._tracer.span(
+            "query.aggregate", timed=False,
+            profile=("aggregate", self._name, None, None, labels),
+            trace=trace,
         ):
+            if kernel is not None:
+                return self._columnar.aggregate(kernel, predicate, normalized)
             return aggregate_rows(
                 self._scan_rows(predicate, self._schema.names), normalized
             )
@@ -615,7 +532,10 @@ class Table:
     def _profiled_scan(
         self, predicate: Predicate, project: tuple[str, ...]
     ) -> Iterator[dict[str, object]]:
-        with self._profile("scan", project=project):
+        with self._tracer.span(
+            "query.scan", timed=False,
+            profile=("scan", self._name, None, None, project),
+        ):
             try:
                 yield from self._scan_rows(predicate, project)
             except GeneratorExit:

@@ -1,4 +1,4 @@
-"""Simulated-time cost model and metric helpers for the experiments."""
+"""Simulated-time cost model for the experiments."""
 
 from repro.sim.cost_model import (
     CostModel,
@@ -6,12 +6,10 @@ from repro.sim.cost_model import (
     END_TO_END_PRESET,
     PAPER_PRESET,
 )
-from repro.sim.metrics import LookupMetrics
 
 __all__ = [
     "CostModel",
     "CostPreset",
     "END_TO_END_PRESET",
     "PAPER_PRESET",
-    "LookupMetrics",
 ]

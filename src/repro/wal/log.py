@@ -112,11 +112,13 @@ class WalWriter:
             raise WalError("group_commit_records must be >= 1")
         self._device = device if device is not None else WalDevice()
         self._group = group_commit_records
-        #: Optional §5j hooks, set by ``Database.enable_tracing`` /
-        #: ``enable_events`` (or the sharded facade, which also sets
-        #: ``journal_shard`` to this engine's shard id).  Off path: one
-        #: is-None test per flush/checkpoint.
-        self.trace = None
+        #: Optional §5j hooks: ``tracer`` is the owning engine's Tracer
+        #: (flushes become spans of the trace collector armed on it);
+        #: ``journal`` is set by ``Database.enable_events`` (or the
+        #: sharded facade, which also sets ``journal_shard`` to this
+        #: engine's shard id).  Off path: one is-None test per
+        #: flush/checkpoint.
+        self.tracer = None
         self.journal = None
         self.journal_shard: int | None = None
         self._buffer: list[bytes] = []
@@ -293,10 +295,11 @@ class WalWriter:
         """Append every buffered frame to the device as one blob."""
         if not self._buffer:
             return
-        if self.trace is not None:
-            with self.trace.span(
+        trace = self.tracer.trace if self.tracer is not None else None
+        if trace is not None:
+            with trace.span(
                 "wal.flush",
-                shard=self.journal_shard,
+                shard=self.tracer.shard,
                 records=len(self._buffer),
                 bytes=sum(len(b) for b in self._buffer),
             ):

@@ -72,7 +72,7 @@ def test_enable_profiling_idempotent_and_propagates_to_new_tables():
     profiler = db.enable_profiling()
     assert db.enable_profiling() is profiler
     t2 = db.create_table("t2", SCHEMA)
-    assert t2.profiler is profiler
+    assert t2.tracer.profiler is profiler
     assert db.profiler is profiler
 
 
@@ -273,7 +273,7 @@ def test_as_dict_and_format_top_render():
 
 def test_profiling_off_by_default_and_opt_in():
     db, t = _db()
-    assert db.profiler is None and t.profiler is None
+    assert db.profiler is None and t.tracer.profiler is None
     t.lookup("pk", 1, ("k",))  # no profiler: nothing recorded anywhere
     assert "profiler" not in db.metrics.snapshot()
 

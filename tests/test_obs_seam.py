@@ -1,0 +1,247 @@
+"""The op bracket contract (DESIGN.md §5k): one ``Tracer.span`` per
+operation feeds the histogram, the profiler and the trace collector, is
+armed once per engine, and keeps the historical asymmetries (what ticks,
+what has a ``span.*`` series, what nests)."""
+
+import itertools
+
+import pytest
+
+from repro import Database, MetricsRegistry, Schema, UINT32, UINT64, char
+from repro.obs import NULL_REGISTRY, Tracer
+from repro.query.executor import FkJoinCache
+from repro.query.predicates import ColumnRange, Predicate
+from repro.util.rng import DeterministicRng
+from repro.wal.replay import recover
+
+pytestmark = pytest.mark.obs
+
+SCHEMA = Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
+CHILD = Schema.of(("cid", UINT64), ("fk", UINT64), ("val", UINT32))
+
+
+def _db(**kwargs):
+    db = Database(
+        data_pool_pages=64, seed=3, metrics=MetricsRegistry(), **kwargs
+    )
+    t = db.create_table("t", SCHEMA)
+    db.create_index("t", "pk", ("k",))
+    for i in range(40):
+        t.insert({"k": i, "name": f"r{i}", "n": i % 7})
+    return db, t
+
+
+def _span_counts(db):
+    """``{op: samples}`` of every ``span.query.<op>.ns`` histogram."""
+    return {
+        name[len("span.query."):-len(".ns")]: instrument.count
+        for name, instrument in db.metrics.items()
+        if name.startswith("span.query.") and name.endswith(".ns")
+    }
+
+
+# -- (a) one bracket per op, every sink fed exactly once ---------------------
+
+
+def test_every_op_is_observed_exactly_once_with_everything_armed():
+    db, t = _db()
+    child = db.create_table("child", CHILD)
+    db.create_index("child", "child_pk", ("cid",))
+    rids = [child.insert({"cid": c, "fk": c % 10, "val": c}) for c in range(6)]
+    join = FkJoinCache(
+        child, t, "pk", "fk", ("name", "n"), rng=DeterministicRng(2)
+    )
+    profiler = db.enable_profiling()
+    collector = db.enable_tracing()
+    controller = db.enable_adaptive()
+    db.enable_columnar()
+    ticks = []
+    real_tick = controller.tick
+    controller.tick = lambda: (ticks.append(1), real_tick())[1]
+
+    pred = ColumnRange("n", 0, 3)
+    specs = [("count", None), ("sum", "n")]
+    # (label, call, profiled op, trace root, span.* sample, ticks)
+    cases = [
+        ("insert", lambda: t.insert({"k": 100, "name": "x", "n": 1}),
+         "insert", "query.insert", "insert", 1),
+        ("update", lambda: t.update("pk", 100, {"n": 2}),
+         "update", "query.update", "update", 1),
+        ("lookup", lambda: t.lookup("pk", 100),
+         "lookup", "query.lookup", "lookup", 1),
+        ("lookup_many", lambda: t.lookup_many("pk", [1, 2, 100]),
+         "lookup_many", "query.lookup_many", "lookup_many", 1),
+        ("delete", lambda: t.delete("pk", 100),
+         "delete", "query.delete", "delete", 1),
+        ("row scan", lambda: list(t.scan(pred, use_columnar=False)),
+         "scan", None, None, 0),
+        ("columnar scan", lambda: list(t.scan(pred)),
+         "scan", "query.scan", None, 0),
+        ("row aggregate", lambda: t.aggregate(specs, pred, use_columnar=False),
+         "aggregate", "query.aggregate", None, 1),
+        ("columnar aggregate", lambda: t.aggregate(specs, pred),
+         "aggregate", "query.aggregate", None, 1),
+        # A join has no span of its own; on a cold cache its parent
+        # lookup nests inside the join's profile but still traces,
+        # ticks and is timed as the lookup it is.
+        ("join_fetch", lambda: join.join_fetch(rids[0], ("cid", "name")),
+         "join", "query.lookup", "lookup", 1),
+        ("join_fetch_many",
+         lambda: join.join_fetch_many(rids[1:4], ("cid", "n")),
+         "join_many", "query.lookup_many", "lookup_many", 1),
+    ]
+    for label, call, op, root, timed, n_ticks in cases:
+        profiles = profiler.operations
+        finished = len(collector.traces())
+        spans = _span_counts(db)
+        del ticks[:]
+        call()
+        assert profiler.operations == profiles + 1, label
+        newest = max(profiler.slow_queries(), key=lambda p: p.seq)
+        assert (newest.op, newest.error) == (op, False), label
+        new_traces = collector.traces()[finished:]
+        assert [tr.name for tr in new_traces] == ([root] if root else []), label
+        grown = {
+            name: count - spans.get(name, 0)
+            for name, count in _span_counts(db).items()
+            if count != spans.get(name, 0)
+        }
+        assert grown == ({timed: 1} if timed else {}), label
+        assert len(ticks) == n_ticks, label
+        assert db.tracer.depth == 0, label
+    assert collector.active is None
+    scan_trace = [tr for tr in collector.traces() if tr.name == "query.scan"]
+    assert scan_trace[0].root.attrs == {"table": "t", "columnar": True}
+
+
+def test_wal_flush_nests_inside_the_op_that_trips_it():
+    db, t = _db(wal=True, wal_group_commit=1)
+    collector = db.enable_tracing()
+    t.insert({"k": 500, "name": "w", "n": 0})
+    trace = collector.last()
+    assert trace.name == "query.insert"
+    assert [s.name for s in trace.spans] == ["query.insert", "wal.flush"]
+
+
+# -- (b) errors reach every sink once and unwind the bracket -----------------
+
+
+class _Boom(Predicate):
+    def matches(self, row):
+        raise RuntimeError("boom")
+
+
+def test_error_in_body_marks_every_sink_once_and_unwinds():
+    db, t = _db()
+    profiler = db.enable_profiling()
+    collector = db.enable_tracing()
+    t.index("pk").lookup = _raise
+    with pytest.raises(RuntimeError):
+        t.lookup("pk", 1)
+    (event,) = [e for e in db.tracer.recent() if e.error]
+    assert event.name == "query.lookup"
+    (profile,) = [p for p in profiler.slow_queries() if p.error]
+    assert profile.op == "lookup"
+    assert collector.last().root.error is True
+    value = lambda name: db.metrics.get(name).value  # noqa: E731
+    assert value("span.query.lookup.errors") == 1
+    assert value("profiler.errors") == 1
+    assert value("trace.errors") == 1
+    assert db.tracer.depth == 0 and collector.active is None
+
+    # The next op is charged to itself, not to a bracket left open.
+    del t.index("pk").lookup
+    t.lookup("pk", 2)
+    assert profiler.stats("lookup:t.pk").calls == 2
+    assert collector.last().root.error is False
+    assert value("span.query.lookup.errors") == 1
+
+    # Untimed brackets (aggregate) deliver the flag the same way.
+    with pytest.raises(RuntimeError):
+        t.aggregate([("count", None)], _Boom())
+    assert value("profiler.errors") == 2 and value("trace.errors") == 2
+    assert db.tracer.depth == 0 and collector.active is None
+
+
+def _raise(*_args, **_kwargs):
+    raise RuntimeError("boom")
+
+
+# -- (c) armed once per engine: no per-table attach --------------------------
+
+
+def test_tables_created_or_restored_later_are_observed():
+    db, t = _db(wal=True)
+    profiler = db.enable_profiling()
+    collector = db.enable_tracing()
+    late = db.create_table("late", SCHEMA)
+    db.create_index("late", "late_pk", ("k",))
+    late.insert({"k": 1, "name": "a", "n": 1})
+    late.lookup("late_pk", 1)
+    assert profiler.stats("insert:late").calls == 1
+    assert profiler.stats("lookup:late.late_pk").calls == 1
+    assert [tr.name for tr in collector.traces()[-2:]] == [
+        "query.insert", "query.lookup",
+    ]
+    assert late.tracer is t.tracer is db.tracer
+
+    # The WAL replayer's side door registers through the same path.
+    adopted = db.restore_table("adopted", SCHEMA, late.heap.page_ids)
+    db.restore_index("adopted", "adopted_pk", ("k",))
+    assert adopted.lookup("adopted_pk", 1).found
+    assert profiler.stats("lookup:adopted.adopted_pk").calls == 1
+    assert collector.last().root.attrs == {"table": "adopted"}
+
+    db.wal.flush()
+    db2, _report = recover(db.wal, metrics=MetricsRegistry())
+    profiler2 = db2.enable_profiling()
+    collector2 = db2.enable_tracing()
+    restored = db2.table("late")
+    assert restored.lookup("late_pk", 1).found
+    assert profiler2.operations == 1
+    assert collector2.last().name == "query.lookup"
+    assert restored.tracer is db2.tracer
+
+
+# -- (d) wiring does not depend on the order of the enable_* calls -----------
+
+
+@pytest.mark.parametrize(
+    "order",
+    list(itertools.permutations(("events", "adaptive", "tracing", "profiling"))),
+    ids="-".join,
+)
+def test_enable_order_does_not_change_the_wiring(order):
+    db, t = _db(wal=True)
+    db.recovery  # built before any enable_*, wired by enable_events
+    for name in order:
+        getattr(db, f"enable_{name}")()
+    tracer = db.tracer
+    assert tracer.profiler is db.profiler is not None
+    assert tracer.trace is db.trace is not None
+    assert tracer.ticker is db.adaptive is not None
+    assert tracer.shard is None
+    assert db.adaptive.journal is db.journal is not None
+    assert db.wal.journal is db.journal
+    assert db.recovery.journal is db.journal
+    assert db.journal.trace_source is db.trace
+    assert db.wal.tracer is tracer and t.tracer is tracer
+
+
+# -- the inert tracer ---------------------------------------------------------
+
+
+def test_tracer_without_registry_or_clock_is_inert():
+    """``Tracer`` on the null registry with no clock is the null tracer:
+    spans nest and land in the ring, but measure zero and export
+    nothing — and with no sink armed, sink arguments go nowhere."""
+    tracer = Tracer(NULL_REGISTRY)
+    with tracer.span("anything", profile=("op", "t"), trace={"table": "t"}):
+        with tracer.span("nested"):
+            assert tracer.depth == 2
+    assert tracer.depth == 0
+    inner, outer = tracer.recent()
+    assert (inner.name, inner.depth, inner.elapsed_ns) == ("nested", 1, 0.0)
+    assert (outer.name, outer.depth, outer.elapsed_ns) == ("anything", 0, 0.0)
+    assert tracer.registry.snapshot() == {}
+    tracer.tick()  # no ticker armed: a no-op

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, NullTracer, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim.cost_model import CostModel, PAPER_PRESET
 
 pytestmark = pytest.mark.obs
@@ -100,12 +100,3 @@ def test_span_attrs_recorded():
         pass
     (event,) = tracer.recent()
     assert dict(event.attrs) == {"table": "users", "index": "pk"}
-
-
-def test_null_tracer_records_nothing():
-    tracer = NullTracer()
-    with tracer.span("anything"):
-        with tracer.span("nested"):
-            pass
-    assert tracer.recent() == []
-    assert tracer.registry.snapshot() == {}

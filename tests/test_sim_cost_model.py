@@ -8,7 +8,6 @@ from repro.sim.cost_model import (
     END_TO_END_PRESET,
     PAPER_PRESET,
 )
-from repro.sim.metrics import LookupMetrics, PhaseTimer
 
 
 def test_clock_starts_at_zero():
@@ -88,23 +87,3 @@ def test_custom_preset():
     model.on_bp_miss()
     assert model.now_ns == 110.0
     assert preset.nocache_lookup_ns == preset.index_descent_ns + 10.0
-
-
-def test_lookup_metrics():
-    m = LookupMetrics()
-    m.record(True, 100.0)
-    m.record(False, 300.0)
-    assert m.lookups == 2
-    assert m.cache_hit_rate == 0.5
-    assert m.cost_per_lookup_ns == 200.0
-    assert m.cost_per_lookup_us == pytest.approx(0.2)
-    assert m.cost_per_lookup_ms == pytest.approx(0.0002)
-
-
-def test_phase_timer():
-    model = CostModel()
-    timer = PhaseTimer(model)
-    model.charge(500.0)
-    assert timer.elapsed_ns == 500.0
-    timer.restart()
-    assert timer.elapsed_ns == 0.0
