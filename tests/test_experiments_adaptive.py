@@ -77,6 +77,9 @@ def test_fault_drill_passes_with_controller_armed():
 
     report = run_fault_drill(n_pages=60, n_ops=300, seed=1, adaptive=True)
     assert report.passed
+    assert report.digest == (
+        "1f68e3836002081d3e6e7b76a703cfd9805df9c2396aa504d1fc627074558ccf"
+    )
     again = run_fault_drill(n_pages=60, n_ops=300, seed=1, adaptive=True)
     assert again.digest == report.digest
     assert again.tuning_actions == report.tuning_actions

@@ -43,6 +43,14 @@ def test_drill_passed_and_says_so(drill):
     assert "PASS" in drill.summary()
 
 
+def test_drill_digest_is_pinned(drill):
+    # "Same twice" only proves determinism; the literal proves a refactor
+    # of the harness replayed the same ops, faults and recoveries.
+    assert drill.digest == (
+        "b34e119944d8b374449ace13e5ef828ffa18ec931ff0970fc184b79f6c4553b9"
+    )
+
+
 def test_drill_actually_recovered_something(drill):
     # The drill is vacuous if nothing went wrong: demand real detections,
     # retries, and at least one index rebuilt from the heap.
@@ -75,6 +83,9 @@ def test_drill_without_wal_still_passes():
     assert legacy.crash_restarts == 0
     assert legacy.wal_records == 0
     assert legacy.heap_page_rebuilds == 0
+    assert legacy.digest == (
+        "de0b739daca3cf4ebe66aee27c4bd1029f7ba865ff9324a32ed5eb7773f25550"
+    )
 
 
 def test_drill_is_reproducible_bit_for_bit(drill):
@@ -84,10 +95,13 @@ def test_drill_is_reproducible_bit_for_bit(drill):
     assert again.metrics == drill.metrics
 
 
-def test_different_seed_different_faults_same_verdict():
+def test_different_seed_different_faults_same_verdict(drill):
     other = run_fault_drill(seed=7, n_pages=150, n_ops=1_200, pool_pages=12)
     assert other.passed
-    assert other.digest != run_fault_drill(seed=0).digest
+    assert other.digest != drill.digest
+    assert other.digest == (
+        "8815dd0adbdaf22cc6e143a7a98ff3e3e3841acba17df0344aa8167894338a49"
+    )
 
 
 def test_cli_exit_code_and_output(capsys):
@@ -96,7 +110,14 @@ def test_cli_exit_code_and_output(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "fault drill [PASS]" in out
+    # The whole line, so the report fold is checked counter by counter.
+    assert out == (
+        "fault drill [PASS] seed=3: 400 ops, 2 faults injected, "
+        "1 detected = 1 recovered + 0 unrecoverable, 0 retries, "
+        "0 index rebuild(s), 1 heap page(s) redo-recovered, "
+        "2 crash restart(s), 435 WAL record(s), 0 page(s) quarantined, "
+        "0 wrong result(s), check=OK, digest=e292eb2016886d61\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +133,9 @@ def test_sessions_drill_passes_under_contention(sessions_drill):
     assert sessions_drill.passed
     assert sessions_drill.wrong_results == 0
     assert sessions_drill.sessions == 6
+    assert sessions_drill.digest == (
+        "fb8b330a4b44e72ea8393757ab518a1e83b084ddd1bfac9ccda1bb71b7f759f8"
+    )
 
 
 def test_sessions_drill_exercises_the_txn_machinery(sessions_drill):
@@ -126,6 +150,23 @@ def test_sessions_drill_is_reproducible_bit_for_bit(sessions_drill):
     )
     assert again.digest == sessions_drill.digest
     assert again.txn_conflicts == sessions_drill.txn_conflicts
+
+
+def test_sessions_drill_under_storage_faults():
+    # The contention fixture above never misses its pool (6 pages), so it
+    # meets only the two scheduled crash points.  This shape thrashes an
+    # 8-frame pool: MVCC reads, conflicts and commits run while index and
+    # heap pages are being corrupted, rebuilt and redo-recovered.
+    report = run_fault_drill(
+        seed=3, n_pages=120, n_ops=1_000, sessions=4, pool_pages=8
+    )
+    assert report.passed
+    assert report.faults_injected > 20
+    assert report.index_rebuilds > 0
+    assert report.txn_commits > 100
+    assert report.digest == (
+        "055329e1fd188e8ae56ac8fd9d6ae7d5c13036db3612055b05800481e786fa4a"
+    )
 
 
 def test_sessions_cli_flag(capsys):
@@ -150,6 +191,9 @@ def test_sharded_drill_passes_with_zero_wrong_results(sharded_drill):
     assert sharded_drill.wrong_results == 0
     assert sharded_drill.shards == 3
     assert sharded_drill.check_ok  # includes the cross-shard owner walk
+    assert sharded_drill.digest == (
+        "a7789ceb7b4fbf24d4aeae4a3772653e728414d4465472fee409abe853509ec9"
+    )
 
 
 def test_sharded_drill_injects_and_recovers_faults(sharded_drill):
