@@ -768,9 +768,9 @@ def _run_sharded_drill(
 
     def make_filters(i: int):
         local = sdb.shard(i).table("revision")
-        tree = local.index("rev_pk").tree
 
         def is_index_page(page_id: int) -> bool:
+            tree = local.index("rev_pk").tree  # re-read: rebuilds swap it
             return page_id in tree._leaf_ids or page_id in tree._internal_ids
 
         def is_heap_page(page_id: int) -> bool:

@@ -192,7 +192,7 @@ def test_sharded_drill_passes_with_zero_wrong_results(sharded_drill):
     assert sharded_drill.shards == 3
     assert sharded_drill.check_ok  # includes the cross-shard owner walk
     assert sharded_drill.digest == (
-        "a7789ceb7b4fbf24d4aeae4a3772653e728414d4465472fee409abe853509ec9"
+        "4e0df8025841a10f3c532e1b4c43212a1a6ed9c09f35f3ae1ca1c1aa07608e77"
     )
 
 
@@ -201,6 +201,10 @@ def test_sharded_drill_injects_and_recovers_faults(sharded_drill):
     assert sharded_drill.faults_recovered > 0
     assert sharded_drill.faults_unrecoverable == 0
     assert sharded_drill.ledger_balanced
+    # More rebuilds than shards: the index-page filter must follow the
+    # live tree, or at-rest index faults stop after each shard's first
+    # rebuild-from-heap swaps the tree out.
+    assert sharded_drill.index_rebuilds > sharded_drill.shards
 
 
 def test_sharded_drill_migrates_hot_keys_under_fire(sharded_drill):

