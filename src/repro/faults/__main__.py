@@ -7,13 +7,17 @@ check OK, and the fault ledger balanced) **and** every detected fault was
 recovered — an unrecoverable fault fails the gate even when quarantine
 kept query results correct, so CI catches recovery regressions early.
 
-``--sessions N`` runs the same workload through N interleaved MVCC
-sessions (snapshot isolation, conflicts, crash-during-commit recovery).
+All three modes are the same drill core — one load, arm, op loop, sweep,
+digest and report fold over a list of engines — differing only in what
+rides on it; the printed line is byte-stable per seed in each:
 
-``--shards N`` runs the drill over a sharded database instead: N engines
-with independent injectors and WALs, hot keys migrating between shards
-mid-drill, the RAM budget split across the shards.  Mutually exclusive
-with ``--sessions``.
+* default: one engine, autocommit op mix, two power cuts + WAL recovery.
+* ``--sessions N``: the ops come from N interleaved MVCC sessions
+  (snapshot isolation, conflicts, crash-during-commit recovery).
+* ``--shards N``: N engines behind a sharded database with independent
+  injectors and WALs, the RAM budget split across them, hot keys
+  migrating between shards mid-drill instead of power cuts.  Mutually
+  exclusive with ``--sessions``.
 """
 
 from __future__ import annotations

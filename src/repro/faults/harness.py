@@ -1,22 +1,25 @@
 """The end-to-end fault drill: a Wikipedia workload replayed under fire.
 
-``run_fault_drill`` builds a :class:`~repro.query.database.Database` on a
-:class:`~repro.faults.disk.FaultyDisk` with a write-ahead log, loads the
-synthetic Wikipedia revision table with a §2.1 cached index, arms a mixed
-fault plan (transient read/write errors and read bit flips anywhere;
-at-rest corruption — write bit flips, torn writes, stuck writes — aimed
-at index pages, plus bit flips and torn writes aimed at *heap* pages,
-which the WAL makes redo-recoverable), and replays a mixed
-lookup/update/insert/delete workload through the
-:class:`~repro.faults.recovery.RecoveryManager`.
+``run_fault_drill`` is one drill core over a :class:`_Target` — one
+:class:`~repro.query.database.Database`, or the engines of a
+:class:`~repro.shard.ShardedDatabase`, each on its own
+:class:`~repro.faults.disk.FaultyDisk` with its own injector, registry
+and write-ahead log.  It loads the synthetic Wikipedia revision table
+with a §2.1 cached index, arms :func:`default_plan` on every engine,
+replays a mixed lookup/update/insert/delete workload through the
+:class:`~repro.faults.recovery.RecoveryManager`, then sweeps, digests
+and folds one :class:`DrillReport` over all engines.  What a mode adds
+is an entry in an op-index schedule or one ``if`` arm, never a second
+loop: power cuts, telemetry and the adaptive controller (single engine);
+:class:`_SessionOps` in place of the autocommit op mix (sessions); two
+hot-key rebalances under tracing, journal and rollup (sharded).
 
-On top of the per-I/O faults the drill now pulls the power: at scheduled
-points a :data:`~repro.faults.plan.FaultKind.CRASH_POINT` tears whatever
-page is mid-write, all in-memory state is discarded, and the database is
-restarted with :func:`repro.wal.replay.recover`.  The ground-truth mirror
-is rebuilt *independently* by folding the durable log records, so the
-drill verifies both crash-consistency directions: every durable write
-survives the restart, and nothing that missed the log resurrects.
+Pulling the power: a :data:`~repro.faults.plan.FaultKind.CRASH_POINT`
+tears whatever page is mid-write, all in-memory state is discarded, and
+the database is restarted with :func:`repro.wal.replay.recover`.  The
+ground-truth mirror is rebuilt *independently* by folding the durable
+log, so the drill verifies both crash-consistency directions: every
+durable write survives, and nothing that missed the log resurrects.
 
 Every operation's outcome is verified against the mirror, so the drill's
 headline number — ``wrong_results`` — is literal: how many times the
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 from repro.errors import SimulatedCrashError, TxnConflictError
 from repro.faults.injector import FaultInjector
@@ -44,14 +48,26 @@ from repro.obs.sampler import TelemetrySampler
 from repro.query.database import Database
 from repro.schema.record import unpack_record_map
 from repro.storage.retry import RetryPolicy
+from repro.txn.oracle import committed_positional_fold
 from repro.util.rng import DeterministicRng
-from repro.wal.record import HEAP_OP_TYPES, RecordType, scan_wal
+from repro.wal.record import scan_wal
 from repro.workload.wikipedia import REVISION_SCHEMA, WikipediaConfig, generate
 
 #: Fields the drill's cached index keeps in leaf free space; lookups
 #: project key ∪ cached so cache hits answer without the heap.
 CACHED_FIELDS = ("rev_page", "rev_len")
 PROJECTION = ("rev_id",) + CACHED_FIELDS
+TABLE = "revision"
+
+#: Power cuts per WAL-backed single-engine drill, evenly spaced.
+CRASH_RESTARTS = 2
+#: Operations between fuzzy checkpoints (WAL-backed drills).
+CHECKPOINT_EVERY = 1_000
+#: Telemetry samples across the op budget (single-engine drills).
+TELEMETRY_SAMPLES = 16
+#: Three corrective re-reads: at a 2% read-flip rate, one re-read would
+#: misdiagnose back-to-back flips as at-rest corruption.
+DRILL_RETRY = RetryPolicy(corrupt_rereads=3)
 
 
 @dataclass
@@ -190,20 +206,339 @@ def _mirror_from_wal(records) -> dict[int, dict[str, object]]:
     a crash may keep — exactly the operations whose records reached the
     device — against which the restarted database is then verified.
     """
-    by_rid: dict[tuple[int, int], bytes] = {}
-    for rec in records:
-        if rec.rtype not in HEAP_OP_TYPES:
-            continue
-        rid = (rec.page_id, rec.slot)
-        if rec.rtype is RecordType.DELETE:
-            by_rid.pop(rid, None)
-        else:
-            by_rid[rid] = rec.payload
     mirror: dict[int, dict[str, object]] = {}
-    for payload in by_rid.values():
+    for payload in committed_positional_fold(records).values():
         row = unpack_record_map(REVISION_SCHEMA, payload)
         mirror[row["rev_id"]] = row
     return mirror
+
+
+def check_result(expected, result) -> int:
+    """1 if ``result`` differs from the ``expected`` row (None = the key
+    must be absent), else 0 — the drill's one per-read comparison."""
+    if expected is None:
+        return 0 if not result.found else 1
+    if not result.found:
+        return 1
+    want = {name: expected[name] for name in PROJECTION}
+    return 0 if result.values == want else 1
+
+
+def _quarantined(db) -> int:
+    return len(db.data_pool.quarantined_pages | db.index_pool.quarantined_pages)
+
+
+class _Target:
+    """The engine(s) under test, behind the few calls the drill makes.
+
+    ``engines`` / ``injectors`` / ``registries`` are parallel lists —
+    length 1 for the classic drill, one entry per shard otherwise — so
+    arming, the straggler sweep and the report fold are each one loop.
+    :meth:`crash_restart` re-binds ``engines[0]``, so everything (page
+    filters included) reads the list live, never a saved engine.
+    """
+
+    def __init__(self, seed: int, pool_pages: int, wal: bool, shards: int) -> None:
+        self._seed = seed
+        self._pool_pages = pool_pages
+        self.registries = [MetricsRegistry() for _ in range(shards or 1)]
+        self.injectors = [
+            FaultInjector(seed=seed + i, registry=registry)
+            for i, registry in enumerate(self.registries)
+        ]
+        self.facade = None
+        if shards:
+            from repro.shard.database import ShardedDatabase  # late: cycle
+
+            self.facade = root = ShardedDatabase(
+                shards,
+                mode="zipf",
+                # Split the drill's RAM budget across the shards (rounded
+                # up, floor of 4 frames) — otherwise N shards quietly get
+                # N× the classic drill's memory, every partition fits, and
+                # no I/O ever reaches the faulty disks, which would turn
+                # the drill into a no-op.
+                data_pool_pages=max(4, -(-pool_pages // shards)),
+                seed=seed,
+                metrics=MetricsRegistry(),
+                shard_metrics=self.registries,
+                fault_injectors=self.injectors,
+                retry_policy=DRILL_RETRY,
+                wal=wal,
+                recovery=True,
+            )
+            # §5j: the sharded drill always runs observed — cross-shard
+            # traces, the causal event journal, and fleet rollups all
+            # read clocks and registries without advancing them, so the
+            # drill's digest and every correctness verdict are unchanged
+            # by arming them.
+            root.enable_tracing()
+            root.enable_events()
+            root.enable_rollup()
+            self.engines = root.shards
+        else:
+            root = Database(
+                data_pool_pages=pool_pages,
+                seed=seed,
+                metrics=self.registries[0],
+                fault_injector=self.injectors[0],
+                retry_policy=DRILL_RETRY,
+                wal=wal,
+            )
+            self.engines = [root]
+        root.create_table(TABLE, REVISION_SCHEMA)
+        root.create_cached_index(TABLE, "rev_pk", ("rev_id",), CACHED_FIELDS)
+        self.plans = [
+            default_plan(*self._page_filters(i, wal))
+            for i in range(len(self.engines))
+        ]
+        self.restarts = 0
+        #: Pages quarantined by engines that have since crashed away.
+        self.quarantined_before_restarts = 0
+
+    def _page_filters(self, i: int, wal: bool):
+        def is_index_page(page_id: int) -> bool:
+            # Re-read per call: rebuilds and restarts swap the tree out.
+            tree = self.engines[i].table(TABLE).index("rev_pk").tree
+            return page_id in tree._leaf_ids or page_id in tree._internal_ids
+
+        def is_heap_page(page_id: int) -> bool:
+            return self.engines[i].table(TABLE).heap.owns_page(page_id)
+
+        return is_index_page, (is_heap_page if wal else None)
+
+    def _op(self, method: str, *args):
+        """One healed table call: the facade heals per delegated shard
+        call; the lone engine goes through its own recovery manager."""
+        if self.facade is not None:
+            return getattr(self.facade.table(TABLE), method)(*args)
+        db = self.engines[0]
+        return db.recovery.call(getattr(db.table(TABLE), method), *args)
+
+    insert = partialmethod(_op, "insert")  # (row)
+    update = partialmethod(_op, "update", "rev_pk")  # (key, changes)
+    delete = partialmethod(_op, "delete", "rev_pk")  # (key)
+    lookup = partialmethod(_op, "lookup", "rev_pk")  # (key, project)
+    lookup_many = partialmethod(_op, "lookup_many", "rev_pk")  # (keys, project)
+
+    def checkpoint(self) -> None:
+        (self.facade or self.engines[0]).checkpoint()
+
+    def snapshot(self) -> tuple[dict, list[dict]]:
+        """The report's metrics tree, and each engine's subtree of it."""
+        snap = (self.facade or self.registries[0]).snapshot()
+        if self.facade is None:
+            return snap, [snap]
+        return snap, [snap["shard"][str(i)] for i in range(len(self.engines))]
+
+    def check(self) -> tuple[bool, list[str]]:
+        """``(ok, problems)`` of the invariant walk; the facade's adds the
+        cross-shard one-owner walk on top of its ``per_shard`` walks."""
+        report = (self.facade or self.engines[0]).check()
+        problems = list(report.problems)
+        for i, shard_check in enumerate(getattr(report, "per_shard", ())):
+            problems += [f"shard {i}: {p}" for p in shard_check.problems]
+        return report.ok, problems
+
+    def crash_restart(self) -> None:
+        """Pull the lone engine's power mid-write-back, then recover it."""
+        from repro.wal.replay import recover  # late: harness ← query ← wal
+
+        db, injector = self.engines[0], self.injectors[0]
+        self.quarantined_before_restarts += _quarantined(db)
+        injector.arm(FaultPlan.of(FaultSpec(FaultKind.CRASH_POINT, at_nth=1)))
+        try:
+            db.data_pool.flush_all()
+            db.index_pool.flush_all()
+        except SimulatedCrashError:
+            pass  # the power cut we ordered; RAM is gone either way
+        injector.disarm()
+        self.engines[0], _report = recover(
+            db.wal,
+            disk=db.disk,
+            data_pool_pages=self._pool_pages,
+            seed=self._seed,
+            metrics=self.registries[0],
+            retry_policy=DRILL_RETRY,
+        )
+        if db.adaptive is not None:  # fresh engine, fresh controller
+            self.engines[0].enable_adaptive()
+        self.restarts += 1
+        injector.arm(self.plans[0])
+
+
+class _Workload:
+    """The seeded op source and the ground truth its ops are checked
+    against, shared by the autocommit mix and :class:`_SessionOps`."""
+
+    def __init__(self, seed: int, rows: list[dict]) -> None:
+        self.rng = DeterministicRng(seed)
+        #: ``rev_id -> row`` the engine must agree with (in sessions mode:
+        #: the committed base the versioned oracle grows from).
+        self.mirror: dict[int, dict[str, object]] = {
+            row["rev_id"]: dict(row) for row in rows
+        }
+        #: Every key ever seen, deleted and lost ones included (they stay
+        #: probed); new keys only grow upwards, so the last is the largest.
+        self.keys = sorted(self.mirror)
+        self._template = dict(rows[0])
+
+    def pick_key(self) -> int:
+        return self.keys[self.rng.randrange(len(self.keys))]
+
+    def new_row(self) -> dict:
+        row = dict(self._template)
+        row["rev_id"] = row["rev_text_id"] = self.keys[-1] + 1
+        row["rev_len"] = self.rng.randint(100, 200_000)
+        self.keys.append(row["rev_id"])
+        return row
+
+    def reset_to(self, durable_records) -> None:
+        """After a crash, ground truth is whatever the durable log says;
+        a key whose insert missed the log must now look up as absent."""
+        self.mirror.clear()
+        self.mirror.update(_mirror_from_wal(durable_records))
+        self.keys[:] = sorted(set(self.keys) | set(self.mirror))
+
+
+class _SessionOps:
+    """The sessions-mode op engine: N interleaved MVCC sessions running
+    short 1–4 op transactions (seeded session pick per op, ~10% voluntary
+    aborts), every read verified against the session's own snapshot.
+
+    ``_oracle`` is the versioned ground truth: key -> [(csn, row|None)]
+    committed versions under the engine's commit CSNs, csn 0 = the
+    pre-concurrency base.  ``_claims`` mirrors the engine's write-pending
+    table so first-writer-wins conflicts are *predicted*, not just
+    tolerated.  ``_state[i]`` is session ``i``'s open transaction or None.
+    """
+
+    def __init__(self, target: _Target, workload: _Workload, n: int) -> None:
+        self._target = target
+        self._w = workload
+        self._n = n
+        self.reset()
+
+    def reset(self) -> None:
+        """Fresh sessions over the committed mirror — at the start, and
+        after each crash restart: in-flight transactions died with RAM and
+        recovery rolled their durable ops back (the durable fold nets out
+        ops + compensations), so no claims are outstanding."""
+        db = self._target.engines[0]
+        self._sess = [db.session() for _ in range(self._n)]
+        self._state: list = [None] * self._n
+        self._claims: dict[int, int] = {}
+        self._oracle: dict[int, list] = {
+            k: [(0, dict(row))] for k, row in self._w.mirror.items()
+        }
+
+    def _call(self, fn, *args):
+        return self._target.engines[0].recovery.call(fn, *args)
+
+    def _visible(self, key: int, st: dict):
+        """The row ``st``'s snapshot must see (own writes overlay the
+        newest committed version at or below the begin CSN)."""
+        if key in st["writes"]:
+            return st["writes"][key]
+        value = None
+        for csn, row in self._oracle.get(key, ()):
+            if csn <= st["begin"]:
+                value = row
+        return value
+
+    def _expect_conflict(self, key: int, i: int, st: dict) -> bool:
+        holder = self._claims.get(key)
+        if holder is not None and holder != i:
+            return True
+        chain = self._oracle.get(key)
+        return bool(chain) and chain[-1][0] > st["begin"]
+
+    def _drop_txn(self, i: int) -> None:
+        for k in [k for k, owner in self._claims.items() if owner == i]:
+            del self._claims[k]
+        self._state[i] = None
+
+    def _end_txn(self, i: int, commit: bool) -> None:
+        if commit:
+            csn = self._call(self._sess[i].commit)
+            for k, row in self._state[i]["writes"].items():
+                self._oracle.setdefault(k, [(0, None)]).append(
+                    (csn, dict(row) if row is not None else None)
+                )
+        else:
+            self._call(self._sess[i].abort)
+        self._drop_txn(i)
+
+    def _write(self, i: int, st: dict, key: int, fn, *args):
+        """One conflict-prone write: ``(wrong, the row it applied to)``.
+        The row is None when it found nothing — or lost first-writer-wins,
+        which drops the transaction and which the oracle must predict."""
+        predicted = self._expect_conflict(key, i, st)
+        try:
+            applied = self._call(fn, TABLE, key, *args)
+        except TxnConflictError:
+            self._drop_txn(i)
+            return int(not predicted), None
+        visible = self._visible(key, st)
+        # ``predicted`` here: the engine missed a conflict the oracle saw.
+        wrong = int(predicted) + int(applied != (visible is not None))
+        return wrong, (visible if applied else None)
+
+    def step(self) -> int:
+        """One step of a seeded-random session; returns wrong results seen."""
+        rng = self._w.rng
+        i = rng.randrange(self._n)
+        sess = self._sess[i]
+        st = self._state[i]
+        if st is None:
+            begin = self._call(sess.begin)
+            st = self._state[i] = {
+                "begin": begin, "writes": {}, "left": rng.randint(1, 4),
+            }
+        bad = 0
+        draw = rng.random()
+        key = self._w.pick_key()
+        if draw < 0.50:
+            result = self._call(sess.lookup, TABLE, key, PROJECTION)
+            bad += check_result(self._visible(key, st), result)
+        elif draw < 0.72:
+            new_len = rng.randint(100, 200_000)
+            bad, old = self._write(i, st, key, sess.update, {"rev_len": new_len})
+            if old is not None:
+                row = st["writes"][key] = dict(old, rev_len=new_len)
+                self._claims[key] = i
+                result = self._call(sess.lookup, TABLE, key, PROJECTION)
+                bad += check_result(row, result)
+        elif draw < 0.88:
+            row = self._w.new_row()
+            self._call(sess.insert, TABLE, row)
+            st["writes"][row["rev_id"]] = row
+            self._claims[row["rev_id"]] = i
+        else:
+            bad, old = self._write(i, st, key, sess.delete)
+            if old is not None:
+                st["writes"][key] = None
+                self._claims[key] = i
+        if self._state[i] is None:  # lost first-writer-wins: txn aborted
+            return bad
+        st["left"] -= 1
+        if st["left"] <= 0:
+            self._end_txn(i, commit=rng.random() >= 0.10)
+        return bad
+
+    def quiesce(self) -> None:
+        """Commit every open transaction (commits never re-validate, so
+        these cannot conflict), then collapse the versioned oracle onto
+        the workload's mirror: with no transactions in flight, its newest
+        committed rows are exactly what autocommit lookups must see."""
+        for i in range(self._n):
+            if self._state[i] is not None:
+                self._end_txn(i, commit=True)
+        self._w.mirror.clear()
+        for k, chain in self._oracle.items():
+            row = chain[-1][1]
+            if row is not None:
+                self._w.mirror[k] = row
 
 
 def run_fault_drill(
@@ -212,11 +547,7 @@ def run_fault_drill(
     revisions_per_page: int = 4,
     n_ops: int = 3_000,
     pool_pages: int = 16,
-    plan: FaultPlan | None = None,
     wal: bool = True,
-    crash_restarts: int = 2,
-    checkpoint_every: int = 1_000,
-    telemetry_samples: int = 16,
     adaptive: bool = False,
     sessions: int = 0,
     shards: int = 0,
@@ -228,639 +559,149 @@ def run_fault_drill(
     bit for bit.  ``wal=False`` reverts to the PR-2 drill (no durability,
     no heap-targeted faults, no restarts).
 
-    ``telemetry_samples > 0`` additionally runs a
-    :class:`~repro.obs.sampler.TelemetrySampler` on an operation cadence
-    across the drill and evaluates the default SLO rules at the end; the
-    verdicts land in the report as data (``health_ok``, ``health``) but
-    never affect ``passed`` — the drill judges correctness, the health
-    checker judges service levels, and a drill is *supposed* to hurt.
+    Single-engine drills also sample telemetry on an operation cadence
+    (:class:`~repro.obs.sampler.TelemetrySampler`) and evaluate the
+    default SLO rules at the end; the verdicts land in the report as data
+    (``health_ok``, ``health``) but never affect ``passed`` — the drill
+    judges correctness, the health checker judges service levels, and a
+    drill is *supposed* to hurt.
 
     ``adaptive=True`` arms the engine's
     :class:`~repro.obs.adaptive.AdaptiveController` for the whole drill —
     including across crash restarts, where the fresh database gets a
     fresh controller.  The controller may retune knobs mid-drill while
     faults fly; the drill's correctness verdict must be unaffected, which
-    is exactly what this flag exists to prove.
+    is exactly what this flag exists to prove (sharded drills ignore it).
 
     ``sessions=N`` (N >= 1) runs the same workload through N interleaved
-    MVCC sessions (short 1–4 op transactions, seeded session pick per
-    op, ~10% voluntary aborts).  Ground truth becomes a *versioned*
-    mirror — committed versions stamped with the engine's commit CSNs —
-    so every read is verified against the session's own snapshot, and
-    the conflict oracle independently predicts each first-writer-wins
-    abort.  Crash restarts land mid-transaction by construction: the
-    recovery rollback must discard exactly the in-flight sessions'
-    writes, which the rebuilt durable mirror then verifies.
-    ``shards=N`` (N >= 1) runs the autocommit drill over a
-    :class:`~repro.shard.ShardedDatabase` instead — N engines, each with
-    its own faulty disk, injector (seeded ``seed + i``), WAL, and metrics
-    namespace — with two hot-key rebalances fired *mid-drill*, so
-    cross-shard migrations commit while faults fly.  Mutually exclusive
-    with ``sessions`` (MVCC is per-engine) and with crash restarts, whose
-    sharded equivalent — cutting both logs mid-migration — is the crash
-    matrix test's job (``tests/test_shard_migration_crash.py``).
+    MVCC sessions checked against a versioned oracle (:class:`_SessionOps`).
+    Crash restarts land mid-transaction by construction: the recovery
+    rollback must discard exactly the in-flight sessions' writes, which
+    the rebuilt durable mirror then verifies.
+
+    ``shards=N`` (N >= 1) runs the autocommit drill through a
+    :class:`~repro.shard.ShardedDatabase` facade, whose per-call recovery
+    managers heal exactly like the single engine's.  At one and two thirds
+    of the op budget it fires ``rebalance()`` — hot keys migrate between
+    shards while faults fly, and every later read is still verified
+    against the mirror, so a migration that lost or duplicated a tuple
+    surfaces as a wrong result or a failed cross-shard ownership check.
+    Mutually exclusive with ``sessions`` (MVCC is per-engine) and with
+    crash restarts, whose sharded equivalent — cutting both logs
+    mid-migration — is the crash matrix test's job
+    (``tests/test_shard_migration_crash.py``).
     """
-    if shards:
-        if sessions:
-            raise ValueError("shards and sessions are mutually exclusive")
-        return _run_sharded_drill(
-            seed=seed,
-            n_pages=n_pages,
-            revisions_per_page=revisions_per_page,
-            n_ops=n_ops,
-            pool_pages=pool_pages,
-            wal=wal,
-            checkpoint_every=checkpoint_every,
-            shards=shards,
-        )
-    from repro.wal.replay import recover  # late: harness ← query ← wal
-
-    metrics = MetricsRegistry()
-    injector = FaultInjector(seed=seed, registry=metrics)
-    db = Database(
-        data_pool_pages=pool_pages,
-        seed=seed,
-        metrics=metrics,
-        fault_injector=injector,
-        # Three corrective re-reads: at a 2% read-flip rate, one re-read
-        # would misdiagnose back-to-back flips as at-rest corruption.
-        retry_policy=RetryPolicy(corrupt_rereads=3),
-        wal=bool(wal),
-    )
-    table = db.create_table("revision", REVISION_SCHEMA)
-    index = db.create_cached_index(
-        "revision", "rev_pk", ("rev_id",), CACHED_FIELDS
-    )
-
+    if shards and sessions:
+        raise ValueError("shards and sessions are mutually exclusive")
+    target = _Target(seed, pool_pages, bool(wal), shards)
     data = generate(
         WikipediaConfig(
             n_pages=n_pages, revisions_per_page_mean=revisions_per_page, seed=seed
         )
     )
-    mirror: dict[int, dict[str, object]] = {}
     for row in data.revision_rows:
-        table.insert(row)
-        mirror[row["rev_id"]] = dict(row)
-
+        target.insert(row)
     # Armed *after* the bulk load so tuning reacts to the drill's mixed
-    # workload, not to the insert storm.  Each restart builds a fresh
-    # database and therefore a fresh controller; keep them all so the
-    # report can total the actions taken across the drill's lifetimes.
-    controllers = []
-    if adaptive:
-        controllers.append(db.enable_adaptive())
+    # workload, not to the insert storm.
+    if adaptive and not shards:
+        target.engines[0].enable_adaptive()
+    for injector, plan in zip(target.injectors, target.plans):
+        injector.arm(plan)
 
-    def is_index_page(page_id: int) -> bool:
-        tree = index.tree  # re-read: rebuilds/restarts swap the tree out
-        return page_id in tree._leaf_ids or page_id in tree._internal_ids
-
-    def is_heap_page(page_id: int) -> bool:
-        return table.heap.owns_page(page_id)  # re-read: restarts swap it
-
-    if plan is not None:
-        drill_plan = plan
-    else:
-        drill_plan = default_plan(
-            is_index_page, is_heap_page if wal else None
-        )
-    injector.arm(drill_plan)
-
-    rng = DeterministicRng(seed)
-    keys = sorted(mirror)
+    work = _Workload(seed, data.revision_rows)
+    rng, keys, mirror = work.rng, work.keys, work.mirror
+    session_ops = _SessionOps(target, work, sessions) if sessions else None
     wrong = 0
-    restarts_done = 0
-    quarantined_total = 0
-    next_rev_id = max(keys) + 1
-    template = dict(data.revision_rows[0])
-
-    # -- concurrent-session infrastructure (sessions mode only) ----------------
-    # ``oracle`` is the versioned ground truth: key -> [(csn, row|None)]
-    # committed versions, csn 0 = the pre-concurrency base.  ``claims``
-    # mirrors the engine's write-pending table so conflicts are
-    # *predicted*, not just tolerated.
-    sess: list = []
-    sess_state: list = [None] * sessions
-    oracle: dict[int, list] = {}
-    claims: dict[int, int] = {}
-    if sessions:
-        sess = [db.session() for _ in range(sessions)]
-        oracle = {k: [(0, dict(row))] for k, row in mirror.items()}
-
-    def check_result(key: int, result) -> int:
-        expected = mirror.get(key)
-        if expected is None:
-            return 0 if not result.found else 1
-        if not result.found:
-            return 1
-        want = {name: expected[name] for name in PROJECTION}
-        return 0 if result.values == want else 1
 
     def verify_lookup(key: int) -> int:
-        result = db.recovery.call(table.lookup, "rev_pk", key, PROJECTION)
-        return check_result(key, result)
-
-    def verify_lookup_many(batch: list[int]) -> int:
-        results = db.recovery.call(
-            table.lookup_many, "rev_pk", batch, PROJECTION
-        )
-        return sum(check_result(k, r) for k, r in zip(batch, results))
+        return check_result(mirror.get(key), target.lookup(key, PROJECTION))
 
     def restart() -> None:
-        """Pull the power mid-write-back, then recover from disk + WAL."""
-        nonlocal db, table, index, next_rev_id, restarts_done, quarantined_total
-        quarantined_total += len(
-            db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
-        )
-        injector.arm(FaultPlan.of(FaultSpec(FaultKind.CRASH_POINT, at_nth=1)))
-        try:
-            db.data_pool.flush_all()
-            db.index_pool.flush_all()
-        except SimulatedCrashError:
-            pass  # the power cut we ordered; RAM is gone either way
-        injector.disarm()
-        db, _report = recover(
-            db.wal,
-            disk=db.disk,
-            data_pool_pages=pool_pages,
-            seed=seed,
-            metrics=metrics,
-            retry_policy=RetryPolicy(corrupt_rereads=3),
-        )
-        table = db.table("revision")
-        index = table.index("rev_pk")
-        if adaptive:
-            controllers.append(db.enable_adaptive())
-        # Ground truth = the durable log, folded independently of the
-        # engine's own replay.  Keys ever seen stay probed: a key whose
-        # insert missed the log must now look up as absent.
-        durable = _mirror_from_wal(scan_wal(db.wal.device.data).records)
-        mirror.clear()
-        mirror.update(durable)
-        keys[:] = sorted(set(keys) | set(mirror))
-        if keys:
-            next_rev_id = max(next_rev_id, keys[-1] + 1)
-        if sessions:
-            # In-flight transactions died with RAM; recovery rolled
-            # their durable ops back (the durable fold above nets out
-            # ops + compensations), so the fresh oracle restarts from
-            # the committed state with no claims outstanding.
-            sess[:] = [db.session() for _ in range(sessions)]
-            for j in range(sessions):
-                sess_state[j] = None
-            claims.clear()
-            oracle.clear()
-            oracle.update({k: [(0, dict(row))] for k, row in mirror.items()})
-        restarts_done += 1
-        injector.arm(drill_plan)
+        target.crash_restart()
+        work.reset_to(scan_wal(target.engines[0].wal.device.data).records)
+        if session_ops is not None:
+            session_ops.reset()
 
-    crash_ops = frozenset(
-        round(n_ops * (j + 1) / (crash_restarts + 1))
-        for j in range(crash_restarts if wal else 0)
-    )
+    # What each mode adds at fixed op indices: power cuts (single engine,
+    # WAL only) or hot-key rebalances (sharded; never at op 0).
+    schedule: dict[int, object] = {}
+    if shards:
+        thirds = (n_ops // 3, 2 * n_ops // 3)
+        schedule = {at: target.facade.rebalance for at in thirds if at}
+    elif wal:
+        cuts = range(1, CRASH_RESTARTS + 1)
+        schedule = {round(n_ops * j / (CRASH_RESTARTS + 1)): restart for j in cuts}
 
-    sampler = checker = None
-    sample_every = 0
-    if telemetry_samples > 0:
-        # The clock closure re-reads ``db``: a crash restart swaps in a
-        # fresh database (and cost model); the clock jumping backwards
+    sampler = None
+    if not shards:
+        # The clock closure re-reads the engine: a crash restart swaps in
+        # a fresh database (and cost model); the clock jumping backwards
         # produces one degenerate window — no rates — and recovers.
         sampler = TelemetrySampler(
-            metrics,
-            clock=lambda: db.cost_model.now_ns,
-            capacity=max(telemetry_samples + 1, 16),
+            target.registries[0],
+            clock=lambda: target.engines[0].cost_model.now_ns,
+            capacity=TELEMETRY_SAMPLES + 1,
         )
-        checker = HealthChecker(sampler, DEFAULT_SLO_RULES)
         sampler.sample()
-        sample_every = max(1, n_ops // telemetry_samples)
-
-    # -- session-mode op engine ------------------------------------------------
-
-    def oracle_visible(key: int, st: dict):
-        """The row ``st``'s snapshot must see (own writes overlay the
-        newest committed version at or below the begin CSN)."""
-        if key in st["writes"]:
-            return st["writes"][key]
-        chain = oracle.get(key)
-        if chain is None:
-            return None
-        value = None
-        for csn, row in chain:
-            if csn <= st["begin"]:
-                value = row
-        return value
-
-    def expect_conflict(key: int, i: int, st: dict) -> bool:
-        holder = claims.get(key)
-        if holder is not None and holder != i:
-            return True
-        chain = oracle.get(key)
-        return bool(chain) and chain[-1][0] > st["begin"]
-
-    def drop_txn(i: int) -> None:
-        for k in [k for k, owner in claims.items() if owner == i]:
-            del claims[k]
-        sess_state[i] = None
-
-    def end_txn(i: int, commit: bool) -> None:
-        st = sess_state[i]
-        if commit:
-            csn = db.recovery.call(sess[i].commit)
-            for k, row in st["writes"].items():
-                oracle.setdefault(k, [(0, None)]).append(
-                    (csn, dict(row) if row is not None else None)
-                )
-        else:
-            db.recovery.call(sess[i].abort)
-        drop_txn(i)
-
-    def check_session_result(result, expected) -> int:
-        if expected is None:
-            return 0 if not result.found else 1
-        if not result.found:
-            return 1
-        want = {name: expected[name] for name in PROJECTION}
-        return 0 if result.values == want else 1
-
-    def session_op() -> int:
-        """One interleaved step of a randomly chosen session; returns
-        the number of wrong results observed."""
-        nonlocal next_rev_id
-        i = rng.randrange(sessions)
-        st = sess_state[i]
-        if st is None:
-            begin = db.recovery.call(sess[i].begin)
-            st = sess_state[i] = {
-                "begin": begin, "writes": {}, "left": rng.randint(1, 4),
-            }
-        bad = 0
-        draw = rng.random()
-        key = keys[rng.randrange(len(keys))]
-        if draw < 0.50:
-            result = db.recovery.call(sess[i].lookup, "revision", key, PROJECTION)
-            bad += check_session_result(result, oracle_visible(key, st))
-        elif draw < 0.72:
-            predicted = expect_conflict(key, i, st)
-            new_len = rng.randint(100, 200_000)
-            try:
-                applied = db.recovery.call(
-                    sess[i].update, "revision", key, {"rev_len": new_len}
-                )
-            except TxnConflictError:
-                if not predicted:
-                    bad += 1
-                drop_txn(i)
-                return bad
-            if predicted:
-                bad += 1  # the engine missed a conflict the oracle saw
-            visible = oracle_visible(key, st)
-            if applied != (visible is not None):
-                bad += 1
-            if applied:
-                row = dict(visible)
-                row["rev_len"] = new_len
-                st["writes"][key] = row
-                claims[key] = i
-                result = db.recovery.call(
-                    sess[i].lookup, "revision", key, PROJECTION
-                )
-                bad += check_session_result(result, row)
-        elif draw < 0.88:
-            row = dict(template)
-            row["rev_id"] = next_rev_id
-            row["rev_text_id"] = next_rev_id
-            row["rev_len"] = rng.randint(100, 200_000)
-            db.recovery.call(sess[i].insert, "revision", row)
-            st["writes"][next_rev_id] = row
-            claims[next_rev_id] = i
-            keys.append(next_rev_id)
-            next_rev_id += 1
-        else:
-            predicted = expect_conflict(key, i, st)
-            try:
-                applied = db.recovery.call(sess[i].delete, "revision", key)
-            except TxnConflictError:
-                if not predicted:
-                    bad += 1
-                drop_txn(i)
-                return bad
-            if predicted:
-                bad += 1
-            visible = oracle_visible(key, st)
-            if applied != (visible is not None):
-                bad += 1
-            if applied:
-                st["writes"][key] = None
-                claims[key] = i
-        st["left"] -= 1
-        if st["left"] <= 0:
-            end_txn(i, commit=rng.random() >= 0.10)
-        return bad
+        sample_every = max(1, n_ops // TELEMETRY_SAMPLES)
 
     for op_i in range(n_ops):
-        if op_i in crash_ops:
-            restart()
+        if op_i in schedule:
+            schedule[op_i]()
         if sampler is not None and op_i and op_i % sample_every == 0:
             sampler.sample()
-        if wal and checkpoint_every and op_i and op_i % checkpoint_every == 0:
-            db.checkpoint()
-        if sessions:
-            wrong += session_op()
+        if wal and op_i and op_i % CHECKPOINT_EVERY == 0:
+            target.checkpoint()
+        if session_ops is not None:
+            wrong += session_ops.step()
             continue
         draw = rng.random()
-        key = keys[rng.randrange(len(keys))]
+        key = work.pick_key()
         if draw < 0.15:
             # The batched read fast path under fire: a small multi-key
             # probe (duplicates allowed) must agree with the mirror on
             # every position, exactly like the scalar path.
-            batch = [key] + [
-                keys[rng.randrange(len(keys))]
-                for _ in range(rng.randint(1, 5))
-            ]
-            wrong += verify_lookup_many(batch)
+            batch = [key] + [work.pick_key() for _ in range(rng.randint(1, 5))]
+            results = target.lookup_many(batch, PROJECTION)
+            wrong += sum(
+                check_result(mirror.get(k), r) for k, r in zip(batch, results)
+            )
         elif draw < 0.70:
             wrong += verify_lookup(key)
         elif draw < 0.85:
             if key in mirror:
                 new_len = rng.randint(100, 200_000)
-                applied = db.recovery.call(
-                    table.update, "rev_pk", key, {"rev_len": new_len}
-                )
-                if applied:
+                if target.update(key, {"rev_len": new_len}):
                     mirror[key]["rev_len"] = new_len
                 else:
                     wrong += 1
-                wrong += verify_lookup(key)
-            else:
-                wrong += verify_lookup(key)
+            wrong += verify_lookup(key)
         elif draw < 0.95:
-            row = dict(template)
-            row["rev_id"] = next_rev_id
-            row["rev_text_id"] = next_rev_id
-            row["rev_len"] = rng.randint(100, 200_000)
-            db.recovery.call(table.insert, row)
-            mirror[next_rev_id] = row
-            keys.append(next_rev_id)
-            next_rev_id += 1
+            row = work.new_row()
+            target.insert(row)
+            mirror[row["rev_id"]] = row
         else:
             if key in mirror:
-                applied = db.recovery.call(table.delete, "rev_pk", key)
-                if applied:
+                if target.delete(key):
                     del mirror[key]
                 else:
                     wrong += 1
             wrong += verify_lookup(key)
 
-    injector.disarm()
-
-    if sessions:
-        # Quiesce: commit every open transaction (commits never
-        # re-validate, so these cannot conflict), then collapse the
-        # versioned oracle to its newest committed rows — with no
-        # transactions in flight, that is exactly what autocommit
-        # lookups must see in the sweep below.
-        for i in range(sessions):
-            if sess_state[i] is not None:
-                end_txn(i, commit=True)
-        mirror.clear()
-        for k, chain in oracle.items():
-            row = chain[-1][1]
-            if row is not None:
-                mirror[k] = row
+    for injector in target.injectors:
+        injector.disarm()
+    if session_ops is not None:
+        session_ops.quiesce()
 
     # Final sweep: every surviving row must read back exactly right, and
-    # every deleted key must stay gone.
+    # every deleted key must stay gone.  The digest folds the sweep plus
+    # every engine's fault history, in engine order.
     digest = hashlib.sha256()
     for key in sorted(set(keys)):
         wrong += verify_lookup(key)
         expected = mirror.get(key)
         digest.update(repr((key, expected and expected["rev_len"])).encode())
-    for fault in injector.log:
-        digest.update(
-            repr((fault.seq, fault.kind.value, fault.page_id, fault.bit,
-                  fault.tear_at)).encode()
-        )
-
-    if wal:
-        # Cached lookups can answer without the heap, so a heap page
-        # corrupted at rest may still be undetected; a full scan through
-        # a wide-budget healer redo-recovers any stragglers before the
-        # invariant walk (which reports, rather than heals, corruption).
-        sweeper = RecoveryManager(db, max_heals=256, registry=metrics)
-        sweeper.call(lambda: sum(1 for _ in table.scan()))
-
-    health_report = None
-    if sampler is not None:
-        sampler.sample()
-        health_report = checker.evaluate()
-
-    check = db.check()
-    snapshot = metrics.snapshot()
-    txn_stats = snapshot.get("txn", {})
-    faults = snapshot.get("faults", {})
-    recovery = snapshot.get("recovery", {})
-    wal_stats = snapshot.get("wal", {})
-    replay_stats = wal_stats.get("replay", {})
-    # Everything in the report is bit-for-bit reproducible; replay wall
-    # time is the one wall-clock instrument, so it stays out.
-    replay_stats.pop("ns", None)
-    return DrillReport(
-        seed=seed,
-        operations=n_ops,
-        wrong_results=wrong,
-        faults_injected=injector.injected,
-        faults_detected=faults.get("detected", 0),
-        faults_recovered=faults.get("recovered", 0),
-        faults_unrecoverable=faults.get("unrecoverable", 0),
-        retries=faults.get("retries", 0),
-        index_rebuilds=recovery.get("index_rebuilds", 0),
-        quarantined_pages=quarantined_total + len(
-            db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
-        ),
-        check_ok=check.ok,
-        check_problems=list(check.problems),
-        digest=digest.hexdigest(),
-        metrics=snapshot,
-        heap_page_rebuilds=recovery.get("heap_page_rebuilds", 0)
-        + replay_stats.get("page_rebuilds", 0),
-        crash_restarts=restarts_done,
-        wal_records=wal_stats.get("records", 0),
-        telemetry_points=sampler.samples_taken if sampler is not None else 0,
-        health_ok=health_report.ok if health_report is not None else True,
-        health=health_report.as_dict() if health_report is not None else {},
-        tuning_actions=sum(c.actions_taken for c in controllers),
-        sessions=sessions,
-        txn_commits=txn_stats.get("commits", 0),
-        txn_aborts=txn_stats.get("aborts", 0),
-        txn_conflicts=txn_stats.get("conflicts", 0),
-    )
-
-
-def _run_sharded_drill(
-    *,
-    seed: int,
-    n_pages: int,
-    revisions_per_page: int,
-    n_ops: int,
-    pool_pages: int,
-    wal: bool,
-    checkpoint_every: int,
-    shards: int,
-) -> DrillReport:
-    """The autocommit drill over a :class:`~repro.shard.ShardedDatabase`.
-
-    Each shard gets its own injector (seeded ``seed + i``) armed with the
-    standard mix aimed at *that shard's* index and heap pages; every
-    operation routes through the facade, whose per-call recovery managers
-    heal exactly like the classic drill's.  At one third and two thirds
-    of the op budget the drill fires :meth:`rebalance` — hot keys migrate
-    between shards while faults fly, and every subsequent read is still
-    verified against the mirror, so a migration that lost or duplicated a
-    tuple would surface as a wrong result or a failed cross-shard
-    ownership check.  Telemetry sampling and crash restarts stay off
-    (restart coverage for sharding is the crash-matrix test); the digest
-    folds the final sweep plus all shards' injector logs in shard order.
-    """
-    from repro.shard.database import ShardedDatabase  # late: avoids cycle
-
-    metrics = MetricsRegistry()
-    shard_regs = [MetricsRegistry() for _ in range(shards)]
-    injectors = [
-        FaultInjector(seed=seed + i, registry=shard_regs[i])
-        for i in range(shards)
-    ]
-    # Split the drill's RAM budget across the shards (rounded up, floor
-    # of 4 frames) — otherwise N shards quietly get N× the classic
-    # drill's memory, every partition fits, and no I/O ever reaches the
-    # faulty disks, which would turn the drill into a no-op.
-    per_shard_pool = max(4, -(-pool_pages // shards))
-    sdb = ShardedDatabase(
-        shards,
-        mode="zipf",
-        data_pool_pages=per_shard_pool,
-        seed=seed,
-        metrics=metrics,
-        shard_metrics=shard_regs,
-        fault_injectors=injectors,
-        retry_policy=RetryPolicy(corrupt_rereads=3),
-        wal=bool(wal),
-        recovery=True,
-    )
-    # §5j: the sharded drill always runs observed — cross-shard traces,
-    # the causal event journal, and fleet rollups all read clocks and
-    # registries without advancing them, so the drill's digest and every
-    # correctness verdict are unchanged by arming them.
-    trace = sdb.enable_tracing()
-    journal = sdb.enable_events()
-    rollup = sdb.enable_rollup()
-    table = sdb.create_table("revision", REVISION_SCHEMA)
-    sdb.create_cached_index("revision", "rev_pk", ("rev_id",), CACHED_FIELDS)
-
-    data = generate(
-        WikipediaConfig(
-            n_pages=n_pages, revisions_per_page_mean=revisions_per_page,
-            seed=seed,
-        )
-    )
-    mirror: dict[int, dict[str, object]] = {}
-    for row in data.revision_rows:
-        table.insert(row)
-        mirror[row["rev_id"]] = dict(row)
-
-    def make_filters(i: int):
-        local = sdb.shard(i).table("revision")
-
-        def is_index_page(page_id: int) -> bool:
-            tree = local.index("rev_pk").tree  # re-read: rebuilds swap it
-            return page_id in tree._leaf_ids or page_id in tree._internal_ids
-
-        def is_heap_page(page_id: int) -> bool:
-            return local.heap.owns_page(page_id)
-
-        return is_index_page, is_heap_page
-
-    for i, injector in enumerate(injectors):
-        is_index_page, is_heap_page = make_filters(i)
-        injector.arm(
-            default_plan(is_index_page, is_heap_page if wal else None)
-        )
-
-    rng = DeterministicRng(seed)
-    keys = sorted(mirror)
-    wrong = 0
-    next_rev_id = max(keys) + 1
-    template = dict(data.revision_rows[0])
-    keys_migrated = 0
-    rebalance_ops = frozenset((n_ops // 3, 2 * n_ops // 3))
-
-    def check_result(key: int, result) -> int:
-        expected = mirror.get(key)
-        if expected is None:
-            return 0 if not result.found else 1
-        if not result.found:
-            return 1
-        want = {name: expected[name] for name in PROJECTION}
-        return 0 if result.values == want else 1
-
-    def verify_lookup(key: int) -> int:
-        return check_result(key, table.lookup("rev_pk", key, PROJECTION))
-
-    for op_i in range(n_ops):
-        if op_i and op_i in rebalance_ops:
-            keys_migrated += sdb.rebalance().keys_moved
-        if wal and checkpoint_every and op_i and op_i % checkpoint_every == 0:
-            sdb.checkpoint()
-        draw = rng.random()
-        key = keys[rng.randrange(len(keys))]
-        if draw < 0.15:
-            batch = [key] + [
-                keys[rng.randrange(len(keys))]
-                for _ in range(rng.randint(1, 5))
-            ]
-            results = table.lookup_many("rev_pk", batch, PROJECTION)
-            wrong += sum(check_result(k, r) for k, r in zip(batch, results))
-        elif draw < 0.70:
-            wrong += verify_lookup(key)
-        elif draw < 0.85:
-            if key in mirror:
-                new_len = rng.randint(100, 200_000)
-                applied = table.update("rev_pk", key, {"rev_len": new_len})
-                if applied:
-                    mirror[key]["rev_len"] = new_len
-                else:
-                    wrong += 1
-                wrong += verify_lookup(key)
-            else:
-                wrong += verify_lookup(key)
-        elif draw < 0.95:
-            row = dict(template)
-            row["rev_id"] = next_rev_id
-            row["rev_text_id"] = next_rev_id
-            row["rev_len"] = rng.randint(100, 200_000)
-            table.insert(row)
-            mirror[next_rev_id] = row
-            keys.append(next_rev_id)
-            next_rev_id += 1
-        else:
-            if key in mirror:
-                applied = table.delete("rev_pk", key)
-                if applied:
-                    del mirror[key]
-                else:
-                    wrong += 1
-            wrong += verify_lookup(key)
-
-    for injector in injectors:
-        injector.disarm()
-
-    # Final sweep + digest: every surviving row reads back exactly right,
-    # every deleted key stays gone, and the fault history of *every*
-    # shard is folded in shard order.
-    digest = hashlib.sha256()
-    for key in sorted(set(keys)):
-        wrong += verify_lookup(key)
-        expected = mirror.get(key)
-        digest.update(repr((key, expected and expected["rev_len"])).encode())
-    for injector in injectors:
+    for injector in target.injectors:
         for fault in injector.log:
             digest.update(
                 repr((fault.seq, fault.kind.value, fault.page_id, fault.bit,
@@ -868,65 +709,68 @@ def _run_sharded_drill(
             )
 
     if wal:
-        # Same straggler sweep as the classic drill, once per shard.
-        for i in range(shards):
-            local = sdb.shard(i).table("revision")
-            sweeper = RecoveryManager(
-                sdb.shard(i), max_heals=256, registry=shard_regs[i]
-            )
-            sweeper.journal = journal
-            sweeper.journal_shard = i
-            sweeper.call(lambda t=local: sum(1 for _ in t.scan()))
+        # Cached lookups can answer without the heap, so a heap page
+        # corrupted at rest may still be undetected; a full scan through
+        # a wide-budget healer redo-recovers any stragglers before the
+        # invariant walk (which reports, rather than heals, corruption).
+        for db, registry in zip(target.engines, target.registries):
+            sweeper = RecoveryManager(db, max_heals=256, registry=registry)
+            sweeper.journal = db.recovery.journal
+            sweeper.journal_shard = db.recovery.journal_shard
+            sweeper.call(lambda: sum(1 for _ in db.table(TABLE).scan()))
 
-    # One traced full-fanout aggregate after the guns go quiet: its span
-    # tree must cover every shard (the report's acceptance exhibit).
-    table.aggregate([("count", None)])
-    rollup.refresh()
+    health = None
+    if shards:
+        # One traced full-fanout aggregate after the guns go quiet: its span
+        # tree must cover every shard (the report's acceptance exhibit).
+        target.facade.table(TABLE).aggregate([("count", None)])
+        target.facade.rollup.refresh()
+    else:
+        sampler.sample()
+        health = HealthChecker(sampler, DEFAULT_SLO_RULES).evaluate()
 
-    check = sdb.check()
-    problems = list(check.problems)
-    for i, shard_check in enumerate(check.per_shard):
-        problems += [f"shard {i}: {p}" for p in shard_check.problems]
-    snapshot = sdb.snapshot()
-    faults_detected = faults_recovered = faults_unrecoverable = 0
-    retries = index_rebuilds = heap_rebuilds = wal_records = 0
-    quarantined = 0
-    for i in range(shards):
-        shard_snap = snapshot["shard"][str(i)]
-        shard_snap.get("wal", {}).get("replay", {}).pop("ns", None)
-        faults = shard_snap.get("faults", {})
-        faults_detected += faults.get("detected", 0)
-        faults_recovered += faults.get("recovered", 0)
-        faults_unrecoverable += faults.get("unrecoverable", 0)
-        retries += faults.get("retries", 0)
-        recovery_stats = shard_snap.get("recovery", {})
-        index_rebuilds += recovery_stats.get("index_rebuilds", 0)
-        heap_rebuilds += recovery_stats.get("heap_page_rebuilds", 0)
-        wal_records += shard_snap.get("wal", {}).get("records", 0)
-        db = sdb.shard(i)
-        quarantined += len(
-            db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
-        )
+    check_ok, check_problems = target.check()
+    snapshot, per_engine = target.snapshot()
+    replayed_pages = 0
+    for engine_snapshot in per_engine:
+        replay_stats = engine_snapshot.get("wal", {}).get("replay", {})
+        # Everything in the report is bit-for-bit reproducible; replay
+        # wall time is the one wall-clock instrument, so it stays out.
+        replay_stats.pop("ns", None)
+        replayed_pages += replay_stats.get("page_rebuilds", 0)
+
+    def total(family: str, name: str) -> int:
+        return sum(s.get(family, {}).get(name, 0) for s in per_engine)
+
     return DrillReport(
         seed=seed,
         operations=n_ops,
         wrong_results=wrong,
-        faults_injected=sum(inj.injected for inj in injectors),
-        faults_detected=faults_detected,
-        faults_recovered=faults_recovered,
-        faults_unrecoverable=faults_unrecoverable,
-        retries=retries,
-        index_rebuilds=index_rebuilds,
-        quarantined_pages=quarantined,
-        check_ok=check.ok,
-        check_problems=problems,
+        faults_injected=sum(inj.injected for inj in target.injectors),
+        faults_detected=total("faults", "detected"),
+        faults_recovered=total("faults", "recovered"),
+        faults_unrecoverable=total("faults", "unrecoverable"),
+        retries=total("faults", "retries"),
+        index_rebuilds=total("recovery", "index_rebuilds"),
+        quarantined_pages=target.quarantined_before_restarts
+        + sum(_quarantined(db) for db in target.engines),
+        check_ok=check_ok,
+        check_problems=check_problems,
         digest=digest.hexdigest(),
         metrics=snapshot,
-        heap_page_rebuilds=heap_rebuilds,
-        crash_restarts=0,
-        wal_records=wal_records,
+        heap_page_rebuilds=total("recovery", "heap_page_rebuilds") + replayed_pages,
+        crash_restarts=target.restarts,
+        wal_records=total("wal", "records"),
+        telemetry_points=sampler.samples_taken if sampler is not None else 0,
+        health_ok=health.ok if health is not None else True,
+        health=health.as_dict() if health is not None else {},
+        tuning_actions=total("adaptive", "actions"),
+        sessions=sessions,
+        txn_commits=total("txn", "commits"),
+        txn_aborts=total("txn", "aborts"),
+        txn_conflicts=total("txn", "conflicts"),
         shards=shards,
-        keys_migrated=keys_migrated,
-        events=journal.as_dicts(),
-        traces=trace.as_dicts(8),
+        keys_migrated=snapshot["shard"]["rebalance"]["keys_moved"] if shards else 0,
+        events=target.facade.journal.as_dicts() if shards else [],
+        traces=target.facade.trace.as_dicts(8) if shards else [],
     )

@@ -22,8 +22,9 @@ from repro.errors import SimulatedCrashError
 from repro.schema.record import unpack_record_map
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, char
+from repro.txn.oracle import committed_positional_fold
 from repro.util.rng import DeterministicRng
-from repro.wal.record import HEAP_OP_TYPES, RecordType, scan_wal
+from repro.wal.record import scan_wal
 
 #: The drill's table: a tiny fixed-width row so small pages churn.
 DRILL_SCHEMA = Schema.of(("id", UINT32), ("name", char(12)), ("score", UINT32))
@@ -63,17 +64,8 @@ class WalDrillReport:
 
 def _oracle(records) -> dict[int, tuple[str, int]]:
     """Fold durable heap records into ``id -> (name, score)`` truth."""
-    by_rid: dict[tuple[int, int], bytes] = {}
-    for rec in records:
-        if rec.rtype not in HEAP_OP_TYPES:
-            continue
-        rid = (rec.page_id, rec.slot)
-        if rec.rtype is RecordType.DELETE:
-            by_rid.pop(rid, None)
-        else:
-            by_rid[rid] = rec.payload
     oracle: dict[int, tuple[str, int]] = {}
-    for payload in by_rid.values():
+    for payload in committed_positional_fold(records).values():
         row = unpack_record_map(DRILL_SCHEMA, payload)
         oracle[row["id"]] = (row["name"], row["score"])
     return oracle
