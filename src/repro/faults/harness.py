@@ -609,7 +609,7 @@ def run_fault_drill(
         injector.arm(plan)
 
     work = _Workload(seed, data.revision_rows)
-    rng, keys, mirror = work.rng, work.keys, work.mirror
+    rng, mirror = work.rng, work.mirror
     session_ops = _SessionOps(target, work, sessions) if sessions else None
     wrong = 0
 
@@ -697,7 +697,7 @@ def run_fault_drill(
     # every deleted key must stay gone.  The digest folds the sweep plus
     # every engine's fault history, in engine order.
     digest = hashlib.sha256()
-    for key in sorted(set(keys)):
+    for key in sorted(set(work.keys)):
         wrong += verify_lookup(key)
         expected = mirror.get(key)
         digest.update(repr((key, expected and expected["rev_len"])).encode())
