@@ -78,3 +78,75 @@ def test_overwrite_field_wrong_buffer_size():
 def test_round_trip_property(uid, score, active, tag):
     values = (uid, score, active, tag)
     assert unpack_record(SCHEMA, pack_record(SCHEMA, values)) == values
+
+
+# -- record-byte pins ---------------------------------------------------------
+#
+# Literals taken before the serde moved to one compiled struct per schema;
+# between them the four Wikipedia schemas cover UINT8/32, TIMESTAMP32, CHAR,
+# INT64, VARCHAR and TIMESTAMP_STR14.
+
+def _pinned_rows():
+    from repro.workload.wikipedia import (
+        PAGE_SCHEMA,
+        PAGE_SCHEMA_DECLARED,
+        REVISION_SCHEMA,
+        REVISION_SCHEMA_DECLARED,
+    )
+
+    page = {
+        "page_id": 9_000_123, "page_namespace": 4,
+        "page_title": "No_bits_left_behind", "page_latest": 340_000_777,
+        "page_touched": 1_262_304_123, "page_len": 54_321,
+    }
+    rev = {
+        "rev_id": 340_000_777, "rev_page": 9_000_123, "rev_text_id": 1_234_567,
+        "rev_user": 42, "rev_timestamp": 1_262_304_123, "rev_minor_edit": 1,
+        "rev_len": 54_321, "rev_comment": "rv vandalism — café",
+    }
+    stamp = "20100101000203"
+    return [
+        (PAGE_SCHEMA, page),
+        (REVISION_SCHEMA, rev),
+        (PAGE_SCHEMA_DECLARED, {**page, "page_touched": stamp}),
+        (REVISION_SCHEMA_DECLARED,
+         {**rev, "rev_timestamp": stamp, "rev_len": -54_321}),
+    ]
+
+
+_PINNED_HEX = [
+    (
+        "bb548900044e6f5f626974735f6c6566745f626568696e640000000000090044"
+        "147b3b3d4b31d40000"
+    ),
+    (
+        "09004414bb54890087d612002a0000007b3b3d4b0131d4000072762076616e64"
+        "616c69736d20e2809420636166c3a90000000000000000000000000000000000"
+        "00"
+    ),
+    (
+        "bb54890000000000040000000000000013004e6f5f626974735f6c6566745f62"
+        "6568696e64000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000900441400000000323031303031"
+        "303130303032303331d4000000000000"
+    ),
+    (
+        "0900441400000000bb5489000000000087d61200000000002a00000000000000"
+        "32303130303130313030303230330100000000000000cf2bffffffffffff1600"
+        "72762076616e64616c69736d20e2809420636166c3a900000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "00000000"
+    ),
+]
+
+
+def test_record_bytes_pinned():
+    for (schema, row), expected in zip(_pinned_rows(), _PINNED_HEX, strict=True):
+        data = pack_record_map(schema, row)
+        assert data.hex() == expected
+        assert unpack_record_map(schema, data) == row
+        assert unpack_record(schema, data) == tuple(row.values())
+        assert unpack_fields(schema, data, list(row)[::2]) == {
+            name: row[name] for name in list(row)[::2]
+        }

@@ -124,3 +124,22 @@ def test_heap_round_trip_property(records):
     assert len(set(rids)) == len(rids)  # RIDs are unique
     for rid, expected in zip(rids, records):
         assert heap.fetch(rid) == expected
+
+
+def test_rid_bytes_pinned():
+    assert Rid(123456, 42).to_bytes().hex() == "40e201002a000000"
+    assert Rid.from_bytes(bytes.fromhex("ffffffff01000000")) == Rid(0xFFFFFFFF, 1)
+
+
+def test_scan_sees_deletes_made_between_steps():
+    """``scan`` holds the page pin across yields and callers do write in
+    between (delete-while-scanning loops): a later slot of the *same*
+    page deleted between two ``next()`` calls is never yielded."""
+    heap = make_heap()
+    rids = [heap.insert(bytes([i]) * 10) for i in range(6)]
+    assert len({rid.page_id for rid in rids}) == 1
+    walk = heap.scan()
+    assert next(walk)[0] == rids[0]
+    heap.delete(rids[2])
+    heap.delete(rids[5])
+    assert [rid for rid, _ in walk] == [rids[1], rids[3], rids[4]]

@@ -188,3 +188,123 @@ def test_insert_read_many_property(records):
     for slot, data in stored.items():
         assert page.read(slot) == data
     page.verify()
+
+
+# -- byte-layout pins ---------------------------------------------------------
+#
+# Literals taken before the page accessors moved to compiled struct codecs:
+# the Figure-1 bytes a fixed script leaves behind must never change.
+
+def _scripted_heap_page() -> SlottedPage:
+    page = fresh_page()
+    slots = [page.insert(bytes([65 + i]) * (5 + 3 * i)) for i in range(8)]
+    page.delete(slots[1])
+    page.delete(slots[4])
+    page.delete(slots[6])
+    assert page.insert(b"reuse-one") == slots[1]   # lowest tombstone first
+    assert page.insert(b"reuse-two!") == slots[4]
+    page.update(slots[2], b"u" * 11)               # same-length overwrite
+    page.cache_csn = 0x0102030405060708
+    page.next_page = 99
+    page.level = 2
+    page.place_at(11, b"placed-past-the-end")      # slots 8..10 -> tombstones
+    page.reserve_tombstones(14)
+    page.delete(slots[0])
+    return page
+
+
+def test_heap_page_bytes_pinned():
+    import hashlib
+
+    page = _scripted_heap_page()
+    before = hashlib.sha256(page.buffer).hexdigest()
+    assert before == (
+        "4d25d20bb77b0c05eba5a71197179506f525e3f479ba8ae520ad885162ead3c5"
+    )
+    assert page.slot_count == 14
+    assert list(page.live_slots()) == [1, 2, 3, 4, 5, 7, 11]
+    assert page.free_window() == (88, 346)
+    page.compact()
+    assert hashlib.sha256(page.buffer).hexdigest() == (
+        "66e703bab03035d7ee3217bbb844d46723209a558c20b6a4644aa6e4336cb522"
+    )
+    assert page.free_window() == (88, 399)
+    assert page.read(11) == b"placed-past-the-end"
+    assert page.live_record_bytes == 109
+    page.verify()
+    # Redo into a tight page: place_at must compact once to make room.
+    while True:
+        try:
+            page.insert(b"f" * 40)
+        except PageFullError:
+            break
+    page.delete(2)
+    page.delete(5)
+    assert page.free_bytes < 32
+    page.place_at(5, b"r" * 32)
+    assert hashlib.sha256(page.buffer).hexdigest() == (
+        "62538364b4f0fb3d1550b408d8f01dde7fc5765bf69a6d6027de82ffcb7df5d8"
+    )
+    page.verify()
+
+
+def test_records_reads_the_live_directory_between_steps():
+    """A consumer that deletes a *later* slot between two ``next()`` calls
+    never sees it: the generator walks the live bytes one slot per step
+    (``HeapFile.scan`` holds the pin across yields and callers do write in
+    between), so it may not snapshot the directory up front."""
+    page = fresh_page()
+    for data in (b"a", b"b", b"c", b"d"):
+        page.insert(data)
+    walk = page.records()
+    assert next(walk) == (0, b"a")
+    page.delete(2)
+    assert list(walk) == [(1, b"b"), (3, b"d")]
+    slots = page.live_slots()
+    assert next(slots) == 0
+    page.delete(3)
+    assert list(slots) == [1]
+
+
+def test_database_disk_bytes_pinned():
+    """Every page a small seeded engine leaves on disk — heap pages, B+Tree
+    nodes, and leaves whose free window holds index-cache slots and CSN
+    stamps written by served lookups — hashed after ``flush_all``."""
+    import hashlib
+
+    from repro import Database, Schema, UINT32, UINT64, char
+
+    db = Database(page_size=1024, data_pool_pages=64, seed=7)
+    users = db.create_table("users", Schema.of(
+        ("user_id", UINT64), ("username", char(12)),
+        ("karma", UINT32), ("posts", UINT32),
+    ))
+    db.create_index("users", "users_pk", ("user_id",))
+    db.create_cached_index(
+        "users", "users_by_name", ("username",), cached_fields=("karma", "posts"),
+    )
+    for i in range(400):
+        users.insert({"user_id": i, "username": f"user{i:04d}",
+                      "karma": (i * 7) % 500, "posts": i % 40})
+    for i in range(0, 400, 3):
+        for _ in range(2):  # the second lookup is served from the leaf
+            users.lookup("users_by_name", f"user{i:04d}", ("karma", "posts"))
+    for i in range(0, 400, 11):
+        users.update("users_pk", i, {"karma": 9000 + i})
+        users.lookup("users_by_name", f"user{i:04d}", ("karma",))
+    for i in range(5, 400, 17):
+        users.delete("users_pk", i)
+    for i in range(400, 440):
+        users.insert({"user_id": i, "username": f"user{i:04d}",
+                      "karma": i % 500, "posts": i % 40})
+    stats = users.index("users_by_name").stats
+    assert stats.answered_from_cache > 100
+    db.data_pool.flush_all()
+    db.index_pool.flush_all()
+    digest = hashlib.sha256()
+    for page_id in range(db.disk.num_pages):
+        digest.update(db.disk.peek(page_id))
+    assert (db.disk.num_pages, stats.answered_from_cache) == (56, 134)
+    assert digest.hexdigest() == (
+        "1d58b5defc468ecad8a85c9f2d37918db126734db1554539b730ebe73eccb70d"
+    )

@@ -111,3 +111,34 @@ def test_ordered_ops_match_list_model(ops):
             model.pop(pos)
     assert contents(page) == model
     page.verify()
+
+
+def test_ordered_page_bytes_pinned():
+    """Literals taken before the page accessors moved to compiled struct
+    codecs: the bytes a fixed ordered-mode script leaves must not change."""
+    import hashlib
+
+    page = fresh_page()
+    for i in range(12):
+        page.insert_at(i // 2, bytes([97 + i]) * (4 + i))
+    page.remove_at(0)
+    page.remove_at(5)
+    page.remove_at(page.slot_count - 1)
+    page.insert_at(3, b"middle-entry")
+    page.next_page = 4
+    assert hashlib.sha256(page.buffer).hexdigest() == (
+        "b5909741aaeb719232d0272f2427f370676edc5b9f4e7d19210032f64d891487"
+    )
+    page.truncate(6)
+    assert hashlib.sha256(page.buffer).hexdigest() == (
+        "c8098f046860536b0571af04253f3662fe527c8ea5457558843e8fe7cfa3e655"
+    )
+    page.compact()
+    assert hashlib.sha256(page.buffer).hexdigest() == (
+        "f20cbdb54bfc124f863e96a8f296575ef2e0f553fd21a44355fa13155eda3169"
+    )
+    assert contents(page) == [
+        b"ddddddd", b"fffffffff", b"hhhhhhhhhhh", b"middle-entry",
+        b"jjjjjjjjjjjjj", b"lllllllllllllll",
+    ]
+    page.verify()
