@@ -12,18 +12,21 @@ in the middle is where the index cache lives.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import PageFormatError
 from repro.storage.constants import PageType
 from repro.storage.page import SlottedPage
 
 CHILD_PTR_SIZE = 4
+_CHILD = struct.Struct("<I")
 
 
 class LeafNode:
     """Sorted ``key -> value`` entries in a leaf page."""
 
     def __init__(self, page: SlottedPage, key_size: int, value_size: int) -> None:
-        if page.page_type is not PageType.BTREE_LEAF:
+        if page.type_code != PageType.BTREE_LEAF:
             raise PageFormatError(
                 f"page {page.page_id} is {page.page_type.name}, not a leaf"
             )
@@ -47,15 +50,7 @@ class LeafNode:
 
     def find(self, key: bytes) -> tuple[int, bool]:
         """Lower-bound binary search: ``(position, exact_match)``."""
-        lo, hi = 0, self.count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.key_at(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        found = lo < self.count and self.key_at(lo) == key
-        return lo, found
+        return self.page.bisect(key)
 
     def insert(self, pos: int, key: bytes, value: bytes) -> None:
         """Insert an entry at ``pos`` (raises ``PageFullError`` when full)."""
@@ -81,7 +76,7 @@ class InternalNode:
     """Sorted ``separator -> child`` routing entries in an internal page."""
 
     def __init__(self, page: SlottedPage, key_size: int) -> None:
-        if page.page_type is not PageType.BTREE_INTERNAL:
+        if page.type_code != PageType.BTREE_INTERNAL:
             raise PageFormatError(
                 f"page {page.page_id} is {page.page_type.name}, not internal"
             )
@@ -92,18 +87,14 @@ class InternalNode:
     def count(self) -> int:
         return self.page.slot_count
 
-    def key_at(self, pos: int) -> bytes:
-        return self.page.read(pos)[: self._key_size]
-
     def child_at(self, pos: int) -> int:
-        record = self.page.read(pos)
-        return int.from_bytes(record[self._key_size :], "little")
+        return _CHILD.unpack_from(self.page.read(pos), self._key_size)[0]
 
     def entry_at(self, pos: int) -> tuple[bytes, int]:
         record = self.page.read(pos)
         return (
             record[: self._key_size],
-            int.from_bytes(record[self._key_size :], "little"),
+            _CHILD.unpack_from(record, self._key_size)[0],
         )
 
     def find_child(self, key: bytes) -> tuple[int, int]:
@@ -112,18 +103,11 @@ class InternalNode:
         Picks the rightmost entry whose separator is <= ``key``; entry 0's
         separator is ignored (−∞), so position 0 is the floor.
         """
-        lo, hi = 1, self.count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.key_at(mid) <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        pos = lo - 1
+        pos = self.page.bisect(key, 1, upper=True)[0] - 1
         return pos, self.child_at(pos)
 
     def insert(self, pos: int, key: bytes, child: int) -> None:
-        self.page.insert_at(pos, key + child.to_bytes(CHILD_PTR_SIZE, "little"))
+        self.page.insert_at(pos, key + _CHILD.pack(child))
 
     def entries(self) -> list[tuple[bytes, int]]:
         return [self.entry_at(i) for i in range(self.count)]

@@ -161,7 +161,7 @@ class BPlusTree:
         page_id = self._root_id
         while True:
             with self._pool.page(page_id) as page:
-                if page.page_type is PageType.BTREE_LEAF:
+                if page.type_code == PageType.BTREE_LEAF:
                     return page_id
                 node = InternalNode(page, self._key_size)
                 _, page_id = node.find_child(key)
@@ -568,7 +568,7 @@ class BPlusTree:
         page_id = self._root_id
         while True:
             with self._pool.page(page_id) as page:
-                if page.page_type is PageType.BTREE_LEAF:
+                if page.type_code == PageType.BTREE_LEAF:
                     return path
                 node = InternalNode(page, self._key_size)
                 pos, child = node.find_child(key)
@@ -710,7 +710,7 @@ class BPlusTree:
         page_id = self._root_id
         while True:
             with self._pool.page(page_id) as page:
-                if page.page_type is PageType.BTREE_LEAF:
+                if page.type_code == PageType.BTREE_LEAF:
                     return page_id
                 node = InternalNode(page, self._key_size)
                 page_id = node.child_at(0)

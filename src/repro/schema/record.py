@@ -1,10 +1,12 @@
 """Record serde: pack/unpack Python tuples against a :class:`Schema`.
 
 Records are dicts-in, dicts-out at the query layer but packed tuples at the
-storage layer; these functions are the boundary.  Partial unpacking
-(:func:`unpack_fields`) exists so that reading a projection from a cached
-index entry or a heap tuple touches only the referenced byte ranges — the
-same access pattern the paper's locality argument is about.
+storage layer; these functions are the boundary.  All of them go through
+the schema's one compiled ``Struct`` (:attr:`Schema.codec`): one C call
+moves the whole record, then the few columns that need a step (strings,
+odd integer widths) get it.  :func:`unpack_fields` decodes that way and
+picks the named columns — cheaper for fixed-width records than decoding
+column by column, with no per-projection state to keep.
 """
 
 from __future__ import annotations
@@ -21,16 +23,26 @@ def pack_record(schema: Schema, values: Sequence[object]) -> bytes:
         raise SchemaError(
             f"expected {len(schema)} values, got {len(values)}"
         )
-    parts = [col.ctype.pack(v) for col, v in zip(schema.columns, values)]
-    return b"".join(parts)
+    # ``struct`` alone is laxer than the types (it packs ``True`` into an
+    # integer code and truncates over-long strings), so validate first.
+    for col, value in zip(schema.columns, values):
+        col.ctype.validate(value)
+    packer, pre, _ = schema.codec
+    if pre:
+        values = list(values)
+        for i, step in pre:
+            values[i] = step(values[i])
+    return packer.pack(*values)
 
 
 def pack_record_map(schema: Schema, values: Mapping[str, object]) -> bytes:
     """Pack a ``{name: value}`` mapping; every column must be present."""
-    missing = set(schema.names) - set(values)
-    if missing:
-        raise SchemaError(f"missing values for columns {sorted(missing)}")
-    return pack_record(schema, [values[name] for name in schema.names])
+    try:
+        ordered = [values[name] for name in schema.names]
+    except KeyError:
+        missing = sorted(set(schema.names) - set(values))
+        raise SchemaError(f"missing values for columns {missing}") from None
+    return pack_record(schema, ordered)
 
 
 def unpack_record(schema: Schema, data: bytes) -> tuple[object, ...]:
@@ -39,12 +51,14 @@ def unpack_record(schema: Schema, data: bytes) -> tuple[object, ...]:
         raise SchemaError(
             f"record is {len(data)} bytes, schema needs {schema.record_size}"
         )
-    values = []
-    offset = 0
-    for col in schema.columns:
-        values.append(col.ctype.unpack(data[offset : offset + col.size]))
-        offset += col.size
-    return tuple(values)
+    unpacker, _, post = schema.codec
+    values = unpacker.unpack(data)
+    if post:
+        values = list(values)
+        for i, step in post:
+            values[i] = step(values[i])
+        values = tuple(values)
+    return values
 
 
 def unpack_record_map(schema: Schema, data: bytes) -> dict[str, object]:
@@ -55,17 +69,13 @@ def unpack_record_map(schema: Schema, data: bytes) -> dict[str, object]:
 def unpack_fields(
     schema: Schema, data: bytes, names: Sequence[str]
 ) -> dict[str, object]:
-    """Unpack only the named columns, touching only their byte ranges."""
-    if len(data) != schema.record_size:
-        raise SchemaError(
-            f"record is {len(data)} bytes, schema needs {schema.record_size}"
-        )
-    out: dict[str, object] = {}
-    for name in names:
-        col = schema.column(name)
-        offset = schema.offset_of(name)
-        out[name] = col.ctype.unpack(data[offset : offset + col.size])
-    return out
+    """Unpack the record and keep only the named columns."""
+    values = unpack_record(schema, data)
+    position = schema._index  # the dict behind ``Schema.position``
+    try:
+        return {name: values[position[name]] for name in names}
+    except KeyError as exc:
+        raise SchemaError(f"no column named {exc.args[0]!r}") from None
 
 
 def overwrite_field(

@@ -9,7 +9,9 @@ all depend on this arithmetic being exact.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SchemaError
 from repro.schema.types import PhysicalType
@@ -50,6 +52,10 @@ class Schema:
     columns: tuple[Column, ...]
     _offsets: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    #: Column names in order, and the packed record width in bytes; both
+    #: read on every serde call, so computed once here.
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    record_size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         offset = 0
@@ -59,6 +65,13 @@ class Schema:
             self._index[col.name] = i
             self._offsets[col.name] = offset
             offset += col.size
+        object.__setattr__(self, "names", tuple(self._index))
+        object.__setattr__(self, "record_size", offset)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the columns: the compiled
+        # ``codec`` is derived state (and a ``Struct`` does neither).
+        return type(self), (self.columns,)
 
     @classmethod
     def of(cls, *cols: tuple[str, PhysicalType]) -> "Schema":
@@ -72,14 +85,18 @@ class Schema:
 
     # -- geometry ----------------------------------------------------------
 
-    @property
-    def record_size(self) -> int:
-        """Packed record width in bytes."""
-        return sum(col.size for col in self.columns)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
+    @cached_property
+    def codec(self) -> tuple[struct.Struct, tuple, tuple]:
+        """``(struct, pre, post)``: ONE compiled ``Struct`` for the whole
+        record, built on first use from each column's
+        :meth:`PhysicalType.wire`, and the ``(position, step)`` pairs to
+        apply before packing / after unpacking (``schema.record`` does)."""
+        wires = [col.ctype.wire() for col in self.columns]
+        return (
+            struct.Struct("<" + "".join(code for code, _, _ in wires)),
+            tuple((i, pre) for i, (_, pre, _) in enumerate(wires) if pre),
+            tuple((i, post) for i, (_, _, post) in enumerate(wires) if post),
+        )
 
     def offset_of(self, name: str) -> int:
         """Byte offset of column ``name`` within a packed record."""

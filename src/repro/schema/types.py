@@ -19,6 +19,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import TypeMismatchError
 
@@ -100,25 +102,19 @@ class PhysicalType:
 
     # -- serde -------------------------------------------------------------
 
+    def wire(self) -> tuple[str, "_Step | None", "_Step | None"]:
+        """``(struct format code, pre-step, post-step)`` — the one
+        definition of this type's encoding: the code packs what the
+        pre-step makes of a validated value and the post-step finishes
+        what it unpacks.  :meth:`pack` / :meth:`unpack` apply it to one
+        value, :attr:`Schema.codec` to a whole record in one ``Struct``."""
+        return _WIRE[self.kind](self.size)
+
     def pack(self, value: object) -> bytes:
         """Serialize ``value`` into exactly :attr:`size` bytes."""
         self.validate(value)
-        kind = self.kind
-        if kind is TypeKind.BOOL:
-            return b"\x01" if value else b"\x00"
-        if kind in (TypeKind.UINT, TypeKind.TIMESTAMP, TypeKind.DATE, TypeKind.YEAR):
-            return int(value).to_bytes(self.size, "little", signed=False)  # type: ignore[arg-type]
-        if kind is TypeKind.INT:
-            return int(value).to_bytes(self.size, "little", signed=True)  # type: ignore[arg-type]
-        if kind is TypeKind.FLOAT:
-            return struct.pack("<d", float(value))  # type: ignore[arg-type]
-        if kind in (TypeKind.CHAR, TypeKind.TIMESTAMP_STRING):
-            raw = str(value).encode("utf-8")
-            return raw.ljust(self.size, b"\x00")
-        if kind is TypeKind.VARCHAR:
-            raw = str(value).encode("utf-8")
-            return len(raw).to_bytes(2, "little") + raw.ljust(self.size - 2, b"\x00")
-        raise TypeMismatchError(f"unhandled kind {kind}")  # pragma: no cover
+        code, pre, _ = self.wire()
+        return struct.pack("<" + code, value if pre is None else pre(value))
 
     def unpack(self, data: bytes) -> object:
         """Deserialize exactly :attr:`size` bytes back into a Python value."""
@@ -126,21 +122,60 @@ class PhysicalType:
             raise TypeMismatchError(
                 f"{self.name} needs {self.size} bytes, got {len(data)}"
             )
-        kind = self.kind
-        if kind is TypeKind.BOOL:
-            return data[0] != 0
-        if kind in (TypeKind.UINT, TypeKind.TIMESTAMP, TypeKind.DATE, TypeKind.YEAR):
-            return int.from_bytes(data, "little", signed=False)
-        if kind is TypeKind.INT:
-            return int.from_bytes(data, "little", signed=True)
-        if kind is TypeKind.FLOAT:
-            return struct.unpack("<d", data)[0]
-        if kind in (TypeKind.CHAR, TypeKind.TIMESTAMP_STRING):
-            return data.rstrip(b"\x00").decode("utf-8")
-        if kind is TypeKind.VARCHAR:
-            length = int.from_bytes(data[:2], "little")
-            return data[2 : 2 + length].decode("utf-8")
-        raise TypeMismatchError(f"unhandled kind {kind}")  # pragma: no cover
+        code, _, post = self.wire()
+        (value,) = struct.unpack("<" + code, data)
+        return value if post is None else post(value)
+
+
+_Step = Callable[[Any], Any]
+_U16 = struct.Struct("<H")
+_NATIVE_INT = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed; upper-case = unsigned
+
+
+def _int_wire(size: int, signed: bool) -> tuple[str, _Step | None, _Step | None]:
+    code = _NATIVE_INT.get(size)
+    if code is not None:
+        return (code if signed else code.upper()), None, None
+    # Odd widths (a 3-byte id) have no struct code: carry the bytes.
+    return (
+        f"{size}s",
+        lambda value: value.to_bytes(size, "little", signed=signed),
+        lambda raw: int.from_bytes(raw, "little", signed=signed),
+    )
+
+
+def _unpad(raw: bytes) -> str:
+    return raw.rstrip(b"\x00").decode("utf-8")
+
+
+def _varchar_in(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return _U16.pack(len(raw)) + raw
+
+
+def _varchar_out(raw: bytes) -> str:
+    return raw[2 : 2 + _U16.unpack_from(raw)[0]].decode("utf-8")
+
+
+def _text(size: int):
+    return f"{size}s", str.encode, _unpad  # ``Ns`` NUL-pads on pack
+
+
+_unsigned = partial(_int_wire, signed=False)  # see ``int_range``
+
+#: ``kind -> size -> (code, pre, post)``; see :meth:`PhysicalType.wire`.
+_WIRE: dict[TypeKind, Callable[[int], tuple]] = {
+    TypeKind.BOOL: lambda size: ("?", None, None),
+    TypeKind.INT: partial(_int_wire, signed=True),
+    TypeKind.UINT: _unsigned,
+    TypeKind.TIMESTAMP: _unsigned,
+    TypeKind.DATE: _unsigned,
+    TypeKind.YEAR: _unsigned,
+    TypeKind.FLOAT: lambda size: ("d", float, None),
+    TypeKind.CHAR: _text,
+    TypeKind.TIMESTAMP_STRING: _text,
+    TypeKind.VARCHAR: lambda size: (f"{size}s", _varchar_in, _varchar_out),
+}
 
 
 BOOL = PhysicalType(TypeKind.BOOL, 1, "BOOL")

@@ -12,6 +12,7 @@ modes matter to the paper:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -20,6 +21,8 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import PageType
 from repro.storage.freespace import FreeSpaceMap
 from repro.storage.page import SlottedPage
+
+_RID = struct.Struct("<II")  # page u32 | slot u32
 
 
 @dataclass(frozen=True, order=True)
@@ -35,16 +38,13 @@ class Rid:
     def to_bytes(self) -> bytes:
         """8-byte encoding (page u32 | slot u32), used as B+Tree values
         and as the cache's tuple id."""
-        return self.page_id.to_bytes(4, "little") + self.slot.to_bytes(4, "little")
+        return _RID.pack(self.page_id, self.slot)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Rid":
         if len(data) != 8:
             raise InvalidRidError(f"rid encoding must be 8 bytes, got {len(data)}")
-        return cls(
-            int.from_bytes(data[:4], "little"),
-            int.from_bytes(data[4:], "little"),
-        )
+        return cls(*_RID.unpack(data))
 
 
 #: Width of an encoded Rid; also the B+Tree value size for RID indexes.

@@ -38,6 +38,7 @@ wrong query results.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import Iterator
 
@@ -67,27 +68,37 @@ _OFF_LEVEL = 26
 _OFF_CHECKSUM = PAGE_CHECKSUM_OFFSET
 _TOMBSTONE_OFFSET = 0
 
+# Compiled codecs, applied straight to the frame's ``bytearray`` with
+# ``unpack_from`` / ``pack_into`` at every access (DESIGN.md §5).  Nothing
+# decoded is kept: a memo would need dropping on every write path and on
+# the index cache's direct window writes, and one C call per field group
+# costs less than that.  No long-lived ``memoryview`` either: a live export
+# makes the pool's ``frame.data[:] = snapshot`` restores raise ``BufferError``.
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_HEADER = struct.Struct("<HIBBHHHQIB")  # magic .. level, in header order
+_GEOMETRY = struct.Struct("<HHH")  # slot_count, free_lo, free_hi
+_PAIR = struct.Struct("<HH")  # (free_lo, free_hi) or one directory entry
+
 
 def compute_page_checksum(buffer: bytes | bytearray) -> int:
     """CRC32 over the page bytes with the checksum field treated as zero."""
-    crc = zlib.crc32(buffer[:_OFF_CHECKSUM])
-    crc = zlib.crc32(bytes(PAGE_CHECKSUM_SIZE), crc)
-    return zlib.crc32(buffer[_OFF_CHECKSUM + PAGE_CHECKSUM_SIZE :], crc)
+    with memoryview(buffer) as view:  # no copies; released on return
+        crc = zlib.crc32(view[:_OFF_CHECKSUM])
+        crc = zlib.crc32(bytes(PAGE_CHECKSUM_SIZE), crc)
+        return zlib.crc32(view[_OFF_CHECKSUM + PAGE_CHECKSUM_SIZE :], crc)
 
 
 def read_page_checksum(buffer: bytes | bytearray) -> int:
     """The stored CRC32 stamp (0 on a never-stamped page)."""
-    return int.from_bytes(
-        buffer[_OFF_CHECKSUM : _OFF_CHECKSUM + PAGE_CHECKSUM_SIZE], "little"
-    )
+    return _U32.unpack_from(buffer, _OFF_CHECKSUM)[0]
 
 
 def stamp_page_checksum(buffer: bytearray) -> int:
     """Stamp the current CRC32 into the checksum field; returns the CRC."""
     crc = compute_page_checksum(buffer)
-    buffer[_OFF_CHECKSUM : _OFF_CHECKSUM + PAGE_CHECKSUM_SIZE] = crc.to_bytes(
-        4, "little"
-    )
+    _U32.pack_into(buffer, _OFF_CHECKSUM, crc)
     return crc
 
 
@@ -109,12 +120,13 @@ class SlottedPage:
     """
 
     def __init__(self, buffer: bytearray) -> None:
-        if len(buffer) < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE:
+        size = len(buffer)
+        if size < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE:
             raise PageFormatError("buffer smaller than header + footer")
-        if len(buffer) > 0xFFFF:
+        if size > 0xFFFF:
             raise PageFormatError("2-byte offsets cap pages at 65535 bytes")
         self._buf = buffer
-        self._size = len(buffer)
+        self._size = size
 
     # -- construction ------------------------------------------------------
 
@@ -126,47 +138,23 @@ class SlottedPage:
         size = len(buffer)
         buffer[:] = bytes(size)
         page = cls(buffer)
-        page._put_u16(_OFF_MAGIC, PAGE_MAGIC)
-        page._put_u32(_OFF_PAGE_ID, page_id)
-        buffer[_OFF_TYPE] = int(page_type)
-        page._put_u16(_OFF_SLOT_COUNT, 0)
-        page._put_u16(_OFF_FREE_LO, PAGE_HEADER_SIZE)
-        page._put_u16(_OFF_FREE_HI, size - PAGE_FOOTER_SIZE)
-        page._put_u64(_OFF_CACHE_CSN, 0)
-        page._put_u32(_OFF_NEXT_PAGE, NO_PAGE)
-        buffer[_OFF_LEVEL] = 0
-        page._put_u16(size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
+        _HEADER.pack_into(
+            buffer, _OFF_MAGIC, PAGE_MAGIC, page_id, page_type, 0, 0,
+            PAGE_HEADER_SIZE, size - PAGE_FOOTER_SIZE, 0, NO_PAGE, 0,
+        )
+        _U16.pack_into(buffer, size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
         return page
 
     def verify(self) -> None:
         """Raise :class:`PageFormatError` if the page bytes look corrupt."""
-        if self._get_u16(_OFF_MAGIC) != PAGE_MAGIC:
+        if not self.is_formatted:
             raise PageFormatError("bad page magic")
-        if self._get_u16(self._size - PAGE_FOOTER_SIZE) != FOOTER_MAGIC:
+        footer = self._size - PAGE_FOOTER_SIZE
+        if _U16.unpack_from(self._buf, footer)[0] != FOOTER_MAGIC:
             raise PageFormatError("bad footer magic")
         lo, hi = self.free_window()
-        if not PAGE_HEADER_SIZE <= lo <= hi <= self._size - PAGE_FOOTER_SIZE:
+        if not PAGE_HEADER_SIZE <= lo <= hi <= footer:
             raise PageFormatError(f"inconsistent free window [{lo}, {hi})")
-
-    # -- primitive accessors -------------------------------------------------
-
-    def _get_u16(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 2], "little")
-
-    def _put_u16(self, off: int, value: int) -> None:
-        self._buf[off : off + 2] = value.to_bytes(2, "little")
-
-    def _get_u32(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 4], "little")
-
-    def _put_u32(self, off: int, value: int) -> None:
-        self._buf[off : off + 4] = value.to_bytes(4, "little")
-
-    def _get_u64(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 8], "little")
-
-    def _put_u64(self, off: int, value: int) -> None:
-        self._buf[off : off + 8] = value.to_bytes(8, "little")
 
     # -- header properties ---------------------------------------------------
 
@@ -181,7 +169,13 @@ class SlottedPage:
 
     @property
     def page_id(self) -> int:
-        return self._get_u32(_OFF_PAGE_ID)
+        return _U32.unpack_from(self._buf, _OFF_PAGE_ID)[0]
+
+    @property
+    def type_code(self) -> int:
+        """The raw page-type byte: equals a :class:`PageType` member as an
+        int, without constructing the enum (node views check every visit)."""
+        return self._buf[_OFF_TYPE]
 
     @property
     def page_type(self) -> PageType:
@@ -190,26 +184,26 @@ class SlottedPage:
     @property
     def slot_count(self) -> int:
         """Directory entries, including tombstones."""
-        return self._get_u16(_OFF_SLOT_COUNT)
+        return _U16.unpack_from(self._buf, _OFF_SLOT_COUNT)[0]
 
     @property
     def cache_csn(self) -> int:
         """Per-page cache sequence number (§2.1.2 ``CSN_p``)."""
-        return self._get_u64(_OFF_CACHE_CSN)
+        return _U64.unpack_from(self._buf, _OFF_CACHE_CSN)[0]
 
     @cache_csn.setter
     def cache_csn(self, value: int) -> None:
-        self._put_u64(_OFF_CACHE_CSN, value)
+        _U64.pack_into(self._buf, _OFF_CACHE_CSN, value)
 
     @property
     def next_page(self) -> int | None:
         """Sibling link (B+Tree leaf chaining); ``None`` when unset."""
-        raw = self._get_u32(_OFF_NEXT_PAGE)
+        raw = _U32.unpack_from(self._buf, _OFF_NEXT_PAGE)[0]
         return None if raw == NO_PAGE else raw
 
     @next_page.setter
     def next_page(self, value: int | None) -> None:
-        self._put_u32(_OFF_NEXT_PAGE, NO_PAGE if value is None else value)
+        _U32.pack_into(self._buf, _OFF_NEXT_PAGE, NO_PAGE if value is None else value)
 
     @property
     def checksum(self) -> int:
@@ -231,11 +225,11 @@ class SlottedPage:
 
     def free_window(self) -> tuple[int, int]:
         """``(free_lo, free_hi)`` — the unclaimed middle of the page."""
-        return self._get_u16(_OFF_FREE_LO), self._get_u16(_OFF_FREE_HI)
+        return _PAIR.unpack_from(self._buf, _OFF_FREE_LO)
 
     @property
     def free_bytes(self) -> int:
-        lo, hi = self.free_window()
+        lo, hi = _PAIR.unpack_from(self._buf, _OFF_FREE_LO)
         return hi - lo
 
     # -- directory -----------------------------------------------------------
@@ -244,17 +238,28 @@ class SlottedPage:
         return PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE
 
     def _slot_entry(self, slot: int) -> tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
+        buf = self._buf
+        if not 0 <= slot < _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]:
             raise InvalidRidError(
                 f"slot {slot} out of range on page {self.page_id}"
             )
-        base = self._slot_entry_offset(slot)
-        return self._get_u16(base), self._get_u16(base + 2)
+        try:
+            return _PAIR.unpack_from(buf, PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE)
+        except struct.error:
+            # A corrupt slot_count reaching past the page: such an entry
+            # has always read as a tombstone, never as a codec error.
+            return _TOMBSTONE_OFFSET, 0
 
     def _set_slot_entry(self, slot: int, offset: int, length: int) -> None:
-        base = self._slot_entry_offset(slot)
-        self._put_u16(base, offset)
-        self._put_u16(base + 2, length)
+        _PAIR.pack_into(self._buf, self._slot_entry_offset(slot), offset, length)
+
+    def _directory(self, count: int) -> Iterator[tuple[int, int]]:
+        """``(offset, length)`` of slots ``0..count-1`` decoded in one pass
+        over a snapshot of the directory — only for walks that finish
+        inside one call (:meth:`live_slots` yields, so it reads live)."""
+        return _PAIR.iter_unpack(
+            self._buf[PAGE_HEADER_SIZE : self._slot_entry_offset(count)]
+        )
 
     def slot_is_live(self, slot: int) -> bool:
         """True if the slot holds a record (not a tombstone)."""
@@ -273,22 +278,20 @@ class SlottedPage:
         """
         if not data:
             raise PageFullError("cannot insert an empty record")
-        lo, hi = self.free_window()
-        reuse_slot = self._find_tombstone()
-        need = len(data) if reuse_slot is not None else len(data) + SLOT_ENTRY_SIZE
+        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        slot = self._find_tombstone(count)
+        need = len(data) if slot is not None else len(data) + SLOT_ENTRY_SIZE
         if hi - lo < need:
             raise PageFullError(
                 f"page {self.page_id}: need {need} bytes, have {hi - lo}"
             )
         new_hi = hi - len(data)
         self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
-        if reuse_slot is not None:
-            slot = reuse_slot
-        else:
-            slot = self.slot_count
-            self._put_u16(_OFF_SLOT_COUNT, slot + 1)
-            self._put_u16(_OFF_FREE_LO, lo + SLOT_ENTRY_SIZE)
+        if slot is None:
+            slot = count
+            count += 1
+            lo += SLOT_ENTRY_SIZE
+        _GEOMETRY.pack_into(self._buf, _OFF_SLOT_COUNT, count, lo, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
         return slot
 
@@ -327,7 +330,7 @@ class SlottedPage:
     def is_formatted(self) -> bool:
         """True if the buffer carries this module's magic (i.e. has been
         through :meth:`format`); fresh zeroed pages are not."""
-        return self._get_u16(_OFF_MAGIC) == PAGE_MAGIC
+        return _U16.unpack_from(self._buf, _OFF_MAGIC)[0] == PAGE_MAGIC
 
     def place_at(self, slot: int, data: bytes) -> None:
         """Materialize ``data`` at exactly ``slot`` (heap-mode redo only).
@@ -344,7 +347,7 @@ class SlottedPage:
         """
         if not data:
             raise PageFullError("cannot place an empty record")
-        count = self.slot_count
+        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
         if slot < count and self.slot_is_live(slot):
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} is live; redo must "
@@ -352,7 +355,6 @@ class SlottedPage:
             )
         grow = max(0, slot + 1 - count)
         need = len(data) + grow * SLOT_ENTRY_SIZE
-        lo, hi = self.free_window()
         if hi - lo < need:
             self.compact()
             lo, hi = self.free_window()
@@ -361,15 +363,10 @@ class SlottedPage:
                     f"page {self.page_id}: redo needs {need} bytes, "
                     f"have {hi - lo} after compaction"
                 )
-        if grow:
-            for s in range(count, slot + 1):
-                self._set_slot_entry(s, _TOMBSTONE_OFFSET, 0)
-            self._put_u16(_OFF_SLOT_COUNT, slot + 1)
-            self._put_u16(_OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
-            hi = self._get_u16(_OFF_FREE_HI)
+        self._grow_directory(count, grow, lo)
         new_hi = hi - len(data)
         self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
+        _U16.pack_into(self._buf, _OFF_FREE_HI, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
 
     def reserve_tombstones(self, new_count: int) -> None:
@@ -380,19 +377,22 @@ class SlottedPage:
         directory entries so future inserts reuse them exactly as the
         pre-crash page would have.
         """
-        count = self.slot_count
+        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
         if new_count <= count:
             return
         grow = new_count - count
-        lo, hi = self.free_window()
         if hi - lo < grow * SLOT_ENTRY_SIZE:
             raise PageFullError(
                 f"page {self.page_id}: no room for {grow} directory entries"
             )
-        for s in range(count, new_count):
-            self._set_slot_entry(s, _TOMBSTONE_OFFSET, 0)
-        self._put_u16(_OFF_SLOT_COUNT, new_count)
-        self._put_u16(_OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
+        self._grow_directory(count, grow, lo)
+
+    def _grow_directory(self, count: int, grow: int, lo: int) -> None:
+        """Append ``grow`` zeroed (tombstone, length 0) directory entries."""
+        span = grow * SLOT_ENTRY_SIZE
+        start = self._slot_entry_offset(count)
+        self._buf[start : start + span] = bytes(span)
+        _PAIR.pack_into(self._buf, _OFF_SLOT_COUNT, count + grow, lo + span)
 
     # -- ordered-directory operations (B+Tree nodes) -------------------------
     #
@@ -402,6 +402,41 @@ class SlottedPage:
     # region until :meth:`compact` — exactly the fill-factor decay the paper
     # cites for B+Trees under deletes.
 
+    def bisect(
+        self, key: bytes, lo: int = 0, upper: bool = False
+    ) -> tuple[int, bool]:
+        """Binary search of a directory sorted by each record's leading
+        ``len(key)`` bytes: ``(position, exact)``.
+
+        ``position`` is the first entry in ``[lo, slot_count)`` whose key
+        is ``>= key`` (``> key`` with ``upper``), and ``exact`` says the
+        entry there equals ``key`` (never true with ``upper``).  The one
+        search both node views use: one ``unpack_from`` and one slice
+        compare per step, nothing decoded ahead of the probe.
+        """
+        buf = self._buf
+        width = len(key)
+        hi = _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]
+        at_hi = None
+        try:
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                offset = _U16.unpack_from(
+                    buf, PAGE_HEADER_SIZE + mid * SLOT_ENTRY_SIZE
+                )[0]
+                if offset == _TOMBSTONE_OFFSET:
+                    break
+                probe = buf[offset : offset + width]
+                if probe < key or (upper and probe == key):
+                    lo = mid + 1
+                else:
+                    hi, at_hi = mid, probe
+            else:
+                return lo, at_hi == key
+        except struct.error:  # entry past the page: reads as a tombstone
+            pass
+        raise InvalidRidError(f"slot {mid} on page {self.page_id} is deleted")
+
     def insert_at(self, position: int, data: bytes) -> None:
         """Insert a record so its directory entry lands at ``position``.
 
@@ -409,14 +444,13 @@ class SlottedPage:
         :class:`PageFullError` if the record plus a directory entry do not
         fit in the free window.
         """
-        count = self.slot_count
+        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
         if not 0 <= position <= count:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count}"
             )
         if not data:
             raise PageFullError("cannot insert an empty record")
-        lo, hi = self.free_window()
         need = len(data) + SLOT_ENTRY_SIZE
         if hi - lo < need:
             raise PageFullError(
@@ -424,13 +458,13 @@ class SlottedPage:
             )
         new_hi = hi - len(data)
         self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
         start = self._slot_entry_offset(position)
         end = self._slot_entry_offset(count)
         self._buf[start + SLOT_ENTRY_SIZE : end + SLOT_ENTRY_SIZE] = self._buf[start:end]
-        self._put_u16(_OFF_SLOT_COUNT, count + 1)
-        self._put_u16(_OFF_FREE_LO, lo + SLOT_ENTRY_SIZE)
-        self._set_slot_entry(position, new_hi, len(data))
+        _GEOMETRY.pack_into(
+            self._buf, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
+        )
+        _PAIR.pack_into(self._buf, start, new_hi, len(data))
 
     def remove_at(self, position: int) -> None:
         """Remove the directory entry at ``position``, shifting the rest down.
@@ -438,7 +472,7 @@ class SlottedPage:
         The record's bytes are orphaned in the record region (reclaimed by
         :meth:`compact`), so the free window does not grow at the high end.
         """
-        count = self.slot_count
+        count, lo = _PAIR.unpack_from(self._buf, _OFF_SLOT_COUNT)
         if not 0 <= position < count:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count - 1}"
@@ -446,9 +480,7 @@ class SlottedPage:
         start = self._slot_entry_offset(position + 1)
         end = self._slot_entry_offset(count)
         self._buf[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self._buf[start:end]
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._put_u16(_OFF_SLOT_COUNT, count - 1)
-        self._put_u16(_OFF_FREE_LO, lo - SLOT_ENTRY_SIZE)
+        _PAIR.pack_into(self._buf, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
 
     def truncate(self, new_count: int) -> None:
         """Drop every directory entry at position >= ``new_count``.
@@ -457,25 +489,27 @@ class SlottedPage:
         new sibling and truncated here.  Orphaned record bytes are then
         reclaimed with :meth:`compact`.
         """
-        count = self.slot_count
+        count, lo = _PAIR.unpack_from(self._buf, _OFF_SLOT_COUNT)
         if not 0 <= new_count <= count:
             raise InvalidRidError(
                 f"truncate target {new_count} out of range 0..{count}"
             )
         removed = count - new_count
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._put_u16(_OFF_SLOT_COUNT, new_count)
-        self._put_u16(_OFF_FREE_LO, lo - removed * SLOT_ENTRY_SIZE)
+        _PAIR.pack_into(
+            self._buf, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
+        )
 
-    def _find_tombstone(self) -> int | None:
-        for slot in range(self.slot_count):
-            base = self._slot_entry_offset(slot)
-            if self._get_u16(base) == _TOMBSTONE_OFFSET:
+    def _find_tombstone(self, count: int) -> int | None:
+        for slot, (offset, _) in enumerate(self._directory(count)):
+            if offset == _TOMBSTONE_OFFSET:
                 return slot
         return None
 
     def live_slots(self) -> Iterator[int]:
         """Yield slot numbers that hold live records."""
+        # Reads the live bytes one slot per step: callers write to the
+        # page between steps (``HeapFile.scan`` holds the pin across
+        # yields), and a slot deleted meanwhile must not be yielded.
         for slot in range(self.slot_count):
             if self.slot_is_live(slot):
                 yield slot
@@ -495,35 +529,34 @@ class SlottedPage:
         exactly the situation its checksums guard against, and zeroing makes
         every stale slot read as empty.
         """
-        entries: list[tuple[int, bytes | None]] = []
-        for slot in range(self.slot_count):
-            offset, _ = self._slot_entry(slot)
-            if offset == _TOMBSTONE_OFFSET:
-                entries.append((slot, None))
-            else:
-                entries.append((slot, self.read(slot)))
+        buf = self._buf
+        count, lo = _PAIR.unpack_from(buf, _OFF_SLOT_COUNT)
+        live = [
+            (slot, bytes(buf[offset : offset + length]))
+            for slot, (offset, length) in enumerate(self._directory(count))
+            if offset != _TOMBSTONE_OFFSET
+        ]
         hi = self._size - PAGE_FOOTER_SIZE
-        for slot, data in entries:
-            if data is None:
-                continue
+        for slot, data in live:
             hi -= len(data)
-            self._buf[hi : hi + len(data)] = data
+            buf[hi : hi + len(data)] = data
             self._set_slot_entry(slot, hi, len(data))
-        self._put_u16(_OFF_FREE_HI, hi)
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._buf[lo:hi] = bytes(hi - lo)
+        _U16.pack_into(buf, _OFF_FREE_HI, hi)
+        buf[lo:hi] = bytes(hi - lo)
 
     # -- statistics --------------------------------------------------------
+
+    def _live_lengths(self) -> list[int]:
+        """Record length of every live slot, in one directory pass."""
+        return [
+            length for offset, length in self._directory(self.slot_count)
+            if offset != _TOMBSTONE_OFFSET
+        ]
 
     @property
     def live_record_bytes(self) -> int:
         """Bytes of live record payload."""
-        total = 0
-        for slot in range(self.slot_count):
-            offset, length = self._slot_entry(slot)
-            if offset != _TOMBSTONE_OFFSET:
-                total += length
-        return total
+        return sum(self._live_lengths())
 
     @property
     def usable_bytes(self) -> int:
@@ -535,7 +568,6 @@ class SlottedPage:
         """Fraction of usable bytes holding live data (records + their
         directory entries) — the statistic the paper quotes as ~68% for
         healthy B+Trees and 45% for the churned CarTel database."""
-        live = self.live_record_bytes
-        live_slots = sum(1 for _ in self.live_slots())
-        used = live + live_slots * SLOT_ENTRY_SIZE
+        live = self._live_lengths()
+        used = sum(live) + len(live) * SLOT_ENTRY_SIZE
         return used / self.usable_bytes if self.usable_bytes else 0.0

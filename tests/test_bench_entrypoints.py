@@ -32,3 +32,28 @@ def test_tracer_span_is_a_generator_context_manager():
     wrapped as a plain call and the bracket's work would silently move
     to ``query.self_us_per_op``."""
     assert inspect.isgeneratorfunction(Tracer.span.__wrapped__)
+
+
+def test_page_and_record_codecs_live_where_the_benchmark_charges_them():
+    """``bench.layers`` attributes profiled time by source file:
+    ``repro/storage/page.py`` is ``storage.page`` and ``repro/schema/`` is
+    ``schema``, both embedded in their callers' spans.  Moving the page
+    search or the record codec elsewhere would silently re-attribute
+    their time (to ``btree``, ``query`` ...) with every number still
+    closing."""
+    from bench.layers import EMBEDDED_FILES, _file_layer
+    from repro.schema import record
+    from repro.schema.schema import Schema
+    from repro.schema.types import PhysicalType
+    from repro.storage.page import SlottedPage
+
+    def charged(fn) -> tuple[str, bool]:
+        filename = fn.__code__.co_filename
+        return _file_layer(filename), any(f in filename for f in EMBEDDED_FILES)
+
+    for fn in (SlottedPage.bisect, SlottedPage.read, SlottedPage._slot_entry):
+        assert charged(fn) == ("storage.page", True), fn
+    for fn in (record.pack_record, record.pack_record_map, record.unpack_record,
+               record.unpack_record_map, record.unpack_fields,
+               Schema.codec.func, PhysicalType.wire):
+        assert charged(fn) == ("schema", True), fn

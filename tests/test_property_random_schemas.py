@@ -6,39 +6,58 @@ assert the serde invariants hold for all of them:
 
 * pack/unpack is the identity on values;
 * partial unpack agrees with full unpack on every subset;
-* in-place field overwrite touches exactly that field.
+* in-place field overwrite touches exactly that field;
+* the one compiled ``Struct`` per schema equals a per-column reference
+  (both ``PhysicalType.pack/unpack`` and a hand-written ``int.to_bytes``
+  ladder kept here for the purpose) byte for byte and value for value.
 """
 
 from __future__ import annotations
+
+import struct
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.schema.record import (
     overwrite_field,
     pack_record,
+    pack_record_map,
     unpack_fields,
     unpack_record,
+    unpack_record_map,
 )
 from repro.schema.schema import Schema
 from repro.schema.types import (
     BOOL,
+    DATE32,
     FLOAT64,
     INT8,
     INT16,
     INT32,
     INT64,
     TIMESTAMP32,
+    TIMESTAMP_STR14,
     UINT8,
     UINT16,
     UINT32,
     UINT64,
+    YEAR16,
+    PhysicalType,
+    TypeKind,
     char,
     varchar,
 )
 
+#: Odd integer widths have no ``struct`` code; the codec carries them as
+#: ``Ns`` plus the type's own conversion.
+UINT24 = PhysicalType(TypeKind.UINT, 3, "UINT24")
+INT24 = PhysicalType(TypeKind.INT, 3, "INT24")
+
 _FIXED_TYPES = [
     BOOL, INT8, INT16, INT32, INT64, UINT8, UINT16, UINT32, UINT64,
     FLOAT64, TIMESTAMP32,
+    TIMESTAMP_STR14, DATE32, YEAR16, UINT24, INT24,
 ]
 
 
@@ -56,6 +75,8 @@ def _value_strategy(ptype):
         return st.floats(allow_nan=False)
     if kind == "char":
         return st.text(alphabet="abcXYZ09 _", max_size=ptype.size)
+    if kind == "timestamp_string":
+        return st.text(alphabet="0123456789", max_size=ptype.size)
     if kind == "varchar":
         return st.text(alphabet="abcXYZ09 _", max_size=ptype.size - 2)
     raise AssertionError(kind)
@@ -116,3 +137,77 @@ def test_overwrite_touches_only_target_field(pair, data_strategy):
             assert result[name] == new_value
         else:
             assert result[name] == original
+
+
+# -- the compiled record codec against per-column references ------------------
+
+
+def _reference_pack(ptype, value) -> bytes:
+    """The encoding written out longhand, independent of ``PhysicalType``."""
+    kind = ptype.kind.value
+    if kind == "bool":
+        return b"\x01" if value else b"\x00"
+    if kind in ("uint", "timestamp", "date", "year"):
+        return value.to_bytes(ptype.size, "little", signed=False)
+    if kind == "int":
+        return value.to_bytes(ptype.size, "little", signed=True)
+    if kind == "float":
+        return struct.pack("<d", float(value))
+    raw = value.encode("utf-8")
+    if kind == "varchar":
+        return len(raw).to_bytes(2, "little") + raw.ljust(ptype.size - 2, b"\x00")
+    return raw.ljust(ptype.size, b"\x00")
+
+
+def _reference_unpack(ptype, data: bytes):
+    kind = ptype.kind.value
+    if kind == "bool":
+        return data[0] != 0
+    if kind in ("uint", "timestamp", "date", "year"):
+        return int.from_bytes(data, "little", signed=False)
+    if kind == "int":
+        return int.from_bytes(data, "little", signed=True)
+    if kind == "float":
+        return struct.unpack("<d", data)[0]
+    if kind == "varchar":
+        return data[2 : 2 + int.from_bytes(data[:2], "little")].decode("utf-8")
+    return data.rstrip(b"\x00").decode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema_and_values())
+def test_compiled_codec_equals_per_column_reference(pair):
+    schema, values = pair
+    data = pack_record(schema, values)
+    assert data == b"".join(
+        col.ctype.pack(v) for col, v in zip(schema.columns, values)
+    )
+    assert data == b"".join(
+        _reference_pack(col.ctype, v) for col, v in zip(schema.columns, values)
+    )
+    assert data == pack_record_map(schema, dict(zip(schema.names, values)))
+    slices = [
+        data[schema.offset_of(col.name) :][: col.size] for col in schema.columns
+    ]
+    by_type = tuple(col.ctype.unpack(raw) for col, raw in zip(schema.columns, slices))
+    by_hand = tuple(
+        _reference_unpack(col.ctype, raw) for col, raw in zip(schema.columns, slices)
+    )
+    assert unpack_record(schema, data) == by_type == by_hand
+    expected = dict(zip(schema.names, by_hand))
+    assert unpack_record_map(schema, data) == expected
+    # every subset, in both orders of a pair, through the partial unpack
+    for r in range(len(schema.names) + 1):
+        for subset in combinations(schema.names, r):
+            picked = unpack_fields(schema, data, subset[::-1])
+            assert picked == {name: expected[name] for name in subset}
+            assert list(picked) == list(subset[::-1])
+
+
+def test_odd_width_integers_round_trip_at_their_bounds():
+    schema = Schema.of(("u", UINT24), ("i", INT24))
+    for u, i in [(0, -(2**23)), (2**24 - 1, 2**23 - 1), (0x010203, -2)]:
+        data = pack_record(schema, (u, i))
+        assert len(data) == 6
+        assert data == u.to_bytes(3, "little") + i.to_bytes(3, "little", signed=True)
+        assert unpack_record(schema, data) == (u, i)

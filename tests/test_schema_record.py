@@ -150,3 +150,90 @@ def test_record_bytes_pinned():
         assert unpack_fields(schema, data, list(row)[::2]) == {
             name: row[name] for name in list(row)[::2]
         }
+
+
+# -- error taxonomy -----------------------------------------------------------
+#
+# The compiled ``Struct`` is laxer than the types (it packs ``True`` into an
+# integer code, truncates over-long strings) and raises ``struct.error`` of
+# its own; callers must keep seeing the engine's exceptions, never that one.
+
+
+def _raises(exc_type, fn, *args):
+    import struct
+
+    with pytest.raises(exc_type) as caught:
+        fn(*args)
+    assert not isinstance(caught.value, struct.error)
+    return caught.value
+
+
+def test_wrong_record_length_is_a_schema_error():
+    data = pack_record(SCHEMA, (9, 5, True, "abc"))
+    for bad in (data[:-1], data + b"\x00", b""):
+        _raises(SchemaError, unpack_record, SCHEMA, bad)
+        _raises(SchemaError, unpack_record_map, SCHEMA, bad)
+        _raises(SchemaError, unpack_fields, SCHEMA, bad, ["id"])
+
+
+def test_unknown_projected_name_is_a_schema_error():
+    data = pack_record(SCHEMA, (9, 5, True, "abc"))
+    exc = _raises(SchemaError, unpack_fields, SCHEMA, data, ["id", "nope"])
+    assert "'nope'" in str(exc)
+
+
+def test_missing_columns_are_named_sorted():
+    exc = _raises(SchemaError, pack_record_map, SCHEMA, {"score": 2})
+    assert str(exc) == "missing values for columns ['active', 'id', 'tag']"
+
+
+@pytest.mark.parametrize("values", [
+    (2**64, 0, True, "x"),        # out of range, unsigned
+    (-1, 0, True, "x"),
+    (0, 2**31, True, "x"),        # out of range, signed
+    (True, 0, True, "x"),         # bool is not an int here
+    (0, False, True, "x"),
+    (0, 0, 1, "x"),               # and an int is not a bool
+    (0, 0, True, "x" * 9),        # over-long string: never truncated
+    (0, 0, True, "é" * 5),        # ... measured in encoded bytes
+    (0, 0, True, b"bytes"),
+    (0.5, 0, True, "x"),
+    (None, 0, True, "x"),
+])
+def test_bad_values_are_type_mismatches(values):
+    from repro.errors import TypeMismatchError
+
+    _raises(TypeMismatchError, pack_record, SCHEMA, values)
+    _raises(TypeMismatchError, pack_record_map, SCHEMA, dict(zip(SCHEMA.names, values)))
+
+
+def test_used_schema_still_copies_and_pickles():
+    """A compiled ``Struct`` neither deep-copies nor pickles; the codec is
+    derived state and must not ride along with a schema that has one."""
+    import copy
+    import pickle
+
+    row = {"id": 1, "score": -2, "active": True, "tag": "x"}
+    data = pack_record_map(SCHEMA, row)
+    assert unpack_record_map(SCHEMA, data) == row  # codec is compiled now
+    for clone in (copy.deepcopy(SCHEMA), copy.copy(SCHEMA),
+                  pickle.loads(pickle.dumps(SCHEMA))):
+        assert clone == SCHEMA and clone is not SCHEMA
+        assert clone.names == SCHEMA.names
+        assert clone.record_size == SCHEMA.record_size
+        assert clone.offset_of("tag") == SCHEMA.offset_of("tag")
+        assert pack_record_map(clone, row) == data
+        assert unpack_fields(clone, data, ["tag", "score"]) == {"tag": "x", "score": -2}
+
+
+def test_one_struct_per_schema_and_no_projection_cache():
+    data = pack_record(SCHEMA, (9, 5, True, "abc"))
+    fresh = Schema(SCHEMA.columns)
+    assert "codec" not in vars(fresh)  # compiled lazily
+    before = set(vars(SCHEMA))
+    for names in (["id"], ["tag", "id"], ["score"], list(SCHEMA.names)):
+        unpack_fields(SCHEMA, data, names)
+    assert set(vars(SCHEMA)) == before | {"codec"}
+    packer, pre, post = SCHEMA.codec
+    assert packer.format == "<Qi?8s" and packer.size == SCHEMA.record_size
+    assert [i for i, _ in pre] == [i for i, _ in post] == [3]

@@ -308,3 +308,50 @@ def test_database_disk_bytes_pinned():
     assert digest.hexdigest() == (
         "1d58b5defc468ecad8a85c9f2d37918db126734db1554539b730ebe73eccb70d"
     )
+
+
+def test_slot_errors_are_rid_errors_not_codec_errors():
+    """Slot -1, slot == slot_count and a tombstoned slot raise
+    ``InvalidRidError`` from every accessor — never ``struct.error``."""
+    import struct
+
+    page = fresh_page()
+    page.insert(b"live")
+    dead = page.insert(b"dead")
+    page.delete(dead)
+    for call in (page.read, page.delete, page.slot_is_live,
+                 lambda slot: page.update(slot, b"xxxx")):
+        for slot in (-1, page.slot_count, 10_000):
+            with pytest.raises(InvalidRidError) as caught:
+                call(slot)
+            assert not isinstance(caught.value, struct.error)
+    for call in (page.read, page.delete, lambda slot: page.update(slot, b"dead")):
+        with pytest.raises(InvalidRidError):
+            call(dead)
+    with pytest.raises(InvalidRidError):
+        page.place_at(0, b"over a live slot")
+
+
+def test_checksum_helpers_leave_no_buffer_export_behind():
+    """The CRC runs over a short-lived ``memoryview``; if one outlived the
+    call, resizing the frame's ``bytearray`` would raise ``BufferError``."""
+    from repro.storage.page import (
+        compute_page_checksum,
+        page_checksum_ok,
+        read_page_checksum,
+        stamp_page_checksum,
+    )
+
+    page = fresh_page()
+    page.insert(b"payload")
+    buffer = page.buffer
+    assert read_page_checksum(buffer) == 0
+    crc = stamp_page_checksum(buffer)
+    assert crc == compute_page_checksum(buffer) == read_page_checksum(buffer)
+    assert crc == compute_page_checksum(bytes(buffer))  # disk pages are bytes
+    assert buffer[27:31] == crc.to_bytes(4, "little")
+    assert page_checksum_ok(buffer)
+    buffer[40] ^= 0x01
+    assert not page_checksum_ok(buffer)
+    buffer.extend(b"\x00")  # would raise BufferError under a live export
+    assert page_checksum_ok(bytearray(512))  # never-stamped zero page

@@ -142,3 +142,90 @@ def test_ordered_page_bytes_pinned():
         b"jjjjjjjjjjjjj", b"lllllllllllllll",
     ]
     page.verify()
+
+
+# -- the shared directory search ----------------------------------------------
+
+
+def _linear_lower_bound(keys: list[bytes], key: bytes) -> tuple[int, bool]:
+    pos = next((i for i, k in enumerate(keys) if k >= key), len(keys))
+    return pos, pos < len(keys) and keys[pos] == key
+
+
+def _linear_upper_bound_from_one(keys: list[bytes], key: bytes) -> int:
+    """First position >= 1 whose key is > ``key``: entry 0 is the internal
+    node's -inf sentinel and never compared."""
+    return next((i for i in range(1, len(keys)) if keys[i] > key), max(1, len(keys)))
+
+
+_KEY = st.binary(min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_KEY, unique=True, max_size=40), st.lists(_KEY, min_size=1, max_size=12))
+def test_bisect_matches_linear_scan(keys, probes):
+    keys.sort()
+    page = fresh_page(1024)
+    for i, key in enumerate(keys):
+        page.insert_at(i, key + bytes([i]) * 5)  # key || value, like a leaf
+    sentinel = [b"\x00" * 3] + keys[1:]  # what an internal node's entry 0 means
+    for probe in probes + keys:
+        assert page.bisect(probe) == _linear_lower_bound(keys, probe)
+        pos, exact = page.bisect(probe, 1, upper=True)
+        assert pos == _linear_upper_bound_from_one(sentinel, probe)
+        assert exact is False
+
+
+def test_bisect_on_empty_and_single_entry_nodes():
+    page = fresh_page()
+    assert page.bisect(b"kk") == (0, False)
+    assert page.bisect(b"kk", 1, upper=True) == (1, False)  # no child to route to
+    page.insert_at(0, b"kk-value")
+    assert page.bisect(b"kk") == (0, True)
+    assert page.bisect(b"aa") == (0, False)
+    assert page.bisect(b"zz") == (1, False)
+    for probe in (b"aa", b"kk", b"zz"):  # entry 0 routes everything
+        assert page.bisect(probe, 1, upper=True) == (1, False)
+
+
+def test_node_views_route_through_the_page_search():
+    from repro.btree.node import InternalNode, LeafNode
+
+    leaf = LeafNode(fresh_page(), 2, 3)
+    for i, key in enumerate([b"bb", b"dd", b"ff"]):
+        leaf.insert(i, key, b"v%02d" % i)
+    assert [leaf.find(k) for k in (b"aa", b"bb", b"cc", b"ff", b"zz")] == [
+        (0, False), (0, True), (1, False), (2, True), (3, False),
+    ]
+    page = SlottedPage.format(bytearray(512), 2, PageType.BTREE_INTERNAL)
+    node = InternalNode(page, 2)
+    for i, (key, child) in enumerate([(b"\x00\x00", 10), (b"dd", 20), (b"mm", 30)]):
+        node.insert(i, key, child)
+    assert [node.find_child(k) for k in (b"aa", b"dd", b"de", b"mm", b"zz")] == [
+        (0, 10), (1, 20), (1, 20), (2, 30), (2, 30),
+    ]
+
+
+def test_search_errors_are_rid_errors_not_codec_errors():
+    """A directory entry the search cannot use — tombstoned, or past the
+    end of the page because ``slot_count`` is corrupt — has always read
+    as deleted; ``struct.error`` must never reach a caller."""
+    import struct
+
+    page = fresh_page()
+    for i, key in enumerate([b"aa", b"bb", b"cc"]):
+        page.insert_at(i, key)
+    page.delete(1)
+    with pytest.raises(InvalidRidError) as caught:
+        page.bisect(b"bb")
+    assert not isinstance(caught.value, struct.error)
+    page = fresh_page()
+    page.insert_at(0, b"aa")
+    page.buffer[8:10] = b"\xff\xff"  # slot_count = 65535 on a 512-byte page
+    with pytest.raises(InvalidRidError):
+        page.bisect(b"zz")
+    with pytest.raises(InvalidRidError):
+        page.read(60000)
+    assert not page.slot_is_live(60000)
+    # the walk finishes: entries past the page end read as tombstones
+    assert max(page.live_slots()) < (512 - 32) // 4
