@@ -1,22 +1,25 @@
-"""WAL overhead: durability must cost under 10% with group commit.
+"""WAL overhead: what durability costs with group commit.
 
 The redo log taxes every mutation with one frame encode + CRC and, each
-``group_commit`` records, one device append.  Measured claim: on the
-headline mixed workload (inserts, non-key updates, deletes, index
-lookups) the WAL-on run stays within 10% of the WAL-off wall time.
-Both runs must return identical query results — the log observes
-mutations, it never changes them.
+``group_commit`` records, one device append.  On the headline mixed
+workload (inserts, non-key updates, deletes, index lookups) both runs
+must return identical query results — the log observes mutations, it
+never changes them.
 
-Wall time is noisy, so the gate takes best-of-``ROUNDS`` for each
-configuration and compares those.  A second, machine-independent gate
-pins the deterministic log counters (records, appended bytes, device
-flushes) against the committed baseline
-(``benchmarks/baselines/wal_overhead.json``): a +10% drift in bytes or
+The gate is machine-independent: it pins the deterministic log counters
+(records, appended bytes, device flushes) against the committed baseline
+(``benchmarks/baselines/wal_overhead.json``); a +10% drift in bytes or
 flushes per workload is a regression in the framing or group-commit
 batching even when the machine is fast enough to hide it.
 
-A trajectory point is appended to ``BENCH_wal_overhead.json`` at the
-repo root on every run.
+Wall time is printed, not asserted: best-of-``ROUNDS`` WAL-off and
+WAL-on times and the absolute cost per log record.  The old gate,
+``(on - off) / off < 10%``, read -13% to +16% across six runs of
+identical work and failed whenever the *rest* of the engine got faster
+(the denominator shrinks, the cost per record does not).  Its wall
+successor is ``wal.self_us_per_op``@``oltp_wal`` under
+``python3 -m bench --compare`` (bench/README.md, "Legacy numbers and
+their successors").
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from repro.util.rng import DeterministicRng
 
 pytestmark = pytest.mark.faults
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_wal_overhead.json"
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines" / "wal_overhead.json"
 
 N_OPS = 6_000
@@ -44,8 +45,6 @@ CHECKPOINT_EVERY = 1_500
 POOL_PAGES = 64
 ROUNDS = 5
 
-#: The headline acceptance claim: durability tax under 10%.
-OVERHEAD_CEILING = 0.10
 #: Allowed drift of the deterministic log counters vs the baseline.
 REGRESSION_TOLERANCE = 0.10
 
@@ -100,46 +99,28 @@ def walled():
     return _run_workload(wal=True)
 
 
-def bench_wal_overhead_under_10_percent(walled, run_check):
-    """Acceptance: group-committed WAL costs <10% on the mixed workload."""
+def bench_wal_counters_match_baseline(walled, run_check):
+    """Acceptance: log records, bytes and flushes stay at the baseline."""
 
     def body():
         off_s = _best_of(wal=False)
         on_s = _best_of(wal=True)
-        overhead = (on_s - off_s) / off_s
 
         db, _ = walled
         wal_stats = db.metrics.snapshot()["wal"]
         point = {
-            "n_ops": N_OPS,
-            "group_commit": GROUP_COMMIT,
             "wal_records": wal_stats["records"],
             "wal_bytes": wal_stats["bytes"],
             "wal_flushes": wal_stats["flushes"],
-            "wal_checkpoints": wal_stats["checkpoints"],
-            "overhead_pct": round(overhead * 100, 2),
         }
+        per_record_us = (on_s - off_s) / point["wal_records"] * 1e6
         print(
             f"wal overhead: {off_s * 1e3:.1f} ms off vs {on_s * 1e3:.1f} ms "
-            f"on ({overhead:+.2%}); {point['wal_records']} records, "
-            f"{point['wal_flushes']} flushes "
+            f"on ({per_record_us:+.2f} us per record, not gated); "
+            f"{point['wal_records']} records, {point['wal_flushes']} flushes "
             f"(group commit {GROUP_COMMIT})"
         )
 
-        if TRAJECTORY_PATH.exists():
-            document = json.loads(TRAJECTORY_PATH.read_text())
-        else:
-            document = {"bench": "wal_overhead", "points": []}
-        document["points"].append(point)
-        TRAJECTORY_PATH.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n"
-        )
-
-        assert overhead < OVERHEAD_CEILING, (
-            f"WAL overhead {overhead:.2%} exceeds {OVERHEAD_CEILING:.0%}"
-        )
-
-        # Machine-independent gate: the log's deterministic counters.
         baseline = json.loads(BASELINE_PATH.read_text())
         for metric in ("wal_records", "wal_bytes", "wal_flushes"):
             ceiling = baseline[metric] * (1.0 + REGRESSION_TOLERANCE)
