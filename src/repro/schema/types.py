@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import TypeMismatchError
 
@@ -102,7 +102,7 @@ class PhysicalType:
 
     # -- serde -------------------------------------------------------------
 
-    def wire(self) -> tuple[str, "_Step | None", "_Step | None"]:
+    def wire(self) -> _Wire:
         """``(struct format code, pre-step, post-step)`` — the one
         definition of this type's encoding: the code packs what the
         pre-step makes of a validated value and the post-step finishes
@@ -127,12 +127,12 @@ class PhysicalType:
         return value if post is None else post(value)
 
 
-_Step = Callable[[Any], Any]
+_Wire = tuple[str, "Callable | None", "Callable | None"]  # code, pre, post
 _U16 = struct.Struct("<H")
 _NATIVE_INT = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed; upper-case = unsigned
 
 
-def _int_wire(size: int, signed: bool) -> tuple[str, _Step | None, _Step | None]:
+def _int_wire(size: int, signed: bool) -> _Wire:
     code = _NATIVE_INT.get(size)
     if code is not None:
         return (code if signed else code.upper()), None, None
@@ -157,14 +157,14 @@ def _varchar_out(raw: bytes) -> str:
     return raw[2 : 2 + _U16.unpack_from(raw)[0]].decode("utf-8")
 
 
-def _text(size: int):
+def _text(size: int) -> _Wire:
     return f"{size}s", str.encode, _unpad  # ``Ns`` NUL-pads on pack
 
 
 _unsigned = partial(_int_wire, signed=False)  # see ``int_range``
 
 #: ``kind -> size -> (code, pre, post)``; see :meth:`PhysicalType.wire`.
-_WIRE: dict[TypeKind, Callable[[int], tuple]] = {
+_WIRE: dict[TypeKind, Callable[[int], _Wire]] = {
     TypeKind.BOOL: lambda size: ("?", None, None),
     TypeKind.INT: partial(_int_wire, signed=True),
     TypeKind.UINT: _unsigned,

@@ -229,7 +229,7 @@ class SlottedPage:
 
     @property
     def free_bytes(self) -> int:
-        lo, hi = _PAIR.unpack_from(self._buf, _OFF_FREE_LO)
+        lo, hi = self.free_window()
         return hi - lo
 
     # -- directory -----------------------------------------------------------
@@ -425,7 +425,7 @@ class SlottedPage:
                     buf, PAGE_HEADER_SIZE + mid * SLOT_ENTRY_SIZE
                 )[0]
                 if offset == _TOMBSTONE_OFFSET:
-                    break
+                    break  # unusable entry: the error below
                 probe = buf[offset : offset + width]
                 if probe < key or (upper and probe == key):
                     lo = mid + 1
