@@ -3,7 +3,7 @@
 One :class:`IndexCache` instance serves a whole index; it is stateless with
 respect to individual pages (all cache state lives in the page bytes), so
 it can be pointed at any leaf page the B+Tree hands it.  Every operation
-re-derives the slot geometry from the page's *current* free window —
+re-derives the slot geometry once from the page's *current* free window —
 because the window may have shrunk since the item was written, and reads
 must never trust stale layout.
 
@@ -20,6 +20,7 @@ Key invariants (and where the paper states them):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.core.index_cache.layout import (
@@ -34,6 +35,9 @@ from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.page import SlottedPage
 from repro.util.rng import DeterministicRng
+
+#: The trailing checksum field (``ITEM_CHECKSUM_SIZE`` bytes, little-endian).
+_CRC = struct.Struct("<H")
 
 
 @dataclass
@@ -105,7 +109,8 @@ class IndexCache:
 
     def geometry(self, page: SlottedPage) -> CacheGeometry:
         """Slot layout for the page's current free window."""
-        return CacheGeometry.of(page, self._payload_size, self._entry_size)
+        lo, hi = page.free_window()
+        return CacheGeometry(page.size, lo, hi, self._item_size, self._entry_size)
 
     def capacity(self, page: SlottedPage) -> int:
         """How many items this page can hold right now."""
@@ -113,25 +118,23 @@ class IndexCache:
 
     # -- slot I/O --------------------------------------------------------------
 
+    def _item_at(self, buf: bytearray, off: int) -> tuple[bytes, bytes] | None:
+        """``(tuple_id, payload)`` of the valid item starting at ``off``."""
+        body_end = off + self._item_size - ITEM_CHECKSUM_SIZE
+        (stored,) = _CRC.unpack_from(buf, body_end)
+        if stored == 0:
+            return None
+        tid = bytes(buf[off : off + ITEM_HEADER_SIZE])
+        payload = bytes(buf[off + ITEM_HEADER_SIZE : body_end])
+        if checksum(tid, payload) != stored:
+            return None  # clobbered by index growth; reads as empty
+        return tid, payload
+
     def read_slot(
         self, page: SlottedPage, geo: CacheGeometry, slot: int
     ) -> tuple[bytes, bytes] | None:
         """``(tuple_id, payload)`` if the slot holds a valid item, else None."""
-        off = geo.slot_offset(slot)
-        buf = page.buffer
-        stored = int.from_bytes(
-            buf[off + self._item_size - ITEM_CHECKSUM_SIZE : off + self._item_size],
-            "little",
-        )
-        if stored == 0:
-            return None
-        tid = bytes(buf[off : off + ITEM_HEADER_SIZE])
-        payload = bytes(
-            buf[off + ITEM_HEADER_SIZE : off + ITEM_HEADER_SIZE + self._payload_size]
-        )
-        if checksum(tid, payload) != stored:
-            return None  # clobbered by index growth; reads as empty
-        return tid, payload
+        return self._item_at(page.buffer, geo.slot_offset(slot))
 
     def write_slot(
         self,
@@ -154,10 +157,10 @@ class IndexCache:
         buf = page.buffer
         buf[off : off + ITEM_HEADER_SIZE] = tuple_id
         buf[off + ITEM_HEADER_SIZE : off + ITEM_HEADER_SIZE + self._payload_size] = payload
-        crc = checksum(tuple_id, payload)
-        buf[
-            off + self._item_size - ITEM_CHECKSUM_SIZE : off + self._item_size
-        ] = crc.to_bytes(ITEM_CHECKSUM_SIZE, "little")
+        _CRC.pack_into(
+            buf, off + self._item_size - ITEM_CHECKSUM_SIZE,
+            checksum(tuple_id, payload),
+        )
 
     def clear_slot(self, page: SlottedPage, geo: CacheGeometry, slot: int) -> None:
         """Zero one slot."""
@@ -179,11 +182,11 @@ class IndexCache:
             geo = self.geometry(page)
         free: list[int] = []
         occupied: list[int] = []
+        buf = page.buffer
+        off = geo.first_slot_index * self._item_size
         for slot in range(geo.num_slots):
-            if self.read_slot(page, geo, slot) is None:
-                free.append(slot)
-            else:
-                occupied.append(slot)
+            (free if self._item_at(buf, off) is None else occupied).append(slot)
+            off += self._item_size
         return free, occupied
 
     def entries(self, page: SlottedPage) -> list[tuple[int, bytes, bytes]]:
@@ -215,10 +218,9 @@ class IndexCache:
         while pos != -1:
             rel = pos - base
             if rel % self._item_size == 0:
-                slot = rel // self._item_size
-                item = self.read_slot(page, geo, slot)
+                item = self._item_at(buf, pos)
                 if item is not None and item[0] == tuple_id:
-                    return slot, item[1]
+                    return rel // self._item_size, item[1]
             pos = buf.find(tuple_id, pos + 1, end)
         return None
 
@@ -292,13 +294,19 @@ class IndexCache:
     def _swap_slots(
         self, page: SlottedPage, geo: CacheGeometry, a: int, b: int
     ) -> None:
-        item_a = self.read_slot(page, geo, a)
-        item_b = self.read_slot(page, geo, b)
-        if item_a is None:  # pragma: no cover - caller just validated a
-            return
-        if item_b is None:
-            self.write_slot(page, geo, b, *item_a)
-            self.clear_slot(page, geo, a)
+        """Move the item in ``a``, which the caller just verified, to ``b``.
+
+        A valid item's bytes *are* ``tid | payload | crc`` of those fields,
+        so moving them verbatim writes what :meth:`write_slot` would; only
+        ``b`` is checksummed, to decide between exchanging the two items
+        and dropping whatever clobbered bytes ``b`` held.
+        """
+        buf = page.buffer
+        size = self._item_size
+        off_a, off_b = geo.slot_offset(a), geo.slot_offset(b)
+        moved = bytes(buf[off_a : off_a + size])
+        if self._item_at(buf, off_b) is None:
+            buf[off_a : off_a + size] = bytes(size)
         else:
-            self.write_slot(page, geo, b, *item_a)
-            self.write_slot(page, geo, a, *item_b)
+            buf[off_a : off_a + size] = buf[off_b : off_b + size]
+        buf[off_b : off_b + size] = moved

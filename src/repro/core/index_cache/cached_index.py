@@ -127,7 +127,9 @@ class CachedBTree:
         self._invalidation = invalidation
         self._latch = latch if latch is not None else LatchSimulator(0.0)
         self._cost = cost_model
-        self._answerable = set(key_columns) | set(cached_fields)
+        self._columns = frozenset(schema.names)
+        self._key_set = frozenset(key_columns)
+        self._answerable = self._key_set | frozenset(cached_fields)
         self.stats = CachedIndexStats()
         #: Admission aggressiveness: the fraction of piggy-back fill
         #: opportunities actually written into leaf cache windows.  1.0
@@ -247,10 +249,7 @@ class CachedBTree:
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> LookupResult:
         """Point lookup with projection (the paper's workhorse query)."""
-        project = project if project is not None else self._schema.names
-        for name in project:
-            if not self._schema.has_column(name):
-                raise QueryError(f"unknown projected column {name!r}")
+        project, answerable = self._projection(project)
         key = self.encode_key(key_value)
         self.stats.lookups += 1
         self._m_lookup.inc()
@@ -265,12 +264,7 @@ class CachedBTree:
                 return LookupResult(None, found=False, from_cache=False)
             self.stats.found += 1
             tid = leaf.value_at(pos)
-            if self._invalidation is not None:
-                count = leaf.count
-                first = leaf.key_at(0) if count else None
-                last = leaf.key_at(count - 1) if count else None
-                self._invalidation.validate_page(page, self._cache, first, last)
-            answerable = set(project) <= self._answerable
+            self._validate(page, leaf)
             if answerable:
                 if self._cost is not None:
                     self._cost.on_cache_probe()
@@ -313,26 +307,18 @@ class CachedBTree:
         (the descent really is shared) and one ``cache_probe`` per unique
         answerable key.
         """
-        project = project if project is not None else self._schema.names
-        for name in project:
-            if not self._schema.has_column(name):
-                raise QueryError(f"unknown projected column {name!r}")
+        project, answerable = self._projection(project)
         encoded = [self.encode_key(kv) for kv in key_values]
         by_key: dict[bytes, LookupResult] = {}
         if not encoded:
             return []
-        answerable = set(project) <= self._answerable
         #: cache misses to resolve from the heap: encoded key -> (rid, leaf)
         misses: list[tuple[bytes, Rid, int]] = []
         for leaf_id, page, run in self._tree.leaf_runs(encoded):
             if self._cost is not None:
                 self._cost.on_index_descent()
             leaf = LeafNode(page, self._tree.key_size, self._tree.value_size)
-            if self._invalidation is not None:
-                count = leaf.count
-                first = leaf.key_at(0) if count else None
-                last = leaf.key_at(count - 1) if count else None
-                self._invalidation.validate_page(page, self._cache, first, last)
+            self._validate(page, leaf)
             for key in run:
                 self.stats.lookups += 1
                 self._m_lookup.inc()
@@ -397,8 +383,7 @@ class CachedBTree:
         if tid is None:
             return False
         rid = Rid.from_bytes(tid)
-        record = bytearray(self._heap.fetch(rid))
-        row = unpack_record_map(self._schema, bytes(record))
+        row = unpack_record_map(self._schema, self._heap.fetch(rid))
         row.update(changes)
         self._heap.update(rid, pack_record_map(self._schema, row))
         if self._invalidation is not None and (
@@ -492,20 +477,47 @@ class CachedBTree:
 
     # -- internals ---------------------------------------------------------------
 
+    def _projection(
+        self, project: tuple[str, ...] | None
+    ) -> tuple[tuple[str, ...], bool]:
+        """The projection to serve, checked, and whether ``index key ∪
+        cached fields`` covers it (so the leaf alone can answer)."""
+        if project is None:
+            project = self._schema.names
+        if not self._columns.issuperset(project):
+            name = next(n for n in project if n not in self._columns)
+            raise QueryError(f"unknown projected column {name!r}")
+        return project, self._answerable.issuperset(project)
+
+    def _validate(self, page, leaf: LeafNode) -> None:
+        """Enforce the CSN invariants on a leaf just read (§2.1.2).
+
+        The leaf's first and last key only matter when the page is behind
+        the epoch or the predicate log; a page already stamped current is
+        left alone (re-stamping it would write the same 8 bytes).
+        """
+        invalidation = self._invalidation
+        if invalidation is None or page.cache_csn == invalidation.current_stamp:
+            return
+        count = leaf.count
+        first = leaf.key_at(0) if count else None
+        last = leaf.key_at(count - 1) if count else None
+        invalidation.validate_page(page, self._cache, first, last)
+
     def _assemble(
         self, key: bytes, payload: bytes, project: tuple[str, ...]
     ) -> dict[str, object]:
-        values: dict[str, object] = {}
-        decoded = self._codec.decode(key)
-        if len(self._key_columns) == 1:
-            values[self._key_columns[0]] = decoded
-        else:
-            values.update(zip(self._key_columns, decoded))  # type: ignore[arg-type]
         assert self._payload_schema is not None
         # The payload is a packed record over the cached-field schema.
-        values.update(
+        values: dict[str, object] = dict(
             zip(self._payload_schema.names, unpack_record(self._payload_schema, payload))
         )
+        if not self._key_set.isdisjoint(project):
+            decoded = self._codec.decode(key)
+            if len(self._key_columns) == 1:
+                values[self._key_columns[0]] = decoded
+            else:
+                values.update(zip(self._key_columns, decoded))  # type: ignore[arg-type]
         return {name: values[name] for name in project}
 
     def _fill_cache(self, page, tid: bytes, record: bytes) -> None:

@@ -80,6 +80,16 @@ class CacheInvalidation:
         return len(self._log)
 
     @property
+    def current_stamp(self) -> int:
+        """What a validated page's ``cache_csn`` reads right now.
+
+        A page already carrying it has seen this epoch and every logged
+        predicate: :meth:`validate_page` would neither zero nor change it,
+        so readers may skip the call (and the page keys it needs).
+        """
+        return (self._epoch << _EPOCH_SHIFT) | len(self._log)
+
+    @property
     def log_threshold(self) -> int:
         return self._threshold
 
@@ -144,7 +154,7 @@ class CacheInvalidation:
         if epoch_p != self._epoch:
             # Invariant: CSN_p != CSN_idx  =>  cache invalid.
             cache.zero_window(page)
-            self._stamp(page, current_pos)
+            self._stamp(page)
             self.pages_zeroed += 1
             self._m_zeroed.inc()
             return True
@@ -152,11 +162,11 @@ class CacheInvalidation:
             for predicate in self._log[pos_p:current_pos]:
                 if predicate.matches_range(first_key, last_key):
                     cache.zero_window(page)
-                    self._stamp(page, current_pos)
+                    self._stamp(page)
                     self.pages_zeroed += 1
                     self._m_zeroed.inc()
                     return True
-        self._stamp(page, current_pos)
+        self._stamp(page)
         return False
 
     def validate_heap_page(self, page: SlottedPage, cache: IndexCache) -> bool:
@@ -178,7 +188,7 @@ class CacheInvalidation:
         current_pos = len(self._log)
         if epoch_p != self._epoch:
             cache.zero_window(page)
-            self._stamp(page, current_pos)
+            self._stamp(page)
             self.pages_zeroed += 1
             self._m_zeroed.inc()
             return True
@@ -189,14 +199,14 @@ class CacheInvalidation:
                 for predicate in self._log[pos_p:current_pos]:
                     if predicate.matches_range(first, last):
                         cache.zero_window(page)
-                        self._stamp(page, current_pos)
+                        self._stamp(page)
                         self.pages_zeroed += 1
                         self._m_zeroed.inc()
                         return True
-        self._stamp(page, current_pos)
+        self._stamp(page)
         return False
 
-    def _stamp(self, page: SlottedPage, position: int) -> None:
+    def _stamp(self, page: SlottedPage) -> None:
         # Stamping is a cache modification: it must not dirty the page, so
         # it only touches frame bytes (the caller unpins with dirty=False).
-        page.cache_csn = (self._epoch << _EPOCH_SHIFT) | position
+        page.cache_csn = self.current_stamp

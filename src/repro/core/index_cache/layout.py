@@ -22,12 +22,16 @@ header, directory grows up from the footer).  Our pages mirror that layout
 coordinates is ``S = H + U·D/(K+D)`` where ``H`` is the header size and
 ``U`` the usable bytes — the point where the two growing regions collide.
 Slots are ranked by distance from S into buckets; hits migrate items
-bucket-by-bucket toward S so the hottest items die last.
+bucket-by-bucket toward S so the hottest items die last.  Slot centres
+are evenly spaced, so that ranking is arithmetic: the nearer of S's two
+neighbours first, then strict alternation between the sides until one
+runs out, then the rest of the other side (ties go to the lower index).
+Nothing is sorted and nothing is kept per page.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.storage.constants import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE
@@ -79,6 +83,16 @@ class CacheGeometry:
     free_hi: int
     item_size: int
     entry_size: int  # leaf key+value record width (the paper's K)
+    #: Index of the first aligned slot fully inside the window, and how
+    #: many aligned slots currently fit in it.
+    first_slot_index: int = field(init=False)
+    num_slots: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        first = -(-self.free_lo // self.item_size)  # ceil division
+        fit = (self.free_hi - first * self.item_size) // self.item_size
+        object.__setattr__(self, "first_slot_index", first)
+        object.__setattr__(self, "num_slots", max(0, fit))
 
     @classmethod
     def of(cls, page: SlottedPage, payload_size: int, entry_size: int) -> "CacheGeometry":
@@ -93,27 +107,13 @@ class CacheGeometry:
 
     # -- slots ------------------------------------------------------------
 
-    @property
-    def first_slot_index(self) -> int:
-        """Index of the first aligned slot fully inside the window."""
-        return -(-self.free_lo // self.item_size)  # ceil division
-
-    @property
-    def last_slot_end(self) -> int:
-        return self.free_hi
-
-    @property
-    def num_slots(self) -> int:
-        """How many aligned slots currently fit in the free window."""
-        first_start = self.first_slot_index * self.item_size
-        if first_start >= self.free_hi:
-            return 0
-        return (self.free_hi - first_start) // self.item_size
-
     def slot_offset(self, slot: int) -> int:
         """Absolute byte offset of logical slot ``slot`` (0-based)."""
         if not 0 <= slot < self.num_slots:
-            raise ReproError(f"slot {slot} out of range 0..{self.num_slots - 1}")
+            raise ReproError(
+                f"slot {slot} out of range 0..{self.num_slots - 1}"
+                if self.num_slots else "window holds no slots"
+            )
         return (self.first_slot_index + slot) * self.item_size
 
     def slot_offsets(self) -> list[int]:
@@ -139,15 +139,57 @@ class CacheGeometry:
         k = self.entry_size
         return PAGE_HEADER_SIZE + usable * d / (k + d)
 
+    def _sides(self) -> tuple[int, bool]:
+        """``(left, left_first)``: how many slot centres lie left of S, and
+        whether the nearest of them ranks before the nearest on the right.
+
+        ``left_first`` is the one distance comparison the ranking needs; it
+        uses the float expression ``abs(offset + half - S)`` and sends a
+        tie to the left (lower) index, exactly as a stable sort of the slot
+        indices by that expression would.
+        """
+        item = self.item_size
+        half = item / 2
+        s = self.stable_point
+        origin = self.first_slot_index * item
+        # slot i lies left of S iff i*item < s - (centre of slot 0); the
+        # float remainder is exact, so a centre exactly on S counts as right
+        whole, rest = divmod(s - (origin + half), item)
+        left = min(self.num_slots, max(0, int(whole) + (rest > 0)))
+        right_offset = origin + left * item
+        return left, (
+            abs(right_offset - item + half - s) <= abs(right_offset + half - s)
+        )
+
+    def rank_of(self, slot: int) -> int:
+        """Stability rank of in-range ``slot``: 0 is the slot closest to S."""
+        left, left_first = self._sides()
+        on_left = slot < left
+        k = left - 1 - slot if on_left else slot - left  # k-th on its side
+        paired = min(left, self.num_slots - left)
+        if k >= paired:
+            return paired + k  # the other side has run out
+        return 2 * k + (on_left != left_first)
+
+    def slots_at_ranks(self, lo: int, hi: int) -> list[int]:
+        """Slots holding stability ranks ``[lo, hi)``, most stable first."""
+        left, left_first = self._sides()
+        right = self.num_slots - left
+        paired = min(left, right)
+        slots = []
+        for rank in range(lo, min(hi, self.num_slots)):
+            if rank < 2 * paired:  # the sides alternate, nearer one first
+                k = rank // 2
+                on_left = (rank % 2 == 0) == left_first
+            else:
+                k = rank - paired
+                on_left = left > right
+            slots.append(left - 1 - k if on_left else left + k)
+        return slots
+
     def slots_by_stability(self) -> list[int]:
         """Slot indices ordered most-stable (closest to S) first."""
-        s = self.stable_point
-        half = self.item_size / 2
-        offsets = self.slot_offsets()
-        order = sorted(
-            range(len(offsets)), key=lambda i: abs(offsets[i] + half - s)
-        )
-        return order
+        return self.slots_at_ranks(0, self.num_slots)
 
     def buckets(self, bucket_slots: int) -> list[list[int]]:
         """Group slots into buckets of ``bucket_slots``, stable bucket first.
@@ -158,8 +200,7 @@ class CacheGeometry:
         """
         if bucket_slots <= 0:
             raise ReproError("bucket_slots must be positive")
-        ranked = self.slots_by_stability()
         return [
-            ranked[i : i + bucket_slots]
-            for i in range(0, len(ranked), bucket_slots)
+            self.slots_at_ranks(lo, lo + bucket_slots)
+            for lo in range(0, self.num_slots, bucket_slots)
         ]

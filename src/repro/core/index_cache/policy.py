@@ -84,7 +84,10 @@ class SwapPolicy(CachePolicy):
             return None
         # Evict a random item from the outermost bucket that has any.
         occupied_set = set(occupied)
-        for bucket in reversed(geo.buckets(self._bucket_slots)):
+        width = self._bucket_slots
+        outermost = (geo.num_slots - 1) // width * width  # its first rank
+        for lo in range(outermost, -1, -width):
+            bucket = geo.slots_at_ranks(lo, lo + width)
             victims = [s for s in bucket if s in occupied_set]
             if victims:
                 return self._rng.choice(victims)
@@ -93,13 +96,14 @@ class SwapPolicy(CachePolicy):
     def on_hit(
         self, geo: CacheGeometry, slot: int, page_key: int
     ) -> int | None:
-        buckets = geo.buckets(self._bucket_slots)
-        for b, bucket in enumerate(buckets):
-            if slot in bucket:
-                if b == 0:
-                    return None  # already in the innermost bucket
-                return self._rng.choice(buckets[b - 1])
-        return None  # slot no longer in the geometry (window moved)
+        if not 0 <= slot < geo.num_slots:
+            return None  # slot no longer in the geometry (window moved)
+        width = self._bucket_slots
+        # first rank of the bucket one step closer to S than the slot's own
+        closer = (geo.rank_of(slot) // width - 1) * width
+        if closer < 0:
+            return None  # already in the innermost bucket
+        return self._rng.choice(geo.slots_at_ranks(closer, closer + width))
 
 
 class RandomPolicy(CachePolicy):

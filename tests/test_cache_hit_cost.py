@@ -1,0 +1,111 @@
+"""A cache hit's work does not grow with the window.
+
+Counted, not timed: under ``sys.setprofile`` every Python call and every
+built-in call made by one ``IndexCache.probe`` hit, on leaves whose windows
+hold about 10, 70 and 300 slots.  The counts must be *equal* across the
+three and stay under a literal.  (When the ranking was a sort over the
+window, a hit made one ``lambda`` and one ``abs`` call per slot.)
+"""
+
+import sys
+
+import pytest
+
+from repro.btree.tree import BPlusTree
+from repro.core.index_cache.cache import IndexCache
+from repro.core.index_cache.cached_index import CachedBTree
+from repro.core.index_cache.invalidation import CacheInvalidation
+from repro.core.index_cache.policy import SwapPolicy
+from repro.schema.schema import Schema
+from repro.schema.types import UINT32, UINT64
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.constants import PageType
+from repro.storage.disk import SimulatedDisk
+from repro.storage.heap import HeapFile
+from repro.storage.page import SlottedPage
+from repro.util.rng import DeterministicRng
+
+PAYLOAD = 16  # item size 26, the bench's page-table item
+ENTRY = 24
+
+#: (page size, leaf entries) -> a window of about 10, 70 and 300 slots
+LEAVES = ((1024, 29), (4096, 93), (8192, 14))
+
+MAX_CALLS_PLAIN_HIT = 28
+MAX_CALLS_PROMOTING_HIT = 57
+MAX_CALLS_LOOKUP_FROM_LEAF = 149
+
+
+def count_calls(fn, *args) -> int:
+    """Python + built-in calls made while ``fn(*args)`` runs (itself included)."""
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the closing sys.setprofile(None) is a c_call
+
+
+def tid(n: int) -> bytes:
+    return (0xA000 + n).to_bytes(8, "little")
+
+
+def full_leaf(page_size: int, entries: int):
+    """A leaf with every cache slot occupied, and a freshly seeded cache."""
+    page = SlottedPage.format(bytearray(page_size), 1, PageType.BTREE_LEAF)
+    for i in range(entries):
+        page.insert_at(i, bytes([i % 251]) * (ENTRY - 4))
+    cache = IndexCache(PAYLOAD, ENTRY, policy=SwapPolicy(DeterministicRng(1)))
+    geo = cache.geometry(page)
+    for slot in range(geo.num_slots):
+        cache.write_slot(page, geo, slot, tid(slot), bytes([slot % 251]) * PAYLOAD)
+    return page, cache, geo
+
+
+def test_windows_span_ten_to_three_hundred_slots():
+    sizes = [full_leaf(*leaf)[2].num_slots for leaf in LEAVES]
+    assert [round(n, -1) for n in sizes] == [10, 70, 300], sizes
+
+
+@pytest.mark.parametrize(
+    "promotes, ceiling",
+    ((False, MAX_CALLS_PLAIN_HIT), (True, MAX_CALLS_PROMOTING_HIT)),
+    ids=("innermost-slot", "outermost-slot"),
+)
+def test_probe_hit_makes_the_same_calls_whatever_the_window(promotes, ceiling):
+    counts = []
+    for leaf in LEAVES:
+        page, cache, geo = full_leaf(*leaf)
+        ranked = geo.slots_by_stability()
+        slot = ranked[-1] if promotes else ranked[0]
+        counts.append(count_calls(cache.probe, page, tid(slot)))
+        assert (cache.stats.hits, cache.stats.promotions) == (1, int(promotes))
+    assert len(set(counts)) == 1, counts
+    assert counts[0] <= ceiling, counts
+
+
+def test_lookup_answered_from_the_leaf_stays_under_its_call_budget():
+    schema = Schema.of(("id", UINT64), ("a", UINT32), ("b", UINT32))
+    pool = BufferPool(SimulatedDisk(4096), 1 << 20)
+    index = CachedBTree(
+        BPlusTree(pool, key_size=8, value_size=8), HeapFile(pool), schema,
+        ("id",), ("a", "b"), rng=DeterministicRng(1),
+        invalidation=CacheInvalidation(),
+    )
+    for i in range(40):
+        index.insert_row({"id": i, "a": i, "b": i * i})
+    for i in range(40):
+        index.lookup(i, ("a", "b"))
+    counts = []
+    for i in range(40):
+        before = index.stats.answered_from_cache
+        counts.append(count_calls(index.lookup, i, ("a", "b")))
+        assert index.stats.answered_from_cache == before + 1
+    assert max(counts) <= MAX_CALLS_LOOKUP_FROM_LEAF, counts
