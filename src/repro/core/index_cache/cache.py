@@ -109,8 +109,7 @@ class IndexCache:
 
     def geometry(self, page: SlottedPage) -> CacheGeometry:
         """Slot layout for the page's current free window."""
-        lo, hi = page.free_window()
-        return CacheGeometry(page.size, lo, hi, self._item_size, self._entry_size)
+        return CacheGeometry.of(page, self._payload_size, self._entry_size)
 
     def capacity(self, page: SlottedPage) -> int:
         """How many items this page can hold right now."""

@@ -200,7 +200,8 @@ class CacheGeometry:
         """
         if bucket_slots <= 0:
             raise ReproError("bucket_slots must be positive")
+        ranked = self.slots_by_stability()
         return [
-            self.slots_at_ranks(lo, lo + bucket_slots)
-            for lo in range(0, self.num_slots, bucket_slots)
+            ranked[i : i + bucket_slots]
+            for i in range(0, len(ranked), bucket_slots)
         ]

@@ -31,9 +31,9 @@ ENTRY = 24
 #: (page size, leaf entries) -> a window of about 10, 70 and 300 slots
 LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 
-MAX_CALLS_PLAIN_HIT = 28
-MAX_CALLS_PROMOTING_HIT = 57
-MAX_CALLS_LOOKUP_FROM_LEAF = 149
+MAX_CALLS_PLAIN_HIT = 30
+MAX_CALLS_PROMOTING_HIT = 59
+MAX_CALLS_LOOKUP_FROM_LEAF = 151
 
 
 def count_calls(fn, *args) -> int:
