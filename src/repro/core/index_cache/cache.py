@@ -3,9 +3,9 @@
 One :class:`IndexCache` instance serves a whole index; it is stateless with
 respect to individual pages (all cache state lives in the page bytes), so
 it can be pointed at any leaf page the B+Tree hands it.  Every operation
-re-derives the slot geometry once from the page's *current* free window —
-because the window may have shrunk since the item was written, and reads
-must never trust stale layout.
+re-derives the slot geometry, once per operation, from the page's
+*current* free window — because the window may have shrunk since the item
+was written, and reads must never trust stale layout.
 
 Key invariants (and where the paper states them):
 
