@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import (
     ablations,
+    batched,
     capacity,
     columnar,
     encoding_waste,
@@ -17,6 +18,7 @@ from repro.experiments import (
     fig3,
     fill_factor,
     headline,
+    shard,
 )
 from repro.experiments.runner import oracle_hit_rate, print_table
 
@@ -181,3 +183,31 @@ def test_columnar_small():
     # sanity direction: the batch kernels are not slower than the rows.
     assert r.scan_speedup_cold > 1.0
     assert r.agg_speedup_cold > 1.0
+    # The seeded table's row-format and encoded sizes, to the byte: more
+    # encoded bytes means a column codec stopped engaging.
+    assert (r.raw_bytes, r.encoded_bytes) == (16_128, 3_264)
+
+
+def test_batched_small_fsm_examines_5x_fewer_pages():
+    # run() itself raises if a batched answer differs from the scalar one.
+    r = batched.run(n_rows=1_000, n_batches=8)
+    assert r.fsm_speedup >= 5.0
+    assert (r.fsm_linear_examined, r.fsm_bucketed_examined) == (
+        1_466_174, 21_154,
+    )
+
+
+def test_shard_small_scales_out_and_spreads_hot_keys():
+    """The §5i claim at a quarter scale: one shard's partition thrashes
+    its pool, a 4-shard partition fits.  Simulated time is deterministic,
+    so the per-point microseconds are literals."""
+    r = shard.run(
+        shard_counts=(1, 4), n_pages=750, trace_len=1_000, pool_pages=16
+    )
+    assert r.verified  # every key found, same aggregates at every width
+    assert r.speedup(4) >= 3.0
+    assert r.max_hot_share <= 0.40
+    assert [
+        (p.n_shards, p.ops, round(p.sim_s * 1e6, 1), p.keys_moved)
+        for p in r.points
+    ] == [(1, 16_000, 7_238_650.8, 0), (4, 16_000, 923_488.0, 109)]
