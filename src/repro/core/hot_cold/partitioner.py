@@ -154,56 +154,6 @@ class HotColdPartitionedTable:
         record = self._cold.heap.fetch(Rid.from_bytes(rid_bytes))
         return unpack_fields(self._schema, record, project)
 
-    def lookup_many(
-        self,
-        key_values: list[object],
-        project: tuple[str, ...] | None = None,
-    ) -> list[dict[str, object] | None]:
-        """Batched point lookups: hot batch first, cold batch for misses.
-
-        The batched read fast path applied to the partition pair: all
-        keys probe the hot index in one sorted pass
-        (:meth:`~repro.btree.tree.BPlusTree.lookup_many`), only the hot
-        misses continue to the cold index, and each partition's heap
-        records are fetched page-ordered with every page pinned once.
-        Results align positionally with ``key_values`` and equal a
-        per-key :meth:`lookup` loop.
-        """
-        project = project if project is not None else self._schema.names
-        encoded = [self.encode_key(kv) for kv in key_values]
-        if not encoded:
-            return []
-        hot_hits = self._hot.tree.lookup_many(encoded)
-        miss_keys = [k for k in hot_hits if hot_hits[k] is None]
-        cold_hits = self._cold.tree.lookup_many(miss_keys) if miss_keys else {}
-        hot_rids = {
-            k: Rid.from_bytes(v) for k, v in hot_hits.items() if v is not None
-        }
-        cold_rids = {
-            k: Rid.from_bytes(v) for k, v in cold_hits.items() if v is not None
-        }
-        hot_records = (
-            self._hot.heap.fetch_many(list(hot_rids.values()))
-            if hot_rids else {}
-        )
-        cold_records = (
-            self._cold.heap.fetch_many(list(cold_rids.values()))
-            if cold_rids else {}
-        )
-        results: list[dict[str, object] | None] = []
-        for key in encoded:
-            if key in hot_rids:
-                self.hot_lookups += 1
-                record = hot_records[hot_rids[key]]
-            elif key in cold_rids:
-                self.cold_lookups += 1
-                record = cold_records[cold_rids[key]]
-            else:
-                results.append(None)
-                continue
-            results.append(unpack_fields(self._schema, record, project))
-        return results
-
     def warm_records(self, key_values: list[object], hot: bool) -> None:
         """Best-effort batched prefetch of move sources.
 
@@ -227,20 +177,6 @@ class HotColdPartitionedTable:
                 src.heap.fetch_many(rids)
         except StorageError:
             pass
-
-    def demote_many(self, key_values: list[object]) -> int:
-        """Batched :meth:`demote`: prefetch the sources, then move each.
-
-        Returns the number of rows moved.  Faults propagate exactly as in
-        the scalar path (the in-flight move rolls back; earlier moves in
-        the batch stay committed)."""
-        self.warm_records(key_values, hot=True)
-        return sum(1 for kv in key_values if self.demote(kv))
-
-    def promote_many(self, key_values: list[object]) -> int:
-        """Batched :meth:`promote`; see :meth:`demote_many`."""
-        self.warm_records(key_values, hot=False)
-        return sum(1 for kv in key_values if self.promote(kv))
 
     def demote(self, key_value: object) -> bool:
         """Move a row hot → cold (e.g. a superseded revision)."""

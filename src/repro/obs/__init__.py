@@ -68,7 +68,7 @@ from repro.obs.registry import (
     set_default_registry,
     use_registry,
 )
-from repro.obs.report import derived_rates, export_json, flatten, format_report
+from repro.obs.report import derived_rates, export_json, format_report
 from repro.obs.sampler import TelemetryPoint, TelemetrySampler, select
 from repro.obs.tracer import DEFAULT_RING_SIZE, SpanEvent, Tracer
 
@@ -89,7 +89,6 @@ __all__ = [
     "use_registry",
     "derived_rates",
     "export_json",
-    "flatten",
     "format_report",
     "DEFAULT_RING_SIZE",
     "SpanEvent",

@@ -418,37 +418,6 @@ class AdaptiveController:
         lines += [f"  {action.line()}" for action in actions]
         return "\n".join(lines)
 
-    def as_dict(self) -> dict:
-        return {
-            "enabled": self._enabled,
-            "evaluations": self._evals,
-            "actions_taken": self._actions_total,
-            "knobs": {
-                name: {
-                    "value": knob.read(),
-                    "lo": knob.lo,
-                    "hi": knob.hi,
-                    "step": knob.step,
-                    "kind": knob.kind,
-                }
-                for name, knob in sorted(self._knobs.items())
-            },
-            "streaks": dict(self._streaks),
-            "actions": [
-                {
-                    "seq": a.seq,
-                    "t_ns": a.t_ns,
-                    "knob": a.knob,
-                    "rule": a.rule,
-                    "direction": a.direction,
-                    "before": a.before,
-                    "after": a.after,
-                    "reason": a.reason,
-                }
-                for a in self._audit
-            ],
-        }
-
 
 # -- knob factories -----------------------------------------------------------
 

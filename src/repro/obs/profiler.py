@@ -30,9 +30,7 @@ can depend on it without cycles.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.obs.registry import (
     Clock,
@@ -284,20 +282,6 @@ class QueryProfiler:
         self._depth = 0
 
     # -- profiling ------------------------------------------------------------
-
-    @contextmanager
-    def operation(self, *args, **kwargs) -> Iterator[None]:
-        """:meth:`begin` / :meth:`end` as a context manager (same
-        arguments as :meth:`begin`), for callers outside the op bracket."""
-        token = self.begin(*args, **kwargs)
-        error = False
-        try:
-            yield
-        except BaseException:
-            error = True
-            raise
-        finally:
-            self.end(token, error)
 
     def begin(
         self,

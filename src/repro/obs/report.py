@@ -16,19 +16,6 @@ from pathlib import Path
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
-def flatten(snapshot: dict, prefix: str = "") -> list[tuple[str, object]]:
-    """Depth-first ``(dotted_name, leaf_value)`` pairs of a snapshot."""
-    rows: list[tuple[str, object]] = []
-    for key in sorted(snapshot):
-        value = snapshot[key]
-        name = f"{prefix}{key}"
-        if isinstance(value, dict) and "count" not in value:
-            rows.extend(flatten(value, prefix=f"{name}."))
-        else:
-            rows.append((name, value))
-    return rows
-
-
 def derived_rates(
     registry: MetricsRegistry, elapsed_ns: float | None = None
 ) -> dict[str, float]:

@@ -305,21 +305,6 @@ class TelemetrySampler:
                 out.append((point.t_ns, value))
         return out
 
-    def selectors(self) -> list[str]:
-        """Every selector that resolves in at least one retained point."""
-        seen: dict[str, None] = {}
-        for point in self._points:
-            for name in point.rates:
-                seen[f"rate.{name}"] = None
-            for name in point.gauges:
-                seen[f"gauge.{name}"] = None
-            for name in point.derived:
-                seen[f"derived.{name}"] = None
-            for name in point.percentiles:
-                for label, _q in QUANTILES:
-                    seen[f"{label}.{name}"] = None
-        return sorted(seen)
-
     def __iter__(self) -> Iterator[TelemetryPoint]:
         return iter(self._points)
 

@@ -243,7 +243,7 @@ class TraceCollector:
     def clear(self) -> None:
         self._ring.clear()
 
-    def _clock_for(self, shard: int | None) -> Clock:
+    def _shard_clock(self, shard: int | None) -> Clock:
         if shard is None:
             return self._clock
         return self._shard_clocks.get(shard, self._clock)
@@ -270,7 +270,7 @@ class TraceCollector:
         parent = self._stack[-1] if trace is not None else None
         span = TraceSpan(
             self._next_span_id, parent.span_id if parent else None, name,
-            shard, self._clock_for(shard)(), dict(attrs or ()),
+            shard, self._shard_clock(shard)(), dict(attrs or ()),
         )
         self._next_span_id += 1
         if trace is None:
@@ -296,7 +296,7 @@ class TraceCollector:
             span.error = True
             self._errors.inc()
         self._stack.pop()
-        span.end_ns = self._clock_for(span.shard)()
+        span.end_ns = self._shard_clock(span.shard)()
         if span.parent_id is None:
             trace = self._active
             self._active = None

@@ -32,7 +32,7 @@ from repro.query.table import PlainIndex, Table
 from repro.schema.catalog import Catalog
 from repro.schema.schema import Schema
 from repro.sim.cost_model import CostModel
-from repro.storage.buffer_pool import BufferPool, EvictionPolicy
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, RID_SIZE
@@ -49,7 +49,6 @@ class Database:
         data_pool_pages: int = 1024,
         index_pool_pages: int | None = None,
         cost_model: CostModel | None = None,
-        eviction: EvictionPolicy = EvictionPolicy.LRU,
         seed: int = 0,
         metrics: MetricsRegistry | None = None,
         fault_injector: "FaultInjector | None" = None,
@@ -68,7 +67,6 @@ class Database:
             cost_model: simulated-time model hooked into the data pool
                 (and the index pool when separate) and the span tracer's
                 clock; ``None`` creates a fresh :class:`CostModel`.
-            eviction: frame replacement policy for the pools.
             seed: seed for cache policies and other stochastic choices.
             metrics: observability sink for every subsystem; ``None`` uses
                 the ambient default registry if one is installed (see
@@ -137,7 +135,7 @@ class Database:
         if self._wal is not None:
             self._wal.tracer = self._tracer
         self._data_pool = BufferPool(
-            self._disk, data_pool_pages, policy=eviction, cost_hook=cost_model,
+            self._disk, data_pool_pages, cost_hook=cost_model,
             registry=metrics, retry_policy=retry_policy,
             verify_checksums=verify_checksums, wal=self._wal,
         )
@@ -145,10 +143,9 @@ class Database:
             self._index_pool = self._data_pool
         else:
             self._index_pool = BufferPool(
-                self._disk, index_pool_pages, policy=eviction,
-                cost_hook=cost_model, registry=metrics,
-                retry_policy=retry_policy, verify_checksums=verify_checksums,
-                wal=self._wal,
+                self._disk, index_pool_pages, cost_hook=cost_model,
+                registry=metrics, retry_policy=retry_policy,
+                verify_checksums=verify_checksums, wal=self._wal,
             )
         self._catalog = Catalog()
         self._rng = DeterministicRng(seed)

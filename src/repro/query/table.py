@@ -431,12 +431,6 @@ class Table:
         ):
             return index.lookup_many(list(key_values), project)
 
-    def fetch_rid(
-        self, rid: Rid, project: tuple[str, ...] | None = None
-    ) -> dict[str, object]:
-        project = project if project is not None else self._schema.names
-        return unpack_fields(self._schema, self._heap.fetch(rid), project)
-
     def scan(
         self,
         predicate: Predicate | None = None,

@@ -42,7 +42,6 @@ from repro.query.database import Database
 from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.shard.router import ShardRouter
-from repro.storage.buffer_pool import EvictionPolicy
 from repro.storage.constants import DEFAULT_PAGE_SIZE
 
 
@@ -356,11 +355,9 @@ class ShardedDatabase:
         mode: str = "hash",
         boundaries: tuple | None = None,
         hot_fraction: float = 0.05,
-        tracker_decay: float = 0.5,
         page_size: int = DEFAULT_PAGE_SIZE,
         data_pool_pages: int = 256,
         index_pool_pages: int | None = None,
-        eviction: EvictionPolicy = EvictionPolicy.LRU,
         seed: int = 0,
         metrics: MetricsRegistry | None = None,
         shard_metrics: list[MetricsRegistry] | None = None,
@@ -373,12 +370,12 @@ class ShardedDatabase:
     ) -> None:
         """
         Args:
-            n_shards, mode, boundaries, hot_fraction, tracker_decay:
-                router configuration (see :class:`ShardRouter`).
-            page_size, data_pool_pages, index_pool_pages, eviction,
-            retry_policy: per-shard engine configuration —
-                ``data_pool_pages`` is **per shard** (shards model
-                machines, each brings its own RAM).
+            n_shards, mode, boundaries, hot_fraction: router
+                configuration (see :class:`ShardRouter`).
+            page_size, data_pool_pages, index_pool_pages, retry_policy:
+                per-shard engine configuration — ``data_pool_pages`` is
+                **per shard** (shards model machines, each brings its
+                own RAM).
             seed: base seed; shard ``i`` derives ``seed + i``.
             metrics: the *parent* registry (``shard.*`` family); ambient
                 or fresh when ``None``, like :class:`Database`.
@@ -437,7 +434,6 @@ class ShardedDatabase:
                 mode=mode,
                 boundaries=boundaries,
                 hot_fraction=hot_fraction,
-                decay=tracker_decay,
                 registry=metrics,
             )
             self._dbs = [
@@ -445,7 +441,6 @@ class ShardedDatabase:
                     page_size=page_size,
                     data_pool_pages=data_pool_pages,
                     index_pool_pages=index_pool_pages,
-                    eviction=eviction,
                     seed=seed + i,
                     metrics=self._shard_metrics[i],
                     fault_injector=(

@@ -90,7 +90,6 @@ def recover_sharded(
     mode: str = "hash",
     boundaries: tuple | None = None,
     hot_fraction: float = 0.05,
-    tracker_decay: float = 0.5,
     recovery: bool = False,
     journal=None,
 ) -> tuple[ShardedDatabase, ShardRecoveryReport]:
@@ -107,10 +106,10 @@ def recover_sharded(
         metrics: the parent registry for the rebuilt facade's
             ``shard.*`` family (ambient or fresh when ``None``).
         shard_metrics: one registry per shard; fresh ones when omitted.
-        mode, boundaries, hot_fraction, tracker_decay: router
-            configuration — must match the pre-crash router for base
-            placements to line up (the override map itself is *not*
-            logged; it is rebuilt from residency).
+        mode, boundaries, hot_fraction: router configuration — must
+            match the pre-crash router for base placements to line up
+            (the override map itself is *not* logged; it is rebuilt
+            from residency).
         recovery: arm per-call heal-and-retry on the rebuilt facade.
         journal: optional §5j :class:`~repro.obs.events.EventJournal` —
             each shard's replay phases plus the facade-level
@@ -176,7 +175,6 @@ def recover_sharded(
         mode=mode,
         boundaries=boundaries,
         hot_fraction=hot_fraction,
-        decay=tracker_decay,
         registry=metrics,
     )
     sdb = ShardedDatabase.adopt(

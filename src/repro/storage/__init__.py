@@ -10,7 +10,7 @@ from repro.storage.constants import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import SlottedPage
-from repro.storage.buffer_pool import BufferPool, EvictionPolicy
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.heap import HeapFile, Rid
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SimulatedDisk",
     "SlottedPage",
     "BufferPool",
-    "EvictionPolicy",
     "HeapFile",
     "Rid",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Protocol
 
 from repro.errors import (
@@ -56,20 +55,12 @@ class CostHook(Protocol):
     def on_disk_write(self) -> None: ...
 
 
-class EvictionPolicy(Enum):
-    """Frame replacement policy."""
-
-    LRU = "lru"
-    CLOCK = "clock"
-
-
 @dataclass
 class _Frame:
     page_id: int
     data: bytearray
     pin_count: int = 0
     dirty: bool = False
-    referenced: bool = True  # clock bit
     #: Highest WAL LSN stamped on this frame (0 = no logged change).
     #: The flush-before-evict rule: the log must be durable through
     #: this LSN before the frame's bytes may reach disk.
@@ -92,7 +83,6 @@ class BufferPool:
         self,
         disk: SimulatedDisk,
         capacity_pages: int,
-        policy: EvictionPolicy = EvictionPolicy.LRU,
         cost_hook: CostHook | None = None,
         registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -112,18 +102,10 @@ class BufferPool:
         #: full-obs-reset contract without a storage -> txn import.
         self._obs_reset_hooks: list = []
         self._capacity = capacity_pages
-        self._policy = policy
         self._cost = cost_hook
         self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         self._verify_checksums = verify_checksums
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        #: CLOCK state: a stable ring of resident page ids plus a hand
-        #: *index into that ring*.  The ring mutates only when pages enter
-        #: or leave the pool (never rebuilt per eviction), so the hand
-        #: always resumes at the last victim's successor and reference
-        #: bits keep their second-chance meaning across evictions.
-        self._clock_ring: list[int] = []
-        self._clock_hand = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -329,7 +311,7 @@ class BufferPool:
             self._m_hit.inc()
             if self._cost is not None:
                 self._cost.on_bp_hit()
-            self._touch(frame)
+            self._frames.move_to_end(page_id)
         else:
             self._misses += 1
             self._m_miss.inc()
@@ -469,7 +451,6 @@ class BufferPool:
                 self.flush(page_id)
                 self._m_temperature.record(frame.temperature)
                 del self._frames[page_id]
-                self._ring_remove(page_id)
         self._m_resident.set(len(self._frames))
 
     # -- quarantine ----------------------------------------------------------
@@ -484,8 +465,7 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None and frame.pin_count > 0:
             raise BufferPoolError(f"cannot quarantine pinned page {page_id}")
-        if self._frames.pop(page_id, None) is not None:
-            self._ring_remove(page_id)
+        self._frames.pop(page_id, None)
         self._quarantined.add(page_id)
         self._expected_crc.pop(page_id, None)
         self._m_resident.set(len(self._frames))
@@ -631,50 +611,16 @@ class BufferPool:
             self._evict_one()
         frame = _Frame(page_id=page_id, data=data)
         self._frames[page_id] = frame
-        if self._policy is EvictionPolicy.CLOCK:
-            # New pages join the ring at the tail: the hand reaches them
-            # only after sweeping every older resident once.
-            self._clock_ring.append(page_id)
         self._m_resident.set(len(self._frames))
         return frame
 
-    def _ring_remove(self, page_id: int) -> None:
-        """Drop a page from the CLOCK ring, keeping the hand anchored.
-
-        If the removed page sat before the hand, the hand shifts down so
-        it still points at the same *page*; if the hand pointed at the
-        removed page itself (the just-picked victim), it now points at
-        the victim's successor — exactly where the next sweep resumes.
-        """
-        if self._policy is not EvictionPolicy.CLOCK:
-            return
-        try:
-            idx = self._clock_ring.index(page_id)
-        except ValueError:  # pragma: no cover - ring tracks frames exactly
-            return
-        self._clock_ring.pop(idx)
-        if idx < self._clock_hand:
-            self._clock_hand -= 1
-        if self._clock_hand >= len(self._clock_ring):
-            self._clock_hand = 0
-
-    def _touch(self, frame: _Frame) -> None:
-        if self._policy is EvictionPolicy.LRU:
-            self._frames.move_to_end(frame.page_id)
-        else:
-            frame.referenced = True
-
     def _evict_one(self) -> None:
-        if self._policy is EvictionPolicy.LRU:
-            victim = self._pick_lru_victim()
-        else:
-            victim = self._pick_clock_victim()
+        victim = self._pick_lru_victim()
         frame = self._frames[victim]
         if frame.dirty:
             self._write_back(frame)
         self._m_temperature.record(frame.temperature)
         del self._frames[victim]
-        self._ring_remove(victim)
         self._evictions += 1
         self._m_eviction.inc()
         self._m_resident.set(len(self._frames))
@@ -683,26 +629,4 @@ class BufferPool:
         for page_id, frame in self._frames.items():
             if frame.pin_count == 0:
                 return page_id
-        raise BufferPoolError("all frames pinned; cannot evict")
-
-    def _pick_clock_victim(self) -> int:
-        ring = self._clock_ring
-        n = len(ring)
-        # Two sweeps: the first clears reference bits, the second must find
-        # an unreferenced, unpinned frame if any frame is unpinned at all.
-        # The hand is left ON the victim; its removal from the ring then
-        # re-anchors the hand to the victim's successor (``_ring_remove``).
-        for _ in range(2 * n):
-            if self._clock_hand >= n:
-                self._clock_hand = 0
-            page_id = ring[self._clock_hand]
-            frame = self._frames[page_id]
-            if frame.pin_count > 0:
-                self._clock_hand += 1
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                self._clock_hand += 1
-                continue
-            return page_id
         raise BufferPoolError("all frames pinned; cannot evict")

@@ -206,15 +206,6 @@ class SlottedPage:
         _U32.pack_into(self._buf, _OFF_NEXT_PAGE, NO_PAGE if value is None else value)
 
     @property
-    def checksum(self) -> int:
-        """The stored CRC32 stamp (see :func:`stamp_page_checksum`)."""
-        return read_page_checksum(self._buf)
-
-    def checksum_ok(self) -> bool:
-        """True if the stored stamp matches the page bytes."""
-        return page_checksum_ok(self._buf)
-
-    @property
     def level(self) -> int:
         """Tree level: 0 for leaves, increasing toward the root."""
         return self._buf[_OFF_LEVEL]

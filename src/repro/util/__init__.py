@@ -1,15 +1,13 @@
 """Shared low-level utilities: deterministic RNG, bit/varint packing, stats."""
 
 from repro.util.rng import DeterministicRng
-from repro.util.stats import Histogram, StreamingStats
-from repro.util.units import fmt_bytes, fmt_duration_ns, GiB, KiB, MiB
+from repro.util.stats import StreamingStats
+from repro.util.units import fmt_bytes, GiB, KiB, MiB
 
 __all__ = [
     "DeterministicRng",
-    "Histogram",
     "StreamingStats",
     "fmt_bytes",
-    "fmt_duration_ns",
     "KiB",
     "MiB",
     "GiB",

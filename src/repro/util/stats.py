@@ -1,14 +1,14 @@
-"""Streaming statistics and simple histograms used by experiments.
+"""Streaming statistics used by experiments.
 
 Experiment harnesses accumulate per-lookup costs and hit/miss counters; this
-module gives them numerically stable mean/variance (Welford) and fixed-bin
-histograms without pulling in heavyweight dependencies on the hot path.
+module gives them numerically stable mean/variance (Welford) without pulling
+in heavyweight dependencies on the hot path.  (Distributions live in
+:class:`repro.obs.registry.Histogram`.)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 class StreamingStats:
@@ -31,25 +31,6 @@ class StreamingStats:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def merge(self, other: "StreamingStats") -> None:
-        """Fold another accumulator into this one (parallel merge formula)."""
-        if other._count == 0:
-            return
-        if self._count == 0:
-            self._count = other._count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self._count * other._count / total
-        self._mean += delta * other._count / total
-        self._count = total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
 
     @property
     def count(self) -> int:
@@ -78,69 +59,3 @@ class StreamingStats:
     @property
     def total(self) -> float:
         return self._mean * self._count
-
-
-@dataclass
-class Histogram:
-    """Fixed-width-bin histogram over ``[lo, hi)`` with overflow bins."""
-
-    lo: float
-    hi: float
-    bins: int
-    _counts: list[int] = field(default_factory=list)
-    _underflow: int = 0
-    _overflow: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hi <= self.lo:
-            raise ValueError("Histogram requires hi > lo")
-        if self.bins <= 0:
-            raise ValueError("Histogram requires at least one bin")
-        self._counts = [0] * self.bins
-
-    def add(self, value: float) -> None:
-        """Count one observation."""
-        if value < self.lo:
-            self._underflow += 1
-            return
-        if value >= self.hi:
-            self._overflow += 1
-            return
-        width = (self.hi - self.lo) / self.bins
-        index = int((value - self.lo) / width)
-        # Guard against float edge cases landing exactly on `hi`.
-        self._counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def counts(self) -> list[int]:
-        return list(self._counts)
-
-    @property
-    def underflow(self) -> int:
-        return self._underflow
-
-    @property
-    def overflow(self) -> int:
-        return self._overflow
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts) + self._underflow + self._overflow
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bin midpoints (q in [0, 1])."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile requires q in [0, 1]")
-        total = self.total
-        if total == 0:
-            return 0.0
-        target = q * total
-        seen = self._underflow
-        if seen >= target and self._underflow:
-            return self.lo
-        width = (self.hi - self.lo) / self.bins
-        for i, c in enumerate(self._counts):
-            seen += c
-            if seen >= target:
-                return self.lo + (i + 0.5) * width
-        return self.hi

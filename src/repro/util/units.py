@@ -1,7 +1,7 @@
-"""Byte and time-unit constants plus human-readable formatting.
+"""Byte and time-unit constants plus human-readable byte formatting.
 
-Experiment tables print sizes ("27.1 GB -> 1.4 GB") and simulated durations
-("0.3 us/lookup"); these helpers keep that formatting consistent.
+Experiment tables print sizes ("27.1 GB -> 1.4 GB"); :func:`fmt_bytes`
+keeps that formatting consistent.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ GiB = 1024 * MiB
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
-NS_PER_S = 1_000_000_000
 
 
 def fmt_bytes(n: float) -> str:
@@ -24,24 +23,3 @@ def fmt_bytes(n: float) -> str:
         if n >= divisor:
             return f"{sign}{n / divisor:.1f} {unit}"
     return f"{sign}{n:.0f} B"
-
-
-def fmt_duration_ns(ns: float) -> str:
-    """Render a simulated duration at an appropriate scale."""
-    ns = float(ns)
-    sign = "-" if ns < 0 else ""
-    ns = abs(ns)
-    if ns >= NS_PER_S:
-        return f"{sign}{ns / NS_PER_S:.2f} s"
-    if ns >= NS_PER_MS:
-        return f"{sign}{ns / NS_PER_MS:.3f} ms"
-    if ns >= NS_PER_US:
-        return f"{sign}{ns / NS_PER_US:.3f} us"
-    return f"{sign}{ns:.1f} ns"
-
-
-def ratio(before: float, after: float) -> float:
-    """Improvement factor ``before / after`` guarded against zero."""
-    if after == 0:
-        return float("inf") if before > 0 else 1.0
-    return before / after

@@ -113,37 +113,3 @@ def test_revision_policy_pattern():
     stats = table.stats()
     assert stats.hot_rows == 2
     assert stats.cold_rows == 3
-
-
-def test_lookup_many_matches_scalar_hot_first():
-    table = build()
-    for i in range(60):
-        table.insert(row(i), hot=(i % 4 == 0))
-    keys = [3, 0, 99, 4, 4, 17, 56]
-    scalar = [table.lookup(k) for k in keys]
-    hot_before, cold_before = table.hot_lookups, table.cold_lookups
-    batched = table.lookup_many(keys)
-    assert batched == scalar
-    # Counter semantics match the per-key loop exactly.
-    assert table.hot_lookups - hot_before == hot_before
-    assert table.cold_lookups - cold_before == cold_before
-
-
-def test_lookup_many_empty():
-    table = build()
-    assert table.lookup_many([]) == []
-
-
-def test_demote_many_and_promote_many():
-    table = build()
-    for i in range(20):
-        table.insert(row(i), hot=True)
-    moved = table.demote_many([1, 2, 3, 99])   # 99 absent
-    assert moved == 3
-    assert table.demotions == 3
-    assert not table.is_hot(2)
-    assert table.lookup(2) == {"rev_id": 2, "body": "rev-2"}
-    moved = table.promote_many([2, 3])
-    assert moved == 2
-    assert table.is_hot(2)
-    assert table.lookup(3) == {"rev_id": 3, "body": "rev-3"}

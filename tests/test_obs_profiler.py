@@ -12,6 +12,7 @@ from repro.obs.profiler import (
     batch_bucket,
     fingerprint,
 )
+from repro.obs.tracer import Tracer
 
 pytestmark = pytest.mark.obs
 
@@ -104,7 +105,7 @@ def test_plain_index_heap_fetches_are_charged():
 def test_nested_operations_charge_to_outermost():
     db, t = _db()
     profiler = db.enable_profiling()
-    with profiler.operation("outer", "t"):
+    with db.tracer.span("outer", profile=("outer", "t"), timed=False):
         t.lookup("pk", 1, ("k",))
         t.lookup("pk", 2, ("k",))
     assert profiler.operations == 1
@@ -118,7 +119,7 @@ def test_error_operations_are_flagged_and_counted():
     db, t = _db()
     profiler = db.enable_profiling()
     with pytest.raises(QueryError):
-        with profiler.operation("boom", "t"):
+        with db.tracer.span("boom", profile=("boom", "t"), timed=False):
             raise QueryError("kaput")
     assert profiler.stats("boom:t").errors == 1
     assert db.metrics.get("profiler.errors").value == 1
@@ -219,12 +220,20 @@ def test_profiles_reconcile_with_registry_totals():
 # -- slow log and bounds ----------------------------------------------------
 
 
+def _profiled(profiler, op, table):
+    """One op bracket, opened the way the engine opens it: through a
+    tracer the profiler is armed on."""
+    tracer = Tracer(MetricsRegistry())
+    tracer.arm(profiler=profiler)
+    return tracer.span(op, profile=(op, table), timed=False)
+
+
 def test_slow_log_ranked_and_bounded():
     profiler = QueryProfiler(MetricsRegistry(), slow_log_size=4)
     clock = [0.0]
     profiler._clock = lambda: clock[0]
     for cost in (5.0, 1.0, 9.0, 3.0, 7.0, 2.0):
-        with profiler.operation("op", "t"):
+        with _profiled(profiler, "op", "t"):
             clock[0] += cost
     slow = profiler.slow_queries()
     assert len(slow) == 4  # ring keeps the newest 4
@@ -239,7 +248,7 @@ def test_slow_threshold_filters_cheap_operations():
     clock = [0.0]
     profiler._clock = lambda: clock[0]
     for cost in (1.0, 6.0, 2.0, 8.0):
-        with profiler.operation("op", "t"):
+        with _profiled(profiler, "op", "t"):
             clock[0] += cost
     assert [p.elapsed_ns for p in profiler.slow_queries()] == [8.0, 6.0]
     assert profiler.stats("op:t").calls == 4  # rollup still sees everything
@@ -248,7 +257,7 @@ def test_slow_threshold_filters_cheap_operations():
 def test_fingerprint_table_overflows_into_other():
     profiler = QueryProfiler(MetricsRegistry(), max_fingerprints=3)
     for i in range(6):
-        with profiler.operation("op", f"table_{i}"):
+        with _profiled(profiler, "op", f"table_{i}"):
             pass
     fps = {s.fingerprint for s in profiler.top()}
     assert OVERFLOW_FINGERPRINT in fps
@@ -282,7 +291,7 @@ def test_profiling_off_by_default_and_opt_in():
 #
 # A half-drained Table.scan iterator that is closed or garbage-collected
 # without being exhausted used to leave the profiler bracket open (the
-# GeneratorExit arrived *inside* the ``with profiler.operation(...)``
+# GeneratorExit arrived *inside* the ``with tracer.span(...)``
 # body): subsequent unrelated operations were mis-charged to the scan's
 # fingerprint, and the abandoned scan itself was absorbed with
 # ``error=True``.  The scan generator now converts GeneratorExit into a

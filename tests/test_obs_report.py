@@ -16,7 +16,7 @@ from repro import (
     format_report,
     export_json,
 )
-from repro.obs import derived_rates, flatten
+from repro.obs import derived_rates
 from repro.util.rng import DeterministicRng
 
 pytestmark = pytest.mark.obs
@@ -50,18 +50,6 @@ def test_derived_hit_rates():
     reg.counter("other.miss").inc(1)
     rates = derived_rates(reg)
     assert rates == {"bufferpool.hit_rate": 0.75}
-
-
-def test_flatten_orders_and_dots():
-    reg = MetricsRegistry()
-    reg.counter("b.y").inc(2)
-    reg.counter("a.x").inc(1)
-    reg.histogram("a.h").record(3.0)
-    flat = flatten(reg.snapshot())
-    names = [name for name, _ in flat]
-    assert names == ["a.h", "a.x", "b.y"]
-    assert dict(flat)["a.x"] == 1
-    assert dict(flat)["a.h"]["count"] == 1
 
 
 def test_format_report_shows_each_subsystem():

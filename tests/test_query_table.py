@@ -113,12 +113,6 @@ def test_scan_with_predicate_and_projection():
     assert len(list(table.scan())) == 20
 
 
-def test_fetch_rid():
-    table = build(with_cached=False)
-    rid = table.insert(row(3))
-    assert table.fetch_rid(rid, ("name",)) == {"name": "user3"}
-
-
 def test_plain_index_stats():
     table = build(with_cached=False)
     table.insert(row(1))

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import BufferPoolError
-from repro.storage.buffer_pool import BufferPool, EvictionPolicy
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import PageType
 from repro.storage.disk import SimulatedDisk
 
 
-def make_pool(capacity=4, policy=EvictionPolicy.LRU, hook=None):
+def make_pool(capacity=4, hook=None):
     disk = SimulatedDisk(256)
-    return BufferPool(disk, capacity, policy=policy, cost_hook=hook), disk
+    return BufferPool(disk, capacity, cost_hook=hook), disk
 
 
 def test_new_page_is_pinned_and_dirty():
@@ -117,25 +117,6 @@ def test_context_manager_restores_snapshot_and_unpins_clean_on_error():
     assert not pool.is_resident(pid)  # clean, so droppable
 
 
-def test_clock_all_pinned_raises():
-    pool, _ = make_pool(capacity=2, policy=EvictionPolicy.CLOCK)
-    pool.new_page(PageType.HEAP)  # stays pinned
-    pool.new_page(PageType.HEAP)  # stays pinned
-    with pytest.raises(BufferPoolError):
-        pool.new_page(PageType.HEAP)
-
-
-def test_clock_policy_evicts_unreferenced():
-    pool, _ = make_pool(capacity=2, policy=EvictionPolicy.CLOCK)
-    p0 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p0)
-    p1 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p1)
-    pool.new_page(PageType.HEAP)
-    assert pool.evictions == 1
-    assert pool.resident_pages == 2
-
-
 class _Hook:
     def __init__(self):
         self.hits = 0
@@ -221,65 +202,6 @@ def test_frames_share_bytes_between_views():
         slot = view1.insert(b"shared")
     with pool.page(pid) as view2:
         assert view2.read(slot) == b"shared"
-
-
-def test_clock_reference_bit_grants_second_chance():
-    """A page touched between evictions must survive the next sweep."""
-    pool, _ = make_pool(capacity=3, policy=EvictionPolicy.CLOCK)
-    p0 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p0)
-    p1 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p1)
-    p2 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p2)
-    # All frames start referenced: the first sweep clears every bit and
-    # the second finds the oldest (ring head) unreferenced -> p0 goes.
-    p3 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p3)
-    assert not pool.is_resident(p0)
-    # Touch p1: its reference bit is set again.
-    pool.fetch(p1)
-    pool.unpin(p1)
-    # Next eviction sweeps from p1 (hand re-anchored to the victim's
-    # successor): p1 spends its second chance, p2 is unreferenced -> out.
-    p4 = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(p4)
-    assert pool.is_resident(p1)
-    assert not pool.is_resident(p2)
-
-
-def test_clock_hand_deterministic_round_robin_when_untouched():
-    """With no re-references, victims fall in stable ring order — the
-    hand survives ring edits instead of re-indexing a rebuilt list."""
-    pool, _ = make_pool(capacity=3, policy=EvictionPolicy.CLOCK)
-    first = [pool.new_page(PageType.HEAP).page_id for _ in range(3)]
-    for pid in first:
-        pool.unpin(pid)
-    evicted_after = []
-    for _ in range(3):
-        newcomer = pool.new_page(PageType.HEAP).page_id
-        pool.unpin(newcomer)
-        evicted_after.append([p for p in first if not pool.is_resident(p)])
-    # p0, then p1, then p2: strict arrival order, no skips, no repeats.
-    assert evicted_after == [first[:1], first[:2], first[:3]]
-
-
-def test_clock_hand_survives_drop_clean():
-    """Removing ring members out from under the hand must not derail it."""
-    pool, _ = make_pool(capacity=4, policy=EvictionPolicy.CLOCK)
-    pids = [pool.new_page(PageType.HEAP).page_id for _ in range(4)]
-    for pid in pids:
-        pool.unpin(pid, dirty=True)
-    pool.flush_all()
-    pool.drop_clean()           # empties the ring entirely
-    assert pool.resident_pages == 0
-    for pid in pids:
-        pool.fetch(pid)
-        pool.unpin(pid)
-    extra = pool.new_page(PageType.HEAP).page_id  # forces one eviction
-    assert pool.resident_pages == 4
-    assert pool.evictions == 1
-    pool.unpin(extra)
 
 
 def test_reset_counters_resets_fault_counters_when_asked():

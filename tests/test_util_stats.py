@@ -1,11 +1,10 @@
-"""StreamingStats and Histogram."""
+"""StreamingStats."""
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import Histogram, StreamingStats
+from repro.util.stats import StreamingStats
 
 
 def test_empty_stats_are_zero():
@@ -39,60 +38,3 @@ def test_stats_match_reference(values):
     assert s.min == min(values)
     assert s.max == max(values)
     assert math.isclose(s.total, sum(values), rel_tol=1e-9, abs_tol=1e-6)
-
-
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), max_size=100),
-    st.lists(st.floats(min_value=-100, max_value=100), max_size=100),
-)
-def test_merge_equals_combined(xs, ys):
-    a = StreamingStats()
-    for v in xs:
-        a.add(v)
-    b = StreamingStats()
-    for v in ys:
-        b.add(v)
-    combined = StreamingStats()
-    for v in xs + ys:
-        combined.add(v)
-    a.merge(b)
-    assert a.count == combined.count
-    assert math.isclose(a.mean, combined.mean, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(a.variance, combined.variance, rel_tol=1e-6, abs_tol=1e-6)
-
-
-def test_histogram_binning():
-    h = Histogram(lo=0.0, hi=10.0, bins=10)
-    for v in (0.0, 0.5, 5.0, 9.99):
-        h.add(v)
-    assert h.counts[0] == 2
-    assert h.counts[5] == 1
-    assert h.counts[9] == 1
-    assert h.total == 4
-
-
-def test_histogram_under_overflow():
-    h = Histogram(lo=0.0, hi=1.0, bins=4)
-    h.add(-1.0)
-    h.add(2.0)
-    assert h.underflow == 1
-    assert h.overflow == 1
-    assert sum(h.counts) == 0
-
-
-def test_histogram_quantile_monotone():
-    h = Histogram(lo=0.0, hi=100.0, bins=100)
-    for v in range(100):
-        h.add(float(v))
-    assert h.quantile(0.1) <= h.quantile(0.5) <= h.quantile(0.9)
-    assert 40 <= h.quantile(0.5) <= 60
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram(lo=1.0, hi=1.0, bins=4)
-    with pytest.raises(ValueError):
-        Histogram(lo=0.0, hi=1.0, bins=0)
-    h = Histogram(lo=0.0, hi=1.0, bins=4)
-    with pytest.raises(ValueError):
-        h.quantile(1.5)

@@ -5,8 +5,6 @@ from repro.util.units import (
     KiB,
     MiB,
     fmt_bytes,
-    fmt_duration_ns,
-    ratio,
 )
 
 
@@ -25,16 +23,3 @@ def test_fmt_bytes_scales():
 
 def test_fmt_bytes_negative():
     assert fmt_bytes(-1536) == "-1.5 KiB"
-
-
-def test_fmt_duration_scales():
-    assert fmt_duration_ns(500) == "500.0 ns"
-    assert fmt_duration_ns(1500) == "1.500 us"
-    assert fmt_duration_ns(2_500_000) == "2.500 ms"
-    assert fmt_duration_ns(3_000_000_000) == "3.00 s"
-
-
-def test_ratio():
-    assert ratio(10, 5) == 2.0
-    assert ratio(0, 0) == 1.0
-    assert ratio(5, 0) == float("inf")
