@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker, HealthReport
 from repro.obs.profiler import QueryProfiler
@@ -149,9 +149,10 @@ def run_observed_workload(
         db.create_cached_index("t", "pk_cache", ("k",), ("name", "n"))
         for k in range(n_rows):
             table.insert({"k": k, "name": f"r{k}", "n": k % 97})
-        profiler = db.shard(0).enable_profiling(slow_log_size=64)
-        for i in range(1, shards):
+        shard_profilers = [
             db.shard(i).enable_profiling(slow_log_size=64)
+            for i in range(shards)
+        ]
         sampler = TelemetrySampler(
             db.fleet_view(), clock=lambda: db.sim_now_ns,
             capacity=max(samples + 1, 16), interval_ns=1_000_000.0,
@@ -244,7 +245,7 @@ def run_observed_workload(
             db.wal.flush()
     return ObservedRun(
         registry=registry,
-        profiler=profiler,
+        profiler=fold_profilers(shard_profilers) if shards else profiler,
         sampler=sampler,
         health=checker.evaluate(),
         database=db,
@@ -256,6 +257,30 @@ def run_observed_workload(
         rollup=rollup,
         shards=shards,
     )
+
+
+def fold_profilers(profilers: list[QueryProfiler]) -> QueryProfiler:
+    """The fleet's profile: per-shard rollups folded by fingerprint
+    (counters summed, ``max_ns`` maxed) and every shard's slow log in one
+    ring, which ``slow_queries`` ranks by ``(-elapsed_ns, seq)``."""
+    fleet = QueryProfiler(MetricsRegistry(), slow_log_size=64 * len(profilers))
+    for profiler in profilers:
+        for stats in profiler.top():
+            mine = fleet._stats.get(stats.fingerprint)
+            if mine is None:
+                fleet._stats[stats.fingerprint] = replace(stats)
+                continue
+            for f in fields(stats):
+                if f.name == "max_ns":
+                    mine.max_ns = max(mine.max_ns, stats.max_ns)
+                elif f.name not in ("fingerprint", "plan"):
+                    setattr(
+                        mine, f.name,
+                        getattr(mine, f.name) + getattr(stats, f.name),
+                    )
+        fleet._slow.extend(profiler.slow_queries())
+        fleet._seq += profiler.operations
+    return fleet
 
 
 # -- rendering -------------------------------------------------------------

@@ -65,7 +65,9 @@ class Tracer:
     ) -> None:
         self._registry = resolve_registry(registry)
         self._clock = resolve_clock(clock)
-        self._ring: deque[SpanEvent] = deque(maxlen=ring_size)
+        #: Raw ``(name, start, end, depth, attrs, error)`` per finished
+        #: span; :meth:`recent`, the ring's one reader, builds the events.
+        self._ring: deque[tuple] = deque(maxlen=ring_size)
         self._depth = 0
         self._histograms: dict[str, Histogram] = {}
         self.profiler = None
@@ -140,16 +142,7 @@ class Tracer:
                 self._histogram(name).record(end - start)
                 if error:
                     self._registry.counter(f"span.{name}.errors").inc()
-                self._ring.append(
-                    SpanEvent(
-                        name=name,
-                        start_ns=start,
-                        end_ns=end,
-                        depth=depth,
-                        attrs=tuple(sorted(attrs.items())),
-                        error=error,
-                    )
-                )
+                self._ring.append((name, start, end, depth, attrs, error))
             if profiled is not None:
                 profiler.end(profiled, error)
             if traced is not None:
@@ -164,8 +157,13 @@ class Tracer:
 
     def recent(self, n: int | None = None) -> list[SpanEvent]:
         """The last ``n`` finished spans, oldest first (all if ``None``)."""
-        events = list(self._ring)
-        return events if n is None else events[-n:]
+        raw = list(self._ring)
+        return [
+            SpanEvent(name, start, end, depth, tuple(sorted(attrs.items())), error)
+            for name, start, end, depth, attrs, error in (
+                raw if n is None else raw[-n:]
+            )
+        ]
 
     def clear(self) -> None:
         self._ring.clear()

@@ -142,6 +142,7 @@ def run_wal_drill(
             db, report = recover(
                 db.wal, disk=db.disk,
                 page_size=page_size, data_pool_pages=pool_pages, seed=seed,
+                group_commit_records=group_commit,
             )
             table = db.table("t")
             torn_tails += int(report.torn_tail)

@@ -1,17 +1,168 @@
-"""What each module is for, and what the one eviction policy does.
+"""What each module is for, which options exist, and what the one
+eviction policy does — the reachability audit as executable tables.
 
-The LRU pin below was taken before CLOCK eviction was removed: the
-victims, counters and temperature buckets of a scripted trace are
+The LRU pin at the bottom was taken before CLOCK eviction was removed:
+the victims, counters and temperature buckets of a scripted trace are
 literals, so "LRU is the only policy" is checked against what LRU did
 when it was one of two.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
+from pathlib import Path
+
 from repro.obs import MetricsRegistry
+from repro.query.database import Database
+from repro.shard.database import ShardedDatabase
+from repro.shard.recovery import recover_sharded
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import PageType
 from repro.storage.disk import SimulatedDisk
+from repro.wal.replay import recover
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# -- every module has a declared state -----------------------------------------
+
+#: Modules under core/util/sim/workload that no engine root imports, and
+#: the driver (figure, ablation, example or bench) each one exists for.
+EXPERIMENT_ONLY = {
+    "repro.core.encoding.analyzer": "src/repro/experiments/encoding_waste.py",
+    "repro.core.encoding.inference": "src/repro/experiments/encoding_waste.py",
+    "repro.core.encoding.report": "src/repro/experiments/encoding_waste.py",
+    "repro.core.encoding.migrate": "examples/aggregate_dashboard.py",
+    "repro.core.hot_cold.cluster": "src/repro/experiments/fig3.py",
+    "repro.core.hot_cold.forwarding": "src/repro/experiments/fig3.py",
+    "repro.core.hot_cold.partitioner": "src/repro/experiments/fig3.py",
+    "repro.core.hot_cold.manager": "src/repro/experiments/adaptive.py",
+    "repro.core.hot_cold.vertical": "src/repro/experiments/ablations.py",  # A3
+    "repro.core.index_cache.covering": "src/repro/experiments/ablations.py",  # A5
+    "repro.core.index_cache.advisor": "examples/wikipedia_index_cache.py",
+    "repro.core.index_cache.agg_cache": "benchmarks/bench_agg_cache.py",
+    "repro.core.semantic_ids.embedding": "src/repro/experiments/ablations.py",  # A4
+    "repro.core.semantic_ids.routing": "src/repro/experiments/ablations.py",  # A4
+    "repro.core.semantic_ids.reduction": "examples/semantic_ids_routing.py",
+    "repro.util.stats": "src/repro/experiments/capacity.py",
+    "repro.util.units": "src/repro/experiments/headline.py",
+    "repro.workload.cartel": "src/repro/experiments/fill_factor.py",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
+
+
+def _is_package(module: str) -> bool:
+    return MODULES[module].name == "__init__.py"
+
+
+@functools.cache
+def _defining_module(package: str, name: str) -> str:
+    """The submodule ``package``'s ``__init__`` re-exports ``name`` from."""
+    for node in ast.parse(MODULES[package].read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.module in MODULES:
+            if any((a.asname or a.name) == name for a in node.names):
+                return node.module
+    return package
+
+
+@functools.cache
+def _imports(path: Path) -> frozenset[str]:
+    """The ``repro`` modules a file names in its imports, late ones too.
+    A name taken from a package counts as its defining submodule, so a
+    package ``__init__`` that re-exports everything reaches nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name in MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.module in MODULES:
+            for alias in node.names:
+                sub = f"{node.module}.{alias.name}"
+                if sub in MODULES:
+                    found.add(sub)
+                elif _is_package(node.module):
+                    found.add(_defining_module(node.module, alias.name))
+                else:
+                    found.add(node.module)
+    return frozenset(found)
+
+
+def _reach(paths) -> set[str]:
+    seen: set[str] = set()
+    todo = [m for path in paths for m in _imports(path)]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            if not _is_package(module):
+                todo.extend(_imports(MODULES[module]))
+    return seen
+
+
+def test_every_core_module_is_engine_or_experiment_only():
+    roots = [MODULES["repro.query.database"], MODULES["repro.obs.__main__"]]
+    for package in ("shard", "txn", "wal", "faults", "columnar"):
+        roots += (SRC / "repro" / package).glob("*.py")
+    engine = _reach(roots)
+    audited = {
+        m for m in MODULES
+        if m.split(".")[1:2] in (["core"], ["util"], ["sim"], ["workload"])
+        and not _is_package(m)
+    }
+    assert audited - engine == set(EXPERIMENT_ONLY)  # undeclared / stale rows
+    for module, driver in EXPERIMENT_ONLY.items():
+        assert module in _reach([ROOT / driver]), (module, driver)
+
+
+# -- every option is a reviewed diff --------------------------------------------
+
+SIGNATURES = {
+    Database.__init__: (
+        "self", "page_size", "data_pool_pages", "index_pool_pages",
+        "cost_model", "seed", "metrics", "fault_injector", "retry_policy",
+        "verify_checksums", "wal", "wal_group_commit", "disk",
+    ),
+    ShardedDatabase.__init__: (
+        "self", "n_shards", "mode", "boundaries", "hot_fraction", "page_size",
+        "data_pool_pages", "index_pool_pages", "seed", "metrics",
+        "shard_metrics", "wal", "wal_group_commit", "fault_injectors",
+        "retry_policy", "recovery", "_adopt",
+    ),
+    BufferPool.__init__: (
+        "self", "disk", "capacity_pages", "cost_hook", "registry",
+        "retry_policy", "verify_checksums", "wal",
+    ),
+    Database.create_cached_index: (
+        "self", "table_name", "index_name", "key_columns", "cached_fields",
+        "policy", "invalidation_log_threshold", "latch_contention",
+        "split_fraction",
+    ),
+    recover: (
+        "wal", "disk", "page_size", "data_pool_pages", "index_pool_pages",
+        "seed", "metrics", "retry_policy", "group_commit_records", "journal",
+        "journal_shard",
+    ),
+    recover_sharded: (
+        "wals", "disks", "page_size", "data_pool_pages", "index_pool_pages",
+        "seed", "metrics", "shard_metrics", "retry_policy",
+        "group_commit_records", "mode", "boundaries", "hot_fraction",
+        "recovery", "journal",
+    ),
+}
+
+
+def test_constructor_and_recovery_options_are_pinned():
+    for function, names in SIGNATURES.items():
+        assert tuple(inspect.signature(function).parameters) == names, function
+
 
 # -- the one eviction policy ---------------------------------------------------
 

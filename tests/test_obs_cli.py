@@ -218,6 +218,20 @@ def test_sharded_workload_is_deterministic():
     assert a.trace.as_dicts() == b.trace.as_dicts()
 
 
+def test_sharded_profile_covers_every_shard():
+    """``top``/``export --shards N`` used to show shard 0's profiler only."""
+    run = run_observed_workload(
+        n_rows=60, n_ops=300, samples=4, pool_pages=16, shards=3,
+    )
+    per_shard = [run.database.shard(i).profiler for i in range(3)]
+    assert all(p.operations > 0 for p in per_shard)
+    profiled = sum(p.operations for p in per_shard)
+    assert sum(s.calls for s in run.profiler.top()) == profiled
+    assert run.profiler.operations == profiled
+    slow = [p.elapsed_ns for p in run.profiler.slow_queries()]
+    assert slow == sorted(slow, reverse=True) and len(slow) > 64
+
+
 def test_sparkline_rendering():
     assert sparkline([]) == "(no data)"
     assert sparkline([5.0, 5.0, 5.0]) == "===" or len(sparkline([5.0] * 3)) == 3

@@ -255,3 +255,26 @@ def test_replay_is_idempotent_after_back_to_back_crashes(full_log, boundaries):
         assert bytes(db2.wal.device.data) == log1
         assert report2.records_applied <= report2.records_scanned
         assert check_database(db2).ok
+
+
+def test_wal_drill_keeps_its_group_commit_across_restarts(monkeypatch):
+    """``python -m repro.wal --group-commit 1``: every recovered engine
+    still flushes per record (it used to fall back to the default 8)."""
+    from repro.wal import replay
+    from repro.wal.__main__ import run_wal_drill
+
+    restarts = []
+
+    def spy(*args, **kwargs):
+        db, report = recover(*args, **kwargs)
+        restarts.append((db, db.wal.device.appends))
+        return db, report
+
+    monkeypatch.setattr(replay, "recover", spy)
+    report = run_wal_drill(n_ops=300, crashes=2, group_commit=1)
+    assert report.passed and report.crashes == 2
+    assert [db.wal.group_commit_records for db, _ in restarts] == [1, 1]
+    db, appends_at_restart = restarts[-1]
+    logged = db.metrics.snapshot()["wal"]["records"]
+    assert logged > 0
+    assert db.wal.device.appends - appends_at_restart == logged
