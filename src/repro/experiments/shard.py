@@ -13,8 +13,9 @@ Timing is **simulated and deterministic**: every engine charges its cost
 model per pool hit/miss, and the facade advances one clock by the *max*
 over the shards an operation touched (shards are independent machines).
 The same seed therefore produces the same throughputs to the digit on
-any host — which is what lets ``benchmarks/bench_shard.py`` gate on the
-scaling floor exactly.
+any host — which is what lets ``tests/test_experiments_smoke.py`` pin the
+scaling floor and the simulated microseconds as literals (``bench``
+tracks the same economics as ``sim_us_per_op``@``shard_fleet``).
 
 The router runs in ``zipf`` mode: a warm-up phase feeds the live access
 tracker, one :meth:`rebalance` migrates the hot head of the Zipf

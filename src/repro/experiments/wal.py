@@ -5,8 +5,8 @@ logical operation (frame header + LSN + record body) and device flushes
 per operation (amortized by group commit).  This driver runs the same
 seeded mixed workload at several group-commit batch sizes and reports
 records, bytes, and flushes — all operation counts, never wall time, so
-they are safe to gate in CI.  The wall-clock counterpart (the <10%
-overhead gate) lives in ``benchmarks/bench_wal_overhead.py``.
+they are safe to gate in CI.  The wall-clock counterpart is
+``wal.self_us_per_op``@``oltp_wal`` under ``python3 -m bench --compare``.
 
 The last column reports the crash-restart smoke drill at the same batch
 size: every configuration must come back with zero wrong results, so the

@@ -3,7 +3,7 @@
 :func:`format_report` renders a registry as per-subsystem tables (via the
 experiments' :func:`~repro.experiments.runner.print_table` formatter) with
 derived hit rates next to the raw counts.  :func:`export_json` writes the
-same snapshot in the ``BENCH_*.json`` shape the benchmark tree consumes.
+same snapshot as one JSON document (``label`` / ``metrics`` / ``derived``).
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def export_json(
     """Serialize a snapshot (plus derived rates) to JSON.
 
     Returns the JSON text; with ``path`` also writes it to disk.  The
-    document shape matches the benchmark tree's ``BENCH_*.json`` results:
-    a ``label``, a ``metrics`` tree, and a flat ``derived`` map.
+    document holds a ``label``, a ``metrics`` tree, and a flat
+    ``derived`` map.
 
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) additionally dumps
     the recent-span ring buffer — at most ``span_limit`` newest spans —
