@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker, HealthReport
 from repro.obs.profiler import QueryProfiler
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.report import export_json, format_report
 from repro.obs.sampler import TelemetrySampler, select
 
@@ -263,7 +263,7 @@ def fold_profilers(profilers: list[QueryProfiler]) -> QueryProfiler:
     """The fleet's profile: per-shard rollups folded by fingerprint
     (counters summed, ``max_ns`` maxed) and every shard's slow log in one
     ring, which ``slow_queries`` ranks by ``(-elapsed_ns, seq)``."""
-    fleet = QueryProfiler(MetricsRegistry(), slow_log_size=64 * len(profilers))
+    fleet = QueryProfiler(NULL_REGISTRY, slow_log_size=64 * len(profilers))
     for profiler in profilers:
         for stats in profiler.top():
             mine = fleet._stats.get(stats.fingerprint)

@@ -159,7 +159,9 @@ class Tracer:
         """The last ``n`` finished spans, oldest first (all if ``None``)."""
         raw = list(self._ring)
         return [
-            SpanEvent(name, start, end, depth, tuple(sorted(attrs.items())), error)
+            SpanEvent(
+                name, start, end, depth, tuple(sorted(attrs.items())), error
+            )
             for name, start, end, depth, attrs, error in (
                 raw if n is None else raw[-n:]
             )

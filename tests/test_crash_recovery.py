@@ -204,43 +204,34 @@ def test_wal_on_and_off_runs_agree_and_group_commit_batches():
     from repro.query.database import Database
     from repro.schema.schema import Schema
     from repro.schema.types import UINT32, UINT64, char
+    from repro.workload.replay import build_mixed_trace, replay
+
+    def row(k):
+        return {"k": k, "name": f"row{k:08d}", "n": k % 13}
 
     def run(wal: bool):
-        db = Database(
-            seed=11, wal=wal, wal_group_commit=8, data_pool_pages=64,
-            metrics=MetricsRegistry(),
-        )
+        db = Database(seed=11, wal=wal, data_pool_pages=64,
+                      metrics=MetricsRegistry())
         schema = Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
         t = db.create_table("t", schema)
         db.create_index("t", "pk", ("k",))
-        rng = DeterministicRng(11)
-        live: list[int] = []
-        answers = []
-        for k in range(1_500):
-            draw = rng.random()
-            if draw < 0.5 or not live:
-                t.insert({"k": k, "name": f"row{k:08d}", "n": k % 13})
-                live.append(k)
-            elif draw < 0.75:
-                t.update("pk", live[rng.randrange(len(live))],
-                         {"n": rng.randrange(1_000)})
-            elif draw < 0.85:
-                t.delete("pk", live.pop(rng.randrange(len(live))))
-            else:
-                target = live[rng.randrange(len(live))]
-                answers.append(t.lookup("pk", target, ("k", "n")).values)
-            if wal and k % 500 == 499:
-                db.checkpoint()
+        for k in range(300):
+            t.insert(row(k))
+        trace = build_mixed_trace(
+            1_500, list(range(300)), row, lambda k: {"n": k * 31 % 1_000},
+            lambda i: 300 + i, lookup_frac=0.3, update_frac=0.3,
+            insert_frac=0.3, seed=11,
+        )
+        result = replay(t, "pk", trace, project=("k", "n"))
         if wal:
-            db.wal.flush()
-        answers.append(sorted((r["k"], r["name"], r["n"]) for r in t.scan()))
-        return db, answers
+            db.checkpoint()
+        return db, (result, sorted(tuple(r.values()) for r in t.scan()))
 
     walled, with_wal = run(wal=True)
     _, without = run(wal=False)
-    assert with_wal == without and len(with_wal) == 218
+    assert with_wal == without and with_wal[0].lookups_found == 189
     stats = walled.metrics.snapshot()["wal"]
     assert (stats["records"], stats["bytes"], stats["flushes"]) == (
-        1_288, 69_916, 162,
+        1_015, 55_610, 127,
     )
     assert stats["flushes"] * 2 <= stats["records"]
