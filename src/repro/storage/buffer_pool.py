@@ -23,9 +23,8 @@ cost model; confirmed-corrupt pages are quarantined so a recovery layer
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Protocol
 
 from repro.errors import (
     BufferPoolError,
@@ -343,12 +342,13 @@ class BufferPool:
                 if frame.rec_lsn == 0:
                     frame.rec_lsn = lsn
 
-    @contextmanager
     def page(
         self, page_id: int, dirty: bool = False, lsn: int | None = None
-    ) -> Iterator[SlottedPage]:
+    ) -> "_ReadPin | _WritePin":
         """Pin for the duration of a ``with`` block.
 
+        The pin is taken here, at the call: the handle returned carries
+        the already-pinned page, so it is only ever a ``with`` item.
         ``dirty=True`` marks the page dirty only when the body completes;
         ``lsn`` is passed through to :meth:`unpin` on that success path.
         If the body raises, the mutation may be half-applied, so the frame
@@ -357,18 +357,9 @@ class BufferPool:
         corruption this module exists to prevent.
         """
         page = self.fetch(page_id)
-        snapshot = bytes(page.buffer) if dirty else None
-        try:
-            yield page
-        except BaseException:
-            if snapshot is not None:
-                frame = self._frames.get(page_id)
-                if frame is not None:
-                    frame.data[:] = snapshot
-            self.unpin(page_id, dirty=False)
-            raise
-        else:
-            self.unpin(page_id, dirty=dirty, lsn=lsn)
+        if dirty:
+            return _WritePin(self, page_id, page, lsn)
+        return _ReadPin(self, page_id, page)
 
     def fetch_many(self, page_ids: Iterable[int]) -> dict[int, SlottedPage]:
         """Pin a batch of pages, each **distinct** page exactly once.
@@ -402,22 +393,15 @@ class BufferPool:
         self._m_batch_distinct.inc(len(distinct))
         return pages
 
-    @contextmanager
-    def pages_many(
-        self, page_ids: Iterable[int]
-    ) -> Iterator[dict[int, SlottedPage]]:
+    def pages_many(self, page_ids: Iterable[int]) -> "_BatchPin":
         """Pin a batch for the duration of a ``with`` block (read path).
 
+        The pins are taken here, at the call, as in :meth:`page`.
         All pages are unpinned **clean** on exit: the batched read path
         never dirties pages (cache fills deliberately don't dirty — see
         the module docstring), and writers use :meth:`page` per page.
         """
-        pages = self.fetch_many(page_ids)
-        try:
-            yield pages
-        finally:
-            for page_id in pages:
-                self.unpin(page_id)
+        return _BatchPin(self, self.fetch_many(page_ids))
 
     def is_resident(self, page_id: int) -> bool:
         """True if the page currently occupies a frame (no cost charged)."""
@@ -630,3 +614,58 @@ class BufferPool:
             if frame.pin_count == 0:
                 return page_id
         raise BufferPoolError("all frames pinned; cannot evict")
+
+
+class _ReadPin:
+    """``with`` item of :meth:`BufferPool.page`: a page pinned at the call,
+    unpinned clean however the body ends."""
+
+    __slots__ = ("_pool", "_page_id", "_page")
+
+    def __init__(self, pool: BufferPool, page_id: int, page: SlottedPage) -> None:
+        self._pool = pool
+        self._page_id = page_id
+        self._page = page
+
+    def __enter__(self) -> SlottedPage:
+        return self._page
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._pool.unpin(self._page_id)
+
+
+class _WritePin(_ReadPin):
+    """The ``dirty=True`` kind: snapshot at the pin, dirty only on success."""
+
+    __slots__ = ("_lsn", "_snapshot")
+
+    def __init__(self, pool, page_id, page, lsn: int | None) -> None:
+        self._pool = pool
+        self._page_id = page_id
+        self._page = page
+        self._lsn = lsn
+        self._snapshot = bytes(page.buffer)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._pool.unpin(self._page_id, dirty=True, lsn=self._lsn)
+        else:  # any BaseException; the page's buffer is the frame's bytes
+            self._page.buffer[:] = self._snapshot
+            self._pool.unpin(self._page_id, dirty=False)
+
+
+class _BatchPin:
+    """``with`` item of :meth:`BufferPool.pages_many`: ``page_id -> page``."""
+
+    __slots__ = ("_pool", "_pages")
+
+    def __init__(self, pool: BufferPool, pages: dict[int, SlottedPage]) -> None:
+        self._pool = pool
+        self._pages = pages
+
+    def __enter__(self) -> dict[int, SlottedPage]:
+        return self._pages
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for page_id in self._pages:
+            self._pool.unpin(page_id)

@@ -44,6 +44,9 @@ PAGE_FOOTER_SIZE = 4
 #: One directory entry: record offset(2) + record length(2).
 SLOT_ENTRY_SIZE = 4
 
+#: What a freshly formatted page spends before its first record's bytes.
+EMPTY_PAGE_OVERHEAD = PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE + SLOT_ENTRY_SIZE
+
 #: Page magic for format validation.
 PAGE_MAGIC = 0xB175  # "bits"
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from repro.errors import InvalidRidError, PageFullError
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.constants import PageType
+from repro.storage.constants import EMPTY_PAGE_OVERHEAD, PageType
 from repro.storage.freespace import FreeSpaceMap
 from repro.storage.page import SlottedPage
 
@@ -101,6 +101,8 @@ class HeapFile:
         """
         page_id = self._choose_page(len(data))
         if page_id is None:
+            if not 0 < len(data) <= self._pool.disk.page_size - EMPTY_PAGE_OVERHEAD:
+                raise PageFullError(f"no empty page can take a {len(data)}-byte record")
             page = self._pool.new_page(PageType.HEAP)
             page_id = page.page_id
             self._page_ids.append(page_id)

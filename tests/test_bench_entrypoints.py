@@ -11,7 +11,9 @@ use of ``bench/``.
 import importlib
 import inspect
 
+from bench import spans
 from bench.spans import LAYER_ENTRYPOINTS
+from repro import Database, Schema, UINT32, UINT64
 from repro.obs.tracer import Tracer
 
 
@@ -31,6 +33,33 @@ def test_tracer_span_is_a_generator_context_manager():
     ``__enter__`` and ``__exit__`` as ``obs``; any other shape would be
     wrapped as a plain call and the bracket's work would silently move
     to ``query.self_us_per_op``."""
+    assert inspect.isgeneratorfunction(Tracer.span.__wrapped__)
+
+
+def test_benchmark_reads_one_page_span_per_pin_under_btree():
+    """``btree.pages_per_descent`` is the count of ``BufferPool.fetch`` +
+    ``BufferPool.page`` spans directly under a ``btree`` span.  The pin is
+    taken inside the ``page()`` call, so each bracket is exactly one such
+    span; a bracket shape the shims see differently (a generator, or a
+    handle whose ``__enter__`` does the fetch) would silently change that
+    number in ``python3 -m bench --trace 1`` with not one pin added."""
+    db = Database(page_size=512)
+    table = db.create_table("t", Schema.of(("id", UINT64), ("v", UINT32)))
+    db.create_index("t", "pk", ("id",))
+    for i in range(200):
+        table.insert({"id": i, "v": i * i})
+    assert table.index("pk").tree.height == 2
+    rec = spans.Recorder(64)
+    patched = spans.install(rec)
+    try:
+        assert table.lookup("pk", 137).values["v"] == 137 * 137
+    finally:
+        spans.uninstall(patched)
+    pins = {"BufferPool.fetch", "BufferPool.page"}
+    # root, leaf in find_leaf, leaf again in search
+    assert spans.count_children(rec, "btree", pins) == 3
+    assert spans.count_children(rec, "btree", {"BufferPool.fetch"}) == 0
+    assert spans.count_children(rec, "storage.heap", pins) == 1
     assert inspect.isgeneratorfunction(Tracer.span.__wrapped__)
 
 

@@ -1,16 +1,27 @@
-"""A cache hit's work does not grow with the window.
+"""A cache hit's work does not grow with the window, and whole ops keep
+to a call budget.
 
 Counted, not timed: under ``sys.setprofile`` every Python call and every
 built-in call made by one ``IndexCache.probe`` hit, on leaves whose windows
 hold about 10, 70 and 300 slots.  The counts must be *equal* across the
 three and stay under a literal.  (When the ranking was a sort over the
 window, a hit made one ``lambda`` and one ``abs`` call per slot.)
+
+The same count, with no slack, for whole ops on the plain path: a
+``Table.lookup`` through a plain index and a one-column ``Table.update``
+under WAL, over ``point_fit``'s revision table at a tenth of its size.
+Every ``with pool.page(...)`` bracket is four calls on top of its
+``fetch`` and ``unpin`` (``page``, the handle's ``__init__``,
+``__enter__``, ``__exit__``); as a ``@contextmanager`` generator it was
+nine, and the three op budgets read 169 / 281 / 149 (the lookup answered
+from the leaf runs on a one-leaf tree: two brackets).
 """
 
 import sys
 
 import pytest
 
+from repro import Database
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.cached_index import CachedBTree
@@ -24,6 +35,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile
 from repro.storage.page import SlottedPage
 from repro.util.rng import DeterministicRng
+from repro.workload.wikipedia import REVISION_SCHEMA, WikipediaConfig, generate
 
 PAYLOAD = 16  # item size 26, the bench's page-table item
 ENTRY = 24
@@ -33,7 +45,9 @@ LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 
 MAX_CALLS_PLAIN_HIT = 30
 MAX_CALLS_PROMOTING_HIT = 59
-MAX_CALLS_LOOKUP_FROM_LEAF = 151
+MAX_CALLS_LOOKUP_FROM_LEAF = 139
+MAX_CALLS_PLAIN_LOOKUP = 149
+MAX_CALLS_PLAIN_UPDATE = 256  # the one that closes a WAL group commit
 
 
 def count_calls(fn, *args) -> int:
@@ -109,3 +123,27 @@ def test_lookup_answered_from_the_leaf_stays_under_its_call_budget():
         counts.append(count_calls(index.lookup, i, ("a", "b")))
         assert index.stats.answered_from_cache == before + 1
     assert max(counts) <= MAX_CALLS_LOOKUP_FROM_LEAF, counts
+
+
+def test_plain_lookup_and_update_stay_under_their_call_budgets():
+    """Root, leaf in ``find_leaf``, leaf again in ``search``, heap page:
+    four brackets a lookup; an update adds the ``dirty=True`` heap one."""
+    data = generate(WikipediaConfig(n_pages=300, revisions_per_page_mean=4, seed=0))
+    db = Database(wal=True)
+    revision = db.create_table("revision", REVISION_SCHEMA)
+    db.create_index("revision", "rev_pk", ("rev_id",))
+    for row in data.revision_rows:
+        revision.insert(row)
+    assert revision.index("rev_pk").tree.height == 2
+    keys = [row["rev_id"] for row in data.revision_rows[::31]]
+    revision.lookup("rev_pk", keys[0])  # first use builds the span's histogram
+    revision.update("rev_pk", keys[0], {"rev_len": 999})
+    lookups, updates = [], []
+    for n, key in enumerate(keys):
+        lookups.append(count_calls(revision.lookup, "rev_pk", key))
+        updates.append(
+            count_calls(revision.update, "rev_pk", key, {"rev_len": 1_000 + n})
+        )
+        assert revision.lookup("rev_pk", key).values["rev_len"] == 1_000 + n
+    assert max(lookups) <= MAX_CALLS_PLAIN_LOOKUP, lookups
+    assert max(updates) <= MAX_CALLS_PLAIN_UPDATE, updates

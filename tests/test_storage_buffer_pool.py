@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, CorruptPageError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import PageType
 from repro.storage.disk import SimulatedDisk
@@ -115,6 +115,118 @@ def test_context_manager_restores_snapshot_and_unpins_clean_on_error():
     pool.flush_all()
     pool.drop_clean()
     assert not pool.is_resident(pid)  # clean, so droppable
+
+
+def clean_pages(pool, n):
+    """``n`` flushed, unpinned heap pages holding one record each."""
+    pids = []
+    for i in range(n):
+        page = pool.new_page(PageType.HEAP)
+        page.insert(bytes([65 + i]) * 8)
+        pool.unpin(page.page_id, dirty=True)
+        pids.append(page.page_id)
+    pool.flush_all()
+    return pids
+
+
+def test_bracket_on_a_quarantined_page_raises_and_pins_nothing():
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    pool.quarantine(pid)
+    for dirty in (False, True):
+        with pytest.raises(CorruptPageError):
+            with pool.page(pid, dirty=dirty):
+                pytest.fail("the body must not run")
+        assert pool.pinned_pages == []
+
+
+def test_nested_brackets_on_one_page_count_their_pins():
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    frame = pool._frames[pid]
+    with pool.page(pid) as outer:
+        assert frame.pin_count == 1
+        with pool.page(pid, dirty=True) as inner:
+            assert frame.pin_count == 2
+            assert inner.buffer is outer.buffer
+        assert (frame.pin_count, frame.dirty) == (1, True)
+    assert frame.pin_count == 0 and pool.pinned_pages == []
+
+
+@pytest.mark.parametrize("error", (RuntimeError, KeyboardInterrupt, GeneratorExit))
+def test_failed_write_bracket_leaves_an_already_dirty_frame_as_it_was(error):
+    """The frame carries an earlier, logged change: the failed bracket
+    rolls back its own bytes only, and ``dirty`` / ``page_lsn`` /
+    ``rec_lsn`` still describe that earlier change.  ``KeyboardInterrupt``
+    and ``GeneratorExit`` are ``BaseException``s and take the same path."""
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    with pool.page(pid, dirty=True, lsn=7) as page:
+        page.insert(b"logged at 7")
+    with pool.page(pid, dirty=True, lsn=9) as page:
+        page.insert(b"logged at 9")
+        before = bytes(page.buffer)
+    frame = pool._frames[pid]
+    assert (frame.dirty, frame.page_lsn, frame.rec_lsn) == (True, 9, 7)
+    with pytest.raises(error):
+        with pool.page(pid, dirty=True, lsn=11) as page:
+            page.insert(b"half-applied")
+            page.delete(0)
+            raise error
+    assert bytes(frame.data) == before
+    assert (frame.dirty, frame.page_lsn, frame.rec_lsn) == (True, 9, 7)
+    assert pool.dirty_rec_lsns() == [7] and pool.pinned_pages == []
+
+
+def test_failed_read_bracket_unpins_and_keeps_what_the_body_wrote():
+    """Only the ``dirty=True`` kind snapshots: a read bracket's body may
+    write the index cache into the free window, and those bytes stay."""
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    with pytest.raises(RuntimeError):
+        with pool.page(pid) as page:
+            lo, _hi = page.free_window()
+            page.buffer[lo] = 0xEE
+            raise RuntimeError("boom")
+    frame = pool._frames[pid]
+    assert (frame.data[lo], frame.dirty, frame.pin_count) == (0xEE, False, 0)
+
+
+def test_stop_iteration_from_the_body_comes_out_as_stop_iteration():
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    for dirty in (False, True):
+        with pytest.raises(StopIteration):
+            with pool.page(pid, dirty=dirty):
+                next(iter(()))
+    with pytest.raises(StopIteration):
+        with pool.pages_many([pid]):
+            next(iter(()))
+    assert pool.pinned_pages == []
+
+
+def test_pages_many_unpins_every_page_clean_however_the_body_ends():
+    pool, _ = make_pool()
+    pids = clean_pages(pool, 3)
+    with pool.pages_many(pids + pids[:1]) as pages:
+        assert sorted(pages) == pids and pool.pinned_pages == pids
+    assert pool.pinned_pages == []
+    with pytest.raises(RuntimeError):
+        with pool.pages_many(pids) as pages:
+            pages[pids[1]].insert(b"never written back")
+            raise RuntimeError("boom")
+    assert pool.pinned_pages == []
+    assert not any(pool._frames[pid].dirty for pid in pids)
+
+
+def test_pages_many_failing_half_way_leaves_no_pin():
+    pool, _ = make_pool()
+    pids = clean_pages(pool, 3)
+    pool.quarantine(pids[1])
+    with pytest.raises(CorruptPageError):
+        with pool.pages_many(pids):
+            pytest.fail("the body must not run")
+    assert pool.pinned_pages == []
 
 
 class _Hook:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidRidError
+from repro.errors import InvalidRidError, PageFullError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, Rid, RID_SIZE
@@ -124,6 +124,28 @@ def test_heap_round_trip_property(records):
     assert len(set(rids)) == len(rids)  # RIDs are unique
     for rid, expected in zip(rids, records):
         assert heap.fetch(rid) == expected
+
+
+def test_record_no_empty_page_can_take_is_refused_before_allocating():
+    """Three 5000-byte inserts on a 4096-byte disk used to leave the heap
+    owning 1, 2, 3 empty pages (allocated, unpinned dirty, never noted in
+    the free-space map), and the next small insert allocated a fourth."""
+    heap = make_heap(page_size=4096)
+    pool = heap.pool
+    for _ in range(3):
+        with pytest.raises(PageFullError):
+            heap.insert(b"x" * 5000)
+        assert (heap.num_pages, pool.disk.num_pages, heap.num_records) == (0, 0, 0)
+        assert (pool.resident_pages, pool.pinned_pages) == (0, [])
+    rid = heap.insert(b"z" * 100)
+    assert (rid.page_id, heap.num_pages, pool.disk.num_pages) == (0, 1, 1)
+    biggest = b"y" * (4096 - 32 - 4 - 4)  # header, footer, one directory entry
+    assert heap.fetch(heap.insert(biggest)) == biggest
+    for refused in (biggest + b"y", b""):
+        with pytest.raises(PageFullError):
+            heap.insert(refused)
+    assert (heap.num_pages, pool.disk.num_pages, heap.num_records) == (2, 2, 2)
+    assert pool.pinned_pages == []
 
 
 def test_rid_bytes_pinned():
