@@ -344,7 +344,7 @@ class BufferPool:
 
     def page(
         self, page_id: int, dirty: bool = False, lsn: int | None = None
-    ) -> "_ReadPin | _WritePin":
+    ) -> "_ReadPin":
         """Pin for the duration of a ``with`` block.
 
         The pin is taken here, at the call: the handle returned carries
@@ -617,8 +617,7 @@ class BufferPool:
 
 
 class _ReadPin:
-    """``with`` item of :meth:`BufferPool.page`: a page pinned at the call,
-    unpinned clean however the body ends."""
+    """``with`` item of :meth:`BufferPool.page`: pinned at the call, left clean."""
 
     __slots__ = ("_pool", "_page_id", "_page")
 
