@@ -61,6 +61,8 @@ class HeapFile:
         self._page_id_set: set[int] = set()
         self._fsm = FreeSpaceMap()
         self._num_records = 0
+        #: Largest record an empty page can take; anything else is refused.
+        self._max_record = pool.disk.page_size - EMPTY_PAGE_OVERHEAD
 
     # -- properties ----------------------------------------------------------
 
@@ -99,10 +101,11 @@ class HeapFile:
         rule (callers reserve it before applying, then log the record
         with the RID this returns).
         """
-        page_id = self._choose_page(len(data))
+        size = len(data)
+        page_id = self._choose_page(size)
         if page_id is None:
-            if not 0 < len(data) <= self._pool.disk.page_size - EMPTY_PAGE_OVERHEAD:
-                raise PageFullError(f"no empty page can take a {len(data)}-byte record")
+            if not 0 < size <= self._max_record:
+                raise PageFullError(f"no empty page can take a {size}-byte record")
             page = self._pool.new_page(PageType.HEAP)
             page_id = page.page_id
             self._page_ids.append(page_id)
