@@ -639,6 +639,7 @@ class _WritePin(_ReadPin):
     __slots__ = ("_lsn", "_snapshot")
 
     def __init__(self, pool, page_id, page, lsn: int | None) -> None:
+        # no super().__init__(): a bracket is four calls, read or write
         self._pool = pool
         self._page_id = page_id
         self._page = page
