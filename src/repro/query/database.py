@@ -40,6 +40,19 @@ from repro.util.rng import DeterministicRng
 from repro.wal.log import index_meta, table_meta
 
 
+def require_empty_for_index(table, index_name: str) -> None:
+    """There is no back-fill: an index is born on an empty table.
+
+    ``table`` is anything with ``name`` and ``num_rows`` — the sharded
+    facade asks for its whole table before it touches a shard.
+    """
+    if table.num_rows:
+        raise QueryError(
+            f"cannot create index {index_name!r}: table "
+            f"{table.name!r} already has rows (no back-fill support)"
+        )
+
+
 class Database:
     """An embedded single-threaded database over the simulated substrate."""
 
@@ -306,12 +319,7 @@ class Database:
                 if isinstance(ientry.index, CachedBTree):
                     ientry.index.set_cache_admission(self._cache_admission)
 
-    def enable_profiling(
-        self,
-        slow_log_size: int = 64,
-        slow_threshold_ns: float = 0.0,
-        max_fingerprints: int | None = None,
-    ) -> "QueryProfiler":
+    def enable_profiling(self, slow_log_size: int = 64) -> "QueryProfiler":
         """Attach a :class:`~repro.obs.profiler.QueryProfiler`.
 
         Armed on the engine's tracer (DESIGN.md §5k), so every table —
@@ -323,16 +331,11 @@ class Database:
         if self._tracer.profiler is None:
             from repro.obs.profiler import QueryProfiler
 
-            kwargs = {}
-            if max_fingerprints is not None:
-                kwargs["max_fingerprints"] = max_fingerprints
             self._tracer.arm(profiler=QueryProfiler(
                 self._metrics,
                 clock=self._cost,
                 wal=self._wal,
                 slow_log_size=slow_log_size,
-                slow_threshold_ns=slow_threshold_ns,
-                **kwargs,
             ))
         return self._tracer.profiler
 
@@ -341,9 +344,7 @@ class Database:
         """The columnar manager, once :meth:`enable_columnar` has run."""
         return self._columnar
 
-    def enable_columnar(
-        self, segment_rows: int | None = None, cache_entries: int = 256
-    ) -> "ColumnarManager":
+    def enable_columnar(self, segment_rows: int | None = None) -> "ColumnarManager":
         """Attach the vectorized columnar executor (DESIGN.md §5h).
 
         Every table — existing and future — gains a column-major mirror
@@ -364,7 +365,6 @@ class Database:
                 self,
                 registry=self._metrics,
                 segment_rows=segment_rows or SEGMENT_ROWS,
-                cache_entries=cache_entries,
             )
             # Join the pool's full-obs-reset contract: a
             # ``reset_counters(reset_obs=True)`` between experiment
@@ -380,15 +380,13 @@ class Database:
         knobs=None,
         bindings=None,
         sampler: "TelemetrySampler | None" = None,
-        interval_ns: float = 1_000_000.0,
-        audit_capacity: int = 64,
     ) -> "AdaptiveController":
         """Attach an :class:`~repro.obs.adaptive.AdaptiveController`.
 
         Armed on the engine's tracer (DESIGN.md §5k), so every table —
         existing and future — ticks the controller before each
-        operation; the controller samples a telemetry window when
-        ``interval_ns`` of *simulated* time has elapsed, judges the SLO
+        operation; the controller samples a telemetry window when the
+        sampler's interval of *simulated* time has elapsed, judges the SLO
         rules, and steps the registered knobs (see
         :mod:`repro.obs.adaptive` for the hysteresis contract).
 
@@ -415,9 +413,7 @@ class Database:
             from repro.obs.sampler import TelemetrySampler
 
             if sampler is None:
-                sampler = TelemetrySampler(
-                    self._metrics, clock=self._cost, interval_ns=interval_ns
-                )
+                sampler = TelemetrySampler(self._metrics, clock=self._cost)
             if rules is None:
                 rules = DEFAULT_SLO_RULES
                 if self._wal is not None:
@@ -432,12 +428,11 @@ class Database:
                 knobs=knobs,
                 bindings=bindings,
                 registry=self._metrics,
-                audit_capacity=audit_capacity,
                 journal=self._journal,
             ))
         return self._tracer.ticker
 
-    def enable_tracing(self, capacity: int | None = None) -> "TraceCollector":
+    def enable_tracing(self) -> "TraceCollector":
         """Attach a §5j :class:`~repro.obs.trace.TraceCollector`.
 
         Armed on the engine's tracer (DESIGN.md §5k), so every table —
@@ -448,16 +443,14 @@ class Database:
         Chrome ``trace_event`` format.  Idempotent; strictly opt-in.
         """
         if self._tracer.trace is None:
-            from repro.obs.trace import DEFAULT_TRACE_RING, TraceCollector
+            from repro.obs.trace import TraceCollector
 
             self.attach_tracing(TraceCollector(
-                clock=self._cost,
-                registry=self._metrics,
-                capacity=capacity or DEFAULT_TRACE_RING,
+                clock=self._cost, registry=self._metrics
             ))
         return self._tracer.trace
 
-    def enable_events(self, capacity: int | None = None) -> "EventJournal":
+    def enable_events(self) -> "EventJournal":
         """Attach a §5j :class:`~repro.obs.events.EventJournal`.
 
         Checkpoints, fault heal transitions, recovery phases, tuning
@@ -467,15 +460,11 @@ class Database:
         (one ``is None`` test per emit site until this runs).
         """
         if self._journal is None:
-            from repro.obs.events import (
-                DEFAULT_JOURNAL_CAPACITY,
-                EventJournal,
-            )
+            from repro.obs.events import EventJournal
 
             self.attach_events(EventJournal(
                 clock=self._cost,
                 registry=self._metrics,
-                capacity=capacity or DEFAULT_JOURNAL_CAPACITY,
                 trace_source=self._tracer.trace,
             ))
         return self._journal
@@ -690,11 +679,8 @@ class Database:
         requiring an empty table, and logs no CREATE INDEX record.
         """
         table = self.table(table_name)
-        if not restore and table.num_rows:
-            raise QueryError(
-                f"cannot create index {index_name!r}: table "
-                f"{table.name!r} already has rows (no back-fill support)"
-            )
+        if not restore:
+            require_empty_for_index(table, index_name)
         codec = codec_for_columns(
             [table.schema.column(c) for c in key_columns]
         )

@@ -16,20 +16,18 @@ the involved shards' cost-model deltas, not their sum — accumulated into
 measure scale-out on one real CPU deterministically.
 
 **Online rebalance.**  :meth:`rebalance` applies the router's hot-key
-spreading plan one key at a time, each key moved failure-atomically by
-copy-then-delete riding the shards' own WALs: a ``SHARD_MIGRATE`` intent
-is appended to the destination log, the copy-insert follows it, the
-destination WAL is flushed (the durability point — the destination now
-owns the key), and only then is the source copy deleted.  A crash at any
-byte of either log recovers to exactly one owner (see
-:mod:`repro.shard.recovery` and DESIGN.md §5i).
+spreading plan one key at a time, each moved failure-atomically by
+copy-then-delete riding the shards' own WALs (protocol:
+:meth:`ShardedDatabase._migrate_key`); a crash at any byte of either log
+recovers to exactly one owner (:mod:`repro.shard.recovery`, DESIGN.md §5i).
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import QueryError
 from repro.obs.registry import (
@@ -38,11 +36,16 @@ from repro.obs.registry import (
     NullRegistry,
     get_default_registry,
 )
-from repro.query.database import Database
+from repro.query.database import Database, require_empty_for_index
 from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.shard.router import ShardRouter
 from repro.storage.constants import DEFAULT_PAGE_SIZE
+
+#: What an unarmed bracket enters instead of a span (stateless, so shared).
+_INERT = nullcontext()
+#: A lookup is answered by the shard that found the key.
+_found = attrgetter("found")
 
 
 def json_safe_key(key: object) -> object:
@@ -86,38 +89,27 @@ class ShardedTable:
 
     def __init__(self, sdb: "ShardedDatabase", name: str, schema: Schema):
         self._sdb = sdb
-        self._name = name
-        self._schema = schema
+        self.name = name
+        self.schema = schema
         #: Name + key columns of the routing (first/identity) index; set
         #: when the first index is created or restored.
         self.routing_index: str | None = None
         self.routing_columns: tuple[str, ...] = ()
 
     @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
     def num_rows(self) -> int:
-        return sum(t.num_rows for t in self._shard_tables())
+        return sum(self.shard_table(i).num_rows for i in self._all_shards())
 
     def shard_table(self, i: int) -> Table:
         """The shard-local :class:`Table` living on shard ``i``."""
-        return self._sdb.shard(i).table(self._name)
-
-    def _shard_tables(self) -> list[Table]:
-        return [self.shard_table(i) for i in range(self._sdb.n_shards)]
+        return self._sdb.shard(i).table(self.name)
 
     # -- routing -------------------------------------------------------------
 
     def _require_routing(self) -> str:
         if self.routing_index is None:
             raise QueryError(
-                f"sharded table {self._name!r} has no routing index yet"
+                f"sharded table {self.name!r} has no routing index yet"
             )
         return self.routing_index
 
@@ -132,58 +124,59 @@ class ShardedTable:
         router = self._sdb.router
         shard = router.shard_of(key)
         router.record_access(key)
-        self._sdb._note_hop(shard)
+        if self._sdb.trace is not None:
+            # Routing runs before the op's root span is minted: the hop
+            # waits for the bracket (``_charge``) to put it in the baggage.
+            self._sdb._pending_hops.append(shard)
         return shard
+
+    def _owners(self, index_name: str, key_value: object) -> list[int]:
+        """Which shards a keyed op asks: the routed one on the routing
+        index; on any other (still unique) index the owner is unknown, so
+        every shard in order."""
+        if index_name == self.routing_index:
+            return [self._route(key_value)]
+        return self._all_shards()
+
+    def _all_shards(self) -> list[int]:
+        return list(range(self._sdb.n_shards))
+
+    def _fan_out(self, op: str, shards: list[int], call, answered=None, **baggage):
+        """The one bracket of every op: charge ``shards`` (all of them — a
+        broadcast occupies every machine it was sent to) and run
+        ``call(i)`` on each in order, up to the first result ``answered``
+        accepts.  Returns the results gathered, for the op's gather rule."""
+        results = []
+        with self._sdb._charge(shards, op=op, table=self.name, **baggage):
+            for i in shards:
+                results.append(self._sdb._call(i, call, i))
+                if answered is not None and answered(results[-1]):
+                    break
+        return results
 
     # -- writes --------------------------------------------------------------
 
     def insert(self, row: dict[str, object]):
-        shard = self._route(self.key_of_row(row))
-        with self._sdb._charge([shard], op="insert", table=self._name):
-            return self._sdb._call(shard, self.shard_table(shard).insert, row)
+        return self._fan_out(
+            "insert", [self._route(self.key_of_row(row))],
+            lambda i: self.shard_table(i).insert(row),
+        )[-1]
 
     def update(
         self, index_name: str, key_value: object, changes: dict[str, object]
     ) -> bool:
-        if index_name == self.routing_index:
-            shard = self._route(key_value)
-            with self._sdb._charge([shard], op="update", table=self._name):
-                return self._sdb._call(
-                    shard, self.shard_table(shard).update,
-                    index_name, key_value, changes,
-                )
-        # Non-routing (still unique) index: the owner is unknown, probe
-        # shards in order until one applies the update.
-        with self._sdb._charge(
-            list(range(self._sdb.n_shards)), op="update", table=self._name
-        ):
-            for i in range(self._sdb.n_shards):
-                applied = self._sdb._call(
-                    i, self.shard_table(i).update, index_name, key_value,
-                    changes,
-                )
-                if applied:
-                    return True
-            return False
+        return self._fan_out(
+            "update", self._owners(index_name, key_value),
+            lambda i: self.shard_table(i).update(index_name, key_value, changes),
+            answered=bool,
+        )[-1]
 
     def delete(self, index_name: str, key_value: object) -> bool:
-        if index_name == self.routing_index:
-            shard = self._route(key_value)
-            with self._sdb._charge([shard], op="delete", table=self._name):
-                return self._sdb._call(
-                    shard, self.shard_table(shard).delete, index_name,
-                    key_value,
-                )
-        with self._sdb._charge(
-            list(range(self._sdb.n_shards)), op="delete", table=self._name
-        ):
-            for i in range(self._sdb.n_shards):
-                applied = self._sdb._call(
-                    i, self.shard_table(i).delete, index_name, key_value
-                )
-                if applied:
-                    return True
-            return False
+        return self._fan_out(
+            "delete", self._owners(index_name, key_value),
+            lambda i: self.shard_table(i).delete(index_name, key_value),
+            answered=bool,
+        )[-1]
 
     # -- reads ---------------------------------------------------------------
 
@@ -193,27 +186,12 @@ class ShardedTable:
         key_value: object,
         project: tuple[str, ...] | None = None,
     ):
-        if index_name == self.routing_index:
-            shard = self._route(key_value)
-            with self._sdb._charge([shard], op="lookup", table=self._name):
-                return self._sdb._call(
-                    shard, self.shard_table(shard).lookup,
-                    index_name, key_value, project,
-                )
-        # Broadcast: a unique non-routing index has at most one owner.
-        with self._sdb._charge(
-            list(range(self._sdb.n_shards)), op="lookup", table=self._name
-        ):
-            miss = None
-            for i in range(self._sdb.n_shards):
-                result = self._sdb._call(
-                    i, self.shard_table(i).lookup, index_name, key_value,
-                    project,
-                )
-                if result.found:
-                    return result
-                miss = result
-            return miss
+        """The owner's result, or the last shard's miss."""
+        return self._fan_out(
+            "lookup", self._owners(index_name, key_value),
+            lambda i: self.shard_table(i).lookup(index_name, key_value, project),
+            answered=_found,
+        )[-1]
 
     def lookup_many(
         self,
@@ -233,20 +211,18 @@ class ShardedTable:
         by_shard: dict[int, list[int]] = {}
         for pos, key in enumerate(key_values):
             by_shard.setdefault(self._route(key), []).append(pos)
-        results: list = [None] * len(key_values)
-        with self._sdb._charge(
-            sorted(by_shard), op="lookup_many", table=self._name,
+        shards = sorted(by_shard)
+        batches = self._fan_out(
+            "lookup_many", shards,
+            lambda i: self.shard_table(i).lookup_many(
+                index_name, [key_values[p] for p in by_shard[i]], project
+            ),
             batch=len(key_values),
-        ):
-            for i in sorted(by_shard):
-                positions = by_shard[i]
-                batch = [key_values[p] for p in positions]
-                got = self._sdb._call(
-                    i, self.shard_table(i).lookup_many, index_name, batch,
-                    project,
-                )
-                for pos, result in zip(positions, got):
-                    results[pos] = result
+        )
+        results: list = [None] * len(key_values)
+        for i, got in zip(shards, batches):
+            for pos, result in zip(by_shard[i], got):
+                results[pos] = result
         return results
 
     def scan(
@@ -264,27 +240,22 @@ class ShardedTable:
         identity: ``sorted(single_engine.scan(...), key=routing_key)``.
         """
         self._require_routing()
-        project_out = (
-            tuple(project) if project is not None else self._schema.names
-        )
+        project_out = self.schema.names if project is None else tuple(project)
         fetch = tuple(dict.fromkeys(project_out + self.routing_columns))
         cols = self.routing_columns
 
         def sort_key(row: dict[str, object]):
             return tuple(row[c] for c in cols)
 
-        shards = list(range(self._sdb.n_shards))
-        with self._sdb._charge(shards, op="scan", table=self._name):
-            streams = []
-            for i in shards:
-                rows = self._sdb._call(
-                    i,
-                    lambda t=self.shard_table(i): sorted(
-                        t.scan(predicate, fetch, use_columnar=use_columnar),
-                        key=sort_key,
-                    ),
-                )
-                streams.append(rows)
+        streams = self._fan_out(
+            "scan", self._all_shards(),
+            lambda i: sorted(
+                self.shard_table(i).scan(
+                    predicate, fetch, use_columnar=use_columnar
+                ),
+                key=sort_key,
+            ),
+        )
         merged = heapq.merge(*streams, key=sort_key)
         if fetch == project_out:
             return iter(list(merged))
@@ -307,7 +278,7 @@ class ShardedTable:
         """
         from repro.columnar.executor import normalize_specs, spec_label
 
-        normalized = normalize_specs(list(specs), self._schema)
+        normalized = normalize_specs(list(specs), self.schema)
         partial: list[tuple[str, str | None]] = []
         for op, column in normalized:
             if op == "avg":
@@ -316,32 +287,26 @@ class ShardedTable:
             else:
                 partial.append((op, column))
         partial = list(dict.fromkeys(partial))
-        shards = list(range(self._sdb.n_shards))
-        with self._sdb._charge(shards, op="aggregate", table=self._name):
-            pieces = [
-                self._sdb._call(
-                    i, self.shard_table(i).aggregate, partial, predicate,
-                    use_columnar,
-                )
-                for i in shards
-            ]
+        pieces = self._fan_out(
+            "aggregate", self._all_shards(),
+            lambda i: self.shard_table(i).aggregate(
+                partial, predicate, use_columnar
+            ),
+        )
+        def total(label: str):
+            return sum(p[label] for p in pieces)
+
         out: dict[str, object] = {}
         for op, column in normalized:
             label = spec_label(op, column)
-            if op == "count":
-                out[label] = sum(p["count"] for p in pieces)
-            elif op == "sum":
-                out[label] = sum(p[label] for p in pieces)
-            elif op in ("min", "max"):
-                values = [p[label] for p in pieces if p[label] is not None]
-                if not values:
-                    out[label] = None
-                else:
-                    out[label] = min(values) if op == "min" else max(values)
-            else:  # avg
-                total = sum(p[f"sum({column})"] for p in pieces)
-                count = sum(p["count"] for p in pieces)
-                out[label] = (total / count) if count else None
+            if op in ("count", "sum"):
+                out[label] = total(label)
+            elif op == "avg":
+                count = total("count")
+                out[label] = total(f"sum({column})") / count if count else None
+            else:  # min / max, over the shards that saw a row
+                values = (p[label] for p in pieces if p[label] is not None)
+                out[label] = (min if op == "min" else max)(values, default=None)
         return out
 
 
@@ -397,16 +362,15 @@ class ShardedDatabase:
         self._sim_ns = 0.0
         self._migration_seq = 1
         self._tables: dict[str, ShardedTable] = {}
-        # §5j observability: None until enable_tracing / enable_events /
-        # enable_rollup arm them — every hook below is one is-None test.
-        self._trace = None
-        self._journal = None
-        self._rollup = None
+        #: §5j collector, journal and fleet rollup: None until enable_tracing /
+        #: enable_events / enable_rollup arm them (each hook is one None test).
+        self.trace = None
+        self.journal = None
+        self.rollup = None
         self._pending_hops: list[int] = []
 
         if _adopt is not None:
             dbs, regs, router = _adopt
-            n_shards = len(dbs)
             self._dbs = list(dbs)
             self._shard_metrics = list(regs)
             self._router = router
@@ -478,21 +442,18 @@ class ShardedDatabase:
         :func:`repro.shard.recovery.recover_sharded`); sharded tables and
         routing metadata are rebuilt from shard 0's catalog."""
         return cls(
-            metrics=metrics,
-            recovery=recovery,
-            _adopt=(dbs, shard_metrics, router),
+            metrics=metrics, recovery=recovery, _adopt=(dbs, shard_metrics, router)
         )
 
     def _restore_tables(self) -> None:
         catalog = self._dbs[0].catalog
-        for name in catalog.table_names:
-            entry = catalog.table(name)
-            stable = ShardedTable(self, name, entry.schema)
-            indexes = catalog.indexes_of(name)
+        for entry in catalog.tables():
+            stable = ShardedTable(self, entry.name, entry.schema)
+            indexes = catalog.indexes_of(entry.name)
             if indexes:
                 stable.routing_index = indexes[0].name
                 stable.routing_columns = tuple(indexes[0].key_columns)
-            self._tables[name] = stable
+            self._tables[entry.name] = stable
 
     # -- properties ----------------------------------------------------------
 
@@ -526,21 +487,6 @@ class ShardedDatabase:
         return self._sim_ns
 
     @property
-    def trace(self) -> "TraceCollector | None":
-        """The §5j trace collector, once :meth:`enable_tracing` has run."""
-        return self._trace
-
-    @property
-    def journal(self) -> "EventJournal | None":
-        """The §5j event journal, once :meth:`enable_events` has run."""
-        return self._journal
-
-    @property
-    def rollup(self) -> "FleetRollup | None":
-        """The §5j fleet rollup, once :meth:`enable_rollup` has run."""
-        return self._rollup
-
-    @property
     def table_names(self) -> list[str]:
         return list(self._tables)
 
@@ -552,7 +498,7 @@ class ShardedDatabase:
 
     # -- observability (§5j) -------------------------------------------------
 
-    def enable_tracing(self, capacity: int | None = None):
+    def enable_tracing(self):
         """Arm §5j cross-shard tracing: one span tree per logical op.
 
         The collector lives on the *parent* registry and times facade
@@ -564,25 +510,24 @@ class ShardedDatabase:
         facade op records nothing rather than flooding the ring with
         one-span trees.  Idempotent; strictly opt-in.
         """
-        if self._trace is None:
-            from repro.obs.trace import DEFAULT_TRACE_RING, TraceCollector
+        if self.trace is None:
+            from repro.obs.trace import TraceCollector
 
-            self._trace = TraceCollector(
+            self.trace = TraceCollector(
                 clock=lambda: self._sim_ns,
                 registry=self._metrics,
-                capacity=capacity or DEFAULT_TRACE_RING,
                 auto_root=False,
                 shard_clocks={
                     i: db.cost_model for i, db in enumerate(self._dbs)
                 },
             )
             for i, db in enumerate(self._dbs):
-                db.attach_tracing(self._trace, shard=i)
-            if self._journal is not None:
-                self._journal.trace_source = self._trace
-        return self._trace
+                db.attach_tracing(self.trace, shard=i)
+            if self.journal is not None:
+                self.journal.trace_source = self.trace
+        return self.trace
 
-    def enable_events(self, capacity: int | None = None):
+    def enable_events(self):
         """Arm the §5j causal event journal across the whole fleet.
 
         One journal, shared by the facade (migration intent/commit,
@@ -590,30 +535,26 @@ class ShardedDatabase:
         transitions, recovery phases), with per-shard monotonic
         ``shard_seq`` on top of the global causal ``seq``.  Idempotent.
         """
-        if self._journal is None:
-            from repro.obs.events import (
-                DEFAULT_JOURNAL_CAPACITY,
-                EventJournal,
-            )
+        if self.journal is None:
+            from repro.obs.events import EventJournal
 
-            self._journal = EventJournal(
+            self.journal = EventJournal(
                 clock=lambda: self._sim_ns,
                 registry=self._metrics,
-                capacity=capacity or DEFAULT_JOURNAL_CAPACITY,
-                trace_source=self._trace,
+                trace_source=self.trace,
             )
             for i, db in enumerate(self._dbs):
-                db.attach_events(self._journal, shard=i)
-        return self._journal
+                db.attach_events(self.journal, shard=i)
+        return self.journal
 
     def enable_rollup(self):
         """Build (once) and return the §5j :class:`FleetRollup` merging
         every ``shard.<i>.*`` registry into ``fleet.*`` on the parent."""
-        if self._rollup is None:
+        if self.rollup is None:
             from repro.obs.rollup import FleetRollup
 
-            self._rollup = FleetRollup(self)
-        return self._rollup
+            self.rollup = FleetRollup(self)
+        return self.rollup
 
     def fleet_view(self):
         """Read-only merged registry view — parent names plus
@@ -621,20 +562,6 @@ class ShardedDatabase:
         from repro.obs.rollup import FleetRegistryView
 
         return FleetRegistryView(self._metrics, self._shard_metrics)
-
-    def _note_hop(self, shard: int) -> None:
-        """Router-hop bookkeeping for trace baggage (no-op untraced).
-
-        Routing happens *before* the op's root span is minted, so hops
-        land in a pending list that the next :meth:`_charge` drains into
-        the new context's baggage.
-        """
-        if self._trace is None:
-            return
-        if self._trace.active is not None:
-            self._trace.record_hop(shard)
-        else:
-            self._pending_hops.append(shard)
 
     def _shard_work(self, i: int) -> dict[str, float]:
         """Registry-derived work totals for shard ``i`` — two calls
@@ -664,27 +591,21 @@ class ShardedDatabase:
         fan-out span tagged with the shard id and the work it caused
         there (pages touched, WAL bytes, cache/fragment hits, rows).
         """
-        trace = self._trace
-        if trace is None or trace.active is None:
-            if self._use_recovery:
-                return self._dbs[i].recovery.call(fn, *args, **kwargs)
-            return fn(*args, **kwargs)
-        before = self._shard_work(i)
-        with trace.span("shard.exec", shard=i) as span:
+        trace = self.trace
+        traced = trace is not None and trace.active is not None
+        before = self._shard_work(i) if traced else None
+        with trace.span("shard.exec", shard=i) if traced else _INERT as span:
             if self._use_recovery:
                 result = self._dbs[i].recovery.call(fn, *args, **kwargs)
             else:
                 result = fn(*args, **kwargs)
-            after = self._shard_work(i)
-            span.attrs.update(
-                {
-                    k: after[k] - before[k]
-                    for k in after
-                    if after[k] != before[k]
-                }
-            )
-            if isinstance(result, list):
-                span.attrs["rows"] = len(result)
+            if traced:
+                span.attrs.update({
+                    k: v - before[k]
+                    for k, v in self._shard_work(i).items() if v != before[k]
+                })
+                if isinstance(result, list):
+                    span.attrs["rows"] = len(result)
         return result
 
     @contextmanager
@@ -697,37 +618,31 @@ class ShardedDatabase:
         the fan-out width on exit.
         """
         ids = list(shard_ids)
-        trace = self._trace
-        if trace is None or op is None:
-            # Off path: one test — no span, no allocation.
+        trace = self.trace if op is not None else None
+        root = _INERT
+        if trace is not None:
+            hops = self._pending_hops
+            self._pending_hops = []
+            if hops and trace.active is not None:
+                for hop in hops:
+                    trace.record_hop(hop)
+            elif hops:
+                baggage["hops"] = hops
+            root = trace.trace(f"shard.{op}", **baggage)
+        with root:
             starts = [self._dbs[i].cost_model.now_ns for i in ids]
             try:
                 yield
             finally:
-                self._finish_charge(ids, starts)
-            return
-        hops = self._pending_hops
-        self._pending_hops = []
-        if hops and trace.active is not None:
-            for hop in hops:
-                trace.record_hop(hop)
-        elif hops:
-            baggage["hops"] = hops
-        with trace.trace(f"shard.{op}", **baggage):
-            starts = [self._dbs[i].cost_model.now_ns for i in ids]
-            try:
-                yield
-            finally:
-                self._finish_charge(ids, starts)
-                trace.annotate(fanout=len(ids))
-
-    def _finish_charge(self, ids: list[int], starts: list[float]) -> None:
-        deltas = [
-            self._dbs[i].cost_model.now_ns - s for i, s in zip(ids, starts)
-        ]
-        self._sim_ns += max(deltas, default=0.0)
-        self._m_fanout_ops.inc()
-        self._m_fanout_shards.record(len(ids))
+                deltas = [
+                    self._dbs[i].cost_model.now_ns - start
+                    for i, start in zip(ids, starts)
+                ]
+                self._sim_ns += max(deltas, default=0.0)
+                self._m_fanout_ops.inc()
+                self._m_fanout_shards.record(len(ids))
+                if trace is not None:
+                    trace.annotate(fanout=len(ids))
 
     # -- DDL (fans out to every shard) ---------------------------------------
 
@@ -747,12 +662,13 @@ class ShardedDatabase:
         key_columns: tuple[str, ...],
         split_fraction: float = 0.5,
     ) -> None:
-        for db in self._dbs:
-            db.create_index(
+        self._index_ddl(
+            table_name, index_name, key_columns,
+            lambda db: db.create_index(
                 table_name, index_name, key_columns,
                 split_fraction=split_fraction,
-            )
-        self._note_index(table_name, index_name, key_columns)
+            ),
+        )
 
     def create_cached_index(
         self,
@@ -762,16 +678,27 @@ class ShardedDatabase:
         cached_fields: tuple[str, ...],
         **kwargs,
     ) -> None:
-        for db in self._dbs:
-            db.create_cached_index(
+        self._index_ddl(
+            table_name, index_name, key_columns,
+            lambda db: db.create_cached_index(
                 table_name, index_name, key_columns, cached_fields, **kwargs
-            )
-        self._note_index(table_name, index_name, key_columns)
+            ),
+        )
 
-    def _note_index(
-        self, table_name: str, index_name: str, key_columns: tuple[str, ...]
+    def _index_ddl(
+        self, table_name: str, index_name: str,
+        key_columns: tuple[str, ...], create,
     ) -> None:
+        """Fan one CREATE INDEX out; the first index created routes.
+
+        Shards share every catalog fact but their rows, so the one refusal
+        a shard could raise alone (no back-fill) is raised here for the
+        whole table, before any shard attaches or logs anything.
+        """
         stable = self.table(table_name)
+        require_empty_for_index(stable, index_name)
+        for db in self._dbs:
+            create(db)
         if stable.routing_index is None:
             stable.routing_index = index_name
             stable.routing_columns = tuple(key_columns)
@@ -799,19 +726,17 @@ class ShardedDatabase:
         so co-partitioned tables stay aligned); decays the tracker one
         epoch afterwards so stale heat fades."""
         plan = self._router.plan_rebalance()
-        if self._journal is not None:
-            self._journal.emit("rebalance.begin", planned=len(plan))
-        keys_moved = 0
-        rows_moved = 0
+        if self.journal is not None:
+            self.journal.emit("rebalance.begin", planned=len(plan))
+        keys_moved, rows_moved = len(plan), 0
         for key, src, dst in plan:
             rows_moved += self._migrate_key(key, src, dst)
             self._router.apply_move(key, dst)
-            keys_moved += 1
         self._router.advance_epoch()
         self._m_rebalances.inc()
         self._m_keys_moved.inc(keys_moved)
-        if self._journal is not None:
-            self._journal.emit(
+        if self.journal is not None:
+            self.journal.emit(
                 "rebalance.end", keys_moved=keys_moved, rows_moved=rows_moved
             )
         return RebalanceReport(
@@ -846,20 +771,15 @@ class ShardedDatabase:
                 if not found.found:
                     continue
                 row = dict(found.values)
+                intent = {
+                    "table": name, "key": json_safe_key(key),
+                    "src": src, "dst": dst, "seq": seq,
+                }
                 if dst_db.wal is not None:
-                    dst_db.wal.log_shard_migrate({
-                        "table": name,
-                        "key": json_safe_key(key),
-                        "src": src,
-                        "dst": dst,
-                        "seq": seq,
-                    })
+                    dst_db.wal.log_shard_migrate(intent)
                     self._m_intents.inc()
-                if self._journal is not None:
-                    self._journal.emit(
-                        "migration.intent", shard=dst, table=name,
-                        key=json_safe_key(key), src=src, dst=dst, seq=seq,
-                    )
+                if self.journal is not None:
+                    self.journal.emit("migration.intent", shard=dst, **intent)
                 self._call(dst, dst_db.table(name).insert, row)
                 if dst_db.wal is not None:
                     dst_db.wal.flush()
@@ -867,11 +787,8 @@ class ShardedDatabase:
                     src, src_db.table(name).delete, stable.routing_index, key
                 )
                 moved += 1
-                if self._journal is not None:
-                    self._journal.emit(
-                        "migration.commit", shard=dst, table=name,
-                        key=json_safe_key(key), src=src, dst=dst, seq=seq,
-                    )
+                if self.journal is not None:
+                    self.journal.emit("migration.commit", shard=dst, **intent)
         if moved:
             self._m_migrations.inc()
         return moved
@@ -894,57 +811,72 @@ class ShardedDatabase:
             if db.index_pool is not db.data_pool:
                 db.index_pool.reset_counters(reset_obs=False)
         if reset_obs:
-            for name in self._metrics.names():
+            for name, instrument in self._metrics.items():
                 if name == "shard" or name.startswith(
                     ("shard.", "trace.", "events.", "fleet.")
                 ):
-                    instrument = self._metrics.get(name)
-                    if instrument is not None:
-                        instrument.reset()
+                    instrument.reset()
             self._m_count.set(float(len(self._dbs)))
             self._metrics.gauge("shard.router.overrides").set(
                 float(len(self._router.overrides))
             )
-            if self._trace is not None:
-                self._trace.clear()
-            if self._journal is not None:
-                self._journal.clear()
-            if self._rollup is not None:
+            if self.trace is not None:
+                self.trace.clear()
+            if self.journal is not None:
+                self.journal.clear()
+            if self.rollup is not None:
                 self._metrics.gauge("fleet.shards").set(float(len(self._dbs)))
 
     def snapshot(self) -> dict:
         """Parent snapshot with per-shard registries nested under
         ``shard.<i>`` (so ``shard.0.bufferpool.hit`` is addressable)."""
-        snap = self._metrics.snapshot()
-        tree = snap.setdefault("shard", {})
-        for i, reg in enumerate(self._shard_metrics):
-            tree[str(i)] = reg.snapshot()
-        return snap
+        return self.fleet_view().snapshot()
 
     # -- invariants -----------------------------------------------------------
 
-    def check(self) -> ShardCheckReport:
-        """Every shard's invariant walk plus exactly-one-owner: no
-        routing key may be resident on two shards."""
-        report = ShardCheckReport()
-        for db in self._dbs:
-            report.per_shard.append(db.check())
+    def _residency(self):
+        """Every ``(table, routing key, shard)`` physically present, table
+        by table and shard by shard — read off the heaps, never the
+        router (``check`` and ``recover_sharded`` both judge the router
+        against it)."""
         for name, stable in self._tables.items():
             if stable.routing_index is None:
                 continue
-            seen: dict[object, int] = {}
             for i in range(self.n_shards):
                 for row in stable.shard_table(i).scan(
                     project=stable.routing_columns, use_columnar=False
                 ):
-                    key = stable.key_of_row(row)
-                    if key in seen:
-                        report.problems.append(
-                            f"table {name!r}: key {key!r} resident on "
-                            f"shards {seen[key]} and {i}"
-                        )
-                    else:
-                        seen[key] = i
+                    yield name, stable.key_of_row(row), i
+
+    def check(self) -> ShardCheckReport:
+        """Every shard's invariant walk, one catalog fleet-wide (each
+        shard's index names, key columns and kinds equal shard 0's, the
+        catalog :meth:`adopt` trusts) and exactly-one-owner: no routing
+        key may be resident on two shards."""
+        report = ShardCheckReport()
+        for db in self._dbs:
+            report.per_shard.append(db.check())
+        for name in self._tables:
+            shapes = [
+                [
+                    (e.name, tuple(e.key_columns), type(e.index).__name__)
+                    for e in db.catalog.indexes_of(name)
+                ]
+                for db in self._dbs
+            ]
+            report.problems.extend(
+                f"table {name!r}: shard {i} indexes {shape} differ from "
+                f"shard 0's {shapes[0]}"
+                for i, shape in enumerate(shapes) if shape != shapes[0]
+            )
+        seen: dict[tuple, int] = {}
+        for name, key, i in self._residency():
+            first = seen.setdefault((name, key), i)
+            if first != i:
+                report.problems.append(
+                    f"table {name!r}: key {key!r} resident on "
+                    f"shards {first} and {i}"
+                )
         return report
 
     def resident_shard(self, table_name: str, key: object) -> int | None:

@@ -186,16 +186,8 @@ def recover_sharded(
     # key -> table -> [shards holding a copy]; shards share DDL (the
     # facade fans every CREATE out), so shard 0's catalog names them all.
     residency: dict[object, dict[str, list[int]]] = {}
-    for name in sdb.table_names:
-        stable = sdb.table(name)
-        if stable.routing_index is None:
-            continue
-        for i in range(n):
-            for row in stable.shard_table(i).scan(
-                project=stable.routing_columns, use_columnar=False
-            ):
-                key = stable.key_of_row(row)
-                residency.setdefault(key, {}).setdefault(name, []).append(i)
+    for name, key, i in sdb._residency():
+        residency.setdefault(key, {}).setdefault(name, []).append(i)
 
     # Applicable intents per key, newest first.
     intents_by_key: dict[object, list[dict]] = {}
@@ -271,7 +263,7 @@ def recover_sharded(
             keys_checked=len(owners),
         )
         # The rebuilt facade keeps journaling into the same log.
-        sdb._journal = journal
+        sdb.journal = journal
         for i, db in enumerate(dbs):
             db.attach_events(journal, shard=i)
         events = tuple(

@@ -8,6 +8,7 @@ order (the sharded scan's documented order), aggregates exactly.
 
 import pytest
 
+from repro.errors import QueryError
 from repro.obs.registry import MetricsRegistry
 from repro.query.database import Database
 from repro.query.predicates import (
@@ -282,3 +283,52 @@ def test_sim_clock_advances_by_max_over_shards():
         sdb.shard(i).cost_model.now_ns for i in range(3)
     )
     assert 0 <= fanout <= serial
+
+
+def _fleet_state(sdb):
+    """Every shard's index names and WAL bytes (pending tail included)."""
+    sdb.flush_wals()
+    return [
+        ([e.name for e in db.catalog.indexes_of("t")], bytes(db.wal.device.data))
+        for db in sdb.shards
+    ]
+
+
+@pytest.mark.parametrize("ddl", ["create_index", "create_cached_index"])
+def test_index_ddl_on_a_table_with_rows_is_refused_before_any_shard(ddl):
+    """The fan-out used to reach the row's owner last: the two empty
+    shards attached and WAL-logged ``by_n``, the third raised, and a retry
+    raised "already attached" with ``check().ok`` still True."""
+    sdb = ShardedDatabase(3, seed=0, wal=True)
+    sdb.create_table("t", SCHEMA)
+    sdb.create_index("t", "pk", ("id",))
+    table = sdb.table("t")
+    table.insert(_rows(1)[0])
+    before = _fleet_state(sdb)
+    extra = {"cached_fields": ("d",)} if ddl == "create_cached_index" else {}
+    for _ in range(2):  # a retry raises the same error
+        with pytest.raises(QueryError, match=r"already has rows \(no back-fill"):
+            getattr(sdb, ddl)("t", "by_n", ("n",), **extra)
+        assert _fleet_state(sdb) == before
+    assert [names for names, _ in before] == [["pk"]] * 3
+    assert sdb.check().ok
+    table.insert(_rows(2)[1])
+    assert table.lookup("pk", 1).found
+
+
+def test_check_names_the_shard_whose_catalog_diverged():
+    sdb = ShardedDatabase(3, seed=0)
+    sdb.create_table("t", SCHEMA)
+    sdb.create_index("t", "pk", ("id",))
+    assert sdb.check().ok
+    sdb.shard(1).create_index("t", "by_n", ("n",))
+    report = sdb.check()
+    assert not report.ok
+    assert len(report.problems) == 1
+    assert "shard 1" in report.problems[0] and "by_n" in report.problems[0]
+    # same name and columns, other kind
+    sdb.shard(0).create_index("t", "by_n", ("n",))
+    sdb.shard(2).create_cached_index("t", "by_n", ("n",), cached_fields=("d",))
+    report = sdb.check()
+    assert [p for p in report.problems if "shard 2" in p]
+    assert not [p for p in report.problems if "shard 1" in p]
