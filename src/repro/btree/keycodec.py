@@ -43,6 +43,14 @@ class KeyCodec(ABC):
     def decode(self, data: bytes) -> object:
         """Invert :meth:`encode`."""
 
+    def encode_key(self, value: object) -> bytes:
+        """Encode a key as index callers spell it: a single-column key is
+        the scalar or a 1-tuple of it (:class:`CompositeKey` takes any
+        sequence of parts)."""
+        if isinstance(value, (tuple, list)):
+            (value,) = value
+        return self.encode(value)
+
 
 class UIntKey(KeyCodec):
     """Unsigned integer key (big-endian)."""
@@ -145,6 +153,9 @@ class CompositeKey(KeyCodec):
         return b"".join(
             codec.encode(part) for codec, part in zip(self._components, value)
         )
+
+    def encode_key(self, value: object) -> bytes:
+        return self.encode(tuple(value))  # type: ignore[arg-type]
 
     def decode(self, data: bytes) -> tuple[object, ...]:
         parts = []

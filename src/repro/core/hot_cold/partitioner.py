@@ -86,6 +86,8 @@ class HotColdPartitionedTable:
         self._codec: KeyCodec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
+        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
+        self.encode_key = self._codec.encode_key
         self._hot = hot
         self._cold = cold
         self._forwarding = forwarding
@@ -113,13 +115,6 @@ class HotColdPartitionedTable:
     @property
     def cold(self) -> Partition:
         return self._cold
-
-    def encode_key(self, key_value: object) -> bytes:
-        if len(self._key_columns) == 1:
-            if isinstance(key_value, (tuple, list)):
-                (key_value,) = key_value
-            return self._codec.encode(key_value)
-        return self._codec.encode(tuple(key_value))  # type: ignore[arg-type]
 
     # -- data plane ------------------------------------------------------------
 

@@ -170,6 +170,8 @@ class VerticallyPartitionedTable:
         self._codec: KeyCodec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
+        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
+        self.encode_key = self._codec.encode_key
         self._fragments = fragments
         self._frag_schemas = [
             schema.project(list(key_columns) + list(frag)) for frag in fragments
@@ -184,13 +186,6 @@ class VerticallyPartitionedTable:
     @property
     def fragments(self) -> tuple[tuple[str, ...], ...]:
         return self._fragments
-
-    def encode_key(self, key_value: object) -> bytes:
-        if len(self._key_columns) == 1:
-            if isinstance(key_value, (tuple, list)):
-                (key_value,) = key_value
-            return self._codec.encode(key_value)
-        return self._codec.encode(tuple(key_value))  # type: ignore[arg-type]
 
     def insert(self, row: dict[str, object]) -> None:
         """Insert a row, splitting it across every fragment."""

@@ -105,6 +105,8 @@ class CachedBTree:
         self._codec: KeyCodec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
+        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
+        self.encode_key = self._codec.encode_key
         if self._codec.size != tree.key_size:
             raise QueryError(
                 f"tree key size {tree.key_size} != codec size {self._codec.size}"
@@ -200,14 +202,6 @@ class CachedBTree:
             )
         self._admission = float(fraction)
         self._m_admission_knob.set(self._admission)
-
-    def encode_key(self, key_value: object) -> bytes:
-        """Encode a key value (scalar or tuple for composite keys)."""
-        if len(self._key_columns) == 1:
-            if isinstance(key_value, (tuple, list)):
-                (key_value,) = key_value
-            return self._codec.encode(key_value)
-        return self._codec.encode(tuple(key_value))  # type: ignore[arg-type]
 
     # -- data plane ------------------------------------------------------------
 

@@ -64,6 +64,8 @@ class CoveringIndex:
         self._codec: KeyCodec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
+        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
+        self.encode_key = self._codec.encode_key
         if self._codec.size != tree.key_size:
             raise QueryError(
                 f"tree key size {tree.key_size} != codec size {self._codec.size}"
@@ -98,13 +100,6 @@ class CoveringIndex:
     ) -> int:
         """Tree value size needed for a given covered-field set."""
         return RID_SIZE + schema.project(list(covered_fields)).record_size
-
-    def encode_key(self, key_value: object) -> bytes:
-        if len(self._key_columns) == 1:
-            if isinstance(key_value, (tuple, list)):
-                (key_value,) = key_value
-            return self._codec.encode(key_value)
-        return self._codec.encode(tuple(key_value))  # type: ignore[arg-type]
 
     # -- data plane ------------------------------------------------------------
 

@@ -48,6 +48,8 @@ class PlainIndex:
         self._codec: KeyCodec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
+        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
+        self.encode_key = self._codec.encode_key
         self.lookups = 0
         self.heap_fetches = 0
 
@@ -58,13 +60,6 @@ class PlainIndex:
     @property
     def key_columns(self) -> tuple[str, ...]:
         return self._key_columns
-
-    def encode_key(self, key_value: object) -> bytes:
-        if len(self._key_columns) == 1:
-            if isinstance(key_value, (tuple, list)):
-                (key_value,) = key_value
-            return self._codec.encode(key_value)
-        return self._codec.encode(tuple(key_value))  # type: ignore[arg-type]
 
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
         key = self.encode_key(tuple(row[c] for c in self._key_columns))
