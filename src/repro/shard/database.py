@@ -609,7 +609,7 @@ class ShardedDatabase:
         return result
 
     @contextmanager
-    def _charge(self, shard_ids: list[int], op: str | None = None, **baggage):
+    def _charge(self, ids: list[int], op: str | None = None, **baggage):
         """Advance the parallel sim clock by max over involved shards.
 
         With tracing armed and ``op`` given, the whole block runs under
@@ -617,7 +617,6 @@ class ShardedDatabase:
         pending router hops and ``baggage``; the root is annotated with
         the fan-out width on exit.
         """
-        ids = list(shard_ids)
         trace = self.trace if op is not None else None
         root = _INERT
         if trace is not None:

@@ -45,9 +45,9 @@ LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 
 MAX_CALLS_PLAIN_HIT = 30
 MAX_CALLS_PROMOTING_HIT = 59
-MAX_CALLS_LOOKUP_FROM_LEAF = 139
-MAX_CALLS_PLAIN_LOOKUP = 149
-MAX_CALLS_PLAIN_UPDATE = 256  # the one that closes a WAL group commit
+MAX_CALLS_LOOKUP_FROM_LEAF = 138
+MAX_CALLS_PLAIN_LOOKUP = 148
+MAX_CALLS_PLAIN_UPDATE = 255  # the one that closes a WAL group commit
 
 
 def count_calls(fn, *args) -> int:
