@@ -213,3 +213,140 @@ def test_shard_small_scales_out_and_spreads_hot_keys():
         (p.n_shards, p.ops, round(p.sim_s * 1e6, 1), p.keys_moved)
         for p in r.points
     ] == [(1, 16_000, 7_238_650.8, 0), (4, 16_000, 923_488.0, 109)]
+
+
+# -- literal pins for the drivers that hand-wire an index over pools ---------
+#
+# Taken on the parent of the PR that moved these drivers' row writes onto
+# ``Table`` and unedited since: the same heap, tree, invalidation and RNG
+# calls in the same order leave every number below as it was.
+
+
+def _record_instances(monkeypatch, module, *class_names):
+    """Every instance ``module`` builds of the named classes, in order."""
+    made = {name: [] for name in class_names}
+    for name in class_names:
+        base = getattr(module, name)
+
+        def __init__(self, *args, _base=base, _made=made[name], **kwargs):
+            _base.__init__(self, *args, **kwargs)
+            _made.append(self)
+
+        monkeypatch.setattr(
+            module, name, type(name, (base,), {"__init__": __init__})
+        )
+    return made
+
+
+def _index_facts(index):
+    s = index.stats
+    return (
+        s.heap_fetches, s.cache_fills, index.cache_capacity_total(),
+        index.cached_item_count(),
+    )
+
+
+def _pool_facts(pool):
+    return (pool.hits, pool.misses)
+
+
+def test_capacity_measured_pinned(monkeypatch):
+    made = _record_instances(monkeypatch, capacity, "CachedBTree", "BufferPool")
+    m = capacity.run_measured(n_pages=400, n_lookups=4000, seed=4)
+    assert m == capacity.MeasuredCapacity(
+        page_table_tuples=400, leaf_fill_factor=0.729064039408867,
+        free_bytes=5500, item_size=26, cache_capacity=206,
+        tuple_coverage=0.515, trace_hit_rate=0.8665,
+        answered_from_cache=0.8665,
+    )
+    assert [_index_facts(i) for i in made["CachedBTree"]] == [
+        (618, 618, 206, 158)
+    ]
+    assert [_pool_facts(p) for p in made["BufferPool"]] == [(14134, 0)]
+
+
+def test_ablation_policies_pinned(monkeypatch):
+    made = _record_instances(monkeypatch, ablations, "CachedBTree", "BufferPool")
+    rows = ablations.run_policy_ablation(n_rows=600, n_lookups=2500, seed=8)
+    assert [(r.policy, r.hit_rate_stable, r.hit_rate_growth) for r in rows] == [
+        ("SwapPolicy", 0.7224, 0.6864),
+        ("RandomPolicy", 0.6144, 0.6412),
+        ("LruPolicy", 0.67, 0.6648),
+    ]
+    # per policy: the stable-phase build, then the growth-phase build
+    assert [_index_facts(i) for i in made["CachedBTree"]] == [
+        (1498, 1498, 121, 121), (1588, 1546, 243, 241),
+        (1953, 1953, 121, 121), (1886, 1844, 243, 241),
+        (1695, 1695, 121, 121), (1708, 1666, 243, 240),
+    ]
+    assert [_pool_facts(p) for p in made["BufferPool"]] == [
+        (18704, 0), (21209, 0), (19159, 0), (21507, 0), (18901, 0), (21329, 0),
+    ]
+
+
+def test_ablation_threshold_pinned(monkeypatch):
+    """The one driver that updates rows through a cached index."""
+    made = _record_instances(monkeypatch, ablations, "CachedBTree", "BufferPool")
+    rows = ablations.run_threshold_ablation(
+        thresholds=(2, 512), n_rows=500, n_ops=2000, seed=9
+    )
+    assert [
+        (r.threshold, r.hit_rate, r.full_invalidations, r.pages_zeroed)
+        for r in rows
+    ] == [(2, 0.21567537520844915, 67, 337), (512, 0.29961089494163423, 0, 187)]
+    assert [_index_facts(i) for i in made["CachedBTree"]] == [
+        (2193, 2193, 342, 13), (2042, 2042, 342, 42)
+    ]
+    assert [_pool_facts(p) for p in made["BufferPool"]] == [
+        (16402, 0), (16251, 0)
+    ]
+
+
+def test_ablation_covering_pinned(monkeypatch):
+    made = _record_instances(
+        monkeypatch, ablations, "CachedBTree", "CoveringIndex", "BufferPool"
+    )
+    rows = ablations.run_covering_ablation(
+        n_rows=500, n_lookups=1500, pool_pages=12, seed=12
+    )
+    assert [
+        (r.approach, r.index_bytes, r.answered_from_index,
+         r.disk_reads_per_lookup)
+        for r in rows
+    ] == [
+        ("cached index (paper)", 20480, 0.49933333333333335, 0.116),
+        ("covering index", 36864, 0.684, 0.22133333333333333),
+    ]
+    assert [_index_facts(i) for i in made["CachedBTree"]] == [
+        (1495, 1495, 181, 176)
+    ]
+    assert [
+        (i.stats.heap_fetches, i.stats.answered_from_index)
+        for i in made["CoveringIndex"]
+    ] == [(914, 1026)]
+    # a 12-page pool thrashes, so the disk counts too: reads, writes
+    assert [
+        _pool_facts(p) + (p.disk.reads, p.disk.writes)
+        for p in made["BufferPool"]
+    ] == [(5085, 174, 362, 12), (4642, 332, 694, 18)]
+
+
+def test_fig2c_engine_pinned(monkeypatch):
+    made = _record_instances(
+        monkeypatch, fig2c, "CachedBTree", "PlainIndex", "BufferPool"
+    )
+    v = fig2c.run_engine(n_rows=400, n_lookups=3000, seed=2)
+    assert v == fig2c.EngineValidation(
+        natural_hit_rate=0.652, cache_cost_us=0.626236, nocache_cost_us=0.885,
+        predicted_cache_cost_us=0.626236,
+    )
+    assert [_index_facts(i) for i in made["CachedBTree"]] == [
+        (2281, 2281, 229, 203)
+    ]
+    assert [(i.lookups, i.heap_fetches) for i in made["PlainIndex"]] == [
+        (3000, 3000)
+    ]
+    # plain build: index pool, heap pool; cached build: index pool, heap pool
+    assert [_pool_facts(p) for p in made["BufferPool"]] == [
+        (10001, 0), (3394, 0), (19007, 0), (2675, 0)
+    ]
