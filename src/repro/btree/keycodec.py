@@ -15,12 +15,18 @@ Encodings:
   silent truncation would corrupt equality semantics.
 * composites — concatenation of the component encodings (most significant
   first), e.g. Wikipedia's ``(namespace, title)`` name_title key.
+
+A codec built by :func:`codec_for_columns` also knows its columns' names,
+which makes it the one place a *row* becomes a key: row → key value
+(:attr:`KeyCodec.key_of_row`), row → key bytes (:meth:`KeyCodec.encode_row`)
+and key bytes → ``{column: value}`` (:meth:`KeyCodec.decode_columns`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.schema.schema import Column
@@ -29,6 +35,13 @@ from repro.schema.types import TypeKind
 
 class KeyCodec(ABC):
     """Encodes one value (or value tuple) to fixed-width ordered bytes."""
+
+    #: Names of the key's columns, and row -> key value as callers spell
+    #: it (the scalar for one column, a tuple for several:
+    #: ``operator.itemgetter``'s own rule).  Set by
+    #: :func:`codec_for_columns`; a codec built bare has neither.
+    columns: tuple[str, ...] = ()
+    key_of_row: Callable[[dict[str, object]], object]
 
     @property
     @abstractmethod
@@ -45,11 +58,24 @@ class KeyCodec(ABC):
 
     def encode_key(self, value: object) -> bytes:
         """Encode a key as index callers spell it: a single-column key is
-        the scalar or a 1-tuple of it (:class:`CompositeKey` takes any
-        sequence of parts)."""
+        the scalar or a 1-tuple of it (:class:`CompositeKey` takes the
+        tuple of its parts)."""
         if isinstance(value, (tuple, list)):
-            (value,) = value
+            try:
+                (value,) = value
+            except ValueError:
+                raise TypeMismatchError(
+                    f"key expects 1 part, got {len(value)}"
+                ) from None
         return self.encode(value)
+
+    def encode_row(self, row: dict[str, object]) -> bytes:
+        """Key bytes of a full row (or any mapping holding the key columns)."""
+        return self.encode(self.key_of_row(row))
+
+    def decode_columns(self, data: bytes) -> dict[str, object]:
+        """Invert :meth:`encode_row`: ``{key column: value}``."""
+        return {self.columns[0]: self.decode(data)}
 
 
 class UIntKey(KeyCodec):
@@ -143,7 +169,8 @@ class CompositeKey(KeyCodec):
     def encode(self, value: object) -> bytes:
         if not isinstance(value, (tuple, list)):
             raise TypeMismatchError(
-                f"composite key expects a tuple, got {value!r}"
+                f"composite key expects {len(self._components)} parts, "
+                f"got 1 ({value!r})"
             )
         if len(value) != len(self._components):
             raise TypeMismatchError(
@@ -154,8 +181,8 @@ class CompositeKey(KeyCodec):
             codec.encode(part) for codec, part in zip(self._components, value)
         )
 
-    def encode_key(self, value: object) -> bytes:
-        return self.encode(tuple(value))  # type: ignore[arg-type]
+    #: A composite key value is always the tuple of its parts.
+    encode_key = encode
 
     def decode(self, data: bytes) -> tuple[object, ...]:
         parts = []
@@ -164,6 +191,9 @@ class CompositeKey(KeyCodec):
             parts.append(codec.decode(data[offset : offset + codec.size]))
             offset += codec.size
         return tuple(parts)
+
+    def decode_columns(self, data: bytes) -> dict[str, object]:
+        return dict(zip(self.columns, self.decode(data)))
 
 
 def codec_for_column(column: Column) -> KeyCodec:
@@ -185,8 +215,10 @@ def codec_for_column(column: Column) -> KeyCodec:
 
 
 def codec_for_columns(columns: Sequence[Column]) -> KeyCodec:
-    """Codec for a (possibly composite) key over the given columns."""
+    """Codec for a (possibly composite) key over the given columns, bound
+    to their names."""
     codecs = [codec_for_column(c) for c in columns]
-    if len(codecs) == 1:
-        return codecs[0]
-    return CompositeKey(codecs)
+    codec = codecs[0] if len(codecs) == 1 else CompositeKey(codecs)
+    codec.columns = tuple(c.name for c in columns)
+    codec.key_of_row = itemgetter(*codec.columns)
+    return codec

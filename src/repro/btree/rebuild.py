@@ -14,8 +14,7 @@ can share it without importing each other.
 
 from __future__ import annotations
 
-from typing import Callable
-
+from repro.btree.keycodec import KeyCodec
 from repro.btree.tree import BPlusTree
 from repro.schema.record import unpack_record_map
 
@@ -24,8 +23,7 @@ def rebuild_tree_from_heap(
     tree: BPlusTree,
     heap,
     schema,
-    key_columns: tuple[str, ...],
-    encode_key: Callable[[object], bytes],
+    key_codec: KeyCodec,
 ) -> BPlusTree:
     """Bulk-load a replacement for ``tree`` from a full scan of ``heap``.
 
@@ -37,8 +35,7 @@ def rebuild_tree_from_heap(
     entries: list[tuple[bytes, bytes]] = []
     for rid, record in heap.scan():
         row = unpack_record_map(schema, record)
-        key = encode_key(tuple(row[c] for c in key_columns))
-        entries.append((key, rid.to_bytes()))
+        entries.append((key_codec.encode_row(row), rid.to_bytes()))
     entries.sort(key=lambda kv: kv[0])
     return BPlusTree.bulk_load(
         tree.pool,

@@ -232,7 +232,7 @@ class OnlineHotColdManager:
         """Keys currently in the hot partition (decoded from the index)."""
         keys = []
         tree = self._table.hot.tree
-        codec = self._table._codec
+        codec = self._table.key_codec
         for key_bytes, _ in tree.items():
             keys.append(codec.decode(key_bytes))
         return keys

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.keycodec import KeyCodec, codec_for_columns
+from repro.btree.keycodec import codec_for_columns
 from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.forwarding import ForwardingTable
 from repro.errors import QueryError, StorageError
@@ -82,12 +82,11 @@ class HotColdPartitionedTable:
         if hot.tree.value_size != RID_SIZE or cold.tree.value_size != RID_SIZE:
             raise QueryError("partition indexes must be RID-valued")
         self._schema = schema
-        self._key_columns = tuple(key_columns)
-        self._codec: KeyCodec = codec_for_columns(
+        #: The key maker: key value or row -> ordered bytes.
+        self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
-        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
-        self.encode_key = self._codec.encode_key
+        self.encode_key = self.key_codec.encode_key
         self._hot = hot
         self._cold = cold
         self._forwarding = forwarding
@@ -123,7 +122,7 @@ class HotColdPartitionedTable:
         part = self._hot if hot else self._cold
         record = pack_record_map(self._schema, row)
         rid = part.heap.insert(record)
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
+        key = self.key_codec.encode_row(row)
         part.tree.insert(key, rid.to_bytes())
         return rid
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.keycodec import KeyCodec, codec_for_columns
+from repro.btree.keycodec import codec_for_columns
 from repro.btree.tree import BPlusTree
 from repro.errors import QueryError, SchemaError
 from repro.schema.record import pack_record_map, unpack_fields
@@ -166,12 +166,11 @@ class VerticallyPartitionedTable:
             if tree.value_size != RID_SIZE:
                 raise QueryError("fragment indexes must be RID-valued")
         self._schema = schema
-        self._key_columns = tuple(key_columns)
-        self._codec: KeyCodec = codec_for_columns(
+        #: The key maker: key value or row -> ordered bytes.
+        self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
-        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
-        self.encode_key = self._codec.encode_key
+        self.encode_key = self.key_codec.encode_key
         self._fragments = fragments
         self._frag_schemas = [
             schema.project(list(key_columns) + list(frag)) for frag in fragments
@@ -189,7 +188,7 @@ class VerticallyPartitionedTable:
 
     def insert(self, row: dict[str, object]) -> None:
         """Insert a row, splitting it across every fragment."""
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
+        key = self.key_codec.encode_row(row)
         for frag_schema, heap, tree in zip(
             self._frag_schemas, self._heaps, self._trees
         ):
@@ -224,7 +223,7 @@ class VerticallyPartitionedTable:
             frag_schema = self._frag_schemas[i]
             wanted = [
                 n for n in frag_schema.names
-                if n in project or n in self._key_columns
+                if n in project or n in self.key_codec.columns
             ]
             result.update(unpack_fields(frag_schema, record, wanted))
         if len(needed) > 1:

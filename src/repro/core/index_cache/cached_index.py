@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.btree.keycodec import KeyCodec, codec_for_columns
+from repro.btree.keycodec import codec_for_columns
 from repro.btree.node import LeafNode
 from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
@@ -33,12 +33,7 @@ from repro.core.index_cache.latching import LatchSimulator
 from repro.core.index_cache.policy import CachePolicy
 from repro.errors import QueryError
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.schema.record import (
-    pack_record_map,
-    unpack_fields,
-    unpack_record,
-    unpack_record_map,
-)
+from repro.schema.record import pack_record_map, unpack_fields, unpack_record
 from repro.schema.schema import Schema
 from repro.sim.cost_model import CostModel
 from repro.storage.heap import HeapFile, Rid, RID_SIZE
@@ -100,16 +95,15 @@ class CachedBTree:
         self._tree = tree
         self._heap = heap
         self._schema = schema
-        self._key_columns = tuple(key_columns)
         self._cached_fields = tuple(cached_fields)
-        self._codec: KeyCodec = codec_for_columns(
+        #: The key maker: key value or row -> ordered bytes, and back.
+        self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
-        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
-        self.encode_key = self._codec.encode_key
-        if self._codec.size != tree.key_size:
+        self.encode_key = self.key_codec.encode_key
+        if self.key_codec.size != tree.key_size:
             raise QueryError(
-                f"tree key size {tree.key_size} != codec size {self._codec.size}"
+                f"tree key size {tree.key_size} != codec size {self.key_codec.size}"
             )
         if tree.value_size != RID_SIZE:
             raise QueryError("cached index requires RID-valued tree")
@@ -177,7 +171,7 @@ class CachedBTree:
 
     @property
     def key_columns(self) -> tuple[str, ...]:
-        return self._key_columns
+        return self.key_codec.columns
 
     @property
     def cached_fields(self) -> tuple[str, ...]:
@@ -203,32 +197,21 @@ class CachedBTree:
         self._admission = float(fraction)
         self._m_admission_knob.set(self._admission)
 
-    # -- data plane ------------------------------------------------------------
-
-    def insert_row(self, row: dict[str, object]) -> Rid:
-        """Insert a full row: heap append + index maintenance.
-
-        The tree insert may consume leaf free space, silently clobbering
-        peripheral cache slots — by design, no coordination needed.
-        """
-        record = pack_record_map(self._schema, row)
-        rid = self._heap.insert(record)
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.insert(key, rid.to_bytes())
-        return rid
+    # -- index maintenance (the heap row is Table's) -------------------------
 
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
         """Index-maintenance-only insert: the heap row already exists.
 
         Used by :class:`repro.query.table.Table`, which owns the heap write
-        and fans out to every index on the table.
+        and fans out to every index on the table.  The tree insert may
+        consume leaf free space, silently clobbering peripheral cache
+        slots — by design, no coordination needed.
         """
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.insert(key, rid.to_bytes())
+        self._tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
 
     def delete_key(self, row: dict[str, object]) -> None:
         """Index-maintenance-only delete (heap row handled by the caller)."""
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
+        key = self.key_codec.encode_row(row)
         self._tree.delete(key)
         if self._invalidation is not None:
             self._invalidation.note_update(key)
@@ -236,8 +219,13 @@ class CachedBTree:
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """Invalidate this index's cached copy after a heap update."""
         if self._invalidation is not None and changed & set(self._cached_fields):
-            key = self.encode_key(tuple(row[c] for c in self._key_columns))
-            self._invalidation.note_update(key)
+            self._invalidation.note_update(self.key_codec.encode_row(row))
+
+    def find_rid(self, key_value: object) -> Rid | None:
+        """Key value -> RID through the tree alone: no cache probe, no
+        stats.  ``Table.update``/``delete`` find the heap tuple with it."""
+        rid_bytes = self._tree.search(self.encode_key(key_value))
+        return Rid.from_bytes(rid_bytes) if rid_bytes is not None else None
 
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
@@ -362,61 +350,6 @@ class CachedBTree:
                         self._fill_cache(page, tid, record)
         return [by_key[key] for key in encoded]
 
-    def update_row(self, key_value: object, changes: dict[str, object]) -> bool:
-        """Update non-key fields of the row at ``key_value``.
-
-        Updates go to the heap tuple (the paper: "updates must access the
-        updated field values in the heap tuple") and append an
-        invalidation predicate so stale cache copies get zeroed lazily.
-        """
-        bad = set(changes) & set(self._key_columns)
-        if bad:
-            raise QueryError(f"cannot update key columns {sorted(bad)}")
-        key = self.encode_key(key_value)
-        tid = self._tree.search(key)
-        if tid is None:
-            return False
-        rid = Rid.from_bytes(tid)
-        row = unpack_record_map(self._schema, self._heap.fetch(rid))
-        row.update(changes)
-        self._heap.update(rid, pack_record_map(self._schema, row))
-        if self._invalidation is not None and (
-            set(changes) & set(self._cached_fields)
-        ):
-            self._invalidation.note_update(key)
-        return True
-
-    def delete_row(self, key_value: object) -> bool:
-        """Delete the row at ``key_value`` from heap and index."""
-        key = self.encode_key(key_value)
-        tid = self._tree.search(key)
-        if tid is None:
-            return False
-        self._heap.delete(Rid.from_bytes(tid))
-        self._tree.delete(key)
-        if self._invalidation is not None:
-            self._invalidation.note_update(key)
-        return True
-
-    def scan_range(
-        self,
-        lo_value: object | None = None,
-        hi_value: object | None = None,
-        project: tuple[str, ...] | None = None,
-    ):
-        """Yield projected rows with key in ``[lo_value, hi_value)``.
-
-        Range scans read every qualifying tuple, so the cache offers no
-        shortcut (it holds random hot subsets, not contiguous ranges);
-        rows come from the heap.  Projection still prunes decode work.
-        """
-        project = project if project is not None else self._schema.names
-        lo = self.encode_key(lo_value) if lo_value is not None else None
-        hi = self.encode_key(hi_value) if hi_value is not None else None
-        for _, rid_bytes in self._tree.range_scan(lo, hi):
-            record = self._heap.fetch(Rid.from_bytes(rid_bytes))
-            yield unpack_fields(self._schema, record, project)
-
     # -- recovery ----------------------------------------------------------------
 
     def drop_cache(self) -> None:
@@ -444,7 +377,7 @@ class CachedBTree:
         Subsequent lookups refill the cache by the usual piggy-back path.
         """
         self._tree = rebuild_tree_from_heap(
-            self._tree, self._heap, self._schema, self._key_columns, self.encode_key
+            self._tree, self._heap, self._schema, self.key_codec
         )
         self.drop_cache()
         return self._tree
@@ -507,11 +440,7 @@ class CachedBTree:
             zip(self._payload_schema.names, unpack_record(self._payload_schema, payload))
         )
         if not self._key_set.isdisjoint(project):
-            decoded = self._codec.decode(key)
-            if len(self._key_columns) == 1:
-                values[self._key_columns[0]] = decoded
-            else:
-                values.update(zip(self._key_columns, decoded))  # type: ignore[arg-type]
+            values.update(self.key_codec.decode_columns(key))
         return {name: values[name] for name in project}
 
     def _fill_cache(self, page, tid: bytes, record: bytes) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.keycodec import KeyCodec, codec_for_columns
+from repro.btree.keycodec import codec_for_columns
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import LookupResult
 from repro.errors import QueryError
@@ -59,16 +59,15 @@ class CoveringIndex:
         self._tree = tree
         self._heap = heap
         self._schema = schema
-        self._key_columns = tuple(key_columns)
         self._covered_fields = tuple(covered_fields)
-        self._codec: KeyCodec = codec_for_columns(
+        #: The key maker: key value or row -> ordered bytes, and back.
+        self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
-        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
-        self.encode_key = self._codec.encode_key
-        if self._codec.size != tree.key_size:
+        self.encode_key = self.key_codec.encode_key
+        if self.key_codec.size != tree.key_size:
             raise QueryError(
-                f"tree key size {tree.key_size} != codec size {self._codec.size}"
+                f"tree key size {tree.key_size} != codec size {self.key_codec.size}"
             )
         self._covered_schema = schema.project(list(covered_fields))
         expected_value = RID_SIZE + self._covered_schema.record_size
@@ -88,7 +87,7 @@ class CoveringIndex:
 
     @property
     def key_columns(self) -> tuple[str, ...]:
-        return self._key_columns
+        return self.key_codec.columns
 
     @property
     def covered_fields(self) -> tuple[str, ...]:
@@ -101,7 +100,7 @@ class CoveringIndex:
         """Tree value size needed for a given covered-field set."""
         return RID_SIZE + schema.project(list(covered_fields)).record_size
 
-    # -- data plane ------------------------------------------------------------
+    # -- index maintenance (the heap row is Table's) -------------------------
 
     def _encode_value(self, rid: Rid, row: dict[str, object]) -> bytes:
         covered = pack_record_map(
@@ -110,29 +109,21 @@ class CoveringIndex:
         )
         return rid.to_bytes() + covered
 
-    def insert_row(self, row: dict[str, object]) -> Rid:
-        """Heap insert + index entry carrying the covered copy."""
-        record = pack_record_map(self._schema, row)
-        rid = self._heap.insert(record)
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.insert(key, self._encode_value(rid, row))
-        return rid
-
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
-        """Index-maintenance-only insert (Table fan-out protocol)."""
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.insert(key, self._encode_value(rid, row))
+        """Index entry carrying the covered copy (Table fan-out protocol)."""
+        self._tree.insert(
+            self.key_codec.encode_row(row), self._encode_value(rid, row)
+        )
 
     def delete_key(self, row: dict[str, object]) -> None:
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.delete(key)
+        self._tree.delete(self.key_codec.encode_row(row))
 
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """Covered copies are *authoritative duplicates*: unlike the cache,
         they must be synchronously rewritten on update — one of the hidden
         costs of covering indexes."""
         if changed & set(self._covered_fields):
-            key = self.encode_key(tuple(row[c] for c in self._key_columns))
+            key = self.key_codec.encode_row(row)
             value = self._tree.search(key)
             if value is not None:
                 rid = Rid.from_bytes(value[:RID_SIZE])
@@ -170,12 +161,7 @@ class CoveringIndex:
     def _assemble(
         self, key: bytes, covered: bytes, project: tuple[str, ...]
     ) -> dict[str, object]:
-        values: dict[str, object] = {}
-        decoded = self._codec.decode(key)
-        if len(self._key_columns) == 1:
-            values[self._key_columns[0]] = decoded
-        else:
-            values.update(zip(self._key_columns, decoded))  # type: ignore[arg-type]
+        values = self.key_codec.decode_columns(key)
         values.update(
             zip(
                 self._covered_schema.names,

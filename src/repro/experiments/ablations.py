@@ -90,19 +90,21 @@ def _policy_run(
             tree, heap, _A1_SCHEMA, ("id",), _A1_CACHED,
             policy=make_policy(rng), rng=rng,
         )
+        table = Table("t", _A1_SCHEMA, heap)
+        table.attach_index("pk", index)
         ids = [2 * i for i in range(n_rows)]
         DeterministicRng(seed + 9).shuffle(ids)
         for i in ids:
-            index.insert_row(
+            table.insert(
                 {"id": i, "val_a": i % 97, "val_b": i % 31, "pad": "x"}
             )
-        return index
+        return table, index
 
     project = ("id", "val_a", "val_b", "pad")
     zipf_seed = seed + 1
 
     # Stable phase: warm, then measure with no index growth.
-    index = build()
+    _, index = build()
     zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(zipf_seed))
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
@@ -114,7 +116,7 @@ def _policy_run(
 
     # Growth phase: fresh build, then interleave lookups with inserts of
     # odd ids — leaf splits and key growth eat cache slots tree-wide.
-    index = build()
+    table, index = build()
     zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(zipf_seed))
     grow_rng = DeterministicRng(seed + 5)
     for _ in range(n_lookups):
@@ -129,7 +131,7 @@ def _policy_run(
         if i % 3 == 0 and inserted < len(odd_ids):
             new_id = odd_ids[inserted]
             inserted += 1
-            index.insert_row(
+            table.insert(
                 {"id": new_id, "val_a": 1, "val_b": 2, "pad": "y"}
             )
     growth = index.stats.cache_answer_rate
@@ -191,8 +193,10 @@ def run_threshold_ablation(
             tree, heap, _A1_SCHEMA, ("id",), ("val_a", "val_b"),
             rng=DeterministicRng(seed), invalidation=invalidation,
         )
+        table = Table("t", _A1_SCHEMA, heap)
+        table.attach_index("pk", index)
         for i in range(n_rows):
-            index.insert_row(
+            table.insert(
                 {"id": i, "val_a": i % 97, "val_b": i % 31, "pad": "x"}
             )
         zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(seed + 1))
@@ -205,7 +209,7 @@ def run_threshold_ablation(
         for _ in range(n_ops):
             key = zipf.sample()
             if rng.random() < update_fraction:
-                index.update_row(key, {"val_a": rng.randrange(97)})
+                table.update("pk", key, {"val_a": rng.randrange(97)})
             else:
                 index.lookup(key, project)
         rows.append(
@@ -393,11 +397,13 @@ def run_covering_ablation(
             (pool.disk.reads - reads_before) / n_lookups,
         )
 
-    def load(index) -> None:
+    def load(index, heap) -> None:
+        table = Table("t", _A5_SCHEMA, heap)
+        table.attach_index("pk", index)
         ids = list(range(n_rows))
         DeterministicRng(seed + 2).shuffle(ids)
         for i in ids:
-            index.insert_row(row_of(i))
+            table.insert(row_of(i))
 
     rows = []
 
@@ -409,7 +415,7 @@ def run_covering_ablation(
         tree, heap, _A5_SCHEMA, ("id",), _A5_COVERED,
         rng=DeterministicRng(seed),
     )
-    load(cached)
+    load(cached, heap)
     answer_rate, reads = drive(cached, pool)
     rows.append(
         CoveringAblationRow(
@@ -426,7 +432,7 @@ def run_covering_ablation(
     value_size = CoveringIndex.value_size_for(_A5_SCHEMA, _A5_COVERED)
     tree2 = BPlusTree(pool2, key_size=8, value_size=value_size)
     covering = CoveringIndex(tree2, heap2, _A5_SCHEMA, ("id",), _A5_COVERED)
-    load(covering)
+    load(covering, heap2)
     answer_rate, reads = drive(covering, pool2)
     rows.append(
         CoveringAblationRow(

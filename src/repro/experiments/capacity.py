@@ -23,6 +23,7 @@ from repro.btree.stats import collect_stats
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.experiments.runner import print_table
+from repro.query.table import Table
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, RID_SIZE
@@ -117,13 +118,15 @@ def run_measured(
         cached_fields=CACHED_FIELDS,
         rng=DeterministicRng(seed),
     )
+    table = Table("page", PAGE_SCHEMA, heap)
+    table.attach_index("name_title", index)
     # Insert in shuffled order: page rows are generated in title order, and
     # purely sequential key inserts would leave every leaf at the split
     # fraction; random arrival reproduces the ~68% steady state.
     rows = list(data.page_rows)
     DeterministicRng(seed + 1).shuffle(rows)
     for row in rows:
-        index.insert_row(row)
+        table.insert(row)
     # The tree was grown by inserts, so its fill is whatever splits left;
     # report it rather than forcing `leaf_fill`.
     stats = collect_stats(tree)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.experiments.runner import print_table
-from repro.query.table import PlainIndex
+from repro.query.table import PlainIndex, Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
 from repro.sim.cost_model import CostModel, CostPreset, PAPER_PRESET
@@ -133,18 +133,13 @@ def run_engine(
             )
         else:
             index = PlainIndex(tree, heap, _SCHEMA, ("id",))
+        table = Table("t", _SCHEMA, heap)
+        table.attach_index("pk", index)
         for i in range(n_rows):
-            row = {
+            table.insert({
                 "id": i, "payload_a": i % 97, "payload_b": i % 31,
                 "filler": "x" * 20,
-            }
-            if cached:
-                index.insert_row(row)
-            else:
-                from repro.schema.record import pack_record_map
-
-                rid = heap.insert(pack_record_map(_SCHEMA, row))
-                index.insert_key(row, rid)
+            })
         return index, heap_pool
 
     project = ("id", "payload_a", "payload_b")

@@ -239,7 +239,6 @@ def _check_against_heap(
             f"{label}: {len(entries)} index entr(ies) for "
             f"{len(rows_by_rid)} heap record(s)"
         )
-    key_columns = tuple(index_entry.key_columns)
     seen: set[Rid] = set()
     for key, rid_bytes in entries:
         try:
@@ -254,7 +253,7 @@ def _check_against_heap(
         if row is None:
             report.note(f"{label}: entry {key.hex()} points at dead RID {rid!r}")
             continue
-        expected_key = index.encode_key(tuple(row[c] for c in key_columns))
+        expected_key = index.key_codec.encode_row(row)
         if expected_key != key:
             report.note(
                 f"{label}: RID {rid!r} stored under key {key.hex()} but the "

@@ -28,7 +28,7 @@ from repro.obs.registry import (
     get_default_registry,
 )
 from repro.obs.tracer import Tracer
-from repro.query.table import PlainIndex, Table
+from repro.query.table import AnyIndex, PlainIndex, Table
 from repro.schema.catalog import Catalog
 from repro.schema.schema import Schema
 from repro.sim.cost_model import CostModel
@@ -612,33 +612,23 @@ class Database:
         table_name: str,
         index_name: str,
         key_columns: tuple[str, ...],
-        split_fraction: float = 0.5,
-    ) -> PlainIndex:
-        """Recreate a plain index and bulk-load it from the (restored)
-        heap — indexes are derived data, never redone record-by-record."""
-        return self._add_index(
-            table_name, index_name, key_columns, split_fraction, restore=True
-        )
-
-    def restore_cached_index(
-        self,
-        table_name: str,
-        index_name: str,
-        key_columns: tuple[str, ...],
         cached_fields: tuple[str, ...],
-        policy: CachePolicy | None = None,
-        invalidation_log_threshold: int = 1024,
-        latch_contention: float = 0.0,
-        split_fraction: float = 0.5,
-    ) -> CachedBTree:
-        """Recreate a §2.1 cached index from the (restored) heap.
+        split_fraction: float,
+    ) -> AnyIndex:
+        """Recreate one logged index — plain when ``cached_fields`` is
+        empty, §2.1 cached otherwise — and bulk-load it from the
+        (restored) heap: indexes are derived data, never redone
+        record-by-record.
 
-        The cache itself starts cold: cached tuple copies are the most
-        derived data of all and are simply dropped by a crash.
+        The arguments are what ``index_meta`` logs.  A cached index's
+        policy, log threshold and latch contention are not logged, so it
+        comes back with :meth:`create_cached_index`'s defaults, and cold:
+        cached tuple copies are the most derived data of all and are
+        simply dropped by a crash.
         """
         return self._add_index(
             table_name, index_name, key_columns, split_fraction,
-            (cached_fields, policy, invalidation_log_threshold, latch_contention),
+            (cached_fields, None, 1024, 0.0) if cached_fields else None,
             restore=True,
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from repro.btree.keycodec import KeyCodec, codec_for_columns
+from repro.btree.keycodec import codec_for_columns
 from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree, LookupResult
@@ -44,12 +44,11 @@ class PlainIndex:
         self._tree = tree
         self._heap = heap
         self._schema = schema
-        self._key_columns = tuple(key_columns)
-        self._codec: KeyCodec = codec_for_columns(
+        #: The key maker: key value or row -> ordered bytes, and back.
+        self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
-        #: Key value (scalar, or tuple for composite keys) -> ordered bytes.
-        self.encode_key = self._codec.encode_key
+        self.encode_key = self.key_codec.encode_key
         self.lookups = 0
         self.heap_fetches = 0
 
@@ -59,15 +58,13 @@ class PlainIndex:
 
     @property
     def key_columns(self) -> tuple[str, ...]:
-        return self._key_columns
+        return self.key_codec.columns
 
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.insert(key, rid.to_bytes())
+        self._tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
 
     def delete_key(self, row: dict[str, object]) -> None:
-        key = self.encode_key(tuple(row[c] for c in self._key_columns))
-        self._tree.delete(key)
+        self._tree.delete(self.key_codec.encode_row(row))
 
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """No cache, nothing to invalidate."""
@@ -85,7 +82,7 @@ class PlainIndex:
         orphaned (the simulated disk only grows, like a tablespace file).
         """
         self._tree = rebuild_tree_from_heap(
-            self._tree, self._heap, self._schema, self._key_columns, self.encode_key
+            self._tree, self._heap, self._schema, self.key_codec
         )
         return self._tree
 
@@ -572,8 +569,4 @@ class Table:
         self._wal.log_delete(self._name, rid, lsn=lsn, txn_id=txn_id)
 
     def _find_rid(self, index_name: str, key_value: object) -> Rid | None:
-        index = self.index(index_name)
-        if isinstance(index, PlainIndex):
-            return index.find_rid(key_value)
-        rid_bytes = index.tree.search(index.encode_key(key_value))
-        return Rid.from_bytes(rid_bytes) if rid_bytes is not None else None
+        return self.index(index_name).find_rid(key_value)

@@ -29,6 +29,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+from repro.btree.keycodec import KeyCodec
 from repro.errors import QueryError
 from repro.obs.registry import (
     MetricsRegistry,
@@ -91,10 +92,10 @@ class ShardedTable:
         self._sdb = sdb
         self.name = name
         self.schema = schema
-        #: Name + key columns of the routing (first/identity) index; set
+        #: Name + key maker of the routing (first/identity) index; set
         #: when the first index is created or restored.
         self.routing_index: str | None = None
-        self.routing_columns: tuple[str, ...] = ()
+        self.routing_key: KeyCodec | None = None
 
     @property
     def num_rows(self) -> int:
@@ -116,9 +117,7 @@ class ShardedTable:
     def key_of_row(self, row: dict[str, object]) -> object:
         """Extract the routing key from a full row."""
         self._require_routing()
-        if len(self.routing_columns) == 1:
-            return row[self.routing_columns[0]]
-        return tuple(row[c] for c in self.routing_columns)
+        return self.routing_key.key_of_row(row)
 
     def _route(self, key: object) -> int:
         router = self._sdb.router
@@ -241,12 +240,8 @@ class ShardedTable:
         """
         self._require_routing()
         project_out = self.schema.names if project is None else tuple(project)
-        fetch = tuple(dict.fromkeys(project_out + self.routing_columns))
-        cols = self.routing_columns
-
-        def sort_key(row: dict[str, object]):
-            return tuple(row[c] for c in cols)
-
+        fetch = tuple(dict.fromkeys(project_out + self.routing_key.columns))
+        sort_key = self.routing_key.key_of_row
         streams = self._fan_out(
             "scan", self._all_shards(),
             lambda i: sorted(
@@ -452,7 +447,7 @@ class ShardedDatabase:
             indexes = catalog.indexes_of(entry.name)
             if indexes:
                 stable.routing_index = indexes[0].name
-                stable.routing_columns = tuple(indexes[0].key_columns)
+                stable.routing_key = indexes[0].index.key_codec
             self._tables[entry.name] = stable
 
     # -- properties ----------------------------------------------------------
@@ -662,7 +657,7 @@ class ShardedDatabase:
         split_fraction: float = 0.5,
     ) -> None:
         self._index_ddl(
-            table_name, index_name, key_columns,
+            table_name, index_name,
             lambda db: db.create_index(
                 table_name, index_name, key_columns,
                 split_fraction=split_fraction,
@@ -678,16 +673,13 @@ class ShardedDatabase:
         **kwargs,
     ) -> None:
         self._index_ddl(
-            table_name, index_name, key_columns,
+            table_name, index_name,
             lambda db: db.create_cached_index(
                 table_name, index_name, key_columns, cached_fields, **kwargs
             ),
         )
 
-    def _index_ddl(
-        self, table_name: str, index_name: str,
-        key_columns: tuple[str, ...], create,
-    ) -> None:
+    def _index_ddl(self, table_name: str, index_name: str, create) -> None:
         """Fan one CREATE INDEX out; the first index created routes.
 
         Shards share every catalog fact but their rows, so the one refusal
@@ -700,7 +692,7 @@ class ShardedDatabase:
             create(db)
         if stable.routing_index is None:
             stable.routing_index = index_name
-            stable.routing_columns = tuple(key_columns)
+            stable.routing_key = stable.shard_table(0).index(index_name).key_codec
 
     def enable_columnar(self, **kwargs) -> None:
         """Arm the PR-8 columnar mirror on every shard's engine."""
@@ -843,7 +835,7 @@ class ShardedDatabase:
                 continue
             for i in range(self.n_shards):
                 for row in stable.shard_table(i).scan(
-                    project=stable.routing_columns, use_columnar=False
+                    project=stable.routing_key.columns, use_columnar=False
                 ):
                     yield name, stable.key_of_row(row), i
 

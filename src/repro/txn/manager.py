@@ -605,16 +605,14 @@ class Session:
 
     def _vkey(self, table, key_value) -> VKey:
         index = table.index(table.identity_index_name)
-        return (table.name, bytes(index.encode_key(key_value)))
+        return (table.name, index.encode_key(key_value))
 
     def _key_of_row(self, table, row: dict):
-        cols = table.index(table.identity_index_name).key_columns
-        if len(cols) == 1:
-            return row[cols[0]]
-        return tuple(row[c] for c in cols)
+        return table.index(table.identity_index_name).key_codec.key_of_row(row)
 
     def _vkey_of_row(self, table, row: dict) -> VKey:
-        return self._vkey(table, self._key_of_row(table, row))
+        index = table.index(table.identity_index_name)
+        return (table.name, index.key_codec.encode_row(row))
 
     def _as_result(self, table, row: dict | None, project):
         from repro.core.index_cache.cached_index import LookupResult

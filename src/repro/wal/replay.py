@@ -383,17 +383,10 @@ def recover(
         )
         tables[name] = table.num_rows
     for name, meta in index_defs.items():
-        if meta["kind"] == "cached":
-            db.restore_cached_index(
-                meta["table"], name, tuple(meta["key_columns"]),
-                tuple(meta["cached_fields"]),
-                split_fraction=float(meta["split_fraction"]),
-            )
-        else:
-            db.restore_index(
-                meta["table"], name, tuple(meta["key_columns"]),
-                split_fraction=float(meta["split_fraction"]),
-            )
+        db.restore_index(
+            meta["table"], name, tuple(meta["key_columns"]),
+            tuple(meta["cached_fields"]), float(meta["split_fraction"]),
+        )
 
     elapsed = time.perf_counter_ns() - started
     m_replay_ns.record(elapsed)

@@ -17,6 +17,7 @@ nine, and the three op budgets read 169 / 281 / 149 (the lookup answered
 from the leaf runs on a one-leaf tree: two brackets).
 """
 
+import gc
 import sys
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import CacheInvalidation
 from repro.core.index_cache.policy import SwapPolicy
+from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64
 from repro.storage.buffer_pool import BufferPool
@@ -47,11 +49,17 @@ MAX_CALLS_PLAIN_HIT = 30
 MAX_CALLS_PROMOTING_HIT = 59
 MAX_CALLS_LOOKUP_FROM_LEAF = 138
 MAX_CALLS_PLAIN_LOOKUP = 148
-MAX_CALLS_PLAIN_UPDATE = 255  # the one that closes a WAL group commit
+MAX_CALLS_PLAIN_UPDATE = 254  # the one that closes a WAL group commit
 
 
 def count_calls(fn, *args) -> int:
-    """Python + built-in calls made while ``fn(*args)`` runs (itself included)."""
+    """Python + built-in calls made while ``fn(*args)`` runs (itself included).
+
+    The collector is off meanwhile: a collection landing inside the count
+    would add the frames of whatever ``gc.callbacks`` and finalizers other
+    tests left behind (seen as 141 against a budget of 138, once per few
+    full-suite runs).
+    """
     calls = 0
 
     def on_event(frame, event, arg):
@@ -59,11 +67,13 @@ def count_calls(fn, *args) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    gc.disable()
     sys.setprofile(on_event)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls - 1  # the closing sys.setprofile(None) is a c_call
 
 
@@ -108,13 +118,16 @@ def test_probe_hit_makes_the_same_calls_whatever_the_window(promotes, ceiling):
 def test_lookup_answered_from_the_leaf_stays_under_its_call_budget():
     schema = Schema.of(("id", UINT64), ("a", UINT32), ("b", UINT32))
     pool = BufferPool(SimulatedDisk(4096), 1 << 20)
+    heap = HeapFile(pool)
     index = CachedBTree(
-        BPlusTree(pool, key_size=8, value_size=8), HeapFile(pool), schema,
+        BPlusTree(pool, key_size=8, value_size=8), heap, schema,
         ("id",), ("a", "b"), rng=DeterministicRng(1),
         invalidation=CacheInvalidation(),
     )
+    table = Table("t", schema, heap)
+    table.attach_index("pk", index)
     for i in range(40):
-        index.insert_row({"id": i, "a": i, "b": i * i})
+        table.insert({"id": i, "a": i, "b": i * i})
     for i in range(40):
         index.lookup(i, ("a", "b"))
     counts = []

@@ -15,6 +15,7 @@ from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import CacheInvalidation
 from repro.core.index_cache.policy import CachePolicy
 from repro.errors import QueryError
+from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
 from repro.storage.buffer_pool import BufferPool
@@ -107,16 +108,23 @@ SCHEMA = Schema.of(
 )
 
 
-def build(invalidation, rows=0):
+def build_table(invalidation, rows=0):
     pool = BufferPool(SimulatedDisk(1024), 1 << 20)
     tree = BPlusTree(pool, key_size=8, value_size=8)
+    heap = HeapFile(pool)
     index = CachedBTree(
-        tree, HeapFile(pool), SCHEMA, ("id",), ("score", "level"),
+        tree, heap, SCHEMA, ("id",), ("score", "level"),
         rng=DeterministicRng(5), invalidation=invalidation,
     )
+    table = Table("t", SCHEMA, heap)
+    table.attach_index("pk", index)
     for i in range(rows):
-        index.insert_row({"id": i, "name": f"n{i}", "score": i * 2, "level": i % 7})
-    return index
+        table.insert({"id": i, "name": f"n{i}", "score": i * 2, "level": i % 7})
+    return table
+
+
+def build(invalidation, rows=0):
+    return build_table(invalidation, rows).index("pk")
 
 
 def leaf_bytes(index) -> dict[int, bytes]:
@@ -175,8 +183,8 @@ def eager_validate(index, key_value, batched=False) -> None:
 
 
 def test_lazy_validation_equals_validating_on_every_lookup():
-    lazy = build(CacheInvalidation(log_threshold=5), rows=200)
-    eager = build(CacheInvalidation(log_threshold=5), rows=200)
+    tables = [build_table(CacheInvalidation(log_threshold=5), rows=200) for _ in range(2)]
+    lazy, eager = (t.index("pk") for t in tables)
     assert len(lazy.tree.leaf_page_ids) >= 3
     script = DeterministicRng(23)
     for step in range(600):
@@ -195,8 +203,8 @@ def test_lazy_validation_equals_validating_on_every_lookup():
             assert [r.values for r in a] == [r.values for r in b]
             assert [r.from_cache for r in a] == [r.from_cache for r in b]
         else:
-            for ix in (lazy, eager):
-                ix.update_row(key, {"score": step})
+            for table in tables:
+                table.update("pk", key, {"score": step})
     assert leaf_bytes(lazy) == leaf_bytes(eager)
     for name in ("pages_zeroed", "full_invalidations", "predicates_logged"):
         assert getattr(lazy.invalidation, name) == getattr(eager.invalidation, name) > 0
@@ -205,7 +213,8 @@ def test_lazy_validation_equals_validating_on_every_lookup():
 
 
 def test_predicate_inside_the_leaf_range_zeroes_outside_keeps():
-    index = build(CacheInvalidation(), rows=200)
+    table = build_table(CacheInvalidation(), rows=200)
+    index = table.index("pk")
     low_leaf_key, other_low_key, high_leaf_key = 3, 5, 190
     assert index.tree.find_leaf(index.encode_key(low_leaf_key)) == \
         index.tree.find_leaf(index.encode_key(other_low_key))
@@ -215,7 +224,7 @@ def test_predicate_inside_the_leaf_range_zeroes_outside_keeps():
         index.lookup(key, ("score",))
         assert index.lookup(key, ("score",)).from_cache
     zeroed = index.invalidation.pages_zeroed
-    index.update_row(other_low_key, {"score": 1})  # logs a predicate
+    table.update("pk", other_low_key, {"score": 1})  # logs a predicate
     assert index.lookup(high_leaf_key, ("score",)).from_cache  # outside: kept
     assert index.invalidation.pages_zeroed == zeroed
     assert not index.lookup(low_leaf_key, ("score",)).from_cache  # inside: zeroed
@@ -250,9 +259,9 @@ def test_key_is_decoded_only_when_a_key_column_is_projected(monkeypatch):
     index = build(None, rows=3)
     index.lookup(2, ("score",))
     decodes = []
-    real_decode = index._codec.decode
+    real_decode = index.key_codec.decode
     monkeypatch.setattr(
-        index._codec, "decode", lambda key: decodes.append(key) or real_decode(key)
+        index.key_codec, "decode", lambda key: decodes.append(key) or real_decode(key)
     )
     hit = index.lookup(2, ("level", "score"))
     assert hit.from_cache and hit.values == {"level": 2, "score": 4}

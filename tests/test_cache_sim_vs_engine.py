@@ -16,6 +16,7 @@ import pytest
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.simulator import SwapCacheSimulator
+from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
 from repro.storage.buffer_pool import BufferPool
@@ -45,10 +46,12 @@ def test_simulator_tracks_engine_hit_rate(alpha):
         tree, heap, SCHEMA, ("id",), ("val", "pad"),
         rng=DeterministicRng(1),
     )
+    table = Table("t", SCHEMA, heap)
+    table.attach_index("pk", index)
     ids = list(range(n_rows))
     DeterministicRng(2).shuffle(ids)
     for i in ids:
-        index.insert_row({"id": i, "val": i % 89, "pad": "p"})
+        table.insert({"id": i, "val": i % 89, "pad": "p"})
 
     zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(3))
     for _ in range(n_lookups):  # warm

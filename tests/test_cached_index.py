@@ -7,6 +7,7 @@ from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import CacheInvalidation
 from repro.core.index_cache.latching import LatchSimulator
 from repro.errors import QueryError
+from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
 from repro.sim.cost_model import CostModel
@@ -32,7 +33,9 @@ def build(invalidation=None, latch=None, cost_model=None, cached=("score", "leve
         rng=DeterministicRng(5), invalidation=invalidation, latch=latch,
         cost_model=cost_model,
     )
-    return index
+    table = Table("t", SCHEMA, heap)
+    table.attach_index("pk", index)
+    return table, index
 
 
 def row(i):
@@ -40,15 +43,15 @@ def row(i):
 
 
 def test_lookup_not_found():
-    index = build()
+    _, index = build()
     result = index.lookup(99)
     assert not result.found
     assert result.values is None
 
 
 def test_first_lookup_misses_then_hits():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     r1 = index.lookup(1, ("id", "score"))
     assert r1.found and not r1.from_cache
     assert r1.values == {"id": 1, "score": 2}
@@ -60,8 +63,8 @@ def test_first_lookup_misses_then_hits():
 
 
 def test_unanswerable_projection_goes_to_heap():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     index.lookup(1, ("id", "score"))  # fills the cache
     r = index.lookup(1, ("id", "name"))  # name is not cached
     assert not r.from_cache
@@ -70,7 +73,7 @@ def test_unanswerable_projection_goes_to_heap():
 
 
 def test_unknown_projection_column_rejected():
-    index = build()
+    _, index = build()
     with pytest.raises(QueryError):
         index.lookup(1, ("nope",))
 
@@ -87,48 +90,48 @@ def test_cached_fields_must_be_nonempty():
 
 def test_update_invalidates_cached_copy():
     inv = CacheInvalidation(log_threshold=100)
-    index = build(invalidation=inv)
-    index.insert_row(row(1))
+    table, index = build(invalidation=inv)
+    table.insert(row(1))
     index.lookup(1, ("id", "score"))
     index.lookup(1, ("id", "score"))  # cached now
-    assert index.update_row(1, {"score": 999})
+    assert table.update("pk", 1, {"score": 999})
     r = index.lookup(1, ("id", "score"))
     assert r.values == {"id": 1, "score": 999}
 
 
 def test_update_of_uncached_field_skips_invalidation():
     inv = CacheInvalidation(log_threshold=100)
-    index = build(invalidation=inv)
-    index.insert_row(row(1))
-    index.update_row(1, {"name": "other"})
+    table, index = build(invalidation=inv)
+    table.insert(row(1))
+    table.update("pk", 1, {"name": "other"})
     assert inv.predicates_logged == 0
 
 
 def test_update_key_column_rejected():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     with pytest.raises(QueryError):
-        index.update_row(1, {"id": 2})
+        table.update("pk", 1, {"id": 2})
 
 
 def test_update_missing_returns_false():
-    index = build()
-    assert not index.update_row(1, {"score": 0})
+    table, index = build()
+    assert not table.update("pk", 1, {"score": 0})
 
 
 def test_delete_row():
     inv = CacheInvalidation(log_threshold=100)
-    index = build(invalidation=inv)
-    index.insert_row(row(1))
-    assert index.delete_row(1)
+    table, index = build(invalidation=inv)
+    table.insert(row(1))
+    assert table.delete("pk", 1)
     assert not index.lookup(1).found
-    assert not index.delete_row(1)
+    assert not table.delete("pk", 1)
 
 
 def test_latch_contention_skips_fills_without_breaking():
     latch = LatchSimulator(1.0, DeterministicRng(0))
-    index = build(latch=latch)
-    index.insert_row(row(1))
+    table, index = build(latch=latch)
+    table.insert(row(1))
     r1 = index.lookup(1, ("id", "score"))
     r2 = index.lookup(1, ("id", "score"))
     assert r1.values == r2.values
@@ -139,17 +142,17 @@ def test_latch_contention_skips_fills_without_breaking():
 
 def test_cost_model_charges_descent_and_probe():
     cm = CostModel()
-    index = build(cost_model=cm)
-    index.insert_row(row(1))
+    table, index = build(cost_model=cm)
+    table.insert(row(1))
     index.lookup(1, ("id", "score"))
     assert cm.index_descents == 1
     assert cm.cache_probes == 1
 
 
 def test_many_rows_cache_answers_most_repeats():
-    index = build()
+    table, index = build()
     for i in range(200):
-        index.insert_row(row(i))
+        table.insert(row(i))
     for i in range(200):
         index.lookup(i, ("id", "score", "level"))
     index.stats.found = 0
@@ -162,20 +165,10 @@ def test_many_rows_cache_answers_most_repeats():
     assert r.values == {"score": 84}
 
 
-def test_scan_range():
-    index = build()
-    for i in range(50):
-        index.insert_row(row(i))
-    got = list(index.scan_range(10, 14, ("id", "score")))
-    assert got == [{"id": i, "score": i * 2} for i in range(10, 14)]
-    assert len(list(index.scan_range())) == 50
-    assert list(index.scan_range(100, 200)) == []
-
-
 def test_capacity_and_item_count():
-    index = build()
+    table, index = build()
     for i in range(50):
-        index.insert_row(row(i))
+        table.insert(row(i))
     assert index.cache_capacity_total() > 0
     assert index.cached_item_count() == 0
     for i in range(50):
@@ -194,7 +187,9 @@ def test_composite_key_cached_index():
         tree, heap, schema, ("ns", "title"), ("size",),
         rng=DeterministicRng(0),
     )
-    index.insert_row({"ns": 0, "title": "Main", "size": 7})
+    table = Table("t", schema, heap)
+    table.attach_index("name_title", index)
+    table.insert({"ns": 0, "title": "Main", "size": 7})
     r1 = index.lookup((0, "Main"), ("ns", "title", "size"))
     assert r1.values == {"ns": 0, "title": "Main", "size": 7}
     r2 = index.lookup((0, "Main"), ("ns", "title", "size"))

@@ -6,6 +6,7 @@ from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.covering import CoveringIndex
 from repro.errors import QueryError
+from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
 from repro.storage.buffer_pool import BufferPool
@@ -26,7 +27,14 @@ def build():
     heap = HeapFile(pool)
     value_size = CoveringIndex.value_size_for(SCHEMA, COVERED)
     tree = BPlusTree(pool, key_size=8, value_size=value_size)
-    return CoveringIndex(tree, heap, SCHEMA, ("id",), COVERED)
+    index = CoveringIndex(tree, heap, SCHEMA, ("id",), COVERED)
+    return table_over(index, heap), index
+
+
+def table_over(index, heap):
+    table = Table("t", SCHEMA, heap)
+    table.attach_index("ix", index)
+    return table
 
 
 def row(i):
@@ -39,9 +47,9 @@ def test_value_size_for():
 
 
 def test_covered_lookup_never_touches_heap():
-    index = build()
+    table, index = build()
     for i in range(100):
-        index.insert_row(row(i))
+        table.insert(row(i))
     r = index.lookup(42, ("id", "score"))
     assert r.found and r.from_cache
     assert r.values == {"id": 42, "score": 84}
@@ -50,8 +58,8 @@ def test_covered_lookup_never_touches_heap():
 
 
 def test_uncovered_projection_fetches_heap():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     r = index.lookup(1, ("id", "name"))
     assert not r.from_cache
     assert r.values == {"id": 1, "name": "n1"}
@@ -59,13 +67,13 @@ def test_uncovered_projection_fetches_heap():
 
 
 def test_lookup_missing():
-    index = build()
+    _, index = build()
     assert not index.lookup(5).found
 
 
 def test_update_rewrites_covered_copy():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     r = dict(row(1))
     r["score"] = 999
     index.note_update(r, {"score"})
@@ -75,8 +83,8 @@ def test_update_rewrites_covered_copy():
 
 
 def test_delete_key():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     index.delete_key(row(1))
     assert not index.lookup(1).found
 
@@ -100,11 +108,13 @@ def test_covering_index_is_bigger_than_cached():
     value_size = CoveringIndex.value_size_for(SCHEMA, wide_covered)
     cover_tree = BPlusTree(pool2, key_size=8, value_size=value_size)
     covering = CoveringIndex(cover_tree, heap2, SCHEMA, ("id",), wide_covered)
+    cached_table = table_over(cached, heap)
+    covering_table = table_over(covering, heap2)
     ids = list(range(n))
     DeterministicRng(1).shuffle(ids)
     for i in ids:
-        cached.insert_row(row(i))
-        covering.insert_row(row(i))
+        cached_table.insert(row(i))
+        covering_table.insert(row(i))
     assert covering.tree.size_bytes > 1.4 * plain_tree.size_bytes
 
 
@@ -121,7 +131,7 @@ def test_validation():
 
 
 def test_unknown_projection_rejected():
-    index = build()
-    index.insert_row(row(1))
+    table, index = build()
+    table.insert(row(1))
     with pytest.raises(QueryError):
         index.lookup(1, ("nope",))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import re
 from pathlib import Path
 
 from repro.obs import MetricsRegistry
@@ -120,6 +121,53 @@ def test_every_core_module_is_engine_or_experiment_only():
     assert audited - engine == set(EXPERIMENT_ONLY)  # undeclared / stale rows
     for module, driver in EXPERIMENT_ONLY.items():
         assert module in _reach([ROOT / driver]), (module, driver)
+
+
+def _module_map() -> dict[str, set[str]]:
+    """DESIGN.md §3's map as ``{directory under src/: {file names}}``: a
+    row is a ``name/`` or a ``name.py`` indented under its directory;
+    description lines start further right than any row."""
+    text = (ROOT / "DESIGN.md").read_text()
+    block = text.split("## 3. System inventory")[1].split("```")[1]
+    listed: dict[str, set[str]] = {}
+    stack: list[tuple[int, str]] = []
+    for line in block.splitlines():
+        row = re.match(r"( {0,8})(\S+/|\S+\.py)(\s|$)", line)
+        if row is None:
+            continue
+        indent, name = len(row[1]), row[2]
+        while stack and stack[-1][0] >= indent:
+            stack.pop()
+        parent = stack[-1][1] if stack else ""
+        if name.endswith("/"):
+            stack.append((indent, parent + name))
+            listed[parent + name] = set()
+        else:
+            listed[parent].add(name)
+    return listed
+
+
+def test_design_module_map_matches_the_tree():
+    """Every row names a file on disk, and every module of a package the
+    map lists has a row (``__init__.py`` is implied)."""
+    listed = _module_map()
+    assert "src/repro/btree/" in listed and "src/repro/core/index_cache/" in listed
+    for directory, files in listed.items():
+        on_disk = {p.name for p in (ROOT / directory).glob("*.py")}
+        assert files | {"__init__.py"} == on_disk | {"__init__.py"}, directory
+
+
+def test_row_to_key_is_spelled_only_in_the_key_codec():
+    """Row -> key bytes / key value lives in ``btree/keycodec.py`` (a
+    codec from ``codec_for_columns`` knows its columns); a hand-rolled
+    ``tuple(row[c] for c in ...)`` anywhere else is a second key maker."""
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in MODULES.values()
+        if "tuple(row[c] for c in" in path.read_text()
+        and path != SRC / "repro" / "btree" / "keycodec.py"
+    ]
+    assert offenders == []
 
 
 # -- every option is a reviewed diff --------------------------------------------

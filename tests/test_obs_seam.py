@@ -187,7 +187,7 @@ def test_tables_created_or_restored_later_are_observed():
 
     # The WAL replayer's side door registers through the same path.
     adopted = db.restore_table("adopted", SCHEMA, late.heap.page_ids)
-    db.restore_index("adopted", "adopted_pk", ("k",))
+    db.restore_index("adopted", "adopted_pk", ("k",), (), 0.5)
     assert adopted.lookup("adopted_pk", 1).found
     assert profiler.stats("lookup:adopted.adopted_pk").calls == 1
     assert collector.last().root.attrs == {"table": "adopted"}

@@ -5,7 +5,7 @@ import pytest
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import CacheInvalidation
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError, TypeMismatchError
 from repro.query.predicates import ColumnRange
 from repro.query.table import PlainIndex, Table
 from repro.schema.schema import Schema
@@ -121,3 +121,34 @@ def test_plain_index_stats():
     table.lookup("pk", 2)
     assert index.lookups == 2
     assert index.heap_fetches == 1
+
+
+def test_wrong_arity_key_raises_type_mismatch_naming_both_counts():
+    """A key with the wrong number of parts used to escape the error
+    hierarchy (bare ``ValueError`` from the 1-tuple unpacking, bare
+    ``TypeError`` from ``tuple(5)``), past every ``except ReproError``."""
+    table = build(with_cached=False)
+    pool = table.heap.pool
+    table.attach_index(
+        "id_name",
+        PlainIndex(BPlusTree(pool, 18, 8), table.heap, SCHEMA, ("id", "name")),
+    )
+    table.insert(row(1))
+    assert issubclass(TypeMismatchError, ReproError)
+    for call, expected, given in (
+        (lambda: table.lookup("pk", (1, 2)), 1, 2),
+        (lambda: table.lookup("pk", ()), 1, 0),
+        (lambda: table.update("pk", (1, 2), {"score": 0}), 1, 2),
+        (lambda: table.delete("pk", ()), 1, 0),
+        (lambda: table.lookup("id_name", 1), 2, 1),
+        (lambda: table.lookup("id_name", (1,)), 2, 1),
+        (lambda: table.update("id_name", 1, {"score": 0}), 2, 1),
+        (lambda: table.delete("id_name", (1, "user1", 3)), 2, 3),
+    ):
+        with pytest.raises(
+            TypeMismatchError, match=rf"expects {expected} parts?, got {given}\b"
+        ):
+            call()
+    # the well-formed spellings still resolve, and nothing was written
+    assert table.lookup("pk", (1,)).values == table.lookup("pk", 1).values == row(1)
+    assert table.lookup("id_name", (1, "user1")).found

@@ -8,7 +8,7 @@ order (the sharded scan's documented order), aggregates exactly.
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import QueryError, TypeMismatchError
 from repro.obs.registry import MetricsRegistry
 from repro.query.database import Database
 from repro.query.predicates import (
@@ -332,3 +332,18 @@ def test_check_names_the_shard_whose_catalog_diverged():
     report = sdb.check()
     assert [p for p in report.problems if "shard 2" in p]
     assert not [p for p in report.problems if "shard 1" in p]
+
+
+def test_wrong_arity_key_is_a_type_mismatch_on_routed_and_broadcast_lookups():
+    sdb = ShardedDatabase(3, seed=0)
+    sdb.create_table("t", SCHEMA)
+    sdb.create_index("t", "pk", ("id",))
+    sdb.create_index("t", "by_nd", ("n", "d", "id"))
+    table = sdb.table("t")
+    for row in _rows(30):
+        table.insert(row)
+    with pytest.raises(TypeMismatchError, match="expects 1 part, got 2"):
+        table.lookup("pk", (1, 2))
+    with pytest.raises(TypeMismatchError, match="expects 3 parts, got 1"):
+        table.lookup("by_nd", 7)
+    assert table.lookup("pk", 7).found

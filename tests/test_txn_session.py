@@ -14,6 +14,7 @@ from repro.errors import (
     DuplicateKeyError,
     TxnConflictError,
     TxnStateError,
+    TypeMismatchError,
 )
 from repro.faults.checker import check_database
 from repro.query.database import Database
@@ -386,3 +387,13 @@ def test_pool_obs_reset_zeroes_txn_family():
     # Gauges re-sync to current state rather than zeroing blindly.
     assert snap["active"] == 0
     assert snap["tracked_keys"] == 0
+
+
+def test_wrong_arity_key_is_a_type_mismatch_not_a_bare_error():
+    db = make_db()
+    with db.session().transaction() as s:
+        with pytest.raises(TypeMismatchError, match="expects 1 part, got 2"):
+            s.lookup("t", (1, 2))
+        with pytest.raises(TypeMismatchError, match="expects 1 part, got 0"):
+            s.lookup("t", ())
+        assert s.lookup("t", (1,)).values == s.lookup("t", 1).values
