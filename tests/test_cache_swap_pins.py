@@ -7,7 +7,8 @@ slot, promote by exchange, evict when full, skip when the window holds no
 slot, zero on a logged predicate, zero on an epoch bump — so any change to
 how slots are ranked, chosen or moved shows up as a different byte or a
 different decision.  The literals were taken before the ranking was made
-arithmetic and must not be edited.
+arithmetic and must not be edited; ``PINNED_LEAF_WINDOWS`` was taken with
+the ``h·31+b`` item checksum, before the CRC-16 replaced it.
 """
 
 import hashlib
@@ -98,8 +99,14 @@ class _RecordingSwap(SwapPolicy):
     def __init__(self, rng, bucket_slots):
         super().__init__(rng, bucket_slots)
         self.decisions = []
+        #: per fill, what ``occupancy`` classified: "#" occupied, "." free
+        self.windows = []
 
     def choose_slot(self, geo, free, occupied, page_key):
+        self.windows.append(
+            "".join("#" if s in occupied else "." for s in range(geo.num_slots))
+        )
+        assert (free, occupied) == _window_lists(self.windows[-1])
         slot = super().choose_slot(geo, free, occupied, page_key)
         self.decisions.append(("put", slot))
         return slot
@@ -110,7 +117,15 @@ class _RecordingSwap(SwapPolicy):
         return target
 
 
-def test_scripted_leaf_swap_decisions_pinned():
+def _window_lists(window: str) -> tuple[list[int], list[int]]:
+    """``(free, occupied)`` as ``occupancy`` returns them for one window."""
+    return (
+        [s for s, c in enumerate(window) if c == "."],
+        [s for s, c in enumerate(window) if c == "#"],
+    )
+
+
+def _run_scripted_leaf():
     """A hand-built leaf, a seeded policy and a fixed script of inserts and
     probes, with the leaf growing twice mid-script so slots fall out of the
     geometry and the periphery is clobbered."""
@@ -130,6 +145,11 @@ def test_scripted_leaf_swap_decisions_pinned():
         tid = tids[min(script.randrange(40), script.randrange(40))]
         if cache.probe(page, tid) is None:
             cache.insert(page, tid, tid[:6])
+    return page, cache, policy, slots_seen
+
+
+def test_scripted_leaf_swap_decisions_pinned():
+    page, cache, policy, slots_seen = _run_scripted_leaf()
     stats = cache.stats
     assert min(stats.promotions, stats.evictions, stats.inserts) > 0
     assert sorted(set(slots_seen), reverse=True) == PINNED_LEAF_CAPACITIES
@@ -137,6 +157,14 @@ def test_scripted_leaf_swap_decisions_pinned():
             stats.inserts) == PINNED_LEAF_STATS
     assert policy.decisions == PINNED_LEAF_DECISIONS
     assert hashlib.sha256(bytes(page.buffer)).hexdigest() == PINNED_LEAF_DIGEST
+
+
+def test_scripted_leaf_fill_occupancy_pinned():
+    """Every fill's ``(free, occupied)`` split of the window, slot by slot:
+    the classification a checksum change must leave alone."""
+    _, cache, policy, _ = _run_scripted_leaf()
+    assert len(policy.windows) == cache.stats.inserts
+    assert policy.windows == PINNED_LEAF_WINDOWS
 
 
 #: (disk pages, lookups, (promotions, evictions, inserts, skipped_no_room,
@@ -209,4 +237,47 @@ PINNED_LEAF_DECISIONS = [
     ('put', 10), ('hit', 7, 3), ('put', 10), ('hit', 9, 7), ('put', 10),
     ('put', 9), ('put', 9), ('hit', 0, None), ('put', 9), ('hit', 5, 0),
     ('put', 10), ('put', 9), ('put', 9),
+]
+#: per fill, the window as ``occupancy`` split it: "#" occupied, "." free
+PINNED_LEAF_WINDOWS = [
+    ".......................", "...................#...",
+    "........#..........#...", "........#...#......#...",
+    "........#...#.....##...", "#.......#...#.....##...",
+    "#.......#...#....###...", "#.......##..#....###...",
+    "#.#.....##..#....###...", "#.#.....##..#....###..#",
+    "#.#.#...##..#....###..#", "#.#.#...###.#....###..#",
+    "#.#.#...###.#.#..###..#", "#.#.#.#.###.#.#..###..#",
+    "#.#.#.#.###.#.##.###..#", "#.###.#.###.#.##.###..#",
+    "#.###.#.#####.##.###..#", "#.###.#.########.###..#",
+    "#.#####.########.###..#", "#.#####.########.####.#",
+    "#.#####.########.######", "#######.########.######",
+    "################.######", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################",
+    "#######################", "#######################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "#################", "#################", "#################",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########", "###########", "###########", "###########",
+    "###########", "###########",
 ]
