@@ -21,12 +21,14 @@ Key invariants (and where the paper states them):
 from __future__ import annotations
 
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass, field
 
 from repro.core.index_cache.layout import (
     CacheGeometry,
     ITEM_CHECKSUM_SIZE,
     ITEM_HEADER_SIZE,
+    ZERO_CHECKSUM,
     checksum,
     item_size_for_payload,
 )
@@ -35,10 +37,6 @@ from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.page import SlottedPage
 from repro.util.rng import DeterministicRng
-
-#: The trailing checksum field (``ITEM_CHECKSUM_SIZE`` bytes, little-endian).
-_CRC = struct.Struct("<H")
-
 
 @dataclass
 class CacheStats:
@@ -80,6 +78,7 @@ class IndexCache:
         self._payload_size = payload_size
         self._entry_size = entry_size
         self._item_size = item_size_for_payload(payload_size)
+        self._item = struct.Struct(f">{self._item_size - ITEM_CHECKSUM_SIZE}sH")
         if policy is None:
             policy = SwapPolicy(rng if rng is not None else DeterministicRng(0))
         self._policy = policy
@@ -119,15 +118,10 @@ class IndexCache:
 
     def _item_at(self, buf: bytearray, off: int) -> tuple[bytes, bytes] | None:
         """``(tuple_id, payload)`` of the valid item starting at ``off``."""
-        body_end = off + self._item_size - ITEM_CHECKSUM_SIZE
-        (stored,) = _CRC.unpack_from(buf, body_end)
-        if stored == 0:
-            return None
-        tid = bytes(buf[off : off + ITEM_HEADER_SIZE])
-        payload = bytes(buf[off + ITEM_HEADER_SIZE : body_end])
-        if checksum(tid, payload) != stored:
-            return None  # clobbered by index growth; reads as empty
-        return tid, payload
+        body, stored = self._item.unpack_from(buf, off)
+        if stored and (crc_hqx(body, 0) or ZERO_CHECKSUM) == stored:
+            return body[:ITEM_HEADER_SIZE], body[ITEM_HEADER_SIZE:]
+        return None  # empty, or clobbered by index growth
 
     def read_slot(
         self, page: SlottedPage, geo: CacheGeometry, slot: int
@@ -152,14 +146,8 @@ class IndexCache:
             raise ReproError(
                 f"payload must be {self._payload_size} bytes, got {len(payload)}"
             )
-        off = geo.slot_offset(slot)
-        buf = page.buffer
-        buf[off : off + ITEM_HEADER_SIZE] = tuple_id
-        buf[off + ITEM_HEADER_SIZE : off + ITEM_HEADER_SIZE + self._payload_size] = payload
-        _CRC.pack_into(
-            buf, off + self._item_size - ITEM_CHECKSUM_SIZE,
-            checksum(tuple_id, payload),
-        )
+        body = tuple_id + payload
+        self._item.pack_into(page.buffer, geo.slot_offset(slot), body, checksum(body))
 
     def clear_slot(self, page: SlottedPage, geo: CacheGeometry, slot: int) -> None:
         """Zero one slot."""

@@ -11,9 +11,12 @@ Each slot holds one self-describing item::
 
     tuple_id (8 B) | payload (fixed) | checksum (2 B)
 
-A zeroed slot is empty.  A slot half-clobbered by index growth fails its
-checksum and *reads as* empty — this is what lets key inserts "freely
-overwrite the periphery of the cache space" without any coordination.
+The checksum is the CRC-16 of the ``tuple_id | payload`` body, stored
+big-endian; no valid item stores 0, so a zeroed slot is empty.  A slot
+half-clobbered by index growth fails its checksum and *reads as* empty —
+this is what lets key inserts "freely overwrite the periphery of the
+cache space" without any coordination.  Bytes stamped by another checksum
+read as empty too: a format change merely starts the cache cold.
 
 **Stable point.**  The paper derives the location overwritten last as
 ``S = K/(K+D) × P`` for its Figure-1 layout (keys grow down from the
@@ -31,6 +34,7 @@ Nothing is sorted and nothing is kept per page.
 
 from __future__ import annotations
 
+from binascii import crc_hqx
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -43,6 +47,9 @@ ITEM_HEADER_SIZE = 8
 #: Trailing checksum bytes.
 ITEM_CHECKSUM_SIZE = 2
 
+#: What an item whose CRC computes to 0 stores instead (0 marks "empty").
+ZERO_CHECKSUM = 0x55AA
+
 
 def item_size_for_payload(payload_size: int) -> int:
     """Full slot width for a given cached-payload width."""
@@ -51,22 +58,18 @@ def item_size_for_payload(payload_size: int) -> int:
     return ITEM_HEADER_SIZE + payload_size + ITEM_CHECKSUM_SIZE
 
 
-def checksum(tuple_id: bytes, payload: bytes) -> int:
-    """16-bit multiplicative checksum over an item, never zero.
+def checksum(body: bytes) -> int:
+    """CRC-16-CCITT (:func:`binascii.crc_hqx`, in C) of an item's body.
 
-    Zero is reserved to mean "empty slot", so a computed zero is remapped.
-    The checksum's job is not cryptographic integrity — it is detecting
-    slots clobbered by index key/directory growth.  The rolling ``h*31+b``
-    form guarantees any single-byte change alters the value (31 is odd, so
-    ``delta · 31^k mod 2^16`` is never zero for a byte-sized delta), and
-    larger clobbers collide with probability ~2^-16.
+    Its job is detecting slots clobbered by index key/directory growth.
+    Stored big-endian, the checksum continues the polynomial, so any burst
+    of at most 16 bits — one byte, or two adjacent ones, anywhere in the
+    slot — is detected; larger clobbers collide with probability ~2^-16.
+    Zero is reserved for "empty": a computed 0 is stored as
+    :data:`ZERO_CHECKSUM`, which only an item whose CRC is 0 or
+    ``ZERO_CHECKSUM`` pays for — a clobber turning one into the other.
     """
-    h = 1
-    for byte in tuple_id:
-        h = (h * 31 + byte) & 0xFFFF
-    for byte in payload:
-        h = (h * 31 + byte) & 0xFFFF
-    return h if h else 0x55AA
+    return crc_hqx(body, 0) or ZERO_CHECKSUM
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Cache geometry: slot alignment, stable point, bucket ordering."""
 
+from binascii import crc_hqx
+
 import pytest
 
 from repro.core.index_cache.layout import (
     CacheGeometry,
     ITEM_CHECKSUM_SIZE,
     ITEM_HEADER_SIZE,
+    ZERO_CHECKSUM,
     checksum,
     item_size_for_payload,
 )
@@ -28,10 +31,11 @@ def test_item_size():
 
 
 def test_checksum_never_zero_and_detects_changes():
-    a = checksum(b"\x00" * 8, b"\x00" * 4)
-    assert a != 0
-    b = checksum(b"\x00" * 8, b"\x00\x00\x00\x01")
-    assert a != b
+    zero_item = bytes(ITEM_HEADER_SIZE + 4)
+    assert crc_hqx(zero_item, 0) == 0  # a CRC's zero is a real value...
+    assert checksum(zero_item) == ZERO_CHECKSUM != 0  # ...stored remapped
+    one = zero_item[:-1] + b"\x01"
+    assert checksum(one) == crc_hqx(one, 0) not in (0, ZERO_CHECKSUM)
 
 
 def test_slots_are_aligned_to_item_size():

@@ -6,9 +6,11 @@ window.  The pins here walk every Swap branch — promote into an empty
 slot, promote by exchange, evict when full, skip when the window holds no
 slot, zero on a logged predicate, zero on an epoch bump — so any change to
 how slots are ranked, chosen or moved shows up as a different byte or a
-different decision.  The literals were taken before the ranking was made
-arithmetic and must not be edited; ``PINNED_LEAF_WINDOWS`` was taken with
-the ``h·31+b`` item checksum, before the CRC-16 replaced it.
+different decision.  The decision and counter literals were taken before
+the ranking was made arithmetic and must not be edited.  The two sha256
+digests moved once, when the CRC-16 item checksum replaced ``h·31+b``
+(cache bytes only: every decision and counter stayed); ``PINNED_LEAF_WINDOWS``
+was taken with ``h·31+b``, before that change.
 """
 
 import hashlib
@@ -171,13 +173,13 @@ def test_scripted_leaf_fill_occupancy_pinned():
 #: pages_zeroed, csn bumps, answered_from_cache))
 PINNED_ENGINE_COUNTS = (172, 7299, (1079, 747, 3465, 531, 555, 10, 3225))
 PINNED_ENGINE_DIGEST = (
-    "c71c964942c740236c866c7805d67f14cfba1c0b59dd7eddb2e1d3b8220efc10"
+    "d6a7a7520f7d99e097429e338b3089a178d1919f009bd18384f6cfcc1701e35e"
 )
 PINNED_LEAF_CAPACITIES = [23, 17, 11]
 #: (hits, misses, promotions, evictions, inserts)
 PINNED_LEAF_STATS = (150, 110, 120, 87, 110)
 PINNED_LEAF_DIGEST = (
-    "b18e2a6558be80004190b581cf85e475a07244237c9db8f638a929cc8aa7775f"
+    "f7f18ad29e05445a6134e3060d8b6f1b2c24cd955b68985b6f4250bf83943d6a"
 )
 #: ("put", chosen slot) per insert, ("hit", slot, swap target) per hit
 PINNED_LEAF_DECISIONS = [

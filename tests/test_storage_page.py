@@ -306,7 +306,7 @@ def test_database_disk_bytes_pinned():
         digest.update(db.disk.peek(page_id))
     assert (db.disk.num_pages, stats.answered_from_cache) == (56, 134)
     assert digest.hexdigest() == (
-        "1d58b5defc468ecad8a85c9f2d37918db126734db1554539b730ebe73eccb70d"
+        "1e485f83907ac827ccaac5ece8365908939591b95432b850f20d69f9962ceec8"
     )
 
 
