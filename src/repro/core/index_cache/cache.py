@@ -161,30 +161,36 @@ class IndexCache:
 
     # -- scanning ----------------------------------------------------------------
 
+    def _items(self, page: SlottedPage, geo: CacheGeometry) -> dict[int, bytes]:
+        """``{slot: tuple_id | payload}`` of every valid item, in slot order.
+
+        One C-driven pass over the window: ``iter_unpack`` splits it into
+        ``(body, stored)`` pairs and one ``crc_hqx`` per non-zero checksum
+        field decides; no Python frame runs per slot.
+        """
+        lo = geo.first_slot_index * self._item_size
+        window = memoryview(page.buffer)[lo : lo + geo.num_slots * self._item_size]
+        return {
+            slot: body
+            for slot, (body, stored) in enumerate(self._item.iter_unpack(window))
+            if stored and (crc_hqx(body, 0) or ZERO_CHECKSUM) == stored
+        }
+
     def occupancy(
         self, page: SlottedPage, geo: CacheGeometry | None = None
     ) -> tuple[list[int], list[int]]:
         """``(free_slots, occupied_slots)`` for the current geometry."""
         if geo is None:
             geo = self.geometry(page)
-        free: list[int] = []
-        occupied: list[int] = []
-        buf = page.buffer
-        off = geo.first_slot_index * self._item_size
-        for slot in range(geo.num_slots):
-            (free if self._item_at(buf, off) is None else occupied).append(slot)
-            off += self._item_size
-        return free, occupied
+        items = self._items(page, geo)
+        return [s for s in range(geo.num_slots) if s not in items], list(items)
 
     def entries(self, page: SlottedPage) -> list[tuple[int, bytes, bytes]]:
         """Every valid item as ``(slot, tuple_id, payload)``."""
-        geo = self.geometry(page)
-        out = []
-        for slot in range(geo.num_slots):
-            item = self.read_slot(page, geo, slot)
-            if item is not None:
-                out.append((slot, item[0], item[1]))
-        return out
+        return [
+            (slot, body[:ITEM_HEADER_SIZE], body[ITEM_HEADER_SIZE:])
+            for slot, body in self._items(page, self.geometry(page)).items()
+        ]
 
     def find(
         self, page: SlottedPage, geo: CacheGeometry, tuple_id: bytes

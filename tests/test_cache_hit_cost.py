@@ -5,7 +5,11 @@ Counted, not timed: under ``sys.setprofile`` every Python call and every
 built-in call made by one ``IndexCache.probe`` hit, on leaves whose windows
 hold about 10, 70 and 300 slots.  The counts must be *equal* across the
 three and stay under a literal.  (When the ranking was a sort over the
-window, a hit made one ``lambda`` and one ``abs`` call per slot.)
+window, a hit made one ``lambda`` and one ``abs`` call per slot.)  A fill
+— an ``insert`` into a full window — classifies every slot, so its count
+is ``a + b·slots``; ``b`` is the one ``crc_hqx`` that verifies each
+occupied slot.  (With the ``h·31+b`` checksum looped in Python it was 4:
+``_item_at``, its ``unpack_from``, ``checksum`` and a ``list.append``.)
 
 The same count, with no slack, for whole ops on the plain path: a
 ``Table.lookup`` through a plain index and a one-column ``Table.update``
@@ -50,6 +54,8 @@ MAX_CALLS_PROMOTING_HIT = 59
 MAX_CALLS_LOOKUP_FROM_LEAF = 138
 MAX_CALLS_PLAIN_LOOKUP = 148
 MAX_CALLS_PLAIN_UPDATE = 254  # the one that closes a WAL group commit
+MAX_CALLS_FILL = 57  # ``a``: geometry, one classification pass, the policy
+MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
 
 def count_calls(fn, *args) -> int:
@@ -113,6 +119,15 @@ def test_probe_hit_makes_the_same_calls_whatever_the_window(promotes, ceiling):
         assert (cache.stats.hits, cache.stats.promotions) == (1, int(promotes))
     assert len(set(counts)) == 1, counts
     assert counts[0] <= ceiling, counts
+
+
+def test_fill_of_a_full_window_makes_one_call_per_slot():
+    for leaf in LEAVES:
+        page, cache, geo = full_leaf(*leaf)
+        calls = count_calls(cache.insert, page, tid(10_000), bytes(PAYLOAD))
+        assert (cache.stats.inserts, cache.stats.evictions) == (1, 1)
+        ceiling = MAX_CALLS_FILL + MAX_CALLS_FILL_PER_SLOT * geo.num_slots
+        assert calls <= ceiling, (geo.num_slots, calls)
 
 
 def test_lookup_answered_from_the_leaf_stays_under_its_call_budget():

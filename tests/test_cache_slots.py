@@ -1,8 +1,11 @@
 """IndexCache slot I/O: write/read/clear, clobber detection, probe/insert."""
 
+from binascii import crc_hqx
+
 import pytest
 
 from repro.core.index_cache.cache import IndexCache
+from repro.core.index_cache.layout import ZERO_CHECKSUM, checksum
 from repro.core.index_cache.policy import RandomPolicy
 from repro.errors import ReproError
 from repro.storage.constants import PageType
@@ -176,3 +179,114 @@ def test_random_policy_cache_works():
         cache.insert(page, tid(i), payload(i))
     hits = sum(cache.probe(page, tid(i)) is not None for i in range(10))
     assert hits == 10
+
+
+# -- the item checksum under clobbers -----------------------------------------
+
+#: item sizes the clobber sweeps cover: a 1-byte payload up to a 54-byte one
+ITEM_SIZES = range(11, 65)
+
+
+def _stamped_item(item_size: int) -> tuple[IndexCache, SlottedPage, bytes]:
+    """A cache of ``item_size`` items, a 32 KiB leaf, and one item's bytes
+    as ``write_slot`` stamps them (a fixed, non-trivial body)."""
+    cache = IndexCache(item_size - 10, ENTRY, rng=DeterministicRng(0))
+    page = make_page(page_size=32768)
+    body = bytes((i * 37 + item_size) % 256 for i in range(item_size - 2))
+    assert crc_hqx(body, 0) not in (0, ZERO_CHECKSUM)  # not the remap's pair
+    geo = cache.geometry(page)
+    cache.write_slot(page, geo, 0, body[:8], body[8:])
+    off = geo.slot_offset(0)
+    return cache, page, bytes(page.buffer[off : off + item_size])
+
+
+def _valid_after(cache, page, item: bytes, off: int, *columns: bytes) -> int:
+    """Copies of ``item`` side by side in the window, copy ``j`` with byte
+    ``off + k`` overwritten by ``columns[k][j]``: how many the fill's
+    one-pass scan still takes for valid items."""
+    size, copies = len(item), len(columns[0])
+    window = bytearray(item * copies)
+    for k, column in enumerate(columns):
+        window[off + k :: size] = column
+    geo = cache.geometry(page)
+    assert geo.num_slots >= copies
+    base = geo.slot_offset(0)
+    page.buffer[base : base + len(window)] = window
+    return len(cache.occupancy(page, geo)[1])
+
+
+EVERY_BYTE = bytes(range(256))
+
+
+def test_every_single_byte_clobber_is_detected():
+    """Every offset of every item size 11..64 B, every value a clobber can
+    leave there: only the copy that kept the original byte validates,
+    through the fill's scan and through ``read_slot``."""
+    for item_size in ITEM_SIZES:
+        cache, page, item = _stamped_item(item_size)
+        for off in range(item_size):
+            assert _valid_after(cache, page, item, off, EVERY_BYTE) == 1
+            if item[off]:  # slot 0 holds the copy that reads byte 0
+                assert cache.read_slot(page, cache.geometry(page), 0) is None
+
+
+def test_every_two_adjacent_byte_clobber_is_detected():
+    """Two adjacent bytes, the checksum's own included: all 65 536 values
+    at every offset of a 64 B item, and at every offset of every item size
+    11..64 B the 256 that write one value twice.  Only the original pair
+    validates.  The CRC is linear, so whether a burst is seen depends only
+    on its pattern and its distance from the end of the slot; the 64 B item
+    reaches every distance a smaller item has."""
+    for item_size in ITEM_SIZES:
+        cache, page, item = _stamped_item(item_size)
+        for off in range(item_size - 1):
+            kept = int(item[off] == item[off + 1])
+            assert _valid_after(cache, page, item, off, EVERY_BYTE, EVERY_BYTE) == kept
+    for off in range(64 - 1):
+        for first in range(256):
+            kept = int(first == item[off])
+            column = bytes([first]) * 256
+            assert _valid_after(cache, page, item, off, column, EVERY_BYTE) == kept
+
+
+def test_checksum_is_never_zero():
+    """Over 10-byte bodies whose last two bytes take every value, the CRC
+    takes every 16-bit value once; the one that computes 0 is stored as
+    ``ZERO_CHECKSUM``, so 0 never is — and that item still reads back."""
+    prefix = tid(7)
+    sums = [checksum(prefix + e.to_bytes(2, "big")) for e in range(1 << 16)]
+    assert 0 not in sums
+    assert set(sums) == set(range(1, 1 << 16))
+    assert sums.count(ZERO_CHECKSUM) == 2
+    page, cache = make_page(), make_cache()
+    geo = cache.geometry(page)
+    cache.write_slot(page, geo, 0, tid(0), bytes(PAYLOAD))  # CRC of zeros is 0
+    assert cache.read_slot(page, geo, 0) == (tid(0), bytes(PAYLOAD))
+    assert cache.entries(page) == [(0, tid(0), bytes(PAYLOAD))]
+
+
+def _h31(body: bytes) -> int:
+    """The item checksum cache bytes carried before the CRC-16 (stored
+    little-endian), kept here as the oracle for an old window."""
+    h = 1
+    for byte in body:
+        h = (h * 31 + byte) & 0xFFFF
+    return h or 0x55AA
+
+
+def test_window_stamped_by_the_old_checksum_reads_all_empty():
+    """No migration: a leaf written by the ``h·31+b`` format is a cold
+    cache, not garbage."""
+    page, cache = make_page(), make_cache()
+    geo = cache.geometry(page)
+    size = cache.item_size
+    for slot in range(geo.num_slots):
+        body = tid(slot) + payload(slot)
+        off = geo.slot_offset(slot)
+        page.buffer[off : off + size] = body + _h31(body).to_bytes(2, "little")
+    assert cache.entries(page) == []
+    assert cache.occupancy(page) == (list(range(geo.num_slots)), [])
+    assert cache.probe(page, tid(3)) is None
+    for slot in range(geo.num_slots):  # the same items, stamped anew, are live
+        cache.write_slot(page, geo, slot, tid(slot), payload(slot))
+    assert len(cache.entries(page)) == geo.num_slots
