@@ -210,10 +210,10 @@ class IndexCache:
         pos = buf.find(tuple_id, base, end)
         while pos != -1:
             rel = pos - base
-            if rel % self._item_size == 0:
-                item = self._item_at(buf, pos)
-                if item is not None and item[0] == tuple_id:
-                    return rel // self._item_size, item[1]
+            if rel % self._item_size == 0:  # aligned: the tuple id matches
+                body, stored = self._item.unpack_from(buf, pos)
+                if stored and (crc_hqx(body, 0) or ZERO_CHECKSUM) == stored:
+                    return rel // self._item_size, body[ITEM_HEADER_SIZE:]
             pos = buf.find(tuple_id, pos + 1, end)
         return None
 

@@ -49,9 +49,9 @@ ENTRY = 24
 #: (page size, leaf entries) -> a window of about 10, 70 and 300 slots
 LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 
-MAX_CALLS_PLAIN_HIT = 30
-MAX_CALLS_PROMOTING_HIT = 59
-MAX_CALLS_LOOKUP_FROM_LEAF = 138
+MAX_CALLS_PLAIN_HIT = 29
+MAX_CALLS_PROMOTING_HIT = 58
+MAX_CALLS_LOOKUP_FROM_LEAF = 137
 MAX_CALLS_PLAIN_LOOKUP = 148
 MAX_CALLS_PLAIN_UPDATE = 254  # the one that closes a WAL group commit
 MAX_CALLS_FILL = 57  # ``a``: geometry, one classification pass, the policy
@@ -63,7 +63,7 @@ def count_calls(fn, *args) -> int:
 
     The collector is off meanwhile: a collection landing inside the count
     would add the frames of whatever ``gc.callbacks`` and finalizers other
-    tests left behind (seen as 141 against a budget of 138, once per few
+    tests left behind (seen as three calls over budget, once per few
     full-suite runs).
     """
     calls = 0
