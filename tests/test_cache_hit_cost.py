@@ -8,8 +8,7 @@ three and stay under a literal.  (When the ranking was a sort over the
 window, a hit made one ``lambda`` and one ``abs`` call per slot.)  A fill
 — an ``insert`` into a full window — classifies every slot, so its count
 is ``a + b·slots``; ``b`` is the one ``crc_hqx`` that verifies each
-occupied slot.  (With the ``h·31+b`` checksum looped in Python it was 4:
-``_item_at``, its ``unpack_from``, ``checksum`` and a ``list.append``.)
+occupied slot.
 
 The same count, with no slack, for whole ops on the plain path: a
 ``Table.lookup`` through a plain index and a one-column ``Table.update``
