@@ -3,9 +3,11 @@
 One :class:`IndexCache` instance serves a whole index; it is stateless with
 respect to individual pages (all cache state lives in the page bytes), so
 it can be pointed at any leaf page the B+Tree hands it.  Every operation
-re-derives the slot geometry, once per operation, from the page's
-*current* free window — because the window may have shrunk since the item
-was written, and reads must never trust stale layout.
+asks for the slot geometry, once per operation, of the page's *current*
+free window — because the window may have shrunk since the item was
+written, and reads must never trust stale layout.  The geometries are
+memoised by ``(page size, free window)``, which is their whole input, so
+no entry can go stale: a moved window is simply a different key.
 
 Key invariants (and where the paper states them):
 
@@ -37,6 +39,12 @@ from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.page import SlottedPage
 from repro.util.rng import DeterministicRng
+
+#: Distinct ``(page size, free window)`` geometries one cache keeps; past
+#: it, the oldest is dropped.  A leaf's window is set by its directory and
+#: record-region sizes, so an index sees a few hundred distinct windows.
+GEOMETRY_MEMO_CAP = 1024
+
 
 @dataclass
 class CacheStats:
@@ -82,6 +90,7 @@ class IndexCache:
         if policy is None:
             policy = SwapPolicy(rng if rng is not None else DeterministicRng(0))
         self._policy = policy
+        self._geometries: dict[tuple[int, int, int], CacheGeometry] = {}
         self.stats = CacheStats()
         reg = resolve_registry(registry)
         self._m_probe = reg.counter("index_cache.swap.probes")
@@ -107,8 +116,17 @@ class IndexCache:
         return self._policy
 
     def geometry(self, page: SlottedPage) -> CacheGeometry:
-        """Slot layout for the page's current free window."""
-        return CacheGeometry.of(page, self._payload_size, self._entry_size)
+        """Slot layout for the page's current free window (memoised)."""
+        key = (page.size, *page.free_window())
+        try:
+            return self._geometries[key]
+        except KeyError:
+            pass
+        memo = self._geometries
+        if len(memo) >= GEOMETRY_MEMO_CAP:
+            del memo[next(iter(memo))]
+        geo = memo[key] = CacheGeometry(*key, self._item_size, self._entry_size)
+        return geo
 
     def capacity(self, page: SlottedPage) -> int:
         """How many items this page can hold right now."""

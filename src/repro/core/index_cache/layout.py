@@ -29,7 +29,9 @@ bucket-by-bucket toward S so the hottest items die last.  Slot centres
 are evenly spaced, so that ranking is arithmetic: the nearer of S's two
 neighbours first, then strict alternation between the sides until one
 runs out, then the rest of the other side (ties go to the lower index).
-Nothing is sorted and nothing is kept per page.
+Nothing is sorted and nothing is kept per page: a geometry is a pure
+function of its five inputs, which is what lets a cache memoise it by
+those inputs.
 """
 
 from __future__ import annotations
@@ -76,9 +78,11 @@ def checksum(body: bytes) -> int:
 class CacheGeometry:
     """The slot layout of one page's free window at one item size.
 
-    Geometry is recomputed on every access because the window moves as the
-    page fills: slots that no longer fit simply vanish from the layout (and
-    their bytes are fair game for the index).
+    The window moves as the page fills, so every access asks for the
+    geometry of the window as it is *now*: slots that no longer fit simply
+    vanish from the layout (and their bytes are fair game for the index).
+    Everything derived — slot range and the stable point's place among the
+    slots — is computed here, once; the object is immutable.
     """
 
     page_size: int
@@ -90,12 +94,21 @@ class CacheGeometry:
     #: many aligned slots currently fit in it.
     first_slot_index: int = field(init=False)
     num_slots: int = field(init=False)
+    #: Slot centres left of S, whether the nearest of them ranks first,
+    #: and how many slots each side has before the other runs out.
+    left: int = field(init=False, repr=False)
+    left_first: bool = field(init=False, repr=False)
+    paired: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         first = -(-self.free_lo // self.item_size)  # ceil division
-        fit = (self.free_hi - first * self.item_size) // self.item_size
+        fit = max(0, (self.free_hi - first * self.item_size) // self.item_size)
         object.__setattr__(self, "first_slot_index", first)
-        object.__setattr__(self, "num_slots", max(0, fit))
+        object.__setattr__(self, "num_slots", fit)
+        left, left_first = self._sides()
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "left_first", left_first)
+        object.__setattr__(self, "paired", min(left, fit - left))
 
     @classmethod
     def of(cls, page: SlottedPage, payload_size: int, entry_size: int) -> "CacheGeometry":
@@ -166,19 +179,17 @@ class CacheGeometry:
 
     def rank_of(self, slot: int) -> int:
         """Stability rank of in-range ``slot``: 0 is the slot closest to S."""
-        left, left_first = self._sides()
+        left = self.left
         on_left = slot < left
         k = left - 1 - slot if on_left else slot - left  # k-th on its side
-        paired = min(left, self.num_slots - left)
-        if k >= paired:
-            return paired + k  # the other side has run out
-        return 2 * k + (on_left != left_first)
+        if k >= self.paired:
+            return self.paired + k  # the other side has run out
+        return 2 * k + (on_left != self.left_first)
 
     def slots_at_ranks(self, lo: int, hi: int) -> list[int]:
         """Slots holding stability ranks ``[lo, hi)``, most stable first."""
-        left, left_first = self._sides()
+        left, left_first, paired = self.left, self.left_first, self.paired
         right = self.num_slots - left
-        paired = min(left, right)
         slots = []
         for rank in range(lo, min(hi, self.num_slots)):
             if rank < 2 * paired:  # the sides alternate, nearer one first
