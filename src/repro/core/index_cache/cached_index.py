@@ -24,20 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.btree.keycodec import codec_for_columns
-from repro.btree.node import LeafNode
 from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.invalidation import CacheInvalidation
 from repro.core.index_cache.latching import LatchSimulator
 from repro.core.index_cache.policy import CachePolicy
-from repro.errors import QueryError
+from repro.errors import PageFormatError, QueryError
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.schema.record import pack_record_map, unpack_fields, unpack_record
+from repro.schema.record import pack_record_map, unpack_fields
 from repro.schema.schema import Schema
 from repro.sim.cost_model import CostModel
+from repro.storage.constants import PageType
 from repro.storage.heap import HeapFile, Rid, RID_SIZE
 from repro.util.rng import DeterministicRng
+
+#: Distinct projections one index keeps a resolved plan for; past it, the
+#: oldest plan is dropped.
+PLAN_CAP = 32
 
 
 @dataclass
@@ -65,6 +69,50 @@ class LookupResult:
     values: dict[str, object] | None
     found: bool
     from_cache: bool
+
+
+class ProjectionPlans(dict):
+    """``project -> (names, picks, keyed)``: each projection resolved once.
+
+    ``names`` is the projection checked against the schema (every column
+    for ``None``); an unknown column raises :class:`QueryError` naming the
+    first one, before any page is read.  ``picks`` places each projected
+    value in a leaf answer — the cached payload's values, then the key's —
+    and is ``None`` when ``index key ∪ cached fields`` does not cover the
+    projection, so only the heap can answer; ``keyed`` says a key column
+    is projected and the key must be decoded.
+
+    Read by subscript, so a known projection costs no call; ``__missing__``
+    resolves a new one.  A list is unhashable: callers look it up as its
+    tuple.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        payload_columns: tuple[str, ...],
+        key_columns: tuple[str, ...],
+    ) -> None:
+        super().__init__()
+        self._schema = schema
+        self._leaf_columns = payload_columns + key_columns
+        self._payload_width = len(payload_columns)
+
+    def __missing__(self, project):
+        schema = self._schema
+        names = schema.names if project is None else tuple(project)
+        for name in names:
+            if not schema.has_column(name):
+                raise QueryError(f"unknown projected column {name!r}")
+        leaf = self._leaf_columns
+        picks, keyed = None, False
+        if leaf and set(leaf).issuperset(names):
+            picks = tuple(map(leaf.index, names))
+            keyed = any(pick >= self._payload_width for pick in picks)
+        if len(self) >= PLAN_CAP:
+            del self[next(iter(self))]
+        plan = self[project] = (names, picks, keyed)
+        return plan
 
 
 class CachedBTree:
@@ -113,6 +161,9 @@ class CachedBTree:
         )
         if payload_size <= 0:
             raise QueryError("cached_fields must have positive total width")
+        payload_struct, _, self._payload_post = self._payload_schema.codec
+        self._unpack_payload = payload_struct.unpack
+        self._key_size = tree.key_size
         self._cache = IndexCache(
             payload_size,
             entry_size=tree.key_size + tree.value_size,
@@ -123,9 +174,9 @@ class CachedBTree:
         self._invalidation = invalidation
         self._latch = latch if latch is not None else LatchSimulator(0.0)
         self._cost = cost_model
-        self._columns = frozenset(schema.names)
-        self._key_set = frozenset(key_columns)
-        self._answerable = self._key_set | frozenset(cached_fields)
+        self._plans = ProjectionPlans(
+            schema, self._payload_schema.names, self.key_codec.columns
+        )
         self.stats = CachedIndexStats()
         #: Admission aggressiveness: the fraction of piggy-back fill
         #: opportunities actually written into leaf cache windows.  1.0
@@ -230,31 +281,44 @@ class CachedBTree:
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> LookupResult:
-        """Point lookup with projection (the paper's workhorse query)."""
-        project, answerable = self._projection(project)
+        """Point lookup with projection (the paper's workhorse query).
+
+        A hit reads the leaf through the page itself — one ``bisect``, one
+        ``read`` — and assembles its values through the projection's plan;
+        the leaf's CSN is checked inline and validated only when behind.
+        """
+        try:
+            plan = self._plans[project]
+        except TypeError:  # a list: unhashable, planned as its tuple
+            plan = self._plans[tuple(project)]
         key = self.encode_key(key_value)
         self.stats.lookups += 1
         self._m_lookup.inc()
         if self._cost is not None:
             self._cost.on_index_descent()
         leaf_id = self._tree.find_leaf(key)
-        pool = self._tree.pool
-        with pool.page(leaf_id) as page:
-            leaf = LeafNode(page, self._tree.key_size, self._tree.value_size)
-            pos, found = leaf.find(key)
+        with self._tree.pool.page(leaf_id) as page:
+            if page.type_code != PageType.BTREE_LEAF:
+                raise PageFormatError(
+                    f"page {leaf_id} is {page.page_type.name}, not a leaf"
+                )
+            pos, found = page.bisect(key)
             if not found:
                 return LookupResult(None, found=False, from_cache=False)
             self.stats.found += 1
-            tid = leaf.value_at(pos)
-            self._validate(page, leaf)
-            if answerable:
+            tid = page.read(pos)[self._key_size :]
+            invalidation = self._invalidation
+            if invalidation is not None and \
+                    page.cache_csn != invalidation.current_stamp:
+                self._validate(page)
+            if plan[1] is not None:
                 if self._cost is not None:
                     self._cost.on_cache_probe()
                 payload = self._cache.probe(page, tid)
                 if payload is not None:
                     self.stats.answered_from_cache += 1
                     self._m_hit.inc()
-                    values = self._assemble(key, payload, project)
+                    values = self._assemble(plan, key, payload)
                     return LookupResult(values, found=True, from_cache=True)
                 self._m_miss.inc()
             else:
@@ -265,7 +329,7 @@ class CachedBTree:
             record = self._heap.fetch(rid)
             self.stats.heap_fetches += 1
             self._m_heap_fetch.inc()
-            values = unpack_fields(self._schema, record, project)
+            values = unpack_fields(self._schema, record, plan[0])
             self._fill_cache(page, tid, record)
             return LookupResult(values, found=True, from_cache=False)
 
@@ -289,28 +353,34 @@ class CachedBTree:
         (the descent really is shared) and one ``cache_probe`` per unique
         answerable key.
         """
-        project, answerable = self._projection(project)
+        try:
+            plan = self._plans[project]
+        except TypeError:  # a list: unhashable, planned as its tuple
+            plan = self._plans[tuple(project)]
         encoded = [self.encode_key(kv) for kv in key_values]
         by_key: dict[bytes, LookupResult] = {}
         if not encoded:
             return []
         #: cache misses to resolve from the heap: encoded key -> (rid, leaf)
         misses: list[tuple[bytes, Rid, int]] = []
+        invalidation = self._invalidation
+        # leaf_runs hands over pages its LeafNode view has checked are leaves
         for leaf_id, page, run in self._tree.leaf_runs(encoded):
             if self._cost is not None:
                 self._cost.on_index_descent()
-            leaf = LeafNode(page, self._tree.key_size, self._tree.value_size)
-            self._validate(page, leaf)
+            if invalidation is not None and \
+                    page.cache_csn != invalidation.current_stamp:
+                self._validate(page)
             for key in run:
                 self.stats.lookups += 1
                 self._m_lookup.inc()
-                pos, found = leaf.find(key)
+                pos, found = page.bisect(key)
                 if not found:
                     by_key[key] = LookupResult(None, found=False, from_cache=False)
                     continue
                 self.stats.found += 1
-                tid = leaf.value_at(pos)
-                if answerable:
+                tid = page.read(pos)[self._key_size :]
+                if plan[1] is not None:
                     if self._cost is not None:
                         self._cost.on_cache_probe()
                     payload = self._cache.probe(page, tid)
@@ -318,7 +388,7 @@ class CachedBTree:
                         self.stats.answered_from_cache += 1
                         self._m_hit.inc()
                         by_key[key] = LookupResult(
-                            self._assemble(key, payload, project),
+                            self._assemble(plan, key, payload),
                             found=True,
                             from_cache=True,
                         )
@@ -336,7 +406,7 @@ class CachedBTree:
                 self.stats.heap_fetches += 1
                 self._m_heap_fetch.inc()
                 by_key[key] = LookupResult(
-                    unpack_fields(self._schema, record, project),
+                    unpack_fields(self._schema, record, plan[0]),
                     found=True,
                     from_cache=False,
                 )
@@ -404,44 +474,34 @@ class CachedBTree:
 
     # -- internals ---------------------------------------------------------------
 
-    def _projection(
-        self, project: tuple[str, ...] | None
-    ) -> tuple[tuple[str, ...], bool]:
-        """The projection to serve, checked, and whether ``index key ∪
-        cached fields`` covers it (so the leaf alone can answer)."""
-        if project is None:
-            project = self._schema.names
-        if not self._columns.issuperset(project):
-            name = next(n for n in project if n not in self._columns)
-            raise QueryError(f"unknown projected column {name!r}")
-        return project, self._answerable.issuperset(project)
+    def _validate(self, page) -> None:
+        """Enforce the CSN invariants on a leaf whose stamp is behind the
+        epoch or the predicate log (§2.1.2).
 
-    def _validate(self, page, leaf: LeafNode) -> None:
-        """Enforce the CSN invariants on a leaf just read (§2.1.2).
-
-        The leaf's first and last key only matter when the page is behind
-        the epoch or the predicate log; a page already stamped current is
-        left alone (re-stamping it would write the same 8 bytes).
+        Callers test the stamp inline and skip this call when it is
+        current: re-stamping such a page would write the same 8 bytes.
+        Only then are the leaf's first and last keys read.
         """
-        invalidation = self._invalidation
-        if invalidation is None or page.cache_csn == invalidation.current_stamp:
-            return
-        count = leaf.count
-        first = leaf.key_at(0) if count else None
-        last = leaf.key_at(count - 1) if count else None
-        invalidation.validate_page(page, self._cache, first, last)
+        count = page.slot_count
+        first = last = None
+        if count:
+            first = page.read(0)[: self._key_size]
+            last = page.read(count - 1)[: self._key_size]
+        self._invalidation.validate_page(page, self._cache, first, last)
 
-    def _assemble(
-        self, key: bytes, payload: bytes, project: tuple[str, ...]
-    ) -> dict[str, object]:
-        assert self._payload_schema is not None
-        # The payload is a packed record over the cached-field schema.
-        values: dict[str, object] = dict(
-            zip(self._payload_schema.names, unpack_record(self._payload_schema, payload))
-        )
-        if not self._key_set.isdisjoint(project):
-            values.update(self.key_codec.decode_columns(key))
-        return {name: values[name] for name in project}
+    def _assemble(self, plan, key: bytes, payload: bytes) -> dict[str, object]:
+        """A leaf answer: the projected values straight off the payload
+        ``Struct`` (a packed record over the cached fields), in ``plan``'s
+        order; the key is decoded only when a key column is projected."""
+        names, picks, keyed = plan
+        values = self._unpack_payload(payload)
+        if self._payload_post:
+            values = list(values)
+            for i, step in self._payload_post:
+                values[i] = step(values[i])
+        if keyed:
+            values = (*values, *self.key_codec.decode_columns(key).values())
+        return dict(zip(names, map(values.__getitem__, picks)))
 
     def _fill_cache(self, page, tid: bytes, record: bytes) -> None:
         if self._admission < 1.0:

@@ -15,7 +15,11 @@ from typing import Iterator, Union
 from repro.btree.keycodec import codec_for_columns
 from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
-from repro.core.index_cache.cached_index import CachedBTree, LookupResult
+from repro.core.index_cache.cached_index import (
+    CachedBTree,
+    LookupResult,
+    ProjectionPlans,
+)
 from repro.errors import QueryError, ReproError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracer import Tracer
@@ -49,6 +53,8 @@ class PlainIndex:
             [schema.column(c) for c in key_columns]
         )
         self.encode_key = self.key_codec.encode_key
+        #: The cached index's projection plans, with nothing a leaf answers.
+        self._plans = ProjectionPlans(schema, (), ())
         self.lookups = 0
         self.heap_fetches = 0
 
@@ -89,7 +95,10 @@ class PlainIndex:
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> LookupResult:
-        project = project if project is not None else self._schema.names
+        try:
+            project = self._plans[project][0]
+        except TypeError:  # a list: unhashable, planned as its tuple
+            project = self._plans[tuple(project)][0]
         self.lookups += 1
         rid = self.find_rid(key_value)
         if rid is None:
@@ -116,7 +125,10 @@ class PlainIndex:
         leaf-chain continuation) and the resulting RIDs are fetched
         through the page-ordered :meth:`~repro.storage.heap.HeapFile.fetch_many`.
         """
-        project = project if project is not None else self._schema.names
+        try:
+            project = self._plans[project][0]
+        except TypeError:  # a list: unhashable, planned as its tuple
+            project = self._plans[tuple(project)][0]
         encoded = [self.encode_key(kv) for kv in key_values]
         if not encoded:
             return []

@@ -8,6 +8,7 @@ lookup loop — in the test itself and asks for the same bytes.
 
 import pytest
 
+from repro import Database
 from repro.btree.node import LeafNode
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cache import IndexCache
@@ -253,6 +254,44 @@ def test_unknown_projection_names_the_first_offender():
     for call in (lambda p: index.lookup(1, p), lambda p: index.lookup_many([1], p)):
         with pytest.raises(QueryError, match="unknown projected column 'nope'$"):
             call(("id", "nope", "score", "zzz"))
+
+
+def both_kinds_table():
+    """A plain and a cached index over the same key column."""
+    db = Database(page_size=1024)
+    table = db.create_table("t", SCHEMA)
+    db.create_index("t", "plain", ("id",))
+    db.create_cached_index("t", "cached", ("id",), ("score", "level"))
+    for i in range(5):
+        table.insert({"id": i, "name": f"n{i}", "score": i * 2, "level": i % 7})
+    return table
+
+
+@pytest.mark.parametrize("call", ("lookup", "lookup_many"))
+@pytest.mark.parametrize("key", (1, 99), ids=("present-key", "missing-key"))
+@pytest.mark.parametrize("kind", ("plain", "cached"))
+def test_unknown_projected_column_is_refused_by_both_index_kinds(kind, key, call):
+    """A plain index used to raise ``SchemaError`` for a present key and
+    answer ``found=False`` for a missing one."""
+    table = both_kinds_table()
+    lookup = getattr(table, call)
+    with pytest.raises(QueryError, match="unknown projected column 'nope'$"):
+        lookup(kind, key if call == "lookup" else [key], ("id", "nope"))
+    assert table.index("plain").lookups == 0 and table.index("cached").stats.lookups == 0
+
+
+@pytest.mark.parametrize("kind", ("plain", "cached"))
+def test_list_projections_answer_like_tuples(kind):
+    table = both_kinds_table()
+    for project in (["level", "score"], ["name", "id"], ["score", "id"]):
+        for _ in range(2):  # the cached index: a fill, then a hit
+            got = table.lookup(kind, 3, project)
+            assert got.values == table.lookup(kind, 3, tuple(project)).values
+            assert list(got.values) == project
+            many = table.lookup_many(kind, [3, 99, 3], project)
+            assert [r.values for r in many] == [got.values, None, got.values]
+    if kind == "cached":
+        assert table.index(kind).stats.answered_from_cache > 0
 
 
 def test_key_is_decoded_only_when_a_key_column_is_projected(monkeypatch):
