@@ -3,11 +3,9 @@
 One :class:`IndexCache` instance serves a whole index; it is stateless with
 respect to individual pages (all cache state lives in the page bytes), so
 it can be pointed at any leaf page the B+Tree hands it.  Every operation
-asks for the slot geometry, once per operation, of the page's *current*
-free window — because the window may have shrunk since the item was
-written, and reads must never trust stale layout.  The geometries are
-memoised by ``(page size, free window)``, which is their whole input, so
-no entry can go stale: a moved window is simply a different key.
+takes the slot geometry of the page's *current* free window — it may have
+shrunk since the item was written — memoised by ``(page size, window)``,
+its whole input, so no entry can go stale.
 
 Key invariants (and where the paper states them):
 
@@ -40,9 +38,7 @@ from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.page import SlottedPage
 from repro.util.rng import DeterministicRng
 
-#: Distinct ``(page size, free window)`` geometries one cache keeps; past
-#: it, the oldest is dropped.  A leaf's window is set by its directory and
-#: record-region sizes, so an index sees a few hundred distinct windows.
+#: Geometries one cache keeps, oldest dropped first (an index sees hundreds).
 GEOMETRY_MEMO_CAP = 1024
 
 
@@ -118,15 +114,14 @@ class IndexCache:
     def geometry(self, page: SlottedPage) -> CacheGeometry:
         """Slot layout for the page's current free window (memoised)."""
         key = (page.size, *page.free_window())
-        try:
-            return self._geometries[key]
-        except KeyError:
-            pass
         memo = self._geometries
-        if len(memo) >= GEOMETRY_MEMO_CAP:
-            del memo[next(iter(memo))]
-        geo = memo[key] = CacheGeometry(*key, self._item_size, self._entry_size)
-        return geo
+        try:
+            return memo[key]
+        except KeyError:
+            if len(memo) >= GEOMETRY_MEMO_CAP:
+                del memo[next(iter(memo))]
+            geo = memo[key] = CacheGeometry(*key, self._item_size, self._entry_size)
+            return geo
 
     def capacity(self, page: SlottedPage) -> int:
         """How many items this page can hold right now."""

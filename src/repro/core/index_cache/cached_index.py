@@ -39,8 +39,7 @@ from repro.storage.constants import PageType
 from repro.storage.heap import HeapFile, Rid, RID_SIZE
 from repro.util.rng import DeterministicRng
 
-#: Distinct projections one index keeps a resolved plan for; past it, the
-#: oldest plan is dropped.
+#: Projections one index keeps a resolved plan for, oldest dropped first.
 PLAN_CAP = 32
 
 
@@ -72,43 +71,28 @@ class LookupResult:
 
 
 class ProjectionPlans(dict):
-    """``project -> (names, picks, keyed)``: each projection resolved once.
+    """``project -> (names, picks, keyed)``, resolved on first use.
 
-    ``names`` is the projection checked against the schema (every column
-    for ``None``); an unknown column raises :class:`QueryError` naming the
-    first one, before any page is read.  ``picks`` places each projected
-    value in a leaf answer — the cached payload's values, then the key's —
-    and is ``None`` when ``index key ∪ cached fields`` does not cover the
-    projection, so only the heap can answer; ``keyed`` says a key column
-    is projected and the key must be decoded.
-
-    Read by subscript, so a known projection costs no call; ``__missing__``
-    resolves a new one.  A list is unhashable: callers look it up as its
-    tuple.
+    ``names`` is the checked projection (every column for ``None``; an
+    unknown one raises before any page is read).  ``picks`` places each
+    value in a leaf answer — payload values, then key values — or is
+    ``None`` when ``index key ∪ cached fields`` does not cover it; ``keyed``
+    says the key must be decoded.  Read by subscript, so a known projection
+    costs no call; a list, being unhashable, is looked up as its tuple.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        payload_columns: tuple[str, ...],
-        key_columns: tuple[str, ...],
-    ) -> None:
-        super().__init__()
-        self._schema = schema
-        self._leaf_columns = payload_columns + key_columns
-        self._payload_width = len(payload_columns)
+    def __init__(self, schema: Schema, payload: tuple, key: tuple) -> None:
+        self._schema, self._leaf, self._width = schema, payload + key, len(payload)
 
     def __missing__(self, project):
-        schema = self._schema
-        names = schema.names if project is None else tuple(project)
+        names = self._schema.names if project is None else tuple(project)
         for name in names:
-            if not schema.has_column(name):
+            if not self._schema.has_column(name):
                 raise QueryError(f"unknown projected column {name!r}")
-        leaf = self._leaf_columns
-        picks, keyed = None, False
-        if leaf and set(leaf).issuperset(names):
-            picks = tuple(map(leaf.index, names))
-            keyed = any(pick >= self._payload_width for pick in picks)
+        picks = keyed = None
+        if self._leaf and set(self._leaf).issuperset(names):
+            picks = tuple(map(self._leaf.index, names))
+            keyed = any(pick >= self._width for pick in picks)
         if len(self) >= PLAN_CAP:
             del self[next(iter(self))]
         plan = self[project] = (names, picks, keyed)
@@ -155,10 +139,8 @@ class CachedBTree:
             )
         if tree.value_size != RID_SIZE:
             raise QueryError("cached index requires RID-valued tree")
-        self._payload_schema = schema.project(list(cached_fields)) if cached_fields else None
-        payload_size = (
-            self._payload_schema.record_size if self._payload_schema else 0
-        )
+        self._payload_schema = schema.project(cached_fields)
+        payload_size = self._payload_schema.record_size
         if payload_size <= 0:
             raise QueryError("cached_fields must have positive total width")
         payload_struct, _, self._payload_post = self._payload_schema.codec
@@ -281,16 +263,8 @@ class CachedBTree:
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> LookupResult:
-        """Point lookup with projection (the paper's workhorse query).
-
-        A hit reads the leaf through the page itself — one ``bisect``, one
-        ``read`` — and assembles its values through the projection's plan;
-        the leaf's CSN is checked inline and validated only when behind.
-        """
-        try:
-            plan = self._plans[project]
-        except TypeError:  # a list: unhashable, planned as its tuple
-            plan = self._plans[tuple(project)]
+        """Point lookup with projection (the paper's workhorse query)."""
+        plan = self._plans[tuple(project) if type(project) is list else project]
         key = self.encode_key(key_value)
         self.stats.lookups += 1
         self._m_lookup.inc()
@@ -299,9 +273,7 @@ class CachedBTree:
         leaf_id = self._tree.find_leaf(key)
         with self._tree.pool.page(leaf_id) as page:
             if page.type_code != PageType.BTREE_LEAF:
-                raise PageFormatError(
-                    f"page {leaf_id} is {page.page_type.name}, not a leaf"
-                )
+                raise PageFormatError(f"page {leaf_id} is not a leaf")
             pos, found = page.bisect(key)
             if not found:
                 return LookupResult(None, found=False, from_cache=False)
@@ -353,10 +325,7 @@ class CachedBTree:
         (the descent really is shared) and one ``cache_probe`` per unique
         answerable key.
         """
-        try:
-            plan = self._plans[project]
-        except TypeError:  # a list: unhashable, planned as its tuple
-            plan = self._plans[tuple(project)]
+        plan = self._plans[tuple(project) if type(project) is list else project]
         encoded = [self.encode_key(kv) for kv in key_values]
         by_key: dict[bytes, LookupResult] = {}
         if not encoded:
@@ -364,7 +333,6 @@ class CachedBTree:
         #: cache misses to resolve from the heap: encoded key -> (rid, leaf)
         misses: list[tuple[bytes, Rid, int]] = []
         invalidation = self._invalidation
-        # leaf_runs hands over pages its LeafNode view has checked are leaves
         for leaf_id, page, run in self._tree.leaf_runs(encoded):
             if self._cost is not None:
                 self._cost.on_index_descent()
@@ -475,13 +443,9 @@ class CachedBTree:
     # -- internals ---------------------------------------------------------------
 
     def _validate(self, page) -> None:
-        """Enforce the CSN invariants on a leaf whose stamp is behind the
-        epoch or the predicate log (§2.1.2).
-
-        Callers test the stamp inline and skip this call when it is
-        current: re-stamping such a page would write the same 8 bytes.
-        Only then are the leaf's first and last keys read.
-        """
+        """Enforce the CSN invariants on a leaf (§2.1.2).  Callers skip it
+        when the page's stamp is current: nothing would be zeroed, and the
+        re-stamp would write the same 8 bytes."""
         count = page.slot_count
         first = last = None
         if count:
@@ -515,7 +479,6 @@ class CachedBTree:
             self.stats.fills_skipped_latch += 1
             self._m_fill_skipped.inc()
             return
-        assert self._payload_schema is not None
         fields = unpack_fields(self._schema, record, self._payload_schema.names)
         payload = pack_record_map(self._payload_schema, fields)
         if self._cache.insert(page, tid, payload):

@@ -29,9 +29,7 @@ bucket-by-bucket toward S so the hottest items die last.  Slot centres
 are evenly spaced, so that ranking is arithmetic: the nearer of S's two
 neighbours first, then strict alternation between the sides until one
 runs out, then the rest of the other side (ties go to the lower index).
-Nothing is sorted and nothing is kept per page: a geometry is a pure
-function of its five inputs, which is what lets a cache memoise it by
-those inputs.
+Nothing is sorted and nothing is kept per page.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.storage.constants import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE
-from repro.storage.page import SlottedPage
 
 #: Bytes of tuple id at the start of every cache item.
 ITEM_HEADER_SIZE = 8
@@ -78,11 +75,9 @@ def checksum(body: bytes) -> int:
 class CacheGeometry:
     """The slot layout of one page's free window at one item size.
 
-    The window moves as the page fills, so every access asks for the
-    geometry of the window as it is *now*: slots that no longer fit simply
-    vanish from the layout (and their bytes are fair game for the index).
-    Everything derived — slot range and the stable point's place among the
-    slots — is computed here, once; the object is immutable.
+    Every access asks for the geometry of the window as it is *now*, which
+    moves as the page fills: slots that no longer fit simply vanish from the
+    layout (and their bytes are fair game for the index).
     """
 
     page_size: int
@@ -94,32 +89,25 @@ class CacheGeometry:
     #: many aligned slots currently fit in it.
     first_slot_index: int = field(init=False)
     num_slots: int = field(init=False)
-    #: Slot centres left of S, whether the nearest of them ranks first,
-    #: and how many slots each side has before the other runs out.
-    left: int = field(init=False, repr=False)
-    left_first: bool = field(init=False, repr=False)
-    paired: int = field(init=False, repr=False)
+    #: ``(left, left_first, paired)``: slot centres left of S, whether the
+    #: nearest of them ranks first, and slots per side before one runs out.
+    sides: tuple[int, bool, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        first = -(-self.free_lo // self.item_size)  # ceil division
-        fit = max(0, (self.free_hi - first * self.item_size) // self.item_size)
+        item = self.item_size
+        first = -(-self.free_lo // item)  # ceil division
+        fit = max(0, (self.free_hi - first * item) // item)
         object.__setattr__(self, "first_slot_index", first)
         object.__setattr__(self, "num_slots", fit)
-        left, left_first = self._sides()
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "left_first", left_first)
-        object.__setattr__(self, "paired", min(left, fit - left))
-
-    @classmethod
-    def of(cls, page: SlottedPage, payload_size: int, entry_size: int) -> "CacheGeometry":
-        lo, hi = page.free_window()
-        return cls(
-            page_size=page.size,
-            free_lo=lo,
-            free_hi=hi,
-            item_size=item_size_for_payload(payload_size),
-            entry_size=entry_size,
-        )
+        # Slot i lies left of S iff i*item < S - (centre of slot 0), a centre
+        # on S counting as right; ``left_first`` compares ``abs(offset + half
+        # - S)`` of S's neighbours as a stable sort would: a tie goes left.
+        half, s, origin = item / 2, self.stable_point, first * item
+        whole, rest = divmod(s - (origin + half), item)
+        left = min(fit, max(0, int(whole) + (rest > 0)))
+        right_offset = origin + left * item
+        left_first = abs(right_offset - item + half - s) <= abs(right_offset + half - s)
+        object.__setattr__(self, "sides", (left, left_first, min(left, fit - left)))
 
     # -- slots ------------------------------------------------------------
 
@@ -155,40 +143,18 @@ class CacheGeometry:
         k = self.entry_size
         return PAGE_HEADER_SIZE + usable * d / (k + d)
 
-    def _sides(self) -> tuple[int, bool]:
-        """``(left, left_first)``: how many slot centres lie left of S, and
-        whether the nearest of them ranks before the nearest on the right.
-
-        ``left_first`` is the one distance comparison the ranking needs; it
-        uses the float expression ``abs(offset + half - S)`` and sends a
-        tie to the left (lower) index, exactly as a stable sort of the slot
-        indices by that expression would.
-        """
-        item = self.item_size
-        half = item / 2
-        s = self.stable_point
-        origin = self.first_slot_index * item
-        # slot i lies left of S iff i*item < s - (centre of slot 0); the
-        # float remainder is exact, so a centre exactly on S counts as right
-        whole, rest = divmod(s - (origin + half), item)
-        left = min(self.num_slots, max(0, int(whole) + (rest > 0)))
-        right_offset = origin + left * item
-        return left, (
-            abs(right_offset - item + half - s) <= abs(right_offset + half - s)
-        )
-
     def rank_of(self, slot: int) -> int:
         """Stability rank of in-range ``slot``: 0 is the slot closest to S."""
-        left = self.left
+        left, left_first, paired = self.sides
         on_left = slot < left
         k = left - 1 - slot if on_left else slot - left  # k-th on its side
-        if k >= self.paired:
-            return self.paired + k  # the other side has run out
-        return 2 * k + (on_left != self.left_first)
+        if k >= paired:
+            return paired + k  # the other side has run out
+        return 2 * k + (on_left != left_first)
 
     def slots_at_ranks(self, lo: int, hi: int) -> list[int]:
         """Slots holding stability ranks ``[lo, hi)``, most stable first."""
-        left, left_first, paired = self.left, self.left_first, self.paired
+        left, left_first, paired = self.sides
         right = self.num_slots - left
         slots = []
         for rank in range(lo, min(hi, self.num_slots)):

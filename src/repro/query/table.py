@@ -16,10 +16,7 @@ from repro.btree.keycodec import codec_for_columns
 from repro.btree.rebuild import rebuild_tree_from_heap
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import (
-    CachedBTree,
-    LookupResult,
-    ProjectionPlans,
-)
+    CachedBTree, LookupResult, ProjectionPlans)
 from repro.errors import QueryError, ReproError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracer import Tracer
@@ -53,8 +50,7 @@ class PlainIndex:
             [schema.column(c) for c in key_columns]
         )
         self.encode_key = self.key_codec.encode_key
-        #: The cached index's projection plans, with nothing a leaf answers.
-        self._plans = ProjectionPlans(schema, (), ())
+        self._plans = ProjectionPlans(schema, (), ())  # a leaf answers nothing
         self.lookups = 0
         self.heap_fetches = 0
 
@@ -95,10 +91,7 @@ class PlainIndex:
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> LookupResult:
-        try:
-            project = self._plans[project][0]
-        except TypeError:  # a list: unhashable, planned as its tuple
-            project = self._plans[tuple(project)][0]
+        project = self._plans[tuple(project) if type(project) is list else project][0]
         self.lookups += 1
         rid = self.find_rid(key_value)
         if rid is None:
@@ -125,10 +118,7 @@ class PlainIndex:
         leaf-chain continuation) and the resulting RIDs are fetched
         through the page-ordered :meth:`~repro.storage.heap.HeapFile.fetch_many`.
         """
-        try:
-            project = self._plans[project][0]
-        except TypeError:  # a list: unhashable, planned as its tuple
-            project = self._plans[tuple(project)][0]
+        project = self._plans[tuple(project) if type(project) is list else project][0]
         encoded = [self.encode_key(kv) for kv in key_values]
         if not encoded:
             return []

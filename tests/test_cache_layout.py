@@ -4,8 +4,8 @@ from binascii import crc_hqx
 
 import pytest
 
+from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.layout import (
-    CacheGeometry,
     ITEM_CHECKSUM_SIZE,
     ITEM_HEADER_SIZE,
     ZERO_CHECKSUM,
@@ -40,7 +40,7 @@ def test_checksum_never_zero_and_detects_changes():
 
 def test_slots_are_aligned_to_item_size():
     page = page_with(3)
-    geo = CacheGeometry.of(page, payload_size=15, entry_size=24)
+    geo = IndexCache(payload_size=15, entry_size=24).geometry(page)
     for offset in geo.slot_offsets():
         assert offset % geo.item_size == 0
     lo, hi = page.free_window()
@@ -51,10 +51,10 @@ def test_slots_are_aligned_to_item_size():
 
 def test_num_slots_shrinks_as_page_fills():
     page = page_with(0)
-    geo0 = CacheGeometry.of(page, 15, 24)
+    geo0 = IndexCache(15, 24).geometry(page)
     for i in range(10):
         page.insert_at(i, b"r" * 20)
-    geo1 = CacheGeometry.of(page, 15, 24)
+    geo1 = IndexCache(15, 24).geometry(page)
     assert geo1.num_slots < geo0.num_slots
 
 
@@ -65,14 +65,14 @@ def test_zero_slots_when_window_tiny():
             page.insert_at(page.slot_count, b"r" * 16)
         except Exception:
             break
-    geo = CacheGeometry.of(page, 30, 20)
+    geo = IndexCache(30, 20).geometry(page)
     assert geo.num_slots == 0
     assert geo.slot_offsets() == []
 
 
 def test_slot_offset_bounds():
     page = page_with(0)
-    geo = CacheGeometry.of(page, 15, 24)
+    geo = IndexCache(15, 24).geometry(page)
     with pytest.raises(ReproError):
         geo.slot_offset(geo.num_slots)
     with pytest.raises(ReproError):
@@ -82,7 +82,7 @@ def test_slot_offset_bounds():
 def test_stable_point_formula():
     page = page_with(0, page_size=4096)
     entry_size = 16
-    geo = CacheGeometry.of(page, 15, entry_size)
+    geo = IndexCache(15, entry_size).geometry(page)
     usable = 4096 - PAGE_HEADER_SIZE - PAGE_FOOTER_SIZE
     expected = PAGE_HEADER_SIZE + usable * 4 / (entry_size + 4)
     assert geo.stable_point == pytest.approx(expected)
@@ -94,7 +94,7 @@ def test_stable_point_is_where_regions_meet():
     """Fill a page completely; the final free window must straddle S."""
     page = page_with(0, page_size=1024)
     entry_size = 20
-    geo = CacheGeometry.of(page, 10, entry_size)
+    geo = IndexCache(10, entry_size).geometry(page)
     s = geo.stable_point
     while True:
         try:
@@ -107,7 +107,7 @@ def test_stable_point_is_where_regions_meet():
 
 def test_buckets_order_by_distance_from_s():
     page = page_with(0)
-    geo = CacheGeometry.of(page, 15, 24)
+    geo = IndexCache(15, 24).geometry(page)
     ranked = geo.slots_by_stability()
     s = geo.stable_point
     half = geo.item_size / 2
@@ -117,7 +117,7 @@ def test_buckets_order_by_distance_from_s():
 
 def test_buckets_partition_all_slots():
     page = page_with(0)
-    geo = CacheGeometry.of(page, 15, 24)
+    geo = IndexCache(15, 24).geometry(page)
     buckets = geo.buckets(4)
     flattened = [s for b in buckets for s in b]
     assert sorted(flattened) == list(range(geo.num_slots))

@@ -13,7 +13,7 @@ import pytest
 from repro import Database
 from repro.core.index_cache.cache import GEOMETRY_MEMO_CAP, IndexCache
 from repro.core.index_cache.cached_index import PLAN_CAP
-from repro.core.index_cache.layout import CacheGeometry
+from repro.core.index_cache.layout import CacheGeometry, item_size_for_payload
 from repro.errors import PageFullError
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
@@ -34,6 +34,13 @@ def tid(n: int) -> bytes:
     return n.to_bytes(8, "little")
 
 
+def fresh(page: SlottedPage) -> CacheGeometry:
+    """The page's geometry built from scratch, bypassing any memo."""
+    return CacheGeometry(
+        page.size, *page.free_window(), item_size_for_payload(PAYLOAD), ENTRY
+    )
+
+
 def churn_one_leaf(cache: IndexCache, windows: set) -> int:
     """Fill a leaf from empty, then insert and delete entries for ten times
     its capacity, probing and filling the cache after every change;
@@ -43,7 +50,7 @@ def churn_one_leaf(cache: IndexCache, windows: set) -> int:
 
     def touch(n: int) -> None:
         windows.add(page.free_window())
-        assert cache.geometry(page) == CacheGeometry.of(page, PAYLOAD, ENTRY)
+        assert cache.geometry(page) == fresh(page)
         if cache.probe(page, tid(n % 50)) is None:
             cache.insert(page, tid(n % 50), bytes([n % 251]) * PAYLOAD)
 
@@ -101,7 +108,7 @@ def test_geometry_memo_keeps_to_its_cap():
     cache = IndexCache(PAYLOAD, ENTRY)
     for size in range(512, 512 + 8 * (GEOMETRY_MEMO_CAP + 100), 8):
         page = SlottedPage.format(bytearray(size), 1, PageType.BTREE_LEAF)
-        assert cache.geometry(page) == CacheGeometry.of(page, PAYLOAD, ENTRY)
+        assert cache.geometry(page) == fresh(page)
         assert len(cache._geometries) <= GEOMETRY_MEMO_CAP
     assert len(cache._geometries) == GEOMETRY_MEMO_CAP
 
@@ -117,8 +124,8 @@ def test_two_page_sizes_with_one_window_get_their_own_geometries():
     cache = IndexCache(PAYLOAD, ENTRY)
     geos = [cache.geometry(page) for page in (small, large, small, large)]
     assert geos[0] is geos[2] and geos[1] is geos[3]
-    assert geos[0] == CacheGeometry.of(small, PAYLOAD, ENTRY)
-    assert geos[1] == CacheGeometry.of(large, PAYLOAD, ENTRY)
+    assert geos[0] == fresh(small)
+    assert geos[1] == fresh(large)
     assert geos[0].stable_point != geos[1].stable_point
 
 

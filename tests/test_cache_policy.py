@@ -1,5 +1,6 @@
 """Replacement policies: placement, promotion, and eviction choices."""
 
+from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.layout import CacheGeometry
 from repro.core.index_cache.policy import LruPolicy, RandomPolicy, SwapPolicy
 from repro.storage.constants import PageType
@@ -9,7 +10,7 @@ from repro.util.rng import DeterministicRng
 
 def geometry(page_size=1024, payload=12, entry=24) -> CacheGeometry:
     page = SlottedPage.format(bytearray(page_size), 1, PageType.BTREE_LEAF)
-    return CacheGeometry.of(page, payload, entry)
+    return IndexCache(payload, entry).geometry(page)
 
 
 def test_swap_prefers_free_slots():
