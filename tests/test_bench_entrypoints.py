@@ -86,3 +86,26 @@ def test_page_and_record_codecs_live_where_the_benchmark_charges_them():
                record.unpack_record_map, record.unpack_fields,
                Schema.codec.func, PhysicalType.wire):
         assert charged(fn) == ("schema", True), fn
+
+
+def test_every_workload_runs_one_cycle_through_the_harness():
+    """The harness reads engine attributes by name (``db.cost_model``,
+    ``db.disk.reads``, ``table.index_names``, ``index.stats`` ...) and the
+    workloads drive the public API, so a rename under ``src/`` passes every
+    engine test and only crashes ``python3 -m bench``.  One small cycle of
+    each workload through every step the worker takes catches it."""
+    from bench import layers
+    from bench.oracle import Checker
+    from bench.worker import WORKLOAD_CLASSES, Samples, run_cycle
+
+    for name, cls in WORKLOAD_CLASSES.items():
+        workload = cls(0, 0.05)
+        workload.setup()
+        checker = Checker()
+        run_cycle(workload, Samples(), checker)
+        counters = layers.collect(workload)
+        assert counters["disk.bytes"] > 0 and counters["live_bytes"] > 0, name
+        assert 0 < layers.leaf_fill(workload) <= 1, name
+        workload.finish(Checker(), False)
+        assert checker.attempted > 0 and checker.failed == 0, (
+            name, checker.first_failure)
