@@ -42,11 +42,8 @@ class KeyCodec(ABC):
     #: :func:`codec_for_columns`; a codec built bare has neither.
     columns: tuple[str, ...] = ()
     key_of_row: Callable[[dict[str, object]], object]
-
-    @property
-    @abstractmethod
-    def size(self) -> int:
-        """Encoded width in bytes."""
+    #: Encoded width in bytes.
+    size: int
 
     @abstractmethod
     def encode(self, value: object) -> bytes:
@@ -84,18 +81,14 @@ class UIntKey(KeyCodec):
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise SchemaError("key size must be positive")
-        self._size = size
-
-    @property
-    def size(self) -> int:
-        return self._size
+        self.size = size
 
     def encode(self, value: object) -> bytes:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeMismatchError(f"uint key expects int, got {value!r}")
         if value < 0:
             raise TypeMismatchError(f"uint key cannot encode {value}")
-        return value.to_bytes(self._size, "big")
+        return value.to_bytes(self.size, "big")
 
     def decode(self, data: bytes) -> int:
         return int.from_bytes(data, "big")
@@ -107,17 +100,13 @@ class IntKey(KeyCodec):
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise SchemaError("key size must be positive")
-        self._size = size
+        self.size = size
         self._bias = 1 << (8 * size - 1)
-
-    @property
-    def size(self) -> int:
-        return self._size
 
     def encode(self, value: object) -> bytes:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeMismatchError(f"int key expects int, got {value!r}")
-        return (value + self._bias).to_bytes(self._size, "big")
+        return (value + self._bias).to_bytes(self.size, "big")
 
     def decode(self, data: bytes) -> int:
         return int.from_bytes(data, "big") - self._bias
@@ -129,21 +118,17 @@ class StringKey(KeyCodec):
     def __init__(self, width: int) -> None:
         if width <= 0:
             raise SchemaError("key width must be positive")
-        self._width = width
-
-    @property
-    def size(self) -> int:
-        return self._width
+        self.size = width
 
     def encode(self, value: object) -> bytes:
         if not isinstance(value, str):
             raise TypeMismatchError(f"string key expects str, got {value!r}")
         raw = value.encode("utf-8")
-        if len(raw) > self._width:
+        if len(raw) > self.size:
             raise TypeMismatchError(
-                f"string of {len(raw)} bytes exceeds key width {self._width}"
+                f"string of {len(raw)} bytes exceeds key width {self.size}"
             )
-        return raw.ljust(self._width, b"\x00")
+        return raw.ljust(self.size, b"\x00")
 
     def decode(self, data: bytes) -> str:
         return data.rstrip(b"\x00").decode("utf-8")
@@ -155,30 +140,22 @@ class CompositeKey(KeyCodec):
     def __init__(self, components: Sequence[KeyCodec]) -> None:
         if not components:
             raise SchemaError("composite key needs at least one component")
-        self._components = tuple(components)
-        self._size = sum(c.size for c in components)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def components(self) -> tuple[KeyCodec, ...]:
-        return self._components
+        self.components = tuple(components)
+        self.size = sum(c.size for c in components)
 
     def encode(self, value: object) -> bytes:
         if not isinstance(value, (tuple, list)):
             raise TypeMismatchError(
-                f"composite key expects {len(self._components)} parts, "
+                f"composite key expects {len(self.components)} parts, "
                 f"got 1 ({value!r})"
             )
-        if len(value) != len(self._components):
+        if len(value) != len(self.components):
             raise TypeMismatchError(
-                f"composite key expects {len(self._components)} parts, "
+                f"composite key expects {len(self.components)} parts, "
                 f"got {len(value)}"
             )
         return b"".join(
-            codec.encode(part) for codec, part in zip(self._components, value)
+            codec.encode(part) for codec, part in zip(self.components, value)
         )
 
     #: A composite key value is always the tuple of its parts.
@@ -187,7 +164,7 @@ class CompositeKey(KeyCodec):
     def decode(self, data: bytes) -> tuple[object, ...]:
         parts = []
         offset = 0
-        for codec in self._components:
+        for codec in self.components:
             parts.append(codec.decode(data[offset : offset + codec.size]))
             offset += codec.size
         return tuple(parts)

@@ -56,7 +56,8 @@ class BPlusTree:
         if not 0.1 <= split_fraction <= 0.9:
             raise IndexError_("split_fraction must be in [0.1, 0.9]")
         reg = resolve_registry(registry)
-        self._registry = reg
+        #: The metrics registry this tree emits into (resolved, never None).
+        self.registry = reg
         self._m_search = reg.counter("btree.search")
         self._m_descent = reg.counter("btree.descent")
         self._m_batch_keys = reg.counter("btree.batch.keys")
@@ -66,59 +67,22 @@ class BPlusTree:
         self._m_delete = reg.counter("btree.delete")
         self._m_split_leaf = reg.counter("btree.split.leaf")
         self._m_split_internal = reg.counter("btree.split.internal")
-        self._pool = pool
-        self._key_size = key_size
-        self._value_size = value_size
-        self._name = name
-        self._split_fraction = split_fraction
-        self._num_entries = 0
+        self.pool = pool
+        self.key_size = key_size
+        self.value_size = value_size
+        self.name = name
+        self.split_fraction = split_fraction
+        self.num_entries = 0
         self._leaf_ids: list[int] = []
         self._internal_ids: list[int] = []
         root = pool.new_page(PageType.BTREE_LEAF)
         self._root_id = root.page_id
-        self._height = 1
+        #: Number of levels, 1 for a single-leaf tree.
+        self.height = 1
         self._leaf_ids.append(root.page_id)
         pool.unpin(root.page_id, dirty=True)
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def pool(self) -> BufferPool:
-        return self._pool
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def key_size(self) -> int:
-        return self._key_size
-
-    @property
-    def value_size(self) -> int:
-        return self._value_size
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry this tree emits into (resolved, never None)."""
-        return self._registry
-
-    @property
-    def split_fraction(self) -> float:
-        return self._split_fraction
-
-    @property
-    def root_page_id(self) -> int:
-        return self._root_id
-
-    @property
-    def height(self) -> int:
-        """Number of levels, 1 for a single-leaf tree."""
-        return self._height
-
-    @property
-    def num_entries(self) -> int:
-        return self._num_entries
 
     @property
     def leaf_page_ids(self) -> list[int]:
@@ -135,7 +99,7 @@ class BPlusTree:
     @property
     def size_bytes(self) -> int:
         """Total index size: node pages × page size."""
-        return self.num_pages * self._pool.disk.page_size
+        return self.num_pages * self.pool.disk.page_size
 
     # -- lookups -------------------------------------------------------------
 
@@ -144,7 +108,7 @@ class BPlusTree:
         self._check_key(key)
         self._m_search.inc()
         leaf_id = self.find_leaf(key)
-        with self._pool.page(leaf_id) as page:
+        with self.pool.page(leaf_id) as page:
             leaf = self._leaf(page)
             pos, found = leaf.find(key)
             return leaf.value_at(pos) if found else None
@@ -160,10 +124,10 @@ class BPlusTree:
         self._m_descent.inc()
         page_id = self._root_id
         while True:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 if page.type_code == PageType.BTREE_LEAF:
                     return page_id
-                node = InternalNode(page, self._key_size)
+                node = InternalNode(page, self.key_size)
                 _, page_id = node.find_child(key)
 
     def contains(self, key: bytes) -> bool:
@@ -227,9 +191,9 @@ class BPlusTree:
                 held, cursor = cursor, None
                 if lo is None:
                     if held is not None:
-                        self._pool.unpin(held[0])
+                        self.pool.unpin(held[0])
                     first = self._leftmost_leaf()
-                    cursor = (first, self._pool.fetch(first))
+                    cursor = (first, self.pool.fetch(first))
                 else:
                     cursor = self._seek_leaf_forward(held, lo, for_scan=True)
                 # Walk the chain collecting entries in [lo, hi).
@@ -252,11 +216,11 @@ class BPlusTree:
                     if done or next_id is None:
                         break
                     cursor = None
-                    self._pool.unpin(page_id)
-                    cursor = (next_id, self._pool.fetch(next_id))
+                    self.pool.unpin(page_id)
+                    cursor = (next_id, self.pool.fetch(next_id))
         finally:
             if cursor is not None:
-                self._pool.unpin(cursor[0])
+                self.pool.unpin(cursor[0])
         return results
 
     def leaf_runs(
@@ -294,7 +258,7 @@ class BPlusTree:
                 yield page_id, page, run
         finally:
             if cursor is not None:
-                self._pool.unpin(cursor[0])
+                self.pool.unpin(cursor[0])
 
     def _seek_leaf_forward(
         self,
@@ -323,22 +287,22 @@ class BPlusTree:
                 if for_scan and (count == 0 or key < leaf.key_at(0)):
                     # Scans need the owner leaf: entries >= key may live
                     # on an earlier leaf than this cursor.
-                    self._pool.unpin(page_id)
+                    self.pool.unpin(page_id)
                     break
                 if count and key <= leaf.key_at(count - 1):
                     return page_id, page
                 next_id = page.next_page
                 if next_id is None:
                     return page_id, page  # rightmost leaf decides
-                self._pool.unpin(page_id)
+                self.pool.unpin(page_id)
                 if hops >= MAX_CHAIN_HOPS:
                     break  # too far ahead: re-descend
                 self._m_batch_chain_hops.inc()
                 hops += 1
-                page = self._pool.fetch(next_id)
+                page = self.pool.fetch(next_id)
                 page_id = next_id
         leaf_id = self.find_leaf(key)
-        return leaf_id, self._pool.fetch(leaf_id)
+        return leaf_id, self.pool.fetch(leaf_id)
 
     def range_scan(
         self, lo: bytes | None = None, hi: bytes | None = None
@@ -354,7 +318,7 @@ class BPlusTree:
         else:
             page_id = self.find_leaf(lo)
         while page_id is not None:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 leaf = self._leaf(page)
                 if lo is None:
                     start = 0
@@ -385,41 +349,41 @@ class BPlusTree:
         self._m_insert.inc()
         path = self._descend(key)
         leaf_id = path[-1][0]
-        with self._pool.page(leaf_id, dirty=True) as page:
+        with self.pool.page(leaf_id, dirty=True) as page:
             leaf = self._leaf(page)
             pos, found = leaf.find(key)
             if found:
                 if not upsert:
                     raise DuplicateKeyError(
-                        f"{self._name}: duplicate key {key.hex()}"
+                        f"{self.name}: duplicate key {key.hex()}"
                     )
                 leaf.set_value(pos, value)
                 return
             if self._try_insert_leaf(leaf, pos, key, value):
-                self._num_entries += 1
+                self.num_entries += 1
                 return
         # The leaf is genuinely full: split, then insert into the proper half.
         separator, new_leaf_id = self._split_leaf(leaf_id)
         self._insert_into_parent(path[:-1], leaf_id, separator, new_leaf_id)
         target = new_leaf_id if key >= separator else leaf_id
-        with self._pool.page(target, dirty=True) as page:
+        with self.pool.page(target, dirty=True) as page:
             leaf = self._leaf(page)
             pos, found = leaf.find(key)
             if found:  # pragma: no cover - guarded above
-                raise DuplicateKeyError(f"{self._name}: duplicate key")
+                raise DuplicateKeyError(f"{self.name}: duplicate key")
             leaf.insert(pos, key, value)
-        self._num_entries += 1
+        self.num_entries += 1
 
     def update_value(self, key: bytes, value: bytes) -> None:
         """Overwrite the value of an existing key."""
         self._check_key(key)
         self._check_value(value)
         leaf_id = self.find_leaf(key)
-        with self._pool.page(leaf_id, dirty=True) as page:
+        with self.pool.page(leaf_id, dirty=True) as page:
             leaf = self._leaf(page)
             pos, found = leaf.find(key)
             if not found:
-                raise KeyNotFoundError(f"{self._name}: key {key.hex()} not found")
+                raise KeyNotFoundError(f"{self.name}: key {key.hex()} not found")
             leaf.set_value(pos, value)
 
     def delete(self, key: bytes) -> None:
@@ -428,13 +392,13 @@ class BPlusTree:
         self._check_key(key)
         self._m_delete.inc()
         leaf_id = self.find_leaf(key)
-        with self._pool.page(leaf_id, dirty=True) as page:
+        with self.pool.page(leaf_id, dirty=True) as page:
             leaf = self._leaf(page)
             pos, found = leaf.find(key)
             if not found:
-                raise KeyNotFoundError(f"{self._name}: key {key.hex()} not found")
+                raise KeyNotFoundError(f"{self.name}: key {key.hex()} not found")
             leaf.remove(pos)
-        self._num_entries -= 1
+        self.num_entries -= 1
 
     # -- bulk loading ----------------------------------------------------------
 
@@ -492,7 +456,7 @@ class BPlusTree:
                 with pool.page(current_id, dirty=True) as page:
                     page.next_page = new_id
                 current_id = new_id
-        tree._num_entries = len(entries)
+        tree.num_entries = len(entries)
 
         # Build internal levels bottom-up until one node remains.
         level = 1
@@ -514,7 +478,7 @@ class BPlusTree:
             children = parents
             level += 1
         tree._root_id = children[0][1]
-        tree._height = level
+        tree.height = level
         return tree
 
     # -- maintenance / stats ----------------------------------------------------
@@ -525,7 +489,7 @@ class BPlusTree:
             return 0.0
         total = 0.0
         for page_id in self._leaf_ids:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 total += page.fill_factor
         return total / len(self._leaf_ids)
 
@@ -535,26 +499,26 @@ class BPlusTree:
         for key, _ in self.items():
             if previous is not None and key <= previous:
                 raise IndexError_(
-                    f"{self._name}: order violation at {key.hex()}"
+                    f"{self.name}: order violation at {key.hex()}"
                 )
             previous = key
 
     # -- internals ---------------------------------------------------------------
 
     def _leaf(self, page: SlottedPage) -> LeafNode:
-        return LeafNode(page, self._key_size, self._value_size)
+        return LeafNode(page, self.key_size, self.value_size)
 
     def _check_key(self, key: bytes) -> None:
-        if len(key) != self._key_size:
+        if len(key) != self.key_size:
             raise IndexError_(
-                f"{self._name}: key must be {self._key_size} bytes, "
+                f"{self.name}: key must be {self.key_size} bytes, "
                 f"got {len(key)}"
             )
 
     def _check_value(self, value: bytes) -> None:
-        if len(value) != self._value_size:
+        if len(value) != self.value_size:
             raise IndexError_(
-                f"{self._name}: value must be {self._value_size} bytes, "
+                f"{self.name}: value must be {self.value_size} bytes, "
                 f"got {len(value)}"
             )
 
@@ -567,10 +531,10 @@ class BPlusTree:
         path = [(self._root_id, 0)]
         page_id = self._root_id
         while True:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 if page.type_code == PageType.BTREE_LEAF:
                     return path
-                node = InternalNode(page, self._key_size)
+                node = InternalNode(page, self.key_size)
                 pos, child = node.find_child(key)
             path.append((child, pos))
             page_id = child
@@ -596,16 +560,16 @@ class BPlusTree:
 
     def _split_leaf(self, leaf_id: int) -> tuple[bytes, int]:
         """Split ``leaf_id``; returns ``(separator_key, new_leaf_id)``."""
-        new_page = self._pool.new_page(PageType.BTREE_LEAF)
+        new_page = self.pool.new_page(PageType.BTREE_LEAF)
         new_id = new_page.page_id
         try:
-            with self._pool.page(leaf_id, dirty=True) as page:
+            with self.pool.page(leaf_id, dirty=True) as page:
                 leaf = self._leaf(page)
                 count = leaf.count
-                split_at = min(max(1, int(count * self._split_fraction)),
+                split_at = min(max(1, int(count * self.split_fraction)),
                                count - 1)
                 moved = [leaf.entry_at(i) for i in range(split_at, count)]
-                new_leaf = LeafNode(new_page, self._key_size, self._value_size)
+                new_leaf = LeafNode(new_page, self.key_size, self.value_size)
                 for j, (key, value) in enumerate(moved):
                     new_leaf.insert(j, key, value)
                 page_next = page.next_page
@@ -615,23 +579,23 @@ class BPlusTree:
                 page.next_page = new_id
                 separator = moved[0][0]
         finally:
-            self._pool.unpin(new_id, dirty=True)
+            self.pool.unpin(new_id, dirty=True)
         self._leaf_ids.append(new_id)
         self._m_split_leaf.inc()
         return separator, new_id
 
     def _split_internal(self, node_id: int) -> tuple[bytes, int]:
         """Split an internal node; returns ``(separator_key, new_node_id)``."""
-        new_page = self._pool.new_page(PageType.BTREE_INTERNAL)
+        new_page = self.pool.new_page(PageType.BTREE_INTERNAL)
         new_id = new_page.page_id
         try:
-            with self._pool.page(node_id, dirty=True) as page:
-                node = InternalNode(page, self._key_size)
+            with self.pool.page(node_id, dirty=True) as page:
+                node = InternalNode(page, self.key_size)
                 count = node.count
                 split_at = max(1, count // 2)
                 moved = [node.entry_at(i) for i in range(split_at, count)]
                 new_page.level = page.level
-                new_node = InternalNode(new_page, self._key_size)
+                new_node = InternalNode(new_page, self.key_size)
                 for j, (key, child) in enumerate(moved):
                     new_node.insert(j, key, child)
                 page.truncate(split_at)
@@ -640,7 +604,7 @@ class BPlusTree:
                 # key; within the new node that entry's key acts as -inf.
                 separator = moved[0][0]
         finally:
-            self._pool.unpin(new_id, dirty=True)
+            self.pool.unpin(new_id, dirty=True)
         self._internal_ids.append(new_id)
         self._m_split_internal.inc()
         return separator, new_id
@@ -661,14 +625,14 @@ class BPlusTree:
             self._grow_root(left_id, separator, right_id)
             return
         parent_id, _ = path[-1]
-        with self._pool.page(parent_id, dirty=True) as page:
-            node = InternalNode(page, self._key_size)
+        with self.pool.page(parent_id, dirty=True) as page:
+            node = InternalNode(page, self.key_size)
             pos, child = node.find_child(separator)
             if child != left_id:
                 # The separator routes to the left sibling by construction;
                 # anything else means the path raced with another split.
                 raise IndexError_(
-                    f"{self._name}: parent routing mismatch during split"
+                    f"{self.name}: parent routing mismatch during split"
                 )
             try:
                 node.insert(pos + 1, separator, right_id)
@@ -683,34 +647,34 @@ class BPlusTree:
         parent_sep, new_parent_id = self._split_internal(parent_id)
         self._insert_into_parent(path[:-1], parent_id, parent_sep, new_parent_id)
         target = new_parent_id if separator >= parent_sep else parent_id
-        with self._pool.page(target, dirty=True) as page:
-            node = InternalNode(page, self._key_size)
+        with self.pool.page(target, dirty=True) as page:
+            node = InternalNode(page, self.key_size)
             pos, child = node.find_child(separator)
             if child != left_id:
                 raise IndexError_(
-                    f"{self._name}: parent routing mismatch after split"
+                    f"{self.name}: parent routing mismatch after split"
                 )
             node.insert(pos + 1, separator, right_id)
 
     def _grow_root(self, left_id: int, separator: bytes, right_id: int) -> None:
-        page = self._pool.new_page(PageType.BTREE_INTERNAL)
+        page = self.pool.new_page(PageType.BTREE_INTERNAL)
         try:
-            page.level = self._height
-            node = InternalNode(page, self._key_size)
+            page.level = self.height
+            node = InternalNode(page, self.key_size)
             # Entry 0's key is the -inf sentinel; zeros keep it inert.
-            node.insert(0, bytes(self._key_size), left_id)
+            node.insert(0, bytes(self.key_size), left_id)
             node.insert(1, separator, right_id)
             self._root_id = page.page_id
             self._internal_ids.append(page.page_id)
-            self._height += 1
+            self.height += 1
         finally:
-            self._pool.unpin(page.page_id, dirty=True)
+            self.pool.unpin(page.page_id, dirty=True)
 
     def _leftmost_leaf(self) -> int:
         page_id = self._root_id
         while True:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 if page.type_code == PageType.BTREE_LEAF:
                     return page_id
-                node = InternalNode(page, self._key_size)
+                node = InternalNode(page, self.key_size)
                 page_id = node.child_at(0)

@@ -84,7 +84,7 @@ class ColumnStore:
     """The columnar mirror of one table's heap."""
 
     def __init__(self, table, segment_rows: int = SEGMENT_ROWS) -> None:
-        self._table = table
+        self.table = table
         self._schema: Schema = table.schema
         self._segment_rows = max(1, segment_rows)
         self.segments: list[ColumnSegment] = []
@@ -100,10 +100,6 @@ class ColumnStore:
         self.sealed_total = 0
         #: Heap-order (segment, position) list, memoized per epoch.
         self._order: list[tuple[int, int]] | None = None
-
-    @property
-    def table(self):
-        return self._table
 
     # -- maintenance -------------------------------------------------------
 
@@ -165,7 +161,7 @@ class ColumnStore:
         if (
             not self.built
             or self._stale
-            or self.live_rows != self._table.heap.num_records
+            or self.live_rows != self.table.heap.num_records
         ):
             self.rebuild()
 
@@ -174,7 +170,7 @@ class ColumnStore:
         names = self._schema.names
         segments = self.segments
         positions = self._positions
-        for rid, record in self._table.heap.scan():
+        for rid, record in self.table.heap.scan():
             row = unpack_record_map(self._schema, record)
             if not segments or segments[-1].count >= self._segment_rows:
                 if segments:
@@ -200,7 +196,7 @@ class ColumnStore:
                 by_page.setdefault(rid.page_id, []).append((rid.slot, rid))
             order: list[tuple[int, int]] = []
             positions = self._positions
-            for page_id in self._table.heap.page_ids:
+            for page_id in self.table.heap.page_ids:
                 slots = by_page.get(page_id)
                 if not slots:
                     continue

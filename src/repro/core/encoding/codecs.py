@@ -65,7 +65,7 @@ class DictionaryCodec:
             raise SchemaError("dictionary entries must be distinct")
         self._values = list(dictionary)
         self._codes = {v: i for i, v in enumerate(dictionary)}
-        self._bit_width = bits_required(max(0, len(dictionary) - 1))
+        self.bit_width = bits_required(max(0, len(dictionary) - 1))
 
     @classmethod
     def build(cls, values: list[object]) -> "DictionaryCodec":
@@ -79,21 +79,17 @@ class DictionaryCodec:
     def size(self) -> int:
         return len(self._values)
 
-    @property
-    def bit_width(self) -> int:
-        return self._bit_width
-
     def encode(self, values: list[object]) -> bytes:
         try:
             codes = [self._codes[v] for v in values]
         except KeyError as exc:
             raise TypeMismatchError(f"value {exc.args[0]!r} not in dictionary") from None
-        return pack_bits(codes, self._bit_width) if values else b""
+        return pack_bits(codes, self.bit_width) if values else b""
 
     def decode(self, data: bytes, count: int) -> list[object]:
         if count == 0:
             return []
-        return [self._values[c] for c in unpack_bits(data, self._bit_width, count)]
+        return [self._values[c] for c in unpack_bits(data, self.bit_width, count)]
 
 
 class Timestamp14Codec:

@@ -62,10 +62,12 @@ class OnlineHotColdManager:
             raise WorkloadError("hot_capacity must be positive")
         if ops_per_epoch <= 0 or migration_budget <= 0:
             raise WorkloadError("epoch and budget must be positive")
-        self._table = table
-        self._hot_capacity = hot_capacity
-        self._tracker = AccessTracker(decay=decay)
-        self._ops_per_epoch = ops_per_epoch
+        self.table = table
+        #: Target number of rows in the hot partition (adaptive knob).
+        self.hot_capacity = hot_capacity
+        self.tracker = AccessTracker(decay=decay)
+        #: Lookups between automatic rebalances (adaptive knob).
+        self.ops_per_epoch = ops_per_epoch
         self._budget = migration_budget
         self._ops_since_rebalance = 0
         self.reports: list[RebalanceReport] = []
@@ -81,33 +83,15 @@ class OnlineHotColdManager:
         self._m_miss = reg.counter("hotcold.miss")
         self._m_cap_knob = reg.gauge("adaptive.knob.hotcold.hot_capacity")
         self._m_epoch_knob = reg.gauge("adaptive.knob.hotcold.ops_per_epoch")
-        self._m_cap_knob.set(float(self._hot_capacity))
-        self._m_epoch_knob.set(float(self._ops_per_epoch))
-
-    @property
-    def tracker(self) -> AccessTracker:
-        return self._tracker
-
-    @property
-    def table(self) -> HotColdPartitionedTable:
-        return self._table
-
-    @property
-    def hot_capacity(self) -> int:
-        """Target number of rows in the hot partition (adaptive knob)."""
-        return self._hot_capacity
-
-    @property
-    def ops_per_epoch(self) -> int:
-        """Lookups between automatic rebalances (adaptive knob)."""
-        return self._ops_per_epoch
+        self._m_cap_knob.set(float(self.hot_capacity))
+        self._m_epoch_knob.set(float(self.ops_per_epoch))
 
     def set_hot_capacity(self, hot_capacity: int) -> None:
         """Retune the hot-fraction target; applied at the next rebalance."""
         if hot_capacity <= 0:
             raise WorkloadError("hot_capacity must be positive")
-        self._hot_capacity = int(hot_capacity)
-        self._m_cap_knob.set(float(self._hot_capacity))
+        self.hot_capacity = int(hot_capacity)
+        self._m_cap_knob.set(float(self.hot_capacity))
 
     def set_ops_per_epoch(self, ops_per_epoch: int) -> None:
         """Retune the rebalance cadence.
@@ -118,8 +102,8 @@ class OnlineHotColdManager:
         """
         if ops_per_epoch <= 0:
             raise WorkloadError("epoch and budget must be positive")
-        self._ops_per_epoch = int(ops_per_epoch)
-        self._m_epoch_knob.set(float(self._ops_per_epoch))
+        self.ops_per_epoch = int(ops_per_epoch)
+        self._m_epoch_knob.set(float(self.ops_per_epoch))
 
     # -- the query path ----------------------------------------------------------
 
@@ -128,17 +112,17 @@ class OnlineHotColdManager:
     ) -> dict[str, object] | None:
         """Tracked lookup; triggers a rebalance every ``ops_per_epoch``."""
         self._m_lookups.inc()
-        self._tracker.record(key_value)
+        self.tracker.record(key_value)
         self._ops_since_rebalance += 1
-        hot_before = self._table.hot_lookups
-        result = self._table.lookup(key_value, project)
+        hot_before = self.table.hot_lookups
+        result = self.table.lookup(key_value, project)
         # hit = served by the hot partition; the delta pair feeds the
         # sampler's ``derived.hotcold.hit_rate`` selector per window.
-        if self._table.hot_lookups > hot_before:
+        if self.table.hot_lookups > hot_before:
             self._m_hit.inc()
         else:
             self._m_miss.inc()
-        if self._ops_since_rebalance >= self._ops_per_epoch:
+        if self._ops_since_rebalance >= self.ops_per_epoch:
             self.rebalance()
         return result
 
@@ -155,7 +139,7 @@ class OnlineHotColdManager:
         still spends budget (its I/O was real).
         """
         self._ops_since_rebalance = 0
-        want_hot = set(self._tracker.hottest(self._hot_capacity))
+        want_hot = set(self.tracker.hottest(self.hot_capacity))
         budget = self._budget
         promoted = 0
         demoted = 0
@@ -163,16 +147,16 @@ class OnlineHotColdManager:
         # Batched record prefetch: pull the move sources in page order,
         # one pin per page, so the per-key copy-then-delete moves below
         # find their records already pooled.
-        self._table.warm_records(
-            [k for k in want_hot if not self._table.is_hot(k)][: budget],
+        self.table.warm_records(
+            [k for k in want_hot if not self.table.is_hot(k)][: budget],
             hot=False,
         )
         for key in want_hot:
             if budget <= 0:
                 break
-            if not self._table.is_hot(key):
+            if not self.table.is_hot(key):
                 try:
-                    moved = self._table.promote(key)
+                    moved = self.table.promote(key)
                 except StorageError:
                     aborted += 1
                     budget -= 1
@@ -182,23 +166,23 @@ class OnlineHotColdManager:
                     budget -= 1
         # Demote residents that fell out of the hot set, until the hot
         # partition is back at (or under) capacity.
-        if self._table.hot.num_rows > self._hot_capacity and budget > 0:
+        if self.table.hot.num_rows > self.hot_capacity and budget > 0:
             residents = self._hot_residents()
             coldest_first = sorted(
-                residents, key=self._tracker.count_of
+                residents, key=self.tracker.count_of
             )
-            excess = self._table.hot.num_rows - self._hot_capacity
+            excess = self.table.hot.num_rows - self.hot_capacity
             demote_candidates = [
                 k for k in coldest_first if k not in want_hot
             ][: min(budget, excess)]
-            self._table.warm_records(demote_candidates, hot=True)
+            self.table.warm_records(demote_candidates, hot=True)
             for key in coldest_first:
                 if budget <= 0 or excess <= 0:
                     break
                 if key in want_hot:
                     continue
                 try:
-                    moved = self._table.demote(key)
+                    moved = self.table.demote(key)
                 except StorageError:
                     aborted += 1
                     budget -= 1
@@ -207,12 +191,12 @@ class OnlineHotColdManager:
                     demoted += 1
                     excess -= 1
                     budget -= 1
-        self._tracker.advance_epoch()
+        self.tracker.advance_epoch()
         report = RebalanceReport(
-            epoch=self._tracker.epoch,
+            epoch=self.tracker.epoch,
             promoted=promoted,
             demoted=demoted,
-            hot_rows_after=self._table.hot.num_rows,
+            hot_rows_after=self.table.hot.num_rows,
             aborted=aborted,
         )
         self.reports.append(report)
@@ -223,21 +207,21 @@ class OnlineHotColdManager:
         # A migration is a delete+insert of the full row (§3.1), so the
         # bytes moved per rebalance are moves × record width.
         self._m_migrated_bytes.inc(
-            (promoted + demoted) * self._table.schema.record_size
+            (promoted + demoted) * self.table.schema.record_size
         )
-        self._m_hot_rows.set(self._table.hot.num_rows)
+        self._m_hot_rows.set(self.table.hot.num_rows)
         return report
 
     def _hot_residents(self) -> list[object]:
         """Keys currently in the hot partition (decoded from the index)."""
         keys = []
-        tree = self._table.hot.tree
-        codec = self._table.key_codec
+        tree = self.table.hot.tree
+        codec = self.table.key_codec
         for key_bytes, _ in tree.items():
             keys.append(codec.decode(key_bytes))
         return keys
 
     def hot_hit_rate(self) -> float:
         """Fraction of lookups served by the hot partition so far."""
-        total = self._table.hot_lookups + self._table.cold_lookups
-        return self._table.hot_lookups / total if total else 0.0
+        total = self.table.hot_lookups + self.table.cold_lookups
+        return self.table.hot_lookups / total if total else 0.0

@@ -81,14 +81,14 @@ class HotColdPartitionedTable:
     ) -> None:
         if hot.tree.value_size != RID_SIZE or cold.tree.value_size != RID_SIZE:
             raise QueryError("partition indexes must be RID-valued")
-        self._schema = schema
+        self.schema = schema
         #: The key maker: key value or row -> ordered bytes.
         self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
         )
         self.encode_key = self.key_codec.encode_key
-        self._hot = hot
-        self._cold = cold
+        self.hot = hot
+        self.cold = cold
         self._forwarding = forwarding
         # Optional WalWriter (duck-typed).  Partition heaps are not
         # catalog tables, so moves are logged as HOT_COLD_MOVE markers —
@@ -101,26 +101,12 @@ class HotColdPartitionedTable:
         self.demotions = 0
         self.promotions = 0
 
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def hot(self) -> Partition:
-        return self._hot
-
-    @property
-    def cold(self) -> Partition:
-        return self._cold
-
     # -- data plane ------------------------------------------------------------
 
     def insert(self, row: dict[str, object], hot: bool = True) -> Rid:
         """Insert a row into the chosen partition."""
-        part = self._hot if hot else self._cold
-        record = pack_record_map(self._schema, row)
+        part = self.hot if hot else self.cold
+        record = pack_record_map(self.schema, row)
         rid = part.heap.insert(record)
         key = self.key_codec.encode_row(row)
         part.tree.insert(key, rid.to_bytes())
@@ -135,18 +121,18 @@ class HotColdPartitionedTable:
         lookup resolves in the (small, RAM-resident) hot partition.
         """
         key = self.encode_key(key_value)
-        project = project if project is not None else self._schema.names
-        rid_bytes = self._hot.tree.search(key)
+        project = project if project is not None else self.schema.names
+        rid_bytes = self.hot.tree.search(key)
         if rid_bytes is not None:
             self.hot_lookups += 1
-            record = self._hot.heap.fetch(Rid.from_bytes(rid_bytes))
-            return unpack_fields(self._schema, record, project)
-        rid_bytes = self._cold.tree.search(key)
+            record = self.hot.heap.fetch(Rid.from_bytes(rid_bytes))
+            return unpack_fields(self.schema, record, project)
+        rid_bytes = self.cold.tree.search(key)
         if rid_bytes is None:
             return None
         self.cold_lookups += 1
-        record = self._cold.heap.fetch(Rid.from_bytes(rid_bytes))
-        return unpack_fields(self._schema, record, project)
+        record = self.cold.heap.fetch(Rid.from_bytes(rid_bytes))
+        return unpack_fields(self.schema, record, project)
 
     def warm_records(self, key_values: list[object], hot: bool) -> None:
         """Best-effort batched prefetch of move sources.
@@ -158,7 +144,7 @@ class HotColdPartitionedTable:
         Faults here are swallowed — warming is an optimisation, and the
         per-key move path handles (and accounts) its own faults.
         """
-        src = self._hot if hot else self._cold
+        src = self.hot if hot else self.cold
         encoded = [self.encode_key(kv) for kv in key_values]
         if not encoded:
             return
@@ -174,29 +160,29 @@ class HotColdPartitionedTable:
 
     def demote(self, key_value: object) -> bool:
         """Move a row hot → cold (e.g. a superseded revision)."""
-        moved = self._move(key_value, self._hot, self._cold)
+        moved = self._move(key_value, self.hot, self.cold)
         if moved:
             self.demotions += 1
         return moved
 
     def promote(self, key_value: object) -> bool:
         """Move a row cold → hot (e.g. a page became popular again)."""
-        moved = self._move(key_value, self._cold, self._hot)
+        moved = self._move(key_value, self.cold, self.hot)
         if moved:
             self.promotions += 1
         return moved
 
     def is_hot(self, key_value: object) -> bool:
-        return self._hot.tree.search(self.encode_key(key_value)) is not None
+        return self.hot.tree.search(self.encode_key(key_value)) is not None
 
     def stats(self) -> PartitionStats:
         return PartitionStats(
-            hot_rows=self._hot.num_rows,
-            cold_rows=self._cold.num_rows,
-            hot_index_bytes=self._hot.index_bytes,
-            cold_index_bytes=self._cold.index_bytes,
-            hot_heap_bytes=self._hot.heap_bytes,
-            cold_heap_bytes=self._cold.heap_bytes,
+            hot_rows=self.hot.num_rows,
+            cold_rows=self.cold.num_rows,
+            hot_index_bytes=self.hot.index_bytes,
+            cold_index_bytes=self.cold.index_bytes,
+            hot_heap_bytes=self.hot.heap_bytes,
+            cold_heap_bytes=self.cold.heap_bytes,
         )
 
     # -- internals ---------------------------------------------------------------

@@ -30,36 +30,28 @@ class AccessTracker:
         if not 0.0 < decay <= 1.0:
             raise WorkloadError("decay must be in (0, 1]")
         self._decay = decay
-        self._epoch = 0
+        self.epoch = 0
         #: key -> (count, epoch the count was last normalised to)
         self._counts: dict[object, tuple[float, int]] = {}
-        self._total_accesses = 0
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    @property
-    def total_accesses(self) -> int:
-        return self._total_accesses
+        self.total_accesses = 0
 
     def record(self, key: object, weight: float = 1.0) -> None:
         """Count one access to ``key``."""
-        count, last_epoch = self._counts.get(key, (0.0, self._epoch))
-        if last_epoch != self._epoch:
-            count *= self._decay ** (self._epoch - last_epoch)
-        self._counts[key] = (count + weight, self._epoch)
-        self._total_accesses += 1
+        count, last_epoch = self._counts.get(key, (0.0, self.epoch))
+        if last_epoch != self.epoch:
+            count *= self._decay ** (self.epoch - last_epoch)
+        self._counts[key] = (count + weight, self.epoch)
+        self.total_accesses += 1
 
     def advance_epoch(self) -> None:
         """Start a new epoch: all existing counts decay once (lazily)."""
-        self._epoch += 1
+        self.epoch += 1
 
     def count_of(self, key: object) -> float:
         """Current decayed count for ``key``."""
-        count, last_epoch = self._counts.get(key, (0.0, self._epoch))
-        if last_epoch != self._epoch:
-            count *= self._decay ** (self._epoch - last_epoch)
+        count, last_epoch = self._counts.get(key, (0.0, self.epoch))
+        if last_epoch != self.epoch:
+            count *= self._decay ** (self.epoch - last_epoch)
         return count
 
     def hottest(self, k: int) -> list[object]:
@@ -94,7 +86,7 @@ class AccessTracker:
         The paper's statistic: "99.9% of page requests access the 5% of
         tuples that represent the most recent revisions".
         """
-        if self._total_accesses == 0:
+        if self.total_accesses == 0:
             return 0.0
         chosen = sum(self.count_of(k) for k in keys)
         total = sum(self.count_of(k) for k in self._counts)

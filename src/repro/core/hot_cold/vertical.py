@@ -171,7 +171,7 @@ class VerticallyPartitionedTable:
             [schema.column(c) for c in key_columns]
         )
         self.encode_key = self.key_codec.encode_key
-        self._fragments = fragments
+        self.fragments = fragments
         self._frag_schemas = [
             schema.project(list(key_columns) + list(frag)) for frag in fragments
         ]
@@ -181,10 +181,6 @@ class VerticallyPartitionedTable:
         self.fragment_fetches = 0
         self.merges = 0
         self.bytes_read = 0
-
-    @property
-    def fragments(self) -> tuple[tuple[str, ...], ...]:
-        return self._fragments
 
     def insert(self, row: dict[str, object]) -> None:
         """Insert a row, splitting it across every fragment."""
@@ -206,7 +202,7 @@ class VerticallyPartitionedTable:
         key = self.encode_key(key_value)
         needed = [
             i
-            for i, frag in enumerate(self._fragments)
+            for i, frag in enumerate(self.fragments)
             if set(project) & set(frag)
         ]
         if not needed:

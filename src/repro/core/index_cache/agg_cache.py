@@ -76,16 +76,12 @@ class AggregateCachingReader:
         self._heap = heap
         self._schema = schema
         self._field = field
-        self._cache = IndexCache(
+        self.cache = IndexCache(
             _AGG_PAYLOAD_SIZE,
             entry_size=tree.key_size + tree.value_size,
             rng=rng if rng is not None else DeterministicRng(0),
         )
         self.stats = AggregateStats()
-
-    @property
-    def cache(self) -> IndexCache:
-        return self._cache
 
     # -- payload encoding ------------------------------------------------------
 
@@ -163,7 +159,7 @@ class AggregateCachingReader:
     def _whole_leaf(self, page, leaf: LeafNode) -> tuple[int, int]:
         fingerprint = (page.slot_count, page.free_window()[1])
         tid = self._tid_for(page.page_id)
-        payload = self._cache.probe(page, tid)
+        payload = self.cache.probe(page, tid)
         if payload is not None:
             cached_fp, count, total = self._decode(payload)
             if cached_fp == fingerprint:
@@ -171,7 +167,7 @@ class AggregateCachingReader:
                 return count, total
         count, total = self._compute(leaf, 0, leaf.count)
         self.stats.leaves_computed += 1
-        self._cache.insert(
+        self.cache.insert(
             page, tid, self._encode(fingerprint, count, total)
         )
         return count, total

@@ -79,13 +79,13 @@ class IndexCache:
             rng: random source for the default policy.
             registry: metrics sink for ``index_cache.swap.*`` instruments.
         """
-        self._payload_size = payload_size
+        self.payload_size = payload_size
         self._entry_size = entry_size
-        self._item_size = item_size_for_payload(payload_size)
-        self._item = struct.Struct(f">{self._item_size - ITEM_CHECKSUM_SIZE}sH")
+        self.item_size = item_size_for_payload(payload_size)
+        self._item = struct.Struct(f">{self.item_size - ITEM_CHECKSUM_SIZE}sH")
         if policy is None:
             policy = SwapPolicy(rng if rng is not None else DeterministicRng(0))
-        self._policy = policy
+        self.policy = policy
         self._geometries: dict[tuple[int, int, int], CacheGeometry] = {}
         self.stats = CacheStats()
         reg = resolve_registry(registry)
@@ -99,18 +99,6 @@ class IndexCache:
 
     # -- geometry ------------------------------------------------------------
 
-    @property
-    def payload_size(self) -> int:
-        return self._payload_size
-
-    @property
-    def item_size(self) -> int:
-        return self._item_size
-
-    @property
-    def policy(self) -> CachePolicy:
-        return self._policy
-
     def geometry(self, page: SlottedPage) -> CacheGeometry:
         """Slot layout for the page's current free window (memoised)."""
         key = (page.size, *page.free_window())
@@ -120,7 +108,7 @@ class IndexCache:
         except KeyError:
             if len(memo) >= GEOMETRY_MEMO_CAP:
                 del memo[next(iter(memo))]
-            geo = memo[key] = CacheGeometry(*key, self._item_size, self._entry_size)
+            geo = memo[key] = CacheGeometry(*key, self.item_size, self._entry_size)
             return geo
 
     def capacity(self, page: SlottedPage) -> int:
@@ -155,9 +143,9 @@ class IndexCache:
             raise ReproError(
                 f"tuple_id must be {ITEM_HEADER_SIZE} bytes, got {len(tuple_id)}"
             )
-        if len(payload) != self._payload_size:
+        if len(payload) != self.payload_size:
             raise ReproError(
-                f"payload must be {self._payload_size} bytes, got {len(payload)}"
+                f"payload must be {self.payload_size} bytes, got {len(payload)}"
             )
         body = tuple_id + payload
         self._item.pack_into(page.buffer, geo.slot_offset(slot), body, checksum(body))
@@ -165,7 +153,7 @@ class IndexCache:
     def clear_slot(self, page: SlottedPage, geo: CacheGeometry, slot: int) -> None:
         """Zero one slot."""
         off = geo.slot_offset(slot)
-        page.buffer[off : off + self._item_size] = bytes(self._item_size)
+        page.buffer[off : off + self.item_size] = bytes(self.item_size)
 
     def zero_window(self, page: SlottedPage) -> None:
         """Zero the entire free window (full-page cache invalidation)."""
@@ -181,8 +169,8 @@ class IndexCache:
         ``(body, stored)`` pairs and one ``crc_hqx`` per non-zero checksum
         field decides; no Python frame runs per slot.
         """
-        lo = geo.first_slot_index * self._item_size
-        window = memoryview(page.buffer)[lo : lo + geo.num_slots * self._item_size]
+        lo = geo.first_slot_index * self.item_size
+        window = memoryview(page.buffer)[lo : lo + geo.num_slots * self.item_size]
         return {
             slot: body
             for slot, (body, stored) in enumerate(self._item.iter_unpack(window))
@@ -218,15 +206,15 @@ class IndexCache:
         if geo.num_slots == 0:
             return None
         buf = page.buffer
-        base = geo.first_slot_index * self._item_size
-        end = base + geo.num_slots * self._item_size
+        base = geo.first_slot_index * self.item_size
+        end = base + geo.num_slots * self.item_size
         pos = buf.find(tuple_id, base, end)
         while pos != -1:
             rel = pos - base
-            if rel % self._item_size == 0:  # aligned: the tuple id matches
+            if rel % self.item_size == 0:  # aligned: the tuple id matches
                 body, stored = self._item.unpack_from(buf, pos)
                 if stored and (crc_hqx(body, 0) or ZERO_CHECKSUM) == stored:
-                    return rel // self._item_size, body[ITEM_HEADER_SIZE:]
+                    return rel // self.item_size, body[ITEM_HEADER_SIZE:]
             pos = buf.find(tuple_id, pos + 1, end)
         return None
 
@@ -250,7 +238,7 @@ class IndexCache:
         slot, payload = found
         self.stats.hits += 1
         self._m_hit.inc()
-        target = self._policy.on_hit(geo, slot, page.page_id)
+        target = self.policy.on_hit(geo, slot, page.page_id)
         if target is not None and target != slot:
             self._swap_slots(page, geo, slot, target)
             self.stats.promotions += 1
@@ -271,7 +259,7 @@ class IndexCache:
             self._m_no_room.inc()
             return False
         free, occupied = self.occupancy(page, geo)
-        slot = self._policy.choose_slot(geo, free, occupied, page.page_id)
+        slot = self.policy.choose_slot(geo, free, occupied, page.page_id)
         if slot is None:
             self.stats.skipped_no_room += 1
             self._m_no_room.inc()
@@ -279,9 +267,9 @@ class IndexCache:
         if slot in occupied:
             self.stats.evictions += 1
             self._m_eviction.inc()
-            self._policy.on_evict(slot, page.page_id)
+            self.policy.on_evict(slot, page.page_id)
         self.write_slot(page, geo, slot, tuple_id, payload)
-        self._policy.on_insert(slot, page.page_id)
+        self.policy.on_insert(slot, page.page_id)
         self.stats.inserts += 1
         self._m_insert.inc()
         return True
@@ -308,7 +296,7 @@ class IndexCache:
         and dropping whatever clobbered bytes ``b`` held.
         """
         buf = page.buffer
-        size = self._item_size
+        size = self.item_size
         off_a, off_b = geo.slot_offset(a), geo.slot_offset(b)
         moved = bytes(buf[off_a : off_a + size])
         if self._item_at(buf, off_b) is None:

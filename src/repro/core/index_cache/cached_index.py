@@ -124,10 +124,10 @@ class CachedBTree:
                 f"fields {sorted(overlap)} are index keys; caching them "
                 "would duplicate bytes the leaf already stores"
             )
-        self._tree = tree
-        self._heap = heap
+        self.tree = tree
+        self.heap = heap
         self._schema = schema
-        self._cached_fields = tuple(cached_fields)
+        self.cached_fields = tuple(cached_fields)
         #: The key maker: key value or row -> ordered bytes, and back.
         self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
@@ -146,15 +146,15 @@ class CachedBTree:
         payload_struct, _, self._payload_post = self._payload_schema.codec
         self._unpack_payload = payload_struct.unpack
         self._key_size = tree.key_size
-        self._cache = IndexCache(
+        self.cache = IndexCache(
             payload_size,
             entry_size=tree.key_size + tree.value_size,
             policy=policy,
             rng=rng,
             registry=registry,
         )
-        self._invalidation = invalidation
-        self._latch = latch if latch is not None else LatchSimulator(0.0)
+        self.invalidation = invalidation
+        self.latch = latch if latch is not None else LatchSimulator(0.0)
         self._cost = cost_model
         self._plans = ProjectionPlans(
             schema, self._payload_schema.names, self.key_codec.columns
@@ -164,7 +164,7 @@ class CachedBTree:
         #: opportunities actually written into leaf cache windows.  1.0
         #: (the default) admits everything — the paper's behaviour; the
         #: adaptive controller lowers it to shed fill work under churn.
-        self._admission = 1.0
+        self.cache_admission = 1.0
         self._admission_credit = 0.0
         reg = resolve_registry(registry)
         self._m_lookup = reg.counter("index_cache.lookup")
@@ -178,42 +178,13 @@ class CachedBTree:
             "index_cache.fill_skipped_admission"
         )
         self._m_admission_knob = reg.gauge("adaptive.knob.index_cache.admission")
-        self._m_admission_knob.set(self._admission)
+        self._m_admission_knob.set(self.cache_admission)
 
     # -- properties ----------------------------------------------------------
 
     @property
-    def tree(self) -> BPlusTree:
-        return self._tree
-
-    @property
-    def heap(self) -> HeapFile:
-        return self._heap
-
-    @property
-    def cache(self) -> IndexCache:
-        return self._cache
-
-    @property
-    def invalidation(self) -> CacheInvalidation | None:
-        return self._invalidation
-
-    @property
-    def latch(self) -> LatchSimulator:
-        return self._latch
-
-    @property
     def key_columns(self) -> tuple[str, ...]:
         return self.key_codec.columns
-
-    @property
-    def cached_fields(self) -> tuple[str, ...]:
-        return self._cached_fields
-
-    @property
-    def cache_admission(self) -> float:
-        """Fraction of piggy-back fill opportunities admitted (0..1)."""
-        return self._admission
 
     def set_cache_admission(self, fraction: float) -> None:
         """Retune cache-fill admission (the adaptive knob).
@@ -227,8 +198,8 @@ class CachedBTree:
             raise QueryError(
                 f"cache admission must be within [0, 1], got {fraction}"
             )
-        self._admission = float(fraction)
-        self._m_admission_knob.set(self._admission)
+        self.cache_admission = float(fraction)
+        self._m_admission_knob.set(self.cache_admission)
 
     # -- index maintenance (the heap row is Table's) -------------------------
 
@@ -240,24 +211,24 @@ class CachedBTree:
         consume leaf free space, silently clobbering peripheral cache
         slots — by design, no coordination needed.
         """
-        self._tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
+        self.tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
 
     def delete_key(self, row: dict[str, object]) -> None:
         """Index-maintenance-only delete (heap row handled by the caller)."""
         key = self.key_codec.encode_row(row)
-        self._tree.delete(key)
-        if self._invalidation is not None:
-            self._invalidation.note_update(key)
+        self.tree.delete(key)
+        if self.invalidation is not None:
+            self.invalidation.note_update(key)
 
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """Invalidate this index's cached copy after a heap update."""
-        if self._invalidation is not None and changed & set(self._cached_fields):
-            self._invalidation.note_update(self.key_codec.encode_row(row))
+        if self.invalidation is not None and changed & set(self.cached_fields):
+            self.invalidation.note_update(self.key_codec.encode_row(row))
 
     def find_rid(self, key_value: object) -> Rid | None:
         """Key value -> RID through the tree alone: no cache probe, no
         stats.  ``Table.update``/``delete`` find the heap tuple with it."""
-        rid_bytes = self._tree.search(self.encode_key(key_value))
+        rid_bytes = self.tree.search(self.encode_key(key_value))
         return Rid.from_bytes(rid_bytes) if rid_bytes is not None else None
 
     def lookup(
@@ -270,8 +241,8 @@ class CachedBTree:
         self._m_lookup.inc()
         if self._cost is not None:
             self._cost.on_index_descent()
-        leaf_id = self._tree.find_leaf(key)
-        with self._tree.pool.page(leaf_id) as page:
+        leaf_id = self.tree.find_leaf(key)
+        with self.tree.pool.page(leaf_id) as page:
             if page.type_code != PageType.BTREE_LEAF:
                 raise PageFormatError(f"page {leaf_id} is not a leaf")
             pos, found = page.bisect(key)
@@ -279,14 +250,14 @@ class CachedBTree:
                 return LookupResult(None, found=False, from_cache=False)
             self.stats.found += 1
             tid = page.read(pos)[self._key_size :]
-            invalidation = self._invalidation
+            invalidation = self.invalidation
             if invalidation is not None and \
                     page.cache_csn != invalidation.current_stamp:
                 self._validate(page)
             if plan[1] is not None:
                 if self._cost is not None:
                     self._cost.on_cache_probe()
-                payload = self._cache.probe(page, tid)
+                payload = self.cache.probe(page, tid)
                 if payload is not None:
                     self.stats.answered_from_cache += 1
                     self._m_hit.inc()
@@ -298,7 +269,7 @@ class CachedBTree:
                 self._m_not_answerable.inc()
             # Cache miss (or unanswerable projection): go to the heap.
             rid = Rid.from_bytes(tid)
-            record = self._heap.fetch(rid)
+            record = self.heap.fetch(rid)
             self.stats.heap_fetches += 1
             self._m_heap_fetch.inc()
             values = unpack_fields(self._schema, record, plan[0])
@@ -332,8 +303,8 @@ class CachedBTree:
             return []
         #: cache misses to resolve from the heap: encoded key -> (rid, leaf)
         misses: list[tuple[bytes, Rid, int]] = []
-        invalidation = self._invalidation
-        for leaf_id, page, run in self._tree.leaf_runs(encoded):
+        invalidation = self.invalidation
+        for leaf_id, page, run in self.tree.leaf_runs(encoded):
             if self._cost is not None:
                 self._cost.on_index_descent()
             if invalidation is not None and \
@@ -351,7 +322,7 @@ class CachedBTree:
                 if plan[1] is not None:
                     if self._cost is not None:
                         self._cost.on_cache_probe()
-                    payload = self._cache.probe(page, tid)
+                    payload = self.cache.probe(page, tid)
                     if payload is not None:
                         self.stats.answered_from_cache += 1
                         self._m_hit.inc()
@@ -367,7 +338,7 @@ class CachedBTree:
                     self._m_not_answerable.inc()
                 misses.append((key, Rid.from_bytes(tid), leaf_id))
         if misses:
-            records = self._heap.fetch_many([rid for _, rid, _ in misses])
+            records = self.heap.fetch_many([rid for _, rid, _ in misses])
             fills_by_leaf: dict[int, list[tuple[bytes, bytes]]] = {}
             for key, rid, leaf_id in misses:
                 record = records[rid]
@@ -381,7 +352,7 @@ class CachedBTree:
                 fills_by_leaf.setdefault(leaf_id, []).append(
                     (rid.to_bytes(), record)
                 )
-            pool = self._tree.pool
+            pool = self.tree.pool
             for leaf_id, fills in fills_by_leaf.items():
                 with pool.page(leaf_id) as page:
                     for tid, record in fills:
@@ -398,13 +369,13 @@ class CachedBTree:
         O(1) epoch bump when CSN invalidation is wired, else an explicit
         zeroing sweep over the leaf windows.
         """
-        if self._invalidation is not None:
-            self._invalidation.invalidate_all()
+        if self.invalidation is not None:
+            self.invalidation.invalidate_all()
             return
-        pool = self._tree.pool
-        for page_id in self._tree.leaf_page_ids:
+        pool = self.tree.pool
+        for page_id in self.tree.leaf_page_ids:
             with pool.page(page_id, dirty=True) as page:
-                self._cache.zero_window(page)
+                self.cache.zero_window(page)
 
     def rebuild_from_heap(self) -> BPlusTree:
         """Reconstruct the index from the heap (corruption recovery).
@@ -414,30 +385,30 @@ class CachedBTree:
         copy — in memory or already written back — can ever be served.
         Subsequent lookups refill the cache by the usual piggy-back path.
         """
-        self._tree = rebuild_tree_from_heap(
-            self._tree, self._heap, self._schema, self.key_codec
+        self.tree = rebuild_tree_from_heap(
+            self.tree, self.heap, self._schema, self.key_codec
         )
         self.drop_cache()
-        return self._tree
+        return self.tree
 
     # -- introspection -----------------------------------------------------------
 
     def cache_capacity_total(self) -> int:
         """Sum of current cache slots across every leaf."""
         total = 0
-        pool = self._tree.pool
-        for page_id in self._tree.leaf_page_ids:
+        pool = self.tree.pool
+        for page_id in self.tree.leaf_page_ids:
             with pool.page(page_id) as page:
-                total += self._cache.capacity(page)
+                total += self.cache.capacity(page)
         return total
 
     def cached_item_count(self) -> int:
         """Number of valid cache items across every leaf."""
         total = 0
-        pool = self._tree.pool
-        for page_id in self._tree.leaf_page_ids:
+        pool = self.tree.pool
+        for page_id in self.tree.leaf_page_ids:
             with pool.page(page_id) as page:
-                total += len(self._cache.entries(page))
+                total += len(self.cache.entries(page))
         return total
 
     # -- internals ---------------------------------------------------------------
@@ -451,7 +422,7 @@ class CachedBTree:
         if count:
             first = page.read(0)[: self._key_size]
             last = page.read(count - 1)[: self._key_size]
-        self._invalidation.validate_page(page, self._cache, first, last)
+        self.invalidation.validate_page(page, self.cache, first, last)
 
     def _assemble(self, plan, key: bytes, payload: bytes) -> dict[str, object]:
         """A leaf answer: the projected values straight off the payload
@@ -468,19 +439,19 @@ class CachedBTree:
         return dict(zip(names, map(values.__getitem__, picks)))
 
     def _fill_cache(self, page, tid: bytes, record: bytes) -> None:
-        if self._admission < 1.0:
-            self._admission_credit += self._admission
+        if self.cache_admission < 1.0:
+            self._admission_credit += self.cache_admission
             if self._admission_credit < 1.0:
                 self.stats.fills_skipped_admission += 1
                 self._m_fill_skipped_admission.inc()
                 return
             self._admission_credit -= 1.0
-        if not self._latch.try_acquire():
+        if not self.latch.try_acquire():
             self.stats.fills_skipped_latch += 1
             self._m_fill_skipped.inc()
             return
         fields = unpack_fields(self._schema, record, self._payload_schema.names)
         payload = pack_record_map(self._payload_schema, fields)
-        if self._cache.insert(page, tid, payload):
+        if self.cache.insert(page, tid, payload):
             self.stats.cache_fills += 1
             self._m_fill.inc()

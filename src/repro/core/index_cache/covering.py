@@ -56,10 +56,10 @@ class CoveringIndex:
             raise QueryError(
                 f"fields {sorted(overlap)} are index keys already"
             )
-        self._tree = tree
+        self.tree = tree
         self._heap = heap
         self._schema = schema
-        self._covered_fields = tuple(covered_fields)
+        self.covered_fields = tuple(covered_fields)
         #: The key maker: key value or row -> ordered bytes, and back.
         self.key_codec = codec_for_columns(
             [schema.column(c) for c in key_columns]
@@ -82,16 +82,8 @@ class CoveringIndex:
     # -- properties ----------------------------------------------------------
 
     @property
-    def tree(self) -> BPlusTree:
-        return self._tree
-
-    @property
     def key_columns(self) -> tuple[str, ...]:
         return self.key_codec.columns
-
-    @property
-    def covered_fields(self) -> tuple[str, ...]:
-        return self._covered_fields
 
     @classmethod
     def value_size_for(
@@ -111,23 +103,23 @@ class CoveringIndex:
 
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
         """Index entry carrying the covered copy (Table fan-out protocol)."""
-        self._tree.insert(
+        self.tree.insert(
             self.key_codec.encode_row(row), self._encode_value(rid, row)
         )
 
     def delete_key(self, row: dict[str, object]) -> None:
-        self._tree.delete(self.key_codec.encode_row(row))
+        self.tree.delete(self.key_codec.encode_row(row))
 
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """Covered copies are *authoritative duplicates*: unlike the cache,
         they must be synchronously rewritten on update — one of the hidden
         costs of covering indexes."""
-        if changed & set(self._covered_fields):
+        if changed & set(self.covered_fields):
             key = self.key_codec.encode_row(row)
-            value = self._tree.search(key)
+            value = self.tree.search(key)
             if value is not None:
                 rid = Rid.from_bytes(value[:RID_SIZE])
-                self._tree.update_value(key, self._encode_value(rid, row))
+                self.tree.update_value(key, self._encode_value(rid, row))
 
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
@@ -139,7 +131,7 @@ class CoveringIndex:
                 raise QueryError(f"unknown projected column {name!r}")
         key = self.encode_key(key_value)
         self.stats.lookups += 1
-        value = self._tree.search(key)
+        value = self.tree.search(key)
         if value is None:
             return LookupResult(None, found=False, from_cache=False)
         self.stats.found += 1

@@ -57,9 +57,10 @@ class CacheInvalidation:
     ) -> None:
         if log_threshold <= 0:
             raise ReproError("log_threshold must be positive")
-        self._epoch = 1  # start above the zero freshly-formatted pages carry
+        #: The global CSN (the paper's ``CSN_idx``).
+        self.csn_index = 1  # start above the zero freshly-formatted pages carry
         self._log: list[UpdatePredicate] = []
-        self._threshold = log_threshold
+        self.log_threshold = log_threshold
         self.full_invalidations = 0
         self.predicates_logged = 0
         self.pages_zeroed = 0
@@ -69,11 +70,6 @@ class CacheInvalidation:
         self._m_zeroed = reg.counter("index_cache.invalidation.pages_zeroed")
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def csn_index(self) -> int:
-        """The global CSN (the paper's ``CSN_idx``)."""
-        return self._epoch
 
     @property
     def log_size(self) -> int:
@@ -87,11 +83,7 @@ class CacheInvalidation:
         predicate: :meth:`validate_page` would neither zero nor change it,
         so readers may skip the call (and the page keys it needs).
         """
-        return (self._epoch << _EPOCH_SHIFT) | len(self._log)
-
-    @property
-    def log_threshold(self) -> int:
-        return self._threshold
+        return (self.csn_index << _EPOCH_SHIFT) | len(self._log)
 
     @classmethod
     def after_restart(
@@ -109,7 +101,7 @@ class CacheInvalidation:
         """
         instance = cls(log_threshold=log_threshold)
         persisted_epoch = max_persisted_csn >> _EPOCH_SHIFT
-        instance._epoch = (persisted_epoch + 1) & _POS_MASK or 1
+        instance.csn_index = (persisted_epoch + 1) & _POS_MASK or 1
         return instance
 
     # -- write-side ------------------------------------------------------------
@@ -119,12 +111,12 @@ class CacheInvalidation:
         self._log.append(UpdatePredicate(bytes(key)))
         self.predicates_logged += 1
         self._m_predicates.inc()
-        if len(self._log) > self._threshold:
+        if len(self._log) > self.log_threshold:
             self.invalidate_all()
 
     def invalidate_all(self) -> None:
         """Increment ``CSN_idx``: every page cache becomes invalid at once."""
-        self._epoch = (self._epoch + 1) & _POS_MASK or 1
+        self.csn_index = (self.csn_index + 1) & _POS_MASK or 1
         self._log.clear()
         self.full_invalidations += 1
         self._m_csn.inc()
@@ -151,7 +143,7 @@ class CacheInvalidation:
         epoch_p = stamp >> _EPOCH_SHIFT
         pos_p = stamp & _POS_MASK
         current_pos = len(self._log)
-        if epoch_p != self._epoch:
+        if epoch_p != self.csn_index:
             # Invariant: CSN_p != CSN_idx  =>  cache invalid.
             cache.zero_window(page)
             self._stamp(page)
@@ -186,7 +178,7 @@ class CacheInvalidation:
         epoch_p = stamp >> _EPOCH_SHIFT
         pos_p = stamp & _POS_MASK
         current_pos = len(self._log)
-        if epoch_p != self._epoch:
+        if epoch_p != self.csn_index:
             cache.zero_window(page)
             self._stamp(page)
             self.pages_zeroed += 1

@@ -25,14 +25,10 @@ class LatchSimulator:
     ) -> None:
         if not 0.0 <= contention_prob <= 1.0:
             raise ReproError("contention_prob must be in [0, 1]")
-        self._prob = contention_prob
+        self.contention_prob = contention_prob
         self._rng = rng if rng is not None else DeterministicRng(0)
         self.acquired = 0
         self.given_up = 0
-
-    @property
-    def contention_prob(self) -> float:
-        return self._prob
 
     def try_acquire(self) -> bool:
         """Attempt the short-term latch for a cache write.
@@ -40,7 +36,7 @@ class LatchSimulator:
         Returns False (and counts a give-up) when simulated contention
         wins; the caller must skip its cache write, never block.
         """
-        if self._prob and self._rng.random() < self._prob:
+        if self.contention_prob and self._rng.random() < self.contention_prob:
             self.given_up += 1
             return False
         self.acquired += 1

@@ -65,11 +65,7 @@ class SwapPolicy(CachePolicy):
         if bucket_slots <= 0:
             raise ValueError("bucket_slots must be positive")
         self._rng = rng
-        self._bucket_slots = bucket_slots
-
-    @property
-    def bucket_slots(self) -> int:
-        return self._bucket_slots
+        self.bucket_slots = bucket_slots
 
     def choose_slot(
         self,
@@ -84,7 +80,7 @@ class SwapPolicy(CachePolicy):
             return None
         # Evict a random item from the outermost bucket that has any.
         occupied_set = set(occupied)
-        width = self._bucket_slots
+        width = self.bucket_slots
         outermost = (geo.num_slots - 1) // width * width  # its first rank
         for lo in range(outermost, -1, -width):
             bucket = geo.slots_at_ranks(lo, lo + width)
@@ -98,7 +94,7 @@ class SwapPolicy(CachePolicy):
     ) -> int | None:
         if not 0 <= slot < geo.num_slots:
             return None  # slot no longer in the geometry (window moved)
-        width = self._bucket_slots
+        width = self.bucket_slots
         # first rank of the bucket one step closer to S than the slot's own
         closer = (geo.rank_of(slot) // width - 1) * width
         if closer < 0:

@@ -83,13 +83,9 @@ class RidProxyTable:
             raise SchemaError(f"unknown id column {id_column!r}")
         self._app_schema = schema
         self._id_column = id_column
-        self._stored_schema = schema.drop([id_column])
+        #: The physical schema: the application schema minus the id.
+        self.stored_schema = schema.drop([id_column])
         self._heap = heap
-
-    @property
-    def stored_schema(self) -> Schema:
-        """The physical schema: the application schema minus the id."""
-        return self._stored_schema
 
     @property
     def bytes_saved_per_row(self) -> int:
@@ -102,9 +98,9 @@ class RidProxyTable:
         property (uniqueness) is provided by the address.
         """
         stored = {
-            name: row[name] for name in self._stored_schema.names
+            name: row[name] for name in self.stored_schema.names
         }
-        return self._heap.insert(pack_record_map(self._stored_schema, stored))
+        return self._heap.insert(pack_record_map(self.stored_schema, stored))
 
     def get(
         self, rid: Rid, project: tuple[str, ...] | None = None
@@ -113,7 +109,7 @@ class RidProxyTable:
         project = project if project is not None else self._app_schema.names
         record = self._heap.fetch(rid)
         wanted = [n for n in project if n != self._id_column]
-        values = unpack_fields(self._stored_schema, record, wanted)
+        values = unpack_fields(self.stored_schema, record, wanted)
         if self._id_column in project:
             # Synthesise the id the application expects from the address.
             values[self._id_column] = int.from_bytes(rid.to_bytes(), "little")

@@ -29,15 +29,11 @@ class FaultyDisk(SimulatedDisk):
 
     def __init__(self, page_size: int, injector: FaultInjector) -> None:
         super().__init__(page_size)
-        self._injector = injector
-
-    @property
-    def injector(self) -> FaultInjector:
-        return self._injector
+        self.injector = injector
 
     def read_page(self, page_id: int) -> bytes:
         data = super().read_page(page_id)
-        for fault in self._injector.on_read(page_id):
+        for fault in self.injector.on_read(page_id):
             if fault.kind is FaultKind.TRANSIENT_READ_ERROR:
                 raise TransientIOError(f"injected transient read of page {page_id}")
             if fault.kind is FaultKind.READ_BIT_FLIP:
@@ -47,11 +43,11 @@ class FaultyDisk(SimulatedDisk):
         return data
 
     def write_page(self, page_id: int, data: bytes) -> None:
-        faults = self._injector.on_write(page_id)
+        faults = self.injector.on_write(page_id)
         for fault in faults:
             if fault.kind is FaultKind.TRANSIENT_WRITE_ERROR:
                 # Counts as an attempted write, applies nothing.
-                self._writes += 1
+                self.writes += 1
                 raise TransientIOError(
                     f"injected transient write of page {page_id}"
                 )

@@ -53,9 +53,9 @@ class FaultInjector:
         registry: MetricsRegistry | None = None,
     ) -> None:
         self._rng = DeterministicRng(seed)
-        self._seed = int(seed)
+        self.seed = int(seed)
         self._page_size = int(page_size)
-        self._plan = plan if plan is not None else NO_FAULTS
+        self.plan = plan if plan is not None else NO_FAULTS
         # Per-spec matching-I/O counts (for at_nth) and fire counts (for
         # max_times), keyed by position in the plan.
         self._matches: dict[int, int] = {}
@@ -69,14 +69,6 @@ class FaultInjector:
         }
 
     @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def plan(self) -> FaultPlan:
-        return self._plan
-
-    @property
     def injected(self) -> int:
         """Total faults fired since construction (survives re-arming)."""
         return len(self.log)
@@ -87,7 +79,7 @@ class FaultInjector:
         The RNG stream and the fault log are *not* reset: determinism is
         defined over the whole run, including earlier phases.
         """
-        self._plan = plan
+        self.plan = plan
         self._matches = {}
         self._fired = {}
 
@@ -107,7 +99,7 @@ class FaultInjector:
 
     def _decide(self, page_id: int, want_read: bool) -> list[FiredFault]:
         fired: list[FiredFault] = []
-        for idx, spec in enumerate(self._plan.specs):
+        for idx, spec in enumerate(self.plan.specs):
             if spec.is_read_fault != want_read:
                 continue
             if not spec.matches_page(page_id):

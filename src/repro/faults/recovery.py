@@ -46,7 +46,7 @@ class RecoveryManager:
         if max_heals < 1:
             raise RecoveryError("max_heals must be at least 1")
         self._db = database
-        self._max_heals = max_heals
+        self.max_heals = max_heals
         self.heals = 0
         self.failed_heals = 0
         self.heap_rebuilds = 0
@@ -66,10 +66,6 @@ class RecoveryManager:
         if self.journal is not None:
             self.journal.emit(kind, shard=self.journal_shard, **payload)
 
-    @property
-    def max_heals(self) -> int:
-        return self._max_heals
-
     def call(self, fn, *args, **kwargs):
         """Run ``fn``, healing and retrying on page corruption.
 
@@ -84,7 +80,7 @@ class RecoveryManager:
                 return fn(*args, **kwargs)
             except CorruptPageError as exc:
                 self._emit("fault.detected", page=exc.page_id)
-                if heals_spent >= self._max_heals:
+                if heals_spent >= self.max_heals:
                     self._m_unrecoverable.inc()
                     self.failed_heals += 1
                     self._emit(

@@ -279,7 +279,7 @@ def fold_profilers(profilers: list[QueryProfiler]) -> QueryProfiler:
                         getattr(mine, f.name) + getattr(stats, f.name),
                     )
         fleet._slow.extend(profiler.slow_queries())
-        fleet._seq += profiler.operations
+        fleet.operations += profiler.operations
     return fleet
 
 

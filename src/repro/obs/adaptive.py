@@ -196,20 +196,22 @@ class AdaptiveController:
     ) -> None:
         if audit_capacity < 1:
             raise ObservabilityError("audit_capacity must be >= 1")
-        self._sampler = sampler
+        self.sampler = sampler
         #: Optional repro.obs.events.EventJournal — every applied
         #: TuningAction also lands there as a ``tuning.action`` record,
-        #: ordered against faults, migrations, and SLO transitions.
-        self._journal = journal
-        self._checker = HealthChecker(sampler, tuple(rules), journal=journal)
+        #: ordered against faults, migrations, and SLO transitions (the
+        #: checker journals those into it too).  ``Database.attach_events``
+        #: sets it late when adaptive was armed first.
+        self.journal = journal
+        self._checker = HealthChecker(sampler, tuple(rules))
         rule_names = {r.name for r in self._checker.rules}
         self._knobs: dict[str, Knob] = {}
         for knob in knobs:
             if knob.name in self._knobs:
                 raise ObservabilityError(f"duplicate knob {knob.name!r}")
             self._knobs[knob.name] = knob
-        self._bindings: tuple[KnobBinding, ...] = tuple(bindings)
-        for binding in self._bindings:
+        self.bindings: tuple[KnobBinding, ...] = tuple(bindings)
+        for binding in self.bindings:
             if binding.rule not in rule_names:
                 raise ObservabilityError(
                     f"binding references unknown rule {binding.rule!r}"
@@ -221,7 +223,8 @@ class AdaptiveController:
         self._streaks: dict[str, int] = {}
         self._cooldown_until: dict[str, int] = {}
         self._evals = 0
-        self._actions_total = 0
+        #: Total actions ever applied (may exceed the ring's length).
+        self.actions_taken = 0
         self._audit: deque[TuningAction] = deque(maxlen=audit_capacity)
         self._enabled = bool(enabled)
         reg = resolve_registry(registry)
@@ -237,20 +240,12 @@ class AdaptiveController:
     # -- properties ----------------------------------------------------------
 
     @property
-    def sampler(self) -> TelemetrySampler:
-        return self._sampler
-
-    @property
     def rules(self) -> tuple[SloRule, ...]:
         return self._checker.rules
 
     @property
     def knobs(self) -> dict[str, Knob]:
         return dict(self._knobs)
-
-    @property
-    def bindings(self) -> tuple[KnobBinding, ...]:
-        return self._bindings
 
     @property
     def enabled(self) -> bool:
@@ -262,31 +257,9 @@ class AdaptiveController:
         self._m_enabled.set(1.0 if self._enabled else 0.0)
 
     @property
-    def journal(self):
-        return self._journal
-
-    @journal.setter
-    def journal(self, value) -> None:
-        """Attach (or detach) an event journal after construction — the
-        late-binding twin of the constructor arg, used by
-        ``Database.enable_events`` when adaptive was armed first."""
-        self._journal = value
-        self._checker.journal = value
-
-    @property
     def actions(self) -> list[TuningAction]:
         """The audit ring, oldest first (bounded by ``audit_capacity``)."""
         return list(self._audit)
-
-    @property
-    def actions_taken(self) -> int:
-        """Total actions ever applied (may exceed the ring's length)."""
-        return self._actions_total
-
-    @property
-    def evaluations(self) -> int:
-        """Non-degenerate windows evaluated so far."""
-        return self._evals
 
     # -- the control loop ----------------------------------------------------
 
@@ -299,7 +272,7 @@ class AdaptiveController:
         """
         if not self._enabled:
             return None
-        point = self._sampler.tick()
+        point = self.sampler.tick()
         if point is None:
             return None
         return self.evaluate(point)
@@ -320,6 +293,7 @@ class AdaptiveController:
             self._m_degenerate.inc()
             return []
         self._evals += 1
+        self._checker.journal = self.journal
         report = self._checker.evaluate()
         results = {r.rule.name: r for r in report.results}
         for result in report.results:
@@ -331,7 +305,7 @@ class AdaptiveController:
             else:
                 self._streaks[result.rule.name] = 0
         actions: list[TuningAction] = []
-        for binding in self._bindings:
+        for binding in self.bindings:
             streak = self._streaks.get(binding.rule, 0)
             if streak < binding.breach_windows:
                 continue
@@ -360,7 +334,7 @@ class AdaptiveController:
             rule = result.rule
             observed = "-" if result.observed is None else f"{result.observed:.4g}"
             action = TuningAction(
-                seq=self._actions_total,
+                seq=self.actions_taken,
                 t_ns=point.t_ns,
                 knob=knob.name,
                 rule=rule.name,
@@ -372,13 +346,13 @@ class AdaptiveController:
                     f"{streak} window(s), observed {observed}"
                 ),
             )
-            self._actions_total += 1
+            self.actions_taken += 1
             self._audit.append(action)
             self._m_actions.inc()
-            if self._journal is not None:
+            if self.journal is not None:
                 from repro.obs.events import TUNING_ACTION
 
-                self._journal.emit(
+                self.journal.emit(
                     TUNING_ACTION,
                     knob=knob.name,
                     rule=rule.name,
@@ -409,7 +383,7 @@ class AdaptiveController:
         if limit is not None:
             actions = actions[-limit:]
         header = (
-            f"{title}: {self._actions_total} applied, "
+            f"{title}: {self.actions_taken} applied, "
             f"{len(actions)} shown, {self._evals} window(s) evaluated"
         )
         lines = [header]

@@ -180,26 +180,14 @@ class HealthChecker:
         journal=None,
     ) -> None:
         self._sampler = sampler
-        self._rules = tuple(rules)
-        self._journal = journal
+        self.rules = tuple(rules)
+        self.journal = journal
         self._last_status: dict[str, str] = {}
-
-    @property
-    def rules(self) -> tuple[SloRule, ...]:
-        return self._rules
-
-    @property
-    def journal(self):
-        return self._journal
-
-    @journal.setter
-    def journal(self, value) -> None:
-        self._journal = value
 
     def evaluate(self) -> HealthReport:
         points = self._sampler.points
         results = []
-        for rule in self._rules:
+        for rule in self.rules:
             window = points[-rule.window:]
             values = [
                 v for v in (select(p, rule.selector) for p in window)
@@ -217,7 +205,7 @@ class HealthChecker:
                 samples=len(values),
             )
             results.append(result)
-            if self._journal is not None:
+            if self.journal is not None:
                 self._note_transition(result)
         return HealthReport(tuple(results))
 
@@ -227,7 +215,7 @@ class HealthChecker:
         previous = self._last_status.get(result.rule.name)
         self._last_status[result.rule.name] = result.status
         if result.status == "breach" and previous != "breach":
-            self._journal.emit(
+            self.journal.emit(
                 SLO_BREACH,
                 rule=result.rule.name,
                 selector=result.rule.selector,
@@ -235,7 +223,7 @@ class HealthChecker:
                 threshold=result.rule.threshold,
             )
         elif result.status == "ok" and previous == "breach":
-            self._journal.emit(
+            self.journal.emit(
                 SLO_CLEAR,
                 rule=result.rule.name,
                 observed=result.observed,

@@ -278,7 +278,8 @@ class QueryProfiler:
         self._slow: deque[QueryProfile] = deque(maxlen=slow_log_size)
         self._slow_threshold_ns = float(slow_threshold_ns)
         self._max_fingerprints = max_fingerprints
-        self._seq = 0
+        #: Operations profiled so far.
+        self.operations = 0
         self._depth = 0
 
     # -- profiling ------------------------------------------------------------
@@ -302,7 +303,7 @@ class QueryProfiler:
         self._depth = 1
         project_t = tuple(project) if project is not None else None
         profile = QueryProfile(
-            seq=self._seq,
+            seq=self.operations,
             fingerprint=fingerprint(op, table, index_name, project_t, batch),
             op=op,
             table=table,
@@ -324,7 +325,7 @@ class QueryProfiler:
         profile.elapsed_ns = self._clock() - start
         profile.error = error
         after = self._capture()
-        self._seq += 1
+        self.operations += 1
         for i, (fname, _counter) in enumerate(self._counters):
             setattr(profile, fname, after[i] - before[i])
         profile.wal_bytes = after[-1] - before[-1]
@@ -361,11 +362,6 @@ class QueryProfiler:
             self._slow.append(profile)
 
     # -- read surfaces --------------------------------------------------------
-
-    @property
-    def operations(self) -> int:
-        """Operations profiled so far."""
-        return self._seq
 
     def stats(self, fp: str) -> FingerprintStats | None:
         return self._stats.get(fp)
@@ -422,7 +418,7 @@ class QueryProfiler:
     def as_dict(self, top_n: int = 32, slow_n: int = 16) -> dict:
         """JSON-safe export: ranked rollup plus the slow-query log."""
         return {
-            "operations": self._seq,
+            "operations": self.operations,
             "fingerprints": len(self._stats),
             "top": [s.as_dict() for s in self.top(top_n)],
             "slow_queries": [p.line() for p in self.slow_queries(slow_n)],

@@ -39,44 +39,36 @@ HISTOGRAM_BUCKETS = 64
 class Counter:
     """A monotonically increasing event count."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
-        self._value = 0
+        self.value = 0
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ObservabilityError("counters are monotonic; inc needs n >= 0")
-        self._value += n
+        self.value += n
 
     def reset(self) -> None:
-        self._value = 0
-
-    @property
-    def value(self) -> int:
-        return self._value
+        self.value = 0
 
 
 class Gauge:
     """An instantaneous level that can move both ways."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
-        self._value = 0.0
+        self.value = 0.0
 
     def set(self, value: float) -> None:
-        self._value = float(value)
+        self.value = float(value)
 
     def add(self, delta: float) -> None:
-        self._value += delta
+        self.value += delta
 
     def reset(self) -> None:
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
+        self.value = 0.0
 
 
 def bucket_index(value: float) -> int:
@@ -126,46 +118,38 @@ def percentile_from_buckets(
 class Histogram:
     """Fixed log2-bucket distribution with count/sum/min/max."""
 
-    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
+    __slots__ = ("_buckets", "count", "sum", "_min", "_max")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         self._buckets = [0] * HISTOGRAM_BUCKETS
-        self._count = 0
-        self._sum = 0.0
+        self.count = 0
+        self.sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
 
     def record(self, value: float) -> None:
         self._buckets[bucket_index(value)] += 1
-        self._count += 1
-        self._sum += value
+        self.count += 1
+        self.sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
 
     @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
     def min(self) -> float:
-        return self._min if self._count else 0.0
+        return self._min if self.count else 0.0
 
     @property
     def max(self) -> float:
-        return self._max if self._count else 0.0
+        return self._max if self.count else 0.0
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
     def bucket_counts(self) -> list[int]:
         return list(self._buckets)
@@ -183,7 +167,7 @@ class Histogram:
 
         Bucketed, so an upper estimate — good enough for dashboards.
         """
-        if not self._count:
+        if not self.count:
             # Validate q even when empty, matching the populated path.
             return percentile_from_buckets(self._buckets, q)
         return percentile_from_buckets(self._buckets, q, cap=self._max)
@@ -192,15 +176,15 @@ class Histogram:
         """Fold ``other``'s distribution into this one.  Log2 buckets make
         cross-shard merges exact at bucket granularity — the fleet rollup
         (§5j) merges every ``shard.<i>`` histogram this way."""
-        if not other._count:
+        if not other.count:
             return
         buckets = other._buckets
         mine = self._buckets
         for i in range(HISTOGRAM_BUCKETS):
             if buckets[i]:
                 mine[i] += buckets[i]
-        self._count += other._count
-        self._sum += other._sum
+        self.count += other.count
+        self.sum += other.sum
         if other._min < self._min:
             self._min = other._min
         if other._max > self._max:

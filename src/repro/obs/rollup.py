@@ -148,17 +148,13 @@ class FleetRollup:
         self._registries = registries
         self._target = target
         self._heat_metrics = heat_metrics
-        self._stats: dict[str, FleetStat] = {}
+        #: Per-metric cross-shard stats from the last :meth:`refresh`.
+        self.stats: dict[str, FleetStat] = {}
         self._refreshes = target.counter("fleet.refreshes")
         self._shards_gauge = target.gauge("fleet.shards")
         self._imbalance = target.gauge("fleet.imbalance.heat")
         self._hot_shard = target.gauge("fleet.imbalance.hot_shard")
         self._shards_gauge.set(len(registries))
-
-    @property
-    def stats(self) -> dict[str, FleetStat]:
-        """Per-metric cross-shard stats from the last :meth:`refresh`."""
-        return self._stats
 
     def view(self, parent: MetricsRegistry | None = None) -> FleetRegistryView:
         return FleetRegistryView(
@@ -202,7 +198,7 @@ class FleetRollup:
                 fleet.reset()
                 for hist in instruments:
                     fleet.merge_from(hist)
-        self._stats = stats
+        self.stats = stats
         heat = [
             sum(
                 reg.get(m).value if reg.get(m) is not None else 0
@@ -220,7 +216,7 @@ class FleetRollup:
     def top_skewed(self, n: int = 5) -> list[FleetStat]:
         """The ``n`` most imbalanced nonzero metrics from the last refresh."""
         ranked = sorted(
-            (s for s in self._stats.values() if s.total > 0),
+            (s for s in self.stats.values() if s.total > 0),
             key=lambda s: (-s.imbalance, s.name),
         )
         return ranked[:n]

@@ -180,32 +180,24 @@ class TelemetrySampler:
             raise ObservabilityError("sampler interval_ns must be >= 0")
         self._registry = resolve_registry(registry)
         self._clock = resolve_clock(clock)
-        self._interval = float(interval_ns)
+        self.interval_ns = float(interval_ns)
         self._points: deque[TelemetryPoint] = deque(maxlen=capacity)
         self._prev_counters: dict[str, int] = {}
         self._prev_buckets: dict[str, list[int]] = {}
         self._last_t: float | None = None
-        self._seq = 0
+        #: Samples ever taken (>= ``len(points)`` once the ring wraps).
+        self.samples_taken = 0
 
     # -- sampling -------------------------------------------------------------
-
-    @property
-    def interval_ns(self) -> float:
-        return self._interval
 
     @property
     def capacity(self) -> int:
         return self._points.maxlen or 0
 
-    @property
-    def samples_taken(self) -> int:
-        """Samples ever taken (>= ``len(points)`` once the ring wraps)."""
-        return self._seq
-
     def tick(self) -> TelemetryPoint | None:
         """Sample iff at least ``interval_ns`` elapsed since the last one."""
         now = self._clock()
-        if self._last_t is not None and now - self._last_t < self._interval:
+        if self._last_t is not None and now - self._last_t < self.interval_ns:
             return None
         return self.sample(now)
 
@@ -256,7 +248,7 @@ class TelemetrySampler:
                 gauges[name] = instrument.value
         derived = self._derive(counter_deltas) if dt > 0 else {}
         point = TelemetryPoint(
-            seq=self._seq,
+            seq=self.samples_taken,
             t_ns=now,
             dt_ns=dt,
             rates=rates,
@@ -266,7 +258,7 @@ class TelemetrySampler:
         )
         self._points.append(point)
         self._last_t = now
-        self._seq += 1
+        self.samples_taken += 1
         return point
 
     @staticmethod
@@ -313,8 +305,8 @@ class TelemetrySampler:
 
     def as_dict(self) -> dict:
         return {
-            "interval_ns": self._interval,
+            "interval_ns": self.interval_ns,
             "capacity": self.capacity,
-            "samples_taken": self._seq,
+            "samples_taken": self.samples_taken,
             "points": [p.as_dict() for p in self._points],
         }

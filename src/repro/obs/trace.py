@@ -206,7 +206,8 @@ class TraceCollector:
         }
         self._registry = resolve_registry(registry)
         self._ring: deque[Trace] = deque(maxlen=capacity)
-        self._active: Trace | None = None
+        #: The in-flight trace, if a root span is open.
+        self.active: Trace | None = None
         self._stack: list[TraceSpan] = []
         self._next_trace_id = 1
         self._next_span_id = 1
@@ -220,17 +221,12 @@ class TraceCollector:
     # -- introspection -------------------------------------------------------
 
     @property
-    def active(self) -> Trace | None:
-        """The in-flight trace, if a root span is open."""
-        return self._active
-
-    @property
     def current_span(self) -> TraceSpan | None:
         return self._stack[-1] if self._stack else None
 
     @property
     def context(self) -> TraceContext | None:
-        return self._active.context if self._active is not None else None
+        return self.active.context if self.active is not None else None
 
     def traces(self, n: int | None = None) -> list[Trace]:
         """The last ``n`` finished traces, oldest first (all if None)."""
@@ -264,7 +260,7 @@ class TraceCollector:
         mints a fresh root when ``baggage`` is given (:meth:`trace`) or
         ``auto_root`` is on, and otherwise opens nothing (``None``).
         """
-        trace = self._active
+        trace = self.active
         if trace is None and baggage is None and not self._auto_root:
             return None
         parent = self._stack[-1] if trace is not None else None
@@ -276,7 +272,7 @@ class TraceCollector:
         if trace is None:
             context = TraceContext(self._next_trace_id, dict(baggage or ()))
             self._next_trace_id += 1
-            self._active = Trace(context, span)
+            self.active = Trace(context, span)
             self._started.inc()
         else:
             if baggage:
@@ -298,8 +294,8 @@ class TraceCollector:
         self._stack.pop()
         span.end_ns = self._shard_clock(span.shard)()
         if span.parent_id is None:
-            trace = self._active
-            self._active = None
+            trace = self.active
+            self.active = None
             self._ring.append(trace)
             self._finished.inc()
             self._fanout.record(len(trace.shards_touched()))
@@ -321,7 +317,7 @@ class TraceCollector:
         span = self.begin(name, shard, attrs, baggage)
         error = False
         try:
-            yield span if baggage is None else self._active
+            yield span if baggage is None else self.active
         except BaseException:
             error = True
             raise
@@ -335,13 +331,13 @@ class TraceCollector:
 
     def set_baggage(self, **baggage: object) -> None:
         """Merge baggage into the active context (no-op outside)."""
-        if self._active is not None:
-            self._active.context.baggage.update(baggage)
+        if self.active is not None:
+            self.active.context.baggage.update(baggage)
 
     def record_hop(self, shard: int) -> None:
         """Append a router hop to the active context's baggage."""
-        if self._active is not None:
-            self._active.context.record_hop(shard)
+        if self.active is not None:
+            self.active.context.record_hop(shard)
 
     # -- export --------------------------------------------------------------
 

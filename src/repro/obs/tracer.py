@@ -63,26 +63,18 @@ class Tracer:
         clock: Clock | object | None = None,
         ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
-        self._registry = resolve_registry(registry)
+        self.registry = resolve_registry(registry)
         self._clock = resolve_clock(clock)
         #: Raw ``(name, start, end, depth, attrs, error)`` per finished
         #: span; :meth:`recent`, the ring's one reader, builds the events.
         self._ring: deque[tuple] = deque(maxlen=ring_size)
-        self._depth = 0
+        #: Current nesting depth (0 outside any span).
+        self.depth = 0
         self._histograms: dict[str, Histogram] = {}
         self.profiler = None
         self.trace = None
         self.shard: int | None = None
         self.ticker = None
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (0 outside any span)."""
-        return self._depth
 
     def arm(self, profiler=None, trace=None, shard=None, ticker=None) -> None:
         """Arm sinks, once per engine; those left ``None`` keep what they
@@ -127,8 +119,8 @@ class Tracer:
         profiled = profiler.begin(*profile) if profiler is not None else None
         if timed:
             start = self._clock()
-            depth = self._depth
-            self._depth = depth + 1
+            depth = self.depth
+            self.depth = depth + 1
         error = False
         try:
             yield
@@ -137,11 +129,11 @@ class Tracer:
             raise
         finally:
             if timed:
-                self._depth = depth
+                self.depth = depth
                 end = self._clock()
                 self._histogram(name).record(end - start)
                 if error:
-                    self._registry.counter(f"span.{name}.errors").inc()
+                    self.registry.counter(f"span.{name}.errors").inc()
                 self._ring.append((name, start, end, depth, attrs, error))
             if profiled is not None:
                 profiler.end(profiled, error)
@@ -151,7 +143,7 @@ class Tracer:
     def _histogram(self, name: str) -> Histogram:
         hist = self._histograms.get(name)
         if hist is None:
-            hist = self._registry.histogram(f"span.{name}.ns")
+            hist = self.registry.histogram(f"span.{name}.ns")
             self._histograms[name] = hist
         return hist
 

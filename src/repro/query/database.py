@@ -109,8 +109,10 @@ class Database:
         if metrics is None:
             ambient = get_default_registry()
             metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
-        self._metrics = metrics
-        self._fault_injector = fault_injector
+        #: The registry every subsystem of this database emits into.
+        self.metrics = metrics
+        #: The injector driving this database's disk, if faults are wired.
+        self.fault_injector = fault_injector
         if disk is not None:
             if fault_injector is not None:
                 raise QueryError(
@@ -121,127 +123,86 @@ class Database:
                     f"attached disk has page_size {disk.page_size}, "
                     f"database wants {page_size}"
                 )
-            self._disk = disk
-            self._fault_injector = getattr(disk, "injector", None)
+            self.disk = disk
+            self.fault_injector = getattr(disk, "injector", None)
         elif fault_injector is not None:
             from repro.faults.disk import FaultyDisk
 
-            self._disk = FaultyDisk(page_size, fault_injector)
+            self.disk = FaultyDisk(page_size, fault_injector)
         else:
-            self._disk = SimulatedDisk(page_size)
+            self.disk = SimulatedDisk(page_size)
         if wal is True:
             from repro.wal.log import WalWriter
 
             wal = WalWriter(
                 registry=metrics, group_commit_records=wal_group_commit
             )
-        self._wal = wal or None
+        #: The write-ahead log writer, when durability is on.
+        self.wal = wal or None
         # The cost model only accumulates simulated nanoseconds — never
         # consulted by the engine — so defaulting one in keeps behaviour
         # identical while giving the tracer a real clock.
         if cost_model is None:
             cost_model = CostModel()
-        self._cost = cost_model
-        #: The engine's one op bracket (DESIGN.md §5k): profiler, trace
+        self.cost_model = cost_model
+        #: Span tracer charging simulated time from the cost model; the
+        #: engine's one op bracket (DESIGN.md §5k): profiler, trace
         #: collector and controller are armed on it, never per table.
-        self._tracer = Tracer(metrics, clock=cost_model)
-        if self._wal is not None:
-            self._wal.tracer = self._tracer
-        self._data_pool = BufferPool(
-            self._disk, data_pool_pages, cost_hook=cost_model,
+        self.tracer = Tracer(metrics, clock=cost_model)
+        if self.wal is not None:
+            self.wal.tracer = self.tracer
+        self.data_pool = BufferPool(
+            self.disk, data_pool_pages, cost_hook=cost_model,
             registry=metrics, retry_policy=retry_policy,
-            verify_checksums=verify_checksums, wal=self._wal,
+            verify_checksums=verify_checksums, wal=self.wal,
         )
         if index_pool_pages is None:
-            self._index_pool = self._data_pool
+            self.index_pool = self.data_pool
         else:
-            self._index_pool = BufferPool(
-                self._disk, index_pool_pages, cost_hook=cost_model,
+            self.index_pool = BufferPool(
+                self.disk, index_pool_pages, cost_hook=cost_model,
                 registry=metrics, retry_policy=retry_policy,
-                verify_checksums=verify_checksums, wal=self._wal,
+                verify_checksums=verify_checksums, wal=self.wal,
             )
-        self._catalog = Catalog()
+        self.catalog = Catalog()
         self._rng = DeterministicRng(seed)
         self._recovery = None
         self._txn_manager = None
-        self._columnar = None
-        self._journal = None
+        #: The columnar manager, once :meth:`enable_columnar` has run.
+        self.columnar = None
+        #: The §5j event journal, once :meth:`enable_events` has run.
+        self.journal = None
         self._journal_shard: int | None = None
         #: Database-wide cache-fill admission fraction, pushed into every
         #: cached index (existing and future) by :meth:`set_cache_admission`.
-        self._cache_admission = 1.0
+        self.cache_admission = 1.0
         # Knob-state gauges (visible with the controller disabled too).
         self._m_knob_data_pages = metrics.gauge("adaptive.knob.pool.data_pages")
-        self._m_knob_data_pages.set(float(self._data_pool.capacity))
-        if self._index_pool is not self._data_pool:
+        self._m_knob_data_pages.set(float(self.data_pool.capacity))
+        if self.index_pool is not self.data_pool:
             self._m_knob_index_pages = metrics.gauge(
                 "adaptive.knob.pool.index_pages"
             )
-            self._m_knob_index_pages.set(float(self._index_pool.capacity))
+            self._m_knob_index_pages.set(float(self.index_pool.capacity))
         else:
             self._m_knob_index_pages = None
 
     # -- properties ----------------------------------------------------------
 
     @property
-    def disk(self) -> SimulatedDisk:
-        return self._disk
-
-    @property
-    def data_pool(self) -> BufferPool:
-        return self._data_pool
-
-    @property
-    def index_pool(self) -> BufferPool:
-        return self._index_pool
-
-    @property
-    def catalog(self) -> Catalog:
-        return self._catalog
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self._cost
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry every subsystem of this database emits into."""
-        return self._metrics
-
-    @property
-    def tracer(self) -> Tracer:
-        """Span tracer charging simulated time from the cost model."""
-        return self._tracer
-
-    @property
-    def fault_injector(self) -> "FaultInjector | None":
-        """The injector driving this database's disk, if faults are wired."""
-        return self._fault_injector
-
-    @property
-    def wal(self) -> "WalWriter | None":
-        """The write-ahead log writer, when durability is on."""
-        return self._wal
-
-    @property
     def profiler(self) -> "QueryProfiler | None":
         """The query profiler, once :meth:`enable_profiling` has run."""
-        return self._tracer.profiler
+        return self.tracer.profiler
 
     @property
     def adaptive(self) -> "AdaptiveController | None":
         """The adaptive controller, once :meth:`enable_adaptive` has run."""
-        return self._tracer.ticker
+        return self.tracer.ticker
 
     @property
     def trace(self) -> "TraceCollector | None":
         """The §5j trace collector, once :meth:`enable_tracing` has run."""
-        return self._tracer.trace
-
-    @property
-    def journal(self) -> "EventJournal | None":
-        """The §5j event journal, once :meth:`enable_events` has run."""
-        return self._journal
+        return self.tracer.trace
 
     @property
     def pool_partition(self) -> float:
@@ -249,15 +210,10 @@ class Database:
 
         1.0 for a shared pool (no partition boundary exists).
         """
-        if self._index_pool is self._data_pool:
+        if self.index_pool is self.data_pool:
             return 1.0
-        total = self._data_pool.capacity + self._index_pool.capacity
-        return self._data_pool.capacity / total
-
-    @property
-    def cache_admission(self) -> float:
-        """Database-wide cache-fill admission fraction (see the setter)."""
-        return self._cache_admission
+        total = self.data_pool.capacity + self.index_pool.capacity
+        return self.data_pool.capacity / total
 
     # -- adaptive knob setters ----------------------------------------------
 
@@ -269,7 +225,7 @@ class Database:
         before the other grows.  Each pool keeps at least one frame.
         Returns the new ``(data_pages, index_pages)`` split.
         """
-        if self._index_pool is self._data_pool:
+        if self.index_pool is self.data_pool:
             raise QueryError(
                 "pool partition requires split data/index pools "
                 "(index_pool_pages=...)"
@@ -278,16 +234,16 @@ class Database:
             raise QueryError(
                 f"data_fraction must be in (0, 1), got {data_fraction}"
             )
-        total = self._data_pool.capacity + self._index_pool.capacity
+        total = self.data_pool.capacity + self.index_pool.capacity
         data_pages = min(max(int(round(total * data_fraction)), 1), total - 1)
         index_pages = total - data_pages
         # Shrink first so the combined footprint never exceeds the budget.
-        if data_pages < self._data_pool.capacity:
-            self._data_pool.set_capacity(data_pages)
-            self._index_pool.set_capacity(index_pages)
+        if data_pages < self.data_pool.capacity:
+            self.data_pool.set_capacity(data_pages)
+            self.index_pool.set_capacity(index_pages)
         else:
-            self._index_pool.set_capacity(index_pages)
-            self._data_pool.set_capacity(data_pages)
+            self.index_pool.set_capacity(index_pages)
+            self.data_pool.set_capacity(data_pages)
         self._m_knob_data_pages.set(float(data_pages))
         if self._m_knob_index_pages is not None:
             self._m_knob_index_pages.set(float(index_pages))
@@ -296,11 +252,11 @@ class Database:
     def set_group_commit(self, group_commit_records: int) -> None:
         """Retune the WAL group-commit window (see
         :meth:`repro.wal.log.WalWriter.set_group_commit`)."""
-        if self._wal is None:
+        if self.wal is None:
             raise QueryError(
                 "group-commit tuning requires a database built with wal="
             )
-        self._wal.set_group_commit(group_commit_records)
+        self.wal.set_group_commit(group_commit_records)
 
     def set_cache_admission(self, fraction: float) -> None:
         """Set cache-fill admission on every cached index, now and future.
@@ -313,11 +269,11 @@ class Database:
             raise QueryError(
                 f"cache admission must be within [0, 1], got {fraction}"
             )
-        self._cache_admission = float(fraction)
-        for tentry in self._catalog.tables():
-            for ientry in self._catalog.indexes_of(tentry.name):
+        self.cache_admission = float(fraction)
+        for tentry in self.catalog.tables():
+            for ientry in self.catalog.indexes_of(tentry.name):
                 if isinstance(ientry.index, CachedBTree):
-                    ientry.index.set_cache_admission(self._cache_admission)
+                    ientry.index.set_cache_admission(self.cache_admission)
 
     def enable_profiling(self, slow_log_size: int = 64) -> "QueryProfiler":
         """Attach a :class:`~repro.obs.profiler.QueryProfiler`.
@@ -328,21 +284,16 @@ class Database:
         normalized fingerprint.  Strictly opt-in; idempotent: calling
         again returns the already-installed profiler.
         """
-        if self._tracer.profiler is None:
+        if self.tracer.profiler is None:
             from repro.obs.profiler import QueryProfiler
 
-            self._tracer.arm(profiler=QueryProfiler(
-                self._metrics,
-                clock=self._cost,
-                wal=self._wal,
+            self.tracer.arm(profiler=QueryProfiler(
+                self.metrics,
+                clock=self.cost_model,
+                wal=self.wal,
                 slow_log_size=slow_log_size,
             ))
-        return self._tracer.profiler
-
-    @property
-    def columnar(self) -> "ColumnarManager | None":
-        """The columnar manager, once :meth:`enable_columnar` has run."""
-        return self._columnar
+        return self.tracer.profiler
 
     def enable_columnar(self, segment_rows: int | None = None) -> "ColumnarManager":
         """Attach the vectorized columnar executor (DESIGN.md §5h).
@@ -357,22 +308,22 @@ class Database:
         path.  Idempotent; strictly opt-in (until this runs, the
         per-operation cost is a single ``is not None`` test).
         """
-        if self._columnar is None:
+        if self.columnar is None:
             from repro.columnar.manager import ColumnarManager
             from repro.columnar.store import SEGMENT_ROWS
 
-            self._columnar = ColumnarManager(
+            self.columnar = ColumnarManager(
                 self,
-                registry=self._metrics,
+                registry=self.metrics,
                 segment_rows=segment_rows or SEGMENT_ROWS,
             )
             # Join the pool's full-obs-reset contract: a
             # ``reset_counters(reset_obs=True)`` between experiment
             # phases zeroes ``columnar.*`` alongside ``txn.*``/``wal.*``.
-            self._data_pool.add_obs_reset_hook(self._columnar.reset_metrics)
-        for entry_name in self._catalog.table_names:
-            self._columnar.attach(self.table(entry_name))
-        return self._columnar
+            self.data_pool.add_obs_reset_hook(self.columnar.reset_metrics)
+        for entry_name in self.catalog.table_names:
+            self.columnar.attach(self.table(entry_name))
+        return self.columnar
 
     def enable_adaptive(
         self,
@@ -402,7 +353,7 @@ class Database:
         Strictly opt-in; idempotent: calling again returns the
         installed controller.
         """
-        if self._tracer.ticker is None:
+        if self.tracer.ticker is None:
             from repro.obs.adaptive import (
                 AdaptiveController,
                 WAL_FLUSH_AMPLIFICATION_RULE,
@@ -413,24 +364,24 @@ class Database:
             from repro.obs.sampler import TelemetrySampler
 
             if sampler is None:
-                sampler = TelemetrySampler(self._metrics, clock=self._cost)
+                sampler = TelemetrySampler(self.metrics, clock=self.cost_model)
             if rules is None:
                 rules = DEFAULT_SLO_RULES
-                if self._wal is not None:
+                if self.wal is not None:
                     rules = rules + (WAL_FLUSH_AMPLIFICATION_RULE,)
             if knobs is None:
                 knobs = database_knobs(self)
             if bindings is None:
                 bindings = default_bindings(knobs, rules)
-            self._tracer.arm(ticker=AdaptiveController(
+            self.tracer.arm(ticker=AdaptiveController(
                 sampler,
                 rules=rules,
                 knobs=knobs,
                 bindings=bindings,
-                registry=self._metrics,
-                journal=self._journal,
+                registry=self.metrics,
+                journal=self.journal,
             ))
-        return self._tracer.ticker
+        return self.tracer.ticker
 
     def enable_tracing(self) -> "TraceCollector":
         """Attach a §5j :class:`~repro.obs.trace.TraceCollector`.
@@ -442,13 +393,13 @@ class Database:
         Finished traces land in a bounded ring, exportable as JSON or
         Chrome ``trace_event`` format.  Idempotent; strictly opt-in.
         """
-        if self._tracer.trace is None:
+        if self.tracer.trace is None:
             from repro.obs.trace import TraceCollector
 
             self.attach_tracing(TraceCollector(
-                clock=self._cost, registry=self._metrics
+                clock=self.cost_model, registry=self.metrics
             ))
-        return self._tracer.trace
+        return self.tracer.trace
 
     def enable_events(self) -> "EventJournal":
         """Attach a §5j :class:`~repro.obs.events.EventJournal`.
@@ -459,43 +410,43 @@ class Database:
         event carries the active trace id.  Idempotent; strictly opt-in
         (one ``is None`` test per emit site until this runs).
         """
-        if self._journal is None:
+        if self.journal is None:
             from repro.obs.events import EventJournal
 
             self.attach_events(EventJournal(
-                clock=self._cost,
-                registry=self._metrics,
-                trace_source=self._tracer.trace,
+                clock=self.cost_model,
+                registry=self.metrics,
+                trace_source=self.tracer.trace,
             ))
-        return self._journal
+        return self.journal
 
     def attach_tracing(self, collector, shard: int | None = None) -> None:
         """Adopt an externally owned trace collector (the sharded
         facade's), tagging this engine's spans with ``shard``."""
-        self._tracer.arm(trace=collector, shard=shard)
-        if self._journal is not None:
-            self._journal.trace_source = collector
+        self.tracer.arm(trace=collector, shard=shard)
+        if self.journal is not None:
+            self.journal.trace_source = collector
 
     def attach_events(self, journal, shard: int | None = None) -> None:
         """Adopt an externally owned event journal (the sharded
         facade's), tagging this engine's events with ``shard``."""
-        self._journal = journal
+        self.journal = journal
         self._journal_shard = shard
-        if self._wal is not None:
-            self._wal.journal = journal
-            self._wal.journal_shard = shard
+        if self.wal is not None:
+            self.wal.journal = journal
+            self.wal.journal_shard = shard
         if self._recovery is not None:
             self._recovery.journal = journal
             self._recovery.journal_shard = shard
-        if self._tracer.ticker is not None:
-            self._tracer.ticker.journal = journal
+        if self.tracer.ticker is not None:
+            self.tracer.ticker.journal = journal
 
     def checkpoint(self) -> int:
         """Append a fuzzy checkpoint record (see
         :meth:`repro.wal.log.WalWriter.checkpoint`); returns its LSN."""
-        if self._wal is None:
+        if self.wal is None:
             raise QueryError("checkpoint requires a database built with wal=")
-        return self._wal.checkpoint(self)
+        return self.wal.checkpoint(self)
 
     @property
     def recovery(self) -> "RecoveryManager":
@@ -507,9 +458,9 @@ class Database:
         if self._recovery is None:
             from repro.faults.recovery import RecoveryManager
 
-            self._recovery = RecoveryManager(self, registry=self._metrics)
-            if self._journal is not None:
-                self._recovery.journal = self._journal
+            self._recovery = RecoveryManager(self, registry=self.metrics)
+            if self.journal is not None:
+                self._recovery.journal = self.journal
                 self._recovery.journal_shard = self._journal_shard
         return self._recovery
 
@@ -533,11 +484,11 @@ class Database:
         if self._txn_manager is None:
             from repro.txn.manager import TransactionManager
 
-            self._txn_manager = TransactionManager(self, registry=self._metrics)
+            self._txn_manager = TransactionManager(self, registry=self.metrics)
             # Join the pool's full-obs-reset contract: a
             # ``reset_counters(reset_obs=True)`` between experiment
             # phases zeroes ``txn.*`` alongside ``faults.*``/``wal.*``.
-            self._data_pool.add_obs_reset_hook(self._txn_manager.reset_metrics)
+            self.data_pool.add_obs_reset_hook(self._txn_manager.reset_metrics)
         return self._txn_manager
 
     def session(self) -> "Session":
@@ -554,10 +505,10 @@ class Database:
         self, name: str, schema: Schema, append_only: bool = False
     ) -> Table:
         """Create an empty table."""
-        heap = HeapFile(self._data_pool, append_only=append_only)
+        heap = HeapFile(self.data_pool, append_only=append_only)
         table = self._register_table(name, schema, heap)
-        if self._wal is not None:
-            self._wal.log_create_table(table_meta(name, schema, heap))
+        if self.wal is not None:
+            self.wal.log_create_table(table_meta(name, schema, heap))
         return table
 
     def create_index(
@@ -603,7 +554,7 @@ class Database:
         append_only: bool = False,
     ) -> Table:
         """Register a table over existing heap pages (WAL replay)."""
-        heap = HeapFile(self._data_pool, append_only=append_only)
+        heap = HeapFile(self.data_pool, append_only=append_only)
         heap.adopt_pages(list(page_ids))
         return self._register_table(name, schema, heap)
 
@@ -635,12 +586,12 @@ class Database:
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog (pages are not reclaimed —
         the simulated disk only grows, like a real tablespace file)."""
-        self._catalog.drop_table(name)
+        self.catalog.drop_table(name)
 
     # -- access -----------------------------------------------------------------
 
     def table(self, name: str) -> Table:
-        entry = self._catalog.table(name)
+        entry = self.catalog.table(name)
         table = entry.table
         if not isinstance(table, Table):  # pragma: no cover - registration bug
             raise CatalogError(f"catalog entry {name!r} is not a Table")
@@ -651,10 +602,10 @@ class Database:
     def _register_table(self, name: str, schema: Schema, heap: HeapFile) -> Table:
         """Wrap ``heap`` as a table on the engine's tracer — whatever is
         armed there, now or later, observes it — and catalog it."""
-        table = Table(name, schema, heap, tracer=self._tracer, wal=self._wal)
-        self._catalog.register_table(name, schema, table)
-        if self._columnar is not None:
-            self._columnar.attach(table)
+        table = Table(name, schema, heap, tracer=self.tracer, wal=self.wal)
+        self.catalog.register_table(name, schema, table)
+        if self.columnar is not None:
+            self.columnar.attach(table)
         return table
 
     def _add_index(
@@ -675,8 +626,8 @@ class Database:
             [table.schema.column(c) for c in key_columns]
         )
         tree = BPlusTree(
-            self._index_pool, codec.size, RID_SIZE, name=index_name,
-            split_fraction=split_fraction, registry=self._metrics,
+            self.index_pool, codec.size, RID_SIZE, name=index_name,
+            split_fraction=split_fraction, registry=self.metrics,
         )
         if cached is None:
             index = PlainIndex(tree, table.heap, table.schema, key_columns)
@@ -695,20 +646,20 @@ class Database:
                 # between otherwise identical runs.
                 rng=self._rng.child(zlib.crc32(index_name.encode()) & 0xFFFF),
                 invalidation=CacheInvalidation(
-                    log_threshold, registry=self._metrics
+                    log_threshold, registry=self.metrics
                 ),
                 latch=LatchSimulator(latch_contention, self._rng.child(0x1A7C)),
-                cost_model=self._cost,
-                registry=self._metrics,
+                cost_model=self.cost_model,
+                registry=self.metrics,
             )
-            if self._cache_admission != 1.0:
-                index.set_cache_admission(self._cache_admission)
+            if self.cache_admission != 1.0:
+                index.set_cache_admission(self.cache_admission)
         if restore:
             index.rebuild_from_heap()
         table.attach_index(index_name, index)
-        entry = self._catalog.register_index(
+        entry = self.catalog.register_index(
             index_name, table_name, tuple(key_columns), index
         )
-        if not restore and self._wal is not None:
-            self._wal.log_create_index(index_meta(entry))
+        if not restore and self.wal is not None:
+            self.wal.log_create_index(index_meta(entry))
         return index

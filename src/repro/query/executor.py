@@ -84,14 +84,14 @@ class FkJoinCache:
         self._payload_schema = parent.schema.project(list(parent_fields))
         # Heap pages have no "key region" in the B+Tree sense; treat the
         # child record as the K of the stable-point formula.
-        self._cache = IndexCache(
+        self.cache = IndexCache(
             self._payload_schema.record_size,
             entry_size=child.schema.record_size,
             policy=policy,
             rng=rng,
             registry=registry,
         )
-        self._invalidation = (
+        self.invalidation = (
             invalidation
             if invalidation is not None
             else CacheInvalidation(registry=registry)
@@ -104,14 +104,6 @@ class FkJoinCache:
         self._m_parent_lookup = reg.counter("query.join.parent_lookups")
         self._m_invalidation = reg.counter("query.join.stale_invalidations")
 
-    @property
-    def cache(self) -> IndexCache:
-        return self._cache
-
-    @property
-    def invalidation(self) -> CacheInvalidation:
-        return self._invalidation
-
     # -- parent write observation (invalidation) -----------------------------
 
     def note_parent_update(self, row: dict[str, object], changed: set) -> None:
@@ -120,16 +112,16 @@ class FkJoinCache:
             # The parent key itself moved; entries cached under the old key
             # can no longer be identified from the new row.  Fall back to
             # the O(1) full invalidation.
-            self._invalidation.invalidate_all()
+            self.invalidation.invalidate_all()
             return
         if changed & set(self._payload_schema.names):
-            self._invalidation.note_update(
+            self.invalidation.note_update(
                 self._tid_for(row[self._parent_key_column])
             )
 
     def note_parent_delete(self, row: dict[str, object]) -> None:
         """Parent row deleted: cached join payloads for its key are stale."""
-        self._invalidation.note_update(
+        self.invalidation.note_update(
             self._tid_for(row[self._parent_key_column])
         )
 
@@ -179,7 +171,7 @@ class FkJoinCache:
             self._validate(page)
             fk_value = row[self._fk_column]
             tid = self._tid_for(fk_value)
-            payload = self._cache.probe(page, tid)
+            payload = self.cache.probe(page, tid)
             if payload is not None:
                 self.stats.cache_hits += 1
                 self._m_hit.inc()
@@ -201,7 +193,7 @@ class FkJoinCache:
                         f"dangling foreign key {self._fk_column}={fk_value!r}"
                     )
                 parent_values = dict(result.values)
-                self._cache.insert(
+                self.cache.insert(
                     page, tid, pack_record_map(self._payload_schema, parent_values)
                 )
             merged = {**{n: row[n] for n in child_cols}, **parent_values}
@@ -251,7 +243,7 @@ class FkJoinCache:
                 self._validate(page)
                 fk_value = row[self._fk_column]
                 tid = self._tid_for(fk_value)
-                payload = self._cache.probe(page, tid)
+                payload = self.cache.probe(page, tid)
                 if payload is None:
                     misses.append((pos, row, fk_value, tid, rid.page_id))
                     continue
@@ -297,7 +289,7 @@ class FkJoinCache:
             for page_id in sorted(by_page):
                 with pool.page(page_id) as page:
                     for tid, packed in by_page[page_id]:
-                        self._cache.insert(page, tid, packed)
+                        self.cache.insert(page, tid, packed)
         return results  # type: ignore[return-value]
 
     # -- internals -----------------------------------------------------------
@@ -329,6 +321,6 @@ class FkJoinCache:
         return self._parent_index.encode_key(fk_value).ljust(8, b"\x00")
 
     def _validate(self, page) -> None:
-        if self._invalidation.validate_heap_page(page, self._cache):
+        if self.invalidation.validate_heap_page(page, self.cache):
             self.stats.invalidations += 1
             self._m_invalidation.inc()

@@ -42,7 +42,7 @@ class PlainIndex:
     ) -> None:
         if tree.value_size != RID_SIZE:
             raise QueryError("PlainIndex requires a RID-valued tree")
-        self._tree = tree
+        self.tree = tree
         self._heap = heap
         self._schema = schema
         #: The key maker: key value or row -> ordered bytes, and back.
@@ -55,24 +55,20 @@ class PlainIndex:
         self.heap_fetches = 0
 
     @property
-    def tree(self) -> BPlusTree:
-        return self._tree
-
-    @property
     def key_columns(self) -> tuple[str, ...]:
         return self.key_codec.columns
 
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
-        self._tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
+        self.tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
 
     def delete_key(self, row: dict[str, object]) -> None:
-        self._tree.delete(self.key_codec.encode_row(row))
+        self.tree.delete(self.key_codec.encode_row(row))
 
     def note_update(self, row: dict[str, object], changed: set[str]) -> None:
         """No cache, nothing to invalidate."""
 
     def find_rid(self, key_value: object) -> Rid | None:
-        rid_bytes = self._tree.search(self.encode_key(key_value))
+        rid_bytes = self.tree.search(self.encode_key(key_value))
         return Rid.from_bytes(rid_bytes) if rid_bytes is not None else None
 
     def rebuild_from_heap(self) -> BPlusTree:
@@ -83,10 +79,10 @@ class PlainIndex:
         fresh tree from a sorted heap scan.  The old tree's pages are
         orphaned (the simulated disk only grows, like a tablespace file).
         """
-        self._tree = rebuild_tree_from_heap(
-            self._tree, self._heap, self._schema, self.key_codec
+        self.tree = rebuild_tree_from_heap(
+            self.tree, self._heap, self._schema, self.key_codec
         )
-        return self._tree
+        return self.tree
 
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
@@ -123,7 +119,7 @@ class PlainIndex:
         if not encoded:
             return []
         self.lookups += len(set(encoded))
-        rid_bytes = self._tree.lookup_many(encoded)
+        rid_bytes = self.tree.lookup_many(encoded)
         rids = {
             key: Rid.from_bytes(value)
             for key, value in rid_bytes.items()
@@ -164,14 +160,14 @@ class Table:
         tracer: Tracer | None = None,
         wal=None,
     ) -> None:
-        self._name = name
-        self._schema = schema
-        self._heap = heap
+        self.name = name
+        self.schema = schema
+        self.heap = heap
         self._indexes: dict[str, AnyIndex] = {}
         #: The engine's op bracket — all this table knows about
         #: observation (DESIGN.md §5k); a table built without one gets
         #: an inert tracer of its own.
-        self._tracer = tracer if tracer is not None else Tracer(NULL_REGISTRY)
+        self.tracer = tracer if tracer is not None else Tracer(NULL_REGISTRY)
         #: Optional repro.wal.log.WalWriter (duck-typed to avoid the
         #: import cycle).  When set, every heap mutation follows the
         #: reserve-LSN / apply-with-LSN / append-record protocol, and the
@@ -189,25 +185,13 @@ class Table:
         #: every applied write is mirrored through note_insert/update/
         #: delete — exactly the index fan-out contract.  When None, the
         #: hot path pays one attribute test.
-        self._columnar = None
+        self.columnar = None
 
     # -- properties ----------------------------------------------------------
 
     @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def heap(self) -> HeapFile:
-        return self._heap
-
-    @property
     def num_rows(self) -> int:
-        return self._heap.num_records
+        return self.heap.num_records
 
     @property
     def index_names(self) -> list[str]:
@@ -220,7 +204,7 @@ class Table:
         through it, so its key columns must uniquely identify a row."""
         if not self._indexes:
             raise QueryError(
-                f"table {self._name!r} has no index to identify rows by"
+                f"table {self.name!r} has no index to identify rows by"
             )
         return next(iter(self._indexes))
 
@@ -229,7 +213,7 @@ class Table:
             return self._indexes[name]
         except KeyError:
             raise QueryError(
-                f"table {self._name!r} has no index {name!r}"
+                f"table {self.name!r} has no index {name!r}"
             ) from None
 
     def attach_index(self, name: str, index: AnyIndex) -> None:
@@ -252,18 +236,6 @@ class Table:
 
     # -- writes ---------------------------------------------------------------
 
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer
-
-    @property
-    def columnar(self):
-        return self._columnar
-
-    @columnar.setter
-    def columnar(self, value) -> None:
-        self._columnar = value
-
     def insert(self, row: dict[str, object], txn_id: int = 0) -> Rid:
         """Insert a row into the heap and every index.
 
@@ -277,12 +249,12 @@ class Table:
         (0 = autocommit); the session layer passes it so crash recovery
         can tell committed writes from in-flight ones.
         """
-        self._tracer.tick()
-        with self._tracer.span(
-            "query.insert", profile=("insert", self._name),
-            trace={"table": self._name}, table=self._name,
+        self.tracer.tick()
+        with self.tracer.span(
+            "query.insert", profile=("insert", self.name),
+            trace={"table": self.name}, table=self.name,
         ):
-            record = pack_record_map(self._schema, row)
+            record = pack_record_map(self.schema, row)
             rid = self._wal_insert(record, txn_id=txn_id)
             inserted: list[AnyIndex] = []
             try:
@@ -299,8 +271,8 @@ class Table:
                         pass
                 self._wal_delete(rid, txn_id=txn_id)
                 raise
-            if self._columnar is not None:
-                self._columnar.note_insert(rid, row)
+            if self.columnar is not None:
+                self.columnar.note_insert(rid, row)
             return rid
 
     def update(
@@ -312,26 +284,26 @@ class Table:
         Key columns of *any* attached index may not change (that would be
         a delete+insert, which callers do explicitly).
         """
-        self._tracer.tick()
+        self.tracer.tick()
         for index in self._indexes.values():
             bad = set(changes) & set(index.key_columns)
             if bad:
                 raise QueryError(
                     f"cannot update index key columns {sorted(bad)}"
                 )
-        with self._tracer.span(
+        with self.tracer.span(
             "query.update",
-            profile=("update", self._name, index_name, self.index(index_name)),
-            trace={"table": self._name}, table=self._name,
+            profile=("update", self.name, index_name, self.index(index_name)),
+            trace={"table": self.name}, table=self.name,
         ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
                 return False
-            row = unpack_record_map(self._schema, self._heap.fetch(rid))
+            row = unpack_record_map(self.schema, self.heap.fetch(rid))
             row.update(changes)
-            self._wal_update(rid, pack_record_map(self._schema, row), txn_id=txn_id)
-            if self._columnar is not None:
-                self._columnar.note_update(rid, row)
+            self._wal_update(rid, pack_record_map(self.schema, row), txn_id=txn_id)
+            if self.columnar is not None:
+                self.columnar.note_update(rid, row)
             changed = set(changes)
             for index in self._indexes.values():
                 index.note_update(row, changed)
@@ -351,16 +323,16 @@ class Table:
         the delete either happens completely or not at all, and can be
         retried verbatim after a heal.
         """
-        self._tracer.tick()
-        with self._tracer.span(
+        self.tracer.tick()
+        with self.tracer.span(
             "query.delete",
-            profile=("delete", self._name, index_name, self.index(index_name)),
-            trace={"table": self._name}, table=self._name,
+            profile=("delete", self.name, index_name, self.index(index_name)),
+            trace={"table": self.name}, table=self.name,
         ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
                 return False
-            row = unpack_record_map(self._schema, self._heap.fetch(rid))
+            row = unpack_record_map(self.schema, self.heap.fetch(rid))
             removed: list[AnyIndex] = []
             try:
                 for index in self._indexes.values():
@@ -376,8 +348,8 @@ class Table:
                         # key because the heap row is still in place.
                         pass
                 raise
-            if self._columnar is not None:
-                self._columnar.note_delete(rid)
+            if self.columnar is not None:
+                self.columnar.note_delete(rid)
             for observer in self._write_observers:
                 observer.note_parent_delete(row)
             return True
@@ -391,12 +363,12 @@ class Table:
         project: tuple[str, ...] | None = None,
     ) -> LookupResult:
         """Point lookup through the named index."""
-        self._tracer.tick()
+        self.tracer.tick()
         index = self.index(index_name)
-        with self._tracer.span(
+        with self.tracer.span(
             "query.lookup",
-            profile=("lookup", self._name, index_name, index, project),
-            trace={"table": self._name}, table=self._name, index=index_name,
+            profile=("lookup", self.name, index_name, index, project),
+            trace={"table": self.name}, table=self.name, index=index_name,
         ):
             return index.lookup(key_value, project)
 
@@ -414,14 +386,14 @@ class Table:
         ``BufferPool.fetch_many``).  Results align positionally with
         ``key_values`` and equal a per-key :meth:`lookup` loop.
         """
-        self._tracer.tick()
+        self.tracer.tick()
         index = self.index(index_name)
         batch = len(key_values)
-        with self._tracer.span(
+        with self.tracer.span(
             "query.lookup_many",
-            profile=("lookup_many", self._name, index_name, index, project, batch),
-            trace={"table": self._name, "batch": batch},
-            table=self._name, index=index_name,
+            profile=("lookup_many", self.name, index_name, index, project, batch),
+            trace={"table": self.name, "batch": batch},
+            table=self.name, index=index_name,
         ):
             return index.lookup_many(list(key_values), project)
 
@@ -446,23 +418,23 @@ class Table:
         fingerprint.
         """
         predicate = predicate if predicate is not None else TruePredicate()
-        project = project if project is not None else self._schema.names
-        if use_columnar and self._columnar is not None:
+        project = project if project is not None else self.schema.names
+        if use_columnar and self.columnar is not None:
             # Plan *before* opening the bracket: an unsupported predicate
             # falls through to the row path without a second bracket.
-            kernel = self._columnar.plan_scan(predicate)
+            kernel = self.columnar.plan_scan(predicate)
             if kernel is not None:
                 # The columnar path materializes inside the bracket, so
                 # it can be trace-spanned; the lazy row path cannot (a
                 # span over a half-drained iterator would dangle) — its
                 # spans come from the scatter-gather facade instead.
-                with self._tracer.span(
+                with self.tracer.span(
                     "query.scan", timed=False,
-                    profile=("scan", self._name, None, None, project),
-                    trace={"table": self._name, "columnar": True},
+                    profile=("scan", self.name, None, None, project),
+                    trace={"table": self.name, "columnar": True},
                 ):
-                    return iter(self._columnar.scan(kernel, predicate, project))
-        if self._tracer.profiler is None:
+                    return iter(self.columnar.scan(kernel, predicate, project))
+        if self.tracer.profiler is None:
             return self._scan_rows(predicate, project)
         return self._profiled_scan(predicate, project)
 
@@ -485,44 +457,44 @@ class Table:
         # (core.encoding's package init imports Table for migrate).
         from repro.columnar.executor import aggregate_rows, normalize_specs
 
-        self._tracer.tick()
+        self.tracer.tick()
         predicate = predicate if predicate is not None else TruePredicate()
-        normalized = tuple(normalize_specs(specs, self._schema))
+        normalized = tuple(normalize_specs(specs, self.schema))
         labels = tuple(
             "count" if op == "count" else f"{op}({column})"
             for op, column in normalized
         )
         kernel = None
-        trace: dict[str, object] = {"table": self._name}
-        if use_columnar and self._columnar is not None:
-            kernel = self._columnar.plan_scan(predicate)
+        trace: dict[str, object] = {"table": self.name}
+        if use_columnar and self.columnar is not None:
+            kernel = self.columnar.plan_scan(predicate)
             if kernel is not None:
                 trace["columnar"] = True
-        with self._tracer.span(
+        with self.tracer.span(
             "query.aggregate", timed=False,
-            profile=("aggregate", self._name, None, None, labels),
+            profile=("aggregate", self.name, None, None, labels),
             trace=trace,
         ):
             if kernel is not None:
-                return self._columnar.aggregate(kernel, predicate, normalized)
+                return self.columnar.aggregate(kernel, predicate, normalized)
             return aggregate_rows(
-                self._scan_rows(predicate, self._schema.names), normalized
+                self._scan_rows(predicate, self.schema.names), normalized
             )
 
     def _scan_rows(
         self, predicate: Predicate, project: tuple[str, ...]
     ) -> Iterator[dict[str, object]]:
-        for _, record in self._heap.scan():
-            row = unpack_record_map(self._schema, record)
+        for _, record in self.heap.scan():
+            row = unpack_record_map(self.schema, record)
             if predicate.matches(row):
                 yield {name: row[name] for name in project}
 
     def _profiled_scan(
         self, predicate: Predicate, project: tuple[str, ...]
     ) -> Iterator[dict[str, object]]:
-        with self._tracer.span(
+        with self.tracer.span(
             "query.scan", timed=False,
-            profile=("scan", self._name, None, None, project),
+            profile=("scan", self.name, None, None, project),
         ):
             try:
                 yield from self._scan_rows(predicate, project)
@@ -548,27 +520,27 @@ class Table:
         LSN: gaps are legal.
         """
         if self._wal is None:
-            return self._heap.insert(record)
+            return self.heap.insert(record)
         lsn = self._wal.reserve_lsn()
-        rid = self._heap.insert(record, lsn=lsn)
-        self._wal.log_insert(self._name, rid, record, lsn=lsn, txn_id=txn_id)
+        rid = self.heap.insert(record, lsn=lsn)
+        self._wal.log_insert(self.name, rid, record, lsn=lsn, txn_id=txn_id)
         return rid
 
     def _wal_update(self, rid: Rid, record: bytes, txn_id: int = 0) -> None:
         if self._wal is None:
-            self._heap.update(rid, record)
+            self.heap.update(rid, record)
             return
         lsn = self._wal.reserve_lsn()
-        self._heap.update(rid, record, lsn=lsn)
-        self._wal.log_update(self._name, rid, record, lsn=lsn, txn_id=txn_id)
+        self.heap.update(rid, record, lsn=lsn)
+        self._wal.log_update(self.name, rid, record, lsn=lsn, txn_id=txn_id)
 
     def _wal_delete(self, rid: Rid, txn_id: int = 0) -> None:
         if self._wal is None:
-            self._heap.delete(rid)
+            self.heap.delete(rid)
             return
         lsn = self._wal.reserve_lsn()
-        self._heap.delete(rid, lsn=lsn)
-        self._wal.log_delete(self._name, rid, lsn=lsn, txn_id=txn_id)
+        self.heap.delete(rid, lsn=lsn)
+        self._wal.log_delete(self.name, rid, lsn=lsn, txn_id=txn_id)
 
     def _find_rid(self, index_name: str, key_value: object) -> Rid | None:
         return self.index(index_name).find_rid(key_value)

@@ -352,9 +352,12 @@ class ShardedDatabase:
         if metrics is None:
             ambient = get_default_registry()
             metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
-        self._metrics = metrics
+        #: The parent registry (the ``shard.*`` family lives here).
+        self.metrics = metrics
         self._use_recovery = recovery
-        self._sim_ns = 0.0
+        #: Simulated elapsed time with shards running in parallel: every
+        #: operation advances this by the *slowest involved shard's* delta.
+        self.sim_now_ns = 0.0
         self._migration_seq = 1
         self._tables: dict[str, ShardedTable] = {}
         #: §5j collector, journal and fleet rollup: None until enable_tracing /
@@ -368,7 +371,7 @@ class ShardedDatabase:
             dbs, regs, router = _adopt
             self._dbs = list(dbs)
             self._shard_metrics = list(regs)
-            self._router = router
+            self.router = router
         else:
             if n_shards < 1:
                 raise QueryError(f"need at least one shard, got {n_shards}")
@@ -388,7 +391,7 @@ class ShardedDatabase:
                 else:
                     shard_metrics = [MetricsRegistry() for _ in range(n_shards)]
             self._shard_metrics = list(shard_metrics)
-            self._router = ShardRouter(
+            self.router = ShardRouter(
                 n_shards,
                 mode=mode,
                 boundaries=boundaries,
@@ -467,21 +470,6 @@ class ShardedDatabase:
         return self._shard_metrics[i]
 
     @property
-    def router(self) -> ShardRouter:
-        return self._router
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The parent registry (the ``shard.*`` family lives here)."""
-        return self._metrics
-
-    @property
-    def sim_now_ns(self) -> float:
-        """Simulated elapsed time with shards running in parallel: every
-        operation advances this by the *slowest involved shard's* delta."""
-        return self._sim_ns
-
-    @property
     def table_names(self) -> list[str]:
         return list(self._tables)
 
@@ -509,8 +497,8 @@ class ShardedDatabase:
             from repro.obs.trace import TraceCollector
 
             self.trace = TraceCollector(
-                clock=lambda: self._sim_ns,
-                registry=self._metrics,
+                clock=lambda: self.sim_now_ns,
+                registry=self.metrics,
                 auto_root=False,
                 shard_clocks={
                     i: db.cost_model for i, db in enumerate(self._dbs)
@@ -534,8 +522,8 @@ class ShardedDatabase:
             from repro.obs.events import EventJournal
 
             self.journal = EventJournal(
-                clock=lambda: self._sim_ns,
-                registry=self._metrics,
+                clock=lambda: self.sim_now_ns,
+                registry=self.metrics,
                 trace_source=self.trace,
             )
             for i, db in enumerate(self._dbs):
@@ -556,7 +544,7 @@ class ShardedDatabase:
         ``shard.<i>.*`` — for sampling without copying any counter."""
         from repro.obs.rollup import FleetRegistryView
 
-        return FleetRegistryView(self._metrics, self._shard_metrics)
+        return FleetRegistryView(self.metrics, self._shard_metrics)
 
     def _shard_work(self, i: int) -> dict[str, float]:
         """Registry-derived work totals for shard ``i`` — two calls
@@ -632,7 +620,7 @@ class ShardedDatabase:
                     self._dbs[i].cost_model.now_ns - start
                     for i, start in zip(ids, starts)
                 ]
-                self._sim_ns += max(deltas, default=0.0)
+                self.sim_now_ns += max(deltas, default=0.0)
                 self._m_fanout_ops.inc()
                 self._m_fanout_shards.record(len(ids))
                 if trace is not None:
@@ -716,14 +704,14 @@ class ShardedDatabase:
         migration per key (every sharded table moves its row for the key,
         so co-partitioned tables stay aligned); decays the tracker one
         epoch afterwards so stale heat fades."""
-        plan = self._router.plan_rebalance()
+        plan = self.router.plan_rebalance()
         if self.journal is not None:
             self.journal.emit("rebalance.begin", planned=len(plan))
         keys_moved, rows_moved = len(plan), 0
         for key, src, dst in plan:
             rows_moved += self._migrate_key(key, src, dst)
-            self._router.apply_move(key, dst)
-        self._router.advance_epoch()
+            self.router.apply_move(key, dst)
+        self.router.advance_epoch()
         self._m_rebalances.inc()
         self._m_keys_moved.inc(keys_moved)
         if self.journal is not None:
@@ -802,21 +790,21 @@ class ShardedDatabase:
             if db.index_pool is not db.data_pool:
                 db.index_pool.reset_counters(reset_obs=False)
         if reset_obs:
-            for name, instrument in self._metrics.items():
+            for name, instrument in self.metrics.items():
                 if name == "shard" or name.startswith(
                     ("shard.", "trace.", "events.", "fleet.")
                 ):
                     instrument.reset()
             self._m_count.set(float(len(self._dbs)))
-            self._metrics.gauge("shard.router.overrides").set(
-                float(len(self._router.overrides))
+            self.metrics.gauge("shard.router.overrides").set(
+                float(len(self.router.overrides))
             )
             if self.trace is not None:
                 self.trace.clear()
             if self.journal is not None:
                 self.journal.clear()
             if self.rollup is not None:
-                self._metrics.gauge("fleet.shards").set(float(len(self._dbs)))
+                self.metrics.gauge("fleet.shards").set(float(len(self._dbs)))
 
     def snapshot(self) -> dict:
         """Parent snapshot with per-shard registries nested under

@@ -97,34 +97,18 @@ class ShardRouter:
             self._boundaries = ()
         if not 0.0 < hot_fraction <= 1.0:
             raise QueryError("hot_fraction must be in (0, 1]")
-        self._n = n_shards
-        self._mode = mode
-        self._hot_fraction = hot_fraction
+        self.n_shards = n_shards
+        self.mode = mode
+        self.hot_fraction = hot_fraction
         #: key -> shard, installed by completed migrations only.
         self._overrides: dict[object, int] = {}
-        self._tracker = AccessTracker(decay=decay) if mode == "zipf" else None
+        #: The live access tracker (``zipf`` mode only).
+        self.tracker = AccessTracker(decay=decay) if mode == "zipf" else None
         reg = resolve_registry(registry)
         self._m_routes = reg.counter("shard.router.routes")
         self._m_overrides = reg.gauge("shard.router.overrides")
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return self._n
-
-    @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
-    def hot_fraction(self) -> float:
-        return self._hot_fraction
-
-    @property
-    def tracker(self) -> AccessTracker | None:
-        """The live access tracker (``zipf`` mode only)."""
-        return self._tracker
 
     @property
     def overrides(self) -> dict[object, int]:
@@ -135,9 +119,9 @@ class ShardRouter:
 
     def base_shard(self, key: object) -> int:
         """Placement before any override — pure function of the key."""
-        if self._mode == "range":
+        if self.mode == "range":
             return bisect_right(self._boundaries, key)
-        return stable_key_hash(key) % self._n
+        return stable_key_hash(key) % self.n_shards
 
     def placement(self, key: object) -> int:
         """Current placement (override or base) without counting a route."""
@@ -151,13 +135,13 @@ class ShardRouter:
 
     def record_access(self, key: object, weight: float = 1.0) -> None:
         """Feed the zipf-mode tracker; a no-op in hash/range modes."""
-        if self._tracker is not None:
-            self._tracker.record(key, weight)
+        if self.tracker is not None:
+            self.tracker.record(key, weight)
 
     def advance_epoch(self) -> None:
         """Decay tracked counts one epoch (zipf mode; no-op otherwise)."""
-        if self._tracker is not None:
-            self._tracker.advance_epoch()
+        if self.tracker is not None:
+            self.tracker.advance_epoch()
 
     # -- hot-key spreading ---------------------------------------------------
 
@@ -175,17 +159,17 @@ class ShardRouter:
         identical moves.  The plan is metadata only — nothing moves until
         the database applies it migration by migration.
         """
-        if self._tracker is None or self._n == 1:
+        if self.tracker is None or self.n_shards == 1:
             return []
-        hot = self._tracker.hot_set(self._hot_fraction)
+        hot = self.tracker.hot_set(self.hot_fraction)
         ranked = sorted(
             hot,
             key=lambda k: (
-                -self._tracker.count_of(k), stable_key_hash(k), repr(k)
+                -self.tracker.count_of(k), stable_key_hash(k), repr(k)
             ),
         )
         target: dict[object, int] = {
-            key: rank % self._n for rank, key in enumerate(ranked)
+            key: rank % self.n_shards for rank, key in enumerate(ranked)
         }
         moves: list[tuple[object, int, int]] = []
         for key in ranked:
@@ -201,8 +185,8 @@ class ShardRouter:
     def apply_move(self, key: object, dst: int) -> None:
         """Record that ``key`` now resides on ``dst`` (called after the
         copy is durable there).  Moving back to base drops the override."""
-        if not 0 <= dst < self._n:
-            raise QueryError(f"shard {dst} outside 0..{self._n - 1}")
+        if not 0 <= dst < self.n_shards:
+            raise QueryError(f"shard {dst} outside 0..{self.n_shards - 1}")
         if dst == self.base_shard(key):
             self._overrides.pop(key, None)
         else:

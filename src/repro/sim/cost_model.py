@@ -76,59 +76,51 @@ class CostModel:
     """
 
     def __init__(self, preset: CostPreset = PAPER_PRESET) -> None:
-        self._preset = preset
-        self._now_ns = 0.0
+        self.preset = preset
+        #: Simulated time elapsed since construction or :meth:`reset`.
+        self.now_ns = 0.0
         self._counters = _Counters()
 
     # -- clock --------------------------------------------------------------
 
-    @property
-    def preset(self) -> CostPreset:
-        return self._preset
-
-    @property
-    def now_ns(self) -> float:
-        """Simulated time elapsed since construction or :meth:`reset`."""
-        return self._now_ns
-
     def reset(self) -> None:
         """Zero the clock and all event counters."""
-        self._now_ns = 0.0
+        self.now_ns = 0.0
         self._counters = _Counters()
 
     def charge(self, ns: float) -> None:
         """Advance the clock by an arbitrary amount (experiment glue)."""
-        self._now_ns += ns
+        self.now_ns += ns
 
     # -- buffer-pool hook protocol -------------------------------------------
 
     def on_bp_hit(self) -> None:
         self._counters.bp_hits += 1
-        self._now_ns += self._preset.bp_access_ns
+        self.now_ns += self.preset.bp_access_ns
 
     def on_bp_miss(self) -> None:
         self._counters.bp_misses += 1
-        self._now_ns += self._preset.bp_access_ns + self._preset.disk_read_ns
+        self.now_ns += self.preset.bp_access_ns + self.preset.disk_read_ns
 
     def on_disk_write(self) -> None:
         self._counters.disk_writes += 1
-        self._now_ns += self._preset.disk_write_ns
+        self.now_ns += self.preset.disk_write_ns
 
     # -- index-path charges ----------------------------------------------------
 
     def on_query(self) -> None:
         """Charge the fixed per-query execution overhead."""
-        self._now_ns += self._preset.query_overhead_ns
+        self.now_ns += self.preset.query_overhead_ns
 
     def on_index_descent(self) -> None:
         """Charge one in-memory root-to-leaf traversal."""
         self._counters.index_descents += 1
-        self._now_ns += self._preset.index_descent_ns
+        self.now_ns += self.preset.index_descent_ns
 
     def on_cache_probe(self) -> None:
         """Charge one scan of a leaf's cache slots (§2.1.1)."""
         self._counters.cache_probes += 1
-        self._now_ns += self._preset.cache_probe_ns
+        self.now_ns += self.preset.cache_probe_ns
 
     # -- counters ---------------------------------------------------------------
 
@@ -163,7 +155,7 @@ class CostModel:
         lookup pays the buffer-pool access (and the disk read on a pool
         miss), with no probe overhead.
         """
-        p = self._preset
+        p = self.preset
         heap_access = p.bp_access_ns + (1.0 - bp_hit_rate) * p.disk_read_ns
         if not cached:
             return p.index_descent_ns + heap_access

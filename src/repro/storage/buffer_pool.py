@@ -90,24 +90,26 @@ class BufferPool:
     ) -> None:
         if capacity_pages <= 0:
             raise BufferPoolError("capacity must be at least one page")
-        self._disk = disk
+        self.disk = disk
         #: Optional repro.wal.log.WalWriter (duck-typed; this module must
         #: not import repro.wal).  When set, every write-back first calls
         #: ``wal.flush_to(frame.page_lsn)`` — the WAL rule.
-        self._wal = wal
+        self.wal = wal
         #: Extra ``reset_metrics()``-style callables run by
         #: ``reset_counters(reset_obs=True)`` — lets higher layers (e.g.
         #: the transaction manager's ``txn.*`` family) join the pool's
         #: full-obs-reset contract without a storage -> txn import.
         self._obs_reset_hooks: list = []
-        self._capacity = capacity_pages
+        self.capacity = capacity_pages
         self._cost = cost_hook
-        self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
+        )
         self._verify_checksums = verify_checksums
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         #: page id -> CRC32 of the bytes this pool last wrote back; the
         #: freshness half of validation (catches stuck pages whose stale
         #: contents still carry an internally consistent stamp).
@@ -131,29 +133,9 @@ class BufferPool:
     # -- properties ----------------------------------------------------------
 
     @property
-    def disk(self) -> SimulatedDisk:
-        return self._disk
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
-
-    @property
     def hit_rate(self) -> float:
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     @property
     def resident_pages(self) -> int:
@@ -168,22 +150,9 @@ class BufferPool:
         ]
 
     @property
-    def retry_policy(self) -> RetryPolicy:
-        return self._retry
-
-    @property
     def quarantined_pages(self) -> frozenset[int]:
         """Pages confirmed corrupt and fenced off from further I/O."""
         return frozenset(self._quarantined)
-
-    @property
-    def wal(self):
-        """The attached WAL writer (or None when running without one)."""
-        return self._wal
-
-    @wal.setter
-    def wal(self, writer) -> None:
-        self._wal = writer
 
     def add_obs_reset_hook(self, hook) -> None:
         """Register a callable run by ``reset_counters(reset_obs=True)``.
@@ -212,8 +181,8 @@ class BufferPool:
                 f"cannot shrink to {capacity_pages} frames: "
                 f"{pinned} frames are pinned"
             )
-        self._capacity = capacity_pages
-        while len(self._frames) > self._capacity:
+        self.capacity = capacity_pages
+        while len(self._frames) > self.capacity:
             self._evict_one()
 
     def page_lsn(self, page_id: int) -> int:
@@ -256,9 +225,9 @@ class BufferPool:
         re-synced either way
         (it reflects the pool's current state, not a phase).
         """
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         if reset_obs:
             self._m_hit.reset()
             self._m_miss.reset()
@@ -271,12 +240,12 @@ class BufferPool:
             self._m_recovered.reset()
             self._m_unrecoverable.reset()
             self._m_retries.reset()
-            if self._wal is not None:
+            if self.wal is not None:
                 # Same contract, extended: an attached WAL writer's
                 # ``wal.*`` instruments are counters this pool's write
                 # path drives (via flush_to), so a full obs reset zeroes
                 # them too.
-                self._wal.reset_metrics()
+                self.wal.reset_metrics()
             for hook in self._obs_reset_hooks:
                 hook()
         self._m_resident.set(len(self._frames))
@@ -285,8 +254,8 @@ class BufferPool:
 
     def new_page(self, page_type: PageType) -> SlottedPage:
         """Allocate and format a fresh page; returned pinned and dirty."""
-        page_id = self._disk.allocate_page()
-        frame = self._install(page_id, bytearray(self._disk.page_size))
+        page_id = self.disk.allocate_page()
+        frame = self._install(page_id, bytearray(self.disk.page_size))
         page = SlottedPage.format(frame.data, page_id, page_type)
         frame.pin_count += 1
         frame.dirty = True
@@ -306,13 +275,13 @@ class BufferPool:
             raise CorruptPageError(page_id, "is quarantined")
         frame = self._frames.get(page_id)
         if frame is not None:
-            self._hits += 1
+            self.hits += 1
             self._m_hit.inc()
             if self._cost is not None:
                 self._cost.on_bp_hit()
             self._frames.move_to_end(page_id)
         else:
-            self._misses += 1
+            self.misses += 1
             self._m_miss.inc()
             if self._cost is not None:
                 self._cost.on_bp_miss()
@@ -471,20 +440,20 @@ class BufferPool:
         attempt = 0
         while True:
             try:
-                data = self._disk.read_page(page_id)
+                data = self.disk.read_page(page_id)
             except TransientIOError as exc:
                 if not incident:
                     incident = True
                     self._m_detected.inc()
                 attempt += 1
-                if attempt >= self._retry.max_attempts:
+                if attempt >= self.retry_policy.max_attempts:
                     self._m_unrecoverable.inc()
                     raise RetryExhaustedError(
                         f"read of page {page_id} failed "
-                        f"{self._retry.max_attempts} times: {exc}"
+                        f"{self.retry_policy.max_attempts} times: {exc}"
                     ) from exc
                 self._m_retries.inc()
-                self._charge(self._retry.backoff_for(attempt - 1))
+                self._charge(self.retry_policy.backoff_for(attempt - 1))
                 continue
             if incident:
                 self._m_recovered.inc()
@@ -496,20 +465,20 @@ class BufferPool:
         attempt = 0
         while True:
             try:
-                self._disk.write_page(page_id, data)
+                self.disk.write_page(page_id, data)
             except TransientIOError as exc:
                 if not incident:
                     incident = True
                     self._m_detected.inc()
                 attempt += 1
-                if attempt >= self._retry.max_attempts:
+                if attempt >= self.retry_policy.max_attempts:
                     self._m_unrecoverable.inc()
                     raise RetryExhaustedError(
                         f"write of page {page_id} failed "
-                        f"{self._retry.max_attempts} times: {exc}"
+                        f"{self.retry_policy.max_attempts} times: {exc}"
                     ) from exc
                 self._m_retries.inc()
-                self._charge(self._retry.backoff_for(attempt - 1))
+                self._charge(self.retry_policy.backoff_for(attempt - 1))
                 continue
             if incident:
                 self._m_recovered.inc()
@@ -529,8 +498,8 @@ class BufferPool:
         if self._page_ok(page_id, raw):
             return bytearray(raw)
         self._m_detected.inc()
-        for reread in range(self._retry.corrupt_rereads):
-            self._charge(self._retry.backoff_for(reread))
+        for reread in range(self.retry_policy.corrupt_rereads):
+            self._charge(self.retry_policy.backoff_for(reread))
             raw = self._read_with_retry(page_id)
             if self._page_ok(page_id, raw):
                 self._m_recovered.inc()
@@ -556,9 +525,9 @@ class BufferPool:
         not be resident (quarantine already evicted it; callers
         restoring a non-quarantined page should flush + drop it first).
         """
-        if len(data) != self._disk.page_size:
+        if len(data) != self.disk.page_size:
             raise BufferPoolError(
-                f"restored page must be {self._disk.page_size} bytes, "
+                f"restored page must be {self.disk.page_size} bytes, "
                 f"got {len(data)}"
             )
         if page_id in self._frames:
@@ -577,9 +546,9 @@ class BufferPool:
 
     def _write_back(self, frame: _Frame) -> None:
         """Stamp, write (with retry), and record the expected stamp."""
-        if self._wal is not None and frame.page_lsn > 0:
+        if self.wal is not None and frame.page_lsn > 0:
             # The WAL rule: no page reaches disk ahead of its log.
-            self._wal.flush_to(frame.page_lsn)
+            self.wal.flush_to(frame.page_lsn)
         crc = None
         if self._verify_checksums:
             crc = stamp_page_checksum(frame.data)
@@ -591,7 +560,7 @@ class BufferPool:
             self._cost.on_disk_write()
 
     def _install(self, page_id: int, data: bytearray) -> _Frame:
-        if len(self._frames) >= self._capacity:
+        if len(self._frames) >= self.capacity:
             self._evict_one()
         frame = _Frame(page_id=page_id, data=data)
         self._frames[page_id] = frame
@@ -605,7 +574,7 @@ class BufferPool:
             self._write_back(frame)
         self._m_temperature.record(frame.temperature)
         del self._frames[victim]
-        self._evictions += 1
+        self.evictions += 1
         self._m_eviction.inc()
         self._m_resident.set(len(self._frames))
 

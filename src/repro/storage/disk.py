@@ -18,14 +18,12 @@ class SimulatedDisk:
     def __init__(self, page_size: int) -> None:
         if page_size <= 0:
             raise DiskError("page_size must be positive")
-        self._page_size = page_size
+        self.page_size = page_size
         self._pages: list[bytes] = []
-        self._reads = 0
-        self._writes = 0
-
-    @property
-    def page_size(self) -> int:
-        return self._page_size
+        #: Count of page reads since construction (or last reset).
+        self.reads = 0
+        #: Count of page writes since construction (or last reset).
+        self.writes = 0
 
     @property
     def num_pages(self) -> int:
@@ -35,43 +33,33 @@ class SimulatedDisk:
     @property
     def size_bytes(self) -> int:
         """Total allocated bytes (pages × page size)."""
-        return len(self._pages) * self._page_size
-
-    @property
-    def reads(self) -> int:
-        """Count of page reads since construction (or last reset)."""
-        return self._reads
-
-    @property
-    def writes(self) -> int:
-        """Count of page writes since construction (or last reset)."""
-        return self._writes
+        return len(self._pages) * self.page_size
 
     def reset_counters(self) -> None:
         """Zero the read/write counters (used between experiment phases)."""
-        self._reads = 0
-        self._writes = 0
+        self.reads = 0
+        self.writes = 0
 
     def allocate_page(self) -> int:
         """Allocate a zeroed page and return its page id."""
-        self._pages.append(bytes(self._page_size))
+        self._pages.append(bytes(self.page_size))
         return len(self._pages) - 1
 
     def read_page(self, page_id: int) -> bytes:
         """Read a full page; counts as one disk read."""
         self._check(page_id)
-        self._reads += 1
+        self.reads += 1
         return self._pages[page_id]
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write a full page; counts as one disk write."""
         self._check(page_id)
-        if len(data) != self._page_size:
+        if len(data) != self.page_size:
             raise DiskError(
-                f"page write must be exactly {self._page_size} bytes, "
+                f"page write must be exactly {self.page_size} bytes, "
                 f"got {len(data)}"
             )
-        self._writes += 1
+        self.writes += 1
         self._pages[page_id] = bytes(data)
 
     def peek(self, page_id: int) -> bytes:

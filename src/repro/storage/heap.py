@@ -55,20 +55,16 @@ class HeapFile:
     """A growable bag of fixed- or variable-length records."""
 
     def __init__(self, pool: BufferPool, append_only: bool = False) -> None:
-        self._pool = pool
-        self._append_only = append_only
+        self.pool = pool
+        self.append_only = append_only
         self._page_ids: list[int] = []
         self._page_id_set: set[int] = set()
         self._fsm = FreeSpaceMap()
-        self._num_records = 0
+        self.num_records = 0
         #: Largest record an empty page can take; anything else is refused.
         self._max_record = pool.disk.page_size - EMPTY_PAGE_OVERHEAD
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def pool(self) -> BufferPool:
-        return self._pool
 
     @property
     def page_ids(self) -> list[int]:
@@ -80,17 +76,9 @@ class HeapFile:
         return len(self._page_ids)
 
     @property
-    def num_records(self) -> int:
-        return self._num_records
-
-    @property
-    def append_only(self) -> bool:
-        return self._append_only
-
-    @property
     def size_bytes(self) -> int:
         """Allocated size: pages × page size."""
-        return len(self._page_ids) * self._pool.disk.page_size
+        return len(self._page_ids) * self.pool.disk.page_size
 
     # -- operations ----------------------------------------------------------
 
@@ -106,26 +94,26 @@ class HeapFile:
         if page_id is None:
             if not 0 < size <= self._max_record:
                 raise PageFullError(f"no empty page can take a {size}-byte record")
-            page = self._pool.new_page(PageType.HEAP)
+            page = self.pool.new_page(PageType.HEAP)
             page_id = page.page_id
             self._page_ids.append(page_id)
             self._page_id_set.add(page_id)
             try:
                 slot = page.insert(data)
             finally:
-                self._pool.unpin(page_id, dirty=True, lsn=lsn)
+                self.pool.unpin(page_id, dirty=True, lsn=lsn)
             self._fsm.note(page_id, self._free_after(page))
         else:
-            with self._pool.page(page_id, dirty=True, lsn=lsn) as page:
+            with self.pool.page(page_id, dirty=True, lsn=lsn) as page:
                 slot = page.insert(data)
                 self._fsm.note(page_id, self._free_after(page))
-        self._num_records += 1
+        self.num_records += 1
         return Rid(page_id, slot)
 
     def fetch(self, rid: Rid) -> bytes:
         """Read the record at ``rid``."""
         self._check_owned(rid)
-        with self._pool.page(rid.page_id) as page:
+        with self.pool.page(rid.page_id) as page:
             return page.read(rid.slot)
 
     def fetch_many(self, rids: list[Rid]) -> dict[Rid, bytes]:
@@ -149,10 +137,10 @@ class HeapFile:
             by_page.setdefault(rid.page_id, []).append(rid)
         out: dict[Rid, bytes] = {}
         ordered = sorted(by_page)
-        chunk = max(1, self._pool.capacity // 2)
+        chunk = max(1, self.pool.capacity // 2)
         for i in range(0, len(ordered), chunk):
             page_ids = ordered[i:i + chunk]
-            with self._pool.pages_many(page_ids) as pages:
+            with self.pool.pages_many(page_ids) as pages:
                 for page_id in page_ids:
                     page = pages[page_id]
                     for rid in by_page[page_id]:
@@ -163,23 +151,23 @@ class HeapFile:
     def update(self, rid: Rid, data: bytes, lsn: int | None = None) -> None:
         """Overwrite the record at ``rid`` in place (same length)."""
         self._check_owned(rid)
-        with self._pool.page(rid.page_id, dirty=True, lsn=lsn) as page:
+        with self.pool.page(rid.page_id, dirty=True, lsn=lsn) as page:
             page.update(rid.slot, data)
 
     def delete(self, rid: Rid, lsn: int | None = None) -> None:
         """Delete the record at ``rid``."""
         self._check_owned(rid)
-        with self._pool.page(rid.page_id, dirty=True, lsn=lsn) as page:
+        with self.pool.page(rid.page_id, dirty=True, lsn=lsn) as page:
             page.delete(rid.slot)
             # Tombstoned record bytes are not reclaimed until compaction, so
             # the page's free window is unchanged; only note directory reuse.
             self._fsm.note(rid.page_id, self._free_after(page))
-        self._num_records -= 1
+        self.num_records -= 1
 
     def scan(self) -> Iterator[tuple[Rid, bytes]]:
         """Yield every live record in page order (a full table scan)."""
         for page_id in self._page_ids:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 for slot, data in page.records():
                     yield Rid(page_id, slot), data
 
@@ -195,10 +183,10 @@ class HeapFile:
         self._fsm = FreeSpaceMap()
         count = 0
         for page_id in self._page_ids:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 self._fsm.note(page_id, self._free_after(page))
                 count += sum(1 for _ in page.live_slots())
-        self._num_records = count
+        self.num_records = count
 
     def owns_page(self, page_id: int) -> bool:
         """True if ``page_id`` belongs to this heap."""
@@ -207,7 +195,7 @@ class HeapFile:
     def compact_page(self, page_id: int) -> None:
         """Compact one page, reclaiming tombstoned record bytes."""
         self._check_page(page_id)
-        with self._pool.page(page_id, dirty=True) as page:
+        with self.pool.page(page_id, dirty=True) as page:
             page.compact()
             self._fsm.note(page_id, self._free_after(page))
 
@@ -223,7 +211,7 @@ class HeapFile:
             return 0.0
         total = 0.0
         for page_id in self._page_ids:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 total += page.fill_factor
         return total / len(self._page_ids)
 
@@ -238,7 +226,7 @@ class HeapFile:
         """
         utilizations: list[float] = []
         for page_id in self._page_ids:
-            with self._pool.page(page_id) as page:
+            with self.pool.page(page_id) as page:
                 live = 0
                 useful = 0
                 for slot, data in page.records():
@@ -254,7 +242,7 @@ class HeapFile:
         # A new record needs its bytes plus possibly a directory entry; ask
         # for the conservative amount.
         need = record_len + 4
-        if self._append_only:
+        if self.append_only:
             if self._page_ids:
                 last = self._page_ids[-1]
                 if self._fsm.free_of(last) >= need:

@@ -125,8 +125,9 @@ class SlottedPage:
             raise PageFormatError("buffer smaller than header + footer")
         if size > 0xFFFF:
             raise PageFormatError("2-byte offsets cap pages at 65535 bytes")
-        self._buf = buffer
-        self._size = size
+        #: The raw page bytes (the index cache writes here directly).
+        self.buffer = buffer
+        self.size = size
 
     # -- construction ------------------------------------------------------
 
@@ -149,8 +150,8 @@ class SlottedPage:
         """Raise :class:`PageFormatError` if the page bytes look corrupt."""
         if not self.is_formatted:
             raise PageFormatError("bad page magic")
-        footer = self._size - PAGE_FOOTER_SIZE
-        if _U16.unpack_from(self._buf, footer)[0] != FOOTER_MAGIC:
+        footer = self.size - PAGE_FOOTER_SIZE
+        if _U16.unpack_from(self.buffer, footer)[0] != FOOTER_MAGIC:
             raise PageFormatError("bad footer magic")
         lo, hi = self.free_window()
         if not PAGE_HEADER_SIZE <= lo <= hi <= footer:
@@ -159,64 +160,55 @@ class SlottedPage:
     # -- header properties ---------------------------------------------------
 
     @property
-    def buffer(self) -> bytearray:
-        """The raw page bytes (the index cache writes here directly)."""
-        return self._buf
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
     def page_id(self) -> int:
-        return _U32.unpack_from(self._buf, _OFF_PAGE_ID)[0]
+        return _U32.unpack_from(self.buffer, _OFF_PAGE_ID)[0]
 
     @property
     def type_code(self) -> int:
         """The raw page-type byte: equals a :class:`PageType` member as an
         int, without constructing the enum (node views check every visit)."""
-        return self._buf[_OFF_TYPE]
+        return self.buffer[_OFF_TYPE]
 
     @property
     def page_type(self) -> PageType:
-        return PageType(self._buf[_OFF_TYPE])
+        return PageType(self.buffer[_OFF_TYPE])
 
     @property
     def slot_count(self) -> int:
         """Directory entries, including tombstones."""
-        return _U16.unpack_from(self._buf, _OFF_SLOT_COUNT)[0]
+        return _U16.unpack_from(self.buffer, _OFF_SLOT_COUNT)[0]
 
     @property
     def cache_csn(self) -> int:
         """Per-page cache sequence number (§2.1.2 ``CSN_p``)."""
-        return _U64.unpack_from(self._buf, _OFF_CACHE_CSN)[0]
+        return _U64.unpack_from(self.buffer, _OFF_CACHE_CSN)[0]
 
     @cache_csn.setter
     def cache_csn(self, value: int) -> None:
-        _U64.pack_into(self._buf, _OFF_CACHE_CSN, value)
+        _U64.pack_into(self.buffer, _OFF_CACHE_CSN, value)
 
     @property
     def next_page(self) -> int | None:
         """Sibling link (B+Tree leaf chaining); ``None`` when unset."""
-        raw = _U32.unpack_from(self._buf, _OFF_NEXT_PAGE)[0]
+        raw = _U32.unpack_from(self.buffer, _OFF_NEXT_PAGE)[0]
         return None if raw == NO_PAGE else raw
 
     @next_page.setter
     def next_page(self, value: int | None) -> None:
-        _U32.pack_into(self._buf, _OFF_NEXT_PAGE, NO_PAGE if value is None else value)
+        _U32.pack_into(self.buffer, _OFF_NEXT_PAGE, NO_PAGE if value is None else value)
 
     @property
     def level(self) -> int:
         """Tree level: 0 for leaves, increasing toward the root."""
-        return self._buf[_OFF_LEVEL]
+        return self.buffer[_OFF_LEVEL]
 
     @level.setter
     def level(self, value: int) -> None:
-        self._buf[_OFF_LEVEL] = value
+        self.buffer[_OFF_LEVEL] = value
 
     def free_window(self) -> tuple[int, int]:
         """``(free_lo, free_hi)`` — the unclaimed middle of the page."""
-        return _PAIR.unpack_from(self._buf, _OFF_FREE_LO)
+        return _PAIR.unpack_from(self.buffer, _OFF_FREE_LO)
 
     @property
     def free_bytes(self) -> int:
@@ -229,7 +221,7 @@ class SlottedPage:
         return PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE
 
     def _slot_entry(self, slot: int) -> tuple[int, int]:
-        buf = self._buf
+        buf = self.buffer
         if not 0 <= slot < _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]:
             raise InvalidRidError(
                 f"slot {slot} out of range on page {self.page_id}"
@@ -242,14 +234,14 @@ class SlottedPage:
             return _TOMBSTONE_OFFSET, 0
 
     def _set_slot_entry(self, slot: int, offset: int, length: int) -> None:
-        _PAIR.pack_into(self._buf, self._slot_entry_offset(slot), offset, length)
+        _PAIR.pack_into(self.buffer, self._slot_entry_offset(slot), offset, length)
 
     def _directory(self, count: int) -> Iterator[tuple[int, int]]:
         """``(offset, length)`` of slots ``0..count-1`` decoded in one pass
         over a snapshot of the directory — only for walks that finish
         inside one call (:meth:`live_slots` yields, so it reads live)."""
         return _PAIR.iter_unpack(
-            self._buf[PAGE_HEADER_SIZE : self._slot_entry_offset(count)]
+            self.buffer[PAGE_HEADER_SIZE : self._slot_entry_offset(count)]
         )
 
     def slot_is_live(self, slot: int) -> bool:
@@ -269,7 +261,7 @@ class SlottedPage:
         """
         if not data:
             raise PageFullError("cannot insert an empty record")
-        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo, hi = _GEOMETRY.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         slot = self._find_tombstone(count)
         need = len(data) if slot is not None else len(data) + SLOT_ENTRY_SIZE
         if hi - lo < need:
@@ -277,12 +269,12 @@ class SlottedPage:
                 f"page {self.page_id}: need {need} bytes, have {hi - lo}"
             )
         new_hi = hi - len(data)
-        self._buf[new_hi:hi] = data
+        self.buffer[new_hi:hi] = data
         if slot is None:
             slot = count
             count += 1
             lo += SLOT_ENTRY_SIZE
-        _GEOMETRY.pack_into(self._buf, _OFF_SLOT_COUNT, count, lo, new_hi)
+        _GEOMETRY.pack_into(self.buffer, _OFF_SLOT_COUNT, count, lo, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
         return slot
 
@@ -293,7 +285,7 @@ class SlottedPage:
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} is deleted"
             )
-        return bytes(self._buf[offset : offset + length])
+        return bytes(self.buffer[offset : offset + length])
 
     def update(self, slot: int, data: bytes) -> None:
         """Overwrite a record in place; the length must not change."""
@@ -306,7 +298,7 @@ class SlottedPage:
             raise PageFullError(
                 f"in-place update must keep length {length}, got {len(data)}"
             )
-        self._buf[offset : offset + len(data)] = data
+        self.buffer[offset : offset + len(data)] = data
 
     def delete(self, slot: int) -> None:
         """Tombstone a slot.  Record bytes stay until :meth:`compact`."""
@@ -321,7 +313,7 @@ class SlottedPage:
     def is_formatted(self) -> bool:
         """True if the buffer carries this module's magic (i.e. has been
         through :meth:`format`); fresh zeroed pages are not."""
-        return _U16.unpack_from(self._buf, _OFF_MAGIC)[0] == PAGE_MAGIC
+        return _U16.unpack_from(self.buffer, _OFF_MAGIC)[0] == PAGE_MAGIC
 
     def place_at(self, slot: int, data: bytes) -> None:
         """Materialize ``data`` at exactly ``slot`` (heap-mode redo only).
@@ -338,7 +330,7 @@ class SlottedPage:
         """
         if not data:
             raise PageFullError("cannot place an empty record")
-        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo, hi = _GEOMETRY.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         if slot < count and self.slot_is_live(slot):
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} is live; redo must "
@@ -356,8 +348,8 @@ class SlottedPage:
                 )
         self._grow_directory(count, grow, lo)
         new_hi = hi - len(data)
-        self._buf[new_hi:hi] = data
-        _U16.pack_into(self._buf, _OFF_FREE_HI, new_hi)
+        self.buffer[new_hi:hi] = data
+        _U16.pack_into(self.buffer, _OFF_FREE_HI, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
 
     def reserve_tombstones(self, new_count: int) -> None:
@@ -368,7 +360,7 @@ class SlottedPage:
         directory entries so future inserts reuse them exactly as the
         pre-crash page would have.
         """
-        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo, hi = _GEOMETRY.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         if new_count <= count:
             return
         grow = new_count - count
@@ -382,8 +374,8 @@ class SlottedPage:
         """Append ``grow`` zeroed (tombstone, length 0) directory entries."""
         span = grow * SLOT_ENTRY_SIZE
         start = self._slot_entry_offset(count)
-        self._buf[start : start + span] = bytes(span)
-        _PAIR.pack_into(self._buf, _OFF_SLOT_COUNT, count + grow, lo + span)
+        self.buffer[start : start + span] = bytes(span)
+        _PAIR.pack_into(self.buffer, _OFF_SLOT_COUNT, count + grow, lo + span)
 
     # -- ordered-directory operations (B+Tree nodes) -------------------------
     #
@@ -405,7 +397,7 @@ class SlottedPage:
         search both node views use: one ``unpack_from`` and one slice
         compare per step, nothing decoded ahead of the probe.
         """
-        buf = self._buf
+        buf = self.buffer
         width = len(key)
         hi = _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]
         at_hi = None
@@ -435,7 +427,7 @@ class SlottedPage:
         :class:`PageFullError` if the record plus a directory entry do not
         fit in the free window.
         """
-        count, lo, hi = _GEOMETRY.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo, hi = _GEOMETRY.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         if not 0 <= position <= count:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count}"
@@ -448,14 +440,14 @@ class SlottedPage:
                 f"page {self.page_id}: need {need} bytes, have {hi - lo}"
             )
         new_hi = hi - len(data)
-        self._buf[new_hi:hi] = data
+        self.buffer[new_hi:hi] = data
         start = self._slot_entry_offset(position)
         end = self._slot_entry_offset(count)
-        self._buf[start + SLOT_ENTRY_SIZE : end + SLOT_ENTRY_SIZE] = self._buf[start:end]
+        self.buffer[start + SLOT_ENTRY_SIZE : end + SLOT_ENTRY_SIZE] = self.buffer[start:end]
         _GEOMETRY.pack_into(
-            self._buf, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
+            self.buffer, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
         )
-        _PAIR.pack_into(self._buf, start, new_hi, len(data))
+        _PAIR.pack_into(self.buffer, start, new_hi, len(data))
 
     def remove_at(self, position: int) -> None:
         """Remove the directory entry at ``position``, shifting the rest down.
@@ -463,15 +455,15 @@ class SlottedPage:
         The record's bytes are orphaned in the record region (reclaimed by
         :meth:`compact`), so the free window does not grow at the high end.
         """
-        count, lo = _PAIR.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo = _PAIR.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         if not 0 <= position < count:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count - 1}"
             )
         start = self._slot_entry_offset(position + 1)
         end = self._slot_entry_offset(count)
-        self._buf[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self._buf[start:end]
-        _PAIR.pack_into(self._buf, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
+        self.buffer[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self.buffer[start:end]
+        _PAIR.pack_into(self.buffer, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
 
     def truncate(self, new_count: int) -> None:
         """Drop every directory entry at position >= ``new_count``.
@@ -480,14 +472,14 @@ class SlottedPage:
         new sibling and truncated here.  Orphaned record bytes are then
         reclaimed with :meth:`compact`.
         """
-        count, lo = _PAIR.unpack_from(self._buf, _OFF_SLOT_COUNT)
+        count, lo = _PAIR.unpack_from(self.buffer, _OFF_SLOT_COUNT)
         if not 0 <= new_count <= count:
             raise InvalidRidError(
                 f"truncate target {new_count} out of range 0..{count}"
             )
         removed = count - new_count
         _PAIR.pack_into(
-            self._buf, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
+            self.buffer, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
         )
 
     def _find_tombstone(self, count: int) -> int | None:
@@ -520,14 +512,14 @@ class SlottedPage:
         exactly the situation its checksums guard against, and zeroing makes
         every stale slot read as empty.
         """
-        buf = self._buf
+        buf = self.buffer
         count, lo = _PAIR.unpack_from(buf, _OFF_SLOT_COUNT)
         live = [
             (slot, bytes(buf[offset : offset + length]))
             for slot, (offset, length) in enumerate(self._directory(count))
             if offset != _TOMBSTONE_OFFSET
         ]
-        hi = self._size - PAGE_FOOTER_SIZE
+        hi = self.size - PAGE_FOOTER_SIZE
         for slot, data in live:
             hi -= len(data)
             buf[hi : hi + len(data)] = data
@@ -552,7 +544,7 @@ class SlottedPage:
     @property
     def usable_bytes(self) -> int:
         """Bytes available to records + directory (page minus fixed areas)."""
-        return self._size - PAGE_HEADER_SIZE - PAGE_FOOTER_SIZE
+        return self.size - PAGE_HEADER_SIZE - PAGE_FOOTER_SIZE
 
     @property
     def fill_factor(self) -> float:

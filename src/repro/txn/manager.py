@@ -78,7 +78,7 @@ class TransactionManager:
     """CSN allocator, version store, and conflict detector for one db."""
 
     def __init__(self, db, registry: MetricsRegistry | None = None) -> None:
-        self._db = db
+        self.database = db
         reg = resolve_registry(registry if registry is not None else db.metrics)
         self._versions: dict[VKey, list[_Version]] = {}
         self._pending: dict[VKey, int] = {}
@@ -95,7 +95,8 @@ class TransactionManager:
                 if rec.rtype is RecordType.TXN_COMMIT:
                     max_csn = max(max_csn, rec.csn)
         self._next_txn_id = max_txn + 1
-        self._current_csn = max_csn
+        #: CSN of the most recent commit (new snapshots read this).
+        self.current_csn = max_csn
         self._m_sessions = reg.counter("txn.sessions")
         self._m_begins = reg.counter("txn.begins")
         self._m_commits = reg.counter("txn.commits")
@@ -126,15 +127,6 @@ class TransactionManager:
     # -- properties ----------------------------------------------------------
 
     @property
-    def database(self):
-        return self._db
-
-    @property
-    def current_csn(self) -> int:
-        """CSN of the most recent commit (new snapshots read this)."""
-        return self._current_csn
-
-    @property
     def active_txns(self) -> int:
         return len(self._active)
 
@@ -163,11 +155,11 @@ class TransactionManager:
     def _end(self, txn_id: int, begin_csn: int) -> None:
         self._active.pop(txn_id, None)
         self._m_active.set(float(len(self._active)))
-        self._m_snapshot_age.record(self._current_csn - begin_csn)
+        self._m_snapshot_age.record(self.current_csn - begin_csn)
         self._prune()
 
     def _allocate_csn(self) -> int:
-        return self._current_csn + 1
+        return self.current_csn + 1
 
     def _publish(self, txn_id: int, csn: int, writes: dict[VKey, dict | None]) -> None:
         for vkey, value in writes.items():
@@ -175,7 +167,7 @@ class TransactionManager:
             chain.append(_Version(csn, dict(value) if value is not None else None))
             if self._pending.get(vkey) == txn_id:
                 del self._pending[vkey]
-        self._current_csn = csn
+        self.current_csn = csn
         self._m_commits.inc()
         self._m_tracked.set(float(len(self._versions)))
 
@@ -247,7 +239,7 @@ class TransactionManager:
         """
         floor = min(
             (s.begin_csn for s in self._active.values() if s.begin_csn is not None),
-            default=self._current_csn,
+            default=self.current_csn,
         )
         for vkey in list(self._versions):
             chain = self._versions[vkey]
@@ -277,9 +269,9 @@ class Session:
 
     def __init__(self, manager: TransactionManager, session_id: int) -> None:
         self._mgr = manager
-        self._id = session_id
-        self._txn_id: int | None = None
-        self._begin_csn: int | None = None
+        self.session_id = session_id
+        self.txn_id: int | None = None
+        self.begin_csn: int | None = None
         self._began_logged = False
         #: Net effect per vkey (row dict, or None for delete) — published
         #: as the committed versions at commit CSN.
@@ -296,35 +288,23 @@ class Session:
     # -- properties ----------------------------------------------------------
 
     @property
-    def session_id(self) -> int:
-        return self._id
-
-    @property
-    def txn_id(self) -> int | None:
-        return self._txn_id
-
-    @property
-    def begin_csn(self) -> int | None:
-        return self._begin_csn
-
-    @property
     def in_txn(self) -> bool:
-        return self._txn_id is not None
+        return self.txn_id is not None
 
     # -- lifecycle -----------------------------------------------------------
 
     def begin(self) -> int:
         """Start a transaction; returns the snapshot (begin) CSN."""
-        if self._txn_id is not None:
-            raise TxnStateError(f"session {self._id}: transaction already open")
-        self._txn_id = self._mgr._begin(self)
-        self._begin_csn = self._mgr.current_csn
+        if self.txn_id is not None:
+            raise TxnStateError(f"session {self.session_id}: transaction already open")
+        self.txn_id = self._mgr._begin(self)
+        self.begin_csn = self._mgr.current_csn
         self._began_logged = False
         self._writes = {}
         self._deferred = {}
         self._undo = []
         self.stats.begins += 1
-        return self._begin_csn
+        return self.begin_csn
 
     def commit(self, flush: bool = False) -> int:
         """Commit; returns the commit CSN (read-only: the begin CSN).
@@ -348,11 +328,11 @@ class Session:
         # One span tree per logical commit: the deferred deletes and the
         # group-commit WAL flush below nest inside it, tagged with the
         # owning transaction via baggage.
-        with trace.trace("txn.commit", txn_id=txn_id, session=self._id):
+        with trace.trace("txn.commit", txn_id=txn_id, session=self.session_id):
             return self._commit_inner(txn_id, flush)
 
     def _commit_inner(self, txn_id: int, flush: bool) -> int:
-        begin_csn = self._begin_csn
+        begin_csn = self.begin_csn
         if not self._writes:
             self._mgr._m_commits.inc()
             self.stats.commits += 1
@@ -391,12 +371,12 @@ class Session:
         txn_id = self._require_txn()
         trace = getattr(self._mgr.database, "trace", None)
         if trace is not None:
-            with trace.trace("txn.abort", txn_id=txn_id, session=self._id):
+            with trace.trace("txn.abort", txn_id=txn_id, session=self.session_id):
                 self._rollback(txn_id)
         else:
             self._rollback(txn_id)
         self.stats.aborts += 1
-        self._finish(txn_id, self._begin_csn)
+        self._finish(txn_id, self.begin_csn)
 
     def transaction(self):
         """``with session.transaction():`` — commit on success, abort on
@@ -418,7 +398,7 @@ class Session:
         self.stats.reads += 1
         if vkey in self._writes:
             return self._as_result(table, self._writes[vkey], project)
-        tracked, row = self._mgr._visible(vkey, self._begin_csn)
+        tracked, row = self._mgr._visible(vkey, self.begin_csn)
         if tracked:
             return self._as_result(table, row, project)
         # Never tracked: the heap row is committed; use the normal read
@@ -446,7 +426,7 @@ class Session:
             if vkey in self._writes:
                 row = self._writes[vkey]
             else:
-                _, row = self._mgr._visible(vkey, self._begin_csn)
+                _, row = self._mgr._visible(vkey, self.begin_csn)
             if row is not None:
                 out.append(dict(row))
         return out
@@ -530,13 +510,13 @@ class Session:
     # -- internals -----------------------------------------------------------
 
     def _require_txn(self) -> int:
-        if self._txn_id is None:
-            raise TxnStateError(f"session {self._id}: no open transaction")
-        return self._txn_id
+        if self.txn_id is None:
+            raise TxnStateError(f"session {self.session_id}: no open transaction")
+        return self.txn_id
 
     def _finish(self, txn_id: int, begin_csn: int) -> None:
-        self._txn_id = None
-        self._begin_csn = None
+        self.txn_id = None
+        self.begin_csn = None
         self._writes = {}
         self._deferred = {}
         self._undo = []
@@ -550,18 +530,18 @@ class Session:
         row (which the no-conflict check proves is also the snapshot-
         visible one).  First write of the transaction logs TXN_BEGIN.
         """
-        txn_id = self._txn_id
+        txn_id = self.txn_id
         if vkey in self._writes:
             return self._writes[vkey], False
         try:
-            self._mgr._check_conflict(txn_id, self._begin_csn, vkey)
+            self._mgr._check_conflict(txn_id, self.begin_csn, vkey)
         except TxnConflictError:
             self._rollback(txn_id)
             self.stats.conflicts += 1
             self.stats.aborts += 1
-            self._finish(txn_id, self._begin_csn)
+            self._finish(txn_id, self.begin_csn)
             raise
-        tracked, committed = self._mgr._visible(vkey, self._begin_csn)
+        tracked, committed = self._mgr._visible(vkey, self.begin_csn)
         if not tracked:
             key_value = key_value if key_value is not None else self._key_of_row(
                 table, row

@@ -39,14 +39,10 @@ class SimScheduler:
         if n_sessions < 1:
             raise TxnError("SimScheduler needs at least one session")
         self._db = db
-        self._sessions = [db.session() for _ in range(n_sessions)]
+        self.sessions = [db.session() for _ in range(n_sessions)]
         self._rng = DeterministicRng(seed).child(0xC0DE)
         self._trace: list[int] = []
         self.conflicts = 0
-
-    @property
-    def sessions(self) -> list:
-        return self._sessions
 
     @property
     def trace(self) -> tuple[int, ...]:
@@ -64,7 +60,7 @@ class SimScheduler:
         :data:`SCHEDULER_STEP_NS` to the CostModel clock.
         """
         scripts = [
-            make_script(i, session) for i, session in enumerate(self._sessions)
+            make_script(i, session) for i, session in enumerate(self.sessions)
         ]
         live = set(range(len(scripts)))
         planned = list(schedule) if schedule is not None else None

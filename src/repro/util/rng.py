@@ -24,13 +24,9 @@ class DeterministicRng:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
-        self._rng = random.Random(self._seed)
-
-    @property
-    def seed(self) -> int:
-        """The seed this stream was created with."""
-        return self._seed
+        #: The seed this stream was created with.
+        self.seed = int(seed)
+        self._rng = random.Random(self.seed)
 
     def child(self, salt: int) -> "DeterministicRng":
         """Return an independent stream derived from this seed and ``salt``.
@@ -38,7 +34,7 @@ class DeterministicRng:
         Used to give each subsystem (cache, workload, contention injector)
         its own stream so adding draws in one place does not perturb another.
         """
-        return DeterministicRng(hash((self._seed, int(salt))) & 0x7FFFFFFF)
+        return DeterministicRng(hash((self.seed, int(salt))) & 0x7FFFFFFF)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range ``[lo, hi]``."""

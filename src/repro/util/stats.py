@@ -15,7 +15,7 @@ class StreamingStats:
     """Welford-style running mean/variance with min/max tracking."""
 
     def __init__(self) -> None:
-        self._count = 0
+        self.count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self._min = math.inf
@@ -23,9 +23,9 @@ class StreamingStats:
 
     def add(self, value: float) -> None:
         """Fold one observation into the running statistics."""
-        self._count += 1
+        self.count += 1
         delta = value - self._mean
-        self._mean += delta / self._count
+        self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
         if value < self._min:
             self._min = value
@@ -33,16 +33,12 @@ class StreamingStats:
             self._max = value
 
     @property
-    def count(self) -> int:
-        return self._count
-
-    @property
     def mean(self) -> float:
-        return self._mean if self._count else 0.0
+        return self._mean if self.count else 0.0
 
     @property
     def variance(self) -> float:
-        return self._m2 / self._count if self._count else 0.0
+        return self._m2 / self.count if self.count else 0.0
 
     @property
     def stdev(self) -> float:
@@ -50,12 +46,12 @@ class StreamingStats:
 
     @property
     def min(self) -> float:
-        return self._min if self._count else 0.0
+        return self._min if self.count else 0.0
 
     @property
     def max(self) -> float:
-        return self._max if self._count else 0.0
+        return self._max if self.count else 0.0
 
     @property
     def total(self) -> float:
-        return self._mean * self._count
+        return self._mean * self.count

@@ -43,7 +43,8 @@ class WalDevice:
 
     def __init__(self, initial: bytes = b"") -> None:
         self._data = bytearray(initial)
-        self._appends = 0
+        #: Completed device appends (the group-commit denominator).
+        self.appends = 0
         self._crash_at: int | None = None
 
     @property
@@ -54,11 +55,6 @@ class WalDevice:
     @property
     def size(self) -> int:
         return len(self._data)
-
-    @property
-    def appends(self) -> int:
-        """Completed device appends (the group-commit denominator)."""
-        return self._appends
 
     def crash_after(self, total_bytes: int) -> None:
         """Arm a simulated power cut at absolute byte ``total_bytes``."""
@@ -79,7 +75,7 @@ class WalDevice:
                     f"power cut mid-append at log byte {len(self._data)}"
                 )
         self._data += blob
-        self._appends += 1
+        self.appends += 1
 
     def truncate_at(self, n_bytes: int) -> None:
         """Discard everything past byte ``n_bytes`` (torn-tail cleanup)."""
@@ -110,8 +106,9 @@ class WalWriter:
     ) -> None:
         if group_commit_records < 1:
             raise WalError("group_commit_records must be >= 1")
-        self._device = device if device is not None else WalDevice()
-        self._group = group_commit_records
+        self.device = device if device is not None else WalDevice()
+        #: Records per group-commit device append (the adaptive knob).
+        self.group_commit_records = group_commit_records
         #: Optional §5j hooks: ``tracer`` is the owning engine's Tracer
         #: (flushes become spans of the trace collector armed on it);
         #: ``journal`` is set by ``Database.enable_events`` (or the
@@ -125,10 +122,10 @@ class WalWriter:
         self._buffered_lsn = 0
         # Continue the LSN sequence of whatever the device already holds
         # (a writer over a survived log after restart).
-        durable = scan_wal(self._device.data)
+        durable = scan_wal(self.device.data)
         self._flushed_lsn = durable.max_lsn
-        self._next_lsn = durable.max_lsn + 1
-        self._last_checkpoint_lsn = 0
+        #: The LSN the next reservation will return.
+        self.next_lsn = durable.max_lsn + 1
         reg = resolve_registry(registry)
         self._m_records = reg.counter("wal.records")
         self._m_bytes = reg.counter("wal.bytes")
@@ -140,23 +137,9 @@ class WalWriter:
             for rtype in RecordType
         }
         self._m_group_knob = reg.gauge("adaptive.knob.wal.group_commit_records")
-        self._m_group_knob.set(float(self._group))
+        self._m_group_knob.set(float(self.group_commit_records))
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def device(self) -> WalDevice:
-        return self._device
-
-    @property
-    def next_lsn(self) -> int:
-        """The LSN the next reservation will return."""
-        return self._next_lsn
-
-    @property
-    def flushed_lsn(self) -> int:
-        """Highest LSN known durable on the device."""
-        return self._flushed_lsn
 
     @property
     def buffered_records(self) -> int:
@@ -174,15 +157,6 @@ class WalWriter:
         """
         return sum(len(frame) for frame in self._buffer)
 
-    @property
-    def last_checkpoint_lsn(self) -> int:
-        return self._last_checkpoint_lsn
-
-    @property
-    def group_commit_records(self) -> int:
-        """Records per group-commit device append (the adaptive knob)."""
-        return self._group
-
     def set_group_commit(self, group_commit_records: int) -> None:
         """Retune the group-commit window on a live writer.
 
@@ -194,17 +168,17 @@ class WalWriter:
         """
         if group_commit_records < 1:
             raise WalError("group_commit_records must be >= 1")
-        self._group = int(group_commit_records)
-        self._m_group_knob.set(float(self._group))
-        if len(self._buffer) >= self._group:
+        self.group_commit_records = int(group_commit_records)
+        self._m_group_knob.set(float(self.group_commit_records))
+        if len(self._buffer) >= self.group_commit_records:
             self.flush()
 
     # -- LSN + record protocol ----------------------------------------------
 
     def reserve_lsn(self) -> int:
         """Allocate the next LSN (call before applying page changes)."""
-        lsn = self._next_lsn
-        self._next_lsn += 1
+        lsn = self.next_lsn
+        self.next_lsn += 1
         return lsn
 
     def log_insert(
@@ -315,7 +289,7 @@ class WalWriter:
         # harness keeps using it after catching SimulatedCrashError.
         self._buffer = []
         buffered_lsn = self._buffered_lsn
-        self._device.append(blob)
+        self.device.append(blob)
         self._flushed_lsn = buffered_lsn
         self._m_flushes.inc()
         self._m_batch.record(batch)
@@ -349,7 +323,6 @@ class WalWriter:
         meta["redo_from"] = min(redo_from, lsn)
         self._log(WalRecord(lsn=lsn, rtype=RecordType.CHECKPOINT, meta=meta))
         self.flush()
-        self._last_checkpoint_lsn = lsn
         self._m_checkpoints.inc()
         if self.journal is not None:
             self.journal.emit(
@@ -364,7 +337,7 @@ class WalWriter:
         """Durable bytes plus the still-buffered frames (for *in-process*
         consumers like the heap-page healer; a crash sees only
         ``device.data``)."""
-        return self._device.data + b"".join(self._buffer)
+        return self.device.data + b"".join(self._buffer)
 
     def reset_metrics(self) -> None:
         """Zero every ``wal.*`` instrument this writer increments."""
@@ -387,7 +360,7 @@ class WalWriter:
             self._buffered_lsn = record.lsn
         self._m_records.inc()
         self._m_kind[record.rtype].inc()
-        if len(self._buffer) >= self._group:
+        if len(self._buffer) >= self.group_commit_records:
             self.flush()
         return record.lsn
 

@@ -36,8 +36,8 @@ class ZipfianDistribution:
             raise WorkloadError("zipf needs at least one item")
         if alpha < 0:
             raise WorkloadError("alpha must be non-negative")
-        self._n = n
-        self._alpha = alpha
+        self.n = n
+        self.alpha = alpha
         self._rng = rng
         cdf = list(itertools.accumulate((r + 1) ** -alpha for r in range(n)))
         total = cdf[-1]
@@ -47,14 +47,6 @@ class ZipfianDistribution:
             rng.child(0xC0FFEE).shuffle(self._rank_to_item)
         else:
             self._rank_to_item = None
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
 
     def sample_rank(self) -> int:
         """Draw a zipf rank (0 = hottest)."""
@@ -75,7 +67,7 @@ class ZipfianDistribution:
 
     def hottest(self, k: int) -> list[int]:
         """The ``k`` most frequently drawn item ids."""
-        return [self.item_for_rank(r) for r in range(min(k, self._n))]
+        return [self.item_for_rank(r) for r in range(min(k, self.n))]
 
     def access_probability(self, rank: int) -> float:
         """Probability mass of the item at ``rank``."""
@@ -89,15 +81,11 @@ class UniformDistribution:
     def __init__(self, n: int, rng: DeterministicRng) -> None:
         if n <= 0:
             raise WorkloadError("uniform needs at least one item")
-        self._n = n
+        self.n = n
         self._rng = rng
 
-    @property
-    def n(self) -> int:
-        return self._n
-
     def sample(self) -> int:
-        return self._rng.randrange(self._n)
+        return self._rng.randrange(self.n)
 
 
 class HotSetDistribution:
@@ -121,7 +109,7 @@ class HotSetDistribution:
             raise WorkloadError("hot_frac must be in (0, 1]")
         if not 0.0 <= hot_access_frac <= 1.0:
             raise WorkloadError("hot_access_frac must be in [0, 1]")
-        self._n = n
+        self.n = n
         self._rng = rng
         self._hot_access_frac = hot_access_frac
         n_hot = max(1, round(n * hot_frac))
@@ -130,10 +118,6 @@ class HotSetDistribution:
         self._hot = ids[:n_hot]
         self._cold = ids[n_hot:]
         self._hot_set = set(self._hot)
-
-    @property
-    def n(self) -> int:
-        return self._n
 
     @property
     def hot_ids(self) -> list[int]:
