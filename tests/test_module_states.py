@@ -170,6 +170,54 @@ def test_row_to_key_is_spelled_only_in_the_key_codec():
     assert offenders == []
 
 
+def _body(fn: ast.FunctionDef) -> list[ast.stmt]:
+    """``fn``'s statements after an optional docstring."""
+    first = fn.body[0]
+    docstring = isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+    return fn.body[1:] if docstring else fn.body
+
+
+def _private_field_read(fn: ast.FunctionDef) -> str | None:
+    """``_x`` when ``fn``'s whole body is ``return self._x``."""
+    body = _body(fn)
+    if len(body) == 1 and isinstance(body[0], ast.Return):
+        value = body[0].value
+        if (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+                and value.value.id == "self" and value.attr.startswith("_")):
+            return value.attr
+    return None
+
+
+def test_no_accessor_property_wraps_a_private_attribute():
+    """A read-only view of a field is the field (DESIGN.md §3): a property
+    whose body is ``return self._x`` costs a frame per read and tells the
+    reader nothing the attribute would not.  The one allowance is a
+    property whose setter does more than store (``AdaptiveController
+    .enabled`` also moves a gauge)."""
+    offenders = []
+    for path in MODULES.values():
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+            setters = {
+                f.name: f for f in methods
+                if any(ast.unparse(d) == f"{f.name}.setter" for d in f.decorator_list)
+            }
+            for fn in methods:
+                if not any(ast.unparse(d) == "property" for d in fn.decorator_list):
+                    continue
+                field = _private_field_read(fn)
+                setter = setters.get(fn.name)
+                if field is None or (
+                    setter is not None and [ast.unparse(s) for s in _body(setter)]
+                    != [f"self.{field} = {setter.args.args[1].arg}"]
+                ):
+                    continue
+                offenders.append(f"{path.relative_to(ROOT)}: {cls.name}.{fn.name}")
+    assert offenders == []
+
+
 # -- every option is a reviewed diff --------------------------------------------
 
 SIGNATURES = {
