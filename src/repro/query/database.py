@@ -585,7 +585,15 @@ class Database:
 
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog (pages are not reclaimed —
-        the simulated disk only grows, like a real tablespace file)."""
+        the simulated disk only grows, like a real tablespace file).
+
+        Refused on a WAL-armed database: the log has no DROP record, so
+        recovery would bring the table back with its rows.
+        """
+        if self.wal is not None:
+            raise QueryError(
+                f"cannot drop table {name!r}: drops are not WAL-logged"
+            )
         self.catalog.drop_table(name)
 
     # -- access -----------------------------------------------------------------

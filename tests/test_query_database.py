@@ -55,6 +55,22 @@ def test_drop_table():
         db.table("t")
 
 
+def test_drop_table_refused_on_a_logged_database():
+    """The log has no DROP record, so recovery would bring a dropped table
+    back with its rows; a WAL-armed database refuses the drop before it
+    touches the catalog or the log."""
+    db = Database(wal=True)
+    table = db.create_table("t", SCHEMA)
+    db.create_index("t", "pk", ("id",))
+    table.insert({"id": 1, "name": "a", "score": 0})
+    log = db.wal.all_bytes()
+    with pytest.raises(QueryError, match="WAL"):
+        db.drop_table("t")
+    assert db.catalog.table_names == ["t"]
+    assert db.table("t") is table
+    assert db.wal.all_bytes() == log
+
+
 def test_shared_vs_separate_index_pool():
     shared = Database(data_pool_pages=64)
     assert shared.index_pool is shared.data_pool
