@@ -33,13 +33,6 @@ class BTreeStats:
     def num_pages(self) -> int:
         return self.leaf_pages + self.internal_pages
 
-    @property
-    def free_fraction(self) -> float:
-        """Fraction of leaf-usable space that is pure free window."""
-        return (
-            self.free_bytes_total / self.size_bytes if self.size_bytes else 0.0
-        )
-
     def cache_capacity(self, item_size: int) -> int:
         """How many cache items of ``item_size`` bytes the free space holds.
 

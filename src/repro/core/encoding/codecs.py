@@ -50,10 +50,6 @@ class BitPackedIntCodec:
     def decode(self, data: bytes, count: int) -> list[int]:
         return [v + self.offset for v in unpack_bits(data, self.bit_width, count)]
 
-    @property
-    def bits_per_value(self) -> float:
-        return float(self.bit_width)
-
 
 class DictionaryCodec:
     """Maps distinct values to dense bit-packed codes."""

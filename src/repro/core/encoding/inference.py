@@ -64,10 +64,6 @@ class TypeRecommendation:
             return 0.0
         return max(0.0, 1.0 - self.recommended_bits / self.declared_bits)
 
-    @property
-    def bytes_saved_per_value(self) -> float:
-        return (self.declared_bits - self.recommended_bits) / 8.0
-
 
 def _narrowest_int(lo: int, hi: int) -> PhysicalType:
     """Narrowest ladder type covering the closed range [lo, hi]."""

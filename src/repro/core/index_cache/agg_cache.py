@@ -50,11 +50,6 @@ class AggregateStats:
     partial_leaves: int = 0
     heap_fetches: int = 0
 
-    @property
-    def cache_rate(self) -> float:
-        full = self.leaves_from_cache + self.leaves_computed
-        return self.leaves_from_cache / full if full else 0.0
-
 
 class AggregateCachingReader:
     """Range COUNT/SUM over one numeric heap field, leaf-aggregate cached."""

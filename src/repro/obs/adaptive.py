@@ -432,17 +432,13 @@ def database_knobs(db) -> list[Knob]:
     return knobs
 
 
-def hot_cold_knobs(
-    manager,
-    hot_capacity_max: int | None = None,
-    min_ops_per_epoch: int = 64,
-) -> list[Knob]:
+def hot_cold_knobs(manager) -> list[Knob]:
     """Cadence and hot-fraction knobs for an ``OnlineHotColdManager``.
 
     Bounds derive from the manager's configured values: capacity may
-    grow to ``hot_capacity_max`` (default 8x) and the rebalance epoch may
-    shrink to ``min_ops_per_epoch`` — the adaptive response to a rotated
-    hot set is "track more keys, re-decide sooner".
+    grow to 8x and the rebalance epoch may shrink to 64 lookups — the
+    adaptive response to a rotated hot set is "track more keys, re-decide
+    sooner".
     """
     cap = manager.hot_capacity
     epoch = manager.ops_per_epoch
@@ -452,7 +448,7 @@ def hot_cold_knobs(
             getter=lambda: manager.hot_capacity,
             setter=manager.set_hot_capacity,
             lo=max(1, cap // 4),
-            hi=hot_capacity_max if hot_capacity_max is not None else cap * 8,
+            hi=cap * 8,
             step=max(1, cap // 2),
             kind="int",
             description="target rows in the hot partition (hot fraction)",
@@ -461,7 +457,7 @@ def hot_cold_knobs(
             name="hotcold.ops_per_epoch",
             getter=lambda: manager.ops_per_epoch,
             setter=manager.set_ops_per_epoch,
-            lo=min(min_ops_per_epoch, epoch),
+            lo=min(64, epoch),
             hi=epoch * 4,
             step=max(1, epoch // 2),
             kind="int",

@@ -415,11 +415,12 @@ class QueryProfiler:
                 title=title,
             )
 
-    def as_dict(self, top_n: int = 32, slow_n: int = 16) -> dict:
-        """JSON-safe export: ranked rollup plus the slow-query log."""
+    def as_dict(self) -> dict:
+        """JSON-safe export: the 32 costliest fingerprints of the ranked
+        rollup plus the 16 slowest retained slow queries."""
         return {
             "operations": self.operations,
             "fingerprints": len(self._stats),
-            "top": [s.as_dict() for s in self.top(top_n)],
-            "slow_queries": [p.line() for p in self.slow_queries(slow_n)],
+            "top": [s.as_dict() for s in self.top(32)],
+            "slow_queries": [p.line() for p in self.slow_queries(16)],
         }

@@ -276,8 +276,8 @@ class MetricsRegistry:
             node[parts[-1]] = _render(instrument)
         return root
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), sort_keys=True)
 
 
 def _render(instrument: _Instrument) -> object:

@@ -109,7 +109,6 @@ def export_json(
     path: str | Path | None = None,
     label: str = "metrics",
     extra: dict | None = None,
-    indent: int | None = 2,
     tracer=None,
     span_limit: int | None = None,
 ) -> str:
@@ -143,7 +142,7 @@ def export_json(
         ]
     if extra:
         document.update(extra)
-    text = json.dumps(document, indent=indent, sort_keys=True)
+    text = json.dumps(document, indent=2, sort_keys=True)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

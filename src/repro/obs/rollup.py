@@ -156,11 +156,6 @@ class FleetRollup:
         self._hot_shard = target.gauge("fleet.imbalance.hot_shard")
         self._shards_gauge.set(len(registries))
 
-    def view(self, parent: MetricsRegistry | None = None) -> FleetRegistryView:
-        return FleetRegistryView(
-            parent if parent is not None else self._target, self._registries
-        )
-
     def refresh(self) -> dict[str, FleetStat]:
         """Re-materialize every ``fleet.<name>`` aggregate.
 

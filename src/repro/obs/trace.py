@@ -344,12 +344,12 @@ class TraceCollector:
     def as_dicts(self, n: int | None = None) -> list[dict[str, object]]:
         return [t.as_dict() for t in self.traces(n)]
 
-    def to_chrome(self, n: int | None = None) -> dict[str, object]:
+    def to_chrome(self) -> dict[str, object]:
         """Chrome ``trace_event`` JSON object format: ``ph="X"`` complete
         events, one pid per shard (facade = pid 0), ts/dur in µs."""
         events: list[dict[str, object]] = []
         pids: set[int] = set()
-        for trace in self.traces(n):
+        for trace in self.traces():
             for span in trace.spans:
                 pid = 0 if span.shard is None else span.shard + 1
                 pids.add(pid)

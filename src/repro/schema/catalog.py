@@ -32,7 +32,6 @@ class IndexEntry:
     table_name: str
     key_columns: tuple[str, ...]
     index: object  # BPlusTree or CachedBTree
-    unique: bool = True
 
 
 class Catalog:
@@ -81,7 +80,6 @@ class Catalog:
         table_name: str,
         key_columns: tuple[str, ...],
         index: object,
-        unique: bool = True,
     ) -> IndexEntry:
         if name in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
@@ -91,7 +89,6 @@ class Catalog:
             table_name=table_name,
             key_columns=key_columns,
             index=index,
-            unique=unique,
         )
         self._indexes[name] = entry
         table_entry.index_names.append(name)

@@ -133,10 +133,10 @@ class ShardRouter:
         self._m_routes.inc()
         return self.placement(key)
 
-    def record_access(self, key: object, weight: float = 1.0) -> None:
+    def record_access(self, key: object) -> None:
         """Feed the zipf-mode tracker; a no-op in hash/range modes."""
         if self.tracker is not None:
-            self.tracker.record(key, weight)
+            self.tracker.record(key)
 
     def advance_epoch(self) -> None:
         """Decay tracked counts one epoch (zipf mode; no-op otherwise)."""

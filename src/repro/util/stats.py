@@ -41,10 +41,6 @@ class StreamingStats:
         return self._m2 / self.count if self.count else 0.0
 
     @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
     def min(self) -> float:
         return self._min if self.count else 0.0
 

@@ -58,15 +58,14 @@ def run_swap_scenario(
     alpha: float = 0.5,
     bucket_slots: int = 4,
     seed: int = 0,
-    warmup: int | None = None,
 ) -> ScenarioResult:
-    """Read-only workload: constant cache size (the paper's ``Swap``)."""
+    """Read-only workload: constant cache size (the paper's ``Swap``),
+    measured after a warm-up of ``n_lookups // 2`` lookups."""
     sim = SwapCacheSimulator(
         capacity, bucket_slots=bucket_slots, rng=DeterministicRng(seed)
     )
     zipf = ZipfianDistribution(n_items, alpha, DeterministicRng(seed + 1))
-    warmup = warmup if warmup is not None else n_lookups // 2
-    for _ in range(warmup):
+    for _ in range(n_lookups // 2):
         sim.lookup(zipf.sample())
     sim.reset_counters()
     for _ in range(n_lookups):
@@ -87,10 +86,10 @@ def run_shrink_scenario(
     bucket_slots: int = 4,
     seed: int = 0,
     shrink_fraction: float = 0.5,
-    warmup: int | None = None,
 ) -> ScenarioResult:
     """Read/insert workload: index growth overwrites ``shrink_fraction``
-    of the cache at a constant rate over the run (the paper's ``Shrink``).
+    of the cache at a constant rate over the run (the paper's ``Shrink``),
+    measured after a warm-up of ``n_lookups // 2`` lookups.
     """
     if not 0.0 <= shrink_fraction < 1.0:
         raise WorkloadError("shrink_fraction must be in [0, 1)")
@@ -98,8 +97,7 @@ def run_shrink_scenario(
         capacity, bucket_slots=bucket_slots, rng=DeterministicRng(seed)
     )
     zipf = ZipfianDistribution(n_items, alpha, DeterministicRng(seed + 1))
-    warmup = warmup if warmup is not None else n_lookups // 2
-    for _ in range(warmup):
+    for _ in range(n_lookups // 2):
         sim.lookup(zipf.sample())
     sim.reset_counters()
     to_remove = int(capacity * shrink_fraction)
