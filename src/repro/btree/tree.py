@@ -37,6 +37,9 @@ from repro.storage.page import SlottedPage
 #: A hop costs one page access; a descent costs ``height`` of them, so a
 #: short bounded lookahead is never worse than eagerly re-descending.
 MAX_CHAIN_HOPS = 2
+#: Share of a splitting leaf's entries that stay put unless told otherwise
+#: (the even split behind the paper's ~68 % fill; see above).
+SPLIT_FRACTION = 0.5
 
 
 class BPlusTree:
@@ -48,7 +51,7 @@ class BPlusTree:
         key_size: int,
         value_size: int,
         name: str = "index",
-        split_fraction: float = 0.5,
+        split_fraction: float = SPLIT_FRACTION,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if key_size <= 0 or value_size <= 0:
@@ -411,7 +414,7 @@ class BPlusTree:
         value_size: int,
         name: str = "index",
         leaf_fill: float = 0.68,
-        split_fraction: float = 0.5,
+        split_fraction: float = SPLIT_FRACTION,
         registry: MetricsRegistry | None = None,
     ) -> "BPlusTree":
         """Build a tree from sorted unique entries at a target leaf fill.

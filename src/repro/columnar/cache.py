@@ -74,6 +74,11 @@ class IntermediateCache:
     def clear(self) -> None:
         self._entries.clear()
 
+    def discard_table(self, table: str) -> None:
+        """Drop every fragment of ``table`` (keys are ``(verb, table, ...)``)."""
+        for key in [k for k in self._entries if k[1] == table]:
+            del self._entries[key]
+
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

@@ -92,14 +92,23 @@ class ColumnarManager:
     def attach(self, table) -> "TableColumnar":
         """Mirror ``table`` (idempotent) and hand it its binding."""
         store = self._stores.get(table.name)
-        if store is None or store.table is not table:
-            # New table, or the name was dropped and re-created: never
-            # serve a mirror of a table object that left the catalog.
+        if store is None:
             store = ColumnStore(table, segment_rows=self._segment_rows)
             self._stores[table.name] = store
         if table.columnar is None or table.columnar.store is not store:
             table.columnar = TableColumnar(self, table, store)
         return table.columnar
+
+    def detach(self, table_name: str) -> None:
+        """Forget a dropped table: its mirror and every cached fragment, so
+        a table re-created under the name starts from nothing."""
+        store = self._stores.pop(table_name, None)
+        if store is not None:
+            # Its rebuilds and seals stay counted; only the sums shrink.
+            self._rebuilds_seen -= store.rebuilds
+            self._sealed_seen -= store.sealed_total
+        self.cache.discard_table(table_name)
+        self.sync_gauges()
 
     def store(self, table_name: str) -> ColumnStore:
         return self._stores[table_name]

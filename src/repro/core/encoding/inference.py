@@ -45,6 +45,9 @@ from repro.schema.types import (
 )
 from repro.util.bitpack import bits_required
 
+#: Cardinality ceiling for recommending a dictionary code.
+DICTIONARY_MAX_DISTINCT = 4096
+
 
 @dataclass(frozen=True)
 class TypeRecommendation:
@@ -81,7 +84,6 @@ def _narrowest_int(lo: int, hi: int) -> PhysicalType:
 def infer_column_type(
     profile: ColumnProfile,
     granularity: str | None = None,
-    dictionary_max_distinct: int = 4096,
 ) -> TypeRecommendation:
     """Apply the rule chain to one column profile.
 
@@ -91,8 +93,6 @@ def infer_column_type(
             reads from this column; currently only ``"year"`` is
             meaningful (the paper's "storing full timestamps when the
             application only requests years").
-        dictionary_max_distinct: cardinality ceiling for recommending a
-            dictionary code.
     """
     declared = profile.declared
     declared_bits = declared.size * 8
@@ -137,7 +137,7 @@ def infer_column_type(
         assert profile.min_int is not None and profile.max_int is not None
         ptype = _narrowest_int(profile.min_int, profile.max_int)
         span_bits = _int_bits(profile.min_int, profile.max_int)
-        dict_bits = _dictionary_bits(profile, dictionary_max_distinct)
+        dict_bits = _dictionary_bits(profile)
         if dict_bits is not None and dict_bits < min(span_bits, ptype.size * 8):
             return rec(ptype, "dictionary", dict_bits)
         if span_bits <= 8 and span_bits < declared_bits:
@@ -152,7 +152,7 @@ def infer_column_type(
         return rec(declared, "keep", float(declared_bits))
 
     if kind in (TypeKind.CHAR, TypeKind.VARCHAR, TypeKind.TIMESTAMP_STRING):
-        dict_bits = _dictionary_bits(profile, dictionary_max_distinct)
+        dict_bits = _dictionary_bits(profile)
         trimmed = char(max(1, profile.max_strlen))
         trimmed_bits = trimmed.size * 8.0
         if dict_bits is not None and dict_bits < trimmed_bits:
@@ -173,16 +173,14 @@ def _int_bits(lo: int, hi: int) -> float:
     return float(bits_required(max(0, hi - lo)))
 
 
-def _dictionary_bits(
-    profile: ColumnProfile, max_distinct: int
-) -> float | None:
+def _dictionary_bits(profile: ColumnProfile) -> float | None:
     """Per-value bits for a dictionary code, or None when inapplicable.
 
     Amortises the dictionary blob over the rows: codes cost
     ``ceil(log2(d))`` bits, plus ``d × declared_size`` bytes of dictionary
     spread across ``count`` values.
     """
-    if profile.distinct_capped or profile.distinct_count > max_distinct:
+    if profile.distinct_capped or profile.distinct_count > DICTIONARY_MAX_DISTINCT:
         return None
     d = profile.distinct_count
     if d <= 1:

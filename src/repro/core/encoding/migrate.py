@@ -22,7 +22,7 @@ from typing import Callable
 from repro.core.encoding.codecs import Timestamp14Codec
 from repro.core.encoding.inference import TypeRecommendation, optimize_schema
 from repro.errors import SchemaError
-from repro.obs.registry import MetricsRegistry, resolve_registry
+from repro.obs.registry import get_default_registry
 from repro.query.table import Table
 from repro.schema.record import pack_record_map, unpack_record_map
 from repro.schema.schema import Schema
@@ -115,8 +115,6 @@ def migrate_table(
     target_heap: HeapFile,
     granularities: dict[str, str] | None = None,
     sample_rows: int | None = None,
-    verify: bool = True,
-    registry: MetricsRegistry | None = None,
 ) -> tuple[Table, Schema, MigrationReport]:
     """Rewrite ``table`` into ``target_heap`` under its inferred schema.
 
@@ -127,8 +125,9 @@ def migrate_table(
         granularities: semantic hints per column (e.g. ``{"ts": "year"}``).
         sample_rows: profile only the first N rows (full data is still
             migrated); ``None`` profiles everything.
-        verify: re-read each migrated row and compare against the source.
 
+    Every migrated row is re-read and checked against the source, and the
+    ``encoding.migrate.*`` counters land in the ambient registry.
     Returns ``(new_table, optimized_schema, report)``.  The new table has
     no indexes attached — index choice is workload policy, not migration.
     """
@@ -152,21 +151,18 @@ def migrate_table(
             for name, value in row.items()
         }
         rid = target_heap.insert(pack_record_map(optimized, converted))
-        if verify:
-            back = unpack_record_map(optimized, target_heap.fetch(rid))
-            for name, original in row.items():
-                conv = converters.get(name, identity)
-                if conv.lossy:
-                    # granularity rewrites: only the kept precision exists
-                    if conv.forward(original) != back[name]:
-                        raise SchemaError(
-                            f"granularity mismatch in {name!r}"
-                        )
-                elif conv.backward(back[name]) != original:
-                    raise SchemaError(
-                        f"lossy migration of {name!r}: "
-                        f"{original!r} -> {back[name]!r}"
-                    )
+        back = unpack_record_map(optimized, target_heap.fetch(rid))
+        for name, original in row.items():
+            conv = converters.get(name, identity)
+            if conv.lossy:
+                # granularity rewrites: only the kept precision exists
+                if conv.forward(original) != back[name]:
+                    raise SchemaError(f"granularity mismatch in {name!r}")
+            elif conv.backward(back[name]) != original:
+                raise SchemaError(
+                    f"lossy migration of {name!r}: "
+                    f"{original!r} -> {back[name]!r}"
+                )
     report = MigrationReport(
         table=table.name,
         rows=len(rows),
@@ -176,7 +172,7 @@ def migrate_table(
         new_heap_pages=target_heap.num_pages,
         recommendations=tuple(recommendations),
     )
-    reg = resolve_registry(registry)
+    reg = get_default_registry()
     reg.counter("encoding.migrate.tables").inc()
     reg.counter("encoding.migrate.rows").inc(report.rows)
     reg.counter("encoding.migrate.bytes_saved").inc(

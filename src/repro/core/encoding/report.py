@@ -71,14 +71,12 @@ def analyze_table_waste(
     table: str,
     schema: Schema,
     column_values: dict[str, list[object]],
-    granularities: dict[str, str] | None = None,
 ) -> TableWasteReport:
     """Profile every provided column and produce the table's waste report.
 
     ``column_values`` maps column name to the full value list; every column
     must have the same row count.
     """
-    granularities = granularities or {}
     rows = None
     wastes: list[ColumnWaste] = []
     for column in schema.columns:
@@ -93,9 +91,7 @@ def analyze_table_waste(
                 f"expected {rows}"
             )
         profile = profile_column(column.name, column.declared_type, values)
-        recommendation = infer_column_type(
-            profile, granularity=granularities.get(column.name)
-        )
+        recommendation = infer_column_type(profile)
         wastes.append(_column_waste(recommendation, len(values)))
     if rows is None:
         raise SchemaError(f"no column values provided for table {table!r}")

@@ -44,7 +44,6 @@ class OnlineHotColdManager:
         self,
         table: HotColdPartitionedTable,
         hot_capacity: int,
-        decay: float = 0.5,
         ops_per_epoch: int = 10_000,
         migration_budget: int = 256,
         registry: MetricsRegistry | None = None,
@@ -53,8 +52,8 @@ class OnlineHotColdManager:
         Args:
             table: the two-partition table to manage.
             hot_capacity: target number of rows in the hot partition.
-            decay: tracker decay per epoch (smaller forgets faster).
-            ops_per_epoch: lookups between automatic rebalances.
+            ops_per_epoch: lookups between automatic rebalances (each
+                rebalance halves the access tracker's counts).
             migration_budget: max promote+demote moves per rebalance.
             registry: metrics sink for the ``hotcold.*`` instruments.
         """
@@ -65,7 +64,7 @@ class OnlineHotColdManager:
         self.table = table
         #: Target number of rows in the hot partition (adaptive knob).
         self.hot_capacity = hot_capacity
-        self.tracker = AccessTracker(decay=decay)
+        self.tracker = AccessTracker()
         #: Lookups between automatic rebalances (adaptive knob).
         self.ops_per_epoch = ops_per_epoch
         self._budget = migration_budget

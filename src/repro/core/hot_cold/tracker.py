@@ -35,12 +35,12 @@ class AccessTracker:
         self._counts: dict[object, tuple[float, int]] = {}
         self.total_accesses = 0
 
-    def record(self, key: object, weight: float = 1.0) -> None:
+    def record(self, key: object) -> None:
         """Count one access to ``key``."""
         count, last_epoch = self._counts.get(key, (0.0, self.epoch))
         if last_epoch != self.epoch:
             count *= self._decay ** (self.epoch - last_epoch)
-        self._counts[key] = (count + weight, self.epoch)
+        self._counts[key] = (count + 1.0, self.epoch)
         self.total_accesses += 1
 
     def advance_epoch(self) -> None:

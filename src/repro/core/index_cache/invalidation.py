@@ -34,6 +34,8 @@ from repro.storage.page import SlottedPage
 
 _EPOCH_SHIFT = 32
 _POS_MASK = 0xFFFFFFFF
+#: Predicates logged before a full invalidation, unless told otherwise.
+LOG_THRESHOLD = 1024
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class CacheInvalidation:
 
     def __init__(
         self,
-        log_threshold: int = 1024,
+        log_threshold: int = LOG_THRESHOLD,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if log_threshold <= 0:
@@ -86,9 +88,7 @@ class CacheInvalidation:
         return (self.csn_index << _EPOCH_SHIFT) | len(self._log)
 
     @classmethod
-    def after_restart(
-        cls, max_persisted_csn: int, log_threshold: int = 1024
-    ) -> "CacheInvalidation":
+    def after_restart(cls, max_persisted_csn: int) -> "CacheInvalidation":
         """Recover the invalidation state after a crash (§2.1.2).
 
         The predicate log was in memory and is gone; any cache contents
@@ -99,7 +99,7 @@ class CacheInvalidation:
         while scanning index pages at startup (the epoch half of the
         stamp is what matters).
         """
-        instance = cls(log_threshold=log_threshold)
+        instance = cls()
         persisted_epoch = max_persisted_csn >> _EPOCH_SHIFT
         instance.csn_index = (persisted_epoch + 1) & _POS_MASK or 1
         return instance

@@ -49,6 +49,9 @@ from repro.util.rng import DeterministicRng
 from repro.workload.distributions import ZipfianDistribution
 from repro.workload.wikipedia import REVISION_SCHEMA, WikipediaConfig, generate
 
+#: Zipf skew of the A1, A2 and A5 key traces.
+_ALPHA = 1.0
+
 # ---------------------------------------------------------------------------
 # A1: replacement policy under key-region growth
 # ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ class PolicyAblationRow:
 
 
 def _policy_run(
-    make_policy, n_rows: int, n_lookups: int, alpha: float, seed: int
+    make_policy, n_rows: int, n_lookups: int, seed: int
 ) -> PolicyAblationRow:
     """Existing rows use even ids; the growth phase inserts odd ids, so
     splits and key growth land across the whole tree and clobber cache
@@ -105,7 +108,7 @@ def _policy_run(
 
     # Stable phase: warm, then measure with no index growth.
     _, index = build()
-    zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(zipf_seed))
+    zipf = ZipfianDistribution(n_rows, _ALPHA, DeterministicRng(zipf_seed))
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
     index.stats.found = 0
@@ -117,7 +120,7 @@ def _policy_run(
     # Growth phase: fresh build, then interleave lookups with inserts of
     # odd ids — leaf splits and key growth eat cache slots tree-wide.
     table, index = build()
-    zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(zipf_seed))
+    zipf = ZipfianDistribution(n_rows, _ALPHA, DeterministicRng(zipf_seed))
     grow_rng = DeterministicRng(seed + 5)
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
@@ -145,7 +148,6 @@ def _policy_run(
 def run_policy_ablation(
     n_rows: int = 3_000,
     n_lookups: int = 12_000,
-    alpha: float = 1.0,
     seed: int = 0,
 ) -> list[PolicyAblationRow]:
     """A1: Swap vs Random vs LRU, with and without index growth."""
@@ -154,9 +156,7 @@ def run_policy_ablation(
         lambda rng: RandomPolicy(rng),
         lambda rng: LruPolicy(rng),
     ]
-    return [
-        _policy_run(make, n_rows, n_lookups, alpha, seed) for make in makers
-    ]
+    return [_policy_run(make, n_rows, n_lookups, seed) for make in makers]
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +174,14 @@ class ThresholdAblationRow:
     pages_zeroed: int
 
 
+#: Share of A2's operations that are updates.
+_UPDATE_FRACTION = 0.1
+
+
 def run_threshold_ablation(
     thresholds: tuple[int, ...] = (4, 64, 4096),
     n_rows: int = 3_000,
     n_ops: int = 12_000,
-    update_fraction: float = 0.1,
-    alpha: float = 1.0,
     seed: int = 0,
 ) -> list[ThresholdAblationRow]:
     """A2: sweep the §2.1.2 log threshold under a lookup/update mix."""
@@ -199,7 +201,7 @@ def run_threshold_ablation(
             table.insert(
                 {"id": i, "val_a": i % 97, "val_b": i % 31, "pad": "x"}
             )
-        zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(seed + 1))
+        zipf = ZipfianDistribution(n_rows, _ALPHA, DeterministicRng(seed + 1))
         rng = DeterministicRng(seed + 2)
         project = ("id", "val_a", "val_b")
         for _ in range(n_ops):  # warm
@@ -208,7 +210,7 @@ def run_threshold_ablation(
         index.stats.answered_from_cache = 0
         for _ in range(n_ops):
             key = zipf.sample()
-            if rng.random() < update_fraction:
+            if rng.random() < _UPDATE_FRACTION:
                 table.update("pk", key, {"val_a": rng.randrange(97)})
             else:
                 index.lookup(key, project)
@@ -245,19 +247,20 @@ _FULL_PROJ = frozenset(
     {"rev_page", "rev_text_id", "rev_len", "rev_user", "rev_timestamp",
      "rev_minor_edit", "rev_comment"}
 )
+#: Share of A3's reads that want only the hot projection.
+_HOT_QUERY_FRACTION = 0.95
 
 
 def run_vertical_ablation(
     n_pages: int = 400,
     revisions_per_page: int = 5,
     n_lookups: int = 4_000,
-    hot_query_fraction: float = 0.95,
     seed: int = 0,
 ) -> VerticalAblationResult:
     """A3: measured bytes/query for split vs unsplit revision storage."""
     query_classes = [
-        (_HOT_PROJ, hot_query_fraction),
-        (_FULL_PROJ, 1.0 - hot_query_fraction),
+        (_HOT_PROJ, _HOT_QUERY_FRACTION),
+        (_FULL_PROJ, 1.0 - _HOT_QUERY_FRACTION),
     ]
     plan = recommend_vertical_split(
         REVISION_SCHEMA, ("rev_id",), query_classes, hot_threshold=0.5
@@ -296,7 +299,7 @@ def run_vertical_ablation(
     for _ in range(n_lookups):
         rev_id = rng.choice(rev_ids)
         project = (
-            tuple(_HOT_PROJ) if rng.random() < hot_query_fraction
+            tuple(_HOT_PROJ) if rng.random() < _HOT_QUERY_FRACTION
             else tuple(_FULL_PROJ)
         )
         record = table.heap.fetch(rids[rev_id])
@@ -326,6 +329,8 @@ _A5_SCHEMA = Schema.of(
     ("extra", char(40)),  # never covered/cached
 )
 _A5_COVERED = ("val_a", "val_b", "pad")
+#: Share of A5's lookups that project the uncovered column.
+_UNCOVERED_QUERY_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -341,14 +346,12 @@ class CoveringAblationRow:
 def run_covering_ablation(
     n_rows: int = 3_000,
     n_lookups: int = 10_000,
-    alpha: float = 1.0,
     pool_pages: int = 48,
-    uncovered_query_fraction: float = 0.3,
     seed: int = 0,
 ) -> list[CoveringAblationRow]:
     """A5: same workload, cached vs covering index, under RAM pressure.
 
-    ``uncovered_query_fraction`` of lookups project the uncovered column,
+    ``_UNCOVERED_QUERY_FRACTION`` of lookups project the uncovered column,
     forcing heap pages into the pool for both approaches — the realistic
     regime where the covering index's duplicated bytes are pure added
     pressure ("wastes more total bytes, and increases pressure on RAM").
@@ -370,11 +373,11 @@ def run_covering_ablation(
         }
 
     def drive(index, pool) -> tuple[float, float]:
-        zipf = ZipfianDistribution(n_rows, alpha, DeterministicRng(seed + 1))
+        zipf = ZipfianDistribution(n_rows, _ALPHA, DeterministicRng(seed + 1))
         proj_rng = DeterministicRng(seed + 3)
         def one_lookup():
             proj = (
-                full_proj if proj_rng.random() < uncovered_query_fraction
+                full_proj if proj_rng.random() < _UNCOVERED_QUERY_FRACTION
                 else covered_proj
             )
             index.lookup(zipf.sample(), proj)
@@ -449,10 +452,12 @@ def run_covering_ablation(
 # A4: routing state
 # ---------------------------------------------------------------------------
 
+#: Partitions A4's tuples are placed over, uniformly at random.
+_PARTITIONS = 16
+
 
 def run_routing_ablation(
     sizes: tuple[int, ...] = (10_000, 100_000),
-    partitions: int = 16,
     seed: int = 0,
 ) -> list[RoutingComparison]:
     """A4: routing-table bytes vs embedded-id bytes at increasing scale."""
@@ -460,7 +465,7 @@ def run_routing_ablation(
     rng = DeterministicRng(seed)
     results = []
     for n in sizes:
-        placement = {i: rng.randrange(partitions) for i in range(n)}
+        placement = {i: rng.randrange(_PARTITIONS) for i in range(n)}
         plan = plan_reassignment(scheme, placement)
         embedded = {plan.new_id(i): p for i, p in placement.items()}
         probes = rng.sample(list(embedded), min(1_000, n))

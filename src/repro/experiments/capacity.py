@@ -49,13 +49,12 @@ class AnalyticCapacity:
     tuple_coverage: float
 
 
-def analytic(
-    key_data_bytes: float = 360 * MiB,
-    fill_factor: float = 0.68,
-    item_size: int = 25,
-    page_table_tuples: int = 11_000_000,
-) -> AnalyticCapacity:
-    """Free space = key_data × (1/fill − 1); items = free / item size."""
+def analytic() -> AnalyticCapacity:
+    """Free space = key_data × (1/fill − 1); items = free / item size, at
+    the paper's constants: 360 MB of name_title key data at 68 % fill,
+    25-byte cache items, 11 M page-table tuples."""
+    key_data_bytes, fill_factor = 360 * MiB, 0.68
+    item_size, page_table_tuples = 25, 11_000_000
     free = key_data_bytes * (1.0 / fill_factor - 1.0)
     items = int(free // item_size)
     return AnalyticCapacity(
@@ -90,19 +89,18 @@ QUERY_PROJECTION = ("page_namespace", "page_title") + CACHED_FIELDS
 def run_measured(
     n_pages: int = 4_000,
     n_lookups: int = 40_000,
-    read_alpha: float = 1.2,
     seed: int = 0,
 ) -> MeasuredCapacity:
     """Build the cached name_title index and replay the lookup trace.
 
-    ``read_alpha`` defaults steeper than the edit skew: page-view
-    popularity on the web is heavier-tailed than edit activity, and the
-    paper's >90% measured hit rate implies the read-side skew.
+    The read skew (``read_alpha`` 1.2) is steeper than the edit skew:
+    page-view popularity on the web is heavier-tailed than edit activity,
+    and the paper's >90% measured hit rate implies the read-side skew.
     """
     data = generate(
         WikipediaConfig(
             n_pages=n_pages, revisions_per_page_mean=2,
-            read_alpha=read_alpha, seed=seed,
+            read_alpha=1.2, seed=seed,
         )
     )
     disk = SimulatedDisk(4096)

@@ -109,8 +109,6 @@ _SCHEMA = Schema.of(
 def run_engine(
     n_rows: int = 4_000,
     n_lookups: int = 30_000,
-    alpha: float = 1.0,
-    preset: CostPreset = PAPER_PRESET,
     seed: int = 0,
 ) -> EngineValidation:
     """Drive real cached/uncached indexes, everything RAM-resident.
@@ -118,8 +116,10 @@ def run_engine(
     Pools are sized to hold the whole database so every heap access is a
     buffer-pool *hit* — isolating exactly the effect Fig. 2c measures.
     The index pool is unhooked ("index fully in memory"); descents and
-    probes are charged through the cached index's cost hooks.
+    probes are charged through the cached index's cost hooks, priced at
+    the paper's preset.  Keys follow a Zipf(1.0) trace.
     """
+    alpha, preset = 1.0, PAPER_PRESET
     def build(cost_model: CostModel, cached: bool):
         disk = SimulatedDisk(4096)
         index_pool = BufferPool(disk, 100_000)

@@ -53,14 +53,12 @@ class CrashMatrixRow:
     oracle_mismatches: int
 
 
-def run_contention(
-    n_ops: int = 800, seed: int = 3
-) -> list[ContentionRow]:
+def run_contention() -> list[ContentionRow]:
+    """The sessions-mode drill (seed 3, 800 ops) at each session count."""
     rows = []
     for n in SESSION_COUNTS:
         report = run_fault_drill(
-            seed=seed, n_pages=6, revisions_per_page=2,
-            n_ops=n_ops, sessions=n,
+            seed=3, n_pages=6, revisions_per_page=2, n_ops=800, sessions=n,
         )
         rows.append(
             ContentionRow(
@@ -75,7 +73,7 @@ def run_contention(
     return rows
 
 
-def run_crash_matrix(seed: int = 20260808) -> CrashMatrixRow:
+def run_crash_matrix() -> CrashMatrixRow:
     from repro.query.database import Database
     from repro.schema.record import unpack_record_map
     from repro.schema.schema import Schema
@@ -84,6 +82,7 @@ def run_crash_matrix(seed: int = 20260808) -> CrashMatrixRow:
     from repro.wal.record import frame_boundaries, scan_wal
     from repro.wal.replay import recover
 
+    seed = 20260808
     schema = Schema.of(("id", UINT32), ("name", char(8)), ("score", UINT32))
     db = Database(
         seed=seed, wal=True, wal_group_commit=4,

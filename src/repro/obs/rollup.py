@@ -41,7 +41,7 @@ from repro.obs.registry import (
 
 #: Counter names whose per-shard sum defines a shard's "heat" (page
 #: traffic: every hit or miss is one logical page touch).
-DEFAULT_HEAT_METRICS = ("bufferpool.hit", "bufferpool.miss")
+HEAT_METRICS = ("bufferpool.hit", "bufferpool.miss")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,6 @@ class FleetRollup:
         source=None,
         registries: list[MetricsRegistry] | None = None,
         target: MetricsRegistry | None = None,
-        heat_metrics: tuple[str, ...] = DEFAULT_HEAT_METRICS,
     ) -> None:
         if source is not None:
             registries = [
@@ -147,7 +146,6 @@ class FleetRollup:
             raise ValueError("FleetRollup needs a source or registries+target")
         self._registries = registries
         self._target = target
-        self._heat_metrics = heat_metrics
         #: Per-metric cross-shard stats from the last :meth:`refresh`.
         self.stats: dict[str, FleetStat] = {}
         self._refreshes = target.counter("fleet.refreshes")
@@ -197,7 +195,7 @@ class FleetRollup:
         heat = [
             sum(
                 reg.get(m).value if reg.get(m) is not None else 0
-                for m in self._heat_metrics
+                for m in HEAT_METRICS
             )
             for reg in self._registries
         ]

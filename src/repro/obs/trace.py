@@ -300,11 +300,11 @@ class TraceCollector:
             self._finished.inc()
             self._fanout.record(len(trace.shards_touched()))
 
-    def trace(self, name: str, shard: int | None = None, **baggage: object):
-        """``with``: a root span (or, nested under an active trace, a
-        child span whose baggage merges into the active context);
-        yields the :class:`Trace`."""
-        return self._bracket(name, shard, None, baggage)
+    def trace(self, name: str, **baggage: object):
+        """``with``: a root span on the collector's own clock (or, nested
+        under an active trace, a child span whose baggage merges into the
+        active context); yields the :class:`Trace`."""
+        return self._bracket(name, None, None, baggage)
 
     def span(self, name: str, shard: int | None = None, **attrs: object):
         """``with``: a child span of the active trace, yielded.  Outside

@@ -16,11 +16,10 @@ from __future__ import annotations
 import zlib
 
 from repro.btree.keycodec import codec_for_columns
-from repro.btree.tree import BPlusTree
+from repro.btree.tree import SPLIT_FRACTION, BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
-from repro.core.index_cache.invalidation import CacheInvalidation
+from repro.core.index_cache.invalidation import LOG_THRESHOLD, CacheInvalidation
 from repro.core.index_cache.latching import LatchSimulator
-from repro.core.index_cache.policy import CachePolicy
 from repro.errors import CatalogError, QueryError
 from repro.obs.registry import (
     MetricsRegistry,
@@ -37,7 +36,12 @@ from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile, RID_SIZE
 from repro.util.rng import DeterministicRng
-from repro.wal.log import index_meta, table_meta
+from repro.wal.log import GROUP_COMMIT_RECORDS, index_meta, table_meta
+
+#: A cached index's latch contention unless told otherwise.  Neither it
+#: nor the log threshold is logged, so :meth:`Database.restore_index`
+#: rebuilds a cached index with both defaults.
+LATCH_CONTENTION = 0.0
 
 
 def require_empty_for_index(table, index_name: str) -> None:
@@ -68,7 +72,7 @@ class Database:
         retry_policy: RetryPolicy | None = None,
         verify_checksums: bool = True,
         wal: "WalWriter | bool | None" = None,
-        wal_group_commit: int = 8,
+        wal_group_commit: int = GROUP_COMMIT_RECORDS,
         disk: SimulatedDisk | None = None,
     ) -> None:
         """
@@ -516,7 +520,7 @@ class Database:
         table_name: str,
         index_name: str,
         key_columns: tuple[str, ...],
-        split_fraction: float = 0.5,
+        split_fraction: float = SPLIT_FRACTION,
     ) -> PlainIndex:
         """Create a classic (uncached) unique index on an empty table."""
         return self._add_index(table_name, index_name, key_columns, split_fraction)
@@ -527,15 +531,13 @@ class Database:
         index_name: str,
         key_columns: tuple[str, ...],
         cached_fields: tuple[str, ...],
-        policy: CachePolicy | None = None,
-        invalidation_log_threshold: int = 1024,
-        latch_contention: float = 0.0,
-        split_fraction: float = 0.5,
+        invalidation_log_threshold: int = LOG_THRESHOLD,
+        latch_contention: float = LATCH_CONTENTION,
     ) -> CachedBTree:
         """Create a §2.1 cached index on an empty table."""
         return self._add_index(
-            table_name, index_name, key_columns, split_fraction,
-            (cached_fields, policy, invalidation_log_threshold, latch_contention),
+            table_name, index_name, key_columns, SPLIT_FRACTION,
+            (cached_fields, invalidation_log_threshold, latch_contention),
         )
 
     # -- recovery DDL ------------------------------------------------------------
@@ -571,15 +573,16 @@ class Database:
         (restored) heap: indexes are derived data, never redone
         record-by-record.
 
-        The arguments are what ``index_meta`` logs.  A cached index's
-        policy, log threshold and latch contention are not logged, so it
-        comes back with :meth:`create_cached_index`'s defaults, and cold:
-        cached tuple copies are the most derived data of all and are
-        simply dropped by a crash.
+        The arguments are what ``index_meta`` logs.  A cached index's log
+        threshold and latch contention are not logged, so it comes back
+        with :meth:`create_cached_index`'s defaults, and cold: cached
+        tuple copies are the most derived data of all and are simply
+        dropped by a crash.
         """
         return self._add_index(
             table_name, index_name, key_columns, split_fraction,
-            (cached_fields, None, 1024, 0.0) if cached_fields else None,
+            (cached_fields, LOG_THRESHOLD, LATCH_CONTENTION)
+            if cached_fields else None,
             restore=True,
         )
 
@@ -588,13 +591,16 @@ class Database:
         the simulated disk only grows, like a real tablespace file).
 
         Refused on a WAL-armed database: the log has no DROP record, so
-        recovery would bring the table back with its rows.
+        recovery would bring the table back with its rows.  The columnar
+        mirror and its cached fragments go with the table.
         """
         if self.wal is not None:
             raise QueryError(
                 f"cannot drop table {name!r}: drops are not WAL-logged"
             )
         self.catalog.drop_table(name)
+        if self.columnar is not None:
+            self.columnar.detach(name)
 
     # -- access -----------------------------------------------------------------
 
@@ -622,7 +628,7 @@ class Database:
     ):
         """The one path every index is born on.
 
-        ``cached`` is ``(cached_fields, policy, invalidation_log_threshold,
+        ``cached`` is ``(cached_fields, invalidation_log_threshold,
         latch_contention)`` for a §2.1 cached index, ``None`` for a plain
         one.  ``restore`` bulk-loads the index from the heap instead of
         requiring an empty table, and logs no CREATE INDEX record.
@@ -640,14 +646,13 @@ class Database:
         if cached is None:
             index = PlainIndex(tree, table.heap, table.schema, key_columns)
         else:
-            cached_fields, policy, log_threshold, latch_contention = cached
+            cached_fields, log_threshold, latch_contention = cached
             index = CachedBTree(
                 tree,
                 table.heap,
                 table.schema,
                 key_columns,
                 cached_fields,
-                policy=policy,
                 # crc32, not hash(): str hashes are salted per process
                 # (PYTHONHASHSEED), which made the swap policy's random
                 # walk — and thus cache layout and metrics — differ

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.invalidation import CacheInvalidation
-from repro.core.index_cache.policy import CachePolicy
 from repro.errors import QueryError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.query.table import PlainIndex, Table
@@ -58,10 +57,8 @@ class FkJoinCache:
         parent_index_name: str,
         fk_column: str,
         parent_fields: tuple[str, ...],
-        policy: CachePolicy | None = None,
         rng: DeterministicRng | None = None,
         registry: MetricsRegistry | None = None,
-        invalidation: CacheInvalidation | None = None,
     ) -> None:
         if not child.schema.has_column(fk_column):
             raise QueryError(f"child has no column {fk_column!r}")
@@ -87,15 +84,10 @@ class FkJoinCache:
         self.cache = IndexCache(
             self._payload_schema.record_size,
             entry_size=child.schema.record_size,
-            policy=policy,
             rng=rng,
             registry=registry,
         )
-        self.invalidation = (
-            invalidation
-            if invalidation is not None
-            else CacheInvalidation(registry=registry)
-        )
+        self.invalidation = CacheInvalidation(registry=registry)
         parent.attach_write_observer(self)
         self.stats = JoinStats()
         reg = resolve_registry(registry)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.btree.keycodec import KeyCodec
+from repro.btree.tree import SPLIT_FRACTION
 from repro.errors import QueryError
 from repro.obs.registry import (
     MetricsRegistry,
@@ -42,7 +43,11 @@ from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.shard.router import ShardRouter
 from repro.storage.constants import DEFAULT_PAGE_SIZE
+from repro.wal.log import GROUP_COMMIT_RECORDS
 
+#: Heap-pool frames per shard unless told otherwise; a recovered fleet
+#: gets the same.
+SHARD_POOL_PAGES = 256
 #: What an unarmed bracket enters instead of a span (stateless, so shared).
 _INERT = nullcontext()
 #: A lookup is answered by the shard that found the key.
@@ -313,16 +318,14 @@ class ShardedDatabase:
         n_shards: int = 2,
         *,
         mode: str = "hash",
-        boundaries: tuple | None = None,
         hot_fraction: float = 0.05,
         page_size: int = DEFAULT_PAGE_SIZE,
-        data_pool_pages: int = 256,
-        index_pool_pages: int | None = None,
+        data_pool_pages: int = SHARD_POOL_PAGES,
         seed: int = 0,
         metrics: MetricsRegistry | None = None,
         shard_metrics: list[MetricsRegistry] | None = None,
         wal: bool = False,
-        wal_group_commit: int = 8,
+        wal_group_commit: int = GROUP_COMMIT_RECORDS,
         fault_injectors: list | None = None,
         retry_policy=None,
         recovery: bool = False,
@@ -330,12 +333,12 @@ class ShardedDatabase:
     ) -> None:
         """
         Args:
-            n_shards, mode, boundaries, hot_fraction: router
-                configuration (see :class:`ShardRouter`).
-            page_size, data_pool_pages, index_pool_pages, retry_policy:
-                per-shard engine configuration — ``data_pool_pages`` is
-                **per shard** (shards model machines, each brings its
-                own RAM).
+            n_shards, mode, hot_fraction: router configuration (see
+                :class:`ShardRouter`); ``range`` placement is the
+                router's alone, so the facade refuses it (no boundaries).
+            page_size, data_pool_pages, retry_policy: per-shard engine
+                configuration — ``data_pool_pages`` is **per shard**
+                (shards model machines, each brings its own RAM).
             seed: base seed; shard ``i`` derives ``seed + i``.
             metrics: the *parent* registry (``shard.*`` family); ambient
                 or fresh when ``None``, like :class:`Database`.
@@ -392,17 +395,12 @@ class ShardedDatabase:
                     shard_metrics = [MetricsRegistry() for _ in range(n_shards)]
             self._shard_metrics = list(shard_metrics)
             self.router = ShardRouter(
-                n_shards,
-                mode=mode,
-                boundaries=boundaries,
-                hot_fraction=hot_fraction,
-                registry=metrics,
+                n_shards, mode=mode, hot_fraction=hot_fraction, registry=metrics
             )
             self._dbs = [
                 Database(
                     page_size=page_size,
                     data_pool_pages=data_pool_pages,
-                    index_pool_pages=index_pool_pages,
                     seed=seed + i,
                     metrics=self._shard_metrics[i],
                     fault_injector=(
@@ -434,14 +432,11 @@ class ShardedDatabase:
         shard_metrics: list[MetricsRegistry],
         router: ShardRouter,
         metrics: MetricsRegistry | None = None,
-        recovery: bool = False,
     ) -> "ShardedDatabase":
         """Wrap already-recovered per-shard engines (see
         :func:`repro.shard.recovery.recover_sharded`); sharded tables and
         routing metadata are rebuilt from shard 0's catalog."""
-        return cls(
-            metrics=metrics, recovery=recovery, _adopt=(dbs, shard_metrics, router)
-        )
+        return cls(metrics=metrics, _adopt=(dbs, shard_metrics, router))
 
     def _restore_tables(self) -> None:
         catalog = self._dbs[0].catalog
@@ -642,7 +637,7 @@ class ShardedDatabase:
         table_name: str,
         index_name: str,
         key_columns: tuple[str, ...],
-        split_fraction: float = 0.5,
+        split_fraction: float = SPLIT_FRACTION,
     ) -> None:
         self._index_ddl(
             table_name, index_name,

@@ -33,16 +33,15 @@ migration and asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     get_default_registry,
 )
-from repro.shard.database import ShardedDatabase, key_from_json
+from repro.shard.database import SHARD_POOL_PAGES, ShardedDatabase, key_from_json
 from repro.shard.router import ShardRouter, stable_key_hash
-from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.wal.log import WalDevice, WalWriter
 from repro.wal.record import RecordType, scan_wal
 from repro.wal.replay import RecoveryReport, recover
@@ -78,59 +77,42 @@ def _wal_bytes(wal) -> bytes:
 def recover_sharded(
     wals: list,
     *,
-    disks: list | None = None,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    data_pool_pages: int = 256,
-    index_pool_pages: int | None = None,
     seed: int = 0,
-    metrics: MetricsRegistry | None = None,
-    shard_metrics: list[MetricsRegistry] | None = None,
-    retry_policy=None,
-    group_commit_records: int = 8,
     mode: str = "hash",
-    boundaries: tuple | None = None,
     hot_fraction: float = 0.05,
-    recovery: bool = False,
     journal=None,
 ) -> tuple[ShardedDatabase, ShardRecoveryReport]:
     """Restore a :class:`ShardedDatabase` from one WAL per shard.
 
+    A fleet restarts from its logs alone: every shard replays onto a
+    blank disk with a fresh registry, the facade's defaults (pool size,
+    page size, group commit) and seed ``seed + i``, like the live
+    constructor.
+
     Args:
         wals: one log per shard — raw bytes, ``WalDevice``, or
             ``WalWriter`` — in shard order.
-        disks: optionally, the shards' survived disks (same order);
-            ``None`` replays every shard onto a blank disk.
-        page_size .. group_commit_records: forwarded to each shard's
-            :func:`~repro.wal.replay.recover` (``seed + i`` per shard,
-            like the live constructor).
-        metrics: the parent registry for the rebuilt facade's
-            ``shard.*`` family (ambient or fresh when ``None``).
-        shard_metrics: one registry per shard; fresh ones when omitted.
-        mode, boundaries, hot_fraction: router configuration — must
-            match the pre-crash router for base placements to line up
-            (the override map itself is *not* logged; it is rebuilt
-            from residency).
-        recovery: arm per-call heal-and-retry on the rebuilt facade.
+        seed: the base seed the fleet was built with.
+        mode, hot_fraction: router configuration — must match the
+            pre-crash router for base placements to line up (the
+            override map itself is *not* logged; it is rebuilt from
+            residency).
         journal: optional §5j :class:`~repro.obs.events.EventJournal` —
             each shard's replay phases plus the facade-level
             reconciliation journal themselves into it, the rebuilt
             facade adopts it, and the report carries the new records.
 
     Returns:
-        ``(sharded_database, report)`` with exactly one owner per key.
+        ``(sharded_database, report)`` with exactly one owner per key;
+        the facade's ``shard.*`` family lands in the ambient registry, or
+        a fresh one.
     """
     n = len(wals)
     if n < 1:
         raise ValueError("need at least one shard WAL")
-    if disks is not None and len(disks) != n:
-        raise ValueError(f"disks must have one entry per shard ({n})")
-    if metrics is None:
-        ambient = get_default_registry()
-        metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
-    if shard_metrics is None:
-        shard_metrics = [MetricsRegistry() for _ in range(n)]
-    elif len(shard_metrics) != n:
-        raise ValueError(f"shard_metrics must have one registry per shard ({n})")
+    ambient = get_default_registry()
+    metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+    shard_metrics = [MetricsRegistry() for _ in range(n)]
 
     m_dups = metrics.counter("shard.recovery.duplicates_resolved")
     m_reloc = metrics.counter("shard.recovery.relocations")
@@ -156,30 +138,17 @@ def recover_sharded(
     for i, wal in enumerate(wals):
         db, report = recover(
             wal,
-            disk=disks[i] if disks is not None else None,
-            page_size=page_size,
-            data_pool_pages=data_pool_pages,
-            index_pool_pages=index_pool_pages,
+            data_pool_pages=SHARD_POOL_PAGES,
             seed=seed + i,
             metrics=shard_metrics[i],
-            retry_policy=retry_policy,
-            group_commit_records=group_commit_records,
             journal=journal,
             journal_shard=i,
         )
         dbs.append(db)
         reports.append(report)
 
-    router = ShardRouter(
-        n,
-        mode=mode,
-        boundaries=boundaries,
-        hot_fraction=hot_fraction,
-        registry=metrics,
-    )
-    sdb = ShardedDatabase.adopt(
-        dbs, shard_metrics, router, metrics=metrics, recovery=recovery
-    )
+    router = ShardRouter(n, mode=mode, hot_fraction=hot_fraction, registry=metrics)
+    sdb = ShardedDatabase.adopt(dbs, shard_metrics, router, metrics=metrics)
     sdb._migration_seq = max_seq + 1
 
     # -- 2. residency walk ---------------------------------------------------

@@ -434,13 +434,15 @@ class BufferPool:
         if charge is not None:
             charge(ns)
 
-    def _read_with_retry(self, page_id: int) -> bytes:
-        """One logical read: transient faults retried with backoff."""
+    def _with_retry(self, io, page_id: int, *data: bytes):
+        """One logical read (``io`` = ``disk.read_page``) or write
+        (``disk.write_page``, with ``data``): transient faults retried
+        with backoff.  Returns what ``io`` returns."""
         incident = False
         attempt = 0
         while True:
             try:
-                data = self.disk.read_page(page_id)
+                result = io(page_id, *data)
             except TransientIOError as exc:
                 if not incident:
                     incident = True
@@ -449,40 +451,15 @@ class BufferPool:
                 if attempt >= self.retry_policy.max_attempts:
                     self._m_unrecoverable.inc()
                     raise RetryExhaustedError(
-                        f"read of page {page_id} failed "
-                        f"{self.retry_policy.max_attempts} times: {exc}"
+                        f"{'write' if data else 'read'} of page {page_id} "
+                        f"failed {self.retry_policy.max_attempts} times: {exc}"
                     ) from exc
                 self._m_retries.inc()
                 self._charge(self.retry_policy.backoff_for(attempt - 1))
                 continue
             if incident:
                 self._m_recovered.inc()
-            return data
-
-    def _write_with_retry(self, page_id: int, data: bytes) -> None:
-        """One logical write: transient faults retried with backoff."""
-        incident = False
-        attempt = 0
-        while True:
-            try:
-                self.disk.write_page(page_id, data)
-            except TransientIOError as exc:
-                if not incident:
-                    incident = True
-                    self._m_detected.inc()
-                attempt += 1
-                if attempt >= self.retry_policy.max_attempts:
-                    self._m_unrecoverable.inc()
-                    raise RetryExhaustedError(
-                        f"write of page {page_id} failed "
-                        f"{self.retry_policy.max_attempts} times: {exc}"
-                    ) from exc
-                self._m_retries.inc()
-                self._charge(self.retry_policy.backoff_for(attempt - 1))
-                continue
-            if incident:
-                self._m_recovered.inc()
-            return
+            return result
 
     def _read_page_checked(self, page_id: int) -> bytearray:
         """Read + validate a page, healing transient read corruption.
@@ -494,13 +471,13 @@ class BufferPool:
         read-path bit flip heals; at-rest damage does not); confirmed
         corruption quarantines the page and raises.
         """
-        raw = self._read_with_retry(page_id)
+        raw = self._with_retry(self.disk.read_page, page_id)
         if self._page_ok(page_id, raw):
             return bytearray(raw)
         self._m_detected.inc()
         for reread in range(self.retry_policy.corrupt_rereads):
             self._charge(self.retry_policy.backoff_for(reread))
-            raw = self._read_with_retry(page_id)
+            raw = self._with_retry(self.disk.read_page, page_id)
             if self._page_ok(page_id, raw):
                 self._m_recovered.inc()
                 return bytearray(raw)
@@ -536,7 +513,7 @@ class BufferPool:
             )
         buf = bytearray(data)
         crc = stamp_page_checksum(buf) if self._verify_checksums else None
-        self._write_with_retry(page_id, bytes(buf))
+        self._with_retry(self.disk.write_page, page_id, bytes(buf))
         if crc is not None:
             self._expected_crc[page_id] = crc
         if self._cost is not None:
@@ -552,7 +529,7 @@ class BufferPool:
         crc = None
         if self._verify_checksums:
             crc = stamp_page_checksum(frame.data)
-        self._write_with_retry(frame.page_id, bytes(frame.data))
+        self._with_retry(self.disk.write_page, frame.page_id, bytes(frame.data))
         if crc is not None:
             self._expected_crc[frame.page_id] = crc
         self._m_writeback.inc()

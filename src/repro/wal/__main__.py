@@ -28,6 +28,9 @@ from repro.wal.record import scan_wal
 
 #: The drill's table: a tiny fixed-width row so small pages churn.
 DRILL_SCHEMA = Schema.of(("id", UINT32), ("name", char(12)), ("score", UINT32))
+#: Small pages in a small pool, for the live engine and every restart.
+DRILL_PAGE_SIZE = 1024
+DRILL_POOL_PAGES = 8
 
 
 @dataclass
@@ -77,8 +80,6 @@ def run_wal_drill(
     crashes: int = 4,
     group_commit: int = 8,
     checkpoint_every: int = 400,
-    page_size: int = 1024,
-    pool_pages: int = 8,
 ) -> WalDrillReport:
     """Run the crash-restart smoke drill; deterministic per argument set."""
     from repro.faults.checker import check_database  # late: faults ← wal
@@ -88,7 +89,7 @@ def run_wal_drill(
     rng = DeterministicRng(seed)
     db = Database(
         seed=seed, wal=True, wal_group_commit=group_commit,
-        page_size=page_size, data_pool_pages=pool_pages,
+        page_size=DRILL_PAGE_SIZE, data_pool_pages=DRILL_POOL_PAGES,
     )
     db.create_table("t", DRILL_SCHEMA)
     db.create_index("t", "by_id", ("id",))
@@ -141,7 +142,8 @@ def run_wal_drill(
             crashes_done += 1
             db, report = recover(
                 db.wal, disk=db.disk,
-                page_size=page_size, data_pool_pages=pool_pages, seed=seed,
+                page_size=DRILL_PAGE_SIZE, data_pool_pages=DRILL_POOL_PAGES,
+                seed=seed,
                 group_commit_records=group_commit,
             )
             table = db.table("t")

@@ -30,6 +30,11 @@ from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.heap import Rid
 from repro.wal.record import RecordType, WalRecord, encode_frame, scan_wal
 
+#: Records per group-commit append unless told otherwise — one name for
+#: the writer, both database facades and recovery, so a restarted engine
+#: commits in the batches a fresh one would.
+GROUP_COMMIT_RECORDS = 8
+
 
 class WalDevice:
     """Append-only simulated log device with crash hooks.
@@ -102,7 +107,7 @@ class WalWriter:
         self,
         device: WalDevice | None = None,
         registry: MetricsRegistry | None = None,
-        group_commit_records: int = 8,
+        group_commit_records: int = GROUP_COMMIT_RECORDS,
     ) -> None:
         if group_commit_records < 1:
             raise WalError("group_commit_records must be >= 1")

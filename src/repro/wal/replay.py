@@ -44,7 +44,7 @@ from repro.schema.schema import Column, Schema
 from repro.schema.types import PhysicalType, TypeKind
 from repro.storage.constants import DEFAULT_PAGE_SIZE, PageType
 from repro.storage.page import SlottedPage
-from repro.wal.log import WalDevice, WalWriter
+from repro.wal.log import GROUP_COMMIT_RECORDS, WalDevice, WalWriter
 from repro.wal.record import (
     HEAP_OP_TYPES,
     RecordType,
@@ -178,11 +178,10 @@ def recover(
     disk=None,
     page_size: int = DEFAULT_PAGE_SIZE,
     data_pool_pages: int = 1024,
-    index_pool_pages: int | None = None,
     seed: int = 0,
     metrics: MetricsRegistry | None = None,
     retry_policy=None,
-    group_commit_records: int = 8,
+    group_commit_records: int = GROUP_COMMIT_RECORDS,
     journal=None,
     journal_shard: int | None = None,
 ):
@@ -195,9 +194,9 @@ def recover(
             *discarded*, exactly as a crash would).  A device/writer's
             torn tail, if any, is truncated in place.
         disk: the survived disk, or ``None`` to replay onto a blank one.
-        page_size, data_pool_pages, index_pool_pages, seed,
-        retry_policy: forwarded to the rebuilt
-            :class:`~repro.query.database.Database`.
+        page_size, data_pool_pages, seed, retry_policy: forwarded to the
+            rebuilt :class:`~repro.query.database.Database` (one shared
+            pool).
         metrics: registry for the new database and the ``wal.replay.*``
             instruments; defaults like ``Database`` (ambient or fresh).
         group_commit_records: group-commit size for the new writer,
@@ -294,7 +293,6 @@ def recover(
     db = Database(
         page_size=page_size,
         data_pool_pages=data_pool_pages,
-        index_pool_pages=index_pool_pages,
         seed=seed,
         metrics=metrics,
         retry_policy=retry_policy,

@@ -251,6 +251,34 @@ def test_reset_obs_zeroes_columnar_family():
     assert db.metrics.snapshot()["columnar"]["scans"] == 1
 
 
+def test_drop_forgets_the_mirror_and_its_cached_fragments():
+    """A table re-created under a dropped name, after as many writes, has
+    the dropped table's store epoch: a fragment kept past the drop would
+    match its ``(epoch, CSN)`` and serve the dropped rows."""
+    db = Database(seed=3, wal=False)
+    db.enable_columnar()
+
+    def fill(name: str, values) -> None:
+        db.create_table(name, SCHEMA)
+        db.create_index(name, f"pk_{name}", ("id",))
+        for k, n in enumerate(values):
+            db.table(name).insert(
+                {"id": k, "cat": "c0", "n": n, "d": 0, "flag": False}
+            )
+
+    fill("a", range(10))
+    fill("b", range(7))
+    assert sorted(r["n"] for r in db.table("a").scan()) == list(range(10))
+    db.drop_table("a")
+    list(db.table("b").scan())
+    assert "a" not in db.columnar.stores
+    assert db.metrics.get("columnar.rows").value == 7
+    fill("a", range(1000, 1010))
+    fresh = db.table("a")
+    assert sorted(r["n"] for r in fresh.scan()) == list(range(1000, 1010))
+    assert list(fresh.scan()) == list(fresh.scan(use_columnar=False))
+
+
 def test_dropped_and_recreated_table_gets_fresh_mirror():
     db, table, _ = make_db(n_rows=20)
     list(table.scan())

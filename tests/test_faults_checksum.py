@@ -156,8 +156,25 @@ def test_persistent_transient_faults_exhaust_the_retry_budget():
         registry=registry,
     )
     pid = write_one_page(pool)
-    with pytest.raises(RetryExhaustedError):
+    with pytest.raises(RetryExhaustedError, match=rf"^read of page {pid} failed 4 times: "):
         pool.fetch(pid)
+    faults = registry.snapshot()["faults"]
+    assert faults["detected"] == 1
+    assert faults["unrecoverable"] == 1
+    assert faults["retries"] == pool.retry_policy.max_attempts - 1
+
+
+def test_persistent_transient_write_faults_exhaust_the_retry_budget():
+    """Write-back runs the same retry loop as a read, named by its verb."""
+    registry = MetricsRegistry()
+    pool, _, _ = make_pool(
+        FaultSpec(FaultKind.TRANSIENT_WRITE_ERROR, probability=1.0),
+        registry=registry,
+    )
+    pid = pool.new_page(PageType.HEAP).page_id
+    pool.unpin(pid, dirty=True)
+    with pytest.raises(RetryExhaustedError, match=rf"^write of page {pid} failed 4 times: "):
+        pool.flush(pid)
     faults = registry.snapshot()["faults"]
     assert faults["detected"] == 1
     assert faults["unrecoverable"] == 1

@@ -13,6 +13,7 @@ import ast
 import functools
 import inspect
 import re
+from collections import defaultdict
 from pathlib import Path
 
 from repro.obs import MetricsRegistry
@@ -226,28 +227,125 @@ SIGNATURES = {
         "metrics fault_injector retry_policy verify_checksums wal "
         "wal_group_commit disk",
     ShardedDatabase.__init__:
-        "self n_shards mode boundaries hot_fraction page_size "
-        "data_pool_pages index_pool_pages seed metrics shard_metrics wal "
-        "wal_group_commit fault_injectors retry_policy recovery _adopt",
+        "self n_shards mode hot_fraction page_size data_pool_pages seed "
+        "metrics shard_metrics wal wal_group_commit fault_injectors "
+        "retry_policy recovery _adopt",
     BufferPool.__init__:
         "self disk capacity_pages cost_hook registry retry_policy "
         "verify_checksums wal",
     Database.create_cached_index:
-        "self table_name index_name key_columns cached_fields policy "
-        "invalidation_log_threshold latch_contention split_fraction",
+        "self table_name index_name key_columns cached_fields "
+        "invalidation_log_threshold latch_contention",
     recover:
-        "wal disk page_size data_pool_pages index_pool_pages seed metrics "
-        "retry_policy group_commit_records journal journal_shard",
-    recover_sharded:
-        "wals disks page_size data_pool_pages index_pool_pages seed metrics "
-        "shard_metrics retry_policy group_commit_records mode boundaries "
-        "hot_fraction recovery journal",
+        "wal disk page_size data_pool_pages seed metrics retry_policy "
+        "group_commit_records journal journal_shard",
+    recover_sharded: "wals seed mode hot_fraction journal",
 }
 
 
 def test_constructor_and_recovery_options_are_pinned():
     for function, names in SIGNATURES.items():
         assert " ".join(inspect.signature(function).parameters) == names
+
+
+# -- nothing set by nobody ------------------------------------------------------
+
+_OWNER_BOUND = "the object that owns the bound keeps its constructor parameter"
+_STARRED = "its one caller passes it through *args, which the AST cannot see"
+
+#: ``(file under src/repro/, qualname, parameter)`` that no call passes,
+#: and why each stays (DESIGN.md §3, "Which options anyone sets").
+SET_BY_NOBODY = {
+    ("columnar/manager.py", "ColumnarManager.__init__", "cache_entries"):
+        _OWNER_BOUND,
+    ("obs/adaptive.py", "AdaptiveController.__init__", "audit_capacity"):
+        _OWNER_BOUND,
+    ("obs/events.py", "EventJournal.__init__", "capacity"):
+        _OWNER_BOUND + "; tests set it through **kwargs helpers",
+    ("obs/trace.py", "TraceCollector.__init__", "capacity"):
+        _OWNER_BOUND + "; tests set it through **kwargs helpers",
+    ("obs/profiler.py", "QueryProfiler.begin", "project"):
+        _STARRED + " (profiler.begin(*profile))",
+    ("obs/profiler.py", "QueryProfiler.begin", "batch"):
+        _STARRED + " (profiler.begin(*profile))",
+    ("faults/harness.py", "default_plan", "is_heap_page"):
+        _STARRED + " (default_plan(*self._page_filters(...)))",
+    ("shard/database.py", "ShardedDatabase.__init__", "_adopt"):
+        "ShardedDatabase.adopt passes it as cls(...)",
+    ("core/hot_cold/partitioner.py", "HotColdPartitionedTable.__init__", "wal"):
+        "the only route to WalWriter.log_hot_cold_move, a paper technique",
+    ("core/hot_cold/partitioner.py", "HotColdPartitionedTable.__init__",
+     "wal_label"):
+        "the only route to WalWriter.log_hot_cold_move, a paper technique",
+    ("util/varint.py", "decode_svarint", "offset"):
+        "reference decoder: mirrors decode_uvarint's offset",
+}
+
+
+def _defaulted_parameters() -> dict[str, list]:
+    """Every public callable under ``src/`` with defaulted parameters, by
+    the name a call uses (a class's own name for its ``__init__``):
+    ``[(file, qualname, positional names, defaulted names)]``."""
+    found = defaultdict(list)
+
+    def visit(rel: str, node: ast.AST, owner: ast.ClassDef | None = None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(rel, child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = owner.name if owner and child.name == "__init__" else child.name
+                if called.startswith("_") or (owner and owner.name.startswith("_")):
+                    continue
+                args = child.args
+                pos = [a.arg for a in args.posonlyargs + args.args]
+                if owner is not None and pos[:1] in (["self"], ["cls"]):
+                    pos = pos[1:]
+                defaulted = set(pos[len(pos) - len(args.defaults):] if args.defaults else ())
+                defaulted |= {
+                    k.arg for k, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                }
+                if defaulted:
+                    qual = f"{owner.name}.{child.name}" if owner else child.name
+                    found[called].append((rel, qual, pos, defaulted))
+
+    for path in sorted(MODULES.values()):
+        visit(path.relative_to(SRC / "repro").as_posix(), ast.parse(path.read_text()))
+    return found
+
+
+def _passed(defaulted: dict[str, list]) -> set[tuple[str, str, str]]:
+    """The defaulted parameters some call in the repo passes, by keyword or
+    by enough positional arguments to reach them; ``*args`` and
+    ``**kwargs`` pass nothing the AST can see.  Matched by name, so
+    "passed" is an upper bound and "passed by nobody" is exact."""
+    passed = set()
+    for top in ("src", "bench", "benchmarks", "examples", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                npos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords if k.arg}
+                for rel, qual, pos, names in defaulted.get(name, ()):
+                    passed.update((rel, qual, p) for p in (keywords | set(pos[:npos])) & names)
+    return passed
+
+
+def test_no_parameter_is_set_by_nobody():
+    """One value in use is a constant: a defaulted public parameter that no
+    call in the repo passes becomes its value, unless ``SET_BY_NOBODY``
+    says why it stays — and an entry that gains a call site goes."""
+    defaulted = _defaulted_parameters()
+    unset = {
+        (rel, qual, p)
+        for entries in defaulted.values()
+        for rel, qual, _, names in entries
+        for p in names
+    } - _passed(defaulted)
+    assert sorted(unset - SET_BY_NOBODY.keys()) == []
+    assert sorted(SET_BY_NOBODY.keys() - unset) == []
 
 
 # -- the one eviction policy ---------------------------------------------------
