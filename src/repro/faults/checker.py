@@ -68,15 +68,14 @@ def check_database(db) -> CheckReport:
     be fetched are reported as problems too rather than propagating.
     """
     report = CheckReport()
-    for entry in db.catalog.tables():
+    for table in db.catalog.tables():
         report.tables_checked += 1
-        table = entry.table
         heap = table.heap
-        _check_heap(report, entry.name, heap)
-        rows_by_rid = _collect_rows(report, entry.name, entry.schema, heap)
-        for index_entry in db.catalog.indexes_of(entry.name):
+        _check_heap(report, table.name, heap)
+        rows_by_rid = _collect_rows(report, table.name, table.schema, heap)
+        for name in table.index_names:
             report.indexes_checked += 1
-            _check_index(report, index_entry, rows_by_rid)
+            _check_index(report, name, table.index(name), rows_by_rid)
     return report
 
 
@@ -150,9 +149,7 @@ def _collect_rows(report: CheckReport, table_name: str, schema, heap) -> dict | 
 # -- index layer --------------------------------------------------------------
 
 
-def _check_index(report: CheckReport, index_entry, rows_by_rid: dict | None) -> None:
-    name = index_entry.name
-    index = index_entry.index
+def _check_index(report: CheckReport, name: str, index, rows_by_rid: dict | None) -> None:
     tree = index.tree
     pool = tree.pool
     label = f"index {name!r}"
@@ -180,7 +177,7 @@ def _check_index(report: CheckReport, index_entry, rows_by_rid: dict | None) -> 
         )
     _check_leaf_chain(report, label, tree)
     if rows_by_rid is not None:
-        _check_against_heap(report, label, index_entry, entries, rows_by_rid)
+        _check_against_heap(report, label, index, entries, rows_by_rid)
 
 
 def _check_node_page(report: CheckReport, label: str, pool, page_id, expected) -> None:
@@ -231,9 +228,8 @@ def _check_leaf_chain(report: CheckReport, label: str, tree) -> None:
 
 
 def _check_against_heap(
-    report: CheckReport, label: str, index_entry, entries, rows_by_rid: dict
+    report: CheckReport, label: str, index, entries, rows_by_rid: dict
 ) -> None:
-    index = index_entry.index
     if len(entries) != len(rows_by_rid):
         report.note(
             f"{label}: {len(entries)} index entr(ies) for "

@@ -105,11 +105,12 @@ class RecoveryManager:
         ``faults.unrecoverable``) for WAL-less heap pages and unowned
         pages.
         """
-        index_entry = self._owning_index(page_id)
-        if index_entry is not None:
+        owner = self._owning_index(page_id)
+        if owner is not None:
+            name, index = owner
             while True:
                 try:
-                    index_entry.index.rebuild_from_heap()
+                    index.rebuild_from_heap()
                     break
                 except CorruptPageError as exc:
                     # The rebuild scans the whole heap and can trip over
@@ -127,14 +128,14 @@ class RecoveryManager:
                     self._emit("fault.quarantine", page=exc.page_id)
                     return False
             wal = getattr(self._db, "wal", None)
-            if wal is not None and getattr(index_entry.index, "cached_fields", None):
-                wal.log_index_cache_drop(index_entry.name)
+            if wal is not None and index.cached_fields:
+                wal.log_index_cache_drop(name)
             self._m_recovered.inc()
             self._m_rebuilds.inc()
             self.heals += 1
             self._emit(
                 "fault.recovered", page=page_id, action="index_rebuild",
-                index=index_entry.name,
+                index=name,
             )
             return True
         if self._recover_heap(page_id):
@@ -183,18 +184,18 @@ class RecoveryManager:
 
     def _owning_heap(self, page_id: int):
         """The heap file owning ``page_id``, else None."""
-        for table_entry in self._db.catalog.tables():
-            heap = table_entry.table.heap
-            if heap.owns_page(page_id):
-                return heap
+        for table in self._db.catalog.tables():
+            if table.heap.owns_page(page_id):
+                return table.heap
         return None
 
     def _owning_index(self, page_id: int):
-        """The catalog index entry whose tree owns ``page_id``, else None."""
-        catalog = self._db.catalog
-        for table_entry in catalog.tables():
-            for index_entry in catalog.indexes_of(table_entry.name):
-                tree = index_entry.index.tree
+        """``(name, index)`` of the index whose tree owns ``page_id``,
+        else None."""
+        for table in self._db.catalog.tables():
+            for name in table.index_names:
+                index = table.index(name)
+                tree = index.tree
                 if page_id in tree.leaf_page_ids or page_id in tree.internal_page_ids:
-                    return index_entry
+                    return name, index
         return None

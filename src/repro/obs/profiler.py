@@ -300,7 +300,6 @@ class QueryProfiler:
         join is part of the join's cost, not a second query)."""
         if self._depth:
             return None
-        self._depth = 1
         project_t = tuple(project) if project is not None else None
         profile = QueryProfile(
             seq=self.operations,
@@ -314,7 +313,11 @@ class QueryProfiler:
         # PlainIndex keeps heap fetches as a plain attribute (no registry
         # counter on that path); fold its delta in when the index is known.
         plain_before = getattr(index, "heap_fetches", None) if index is not None else None
-        return profile, index, plain_before, self._capture(), self._clock()
+        token = profile, index, plain_before, self._capture(), self._clock()
+        # Open only once nothing above can raise: a malformed argument
+        # must not leave every later operation looking nested.
+        self._depth = 1
+        return token
 
     def end(self, token: tuple | None, error: bool = False) -> None:
         """Close and absorb the profile behind ``token`` (``None``: no-op)."""

@@ -38,6 +38,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.sampler import _SELECTOR_KINDS
 
 #: Counter names whose per-shard sum defines a shard's "heat" (page
 #: traffic: every hit or miss is one logical page touch).
@@ -228,9 +229,6 @@ class FleetRollup:
                 f"skew={stat.imbalance:.2f}x"
             )
         return "\n".join(lines)
-
-
-_SELECTOR_KINDS = ("rate", "gauge", "derived", "p50", "p95", "p99")
 
 
 def fleet_selector(selector: str) -> str:

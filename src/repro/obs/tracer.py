@@ -116,7 +116,15 @@ class Tracer:
             collector.begin(name, self.shard, trace)
             if collector is not None else None
         )
-        profiled = profiler.begin(*profile) if profiler is not None else None
+        profiled = None
+        if profiler is not None:
+            try:
+                profiled = profiler.begin(*profile)
+            except BaseException:
+                # A sink that fails to open leaves no sink open.
+                if traced is not None:
+                    collector.end(traced, True)
+                raise
         if timed:
             start = self._clock()
             depth = self.depth

@@ -274,10 +274,11 @@ class Database:
                 f"cache admission must be within [0, 1], got {fraction}"
             )
         self.cache_admission = float(fraction)
-        for tentry in self.catalog.tables():
-            for ientry in self.catalog.indexes_of(tentry.name):
-                if isinstance(ientry.index, CachedBTree):
-                    ientry.index.set_cache_admission(self.cache_admission)
+        for table in self.catalog.tables():
+            for name in table.index_names:
+                index = table.index(name)
+                if index.cached_fields:
+                    index.set_cache_admission(self.cache_admission)
 
     def enable_profiling(self, slow_log_size: int = 64) -> "QueryProfiler":
         """Attach a :class:`~repro.obs.profiler.QueryProfiler`.
@@ -605,11 +606,7 @@ class Database:
     # -- access -----------------------------------------------------------------
 
     def table(self, name: str) -> Table:
-        entry = self.catalog.table(name)
-        table = entry.table
-        if not isinstance(table, Table):  # pragma: no cover - registration bug
-            raise CatalogError(f"catalog entry {name!r} is not a Table")
-        return table
+        return self.catalog.table(name)
 
     # -- internals ---------------------------------------------------------------
 
@@ -617,7 +614,7 @@ class Database:
         """Wrap ``heap`` as a table on the engine's tracer — whatever is
         armed there, now or later, observes it — and catalog it."""
         table = Table(name, schema, heap, tracer=self.tracer, wal=self.wal)
-        self.catalog.register_table(name, schema, table)
+        self.catalog.register_table(table)
         if self.columnar is not None:
             self.columnar.attach(table)
         return table
@@ -632,10 +629,19 @@ class Database:
         latch_contention)`` for a §2.1 cached index, ``None`` for a plain
         one.  ``restore`` bulk-loads the index from the heap instead of
         requiring an empty table, and logs no CREATE INDEX record.
+
+        Index names are unique database-wide.  Every refusal comes before
+        a tree page is allocated, an index attached or a record logged,
+        so a refused CREATE INDEX leaves nothing behind.
         """
         table = self.table(table_name)
         if not restore:
             require_empty_for_index(table, index_name)
+        for other in self.catalog.tables():
+            if index_name in other.index_names:
+                if other is table:
+                    raise QueryError(f"index {index_name!r} already attached")
+                raise CatalogError(f"index {index_name!r} already exists")
         codec = codec_for_columns(
             [table.schema.column(c) for c in key_columns]
         )
@@ -670,9 +676,6 @@ class Database:
         if restore:
             index.rebuild_from_heap()
         table.attach_index(index_name, index)
-        entry = self.catalog.register_index(
-            index_name, table_name, tuple(key_columns), index
-        )
         if not restore and self.wal is not None:
-            self.wal.log_create_index(index_meta(entry))
+            self.wal.log_create_index(index_meta(table_name, index_name, index))
         return index

@@ -33,6 +33,10 @@ from repro.storage.heap import HeapFile, Rid, RID_SIZE
 class PlainIndex:
     """Classic uncached index: key → RID, tuple bytes fetched from the heap."""
 
+    #: An index's kind, spelled once for both kinds: a plain index caches
+    #: no fields, a :class:`CachedBTree` at least one.
+    cached_fields: tuple[str, ...] = ()
+
     def __init__(
         self,
         tree: BPlusTree,
@@ -202,11 +206,11 @@ class Table:
         """Name of the identity (primary-key) index — the first attached
         index.  The session layer resolves and tracks row versions
         through it, so its key columns must uniquely identify a row."""
-        if not self._indexes:
-            raise QueryError(
-                f"table {self.name!r} has no index to identify rows by"
-            )
-        return next(iter(self._indexes))
+        for name in self._indexes:
+            return name
+        raise QueryError(
+            f"table {self.name!r} has no index to identify rows by"
+        )
 
     def index(self, name: str) -> AnyIndex:
         try:
@@ -235,6 +239,23 @@ class Table:
         self._write_observers.append(observer)
 
     # -- writes ---------------------------------------------------------------
+
+    def check_changes(self, changes: dict[str, object]) -> None:
+        """Refuse an update that names a column the schema lacks, or a key
+        column of *any* attached index (that would be a delete+insert,
+        which callers do explicitly)."""
+        changed = set(changes)
+        for index in self._indexes.values():
+            bad = changed & set(index.key_codec.columns)
+            if bad:
+                raise QueryError(
+                    f"cannot update index key columns {sorted(bad)}"
+                )
+        unknown = changed - set(self.schema.names)
+        if unknown:
+            raise QueryError(
+                f"table {self.name!r} has no columns {sorted(unknown)}"
+            )
 
     def insert(self, row: dict[str, object], txn_id: int = 0) -> Rid:
         """Insert a row into the heap and every index.
@@ -281,16 +302,10 @@ class Table:
     ) -> bool:
         """Update non-key fields of the row found via ``index_name``.
 
-        Key columns of *any* attached index may not change (that would be
-        a delete+insert, which callers do explicitly).
+        Refused by :meth:`check_changes` before anything is logged.
         """
         self.tracer.tick()
-        for index in self._indexes.values():
-            bad = set(changes) & set(index.key_columns)
-            if bad:
-                raise QueryError(
-                    f"cannot update index key columns {sorted(bad)}"
-                )
+        self.check_changes(changes)
         with self.tracer.span(
             "query.update",
             profile=("update", self.name, index_name, self.index(index_name)),

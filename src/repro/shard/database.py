@@ -439,14 +439,13 @@ class ShardedDatabase:
         return cls(metrics=metrics, _adopt=(dbs, shard_metrics, router))
 
     def _restore_tables(self) -> None:
-        catalog = self._dbs[0].catalog
-        for entry in catalog.tables():
-            stable = ShardedTable(self, entry.name, entry.schema)
-            indexes = catalog.indexes_of(entry.name)
-            if indexes:
-                stable.routing_index = indexes[0].name
-                stable.routing_key = indexes[0].index.key_codec
-            self._tables[entry.name] = stable
+        for table in self._dbs[0].catalog.tables():
+            stable = ShardedTable(self, table.name, table.schema)
+            names = table.index_names
+            if names:
+                stable.routing_index = names[0]
+                stable.routing_key = table.index(names[0]).key_codec
+            self._tables[table.name] = stable
 
     # -- properties ----------------------------------------------------------
 
@@ -831,13 +830,13 @@ class ShardedDatabase:
         for db in self._dbs:
             report.per_shard.append(db.check())
         for name in self._tables:
-            shapes = [
-                [
-                    (e.name, tuple(e.key_columns), type(e.index).__name__)
-                    for e in db.catalog.indexes_of(name)
-                ]
-                for db in self._dbs
-            ]
+            shapes = []
+            for db in self._dbs:
+                table = db.table(name)
+                shapes.append([
+                    (n, table.index(n).key_columns, type(table.index(n)).__name__)
+                    for n in table.index_names
+                ])
             report.problems.extend(
                 f"table {name!r}: shard {i} indexes {shape} differ from "
                 f"shard 0's {shapes[0]}"

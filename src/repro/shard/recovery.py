@@ -42,9 +42,8 @@ from repro.obs.registry import (
 )
 from repro.shard.database import SHARD_POOL_PAGES, ShardedDatabase, key_from_json
 from repro.shard.router import ShardRouter, stable_key_hash
-from repro.wal.log import WalDevice, WalWriter
 from repro.wal.record import RecordType, scan_wal
-from repro.wal.replay import RecoveryReport, recover
+from repro.wal.replay import RecoveryReport, recover, wal_device
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,6 @@ class ShardRecoveryReport:
     #: §5j journal records emitted during this recovery (as dicts, in
     #: causal order) when a journal was passed in; empty otherwise.
     events: tuple = ()
-
-
-def _wal_bytes(wal) -> bytes:
-    if isinstance(wal, WalWriter):
-        return wal.device.data
-    if isinstance(wal, WalDevice):
-        return wal.data
-    return bytes(wal)
 
 
 def recover_sharded(
@@ -123,7 +114,7 @@ def recover_sharded(
     # valid prefix is identical either way).
     intents: list[dict] = []
     for i, wal in enumerate(wals):
-        for rec in scan_wal(_wal_bytes(wal)).records:
+        for rec in scan_wal(wal_device(wal).data).records:
             if rec.rtype is RecordType.SHARD_MIGRATE:
                 intents.append(dict(rec.meta))
     max_seq = max((int(m["seq"]) for m in intents), default=0)

@@ -439,8 +439,7 @@ class Session:
         vkey = self._vkey_of_row(table, row)
         old, fresh_claim = self._write_base(table, vkey, row=row)
         if old is not None:
-            if fresh_claim:
-                self._mgr._pending.pop(vkey, None)
+            self._unclaim(vkey, fresh_claim)
             raise DuplicateKeyError(
                 f"insert into {table_name!r}: key already visible"
             )
@@ -463,7 +462,11 @@ class Session:
                      {c: pre[c] for c in changes})
                 )
         else:
-            table.insert(row, txn_id=txn_id)
+            try:
+                table.insert(row, txn_id=txn_id)
+            except BaseException:
+                self._unclaim(vkey, fresh_claim)
+                raise
             self._undo.append(("insert", table_name, key_value))
         self._writes[vkey] = dict(row)
         self.stats.writes += 1
@@ -471,15 +474,19 @@ class Session:
     def update(self, table_name: str, key_value: object, changes: dict) -> bool:
         txn_id = self._require_txn()
         table = self._mgr.database.table(table_name)
+        table.check_changes(changes)  # refused before anything is claimed
         vkey = self._vkey(table, key_value)
         old, fresh_claim = self._write_base(table, vkey, key_value=key_value)
         if old is None:
-            if fresh_claim:
-                self._mgr._pending.pop(vkey, None)
+            self._unclaim(vkey, fresh_claim)
             return False
-        applied = table.update(
-            table.identity_index_name, key_value, changes, txn_id=txn_id
-        )
+        try:
+            applied = table.update(
+                table.identity_index_name, key_value, changes, txn_id=txn_id
+            )
+        except BaseException:
+            self._unclaim(vkey, fresh_claim)
+            raise
         if not applied:  # pragma: no cover - heap/version divergence guard
             return False
         self._undo.append(
@@ -499,8 +506,7 @@ class Session:
         vkey = self._vkey(table, key_value)
         old, fresh_claim = self._write_base(table, vkey, key_value=key_value)
         if old is None:
-            if fresh_claim:
-                self._mgr._pending.pop(vkey, None)
+            self._unclaim(vkey, fresh_claim)
             return False
         self._deferred[vkey] = (table_name, key_value, dict(old))
         self._writes[vkey] = None
@@ -555,6 +561,13 @@ class Session:
             self._began_logged = True
         self._mgr._claim(txn_id, vkey, committed)
         return committed, True
+
+    def _unclaim(self, vkey: VKey, fresh: bool) -> None:
+        """Release the claim a write that found nothing, or was refused,
+        took itself (``fresh``); a claim an earlier write of this
+        transaction took stays.  A fault-healed retry claims again."""
+        if fresh:
+            self._mgr._pending.pop(vkey, None)
 
     def _rollback(self, txn_id: int) -> None:
         """Apply the undo program in reverse, popping as it goes (so a

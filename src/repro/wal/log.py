@@ -391,16 +391,14 @@ def table_meta(name: str, schema, heap) -> dict:
     }
 
 
-def index_meta(entry) -> dict:
-    """CREATE_INDEX / checkpoint entry for one catalog index entry."""
-    index = entry.index
-    cached_fields = getattr(index, "cached_fields", None)
+def index_meta(table_name: str, name: str, index) -> dict:
+    """CREATE_INDEX / checkpoint entry for index ``name`` on a table."""
     return {
-        "name": entry.name,
-        "table": entry.table_name,
-        "key_columns": list(entry.key_columns),
-        "kind": "cached" if cached_fields is not None else "plain",
-        "cached_fields": list(cached_fields) if cached_fields is not None else [],
+        "name": name,
+        "table": table_name,
+        "key_columns": list(index.key_codec.columns),
+        "kind": "cached" if index.cached_fields else "plain",
+        "cached_fields": list(index.cached_fields),
         "split_fraction": index.tree.split_fraction,
     }
 
@@ -409,8 +407,8 @@ def checkpoint_meta(db) -> dict:
     """Catalog snapshot for a fuzzy checkpoint (duck-typed db walk)."""
     tables = []
     indexes = []
-    for tentry in db.catalog.tables():
-        tables.append(table_meta(tentry.name, tentry.schema, tentry.table.heap))
-        for ientry in db.catalog.indexes_of(tentry.name):
-            indexes.append(index_meta(ientry))
+    for table in db.catalog.tables():
+        tables.append(table_meta(table.name, table.schema, table.heap))
+        for name in table.index_names:
+            indexes.append(index_meta(table.name, name, table.index(name)))
     return {"tables": tables, "indexes": indexes}

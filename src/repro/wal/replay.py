@@ -172,6 +172,17 @@ def _apply_heap_redo(page: SlottedPage, rec: WalRecord) -> bool:
     raise WalError(f"not a heap redo record: {rec.rtype!r}")  # pragma: no cover
 
 
+def wal_device(wal) -> WalDevice:
+    """The device behind a log given as a :class:`WalWriter` (whose
+    unflushed buffer dies with the "process"), a :class:`WalDevice`, or
+    raw bytes."""
+    if isinstance(wal, WalWriter):
+        return wal.device
+    if isinstance(wal, WalDevice):
+        return wal
+    return WalDevice(initial=bytes(wal))
+
+
 def recover(
     wal,
     *,
@@ -225,12 +236,7 @@ def recover(
     # detected == recovered + unrecoverable ledger balanced.
     m_recovered = metrics.counter("faults.recovered")
 
-    if isinstance(wal, WalWriter):
-        device = wal.device  # the buffer dies with the "process"
-    elif isinstance(wal, WalDevice):
-        device = wal
-    else:
-        device = WalDevice(initial=bytes(wal))
+    device = wal_device(wal)
     scan = scan_wal(device.data)
     if scan.torn:
         device.truncate_at(scan.valid_bytes)

@@ -101,6 +101,6 @@ def test_catalog_registration():
     db = Database()
     db.create_table("t", SCHEMA)
     db.create_index("t", "t_pk", ("id",))
-    assert db.catalog.has_table("t")
-    assert db.catalog.has_index("t_pk")
-    assert db.catalog.index("t_pk").key_columns == ("id",)
+    assert db.catalog.table_names == ["t"]
+    assert db.table("t").index_names == ["t_pk"]
+    assert db.table("t").index("t_pk").key_columns == ("id",)

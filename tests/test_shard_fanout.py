@@ -289,7 +289,7 @@ def _fleet_state(sdb):
     """Every shard's index names and WAL bytes (pending tail included)."""
     sdb.flush_wals()
     return [
-        ([e.name for e in db.catalog.indexes_of("t")], bytes(db.wal.device.data))
+        (db.table("t").index_names, bytes(db.wal.device.data))
         for db in sdb.shards
     ]
 
