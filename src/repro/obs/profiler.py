@@ -232,11 +232,7 @@ def _plan_shape(
     else:
         kind = "index"
         if index is not None:
-            kind = (
-                "cached-index"
-                if getattr(index, "cached_fields", None) is not None
-                else "plain-index"
-            )
+            kind = "cached-index" if index.cached_fields else "plain-index"
         access = f"{table} via {kind}({index_name})"
     parts = [f"{op} {access}"]
     if project:

@@ -480,13 +480,12 @@ class Session:
         if old is None:
             self._unclaim(vkey, fresh_claim)
             return False
-        try:
-            applied = table.update(
-                table.identity_index_name, key_value, changes, txn_id=txn_id
-            )
-        except BaseException:
-            self._unclaim(vkey, fresh_claim)
-            raise
+        # No release on failure here: check_changes refused the bad changes
+        # above, and a fault in Table.update may come after the UPDATE is
+        # logged under this txn, so the claim must keep guarding that write.
+        applied = table.update(
+            table.identity_index_name, key_value, changes, txn_id=txn_id
+        )
         if not applied:  # pragma: no cover - heap/version divergence guard
             return False
         self._undo.append(

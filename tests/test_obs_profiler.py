@@ -68,6 +68,21 @@ def test_fingerprint_stability_across_keys_and_batches():
     assert scalar.calls == 3
 
 
+def test_plan_names_the_index_kind():
+    db, t = _db()
+    profiler = db.enable_profiling()
+    t.lookup("pk", 1, ("k", "n"))
+    t.lookup("cache", 1, ("k", "n"))
+    t.update("pk", 2, {"n": 1})
+    assert profiler.stats("lookup:t.pk->k,n").plan == (
+        "lookup t via plain-index(pk) project (k, n)"
+    )
+    assert profiler.stats("lookup:t.cache->k,n").plan == (
+        "lookup t via cached-index(cache) project (k, n)"
+    )
+    assert profiler.stats("update:t.pk").plan == "update t via plain-index(pk)"
+
+
 def test_enable_profiling_idempotent_and_propagates_to_new_tables():
     db, t = _db()
     profiler = db.enable_profiling()

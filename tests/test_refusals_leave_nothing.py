@@ -12,7 +12,7 @@ keeps counting and no trace is left open.
 import pytest
 
 from repro import Database, Schema, UINT32, UINT64
-from repro.errors import CatalogError, QueryError, SchemaError
+from repro.errors import CatalogError, QueryError, SchemaError, TxnConflictError
 from repro.wal.replay import recover
 
 SCHEMA = Schema.of(("id", UINT64), ("v", UINT32))
@@ -181,6 +181,37 @@ def test_refused_session_update_releases_its_claim():
     assert s2.update("t", 1, {"v": 3})
     s2.commit()
     assert t.lookup("pk", 1).values == {"id": 1, "v": 3}
+
+
+def test_session_update_fault_after_the_log_keeps_its_claim():
+    """A fault after the UPDATE is logged is not a refusal: the heap row
+    already holds the uncommitted change, so the claim must still keep
+    other transactions off the key.  A healed retry reuses the claim."""
+    db = Database(data_pool_pages=64, wal=True)
+    t = db.create_table("t", SCHEMA)
+    index = db.create_index("t", "pk", ("id",))
+    t.insert({"id": 1, "v": 10})
+    s1 = db.session()
+    s1.begin()
+
+    def fail(row, changed):
+        raise RuntimeError("injected index fault")
+
+    index.note_update = fail
+    log = db.wal.all_bytes()
+    with pytest.raises(RuntimeError, match="injected"):
+        s1.update("t", 1, {"v": 5})
+    assert db.wal.all_bytes() != log  # the UPDATE is logged
+    assert set(db.txn_manager._pending.values()) == {s1.txn_id}
+    s2 = db.session()
+    s2.begin()
+    with pytest.raises(TxnConflictError):
+        s2.update("t", 1, {"v": 7})
+    del index.note_update
+    assert s1.update("t", 1, {"v": 6})
+    s1.abort()
+    assert db.txn_manager._pending == {}
+    assert t.lookup("pk", 1).values == {"id": 1, "v": 10}
 
 
 def test_refused_session_insert_releases_its_claim():
