@@ -78,8 +78,3 @@ class IntermediateCache:
         """Drop every fragment of ``table`` (keys are ``(verb, table, ...)``)."""
         for key in [k for k in self._entries if k[1] == table]:
             del self._entries[key]
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0

@@ -12,9 +12,10 @@ calls ``plan_scan`` first — a ``None`` plan means "predicate not
 vectorizable, use the row path" and the table falls through *before*
 opening its profiler bracket, so an operation is never double-bracketed.
 
-Reset contract: ``reset_metrics`` hangs off
-``BufferPool.add_obs_reset_hook`` exactly like ``txn.*`` and
-``faults.*``, so ``reset_counters(reset_obs=True)`` zeroes the family.
+Reset contract: :meth:`MetricsRegistry.reset` zeroes the family like
+every other; :meth:`ColumnarManager.sync_gauges` folds the stores' and
+the cache's running totals in by delta, so the counters restart from
+zero with it.
 """
 
 from __future__ import annotations
@@ -162,34 +163,6 @@ class ColumnarManager:
         self._m_bytes_encoded.set(float(encoded))
         self._m_bytes_raw.set(float(raw))
         return encoded, raw
-
-    def reset_metrics(self) -> None:
-        """Zero ``columnar.*`` counters (the pool obs-reset contract).
-
-        Gauges re-sync to live state rather than zeroing: rows mirrored
-        and bytes encoded are facts about *now*, not about the window.
-        """
-        self.cache.reset_stats()
-        self._cache_hits_seen = 0
-        self._cache_misses_seen = 0
-        self._cache_invalidations_seen = 0
-        for store in self._stores.values():
-            store.rebuilds = 0
-            store.sealed_total = 0
-        self._rebuilds_seen = 0
-        self._sealed_seen = 0
-        for counter in (
-            self._m_scans,
-            self._m_aggregates,
-            self._m_fallbacks,
-            self._m_rebuilds,
-            self._m_sealed,
-            self._m_cache_hits,
-            self._m_cache_misses,
-            self._m_cache_invalidations,
-        ):
-            counter.reset()
-        self.sync_gauges()
 
 
 class TableColumnar:

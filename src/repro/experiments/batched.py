@@ -113,7 +113,6 @@ def _measure(
         db, table = _build(cached, n_rows, pool_pages, seed)
         pool = table.heap.pool
         answers = []
-        pool.reset_counters()
         start = pool.hits + pool.misses
         for batch in batches:
             if use_batch:

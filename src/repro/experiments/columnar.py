@@ -175,11 +175,11 @@ def run(
 
     # Reused: the repeated-shape loop as-is, cache warm from here on.
     manager.cache.clear()
-    manager.reset_metrics()
+    hits_before, misses_before = manager.cache.hits, manager.cache.misses
     col_scan_reused_s = _time_scans(table, predicates, use_columnar=True)
     col_agg_reused_s = _time_aggs(table, predicates, use_columnar=True)
-    cache_hits = manager.cache.hits
-    cache_misses = manager.cache.misses
+    cache_hits = manager.cache.hits - hits_before
+    cache_misses = manager.cache.misses - misses_before
 
     encoded, raw = manager.refresh_encoding_stats()
     return ColumnarResult(

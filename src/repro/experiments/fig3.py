@@ -118,7 +118,6 @@ def _measure(
     for rev_id in trace[:warmup]:
         lookup(rev_id)
     cost.reset()
-    pool.reset_counters()
     reads_before = pool.disk.reads
     measured = trace[warmup:]
     for rev_id in measured:

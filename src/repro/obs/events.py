@@ -230,8 +230,8 @@ class EventJournal:
         return "\n".join([head] + [e.format() for e in events])
 
     def clear(self) -> None:
-        """Drop retained events and reset sequence state (used by
-        ``reset_counters(reset_obs=True)``)."""
+        """Drop retained events and reset sequence state; the
+        ``events.*`` counters are the registry's to reset."""
         self._ring.clear()
         self._next_seq = 1
         self._shard_seqs.clear()

@@ -67,9 +67,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         self.value += delta
 
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 def bucket_index(value: float) -> int:
     """Log2 bucket for ``value``: 0 below 1, else ``1 + floor(log2 v)``,
@@ -257,9 +254,12 @@ class MetricsRegistry:
             yield name, self._instruments[name]
 
     def reset(self) -> None:
-        """Zero every instrument in place (cached references stay valid)."""
+        """Zero every counter and histogram in place (cached references
+        stay valid) — the engine's one metrics reset.  Gauges are levels
+        their owners set when state changes, so they keep their values."""
         for instrument in self._instruments.values():
-            instrument.reset()
+            if not isinstance(instrument, Gauge):
+                instrument.reset()
 
     def snapshot(self) -> dict:
         """Current values as a nested dict, deterministic key order.

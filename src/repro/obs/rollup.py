@@ -15,7 +15,7 @@ closes that gap with two pieces:
 
 * :meth:`FleetRollup.refresh` — materializes fleet-level aggregates as
   real ``fleet.*`` instruments in the facade registry: counters summed
-  (delta-incremented, so they stay monotonic and sampler-diffable),
+  (delta-incremented, so the sampler reads plain rates),
   gauges summed, log2 histograms *merged bucket-wise* (exact at bucket
   granularity), plus per-metric min/max/mean across shards and the
   headline skew gauge ``fleet.imbalance.heat`` = hottest shard's page
@@ -158,11 +158,11 @@ class FleetRollup:
     def refresh(self) -> dict[str, FleetStat]:
         """Re-materialize every ``fleet.<name>`` aggregate.
 
-        Counters are brought up to the cross-shard sum by *delta*
-        increments (monotonic: per-shard counters only grow between
-        refreshes, and shard resets route through the facade's
-        ``reset_counters`` which resets the fleet family too).  Gauges
-        are set to the sum; histograms are reset and bucket-merged.
+        Every ``fleet.<counter>`` ends equal to the cross-shard sum: it
+        is raised by the *delta* (so the sampler reads a plain rate), or,
+        when the sum is below it because a shard registry was reset, it
+        is reset and raised to the sum — the sampler's shrink rule.
+        Gauges are set to the sum; histograms are reset and bucket-merged.
         """
         merged: dict[str, list] = {}
         for reg in self._registries:
@@ -179,6 +179,8 @@ class FleetRollup:
                 values = [i.value for i in instruments]
                 total = sum(values)
                 fleet = self._target.counter(fleet_name)
+                if total < fleet.value:
+                    fleet.reset()
                 if total > fleet.value:
                     fleet.inc(total - fleet.value)
                 stats[name] = FleetStat(name, total, tuple(values))

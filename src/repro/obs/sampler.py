@@ -11,8 +11,9 @@ Per point:
 
 * **counters → rates** — events per simulated second over the window,
   guarded against zero-duration windows (rates are simply omitted) and
-  against counter resets (``reset_counters`` mid-run: a shrinking value
-  is treated as a restart, the post-reset value is the window's delta);
+  against counter resets (``MetricsRegistry.reset`` mid-run: a
+  shrinking value is treated as a restart, the post-reset value is the
+  window's delta);
 * **gauges → last** — instantaneous levels need no windowing;
 * **histograms → windowed p50/p95/p99** — quantiles of the *bucket
   deltas*, i.e. of only the values recorded inside the window, via the
@@ -236,7 +237,7 @@ class TelemetrySampler:
             elif isinstance(instrument, Counter):
                 value = instrument.value
                 prev_value = self._prev_counters.get(name, 0)
-                # reset_counters() mid-run shrinks the value; the honest
+                # A registry reset mid-run shrinks the value; the honest
                 # window delta is then the value itself (counter restarted
                 # from zero), not a negative rate.
                 delta = value - prev_value if value >= prev_value else value

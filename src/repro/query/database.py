@@ -322,10 +322,6 @@ class Database:
                 registry=self.metrics,
                 segment_rows=segment_rows or SEGMENT_ROWS,
             )
-            # Join the pool's full-obs-reset contract: a
-            # ``reset_counters(reset_obs=True)`` between experiment
-            # phases zeroes ``columnar.*`` alongside ``txn.*``/``wal.*``.
-            self.data_pool.add_obs_reset_hook(self.columnar.reset_metrics)
         for entry_name in self.catalog.table_names:
             self.columnar.attach(self.table(entry_name))
         return self.columnar
@@ -490,10 +486,6 @@ class Database:
             from repro.txn.manager import TransactionManager
 
             self._txn_manager = TransactionManager(self, registry=self.metrics)
-            # Join the pool's full-obs-reset contract: a
-            # ``reset_counters(reset_obs=True)`` between experiment
-            # phases zeroes ``txn.*`` alongside ``faults.*``/``wal.*``.
-            self.data_pool.add_obs_reset_hook(self._txn_manager.reset_metrics)
         return self._txn_manager
 
     def session(self) -> "Session":

@@ -540,6 +540,11 @@ class ShardedDatabase:
 
         return FleetRegistryView(self.metrics, self._shard_metrics)
 
+    def snapshot(self) -> dict:
+        """Parent snapshot with per-shard registries nested under
+        ``shard.<i>`` (so ``shard.0.bufferpool.hit`` is addressable)."""
+        return self.fleet_view().snapshot()
+
     def _shard_work(self, i: int) -> dict[str, float]:
         """Registry-derived work totals for shard ``i`` — two calls
         bracketing a fan-out span yield its delta attributes."""
@@ -765,45 +770,6 @@ class ShardedDatabase:
         if moved:
             self._m_migrations.inc()
         return moved
-
-    # -- obs contracts --------------------------------------------------------
-
-    def reset_counters(self, reset_obs: bool = False) -> None:
-        """Fan the buffer-pool reset contract out to every shard.
-
-        ``reset_obs=True`` additionally zeroes each shard's full
-        ``shard.<i>.*`` namespace (pool, faults, WAL, and every
-        registered reset hook — exactly what a single engine's
-        ``data_pool.reset_counters(reset_obs=True)`` covers) *and* the
-        parent ``shard.*``, ``trace.*``, ``events.*``, and ``fleet.*``
-        families — clearing the trace ring and event journal with them —
-        then re-syncs the level gauges.
-        """
-        for db in self._dbs:
-            db.data_pool.reset_counters(reset_obs=reset_obs)
-            if db.index_pool is not db.data_pool:
-                db.index_pool.reset_counters(reset_obs=False)
-        if reset_obs:
-            for name, instrument in self.metrics.items():
-                if name == "shard" or name.startswith(
-                    ("shard.", "trace.", "events.", "fleet.")
-                ):
-                    instrument.reset()
-            self._m_count.set(float(len(self._dbs)))
-            self.metrics.gauge("shard.router.overrides").set(
-                float(len(self.router.overrides))
-            )
-            if self.trace is not None:
-                self.trace.clear()
-            if self.journal is not None:
-                self.journal.clear()
-            if self.rollup is not None:
-                self.metrics.gauge("fleet.shards").set(float(len(self._dbs)))
-
-    def snapshot(self) -> dict:
-        """Parent snapshot with per-shard registries nested under
-        ``shard.<i>`` (so ``shard.0.bufferpool.hit`` is addressable)."""
-        return self.fleet_view().snapshot()
 
     # -- invariants -----------------------------------------------------------
 

@@ -95,11 +95,6 @@ class BufferPool:
         #: not import repro.wal).  When set, every write-back first calls
         #: ``wal.flush_to(frame.page_lsn)`` — the WAL rule.
         self.wal = wal
-        #: Extra ``reset_metrics()``-style callables run by
-        #: ``reset_counters(reset_obs=True)`` — lets higher layers (e.g.
-        #: the transaction manager's ``txn.*`` family) join the pool's
-        #: full-obs-reset contract without a storage -> txn import.
-        self._obs_reset_hooks: list = []
         self.capacity = capacity_pages
         self._cost = cost_hook
         self.retry_policy = (
@@ -154,16 +149,6 @@ class BufferPool:
         """Pages confirmed corrupt and fenced off from further I/O."""
         return frozenset(self._quarantined)
 
-    def add_obs_reset_hook(self, hook) -> None:
-        """Register a callable run by ``reset_counters(reset_obs=True)``.
-
-        Duck-typed like the ``wal`` attachment: higher layers whose
-        instruments belong to this pool's full-reset contract register
-        their own ``reset_metrics``-style callable.  Idempotent per hook.
-        """
-        if hook not in self._obs_reset_hooks:
-            self._obs_reset_hooks.append(hook)
-
     def set_capacity(self, capacity_pages: int) -> None:
         """Resize the pool in place (the adaptive partition knob).
 
@@ -202,53 +187,14 @@ class BufferPool:
             if f.dirty and f.rec_lsn > 0
         ]
 
-    def reset_counters(self, reset_obs: bool = False) -> None:
-        """Zero hit/miss/eviction counters between experiment phases.
-
-        By default only the *local* counters (``hits``/``misses``/
-        ``evictions``, what :attr:`hit_rate` reads) are zeroed; the shared
-        obs counters keep accumulating so a run-wide metrics snapshot
-        still sums every phase.  Pass ``reset_obs=True`` to zero those
-        too — e.g. when ``format_report`` rows should agree with
-        :attr:`hit_rate` for a single phase.
-
-        Contract: ``reset_obs=True`` resets **every** counter this pool
-        increments — the ``bufferpool.*`` family (including the
-        ``bufferpool.batch.*`` batching counters) *and* the ``faults.*``
-        family (detected/recovered/unrecoverable/retries) the pool bumps
-        on its integrity path.  Note that registry counters are shared by
-        name: another component writing the same ``faults.*`` names (e.g.
-        a second pool on the same registry) sees its contributions zeroed
-        as well.  Hooks added with
-        :meth:`add_obs_reset_hook` (e.g. the transaction manager's
-        ``txn.*`` reset) run last.  The ``resident_pages`` gauge is
-        re-synced either way
-        (it reflects the pool's current state, not a phase).
-        """
+    def reset_counters(self) -> None:
+        """Zero ``hits``/``misses``/``evictions`` (what :attr:`hit_rate`
+        reads) between experiment phases.  The registry's
+        ``bufferpool.*`` counters keep summing the whole run;
+        :meth:`MetricsRegistry.reset` is the one way to zero those."""
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if reset_obs:
-            self._m_hit.reset()
-            self._m_miss.reset()
-            self._m_eviction.reset()
-            self._m_writeback.reset()
-            self._m_batch_requests.reset()
-            self._m_batch_distinct.reset()
-            self._m_temperature.reset()
-            self._m_detected.reset()
-            self._m_recovered.reset()
-            self._m_unrecoverable.reset()
-            self._m_retries.reset()
-            if self.wal is not None:
-                # Same contract, extended: an attached WAL writer's
-                # ``wal.*`` instruments are counters this pool's write
-                # path drives (via flush_to), so a full obs reset zeroes
-                # them too.
-                self.wal.reset_metrics()
-            for hook in self._obs_reset_hooks:
-                hook()
-        self._m_resident.set(len(self._frames))
 
     # -- page lifecycle ------------------------------------------------------
 

@@ -107,23 +107,6 @@ class TransactionManager:
         self._m_tracked = reg.gauge("txn.tracked_keys")
         self._m_snapshot_age = reg.histogram("txn.snapshot_age")
 
-    def reset_metrics(self) -> None:
-        """Zero the ``txn.*`` counters and histogram; re-sync the gauges.
-
-        Same contract as the pool's ``faults.*`` reset: counters restart
-        from zero for a fresh experiment phase, while ``txn.active`` and
-        ``txn.tracked_keys`` are state gauges and re-read current state.
-        """
-        self._m_sessions.reset()
-        self._m_begins.reset()
-        self._m_commits.reset()
-        self._m_aborts.reset()
-        self._m_conflicts.reset()
-        self._m_undo.reset()
-        self._m_snapshot_age.reset()
-        self._m_active.set(float(len(self._active)))
-        self._m_tracked.set(float(len(self._versions)))
-
     # -- properties ----------------------------------------------------------
 
     @property

@@ -344,16 +344,6 @@ class WalWriter:
         ``device.data``)."""
         return self.device.data + b"".join(self._buffer)
 
-    def reset_metrics(self) -> None:
-        """Zero every ``wal.*`` instrument this writer increments."""
-        self._m_records.reset()
-        self._m_bytes.reset()
-        self._m_flushes.reset()
-        self._m_batch.reset()
-        self._m_checkpoints.reset()
-        for counter in self._m_kind.values():
-            counter.reset()
-
     # -- internals -----------------------------------------------------------
 
     def _resolve(self, lsn: int | None) -> int:

@@ -224,9 +224,8 @@ def test_unknown_aggregate_op_rejected():
 
 
 def test_reset_obs_zeroes_columnar_family():
-    """The PR-3/PR-7 reset contract extended to ``columnar.*``:
-    ``reset_counters(reset_obs=True)`` zeroes the family's counters
-    while gauges re-sync to live state."""
+    """``registry.reset()`` zeroes the ``columnar.*`` counters while the
+    gauges keep describing live state."""
     db, table, manager = make_db()
     list(table.scan(ColumnEq("cat", "c1")))
     list(table.scan(ColumnEq("cat", "c1")))
@@ -234,7 +233,7 @@ def test_reset_obs_zeroes_columnar_family():
     family = db.metrics.snapshot()["columnar"]
     assert family["scans"] == 2 and family["aggregates"] == 1
     assert family["cache"]["hits"] == 1
-    db.data_pool.reset_counters(reset_obs=True)
+    db.metrics.reset()
     family = db.metrics.snapshot()["columnar"]
     assert family["scans"] == 0
     assert family["aggregates"] == 0

@@ -186,7 +186,7 @@ def test_reset_counters_zeroes_wal_metrics():
     assert wal_stats["checkpoints"] == 1
     assert wal_stats["kind"]["insert"] == 20
 
-    db.data_pool.reset_counters(reset_obs=True)
+    metrics.reset()
     wal_stats = metrics.snapshot()["wal"]
     assert wal_stats["records"] == 0
     assert wal_stats["bytes"] == 0
@@ -194,6 +194,9 @@ def test_reset_counters_zeroes_wal_metrics():
     assert wal_stats["checkpoints"] == 0
     assert wal_stats["kind"]["insert"] == 0
     assert wal_stats["group_commit"]["batch_records"]["count"] == 0
+    # The writer keeps counting from zero.
+    table.insert({"id": 20, "name": "x", "score": 20})
+    assert metrics.snapshot()["wal"]["kind"]["insert"] == 1
 
 
 def test_wal_on_and_off_runs_agree_and_group_commit_batches():

@@ -348,6 +348,96 @@ def test_no_parameter_is_set_by_nobody():
     assert sorted(SET_BY_NOBODY.keys() - unset) == []
 
 
+# -- one metrics reset ----------------------------------------------------------
+
+#: ``(file under src/repro/, qualname)`` that may reset an instrument it
+#: holds, and why.
+INSTRUMENT_RESETS = {
+    ("obs/rollup.py", "FleetRollup.refresh"):
+        "rebuilds fleet.* from the shard registries: each histogram is "
+        "re-merged, a counter above the shard sum is reset and raised to it",
+}
+
+#: Names of the per-component reset paths ``MetricsRegistry.reset`` replaced.
+GONE_RESET_METHODS = {"reset_metrics", "reset_stats", "add_obs_reset_hook"}
+
+
+def _instrument_locals(fn: ast.FunctionDef) -> set[str]:
+    """Names ``fn`` binds to an instrument: the result of a registry's
+    ``counter``/``gauge``/``histogram``/``get``, or a loop variable over an
+    expression that reads an ``_m_*`` attribute or a registry's
+    ``items()``/``values()``."""
+    def reads_instruments(node: ast.AST) -> bool:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr.startswith("_m_"):
+                return True
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in ("items", "values")
+                    and re.search(r"metrics|reg", ast.unparse(sub.func.value))):
+                return True
+        return False
+
+    bound = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if isinstance(func, ast.Attribute) and func.attr in (
+                "counter", "gauge", "histogram", "get"
+            ):
+                bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.For) and reads_instruments(node.iter):
+            bound |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+    return bound
+
+
+def _reset_paths(src_root: Path) -> tuple[set, list[str]]:
+    """``(functions that reset an instrument, per-component reset paths)``
+    under ``src_root`` (a ``src/repro`` tree), ``obs/registry.py`` aside."""
+    resets, paths = set(), []
+
+    def visit(rel: str, node: ast.AST, owner: str | None = None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(rel, child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{owner}.{child.name}" if owner else child.name
+                if child.name in GONE_RESET_METHODS:
+                    paths.append(f"{rel}: def {qual}")
+                args = child.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg == "reset_obs":
+                        paths.append(f"{rel}: {qual}(reset_obs)")
+                held = _instrument_locals(child)
+                for call in ast.walk(child):
+                    if not (isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "reset"):
+                        continue
+                    receiver = call.func.value
+                    if (isinstance(receiver, ast.Attribute) and receiver.attr.startswith("_m_")
+                            or isinstance(receiver, ast.Name) and receiver.id in held):
+                        resets.add((rel, qual))
+                visit(rel, child, owner)
+
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        if rel != "obs/registry.py":
+            visit(rel, ast.parse(path.read_text()))
+    return resets, paths
+
+
+def test_only_the_registry_zeroes_instruments():
+    """``MetricsRegistry.reset`` is the engine's one metrics reset (DESIGN.md
+    §3): no function under ``src/`` resets an instrument it holds, unless
+    ``INSTRUMENT_RESETS`` says why, and no per-component reset path
+    (``reset_obs``, ``reset_metrics``, ``reset_stats``,
+    ``add_obs_reset_hook``) comes back."""
+    resets, paths = _reset_paths(SRC / "repro")
+    assert sorted(resets - INSTRUMENT_RESETS.keys()) == []
+    assert sorted(INSTRUMENT_RESETS.keys() - resets) == []
+    assert paths == []
+
+
 # -- the one eviction policy ---------------------------------------------------
 
 #: Victim of each of the 200 fetches ("." = none): page index 0-9.
@@ -371,7 +461,8 @@ def test_lru_trace_is_pinned():
         pool.unpin(pids[-1], dirty=True)
     pool.flush_all()
     pool.drop_clean()
-    pool.reset_counters(reset_obs=True)
+    pool.reset_counters()
+    registry.reset()
 
     trace = [
         i % 2 if i % 3 == 0 else 2 + (i * 5 + i // 7) % 8 for i in range(200)

@@ -152,6 +152,35 @@ def test_reset_zeroes_in_place():
     assert reg.counter("c").value == 1
 
 
+def test_reset_leaves_level_gauges_live():
+    """A gauge is a level its owner sets when state changes, not a count:
+    after ``db.metrics.reset()`` the resident-page count, the pool knob
+    and the open-transaction count still describe the engine."""
+    from repro.query.database import Database
+    from repro.schema import UINT32, Schema
+
+    db = Database(data_pool_pages=64, wal=False)
+    table = db.create_table("t", Schema.of(("id", UINT32), ("v", UINT32)))
+    db.create_index("t", "pk", ("id",))
+    table.insert({"id": 1, "v": 1})
+    session = db.session()
+    session.begin()
+    resident = db.data_pool.resident_pages
+    assert resident > 0
+    db.metrics.reset()
+    assert db.metrics.gauge("bufferpool.resident_pages").value == resident
+    assert db.metrics.gauge("adaptive.knob.pool.data_pages").value == 64
+    assert db.metrics.gauge("txn.active").value == 1
+    # A pool hit moves no level: the gauge still reads the live count.
+    assert table.lookup("pk", 1).found
+    assert db.metrics.counter("bufferpool.hit").value > 0
+    assert db.metrics.gauge("bufferpool.resident_pages").value == (
+        db.data_pool.resident_pages
+    )
+    session.commit()
+    assert db.metrics.gauge("txn.active").value == 0
+
+
 def test_null_registry_is_inert():
     null = NullRegistry()
     c = null.counter("anything")

