@@ -41,6 +41,17 @@ from repro.util.rng import DeterministicRng
 #: Geometries one cache keeps, oldest dropped first (an index sees hundreds).
 GEOMETRY_MEMO_CAP = 1024
 
+#: ``CacheStats`` fields the registry reads (``MetricsRegistry.adopt``).
+_ADOPTED = {
+    "probes": "index_cache.swap.probes",
+    "hits": "index_cache.swap.hit",
+    "misses": "index_cache.swap.miss",
+    "promotions": "index_cache.swap.promotions",
+    "inserts": "index_cache.swap.inserts",
+    "evictions": "index_cache.swap.evictions",
+    "skipped_no_room": "index_cache.swap.skipped_no_room",
+}
+
 
 @dataclass
 class CacheStats:
@@ -88,14 +99,7 @@ class IndexCache:
         self.policy = policy
         self._geometries: dict[tuple[int, int, int], CacheGeometry] = {}
         self.stats = CacheStats()
-        reg = resolve_registry(registry)
-        self._m_probe = reg.counter("index_cache.swap.probes")
-        self._m_hit = reg.counter("index_cache.swap.hit")
-        self._m_miss = reg.counter("index_cache.swap.miss")
-        self._m_promotion = reg.counter("index_cache.swap.promotions")
-        self._m_insert = reg.counter("index_cache.swap.inserts")
-        self._m_eviction = reg.counter("index_cache.swap.evictions")
-        self._m_no_room = reg.counter("index_cache.swap.skipped_no_room")
+        resolve_registry(registry).adopt(self.stats, _ADOPTED)
 
     # -- geometry ------------------------------------------------------------
 
@@ -229,20 +233,16 @@ class IndexCache:
         """
         geo = self.geometry(page)
         self.stats.probes += 1
-        self._m_probe.inc()
         found = self.find(page, geo, tuple_id)
         if found is None:
             self.stats.misses += 1
-            self._m_miss.inc()
             return None
         slot, payload = found
         self.stats.hits += 1
-        self._m_hit.inc()
         target = self.policy.on_hit(geo, slot, page.page_id)
         if target is not None and target != slot:
             self._swap_slots(page, geo, slot, target)
             self.stats.promotions += 1
-            self._m_promotion.inc()
         return payload
 
     def insert(
@@ -256,22 +256,18 @@ class IndexCache:
         geo = self.geometry(page)
         if geo.num_slots == 0:
             self.stats.skipped_no_room += 1
-            self._m_no_room.inc()
             return False
         free, occupied = self.occupancy(page, geo)
         slot = self.policy.choose_slot(geo, free, occupied, page.page_id)
         if slot is None:
             self.stats.skipped_no_room += 1
-            self._m_no_room.inc()
             return False
         if slot in occupied:
             self.stats.evictions += 1
-            self._m_eviction.inc()
             self.policy.on_evict(slot, page.page_id)
         self.write_slot(page, geo, slot, tuple_id, payload)
         self.policy.on_insert(slot, page.page_id)
         self.stats.inserts += 1
-        self._m_insert.inc()
         return True
 
     def invalidate_tuple(self, page: SlottedPage, tuple_id: bytes) -> bool:

@@ -42,6 +42,17 @@ from repro.util.rng import DeterministicRng
 #: Projections one index keeps a resolved plan for, oldest dropped first.
 PLAN_CAP = 32
 
+#: ``CachedIndexStats`` fields the registry reads (``MetricsRegistry.adopt``).
+_ADOPTED = {
+    "lookups": "index_cache.lookup",
+    "answered_from_cache": "index_cache.hit",
+    "heap_fetches": "index_cache.heap_fetch",
+    "not_answerable": "index_cache.not_answerable",
+    "cache_fills": "index_cache.fill",
+    "fills_skipped_latch": "index_cache.fill_skipped_latch",
+    "fills_skipped_admission": "index_cache.fill_skipped_admission",
+}
+
 
 @dataclass
 class CachedIndexStats:
@@ -167,18 +178,11 @@ class CachedBTree:
         self.cache_admission = 1.0
         self._admission_credit = 0.0
         reg = resolve_registry(registry)
-        self._m_lookup = reg.counter("index_cache.lookup")
-        self._m_hit = reg.counter("index_cache.hit")
-        self._m_miss = reg.counter("index_cache.miss")
-        self._m_heap_fetch = reg.counter("index_cache.heap_fetch")
-        self._m_not_answerable = reg.counter("index_cache.not_answerable")
-        self._m_fill = reg.counter("index_cache.fill")
-        self._m_fill_skipped = reg.counter("index_cache.fill_skipped_latch")
-        self._m_fill_skipped_admission = reg.counter(
-            "index_cache.fill_skipped_admission"
-        )
         self._m_admission_knob = reg.gauge("adaptive.knob.index_cache.admission")
         self._m_admission_knob.set(self.cache_admission)
+        reg.adopt(self.stats, _ADOPTED)
+        # a probe that finds nothing is a cache miss: the cache counts it
+        reg.adopt(self.cache.stats, {"misses": "index_cache.miss"})
 
     # -- properties ----------------------------------------------------------
 
@@ -238,7 +242,6 @@ class CachedBTree:
         plan = self._plans[tuple(project) if type(project) is list else project]
         key = self.encode_key(key_value)
         self.stats.lookups += 1
-        self._m_lookup.inc()
         if self._cost is not None:
             self._cost.on_index_descent()
         leaf_id = self.tree.find_leaf(key)
@@ -260,18 +263,14 @@ class CachedBTree:
                 payload = self.cache.probe(page, tid)
                 if payload is not None:
                     self.stats.answered_from_cache += 1
-                    self._m_hit.inc()
                     values = self._assemble(plan, key, payload)
                     return LookupResult(values, found=True, from_cache=True)
-                self._m_miss.inc()
             else:
                 self.stats.not_answerable += 1
-                self._m_not_answerable.inc()
             # Cache miss (or unanswerable projection): go to the heap.
             rid = Rid.from_bytes(tid)
             record = self.heap.fetch(rid)
             self.stats.heap_fetches += 1
-            self._m_heap_fetch.inc()
             values = unpack_fields(self._schema, record, plan[0])
             self._fill_cache(page, tid, record)
             return LookupResult(values, found=True, from_cache=False)
@@ -312,7 +311,6 @@ class CachedBTree:
                 self._validate(page)
             for key in run:
                 self.stats.lookups += 1
-                self._m_lookup.inc()
                 pos, found = page.bisect(key)
                 if not found:
                     by_key[key] = LookupResult(None, found=False, from_cache=False)
@@ -325,17 +323,14 @@ class CachedBTree:
                     payload = self.cache.probe(page, tid)
                     if payload is not None:
                         self.stats.answered_from_cache += 1
-                        self._m_hit.inc()
                         by_key[key] = LookupResult(
                             self._assemble(plan, key, payload),
                             found=True,
                             from_cache=True,
                         )
                         continue
-                    self._m_miss.inc()
                 else:
                     self.stats.not_answerable += 1
-                    self._m_not_answerable.inc()
                 misses.append((key, Rid.from_bytes(tid), leaf_id))
         if misses:
             records = self.heap.fetch_many([rid for _, rid, _ in misses])
@@ -343,7 +338,6 @@ class CachedBTree:
             for key, rid, leaf_id in misses:
                 record = records[rid]
                 self.stats.heap_fetches += 1
-                self._m_heap_fetch.inc()
                 by_key[key] = LookupResult(
                     unpack_fields(self._schema, record, plan[0]),
                     found=True,
@@ -443,15 +437,12 @@ class CachedBTree:
             self._admission_credit += self.cache_admission
             if self._admission_credit < 1.0:
                 self.stats.fills_skipped_admission += 1
-                self._m_fill_skipped_admission.inc()
                 return
             self._admission_credit -= 1.0
         if not self.latch.try_acquire():
             self.stats.fills_skipped_latch += 1
-            self._m_fill_skipped.inc()
             return
         fields = unpack_fields(self._schema, record, self._payload_schema.names)
         payload = pack_record_map(self._payload_schema, fields)
         if self.cache.insert(page, tid, payload):
             self.stats.cache_fills += 1
-            self._m_fill.inc()

@@ -66,10 +66,11 @@ class CacheInvalidation:
         self.full_invalidations = 0
         self.predicates_logged = 0
         self.pages_zeroed = 0
-        reg = resolve_registry(registry)
-        self._m_csn = reg.counter("index_cache.invalidation.csn")
-        self._m_predicates = reg.counter("index_cache.invalidation.predicates")
-        self._m_zeroed = reg.counter("index_cache.invalidation.pages_zeroed")
+        resolve_registry(registry).adopt(self, {
+            "full_invalidations": "index_cache.invalidation.csn",
+            "predicates_logged": "index_cache.invalidation.predicates",
+            "pages_zeroed": "index_cache.invalidation.pages_zeroed",
+        })
 
     # -- properties ----------------------------------------------------------
 
@@ -110,7 +111,6 @@ class CacheInvalidation:
         """Record that the tuple with index key ``key`` was modified."""
         self._log.append(UpdatePredicate(bytes(key)))
         self.predicates_logged += 1
-        self._m_predicates.inc()
         if len(self._log) > self.log_threshold:
             self.invalidate_all()
 
@@ -119,7 +119,6 @@ class CacheInvalidation:
         self.csn_index = (self.csn_index + 1) & _POS_MASK or 1
         self._log.clear()
         self.full_invalidations += 1
-        self._m_csn.inc()
 
     # -- read-side ---------------------------------------------------------------
 
@@ -148,7 +147,6 @@ class CacheInvalidation:
             cache.zero_window(page)
             self._stamp(page)
             self.pages_zeroed += 1
-            self._m_zeroed.inc()
             return True
         if pos_p < current_pos and first_key is not None and last_key is not None:
             for predicate in self._log[pos_p:current_pos]:
@@ -156,7 +154,6 @@ class CacheInvalidation:
                     cache.zero_window(page)
                     self._stamp(page)
                     self.pages_zeroed += 1
-                    self._m_zeroed.inc()
                     return True
         self._stamp(page)
         return False
@@ -182,7 +179,6 @@ class CacheInvalidation:
             cache.zero_window(page)
             self._stamp(page)
             self.pages_zeroed += 1
-            self._m_zeroed.inc()
             return True
         if pos_p < current_pos:
             tids = [tid for _, tid, _ in cache.entries(page)]
@@ -193,7 +189,6 @@ class CacheInvalidation:
                         cache.zero_window(page)
                         self._stamp(page)
                         self.pages_zeroed += 1
-                        self._m_zeroed.inc()
                         return True
         self._stamp(page)
         return False

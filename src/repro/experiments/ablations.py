@@ -21,6 +21,7 @@
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from repro.btree.tree import BPlusTree
@@ -38,7 +39,7 @@ from repro.core.index_cache.policy import (
 )
 from repro.core.semantic_ids.embedding import EmbeddedId, plan_reassignment
 from repro.core.semantic_ids.routing import RoutingComparison, compare_routers
-from repro.experiments.runner import print_table
+from repro.experiments.runner import print_table, since
 from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
@@ -111,11 +112,10 @@ def _policy_run(
     zipf = ZipfianDistribution(n_rows, _ALPHA, DeterministicRng(zipf_seed))
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
-    index.stats.found = 0
-    index.stats.answered_from_cache = 0
+    before = copy(index.stats)
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
-    stable = index.stats.cache_answer_rate
+    stable = since(index.stats, before).cache_answer_rate
 
     # Growth phase: fresh build, then interleave lookups with inserts of
     # odd ids — leaf splits and key growth eat cache slots tree-wide.
@@ -124,8 +124,7 @@ def _policy_run(
     grow_rng = DeterministicRng(seed + 5)
     for _ in range(n_lookups):
         index.lookup(2 * zipf.sample(), project)
-    index.stats.found = 0
-    index.stats.answered_from_cache = 0
+    before = copy(index.stats)
     odd_ids = [2 * i + 1 for i in range(n_rows)]
     grow_rng.shuffle(odd_ids)
     inserted = 0
@@ -137,7 +136,7 @@ def _policy_run(
             table.insert(
                 {"id": new_id, "val_a": 1, "val_b": 2, "pad": "y"}
             )
-    growth = index.stats.cache_answer_rate
+    growth = since(index.stats, before).cache_answer_rate
     return PolicyAblationRow(
         policy=make_policy(DeterministicRng(0)).__class__.__name__,
         hit_rate_stable=stable,
@@ -206,8 +205,7 @@ def run_threshold_ablation(
         project = ("id", "val_a", "val_b")
         for _ in range(n_ops):  # warm
             index.lookup(zipf.sample(), project)
-        index.stats.found = 0
-        index.stats.answered_from_cache = 0
+        before = copy(index.stats)
         for _ in range(n_ops):
             key = zipf.sample()
             if rng.random() < _UPDATE_FRACTION:
@@ -217,7 +215,7 @@ def run_threshold_ablation(
         rows.append(
             ThresholdAblationRow(
                 threshold=threshold,
-                hit_rate=index.stats.cache_answer_rate,
+                hit_rate=since(index.stats, before).cache_answer_rate,
                 full_invalidations=invalidation.full_invalidations,
                 pages_zeroed=invalidation.pages_zeroed,
             )
@@ -385,18 +383,20 @@ def run_covering_ablation(
             one_lookup()
         pool.reset_counters()
         reads_before = pool.disk.reads
-        stats = index.stats
-        stats.found = 0
-        if hasattr(stats, "answered_from_cache"):
-            stats.answered_from_cache = 0
-            answered = lambda: stats.answered_from_cache  # noqa: E731
-        else:
-            stats.answered_from_index = 0
-            answered = lambda: stats.answered_from_index  # noqa: E731
+        covering = isinstance(index, CoveringIndex)
+        if covering:
+            # no registry reads the covering index's counts, and the A5 pin
+            # reads this one as the measured phase's
+            index.stats.answered_from_index = 0
+        before = copy(index.stats)
         for _ in range(n_lookups):
             one_lookup()
+        phase = since(index.stats, before)
+        answered = (
+            phase.answered_from_index if covering else phase.answered_from_cache
+        )
         return (
-            answered() / stats.found if stats.found else 0.0,
+            answered / phase.found if phase.found else 0.0,
             (pool.disk.reads - reads_before) / n_lookups,
         )
 

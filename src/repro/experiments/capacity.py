@@ -17,12 +17,13 @@ Two parts:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from repro.btree.stats import collect_stats
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
-from repro.experiments.runner import print_table
+from repro.experiments.runner import print_table, since
 from repro.query.table import Table
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -133,11 +134,7 @@ def run_measured(
     trace = name_title_lookup_trace(data, n_lookups, seed=seed + 5)
     for key in trace[: n_lookups // 2]:
         index.lookup(key, QUERY_PROJECTION)
-    index.stats.lookups = 0
-    index.stats.found = 0
-    index.stats.answered_from_cache = 0
-    index.cache.stats.probes = 0
-    index.cache.stats.hits = 0
+    index_before, cache_before = copy(index.stats), copy(index.cache.stats)
     for key in trace[n_lookups // 2 :]:
         index.lookup(key, QUERY_PROJECTION)
 
@@ -148,8 +145,8 @@ def run_measured(
         item_size=index.cache.item_size,
         cache_capacity=capacity,
         tuple_coverage=capacity / n_pages,
-        trace_hit_rate=index.cache.stats.hit_rate,
-        answered_from_cache=index.stats.cache_answer_rate,
+        trace_hit_rate=since(index.cache.stats, cache_before).hit_rate,
+        answered_from_cache=since(index.stats, index_before).cache_answer_rate,
     )
 
 

@@ -20,11 +20,12 @@ Two reproductions:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 from repro.btree.tree import BPlusTree
 from repro.core.index_cache.cached_index import CachedBTree
-from repro.experiments.runner import print_table
+from repro.experiments.runner import print_table, since
 from repro.query.table import PlainIndex, Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
@@ -162,13 +163,11 @@ def run_engine(
     for _ in range(n_lookups):
         cached_idx.lookup(zipf2.sample(), project)
     model_c.reset()
-    cached_idx.stats.lookups = 0
-    cached_idx.stats.found = 0
-    cached_idx.stats.answered_from_cache = 0
+    before = copy(cached_idx.stats)
     for _ in range(n_lookups):
         cached_idx.lookup(zipf2.sample(), project)
     cache_us = model_c.now_ns / n_lookups / NS_PER_US
-    hit_rate = cached_idx.stats.cache_answer_rate
+    hit_rate = since(cached_idx.stats, before).cache_answer_rate
 
     predicted = CostModel(preset).expected_lookup_ns(hit_rate, 1.0) / NS_PER_US
     return EngineValidation(

@@ -1,8 +1,12 @@
-"""Shared experiment utilities: table printing and oracle hit rates."""
+"""Shared experiment utilities: table printing, phase counts and oracle
+hit rates."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import fields, replace
+from typing import Sequence, TypeVar
+
+S = TypeVar("S")
 
 
 def print_table(
@@ -38,6 +42,18 @@ def _fmt(value: object) -> str:
             return f"{value:.3g}"
         return f"{value:.3f}"
     return str(value)
+
+
+def since(stats: S, baseline: S) -> S:
+    """One phase's counts: the stats dataclass ``stats`` minus a
+    ``copy(stats)`` taken when the phase began, field by field.  A
+    component's counts are the registry's too, so a phase is measured from
+    a baseline, never by zeroing them; rates then come from the same
+    integer deltas a zeroed count would have read."""
+    return replace(stats, **{
+        f.name: getattr(stats, f.name) - getattr(baseline, f.name)
+        for f in fields(stats)
+    })
 
 
 def oracle_hit_rate(n_items: int, alpha: float, cache_fraction: float) -> float:

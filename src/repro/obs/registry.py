@@ -14,11 +14,21 @@ Names are dot-separated paths (``index_cache.swap.promotions``);
 :meth:`MetricsRegistry.snapshot` folds them back into nested dicts so
 experiments and benchmarks consume one machine-readable tree.
 
-:class:`NullRegistry` implements the same surface as no-ops.  Hot paths
-hold instrument references obtained at construction time, so with the
-null registry an instrumented event costs one empty method call —
-cost-model outputs are bit-identical with observability on or off,
-because no instrument ever touches the RNG or the simulated clock.
+One count per event.  A component that counts an event in a plain int
+field (``BufferPool.hits``, ``CacheStats.probes``) owns that count:
+:meth:`MetricsRegistry.adopt` hands the ``(holder, field)`` pair to the
+named counter, whose :attr:`Counter.value` is its own ``inc()`` total
+plus every adopted field, read when asked.  The hot path bumps the field
+and nothing else, and a component counts whatever its registry — one
+built on :data:`NULL_REGISTRY` still counts, and that registry adopts
+nothing.  What a registry adopts it keeps alive for its own lifetime
+(DESIGN.md §5b).  An event with no owning field is counted with
+:meth:`Counter.inc` on an instrument looked up once at construction.
+
+:class:`NullRegistry` implements the same surface as no-ops, so with the
+null registry an ``inc`` costs one empty method call — cost-model
+outputs are bit-identical with observability on or off, because no
+instrument ever touches the RNG or the simulated clock.
 """
 
 from __future__ import annotations
@@ -37,20 +47,31 @@ HISTOGRAM_BUCKETS = 64
 
 
 class Counter:
-    """A monotonically increasing event count."""
+    """A monotonically increasing event count: direct :meth:`inc` calls
+    plus the ``(holder, field)`` counts :meth:`MetricsRegistry.adopt`
+    hands it."""
 
-    __slots__ = ("value",)
+    __slots__ = ("_direct", "_sources")
 
     def __init__(self) -> None:
-        self.value = 0
+        self._direct = 0
+        self._sources: list[tuple[object, str]] = []
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ObservabilityError("counters are monotonic; inc needs n >= 0")
-        self.value += n
+        self._direct += n
+
+    @property
+    def value(self) -> int:
+        total = self._direct
+        for holder, field in self._sources:
+            total += getattr(holder, field)
+        return total
 
     def reset(self) -> None:
-        self.value = 0
+        """Read 0 from here on; adopted fields keep their own counts."""
+        self._direct -= self.value
 
 
 class Gauge:
@@ -241,6 +262,17 @@ class MetricsRegistry:
                     f"{'.'.join(parts[:i])!r}"
                 )
 
+    def adopt(self, holder: object, fields: dict[str, str]) -> None:
+        """Count ``holder``'s int fields into counters: ``{field: name}``.
+
+        The counter named ``name`` reads ``holder.<field>`` on every
+        :attr:`Counter.value` from now on; the registry keeps ``holder``
+        alive to do so.  Several holders may feed one name (two pools sum
+        into ``bufferpool.hit``), and one field may feed several names.
+        """
+        for field, name in fields.items():
+            self.counter(name)._sources.append((holder, field))
+
     # -- introspection -------------------------------------------------------
 
     def names(self) -> list[str]:
@@ -335,6 +367,9 @@ class NullRegistry(MetricsRegistry):
 
     def counter(self, name: str) -> Counter:
         return self._COUNTER
+
+    def adopt(self, holder: object, fields: dict[str, str]) -> None:
+        pass
 
     def gauge(self, name: str) -> Gauge:
         return self._GAUGE

@@ -90,11 +90,12 @@ class FkJoinCache:
         self.invalidation = CacheInvalidation(registry=registry)
         parent.attach_write_observer(self)
         self.stats = JoinStats()
-        reg = resolve_registry(registry)
-        self._m_probe = reg.counter("query.join.probes")
-        self._m_hit = reg.counter("query.join.hit")
-        self._m_parent_lookup = reg.counter("query.join.parent_lookups")
-        self._m_invalidation = reg.counter("query.join.stale_invalidations")
+        resolve_registry(registry).adopt(self.stats, {
+            "probes": "query.join.probes",
+            "cache_hits": "query.join.hit",
+            "parent_lookups": "query.join.parent_lookups",
+            "invalidations": "query.join.stale_invalidations",
+        })
 
     # -- parent write observation (invalidation) -----------------------------
 
@@ -151,7 +152,6 @@ class FkJoinCache:
         self, child_rid: Rid, project: tuple[str, ...]
     ) -> dict[str, object]:
         self.stats.probes += 1
-        self._m_probe.inc()
         child_cols, parent_cols, fetch_cols = self._split_projection(project)
 
         pool = self._child.heap.pool
@@ -166,7 +166,6 @@ class FkJoinCache:
             payload = self.cache.probe(page, tid)
             if payload is not None:
                 self.stats.cache_hits += 1
-                self._m_hit.inc()
                 parent_values = dict(
                     zip(
                         self._payload_schema.names,
@@ -179,7 +178,6 @@ class FkJoinCache:
                     project=tuple(self._payload_schema.names),
                 )
                 self.stats.parent_lookups += 1
-                self._m_parent_lookup.inc()
                 if not result.found or result.values is None:
                     raise QueryError(
                         f"dangling foreign key {self._fk_column}={fk_value!r}"
@@ -226,7 +224,6 @@ class FkJoinCache:
             for pos, rid in enumerate(child_rids):
                 page = pages[rid.page_id]
                 self.stats.probes += 1
-                self._m_probe.inc()
                 record = page.read(rid.slot)
                 row = unpack_fields(self._child.schema, record, fetch_cols)
                 if not parent_cols:
@@ -240,7 +237,6 @@ class FkJoinCache:
                     misses.append((pos, row, fk_value, tid, rid.page_id))
                     continue
                 self.stats.cache_hits += 1
-                self._m_hit.inc()
                 parent_values = dict(
                     zip(
                         self._payload_schema.names,
@@ -260,7 +256,6 @@ class FkJoinCache:
                 project=tuple(self._payload_schema.names),
             )
             self.stats.parent_lookups += len(misses)
-            self._m_parent_lookup.inc(len(misses))
             by_page: dict[int, list[tuple[bytes, bytes]]] = {}
             filled: set[tuple[int, bytes]] = set()
             for (pos, row, fk_value, tid, page_id), result in zip(
@@ -315,4 +310,3 @@ class FkJoinCache:
     def _validate(self, page) -> None:
         if self.invalidation.validate_heap_page(page, self.cache):
             self.stats.invalidations += 1
-            self._m_invalidation.inc()

@@ -24,7 +24,7 @@ CostHook`, so full-engine experiments (Fig. 3) charge the same constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,35 +58,25 @@ PAPER_PRESET = CostPreset()
 END_TO_END_PRESET = CostPreset(query_overhead_ns=400_000.0)
 
 
-@dataclass
-class _Counters:
-    bp_hits: int = 0
-    bp_misses: int = 0
-    disk_writes: int = 0
-    cache_probes: int = 0
-    index_descents: int = 0
-
-
 class CostModel:
     """A simulated clock charged per storage event.
 
     Implements the buffer pool's cost hook protocol (``on_bp_hit`` /
     ``on_bp_miss`` / ``on_disk_write``) and offers explicit charges for the
     index-path events the buffer pool cannot see (descents, cache probes).
+    It keeps no event counts: the pool and the index path own theirs.
     """
 
     def __init__(self, preset: CostPreset = PAPER_PRESET) -> None:
         self.preset = preset
         #: Simulated time elapsed since construction or :meth:`reset`.
         self.now_ns = 0.0
-        self._counters = _Counters()
 
     # -- clock --------------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero the clock and all event counters."""
+        """Zero the clock."""
         self.now_ns = 0.0
-        self._counters = _Counters()
 
     def charge(self, ns: float) -> None:
         """Advance the clock by an arbitrary amount (experiment glue)."""
@@ -95,15 +85,12 @@ class CostModel:
     # -- buffer-pool hook protocol -------------------------------------------
 
     def on_bp_hit(self) -> None:
-        self._counters.bp_hits += 1
         self.now_ns += self.preset.bp_access_ns
 
     def on_bp_miss(self) -> None:
-        self._counters.bp_misses += 1
         self.now_ns += self.preset.bp_access_ns + self.preset.disk_read_ns
 
     def on_disk_write(self) -> None:
-        self._counters.disk_writes += 1
         self.now_ns += self.preset.disk_write_ns
 
     # -- index-path charges ----------------------------------------------------
@@ -114,35 +101,11 @@ class CostModel:
 
     def on_index_descent(self) -> None:
         """Charge one in-memory root-to-leaf traversal."""
-        self._counters.index_descents += 1
         self.now_ns += self.preset.index_descent_ns
 
     def on_cache_probe(self) -> None:
         """Charge one scan of a leaf's cache slots (§2.1.1)."""
-        self._counters.cache_probes += 1
         self.now_ns += self.preset.cache_probe_ns
-
-    # -- counters ---------------------------------------------------------------
-
-    @property
-    def bp_hits(self) -> int:
-        return self._counters.bp_hits
-
-    @property
-    def bp_misses(self) -> int:
-        return self._counters.bp_misses
-
-    @property
-    def disk_writes(self) -> int:
-        return self._counters.disk_writes
-
-    @property
-    def cache_probes(self) -> int:
-        return self._counters.cache_probes
-
-    @property
-    def index_descents(self) -> int:
-        return self._counters.index_descents
 
     # -- analytic expectations (used by Fig 2b/2c and their tests) -----------
 

@@ -43,6 +43,19 @@ from repro.storage.page import (
 )
 from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
+#: The pool's own counts the registry reads (``MetricsRegistry.adopt``),
+#: each beside what :meth:`BufferPool.reset_counters` took from it, so
+#: ``bufferpool.*`` sums the whole run with no pool -> registry reference
+#: (that cycle would leave every dropped engine to the cycle collector).
+_ADOPTED = {
+    "hits": "bufferpool.hit",
+    "misses": "bufferpool.miss",
+    "evictions": "bufferpool.eviction",
+    "_reset_hits": "bufferpool.hit",
+    "_reset_misses": "bufferpool.miss",
+    "_reset_evictions": "bufferpool.eviction",
+}
+
 
 class CostHook(Protocol):
     """What the buffer pool needs from a cost model (see ``repro.sim``)."""
@@ -105,15 +118,13 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._reset_hits = self._reset_misses = self._reset_evictions = 0
         #: page id -> CRC32 of the bytes this pool last wrote back; the
         #: freshness half of validation (catches stuck pages whose stale
         #: contents still carry an internally consistent stamp).
         self._expected_crc: dict[int, int] = {}
         self._quarantined: set[int] = set()
         reg = resolve_registry(registry)
-        self._m_hit = reg.counter("bufferpool.hit")
-        self._m_miss = reg.counter("bufferpool.miss")
-        self._m_eviction = reg.counter("bufferpool.eviction")
         self._m_writeback = reg.counter("bufferpool.writeback")
         self._m_resident = reg.gauge("bufferpool.resident_pages")
         self._m_quarantine = reg.gauge("bufferpool.quarantined_pages")
@@ -124,6 +135,7 @@ class BufferPool:
         self._m_recovered = reg.counter("faults.recovered")
         self._m_unrecoverable = reg.counter("faults.unrecoverable")
         self._m_retries = reg.counter("faults.retries")
+        reg.adopt(self, _ADOPTED)
 
     # -- properties ----------------------------------------------------------
 
@@ -189,12 +201,14 @@ class BufferPool:
 
     def reset_counters(self) -> None:
         """Zero ``hits``/``misses``/``evictions`` (what :attr:`hit_rate`
-        reads) between experiment phases.  The registry's
-        ``bufferpool.*`` counters keep summing the whole run;
-        :meth:`MetricsRegistry.reset` is the one way to zero those."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        reads) between experiment phases.  Each count is first moved to
+        its ``_reset_*`` twin, so the ``bufferpool.*`` counters keep summing
+        the whole run; :meth:`MetricsRegistry.reset` is the one way to zero
+        those."""
+        self._reset_hits += self.hits
+        self._reset_misses += self.misses
+        self._reset_evictions += self.evictions
+        self.hits = self.misses = self.evictions = 0
 
     # -- page lifecycle ------------------------------------------------------
 
@@ -222,13 +236,11 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None:
             self.hits += 1
-            self._m_hit.inc()
             if self._cost is not None:
                 self._cost.on_bp_hit()
             self._frames.move_to_end(page_id)
         else:
             self.misses += 1
-            self._m_miss.inc()
             if self._cost is not None:
                 self._cost.on_bp_miss()
             data = self._read_page_checked(page_id)
@@ -498,7 +510,6 @@ class BufferPool:
         self._m_temperature.record(frame.temperature)
         del self._frames[victim]
         self.evictions += 1
-        self._m_eviction.inc()
         self._m_resident.set(len(self._frames))
 
     def _pick_lru_victim(self) -> int:

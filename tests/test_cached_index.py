@@ -145,8 +145,10 @@ def test_cost_model_charges_descent_and_probe():
     table, index = build(cost_model=cm)
     table.insert(row(1))
     index.lookup(1, ("id", "score"))
-    assert cm.index_descents == 1
-    assert cm.cache_probes == 1
+    # the pool has no cost hook, so the clock holds one descent + one probe
+    assert cm.now_ns == cm.preset.index_descent_ns + cm.preset.cache_probe_ns
+    assert index.stats.lookups == 1
+    assert index.cache.stats.probes == 1
 
 
 def test_many_rows_cache_answers_most_repeats():

@@ -438,6 +438,166 @@ def test_only_the_registry_zeroes_instruments():
     assert paths == []
 
 
+# -- one count per event ------------------------------------------------------
+
+_HOLDS_ENGINE = (
+    "the recovery manager holds the Database: adopting its counts would "
+    "keep a whole engine alive under a shared registry"
+)
+
+#: ``(file under src/repro/, qualname)`` that bumps a count field beside an
+#: instrument for the same event, and why the registry does not adopt it.
+TWIN_COUNTS = {
+    ("faults/recovery.py", "RecoveryManager.call"): _HOLDS_ENGINE,
+    ("faults/recovery.py", "RecoveryManager.heal"): _HOLDS_ENGINE,
+    ("faults/recovery.py", "RecoveryManager._recover_heap"): _HOLDS_ENGINE,
+    ("txn/manager.py", "Session._commit_inner"):
+        "Session.commit's read-only path: SessionStats is one holder per "
+        "session, so the registry's sources would grow without bound",
+    ("obs/adaptive.py", "AdaptiveController.evaluate"):
+        "the controller holds knobs bound to the engine's pools and indexes; "
+        "adopting actions_taken would keep them alive under a shared registry",
+    ("shard/database.py", "ShardedDatabase._charge"):
+        "sim_now_ns is the facade's clock, not a count of fan-outs",
+}
+
+
+def _blocks(node: ast.AST):
+    """Every statement list directly under ``node``."""
+    for name in ("body", "orelse", "finalbody"):
+        block = getattr(node, name, None)
+        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
+            yield block
+    for handler in getattr(node, "handlers", ()):
+        yield handler.body
+
+
+def _bumps_count(stmt: ast.stmt) -> bool:
+    """``a.b += …`` on a public field."""
+    return (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+            and isinstance(stmt.target, ast.Attribute)
+            and not stmt.target.attr.startswith("_"))
+
+
+def _incs_instrument(stmt: ast.stmt) -> bool:
+    """``…._m_x.inc(…)`` as a statement."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "inc"
+            and isinstance(call.func.value, ast.Attribute)
+            and call.func.value.attr.startswith("_m_"))
+
+
+def _functions(src_root: Path):
+    """``(rel, owner class, qualname, function)`` for every function under
+    ``src_root``, nested ones too."""
+    def visit(rel, node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(rel, child, child.name, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield rel, owner, f"{prefix}{child.name}", child
+                yield from visit(rel, child, owner, f"{prefix}{child.name}.")
+
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        yield from visit(rel, ast.parse(path.read_text()), None, "")
+
+
+def _twin_counts(src_root: Path) -> set[tuple[str, str]]:
+    """Functions that bump a count field and ``_m_*.inc()`` within two
+    statements of each other in one block: one event counted twice."""
+    twins = set()
+    for rel, _owner, qual, fn in _functions(src_root):
+        for node in ast.walk(fn):
+            for block in _blocks(node):
+                for i, stmt in enumerate(block):
+                    if _bumps_count(stmt) and any(
+                        map(_incs_instrument, block[max(0, i - 2):i + 3])
+                    ):
+                        twins.add((rel, qual))
+    return twins
+
+
+def _chain(node: ast.AST) -> list[str] | None:
+    """``self.a.b`` as ``["self", "a", "b"]``; None for anything else."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id, *reversed(names)]
+
+
+def _adopted_fields(src_root: Path) -> set[tuple[str, tuple[str, ...], str]]:
+    """``(owner class, path from self to holder, field)`` for every
+    ``….adopt(self[.path], {field: name})`` call under ``src_root``; a
+    module-level dict named by the call is read too."""
+    adopted = set()
+    for path in sorted(src_root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        consts = {
+            t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)
+        }
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for call in ast.walk(cls):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "adopt" and len(call.args) == 2):
+                    continue
+                holder, fields = call.args
+                fields = consts.get(getattr(fields, "id", None), fields)
+                chain = _chain(holder)
+                assert chain and chain[0] == "self", ast.unparse(call)
+                assert isinstance(fields, ast.Dict), ast.unparse(call)
+                for key in fields.keys:
+                    adopted.add((cls.name, tuple(chain[1:]), key.value))
+    return adopted
+
+
+def _foreign_writes(src_root: Path) -> list[str]:
+    """Assignments to an adopted holder's field outside the class that
+    adopted it (``index.stats.hits = 0``, ``pool.misses = 0``): a count the
+    registry reads must only grow, except through the owner's own method
+    (``BufferPool.reset_counters`` moves its counts to adopted twins)."""
+    adopted = _adopted_fields(src_root)
+    writes = []
+    for rel, owner, qual, fn in _functions(src_root):
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    chain = _chain(target)
+                    # ``self.…`` is the writer's own state, whatever its name
+                    if chain is None or len(chain) < 2 or chain[0] == "self":
+                        continue
+                    head = chain[:-1]
+                    for cls, path, field in adopted:
+                        if (cls != owner and chain[-1] == field
+                                and tuple(head[len(head) - len(path):]) == path):
+                            writes.append(
+                                f"{rel}: {qual} writes {'.'.join(chain)}"
+                            )
+    return writes
+
+
+def test_one_count_per_event():
+    """A component's count is a plain int the registry adopts (DESIGN.md
+    §5b): no function under ``src/`` bumps a count field and an ``_m_*``
+    instrument for the same event unless ``TWIN_COUNTS`` says why, and no
+    code outside the adopting class writes an adopted field (an experiment
+    measures a phase from a baseline instead of zeroing it)."""
+    twins = _twin_counts(SRC / "repro")
+    assert sorted(twins - TWIN_COUNTS.keys()) == []
+    assert sorted(TWIN_COUNTS.keys() - twins) == []
+    assert _foreign_writes(SRC / "repro") == []
+    # the pool's 3 (+3 reset twins), CachedBTree 8, IndexCache 7, CacheInvalidation 3,
+    # FkJoinCache 4: a miscount means the lint stopped seeing an adopt call
+    assert len(_adopted_fields(SRC / "repro")) == 28
+
+
 # -- the one eviction policy ---------------------------------------------------
 
 #: Victim of each of the 200 fetches ("." = none): page index 0-9.

@@ -1,0 +1,198 @@
+"""One count per event: the registry reads the counts components own.
+
+``MetricsRegistry.adopt`` hands a component's plain int fields to named
+counters, so ``Counter.value`` is the direct ``inc()`` total plus every
+adopted field.  Each case below fails on a plausible wrong design: a
+fresh counter per adoption, a reset that only zeroes the direct part, a
+``reset_counters`` that drops its counts, a null registry that holds its
+holders, or an adoption taken before the constructor's refusals.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.btree.tree import BPlusTree
+from repro.core.index_cache.cached_index import CachedBTree
+from repro.errors import QueryError
+from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs.profiler import QueryProfiler
+from repro.query.table import Table
+from repro.schema.schema import Schema
+from repro.schema.types import UINT32, UINT64, char
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.constants import PageType
+from repro.storage.disk import SimulatedDisk
+from repro.storage.heap import RID_SIZE, HeapFile
+from repro.util.rng import DeterministicRng
+
+SCHEMA = Schema.of(
+    ("id", UINT64),
+    ("name", char(12)),
+    ("score", UINT32),
+)
+PROJECT = ("id", "score")
+
+
+def _pool(registry, pages: int = 1) -> tuple[BufferPool, list[int]]:
+    pool = BufferPool(SimulatedDisk(256), 4, registry=registry)
+    pids = []
+    for _ in range(pages):
+        pids.append(pool.new_page(PageType.HEAP).page_id)
+        pool.unpin(pids[-1], dirty=True)
+    return pool, pids
+
+
+def _touch(pool: BufferPool, page_id: int, times: int = 1) -> None:
+    for _ in range(times):
+        pool.fetch(page_id)
+        pool.unpin(page_id)
+
+
+def _index(registry, cached=("score",), key_size=8, value_size=RID_SIZE):
+    pool = BufferPool(SimulatedDisk(1024), 1 << 10, registry=registry)
+    heap = HeapFile(pool)
+    tree = BPlusTree(pool, key_size=key_size, value_size=value_size)
+    index = CachedBTree(
+        tree, heap, SCHEMA, ("id",), cached,
+        rng=DeterministicRng(5), registry=registry,
+    )
+    table = Table("t", SCHEMA, heap)
+    table.attach_index("pk", index)
+    return table, index
+
+
+def test_a_profiler_built_before_an_index_sees_its_hits_and_heap_fetches():
+    registry = MetricsRegistry()
+    profiler = QueryProfiler(registry)  # caches index_cache.* counters now
+    table, index = _index(registry)
+    table.insert({"id": 1, "name": "a", "score": 7})
+    token = profiler.begin("lookup", "t", "pk", index)
+    assert not index.lookup(1, PROJECT).from_cache  # miss: heap fetch, fill
+    assert index.lookup(1, PROJECT).from_cache
+    profiler.end(token)
+    (profile,) = profiler.slow_queries()
+    assert (profile.cache_hits, profile.cache_misses, profile.heap_fetches) == (
+        1, 1, 1
+    )
+
+
+def test_an_adopted_counter_reads_zero_after_reset_then_resumes():
+    registry = MetricsRegistry()
+    pool, (pid,) = _pool(registry)
+    _touch(pool, pid, 3)
+    hit = registry.counter("bufferpool.hit")
+    assert hit.value == pool.hits == 3
+    registry.reset()
+    assert hit.value == 0
+    assert pool.hits == 3  # the owner's count is the owner's
+    _touch(pool, pid, 2)
+    assert hit.value == 2
+    assert registry.snapshot()["bufferpool"]["hit"] == 2
+
+
+def test_two_pools_on_one_registry_sum():
+    registry = MetricsRegistry()
+    a, (pa,) = _pool(registry)
+    b, (pb,) = _pool(registry)
+    _touch(a, pa, 2)
+    _touch(b, pb, 5)
+    registry.counter("bufferpool.hit").inc(1)  # a direct inc adds on top
+    assert registry.counter("bufferpool.hit").value == 2 + 5 + 1
+
+
+def test_reset_counters_hands_the_phase_over_to_the_registry():
+    registry = MetricsRegistry()
+    pool, pids = _pool(registry, pages=6)  # 6 pages through 4 frames
+    for pid in pids:
+        _touch(pool, pid)
+    run = (pool.hits, pool.misses, pool.evictions)
+    assert run[1] and run[2]
+    pool.reset_counters()
+    assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
+    _touch(pool, pids[-1], 3)
+    assert pool.hits == 3  # the phase
+    counts = registry.snapshot()["bufferpool"]
+    assert (counts["hit"], counts["miss"], counts["eviction"]) == (
+        run[0] + 3, run[1], run[2]
+    )  # the whole run
+
+
+def test_a_component_on_the_null_registry_counts_and_is_not_held():
+    pool, (pid,) = _pool(NULL_REGISTRY)
+    _touch(pool, pid, 2)
+    assert pool.hits == 2
+    assert NULL_REGISTRY.snapshot() == {}
+    assert NULL_REGISTRY.counter("bufferpool.hit").value == 0
+    ref = weakref.ref(pool)
+    del pool
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_dropped_pool_and_its_registry_need_no_cycle_collector():
+    """The registry holds the pool; the pool must not hold the registry,
+    or every engine a workload drops waits for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        registry = MetricsRegistry()
+        pool, (pid,) = _pool(registry)
+        _touch(pool, pid, 2)
+        pool.reset_counters()
+        ref = weakref.ref(pool)
+        del pool, registry
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_real_registry_keeps_what_it_adopted_alive():
+    registry = MetricsRegistry()
+    pool, (pid,) = _pool(registry)
+    _touch(pool, pid, 4)
+    ref = weakref.ref(pool)
+    del pool
+    gc.collect()
+    assert ref() is not None  # the counts outlive the engine's reference
+    assert registry.counter("bufferpool.hit").value == 4
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"cached": ("id",)},             # caches a key column
+        {"cached": ()},                  # nothing to cache
+        {"key_size": 4},                 # tree key width != codec width
+        {"value_size": RID_SIZE + 1},    # tree values are not RIDs
+    ],
+    ids=["key-overlap", "empty-payload", "key-size", "value-size"],
+)
+def test_a_refused_cached_index_moves_no_counter(kwargs):
+    registry = MetricsRegistry()
+    with pytest.raises(QueryError):
+        _index(registry, **kwargs)
+    # its pool and tree registered their own instruments; the index
+    # adopted nothing, so no index_cache.* counter exists yet
+    assert "index_cache" not in registry.snapshot()
+    table, index = _index(registry)
+    table.insert({"id": 1, "name": "a", "score": 7})
+    index.lookup(1, PROJECT)
+    counts = registry.snapshot()["index_cache"]
+    assert (counts["lookup"], counts["miss"], counts["heap_fetch"]) == (1, 1, 1)
+
+
+def test_index_cache_miss_reads_the_caches_own_misses():
+    registry = MetricsRegistry()
+    table, index = _index(registry)
+    for i in range(20):
+        table.insert({"id": i, "name": f"n{i}", "score": i})
+    for i in (*range(20), *range(20)):
+        index.lookup(i, PROJECT)
+    snap = registry.snapshot()["index_cache"]
+    assert snap["miss"] == index.cache.stats.misses == snap["swap"]["miss"]
+    assert snap["hit"] == index.stats.answered_from_cache
+    assert snap["lookup"] == index.stats.lookups == 40

@@ -1,4 +1,4 @@
-"""CostModel: charging, counters, and the Fig-2c calibration facts."""
+"""CostModel: charging, the clock, and the Fig-2c calibration facts."""
 
 import pytest
 
@@ -22,14 +22,14 @@ def test_event_charges():
     assert model.now_ns == p.bp_access_ns
     model.on_bp_miss()
     assert model.now_ns == 2 * p.bp_access_ns + p.disk_read_ns
-    model.on_cache_probe()
-    model.on_index_descent()
-    model.on_disk_write()
-    assert model.bp_hits == 1
-    assert model.bp_misses == 1
-    assert model.cache_probes == 1
-    assert model.index_descents == 1
-    assert model.disk_writes == 1
+    for charge, ns in (
+        (model.on_cache_probe, p.cache_probe_ns),
+        (model.on_index_descent, p.index_descent_ns),
+        (model.on_disk_write, p.disk_write_ns),
+    ):
+        before = model.now_ns
+        charge()
+        assert model.now_ns - before == ns
 
 
 def test_reset():
@@ -37,7 +37,8 @@ def test_reset():
     model.on_bp_hit()
     model.reset()
     assert model.now_ns == 0.0
-    assert model.bp_hits == 0
+    model.on_bp_hit()  # charges resume from zero
+    assert model.now_ns == PAPER_PRESET.bp_access_ns
 
 
 def test_charge_arbitrary():
