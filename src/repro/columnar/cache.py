@@ -26,6 +26,7 @@ different snapshot regime.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
 
 class CacheEntry:
@@ -37,15 +38,26 @@ class CacheEntry:
         self.value = value
 
 
+@dataclass
+class ColumnarStats:
+    """One manager's columnar counts, bumped by its stores and its cache
+    and adopted by its registry: plain ints, so the registry never holds
+    a store or a cached fragment, and a dropped table's counts stay."""
+
+    rebuilds: int = 0
+    segments_sealed: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_invalidations: int = 0
+
+
 class IntermediateCache:
     """A small LRU of reusable scan/aggregate fragments."""
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, stats: ColumnarStats, capacity: int = 256) -> None:
         self._capacity = max(1, capacity)
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
+        self.stats = stats
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -54,15 +66,15 @@ class IntermediateCache:
         """The cached value, or None on miss / staleness (entry dropped)."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self.stats.cache_misses += 1
             return None
         if entry.epoch != epoch or entry.csn != csn:
             del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
+            self.stats.cache_invalidations += 1
+            self.stats.cache_misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.stats.cache_hits += 1
         return entry.value
 
     def put(self, key: tuple, epoch: int, csn: int, value) -> None:

@@ -12,15 +12,15 @@ calls ``plan_scan`` first — a ``None`` plan means "predicate not
 vectorizable, use the row path" and the table falls through *before*
 opening its profiler bracket, so an operation is never double-bracketed.
 
-Reset contract: :meth:`MetricsRegistry.reset` zeroes the family like
-every other; :meth:`ColumnarManager.sync_gauges` folds the stores' and
-the cache's running totals in by delta, so the counters restart from
-zero with it.
+Counts: the stores and the cache count into one
+:class:`~repro.columnar.cache.ColumnarStats` that the registry adopts,
+so :meth:`MetricsRegistry.reset` zeroes the family like every other and
+:meth:`ColumnarManager.sync_gauges` sets only gauges.
 """
 
 from __future__ import annotations
 
-from repro.columnar.cache import IntermediateCache
+from repro.columnar.cache import ColumnarStats, IntermediateCache
 from repro.columnar.executor import (
     aggregate_segments,
     compile_predicate,
@@ -65,28 +65,24 @@ class ColumnarManager:
         self._db = database
         self._segment_rows = segment_rows
         self._stores: dict[str, ColumnStore] = {}
-        self.cache = IntermediateCache(cache_entries)
+        self.stats = ColumnarStats()
+        self.cache = IntermediateCache(self.stats, cache_entries)
         registry = resolve_registry(registry)
         self._m_scans = registry.counter("columnar.scans")
         self._m_aggregates = registry.counter("columnar.aggregates")
         self._m_fallbacks = registry.counter("columnar.fallbacks")
-        self._m_rebuilds = registry.counter("columnar.rebuilds")
-        self._m_sealed = registry.counter("columnar.segments_sealed")
         self._m_rows = registry.gauge("columnar.rows")
         self._m_segments = registry.gauge("columnar.segments")
         self._m_bytes_encoded = registry.gauge("columnar.bytes_encoded")
         self._m_bytes_raw = registry.gauge("columnar.bytes_raw")
-        self._m_cache_hits = registry.counter("columnar.cache.hits")
-        self._m_cache_misses = registry.counter("columnar.cache.misses")
-        self._m_cache_invalidations = registry.counter(
-            "columnar.cache.invalidations"
-        )
+        registry.adopt(self.stats, {
+            "rebuilds": "columnar.rebuilds",
+            "segments_sealed": "columnar.segments_sealed",
+            "cache_hits": "columnar.cache.hits",
+            "cache_misses": "columnar.cache.misses",
+            "cache_invalidations": "columnar.cache.invalidations",
+        })
         self._m_cache_entries = registry.gauge("columnar.cache.entries")
-        self._rebuilds_seen = 0
-        self._sealed_seen = 0
-        self._cache_hits_seen = 0
-        self._cache_misses_seen = 0
-        self._cache_invalidations_seen = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -94,7 +90,7 @@ class ColumnarManager:
         """Mirror ``table`` (idempotent) and hand it its binding."""
         store = self._stores.get(table.name)
         if store is None:
-            store = ColumnStore(table, segment_rows=self._segment_rows)
+            store = ColumnStore(table, self.stats, self._segment_rows)
             self._stores[table.name] = store
         if table.columnar is None or table.columnar.store is not store:
             table.columnar = TableColumnar(self, table, store)
@@ -103,16 +99,9 @@ class ColumnarManager:
     def detach(self, table_name: str) -> None:
         """Forget a dropped table: its mirror and every cached fragment, so
         a table re-created under the name starts from nothing."""
-        store = self._stores.pop(table_name, None)
-        if store is not None:
-            # Its rebuilds and seals stay counted; only the sums shrink.
-            self._rebuilds_seen -= store.rebuilds
-            self._sealed_seen -= store.sealed_total
+        self._stores.pop(table_name, None)
         self.cache.discard_table(table_name)
         self.sync_gauges()
-
-    def store(self, table_name: str) -> ColumnStore:
-        return self._stores[table_name]
 
     @property
     def stores(self) -> dict[str, ColumnStore]:
@@ -130,25 +119,10 @@ class ColumnarManager:
         self._m_fallbacks.inc()
 
     def sync_gauges(self) -> None:
-        """Publish store/cache state; fold monotonic per-store counters
-        into the registry counters by delta so resets stay honest."""
+        """Publish the stores' and the cache's levels."""
         stores = self._stores.values()
         self._m_rows.set(float(sum(s.live_rows for s in stores)))
         self._m_segments.set(float(sum(len(s.segments) for s in stores)))
-        rebuilds = sum(s.rebuilds for s in stores)
-        self._m_rebuilds.inc(rebuilds - self._rebuilds_seen)
-        self._rebuilds_seen = rebuilds
-        sealed = sum(s.sealed_total for s in stores)
-        self._m_sealed.inc(sealed - self._sealed_seen)
-        self._sealed_seen = sealed
-        self._m_cache_hits.inc(self.cache.hits - self._cache_hits_seen)
-        self._cache_hits_seen = self.cache.hits
-        self._m_cache_misses.inc(self.cache.misses - self._cache_misses_seen)
-        self._cache_misses_seen = self.cache.misses
-        self._m_cache_invalidations.inc(
-            self.cache.invalidations - self._cache_invalidations_seen
-        )
-        self._cache_invalidations_seen = self.cache.invalidations
         self._m_cache_entries.set(float(len(self.cache)))
 
     def refresh_encoding_stats(self) -> tuple[int, int]:

@@ -24,6 +24,7 @@ that order even though segment order is insertion order.
 
 from __future__ import annotations
 
+from repro.columnar.cache import ColumnarStats
 from repro.columnar.codecs import EncodedColumn, encode_column, raw_bytes
 from repro.schema.record import unpack_record_map
 from repro.schema.schema import Schema
@@ -83,8 +84,11 @@ class ColumnSegment:
 class ColumnStore:
     """The columnar mirror of one table's heap."""
 
-    def __init__(self, table, segment_rows: int = SEGMENT_ROWS) -> None:
+    def __init__(
+        self, table, stats: ColumnarStats, segment_rows: int = SEGMENT_ROWS
+    ) -> None:
         self.table = table
+        self.stats = stats
         self._schema: Schema = table.schema
         self._segment_rows = max(1, segment_rows)
         self.segments: list[ColumnSegment] = []
@@ -96,8 +100,6 @@ class ColumnStore:
         #: Set when a notification can't be applied in place (unknown RID);
         #: the next read rebuilds instead of guessing.
         self._stale = False
-        self.rebuilds = 0
-        self.sealed_total = 0
         #: Heap-order (segment, position) list, memoized per epoch.
         self._order: list[tuple[int, int]] | None = None
 
@@ -123,7 +125,7 @@ class ColumnStore:
         if not self.segments or self.segments[-1].count >= self._segment_rows:
             if self.segments:
                 self.segments[-1].sealed = True
-                self.sealed_total += 1
+                self.stats.segments_sealed += 1
             self.segments.append(ColumnSegment(self._schema.names))
         position = self.segments[-1].append(row)
         self._positions[rid] = (len(self.segments) - 1, position)
@@ -175,11 +177,11 @@ class ColumnStore:
             if not segments or segments[-1].count >= self._segment_rows:
                 if segments:
                     segments[-1].sealed = True
-                    self.sealed_total += 1
+                    self.stats.segments_sealed += 1
                 segments.append(ColumnSegment(names))
             positions[rid] = (len(segments) - 1, segments[-1].append(row))
         self.built = True
-        self.rebuilds += 1
+        self.stats.rebuilds += 1
 
     # -- reads -------------------------------------------------------------
 

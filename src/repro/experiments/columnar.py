@@ -175,11 +175,12 @@ def run(
 
     # Reused: the repeated-shape loop as-is, cache warm from here on.
     manager.cache.clear()
-    hits_before, misses_before = manager.cache.hits, manager.cache.misses
+    stats = manager.stats
+    hits_before, misses_before = stats.cache_hits, stats.cache_misses
     col_scan_reused_s = _time_scans(table, predicates, use_columnar=True)
     col_agg_reused_s = _time_aggs(table, predicates, use_columnar=True)
-    cache_hits = manager.cache.hits - hits_before
-    cache_misses = manager.cache.misses - misses_before
+    cache_hits = stats.cache_hits - hits_before
+    cache_misses = stats.cache_misses - misses_before
 
     encoded, raw = manager.refresh_encoding_stats()
     return ColumnarResult(

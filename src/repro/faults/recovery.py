@@ -30,8 +30,22 @@ so the module imports nothing from ``repro.query``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import CorruptPageError, RecoveryError
 from repro.obs.registry import MetricsRegistry, resolve_registry
+
+
+@dataclass
+class RecoveryStats:
+    """One manager's resolutions: plain ints the registry adopts, so a
+    shared registry holds these and never the engine the manager heals."""
+
+    #: Heals that succeeded: index rebuilds plus heap pages redone.
+    recovered: int = 0
+    unrecoverable: int = 0
+    index_rebuilds: int = 0
+    heap_page_rebuilds: int = 0
 
 
 class RecoveryManager:
@@ -47,20 +61,19 @@ class RecoveryManager:
             raise RecoveryError("max_heals must be at least 1")
         self._db = database
         self.max_heals = max_heals
-        self.heals = 0
-        self.failed_heals = 0
-        self.heap_rebuilds = 0
         #: Optional repro.obs.events.EventJournal (+ the shard id this
         #: engine runs as, None for a standalone database).  When set,
-        #: every detection/heal/unrecoverable transition is journaled;
-        #: when None the fault path pays one is-None test.
+        #: every detection/heal/unrecoverable transition it counts is
+        #: journaled; when None the fault path pays one is-None test.
         self.journal = None
         self.journal_shard: int | None = None
-        metrics = resolve_registry(registry)
-        self._m_recovered = metrics.counter("faults.recovered")
-        self._m_unrecoverable = metrics.counter("faults.unrecoverable")
-        self._m_rebuilds = metrics.counter("recovery.index_rebuilds")
-        self._m_heap_rebuilds = metrics.counter("recovery.heap_page_rebuilds")
+        self.stats = RecoveryStats()
+        resolve_registry(registry).adopt(self.stats, {
+            "recovered": "faults.recovered",
+            "unrecoverable": "faults.unrecoverable",
+            "index_rebuilds": "recovery.index_rebuilds",
+            "heap_page_rebuilds": "recovery.heap_page_rebuilds",
+        })
 
     def _emit(self, kind: str, **payload) -> None:
         if self.journal is not None:
@@ -81,13 +94,7 @@ class RecoveryManager:
             except CorruptPageError as exc:
                 self._emit("fault.detected", page=exc.page_id)
                 if heals_spent >= self.max_heals:
-                    self._m_unrecoverable.inc()
-                    self.failed_heals += 1
-                    self._emit(
-                        "fault.unrecoverable",
-                        page=exc.page_id,
-                        reason="heal budget exhausted",
-                    )
+                    self._unrecoverable(exc.page_id, "heal budget exhausted")
                     raise RecoveryError(
                         f"gave up after {heals_spent} heal(s); last corrupt "
                         f"page was {exc.page_id}"
@@ -114,38 +121,34 @@ class RecoveryManager:
                     break
                 except CorruptPageError as exc:
                     # The rebuild scans the whole heap and can trip over
-                    # a heap page corrupted at rest; redo-recover it and
-                    # resume, or give up on both pages at once.
+                    # a heap page corrupted at rest, a detection of its
+                    # own: redo-recover it and resume, or give up on both
+                    # pages at once.
+                    self._emit("fault.detected", page=exc.page_id)
                     if self._recover_heap(exc.page_id):
                         continue
-                    self._m_unrecoverable.inc()  # the heap page
-                    self._m_unrecoverable.inc()  # the aborted index heal
-                    self.failed_heals += 2
-                    self._emit(
-                        "fault.unrecoverable", page=exc.page_id,
-                        reason="heap page unrecoverable during index rebuild",
+                    self._unrecoverable(
+                        exc.page_id,
+                        "heap page unrecoverable during index rebuild",
                     )
                     self._emit("fault.quarantine", page=exc.page_id)
+                    self._unrecoverable(
+                        page_id, "index rebuild aborted by a lost heap page"
+                    )
                     return False
             wal = getattr(self._db, "wal", None)
             if wal is not None and index.cached_fields:
                 wal.log_index_cache_drop(name)
-            self._m_recovered.inc()
-            self._m_rebuilds.inc()
-            self.heals += 1
+            self.stats.recovered += 1
+            self.stats.index_rebuilds += 1
             self._emit(
                 "fault.recovered", page=page_id, action="index_rebuild",
                 index=name,
             )
             return True
         if self._recover_heap(page_id):
-            self._emit("fault.recovered", page=page_id, action="heap_redo")
             return True
-        self._m_unrecoverable.inc()
-        self.failed_heals += 1
-        self._emit(
-            "fault.unrecoverable", page=page_id, reason="no WAL or unowned page"
-        )
+        self._unrecoverable(page_id, "no WAL or unowned page")
         self._emit("fault.quarantine", page=page_id)
         return False
 
@@ -155,11 +158,14 @@ class RecoveryManager:
         """:meth:`_heal_heap_page` plus the success-side accounting."""
         if not self._heal_heap_page(page_id):
             return False
-        self._m_recovered.inc()
-        self._m_heap_rebuilds.inc()
-        self.heals += 1
-        self.heap_rebuilds += 1
+        self.stats.recovered += 1
+        self.stats.heap_page_rebuilds += 1
+        self._emit("fault.recovered", page=page_id, action="heap_redo")
         return True
+
+    def _unrecoverable(self, page_id: int, reason: str) -> None:
+        self.stats.unrecoverable += 1
+        self._emit("fault.unrecoverable", page=page_id, reason=reason)
 
     def _heal_heap_page(self, page_id: int) -> bool:
         """Redo-recover a quarantined heap page from the WAL, if possible.

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker, HealthReport
 from repro.obs.profiler import QueryProfiler
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import export_json, format_report
 from repro.obs.sampler import TelemetrySampler, select
 
@@ -245,7 +245,7 @@ def run_observed_workload(
             db.wal.flush()
     return ObservedRun(
         registry=registry,
-        profiler=fold_profilers(shard_profilers) if shards else profiler,
+        profiler=QueryProfiler.fold(shard_profilers) if shards else profiler,
         sampler=sampler,
         health=checker.evaluate(),
         database=db,
@@ -257,30 +257,6 @@ def run_observed_workload(
         rollup=rollup,
         shards=shards,
     )
-
-
-def fold_profilers(profilers: list[QueryProfiler]) -> QueryProfiler:
-    """The fleet's profile: per-shard rollups folded by fingerprint
-    (counters summed, ``max_ns`` maxed) and every shard's slow log in one
-    ring, which ``slow_queries`` ranks by ``(-elapsed_ns, seq)``."""
-    fleet = QueryProfiler(NULL_REGISTRY, slow_log_size=64 * len(profilers))
-    for profiler in profilers:
-        for stats in profiler.top():
-            mine = fleet._stats.get(stats.fingerprint)
-            if mine is None:
-                fleet._stats[stats.fingerprint] = replace(stats)
-                continue
-            for f in fields(stats):
-                if f.name == "max_ns":
-                    mine.max_ns = max(mine.max_ns, stats.max_ns)
-                elif f.name not in ("fingerprint", "plan"):
-                    setattr(
-                        mine, f.name,
-                        getattr(mine, f.name) + getattr(stats, f.name),
-                    )
-        fleet._slow.extend(profiler.slow_queries())
-        fleet.operations += profiler.operations
-    return fleet
 
 
 # -- rendering -------------------------------------------------------------

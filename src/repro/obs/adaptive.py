@@ -44,6 +44,7 @@ module without a cycle.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -149,6 +150,21 @@ class KnobBinding:
             )
 
 
+@dataclass
+class AdaptiveStats:
+    """One controller's counts: plain ints the registry adopts, so a
+    shared registry holds these and never the knobs bound to an engine."""
+
+    #: Windows judged, degenerate ones included.
+    ticks: int = 0
+    #: Knob changes applied (the audit ring keeps only the newest).
+    actions: int = 0
+    breach_windows: int = 0
+    cooldown_skips: int = 0
+    saturated: int = 0
+    degenerate_windows: int = 0
+
+
 @dataclass(frozen=True)
 class TuningAction:
     """One applied knob change — the audit record."""
@@ -222,30 +238,22 @@ class AdaptiveController:
                 )
         self._streaks: dict[str, int] = {}
         self._cooldown_until: dict[str, int] = {}
-        self._evals = 0
-        #: Total actions ever applied (may exceed the ring's length).
-        self.actions_taken = 0
         self._audit: deque[TuningAction] = deque(maxlen=audit_capacity)
         self._enabled = bool(enabled)
+        self.stats = AdaptiveStats()
         reg = resolve_registry(registry)
-        self._m_ticks = reg.counter("adaptive.ticks")
-        self._m_actions = reg.counter("adaptive.actions")
-        self._m_breaches = reg.counter("adaptive.breach_windows")
-        self._m_cooldown = reg.counter("adaptive.cooldown_skips")
-        self._m_saturated = reg.counter("adaptive.saturated")
-        self._m_degenerate = reg.counter("adaptive.degenerate_windows")
+        reg.adopt(self.stats, {
+            "ticks": "adaptive.ticks",
+            "actions": "adaptive.actions",
+            "breach_windows": "adaptive.breach_windows",
+            "cooldown_skips": "adaptive.cooldown_skips",
+            "saturated": "adaptive.saturated",
+            "degenerate_windows": "adaptive.degenerate_windows",
+        })
         self._m_enabled = reg.gauge("adaptive.enabled")
         self._m_enabled.set(1.0 if self._enabled else 0.0)
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def rules(self) -> tuple[SloRule, ...]:
-        return self._checker.rules
-
-    @property
-    def knobs(self) -> dict[str, Knob]:
-        return dict(self._knobs)
 
     @property
     def enabled(self) -> bool:
@@ -284,15 +292,17 @@ class AdaptiveController:
         replays, experiments) feed each point here; :meth:`tick` is the
         self-clocked wrapper over the same logic.
         """
-        self._m_ticks.inc()
+        stats = self.stats
+        stats.ticks += 1
         if point.dt_ns <= 0:
             # Zero-duration window, or the clock went backward (a
             # crash-restart swapped the cost model): no rates resolved,
             # so there is nothing trustworthy to act on.  Streaks and
             # cooldowns are left untouched.
-            self._m_degenerate.inc()
+            stats.degenerate_windows += 1
             return []
-        self._evals += 1
+        # Windows judged on their rates: every non-degenerate one.
+        evaluated = stats.ticks - stats.degenerate_windows
         self._checker.journal = self.journal
         report = self._checker.evaluate()
         results = {r.rule.name: r for r in report.results}
@@ -301,7 +311,7 @@ class AdaptiveController:
                 self._streaks[result.rule.name] = (
                     self._streaks.get(result.rule.name, 0) + 1
                 )
-                self._m_breaches.inc()
+                stats.breach_windows += 1
             else:
                 self._streaks[result.rule.name] = 0
         actions: list[TuningAction] = []
@@ -310,14 +320,14 @@ class AdaptiveController:
             if streak < binding.breach_windows:
                 continue
             until = self._cooldown_until.get(binding.knob)
-            if until is not None and self._evals <= until:
-                self._m_cooldown.inc()
+            if until is not None and evaluated <= until:
+                stats.cooldown_skips += 1
                 continue
             knob = self._knobs[binding.knob]
             before = knob.read()
             target = knob.stepped(before, binding.direction)
             if target == before:
-                self._m_saturated.inc()
+                stats.saturated += 1
                 continue
             knob.apply(target)
             after = knob.read()
@@ -325,16 +335,16 @@ class AdaptiveController:
                 # The setter quantized the step away (e.g. a fractional
                 # knob over an integer resource): effectively saturated,
                 # and recording a no-op "change" would pollute the audit.
-                self._m_saturated.inc()
+                stats.saturated += 1
                 continue
             self._cooldown_until[binding.knob] = (
-                self._evals + binding.cooldown_windows
+                evaluated + binding.cooldown_windows
             )
             result = results[binding.rule]
             rule = result.rule
             observed = "-" if result.observed is None else f"{result.observed:.4g}"
             action = TuningAction(
-                seq=self.actions_taken,
+                seq=stats.actions,
                 t_ns=point.t_ns,
                 knob=knob.name,
                 rule=rule.name,
@@ -346,9 +356,8 @@ class AdaptiveController:
                     f"{streak} window(s), observed {observed}"
                 ),
             )
-            self.actions_taken += 1
+            stats.actions += 1
             self._audit.append(action)
-            self._m_actions.inc()
             if self.journal is not None:
                 from repro.obs.events import TUNING_ACTION
 
@@ -382,9 +391,10 @@ class AdaptiveController:
         actions = self.actions
         if limit is not None:
             actions = actions[-limit:]
+        stats = self.stats
         header = (
-            f"{title}: {self.actions_taken} applied, "
-            f"{len(actions)} shown, {self._evals} window(s) evaluated"
+            f"{title}: {stats.actions} applied, {len(actions)} shown, "
+            f"{stats.ticks - stats.degenerate_windows} window(s) evaluated"
         )
         lines = [header]
         if not actions:
@@ -403,14 +413,17 @@ def database_knobs(db) -> list[Knob]:
     ``set_pool_partition``, ``wal``, ``set_group_commit``,
     ``cache_admission``, ``set_cache_admission``).  The pool-partition
     knob exists only for split data/index pools — with a shared pool
-    there is no boundary to move.
+    there is no boundary to move.  The knobs hold the database weakly:
+    through its pools' WAL and tracer, a shared registry that adopted the
+    pools holds this controller, and must not hold the engine with it.
     """
+    db = weakref.proxy(db)
     knobs: list[Knob] = []
     if db.index_pool is not db.data_pool:
         knobs.append(Knob(
             name="pool.data_fraction",
             getter=lambda: db.pool_partition,
-            setter=db.set_pool_partition,
+            setter=lambda value: db.set_pool_partition(value),
             lo=0.1, hi=0.9, step=0.1,
             description="fraction of total pool frames holding heap pages",
         ))
@@ -418,14 +431,14 @@ def database_knobs(db) -> list[Knob]:
         knobs.append(Knob(
             name="wal.group_commit_records",
             getter=lambda: db.wal.group_commit_records,
-            setter=db.set_group_commit,
+            setter=lambda value: db.set_group_commit(value),
             lo=1, hi=64, step=8, kind="int",
             description="records per WAL group-commit device append",
         ))
     knobs.append(Knob(
         name="index_cache.admission",
         getter=lambda: db.cache_admission,
-        setter=db.set_cache_admission,
+        setter=lambda value: db.set_cache_admission(value),
         lo=0.1, hi=1.0, step=0.3,
         description="fraction of piggy-back cache fills admitted",
     ))

@@ -30,9 +30,10 @@ can depend on it without cycles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from repro.obs.registry import (
+    NULL_REGISTRY,
     Clock,
     MetricsRegistry,
     resolve_clock,
@@ -242,6 +243,15 @@ def _plan_shape(
     return " ".join(parts)
 
 
+@dataclass
+class ProfilerCounts:
+    """The profiler's count, apart from it: the registry adopts this, so
+    a shared registry never holds the profiler's WAL, clock or rollups."""
+
+    #: Operations profiled so far.
+    operations: int = 0
+
+
 class QueryProfiler:
     """Charges engine-wide instrument deltas to per-query fingerprints.
 
@@ -267,16 +277,20 @@ class QueryProfiler:
             (fname, reg.counter(metric)) for fname, metric in CAPTURED_COUNTERS
         ]
         self._wal_bytes = reg.counter("wal.bytes")
-        self._m_ops = reg.counter("profiler.ops")
         self._m_errors = reg.counter("profiler.errors")
         self._m_fingerprints = reg.gauge("profiler.fingerprints")
         self._stats: dict[str, FingerprintStats] = {}
         self._slow: deque[QueryProfile] = deque(maxlen=slow_log_size)
         self._slow_threshold_ns = float(slow_threshold_ns)
         self._max_fingerprints = max_fingerprints
-        #: Operations profiled so far.
-        self.operations = 0
         self._depth = 0
+        self.counts = ProfilerCounts()
+        reg.adopt(self.counts, {"operations": "profiler.ops"})
+
+    @property
+    def operations(self) -> int:
+        """Operations profiled so far."""
+        return self.counts.operations
 
     # -- profiling ------------------------------------------------------------
 
@@ -298,7 +312,7 @@ class QueryProfiler:
             return None
         project_t = tuple(project) if project is not None else None
         profile = QueryProfile(
-            seq=self.operations,
+            seq=self.counts.operations,
             fingerprint=fingerprint(op, table, index_name, project_t, batch),
             op=op,
             table=table,
@@ -324,7 +338,7 @@ class QueryProfiler:
         profile.elapsed_ns = self._clock() - start
         profile.error = error
         after = self._capture()
-        self.operations += 1
+        self.counts.operations += 1
         for i, (fname, _counter) in enumerate(self._counters):
             setattr(profile, fname, after[i] - before[i])
         profile.wal_bytes = after[-1] - before[-1]
@@ -342,7 +356,6 @@ class QueryProfiler:
         return values
 
     def _absorb(self, profile: QueryProfile) -> None:
-        self._m_ops.inc()
         if profile.error:
             self._m_errors.inc()
         stats = self._stats.get(profile.fingerprint)
@@ -359,6 +372,31 @@ class QueryProfiler:
         stats.absorb(profile)
         if profile.elapsed_ns >= self._slow_threshold_ns:
             self._slow.append(profile)
+
+    @classmethod
+    def fold(cls, profilers: list["QueryProfiler"]) -> "QueryProfiler":
+        """A fleet's profile, on no registry: per-shard rollups folded by
+        fingerprint (counters summed, ``max_ns`` maxed) and every shard's
+        slow log in one ring, which :meth:`slow_queries` ranks by
+        ``(-elapsed_ns, seq)``."""
+        fleet = cls(NULL_REGISTRY, slow_log_size=64 * len(profilers))
+        for profiler in profilers:
+            for stats in profiler.top():
+                mine = fleet._stats.get(stats.fingerprint)
+                if mine is None:
+                    fleet._stats[stats.fingerprint] = replace(stats)
+                    continue
+                for f in fields(stats):
+                    if f.name == "max_ns":
+                        mine.max_ns = max(mine.max_ns, stats.max_ns)
+                    elif f.name not in ("fingerprint", "plan"):
+                        setattr(
+                            mine, f.name,
+                            getattr(mine, f.name) + getattr(stats, f.name),
+                        )
+            fleet._slow.extend(profiler.slow_queries())
+            fleet.counts.operations += profiler.operations
+        return fleet
 
     # -- read surfaces --------------------------------------------------------
 

@@ -11,7 +11,7 @@ See DESIGN.md §5g.  Entry points:
   crash tests.
 """
 
-from repro.txn.manager import Session, SessionStats, TransactionManager
+from repro.txn.manager import Session, TransactionManager
 from repro.txn.oracle import (
     committed_positional_fold,
     serial_fold,
@@ -21,7 +21,6 @@ from repro.txn.scheduler import SimScheduler, interleavings
 
 __all__ = [
     "Session",
-    "SessionStats",
     "SimScheduler",
     "TransactionManager",
     "committed_positional_fold",

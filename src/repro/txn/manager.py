@@ -61,19 +61,6 @@ class _Version:
     value: dict | None
 
 
-@dataclass
-class SessionStats:
-    """Per-session attribution counters (mirrors the global ``txn.*``
-    instruments, scoped to one logical client for experiment output)."""
-
-    begins: int = 0
-    commits: int = 0
-    aborts: int = 0
-    conflicts: int = 0
-    reads: int = 0
-    writes: int = 0
-
-
 class TransactionManager:
     """CSN allocator, version store, and conflict detector for one db."""
 
@@ -266,7 +253,6 @@ class Session:
         #: ("update", table, key, old_changes).  Deferred deletes need no
         #: undo — aborting simply drops them.
         self._undo: list[tuple] = []
-        self.stats = SessionStats()
 
     # -- properties ----------------------------------------------------------
 
@@ -286,7 +272,6 @@ class Session:
         self._writes = {}
         self._deferred = {}
         self._undo = []
-        self.stats.begins += 1
         return self.begin_csn
 
     def commit(self, flush: bool = False) -> int:
@@ -318,7 +303,6 @@ class Session:
         begin_csn = self.begin_csn
         if not self._writes:
             self._mgr._m_commits.inc()
-            self.stats.commits += 1
             self._finish(txn_id, begin_csn)
             return begin_csn
         db = self._mgr.database
@@ -337,7 +321,6 @@ class Session:
             if flush:
                 wal.flush()
         self._mgr._publish(txn_id, csn, self._writes)
-        self.stats.commits += 1
         self._finish(txn_id, begin_csn)
         return csn
 
@@ -358,7 +341,6 @@ class Session:
                 self._rollback(txn_id)
         else:
             self._rollback(txn_id)
-        self.stats.aborts += 1
         self._finish(txn_id, self.begin_csn)
 
     def transaction(self):
@@ -378,7 +360,6 @@ class Session:
         self._require_txn()
         table = self._mgr.database.table(table_name)
         vkey = self._vkey(table, key_value)
-        self.stats.reads += 1
         if vkey in self._writes:
             return self._as_result(table, self._writes[vkey], project)
         tracked, row = self._mgr._visible(vkey, self.begin_csn)
@@ -452,7 +433,6 @@ class Session:
                 raise
             self._undo.append(("insert", table_name, key_value))
         self._writes[vkey] = dict(row)
-        self.stats.writes += 1
 
     def update(self, table_name: str, key_value: object, changes: dict) -> bool:
         txn_id = self._require_txn()
@@ -477,7 +457,6 @@ class Session:
         new_row = dict(old)
         new_row.update(changes)
         self._writes[vkey] = new_row
-        self.stats.writes += 1
         return True
 
     def delete(self, table_name: str, key_value: object) -> bool:
@@ -492,7 +471,6 @@ class Session:
             return False
         self._deferred[vkey] = (table_name, key_value, dict(old))
         self._writes[vkey] = None
-        self.stats.writes += 1
         return True
 
     # -- internals -----------------------------------------------------------
@@ -525,8 +503,6 @@ class Session:
             self._mgr._check_conflict(txn_id, self.begin_csn, vkey)
         except TxnConflictError:
             self._rollback(txn_id)
-            self.stats.conflicts += 1
-            self.stats.aborts += 1
             self._finish(txn_id, self.begin_csn)
             raise
         tracked, committed = self._mgr._visible(vkey, self.begin_csn)

@@ -184,9 +184,9 @@ def test_cache_hit_serves_fresh_copies():
     db, table, manager = make_db()
     predicate = ColumnEq("cat", "c1")
     first = list(table.scan(predicate))
-    hits0 = manager.cache.hits
+    hits0 = manager.stats.cache_hits
     second = list(table.scan(predicate))
-    assert manager.cache.hits == hits0 + 1
+    assert manager.stats.cache_hits == hits0 + 1
     assert second == first
     # Mutating served rows must not poison the cached master.
     second[0]["n"] = 999999
@@ -198,10 +198,10 @@ def test_cache_invalidated_by_write_epoch():
     _, table, manager = make_db()
     predicate = ColumnRange("n", 0, 100)
     list(table.scan(predicate))
-    invalidations0 = manager.cache.invalidations
+    invalidations0 = manager.stats.cache_invalidations
     table.update("pk", 1, {"n": 7})
     fresh = list(table.scan(predicate))
-    assert manager.cache.invalidations == invalidations0 + 1
+    assert manager.stats.cache_invalidations == invalidations0 + 1
     assert fresh == list(table.scan(predicate, use_columnar=False))
 
 

@@ -141,8 +141,8 @@ def test_torn_heap_page_write_with_wal_recovers_the_page():
         lambda: {r["id"]: r["score"] for r in table.scan()}
     )
     assert rows == {i: i for i in range(40)}
-    assert db.recovery.heap_rebuilds == 1
-    assert db.recovery.failed_heals == 0
+    assert db.recovery.stats.heap_page_rebuilds == 1
+    assert db.recovery.stats.unrecoverable == 0
     assert db.check().ok
 
 
@@ -171,7 +171,7 @@ def test_heap_page_without_wal_stays_honestly_unrecoverable():
         raise AssertionError("corrupt heap page should not heal without WAL")
     except (CorruptPageError, RecoveryError):
         pass
-    assert db.recovery.failed_heals >= 1
+    assert db.recovery.stats.unrecoverable >= 1
 
 
 def test_reset_counters_zeroes_wal_metrics():

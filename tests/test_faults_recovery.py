@@ -1,5 +1,7 @@
 """RecoveryManager: heal-by-rebuild for index pages, honest failure for heaps."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import CorruptPageError, RecoveryError
@@ -14,11 +16,12 @@ pytestmark = pytest.mark.faults
 N_ROWS = 200
 
 
-def make_db(cached=False):
+def make_db(cached=False, wal=False):
     registry = MetricsRegistry()
     db = Database(
         data_pool_pages=64,
         seed=0,
+        wal=wal,
         metrics=registry,
         fault_injector=FaultInjector(seed=0, registry=registry),
     )
@@ -46,7 +49,7 @@ def test_corrupt_index_page_heals_by_rebuild():
     corrupt_at_rest(db, victim)
     result = db.recovery.call(table.lookup, "pk", 123)
     assert result.found and result.values["n"] == 369
-    assert db.recovery.heals == 1
+    assert db.recovery.stats.recovered == 1
     assert victim not in index.tree.leaf_page_ids  # fresh tree, old page orphaned
     faults = registry.snapshot()["faults"]
     assert faults["detected"] == faults["recovered"]
@@ -67,7 +70,7 @@ def test_corrupt_cached_index_heals_and_drops_cache():
     corrupt_at_rest(db, victim)
     result = db.recovery.call(table.lookup, "pk", 40)
     assert result.found and result.values["n"] == 120
-    assert db.recovery.heals == 1
+    assert db.recovery.stats.recovered == 1
     # Post-heal lookups still agree with ground truth (stale cache dropped).
     for i in range(N_ROWS):
         got = db.recovery.call(table.lookup, "pk", i)
@@ -85,7 +88,40 @@ def test_corrupt_heap_page_is_unrecoverable():
     assert faults["detected"] == (
         faults.get("recovered", 0) + faults["unrecoverable"]
     )
-    assert db.recovery.failed_heals == 1
+    assert db.recovery.stats.unrecoverable == 1
+
+
+@pytest.mark.parametrize(
+    "wal, counts", [(True, (2, 2, 0)), (False, (2, 0, 2))], ids=["wal", "no-wal"]
+)
+def test_the_journal_records_every_transition_it_counts(wal, counts):
+    """A heap page the index rebuild trips over is a detection of its own:
+    it is journaled, and resolved in the journal as it is counted — one
+    ``fault.unrecoverable`` for the lost heap page and one for the index
+    heal it aborted."""
+    db, table, index, registry = make_db(wal=wal)
+    journal = db.enable_events()
+    corrupt_at_rest(db, min(index.tree.leaf_page_ids))
+    corrupt_at_rest(db, table.heap.page_ids[-1])
+    if wal:
+        assert db.recovery.call(table.lookup, "pk", 0).found
+    else:
+        with pytest.raises(CorruptPageError):
+            db.recovery.call(table.lookup, "pk", 0)
+    kinds = Counter(event.kind for event in journal.query(kind="fault.*"))
+    stats = db.recovery.stats
+    journaled = (
+        kinds["fault.detected"], kinds["fault.recovered"],
+        kinds["fault.unrecoverable"],
+    )
+    assert journaled == (
+        registry.snapshot()["faults"]["detected"], stats.recovered,
+        stats.unrecoverable,
+    )
+    assert journaled == counts
+    assert (stats.index_rebuilds, stats.heap_page_rebuilds) == (
+        (1, 1) if wal else (0, 0)
+    )
 
 
 def test_heal_budget_exhaustion_raises_recovery_error():
@@ -97,7 +133,7 @@ def test_heal_budget_exhaustion_raises_recovery_error():
 
     with pytest.raises(RecoveryError):
         manager.call(always_corrupt)
-    assert manager.heals == 3
+    assert manager.stats.recovered == 3
 
 
 def test_max_heals_validation():

@@ -165,7 +165,7 @@ def test_sustained_breach_steps_then_cooldown_then_escalates():
     escalated = loop.window(breach=True)            # past cooldown
     assert escalated[0].after == 7.0
     assert holder.value == 7.0
-    assert loop.controller.actions_taken == 2
+    assert loop.controller.stats.actions == 2
 
 
 def test_oscillating_signal_takes_bounded_actions():
@@ -250,7 +250,7 @@ def test_audit_ring_is_bounded_and_renders():
     )
     for _ in range(6):
         loop.window(breach=True)
-    assert loop.controller.actions_taken == 6
+    assert loop.controller.stats.actions == 6
     assert len(loop.controller.actions) == 3         # ring kept the newest
     assert loop.controller.actions[-1].seq == 5
     audit = loop.controller.format_audit(limit=2)

@@ -371,7 +371,6 @@ def test_txn_counters_track_lifecycle():
     # conflict abort had no prior writes to compensate).
     assert snap["undo_records"] == 1
     assert snap["active"] == 0
-    assert s1.stats.commits == 2 and s2.stats.conflicts == 1
 
 
 def test_pool_obs_reset_zeroes_txn_family():
