@@ -38,17 +38,17 @@ def make_pool(capacity=8):
 
 def test_pool_shrink_evicts_down_to_new_capacity():
     pool, _pids = make_pool(8)
-    assert pool.resident_pages == 8
+    assert len(pool._frames) == 8
     pool.set_capacity(3)
     assert pool.capacity == 3
-    assert pool.resident_pages <= 3
+    assert len(pool._frames) <= 3
 
 
 def test_pool_grow_keeps_residents():
     pool, pids = make_pool(4)
     pool.set_capacity(16)
     assert pool.capacity == 16
-    assert pool.resident_pages == 4
+    assert len(pool._frames) == 4
     # Old pages still readable after the resize.
     page = pool.fetch(pids[0])
     assert page.page_id == pids[0]
@@ -78,10 +78,10 @@ def test_wal_group_commit_knob_updates_gauge_and_flushes_on_shrink():
     assert gauge(registry, "adaptive.knob.wal.group_commit_records") == 8.0
     wal.log_insert("t", Rid(0, 0), b"row")
     wal.log_insert("t", Rid(0, 1), b"row")
-    assert wal.buffered_records == 2
+    assert len(wal._buffer) == 2
     wal.set_group_commit(1)      # tighter window: pending work flushes now
     assert wal.group_commit_records == 1
-    assert wal.buffered_records == 0
+    assert len(wal._buffer) == 0
     assert gauge(registry, "adaptive.knob.wal.group_commit_records") == 1.0
     with pytest.raises(WalError):
         wal.set_group_commit(0)

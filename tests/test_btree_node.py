@@ -42,7 +42,9 @@ def test_leaf_insert_and_accessors():
     assert leaf.key_at(0) == k(10)
     assert leaf.value_at(1) == v(200)
     assert leaf.entry_at(0) == (k(10), v(100))
-    assert leaf.entries() == [(k(10), v(100)), (k(20), v(200))]
+    assert [leaf.entry_at(i) for i in range(leaf.count)] == [
+        (k(10), v(100)), (k(20), v(200))
+    ]
     assert leaf.entry_size == KEY + VAL
 
 
@@ -86,7 +88,7 @@ def test_internal_routing():
     assert node.count == 3
     assert node.child_at(2) == 300
     assert node.entry_at(1) == (k(50), 200)
-    assert node.entry_size == KEY + CHILD_PTR_SIZE
+    assert len(node.page.read(1)) == KEY + CHILD_PTR_SIZE  # one entry's bytes
 
 
 def test_internal_single_entry_routes_everything():
@@ -100,4 +102,6 @@ def test_internal_entries_listing():
     node = InternalNode(internal_page(), KEY)
     node.insert(0, bytes(KEY), 1)
     node.insert(1, k(5), 2)
-    assert node.entries() == [(bytes(KEY), 1), (k(5), 2)]
+    assert [node.entry_at(i) for i in range(node.count)] == [
+        (bytes(KEY), 1), (k(5), 2)
+    ]

@@ -29,7 +29,7 @@ def test_stats_counts_match_tree():
     assert stats.num_entries == 3000
     assert stats.leaf_pages == len(tree.leaf_page_ids)
     assert stats.internal_pages == len(tree.internal_page_ids)
-    assert stats.num_pages == tree.num_pages
+    assert stats.leaf_pages + stats.internal_pages == tree.num_pages
     assert stats.size_bytes == tree.size_bytes
     assert stats.height == tree.height
 

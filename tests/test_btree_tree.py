@@ -147,8 +147,8 @@ def test_range_scan_empty_range():
 def test_contains():
     tree = make_tree()
     tree.insert(enc(3), val(3))
-    assert tree.contains(enc(3))
-    assert not tree.contains(enc(4))
+    assert tree.search(enc(3)) is not None
+    assert tree.search(enc(4)) is None
 
 
 def test_leaf_chaining_covers_all_leaves():

@@ -86,7 +86,7 @@ def test_log_overflow_triggers_full_invalidation():
     for i in range(5):
         inv.note_update(key(i))
     assert inv.full_invalidations == 1
-    assert inv.log_size == 0
+    assert len(inv._log) == 0
 
 
 def test_predicate_range_matching():

@@ -41,10 +41,10 @@ def test_checksum_never_zero_and_detects_changes():
 def test_slots_are_aligned_to_item_size():
     page = page_with(3)
     geo = IndexCache(payload_size=15, entry_size=24).geometry(page)
-    for offset in geo.slot_offsets():
+    for offset in map(geo.slot_offset, range(geo.num_slots)):
         assert offset % geo.item_size == 0
     lo, hi = page.free_window()
-    for offset in geo.slot_offsets():
+    for offset in map(geo.slot_offset, range(geo.num_slots)):
         assert offset >= lo
         assert offset + geo.item_size <= hi
 
@@ -67,7 +67,7 @@ def test_zero_slots_when_window_tiny():
             break
     geo = IndexCache(30, 20).geometry(page)
     assert geo.num_slots == 0
-    assert geo.slot_offsets() == []
+    assert [geo.slot_offset(i) for i in range(geo.num_slots)] == []
 
 
 def test_slot_offset_bounds():

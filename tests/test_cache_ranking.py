@@ -31,7 +31,7 @@ def sorted_ranking(geo: CacheGeometry) -> list[int]:
     """The replaced implementation, verbatim: sort every slot by distance."""
     s = geo.stable_point
     half = geo.item_size / 2
-    offsets = geo.slot_offsets()
+    offsets = [geo.slot_offset(i) for i in range(geo.num_slots)]
     return sorted(range(len(offsets)), key=lambda i: abs(offsets[i] + half - s))
 
 

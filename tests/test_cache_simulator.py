@@ -14,14 +14,14 @@ def test_miss_then_hit():
     assert sim.lookup("a")
     assert sim.hits == 1
     assert sim.misses == 1
-    assert "a" in sim
+    assert "a" in sim._where
 
 
 def test_capacity_bound_respected():
     sim = SwapCacheSimulator(3, rng=DeterministicRng(0))
     for i in range(10):
         sim.lookup(i)
-    assert sim.occupancy == 3
+    assert len(sim._where) == 3
     assert sim.evictions == 7
 
 
@@ -36,10 +36,10 @@ def test_shrink_removes_peripheral_slots_and_items():
     sim = SwapCacheSimulator(8, bucket_slots=2, rng=DeterministicRng(0))
     for i in range(8):
         sim.lookup(i)
-    assert sim.occupancy == 8
+    assert len(sim._where) == 8
     sim.shrink(3)
     assert sim.capacity == 5
-    assert sim.occupancy == 5
+    assert len(sim._where) == 5
 
 
 def test_shrink_beyond_capacity():
@@ -47,7 +47,7 @@ def test_shrink_beyond_capacity():
     sim.lookup("a")
     sim.shrink(10)
     assert sim.capacity == 0
-    assert sim.occupancy == 0
+    assert len(sim._where) == 0
 
 
 def test_hot_items_survive_shrink():
@@ -59,7 +59,7 @@ def test_hot_items_survive_shrink():
     for _ in range(200):
         sim.lookup("hot")
     sim.shrink(24)  # destroy 3/4 of the cache from the periphery
-    assert "hot" in sim
+    assert "hot" in sim._where
 
 
 def test_hit_rate_tracks_zipf_oracle_loosely():

@@ -270,7 +270,7 @@ def test_drop_forgets_the_mirror_and_its_cached_fragments():
     assert sorted(r["n"] for r in db.table("a").scan()) == list(range(10))
     db.drop_table("a")
     list(db.table("b").scan())
-    assert "a" not in db.columnar.stores
+    assert "a" not in db.columnar._stores
     assert db.metrics.get("columnar.rows").value == 7
     fill("a", range(1000, 1010))
     fresh = db.table("a")

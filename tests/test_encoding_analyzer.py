@@ -13,7 +13,7 @@ def test_int_range_and_distinct():
     assert p.max_int == 10
     assert p.distinct_count == 3
     assert not p.bool_like
-    assert p.int_range_span == 13
+    assert p.max_int - p.min_int == 13
 
 
 def test_bool_like_detection():
@@ -67,4 +67,4 @@ def test_int_facts_absent_for_strings():
     assert p.min_int is None
     assert p.max_int is None
     assert not p.bool_like
-    assert p.int_range_span is None
+    assert None in (p.min_int, p.max_int)  # no range span

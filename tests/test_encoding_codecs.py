@@ -42,7 +42,7 @@ def test_bitpacked_round_trip_property(values):
 def test_dictionary_build_and_round_trip():
     values = ["ok", "fail", "ok", "ok", "retry"]
     codec = DictionaryCodec.build(values)
-    assert codec.size == 3
+    assert len(codec._values) == 3
     assert codec.decode(codec.encode(values), len(values)) == values
 
 

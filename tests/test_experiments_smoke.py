@@ -207,7 +207,7 @@ def test_shard_small_scales_out_and_spreads_hot_keys():
         shard_counts=(1, 4), n_pages=750, trace_len=1_000, pool_pages=16
     )
     assert r.verified  # every key found, same aggregates at every width
-    assert r.speedup(4) >= 3.0
+    assert r.point(4).throughput / r.point(1).throughput >= 3.0  # speedup
     assert r.max_hot_share <= 0.40
     assert [
         (p.n_shards, p.ops, round(p.sim_s * 1e6, 1), p.keys_moved)

@@ -4,18 +4,19 @@ import pytest
 
 from repro.errors import FaultPlanError
 from repro.faults import NO_FAULTS, FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import _WRITE_KINDS
 
 pytestmark = pytest.mark.faults
 
 
 def test_probability_trigger_is_valid():
     spec = FaultSpec(FaultKind.READ_BIT_FLIP, probability=0.5)
-    assert spec.is_read_fault and not spec.is_write_fault
+    assert spec.is_read_fault and spec.kind not in _WRITE_KINDS
 
 
 def test_at_nth_trigger_is_valid():
     spec = FaultSpec(FaultKind.TORN_WRITE, at_nth=3)
-    assert spec.is_write_fault and not spec.is_read_fault
+    assert spec.kind in _WRITE_KINDS and not spec.is_read_fault
 
 
 def test_exactly_one_trigger_required():
@@ -52,7 +53,7 @@ def test_kind_must_be_fault_kind():
 def test_every_kind_is_read_xor_write():
     for kind in FaultKind:
         spec = FaultSpec(kind, at_nth=1)
-        assert spec.is_read_fault != spec.is_write_fault
+        assert spec.is_read_fault != (spec.kind in _WRITE_KINDS)
 
 
 def test_page_filter_scopes_matches():
@@ -69,8 +70,8 @@ def test_plan_of_and_partition():
     read = FaultSpec(FaultKind.TRANSIENT_READ_ERROR, probability=0.1)
     write = FaultSpec(FaultKind.TORN_WRITE, at_nth=2)
     plan = FaultPlan.of(read, write)
-    assert plan.read_specs == (read,)
-    assert plan.write_specs == (write,)
+    assert [s for s in plan.specs if s.is_read_fault] == [read]
+    assert [s for s in plan.specs if s.kind in _WRITE_KINDS] == [write]
 
 
 def test_plan_addition_concatenates_in_order():
@@ -87,5 +88,5 @@ def test_plan_rejects_non_specs():
 
 def test_no_faults_is_empty():
     assert NO_FAULTS.specs == ()
-    assert NO_FAULTS.read_specs == ()
-    assert NO_FAULTS.write_specs == ()
+    assert not any(s.is_read_fault for s in NO_FAULTS.specs)
+    assert not any(s.kind in _WRITE_KINDS for s in NO_FAULTS.specs)

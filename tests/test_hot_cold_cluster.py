@@ -42,7 +42,7 @@ def test_full_clustering_moves_all_hot_tuples():
     tail_before = heap.page_ids[-1]
     report = cluster_hot_tuples(heap, tree, keys)
     assert report.moved == len(keys)
-    assert report.achieved_fraction == 1.0
+    assert report.moved == report.hot_tuples > 0  # achieved fraction 1
     # every hot tuple now lives at or past the old tail page
     for key in keys:
         rid = Rid.from_bytes(tree.search(key))

@@ -15,7 +15,7 @@ def test_record_and_count():
     assert t.count_of("b") == 1
     assert t.count_of("missing") == 0
     assert t.total_accesses == 3
-    assert len(t) == 2
+    assert len(t._counts) == 2
 
 
 def test_hottest_ordering():

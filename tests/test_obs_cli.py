@@ -223,7 +223,7 @@ def test_sharded_profile_covers_every_shard():
     run = run_observed_workload(
         n_rows=60, n_ops=300, samples=4, pool_pages=16, shards=3,
     )
-    per_shard = [run.database.shard(i).profiler for i in range(3)]
+    per_shard = [run.database.shard(i).tracer.profiler for i in range(3)]
     assert all(p.operations > 0 for p in per_shard)
     profiled = sum(p.operations for p in per_shard)
     assert sum(s.calls for s in run.profiler.top()) == profiled

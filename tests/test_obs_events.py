@@ -36,7 +36,8 @@ def test_seq_is_global_and_shard_seq_is_local():
     assert [e.seq for e in (a, b, c, d)] == [1, 2, 3, 4]
     assert (a.shard_seq, b.shard_seq, c.shard_seq, d.shard_seq) == (1, 1, 2, 1)
     assert b.t_ns == 5.0 and a.t_ns == 0.0
-    assert c.get("page") == 9 and c.get("nope", "x") == "x"
+    payload = dict(c.payload)
+    assert payload["page"] == 9 and payload.get("nope", "x") == "x"
 
 
 def test_trace_source_stamps_active_trace_id():
@@ -48,7 +49,7 @@ def test_trace_source_stamps_active_trace_id():
         inside = journal.emit("migration.intent", shard=1, key=3)
     explicit = journal.emit("migration.commit", shard=1, trace_id=99)
     assert outside.trace_id is None
-    assert inside.trace_id == collector.last().trace_id
+    assert inside.trace_id == collector.traces()[-1].trace_id
     assert explicit.trace_id == 99
 
 
@@ -112,7 +113,7 @@ def test_ring_evicts_oldest_but_keeps_seqs_monotonic():
     journal, _clock = _journal(capacity=4)
     for i in range(10):
         journal.emit("wal.checkpoint", shard=0, i=i)
-    assert len(journal) == 4
+    assert len(journal.query()) == 4
     assert [e.seq for e in journal] == [7, 8, 9, 10]
     # Local shard history still reads gap-free after eviction.
     assert [e.shard_seq for e in journal] == [7, 8, 9, 10]
@@ -126,7 +127,7 @@ def test_clear_resets_sequences():
     journal, _clock = _journal()
     journal.emit("wal.checkpoint", shard=2)
     journal.clear()
-    assert len(journal) == 0
+    assert len(journal.query()) == 0
     event = journal.emit("wal.checkpoint", shard=2)
     assert event.seq == 1 and event.shard_seq == 1
 
@@ -153,7 +154,7 @@ def test_checkpoint_and_heal_events_journal():
     db.checkpoint()
     checkpoints = journal.query(kind="wal.checkpoint")
     assert len(checkpoints) == 1
-    assert checkpoints[0].get("lsn") is not None
+    assert dict(checkpoints[0].payload).get("lsn") is not None
 
 
 def test_crash_recovery_journals_phases_in_order():
@@ -241,4 +242,4 @@ def test_adaptive_tuning_actions_journal():
     assert actions and state["v"] == 2.0
     journaled = journal.query(kind="tuning.action")
     assert journaled, "breach-driven knob move must journal"
-    assert journaled[0].get("knob") == "k"
+    assert dict(journaled[0].payload)["knob"] == "k"

@@ -64,7 +64,7 @@ def test_fingerprint_stability_across_keys_and_batches():
     t.lookup_many("pk", [7, 8, 9, 10], ("k", "n"))
     fps = {s.fingerprint for s in profiler.top()}
     assert fps == {"lookup:t.pk->k,n", "lookup_many:t.pk->k,n x4"}
-    scalar = profiler.stats("lookup:t.pk->k,n")
+    scalar = profiler._stats.get("lookup:t.pk->k,n")
     assert scalar.calls == 3
 
 
@@ -74,13 +74,13 @@ def test_plan_names_the_index_kind():
     t.lookup("pk", 1, ("k", "n"))
     t.lookup("cache", 1, ("k", "n"))
     t.update("pk", 2, {"n": 1})
-    assert profiler.stats("lookup:t.pk->k,n").plan == (
+    assert profiler._stats.get("lookup:t.pk->k,n").plan == (
         "lookup t via plain-index(pk) project (k, n)"
     )
-    assert profiler.stats("lookup:t.cache->k,n").plan == (
+    assert profiler._stats.get("lookup:t.cache->k,n").plan == (
         "lookup t via cached-index(cache) project (k, n)"
     )
-    assert profiler.stats("update:t.pk").plan == "update t via plain-index(pk)"
+    assert profiler._stats.get("update:t.pk").plan == "update t via plain-index(pk)"
 
 
 def test_enable_profiling_idempotent_and_propagates_to_new_tables():
@@ -89,7 +89,7 @@ def test_enable_profiling_idempotent_and_propagates_to_new_tables():
     assert db.enable_profiling() is profiler
     t2 = db.create_table("t2", SCHEMA)
     assert t2.tracer.profiler is profiler
-    assert db.profiler is profiler
+    assert db.tracer.profiler is profiler
 
 
 # -- per-query deltas -------------------------------------------------------
@@ -99,7 +99,7 @@ def test_profile_counts_pages_and_cache_split():
     db, t = _db()
     profiler = db.enable_profiling()
     t.lookup("cache", 5, ("name", "n"))
-    stats = profiler.stats("lookup:t.cache->name,n")
+    stats = profiler._stats.get("lookup:t.cache->name,n")
     assert stats is not None and stats.calls == 1
     # A warm-pool lookup pins pages without reading from disk.
     assert stats.pages_pinned > 0
@@ -113,7 +113,7 @@ def test_plain_index_heap_fetches_are_charged():
     db, t = _db()
     profiler = db.enable_profiling()
     t.lookup("pk", 42, ("k", "n"))
-    stats = profiler.stats("lookup:t.pk->k,n")
+    stats = profiler._stats.get("lookup:t.pk->k,n")
     assert stats.heap_fetches == 1  # PlainIndex fetches the heap every time
 
 
@@ -124,10 +124,10 @@ def test_nested_operations_charge_to_outermost():
         t.lookup("pk", 1, ("k",))
         t.lookup("pk", 2, ("k",))
     assert profiler.operations == 1
-    outer = profiler.stats("outer:t")
+    outer = profiler._stats.get("outer:t")
     assert outer.calls == 1
     assert outer.descents == 2  # both inner descents folded in
-    assert profiler.stats("lookup:t.pk->k") is None
+    assert profiler._stats.get("lookup:t.pk->k") is None
 
 
 def test_error_operations_are_flagged_and_counted():
@@ -136,7 +136,7 @@ def test_error_operations_are_flagged_and_counted():
     with pytest.raises(QueryError):
         with db.tracer.span("boom", profile=("boom", "t"), timed=False):
             raise QueryError("kaput")
-    assert profiler.stats("boom:t").errors == 1
+    assert profiler._stats.get("boom:t").errors == 1
     assert db.metrics.get("profiler.errors").value == 1
     (profile,) = profiler.slow_queries()
     assert profile.error and profile.line().startswith("#0 ")
@@ -147,7 +147,7 @@ def test_scan_bracket_covers_iteration():
     profiler = db.enable_profiling()
     rows = list(t.scan(project=("k",)))
     assert len(rows) == 100
-    stats = profiler.stats("scan:t->k")
+    stats = profiler._stats.get("scan:t->k")
     assert stats.calls == 1 and stats.pages_pinned > 0
 
 
@@ -161,13 +161,13 @@ def test_wal_bytes_attributed_under_group_commit():
     profiler = db.enable_profiling()
     flushes_before = db.metrics.get("wal.flushes").value
     t.insert({"k": 1000, "name": "w", "n": 1})
-    insert_stats = profiler.stats("insert:t")
+    insert_stats = profiler._stats.get("insert:t")
     assert insert_stats.wal_bytes > 0
     # Really still buffered: the profiled insert tripped no flush.
     assert db.metrics.get("wal.flushes").value == flushes_before
 
     t.lookup("pk", 1000, ("k", "n"))
-    lookup_stats = profiler.stats("lookup:t.pk->k,n")
+    lookup_stats = profiler._stats.get("lookup:t.pk->k,n")
     assert lookup_stats.wal_bytes == 0  # reads log nothing, flush or not
 
 
@@ -266,7 +266,7 @@ def test_slow_threshold_filters_cheap_operations():
         with _profiled(profiler, "op", "t"):
             clock[0] += cost
     assert [p.elapsed_ns for p in profiler.slow_queries()] == [8.0, 6.0]
-    assert profiler.stats("op:t").calls == 4  # rollup still sees everything
+    assert profiler._stats.get("op:t").calls == 4  # rollup still sees everything
 
 
 def test_fingerprint_table_overflows_into_other():
@@ -277,7 +277,7 @@ def test_fingerprint_table_overflows_into_other():
     fps = {s.fingerprint for s in profiler.top()}
     assert OVERFLOW_FINGERPRINT in fps
     assert len(fps) == 4  # 3 real + the overflow bucket
-    assert profiler.stats(OVERFLOW_FINGERPRINT).calls == 3
+    assert profiler._stats.get(OVERFLOW_FINGERPRINT).calls == 3
     assert DEFAULT_MAX_FINGERPRINTS >= 3
 
 
@@ -297,7 +297,7 @@ def test_as_dict_and_format_top_render():
 
 def test_profiling_off_by_default_and_opt_in():
     db, t = _db()
-    assert db.profiler is None and t.tracer.profiler is None
+    assert db.tracer.profiler is None and t.tracer.profiler is None
     t.lookup("pk", 1, ("k",))  # no profiler: nothing recorded anywhere
     assert "profiler" not in db.metrics.snapshot()
 
@@ -320,7 +320,7 @@ def test_abandoned_scan_closes_bracket_cleanly():
     next(it)  # half-drain: the bracket is open
     it.close()
     assert profiler._depth == 0  # bracket closed by the close() path
-    stats = profiler.stats("scan:t->k,name,n")
+    stats = profiler._stats.get("scan:t->k,name,n")
     assert stats is not None and stats.calls == 1
     assert stats.errors == 0  # abandoned is not failed
     assert "errors" not in db.metrics.snapshot().get("profiler", {}) or (
@@ -361,11 +361,11 @@ def test_cyclic_gc_of_scan_does_not_mischarge_later_ops():
     del holder
     gc.collect()  # delivers GeneratorExit through the cycle collector
     assert profiler._depth == 0
-    before = profiler.stats("lookup:t.pk->k,name,n")
+    before = profiler._stats.get("lookup:t.pk->k,name,n")
     t.lookup("pk", 3, ("k", "name", "n"))
-    after = profiler.stats("lookup:t.pk->k,name,n")
+    after = profiler._stats.get("lookup:t.pk->k,name,n")
     assert (after.calls - (before.calls if before else 0)) == 1
-    scan_stats = profiler.stats("scan:t->k,name,n")
+    scan_stats = profiler._stats.get("scan:t->k,name,n")
     assert scan_stats.errors == 0
 
 
@@ -374,6 +374,6 @@ def test_exhausted_scan_still_counts_once():
     profiler = db.enable_profiling()
     rows = list(t.scan())
     assert len(rows) == 100
-    stats = profiler.stats("scan:t->k,name,n")
+    stats = profiler._stats.get("scan:t->k,name,n")
     assert stats.calls == 1 and stats.errors == 0
     assert profiler._depth == 0

@@ -135,10 +135,10 @@ def test_export_json_includes_tracer_spans(tmp_path):
 def test_snapshot_deterministic_under_seeded_rng():
     first = _drive_workload(metrics=MetricsRegistry(), seed=11)
     second = _drive_workload(metrics=MetricsRegistry(), seed=11)
-    assert first.metrics.to_json() == second.metrics.to_json()
+    assert first.metrics.snapshot() == second.metrics.snapshot()
     # and a different seed produces a different cache trajectory
     third = _drive_workload(metrics=MetricsRegistry(), seed=12)
-    assert first.metrics.to_json() != third.metrics.to_json()
+    assert first.metrics.snapshot() != third.metrics.snapshot()
 
 
 def test_null_registry_workload_is_bit_identical():

@@ -246,7 +246,7 @@ def test_fleet_slo_breach_and_clear_journal():
     assert not report.ok
     breaches = journal.query(kind="slo.breach")
     assert len(breaches) == 1
-    assert breaches[0].get("rule") == "fleet_heat_balance"
+    assert dict(breaches[0].payload)["rule"] == "fleet_heat_balance"
 
     regs[1].counter("bufferpool.hit").inc(100)  # the others catch up
     regs[2].counter("bufferpool.hit").inc(100)

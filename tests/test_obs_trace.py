@@ -40,19 +40,19 @@ def test_trace_builds_a_span_tree():
         assert collector.active is trace
         clock["t"] = 10.0
         with collector.span("child", shard=1, rows=3) as child:
-            assert collector.current_span is child
+            assert collector._stack[-1] is child
             clock["t"] = 25.0
         with collector.span("child", shard=2):
             clock["t"] = 40.0
     assert collector.active is None
-    done = collector.last()
-    assert done.name == "op"
+    done = collector.traces()[-1]
+    assert done.root.name == "op"
     assert done.context.baggage["fingerprint"] == "f1"
     assert [s.name for s in done.spans] == ["op", "child", "child"]
     assert done.root.children[0].attrs == {"rows": 3}
     assert done.root.elapsed_ns == 40.0
     assert done.shards_touched() == [1, 2]
-    assert len(done.find("child")) == 2
+    assert len([s for s in done.spans if s.name == "child"]) == 2
 
 
 def test_nested_trace_merges_baggage_and_becomes_child_span():
@@ -60,7 +60,7 @@ def test_nested_trace_merges_baggage_and_becomes_child_span():
     with collector.trace("outer", a=1) as outer:
         with collector.trace("inner", b=2) as inner:
             assert inner is outer  # no second root minted
-    done = collector.last()
+    done = collector.traces()[-1]
     assert done.context.baggage == {"a": 1, "b": 2}
     assert [s.name for s in done.spans] == ["outer", "inner"]
 
@@ -69,12 +69,12 @@ def test_span_outside_trace_auto_roots_or_noops():
     rooted, _clock = _collector(auto_root=True)
     with rooted.span("lone", rows=1) as span:
         assert span is not None and span.attrs == {"rows": 1}
-    assert rooted.last().name == "lone"
+    assert rooted.traces()[-1].root.name == "lone"
 
     silent, _clock = _collector(auto_root=False)
     with silent.span("lone") as span:
         assert span is None
-    assert silent.last() is None
+    assert not silent._ring  # no last trace
     assert silent.traces() == []
 
 
@@ -84,8 +84,8 @@ def test_error_in_span_marks_and_propagates():
         with collector.trace("op"):
             with collector.span("child"):
                 raise ValueError("boom")
-    done = collector.last()
-    assert done.root.error and done.find("child")[0].error
+    done = collector.traces()[-1]
+    assert done.root.error and [s for s in done.spans if s.name == "child"][0].error
     reg = collector._registry
     assert reg.counter("trace.errors").value == 2
     assert collector.active is None  # stack unwound cleanly
@@ -97,31 +97,30 @@ def test_ring_is_bounded_and_keeps_newest():
         with collector.trace(f"op{i}"):
             pass
     assert len(collector.traces()) == 3
-    assert [t.name for t in collector.traces()] == ["op4", "op5", "op6"]
-    assert [t.name for t in collector.traces(2)] == ["op5", "op6"]
+    assert [t.root.name for t in collector.traces()] == ["op4", "op5", "op6"]
+    assert [t.root.name for t in collector.traces(2)] == ["op5", "op6"]
     reg = collector._registry
     assert reg.counter("trace.started").value == 7
     assert reg.counter("trace.finished").value == 7
     collector.clear()
-    assert collector.last() is None
+    assert collector.traces() == []
     assert DEFAULT_TRACE_RING == 64
 
 
 def test_annotate_set_baggage_and_hops():
     collector, _clock = _collector()
     collector.annotate(ignored=True)     # no-op outside any trace
-    collector.set_baggage(ignored=True)
     collector.record_hop(9)
-    with collector.trace("op"):
+    with collector.trace("op") as trace:
         collector.record_hop(2)
         collector.record_hop(0)
-        collector.set_baggage(txn_id=7)
+        trace.context.baggage["txn_id"] = 7
         with collector.span("child"):
             collector.annotate(pages=4)  # innermost open span
-    done = collector.last()
+    done = collector.traces()[-1]
     assert done.context.hops == [2, 0]
     assert done.context.baggage["txn_id"] == 7
-    assert done.find("child")[0].attrs == {"pages": 4}
+    assert [s for s in done.spans if s.name == "child"][0].attrs == {"pages": 4}
 
 
 def test_context_round_trips():
@@ -147,8 +146,8 @@ def test_per_shard_clocks_time_shard_spans_locally():
         # Unknown shard falls back to the facade clock.
         with collector.span("exec", shard=7) as other:
             facade["t"] = 60.0
-    done = collector.last()
-    exec0, exec7 = done.find("exec")
+    done = collector.traces()[-1]
+    exec0, exec7 = [s for s in done.spans if s.name == "exec"]
     assert (exec0.start_ns, exec0.end_ns) == (1000.0, 1030.0)
     assert exec0.elapsed_ns == 30.0
     assert (exec7.start_ns, exec7.end_ns) == (50.0, 60.0)
@@ -189,12 +188,12 @@ def test_database_tracing_brackets_ops_and_wal_flush():
     assert db.enable_tracing() is collector  # idempotent
     t.insert({"k": 1, "v": 2})
     db.wal.flush()
-    names = [trace.name for trace in collector.traces()]
+    names = [trace.root.name for trace in collector.traces()]
     assert "query.insert" in names
-    flush = next(t for t in collector.traces() if t.name == "wal.flush")
+    flush = next(t for t in collector.traces() if t.root.name == "wal.flush")
     assert flush.root.attrs["records"] >= 1
     t.lookup("pk", 1)
-    assert collector.last().name == "query.lookup"
+    assert collector.traces()[-1].root.name == "query.lookup"
 
 
 def test_session_commit_traces_nested_wal_flush():
@@ -208,13 +207,13 @@ def test_session_commit_traces_nested_wal_flush():
     session.begin()
     session.insert("t", {"k": 9, "v": 9})
     session.commit(flush=True)
-    commits = [t for t in collector.traces() if t.name == "txn.commit"]
+    commits = [t for t in collector.traces() if t.root.name == "txn.commit"]
     assert len(commits) == 1
     commit = commits[0]
     assert "txn_id" in commit.context.baggage
     # The group-commit flush nests inside the commit's trace, and the
     # insert ran under the session too.
-    assert commit.find("wal.flush")
+    assert [s for s in commit.spans if s.name == "wal.flush"]
 
 
 # -- sharded facade -----------------------------------------------------------
@@ -225,18 +224,18 @@ def test_sharded_ops_build_cross_shard_trees_with_hops():
     collector = sdb.enable_tracing()
     for i in range(30):
         t.insert({"k": i, "v": i})
-    insert = collector.last()
-    assert insert.name == "shard.insert"
+    insert = collector.traces()[-1]
+    assert insert.root.name == "shard.insert"
     assert insert.context.baggage["table"] == "t"
     assert len(insert.context.hops) == 1  # routed once, before the mint
     assert insert.root.attrs["fanout"] == 1
 
     rows = list(t.scan(project=("k", "v")))
     assert len(rows) == 30
-    scan = collector.last()
-    assert scan.name == "shard.scan"
+    scan = collector.traces()[-1]
+    assert scan.root.name == "shard.scan"
     assert scan.shards_touched() == [0, 1, 2]
-    execs = scan.find("shard.exec")
+    execs = [s for s in scan.spans if s.name == "shard.exec"]
     assert [s.shard for s in execs] == [0, 1, 2]
     assert sum(s.attrs["rows"] for s in execs) == 30
     assert all(s.attrs.get("pages", 0) >= 1 for s in execs)
@@ -260,8 +259,8 @@ def test_sharded_spans_read_shard_local_clocks():
     for i in range(12):
         t.insert({"k": i, "v": i})
     list(t.scan(project=("k",)))
-    scan = collector.last()
-    for span in scan.find("shard.exec"):
+    scan = collector.traces()[-1]
+    for span in [s for s in scan.spans if s.name == "shard.exec"]:
         shard_now = sdb.shard(span.shard).cost_model.now_ns
         assert span.end_ns == shard_now  # timed on that machine's clock
         assert span.start_ns <= span.end_ns
@@ -290,7 +289,7 @@ def test_reset_counters_clears_obs_families():
         t.insert({"k": i, "v": i})
     rollup.refresh()
     journal.emit("wal.checkpoint", shard=0)
-    assert collector.last() is not None and len(journal) == 1
+    assert collector.traces() != [] and len(journal.query()) == 1
     assert sdb.metrics.counter("trace.finished").value > 0
 
     sdb.metrics.reset()
@@ -298,8 +297,8 @@ def test_reset_counters_clears_obs_families():
         sdb.shard_registry(i).reset()
     sdb.trace.clear()
     sdb.journal.clear()
-    assert collector.last() is None
-    assert len(journal) == 0
+    assert collector.traces() == []
+    assert len(journal.query()) == 0
     assert sdb.metrics.counter("trace.finished").value == 0
     assert sdb.metrics.counter("events.emitted").value == 0
     assert sdb.metrics.counter("fleet.refreshes").value == 0
@@ -307,7 +306,7 @@ def test_reset_counters_clears_obs_families():
     assert sdb.metrics.gauge("fleet.shards").value == 2
     # The pipeline is still armed and keeps recording.
     t.lookup("pk", 1)
-    assert collector.last().name == "shard.lookup"
+    assert collector.traces()[-1].root.name == "shard.lookup"
 
 
 # -- acceptance: the sharded drill exports the §5j exhibits -------------------
@@ -401,12 +400,13 @@ def test_migration_journal_matches_wal_record_order():
                 wal_seqs.append(int(rec.meta["seq"]))
     intents = journal.query(kind="migration.intent")
     commits = journal.query(kind="migration.commit")
-    assert sorted(e.get("seq") for e in intents) == sorted(wal_seqs)
+    assert sorted(dict(e.payload)["seq"] for e in intents) == sorted(wal_seqs)
     # Journal append order == WAL seq order (migrations are sequential).
-    assert [e.get("seq") for e in intents] == sorted(wal_seqs)
+    assert [dict(e.payload)["seq"] for e in intents] == sorted(wal_seqs)
     assert len(commits) == len(intents)
     for intent, commit in zip(intents, commits):
-        assert intent.get("seq") == commit.get("seq")
+        intent_at, commit_at = dict(intent.payload), dict(commit.payload)
+        assert intent_at["seq"] == commit_at["seq"]
         assert intent.seq < commit.seq
-        assert intent.get("src") == commit.get("src")
-        assert intent.shard == commit.shard == intent.get("dst")
+        assert intent_at["src"] == commit_at["src"]
+        assert intent.shard == commit.shard == intent_at["dst"]

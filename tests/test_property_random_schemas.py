@@ -20,7 +20,6 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from repro.schema.record import (
-    overwrite_field,
     pack_record,
     pack_record_map,
     unpack_fields,
@@ -130,7 +129,9 @@ def test_overwrite_touches_only_target_field(pair, data_strategy):
     target = data_strategy.draw(st.sampled_from(schema.names))
     column = schema.column(target)
     new_value = data_strategy.draw(_value_strategy(column.ctype))
-    overwrite_field(schema, buffer, target, new_value)
+    row = unpack_record_map(schema, bytes(buffer))  # as Table.update does
+    row[target] = new_value
+    buffer[:] = pack_record_map(schema, row)
     result = dict(zip(schema.names, unpack_record(schema, bytes(buffer))))
     for name, original in zip(schema.names, values):
         if name == target:
@@ -187,7 +188,7 @@ def test_compiled_codec_equals_per_column_reference(pair):
     )
     assert data == pack_record_map(schema, dict(zip(schema.names, values)))
     slices = [
-        data[schema.offset_of(col.name) :][: col.size] for col in schema.columns
+        data[schema._offsets[col.name] :][: col.size] for col in schema.columns
     ]
     by_type = tuple(col.ctype.unpack(raw) for col, raw in zip(schema.columns, slices))
     by_hand = tuple(

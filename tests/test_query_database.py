@@ -103,4 +103,4 @@ def test_catalog_registration():
     db.create_index("t", "t_pk", ("id",))
     assert db.catalog.table_names == ["t"]
     assert db.table("t").index_names == ["t_pk"]
-    assert db.table("t").index("t_pk").key_columns == ("id",)
+    assert db.table("t").index("t_pk").key_codec.columns == ("id",)

@@ -46,9 +46,9 @@ def _assert_left_nothing(db, before):
     assert _state(db) == before
     assert db.trace.active is None
     # the profiler counts the next operation, and its trace finishes
-    ops, finished = db.profiler.operations, len(db.trace.traces())
+    ops, finished = db.tracer.profiler.operations, len(db.trace.traces())
     assert db.table("a").lookup("pk", 1).values == {"id": 1, "v": 10}
-    assert db.profiler.operations == ops + 1
+    assert db.tracer.profiler.operations == ops + 1
     assert len(db.trace.traces()) == finished + 1
     assert db.trace.active is None
 
@@ -259,7 +259,7 @@ def test_malformed_projection_does_not_silence_the_profiler():
     with pytest.raises(TypeError):
         t.lookup("pk", 1, project=5)
     assert trace.active is None
-    assert trace.last().root.error  # the refused op's trace, closed
+    assert trace.traces()[-1].root.error  # the refused op's trace, closed
     for _ in range(6):
         t.lookup("pk", 1)
     assert profiler.operations == 7

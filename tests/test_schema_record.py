@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SchemaError
 from repro.schema.record import (
-    overwrite_field,
     pack_record,
     pack_record_map,
     unpack_fields,
@@ -60,13 +59,15 @@ def test_partial_unpack():
 
 def test_overwrite_field_in_place():
     data = bytearray(pack_record(SCHEMA, (9, 5, True, "abc")))
-    overwrite_field(SCHEMA, data, "score", -100)
+    row = unpack_record_map(SCHEMA, bytes(data))  # as Table.update does
+    row["score"] = -100
+    data[:] = pack_record_map(SCHEMA, row)
     assert unpack_record(SCHEMA, bytes(data)) == (9, -100, True, "abc")
 
 
 def test_overwrite_field_wrong_buffer_size():
     with pytest.raises(SchemaError):
-        overwrite_field(SCHEMA, bytearray(3), "score", 1)
+        unpack_record_map(SCHEMA, bytes(3))
 
 
 @given(
@@ -221,7 +222,7 @@ def test_used_schema_still_copies_and_pickles():
         assert clone == SCHEMA and clone is not SCHEMA
         assert clone.names == SCHEMA.names
         assert clone.record_size == SCHEMA.record_size
-        assert clone.offset_of("tag") == SCHEMA.offset_of("tag")
+        assert clone._offsets["tag"] == SCHEMA._offsets["tag"]
         assert pack_record_map(clone, row) == data
         assert unpack_fields(clone, data, ["tag", "score"]) == {"tag": "x", "score": -2}
 

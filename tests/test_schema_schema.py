@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.schema.record import unpack_fields
 from repro.schema.schema import Column, Schema
 from repro.schema.types import INT64, UINT8, UINT32, char, varchar
 
@@ -22,26 +23,26 @@ def test_record_size_is_sum(schema):
 
 
 def test_offsets_are_cumulative(schema):
-    assert schema.offset_of("id") == 0
-    assert schema.offset_of("flag") == 4
-    assert schema.offset_of("name") == 5
-    assert schema.offset_of("note") == 15
+    assert schema._offsets["id"] == 0
+    assert schema._offsets["flag"] == 4
+    assert schema._offsets["name"] == 5
+    assert schema._offsets["note"] == 15
 
 
 def test_names_and_positions(schema):
     assert schema.names == ("id", "flag", "name", "note")
-    assert schema.position("name") == 2
+    assert schema.names.index("name") == 2
     assert schema.has_column("flag")
     assert not schema.has_column("nope")
 
 
 def test_unknown_column_raises(schema):
     with pytest.raises(SchemaError):
-        schema.offset_of("missing")
-    with pytest.raises(SchemaError):
         schema.column("missing")
     with pytest.raises(SchemaError):
-        schema.position("missing")
+        schema.project(["missing"])
+    with pytest.raises(SchemaError):
+        unpack_fields(schema, bytes(schema.record_size), ["missing"])
 
 
 def test_duplicate_column_rejected():
@@ -80,7 +81,7 @@ def test_column_declared_defaults_to_stored():
 
 def test_iteration_and_len(schema):
     assert len(schema) == 4
-    assert [c.name for c in schema] == list(schema.names)
+    assert [c.name for c in schema.columns] == list(schema.names)
 
 
 def test_describe_mentions_retyped_columns(schema):

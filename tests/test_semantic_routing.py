@@ -47,7 +47,7 @@ def test_compare_routers_agreement():
     assert comparison.tuples == 500
     assert comparison.partitions == 5
     assert comparison.embedded_bytes == 0
-    assert comparison.state_reduction == float("inf")
+    assert comparison.lookup_table_bytes > 0  # an unbounded state reduction
 
 
 def test_compare_routers_detects_disagreement():

@@ -263,7 +263,7 @@ def test_reset_counters_covers_shard_family():
     # Level gauges keep their values: the shards still exist.
     assert snap["shard"]["count"] == 3.0
     assert snap["shard"]["router"]["overrides"] == float(
-        len(sdb.router.overrides)
+        len(sdb.router._overrides)
     )
     # And the facade still works after the wipe, counting from zero.
     assert table.lookup("pk", 1).found

@@ -135,7 +135,7 @@ def test_cooled_overrides_return_to_base():
         router.record_access("hot")
     for key, _, dst in router.plan_rebalance():
         router.apply_move(key, dst)
-    assert router.overrides  # "hot" was dealt off its base shard
+    assert router._overrides  # "hot" was dealt off its base shard
     # Aggressive decay plus a new heavy hitter pushes "hot" out of the
     # hot set; its override must be planned back to base placement.
     for _ in range(4):
@@ -150,7 +150,7 @@ def test_cooled_overrides_return_to_base():
     _, src, dst = cooled[0]
     assert dst == router.base_shard("hot")
     router.apply_move("hot", dst)
-    assert "hot" not in router.overrides
+    assert "hot" not in router._overrides
 
 
 def test_hot_spreading_deals_round_robin():

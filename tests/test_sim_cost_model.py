@@ -87,4 +87,4 @@ def test_custom_preset():
     model = CostModel(preset)
     model.on_bp_miss()
     assert model.now_ns == 110.0
-    assert preset.nocache_lookup_ns == preset.index_descent_ns + 10.0
+    assert preset.index_descent_ns + preset.bp_access_ns == preset.index_descent_ns + 10.0

@@ -302,7 +302,7 @@ def test_update_and_delete_of_absent_key_return_false():
     assert s.delete("t", 404) is False
     assert s.lookup("t", 404).found is False
     s.commit()
-    assert db.txn_manager.tracked_keys == 0
+    assert db.metrics.gauge("txn.tracked_keys").value == 0
 
 
 # -- version-chain GC ---------------------------------------------------------
@@ -310,26 +310,25 @@ def test_update_and_delete_of_absent_key_return_false():
 
 def test_version_chains_collapse_when_no_snapshot_needs_them():
     db = make_db()
-    mgr = db.txn_manager
     s = db.session()
     for key in (1, 2, 3):
         s.begin()
         s.update("t", key, {"score": key})
         s.commit()
-    assert mgr.tracked_keys == 0
-    assert mgr.active_txns == 0
+    assert db.metrics.gauge("txn.tracked_keys").value == 0
+    assert db.metrics.gauge("txn.active").value == 0
 
 
 def test_old_versions_survive_while_a_snapshot_can_see_them():
     db = make_db()
-    mgr = db.txn_manager
     reader = db.session(); reader.begin()
     writer = db.session()
     writer.begin(); writer.update("t", 1, {"score": 1}); writer.commit()
-    assert mgr.tracked_keys == 1          # pinned by reader's snapshot
+    tracked = db.metrics.gauge("txn.tracked_keys")
+    assert tracked.value == 1             # pinned by reader's snapshot
     assert reader.lookup("t", 1).values["score"] == 10
     reader.commit()
-    assert mgr.tracked_keys == 0          # collapsed after the pin lifted
+    assert tracked.value == 0             # collapsed after the pin lifted
 
 
 # -- no-WAL and metrics -------------------------------------------------------

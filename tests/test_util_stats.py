@@ -37,4 +37,4 @@ def test_stats_match_reference(values):
     assert math.isclose(s.variance, variance, rel_tol=1e-6, abs_tol=1e-3)
     assert s.min == min(values)
     assert s.max == max(values)
-    assert math.isclose(s.total, sum(values), rel_tol=1e-9, abs_tol=1e-6)
+    assert math.isclose(s.mean * s.count, sum(values), rel_tol=1e-9, abs_tol=1e-6)

@@ -68,9 +68,9 @@ def test_uniform_covers_domain():
 def test_hotset_sizes():
     h = HotSetDistribution(1000, 0.05, 0.999, DeterministicRng(5))
     assert len(h.hot_ids) == 50
-    assert len(h.cold_ids) == 950
+    assert len(h._cold) == 950
     assert all(h.is_hot(i) for i in h.hot_ids)
-    assert not any(h.is_hot(i) for i in h.cold_ids)
+    assert not any(h.is_hot(i) for i in h._cold)
 
 
 def test_hotset_access_concentration():
