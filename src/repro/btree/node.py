@@ -64,9 +64,6 @@ class LeafNode:
     def remove(self, pos: int) -> None:
         self.page.remove_at(pos)
 
-    def entries(self) -> list[tuple[bytes, bytes]]:
-        return [self.entry_at(i) for i in range(self.count)]
-
     @property
     def entry_size(self) -> int:
         return self._key_size + self._value_size
@@ -109,9 +106,3 @@ class InternalNode:
     def insert(self, pos: int, key: bytes, child: int) -> None:
         self.page.insert_at(pos, key + _CHILD.pack(child))
 
-    def entries(self) -> list[tuple[bytes, int]]:
-        return [self.entry_at(i) for i in range(self.count)]
-
-    @property
-    def entry_size(self) -> int:
-        return self._key_size + CHILD_PTR_SIZE

@@ -29,10 +29,6 @@ class BTreeStats:
     free_bytes_total: int
     key_bytes_total: int
 
-    @property
-    def num_pages(self) -> int:
-        return self.leaf_pages + self.internal_pages
-
     def cache_capacity(self, item_size: int) -> int:
         """How many cache items of ``item_size`` bytes the free space holds.
 

@@ -133,9 +133,6 @@ class BPlusTree:
                 node = InternalNode(page, self.key_size)
                 _, page_id = node.find_child(key)
 
-    def contains(self, key: bytes) -> bool:
-        return self.search(key) is not None
-
     def lookup_many(self, keys: "Iterable[bytes]") -> dict[bytes, bytes | None]:
         """Batched exact lookups: sorted probes share descents and leaves.
 

@@ -103,10 +103,6 @@ class ColumnarManager:
         self.cache.discard_table(table_name)
         self.sync_gauges()
 
-    @property
-    def stores(self) -> dict[str, ColumnStore]:
-        return dict(self._stores)
-
     def current_csn(self) -> int:
         """The engine CSN *without* force-building a txn manager (a
         database that never opened a session has no commits: CSN 0)."""

@@ -45,13 +45,6 @@ class ColumnProfile:
     numeric_max: int | None
     is_constant: bool
 
-    @property
-    def int_range_span(self) -> int | None:
-        if self.min_int is None or self.max_int is None:
-            return None
-        return self.max_int - self.min_int
-
-
 def profile_column(
     name: str,
     declared: PhysicalType,

@@ -71,10 +71,6 @@ class DictionaryCodec:
             seen.setdefault(v, None)
         return cls(list(seen))
 
-    @property
-    def size(self) -> int:
-        return len(self._values)
-
     def encode(self, values: list[object]) -> bytes:
         try:
             codes = [self._codes[v] for v in values]

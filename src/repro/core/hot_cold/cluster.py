@@ -32,11 +32,6 @@ class ClusterReport:
     pages_before: int
     pages_after: int
 
-    @property
-    def achieved_fraction(self) -> float:
-        return self.moved / self.hot_tuples if self.hot_tuples else 0.0
-
-
 def cluster_hot_tuples(
     heap: HeapFile,
     tree: BPlusTree,

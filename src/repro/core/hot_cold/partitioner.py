@@ -57,15 +57,6 @@ class PartitionStats:
     hot_heap_bytes: int
     cold_heap_bytes: int
 
-    @property
-    def index_shrink_factor(self) -> float:
-        """How much smaller the hot index is than a combined index would
-        be — the paper's "reducing total index sizes a factor of 19"."""
-        if self.hot_index_bytes == 0:
-            return 1.0
-        return (self.hot_index_bytes + self.cold_index_bytes) / self.hot_index_bytes
-
-
 class HotColdPartitionedTable:
     """A logical table stored as a hot partition plus a cold partition."""
 

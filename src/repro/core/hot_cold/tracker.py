@@ -92,5 +92,3 @@ class AccessTracker:
         total = sum(self.count_of(k) for k in self._counts)
         return chosen / total if total else 0.0
 
-    def __len__(self) -> int:
-        return len(self._counts)

@@ -34,13 +34,6 @@ class VerticalPartitioning:
     bytes_per_query_split: float
     merge_fraction: float  # fraction of queries touching both fragments
 
-    @property
-    def bytes_saved_fraction(self) -> float:
-        if self.bytes_per_query_unsplit == 0:
-            return 0.0
-        return 1.0 - self.bytes_per_query_split / self.bytes_per_query_unsplit
-
-
 def recommend_vertical_split(
     schema: Schema,
     key_columns: tuple[str, ...],

@@ -184,12 +184,6 @@ class CachedBTree:
         # a probe that finds nothing is a cache miss: the cache counts it
         reg.adopt(self.cache.stats, {"misses": "index_cache.miss"})
 
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def key_columns(self) -> tuple[str, ...]:
-        return self.key_codec.columns
-
     def set_cache_admission(self, fraction: float) -> None:
         """Retune cache-fill admission (the adaptive knob).
 

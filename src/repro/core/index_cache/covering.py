@@ -79,12 +79,6 @@ class CoveringIndex:
         self._answerable = set(key_columns) | set(covered_fields)
         self.stats = CoveringIndexStats()
 
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def key_columns(self) -> tuple[str, ...]:
-        return self.key_codec.columns
-
     @classmethod
     def value_size_for(
         cls, schema: Schema, covered_fields: tuple[str, ...]

@@ -75,10 +75,6 @@ class CacheInvalidation:
     # -- properties ----------------------------------------------------------
 
     @property
-    def log_size(self) -> int:
-        return len(self._log)
-
-    @property
     def current_stamp(self) -> int:
         """What a validated page's ``cache_csn`` reads right now.
 

@@ -42,7 +42,3 @@ class LatchSimulator:
         self.acquired += 1
         return True
 
-    @property
-    def give_up_rate(self) -> float:
-        total = self.acquired + self.given_up
-        return self.given_up / total if total else 0.0

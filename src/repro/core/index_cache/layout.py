@@ -120,13 +120,6 @@ class CacheGeometry:
             )
         return (self.first_slot_index + slot) * self.item_size
 
-    def slot_offsets(self) -> list[int]:
-        """Absolute start offsets of every slot, in address order."""
-        base = self.first_slot_index
-        return [
-            (base + i) * self.item_size for i in range(self.num_slots)
-        ]
-
     # -- stable point -------------------------------------------------------
 
     @property

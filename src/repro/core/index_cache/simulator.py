@@ -55,10 +55,6 @@ class SwapCacheSimulator:
         return len(self._slots)
 
     @property
-    def occupancy(self) -> int:
-        return len(self._where)
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
@@ -67,9 +63,6 @@ class SwapCacheSimulator:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._where
 
     # -- the §2.1.1 algorithm ---------------------------------------------------
 

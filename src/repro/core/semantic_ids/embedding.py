@@ -75,10 +75,6 @@ class IdReassignmentPlan:
     scheme: EmbeddedId
     mapping: dict[int, int]
 
-    @property
-    def moves(self) -> int:
-        return sum(1 for old, new in self.mapping.items() if old != new)
-
     def new_id(self, old_id: int) -> int:
         return self.mapping.get(old_id, old_id)
 
@@ -108,7 +104,7 @@ def move_by_id_update(
     if not result.found or result.values is None:
         return False
     index = table.index(index_name)
-    (id_column,) = index.key_columns
+    (id_column,) = index.key_codec.columns
     # Check the target id first so the delete+insert pair cannot fail
     # half-way ("transactionally deleting and inserting").
     if table.lookup(index_name, new_id).found:

@@ -87,10 +87,6 @@ class RidProxyTable:
         self.stored_schema = schema.drop([id_column])
         self._heap = heap
 
-    @property
-    def bytes_saved_per_row(self) -> int:
-        return self._app_schema.column(self._id_column).size
-
     def insert(self, row: dict[str, object]) -> Rid:
         """Insert a row; the returned RID plays the role of the id.
 

@@ -73,13 +73,6 @@ class RoutingComparison:
     embedded_bytes: int
     agree: bool
 
-    @property
-    def state_reduction(self) -> float:
-        if self.embedded_bytes == 0:
-            return float("inf") if self.lookup_table_bytes else 1.0
-        return self.lookup_table_bytes / self.embedded_bytes
-
-
 def compare_routers(
     placement: dict[int, int],
     scheme: EmbeddedId,

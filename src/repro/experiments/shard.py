@@ -93,9 +93,6 @@ class ShardScalingResult:
                 return p
         raise KeyError(n_shards)
 
-    def speedup(self, n_shards: int) -> float:
-        return self.point(n_shards).throughput / self.point(1).throughput
-
     @property
     def max_hot_share(self) -> float:
         return max(self.hot_shares_after)

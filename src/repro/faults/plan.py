@@ -102,10 +102,6 @@ class FaultSpec:
     def is_read_fault(self) -> bool:
         return self.kind in _READ_KINDS
 
-    @property
-    def is_write_fault(self) -> bool:
-        return self.kind in _WRITE_KINDS
-
     def matches_page(self, page_id: int) -> bool:
         return self.page_filter is None or bool(self.page_filter(page_id))
 
@@ -129,15 +125,6 @@ class FaultPlan:
         if not isinstance(other, FaultPlan):
             return NotImplemented
         return FaultPlan(self.specs + other.specs)
-
-    @property
-    def read_specs(self) -> tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.is_read_fault)
-
-    @property
-    def write_specs(self) -> tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.is_write_fault)
-
 
 #: The inert plan: inject nothing (useful for overhead measurement).
 NO_FAULTS = FaultPlan()

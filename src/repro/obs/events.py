@@ -94,12 +94,6 @@ class EngineEvent:
             out["payload"] = dict(self.payload)
         return out
 
-    def get(self, key: str, default: object = None) -> object:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return default
-
     def format(self) -> str:
         where = "facade" if self.shard is None else f"shard {self.shard}"
         payload = "".join(f" {k}={v}" for k, v in self.payload)
@@ -120,7 +114,7 @@ class EventJournal:
 
     Metrics (in ``registry``): ``events.emitted`` / ``events.dropped``
     counters — dropped counts ring evictions, so
-    ``emitted - dropped == len(journal)``.
+    ``emitted - dropped == len(journal.query())``.
     """
 
     def __init__(
@@ -138,9 +132,6 @@ class EventJournal:
         self.trace_source = trace_source
         self._emitted = self._registry.counter("events.emitted")
         self._dropped = self._registry.counter("events.dropped")
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     def __iter__(self) -> Iterator[EngineEvent]:
         return iter(self._ring)

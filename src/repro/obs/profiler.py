@@ -400,9 +400,6 @@ class QueryProfiler:
 
     # -- read surfaces --------------------------------------------------------
 
-    def stats(self, fp: str) -> FingerprintStats | None:
-        return self._stats.get(fp)
-
     def top(self, n: int | None = None) -> list[FingerprintStats]:
         """Fingerprints ranked by total simulated cost, costliest first."""
         ranked = sorted(

@@ -33,7 +33,6 @@ instrument ever touches the RNG or the simulated clock.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -84,10 +83,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 def bucket_index(value: float) -> int:
     """Log2 bucket for ``value``: 0 below 1, else ``1 + floor(log2 v)``,
@@ -308,10 +303,6 @@ class MetricsRegistry:
             node[parts[-1]] = _render(instrument)
         return root
 
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
-
-
 def _render(instrument: _Instrument) -> object:
     if isinstance(instrument, Counter):
         return instrument.value
@@ -342,10 +333,6 @@ class _NullGauge(Gauge):
 
     def set(self, value: float) -> None:
         pass
-
-    def add(self, delta: float) -> None:
-        pass
-
 
 class _NullHistogram(Histogram):
     __slots__ = ()

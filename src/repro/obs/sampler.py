@@ -44,7 +44,6 @@ from __future__ import annotations
 import fnmatch
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.registry import (
@@ -297,9 +296,6 @@ class TelemetrySampler:
             if value is not None:
                 out.append((point.t_ns, value))
         return out
-
-    def __iter__(self) -> Iterator[TelemetryPoint]:
-        return iter(self._points)
 
     def __len__(self) -> int:
         return len(self._points)

@@ -130,16 +130,9 @@ class Trace:
     def trace_id(self) -> int:
         return self.context.trace_id
 
-    @property
-    def name(self) -> str:
-        return self.root.name
-
     def shards_touched(self) -> list[int]:
         """Sorted distinct shard ids any span in the tree ran on."""
         return sorted({s.shard for s in self.spans if s.shard is not None})
-
-    def find(self, name: str) -> list[TraceSpan]:
-        return [s for s in self.spans if s.name == name]
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -220,21 +213,10 @@ class TraceCollector:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def current_span(self) -> TraceSpan | None:
-        return self._stack[-1] if self._stack else None
-
-    @property
-    def context(self) -> TraceContext | None:
-        return self.active.context if self.active is not None else None
-
     def traces(self, n: int | None = None) -> list[Trace]:
         """The last ``n`` finished traces, oldest first (all if None)."""
         out = list(self._ring)
         return out if n is None else out[-n:]
-
-    def last(self) -> Trace | None:
-        return self._ring[-1] if self._ring else None
 
     def clear(self) -> None:
         self._ring.clear()
@@ -328,11 +310,6 @@ class TraceCollector:
         """Merge attributes into the innermost open span (no-op outside)."""
         if self._stack:
             self._stack[-1].attrs.update(attrs)
-
-    def set_baggage(self, **baggage: object) -> None:
-        """Merge baggage into the active context (no-op outside)."""
-        if self.active is not None:
-            self.active.context.baggage.update(baggage)
 
     def record_hop(self, shard: int) -> None:
         """Append a router hop to the active context's baggage."""

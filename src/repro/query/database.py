@@ -194,11 +194,6 @@ class Database:
     # -- properties ----------------------------------------------------------
 
     @property
-    def profiler(self) -> "QueryProfiler | None":
-        """The query profiler, once :meth:`enable_profiling` has run."""
-        return self.tracer.profiler
-
-    @property
     def adaptive(self) -> "AdaptiveController | None":
         """The adaptive controller, once :meth:`enable_adaptive` has run."""
         return self.tracer.ticker

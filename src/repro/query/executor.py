@@ -42,11 +42,6 @@ class JoinStats:
     parent_lookups: int = 0
     invalidations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.probes if self.probes else 0.0
-
-
 class FkJoinCache:
     """Caches parent join results in the child's heap-page free space."""
 
@@ -65,7 +60,7 @@ class FkJoinCache:
         parent_index = parent.index(parent_index_name)
         if not isinstance(parent_index, PlainIndex):
             raise QueryError("FkJoinCache expects a PlainIndex on the parent")
-        if len(parent_index.key_columns) != 1:
+        if len(parent_index.key_codec.columns) != 1:
             raise QueryError("FkJoinCache supports single-column parent keys")
         if parent_index.tree.key_size > 8:
             raise QueryError(
@@ -76,7 +71,7 @@ class FkJoinCache:
         self._parent = parent
         self._parent_index = parent_index
         self._parent_index_name = parent_index_name
-        self._parent_key_column = parent_index.key_columns[0]
+        self._parent_key_column = parent_index.key_codec.columns[0]
         self._fk_column = fk_column
         self._payload_schema = parent.schema.project(list(parent_fields))
         # Heap pages have no "key region" in the B+Tree sense; treat the

@@ -58,10 +58,6 @@ class PlainIndex:
         self.lookups = 0
         self.heap_fetches = 0
 
-    @property
-    def key_columns(self) -> tuple[str, ...]:
-        return self.key_codec.columns
-
     def insert_key(self, row: dict[str, object], rid: Rid) -> None:
         self.tree.insert(self.key_codec.encode_row(row), rid.to_bytes())
 

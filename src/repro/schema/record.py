@@ -71,21 +71,10 @@ def unpack_fields(
 ) -> dict[str, object]:
     """Unpack the record and keep only the named columns."""
     values = unpack_record(schema, data)
-    position = schema._index  # the dict behind ``Schema.position``
+    position = schema._index
     try:
         return {name: values[position[name]] for name in names}
     except KeyError as exc:
         raise SchemaError(f"no column named {exc.args[0]!r}") from None
 
 
-def overwrite_field(
-    schema: Schema, data: bytearray, name: str, value: object
-) -> None:
-    """Overwrite one column in-place inside a packed record buffer."""
-    if len(data) != schema.record_size:
-        raise SchemaError(
-            f"record is {len(data)} bytes, schema needs {schema.record_size}"
-        )
-    col = schema.column(name)
-    offset = schema.offset_of(name)
-    data[offset : offset + col.size] = col.ctype.pack(value)

@@ -98,24 +98,10 @@ class Schema:
             tuple((i, post) for i, (_, _, post) in enumerate(wires) if post),
         )
 
-    def offset_of(self, name: str) -> int:
-        """Byte offset of column ``name`` within a packed record."""
-        try:
-            return self._offsets[name]
-        except KeyError:
-            raise SchemaError(f"no column named {name!r}") from None
-
     def column(self, name: str) -> Column:
         """The :class:`Column` named ``name``."""
         try:
             return self.columns[self._index[name]]
-        except KeyError:
-            raise SchemaError(f"no column named {name!r}") from None
-
-    def position(self, name: str) -> int:
-        """Ordinal position of column ``name``."""
-        try:
-            return self._index[name]
         except KeyError:
             raise SchemaError(f"no column named {name!r}") from None
 
@@ -124,9 +110,6 @@ class Schema:
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    def __iter__(self):
-        return iter(self.columns)
 
     # -- derivation --------------------------------------------------------
 

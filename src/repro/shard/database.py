@@ -463,10 +463,6 @@ class ShardedDatabase:
     def shard_registry(self, i: int) -> MetricsRegistry:
         return self._shard_metrics[i]
 
-    @property
-    def table_names(self) -> list[str]:
-        return list(self._tables)
-
     def table(self, name: str) -> ShardedTable:
         try:
             return self._tables[name]
@@ -800,7 +796,8 @@ class ShardedDatabase:
             for db in self._dbs:
                 table = db.table(name)
                 shapes.append([
-                    (n, table.index(n).key_columns, type(table.index(n)).__name__)
+                    (n, table.index(n).key_codec.columns,
+                     type(table.index(n)).__name__)
                     for n in table.index_names
                 ])
             report.problems.extend(

@@ -108,13 +108,6 @@ class ShardRouter:
         self._m_routes = reg.counter("shard.router.routes")
         self._m_overrides = reg.gauge("shard.router.overrides")
 
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def overrides(self) -> dict[object, int]:
-        """Snapshot of the hot-key override map (key → shard)."""
-        return dict(self._overrides)
-
     # -- placement -----------------------------------------------------------
 
     def base_shard(self, key: object) -> int:

@@ -43,12 +43,6 @@ class CostPreset:
     #: as the paper's were.
     query_overhead_ns: float = 0.0
 
-    @property
-    def nocache_lookup_ns(self) -> float:
-        """Analytic cost of an in-memory lookup without index caching."""
-        return self.index_descent_ns + self.bp_access_ns
-
-
 #: Constants calibrated to the paper's Figure 2(c):
 #: overhead 0.3 us, crossover at ~35% hit rate, 2.7x at 100%.
 PAPER_PRESET = CostPreset()

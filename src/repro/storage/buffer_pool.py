@@ -140,15 +140,6 @@ class BufferPool:
     # -- properties ----------------------------------------------------------
 
     @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._frames)
-
-    @property
     def pinned_pages(self) -> list[int]:
         """Page ids currently pinned (should be empty between operations;
         a non-empty result outside an operation is a pin leak)."""
@@ -182,11 +173,6 @@ class BufferPool:
         while len(self._frames) > self.capacity:
             self._evict_one()
 
-    def page_lsn(self, page_id: int) -> int:
-        """The resident frame's stamped LSN (0 if clean-tracked or absent)."""
-        frame = self._frames.get(page_id)
-        return frame.page_lsn if frame is not None else 0
-
     def dirty_rec_lsns(self) -> list[int]:
         """``rec_lsn`` of every dirty resident frame with a logged change.
 
@@ -200,8 +186,8 @@ class BufferPool:
         ]
 
     def reset_counters(self) -> None:
-        """Zero ``hits``/``misses``/``evictions`` (what :attr:`hit_rate`
-        reads) between experiment phases.  Each count is first moved to
+        """Zero ``hits``/``misses``/``evictions`` between experiment
+        phases.  Each count is first moved to
         its ``_reset_*`` twin, so the ``bufferpool.*`` counters keep summing
         the whole run; :meth:`MetricsRegistry.reset` is the one way to zero
         those."""

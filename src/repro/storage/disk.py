@@ -35,11 +35,6 @@ class SimulatedDisk:
         """Total allocated bytes (pages × page size)."""
         return len(self._pages) * self.page_size
 
-    def reset_counters(self) -> None:
-        """Zero the read/write counters (used between experiment phases)."""
-        self.reads = 0
-        self.writes = 0
-
     def allocate_page(self) -> int:
         """Allocate a zeroed page and return its page id."""
         self._pages.append(bytes(self.page_size))

@@ -54,11 +54,6 @@ class FreeSpaceMap:
                 self._buckets.setdefault(new_bucket, {})[page_id] = None
         self._free[page_id] = free_bytes
 
-    def forget(self, page_id: int) -> None:
-        free = self._free.pop(page_id, None)
-        if free is not None:
-            self._bucket_discard(self._bucket_of(free), page_id)
-
     def free_of(self, page_id: int) -> int:
         return self._free.get(page_id, 0)
 
@@ -90,13 +85,6 @@ class FreeSpaceMap:
                 self.pages_examined += 1
                 return next(iter(bucket))
         return None
-
-    @property
-    def page_ids(self) -> list[int]:
-        return list(self._free)
-
-    def __len__(self) -> int:
-        return len(self._free)
 
     # -- internals -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import InvalidRidError, PageFullError
 from repro.storage.buffer_pool import BufferPool
@@ -191,50 +191,6 @@ class HeapFile:
     def owns_page(self, page_id: int) -> bool:
         """True if ``page_id`` belongs to this heap."""
         return page_id in self._page_id_set
-
-    def compact_page(self, page_id: int) -> None:
-        """Compact one page, reclaiming tombstoned record bytes."""
-        self._check_page(page_id)
-        with self.pool.page(page_id, dirty=True) as page:
-            page.compact()
-            self._fsm.note(page_id, self._free_after(page))
-
-    def compact_all(self) -> None:
-        for page_id in self._page_ids:
-            self.compact_page(page_id)
-
-    # -- statistics ----------------------------------------------------------
-
-    def fill_factor(self) -> float:
-        """Mean live-data fill factor across all pages."""
-        if not self._page_ids:
-            return 0.0
-        total = 0.0
-        for page_id in self._page_ids:
-            with self.pool.page(page_id) as page:
-                total += page.fill_factor
-        return total / len(self._page_ids)
-
-    def page_utilization(
-        self, is_useful: Callable[[Rid, bytes], bool]
-    ) -> list[float]:
-        """Per-page fraction of live records satisfying ``is_useful``.
-
-        This is the paper's "as little as 2% of frequently queried data per
-        heap page" statistic (§1, §3.1): for each page, how much of what we
-        would read into RAM is data anyone wants.
-        """
-        utilizations: list[float] = []
-        for page_id in self._page_ids:
-            with self.pool.page(page_id) as page:
-                live = 0
-                useful = 0
-                for slot, data in page.records():
-                    live += 1
-                    if is_useful(Rid(page_id, slot), data):
-                        useful += 1
-                utilizations.append(useful / live if live else 0.0)
-        return utilizations
 
     # -- internals -----------------------------------------------------------
 

@@ -94,17 +94,6 @@ class TransactionManager:
         self._m_tracked = reg.gauge("txn.tracked_keys")
         self._m_snapshot_age = reg.histogram("txn.snapshot_age")
 
-    # -- properties ----------------------------------------------------------
-
-    @property
-    def active_txns(self) -> int:
-        return len(self._active)
-
-    @property
-    def tracked_keys(self) -> int:
-        """Identity keys currently carrying a version chain."""
-        return len(self._versions)
-
     def session(self) -> "Session":
         """Open a new logical client session (idle until ``begin()``)."""
         sid = self._next_session_id
@@ -413,7 +402,7 @@ class Session:
             # deferred — the heap row is still physically there.  Reuse
             # it: overwrite in place and cancel the pending delete.
             _tn, _kv, pre = self._deferred.pop(vkey)
-            key_cols = set(table.index(table.identity_index_name).key_columns)
+            key_cols = set(table.index(table.identity_index_name).key_codec.columns)
             changes = {
                 c: row[c] for c in table.schema.names if c not in key_cols
             }

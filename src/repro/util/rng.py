@@ -68,6 +68,3 @@ class DeterministicRng:
         """``n`` random bytes."""
         return self._rng.randbytes(n)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal draw."""
-        return self._rng.gauss(mu, sigma)

@@ -48,6 +48,3 @@ class StreamingStats:
     def max(self) -> float:
         return self._max if self.count else 0.0
 
-    @property
-    def total(self) -> float:
-        return self._mean * self.count

@@ -147,11 +147,6 @@ class WalWriter:
     # -- properties ----------------------------------------------------------
 
     @property
-    def buffered_records(self) -> int:
-        """Records waiting in the group-commit buffer (lost on crash)."""
-        return len(self._buffer)
-
-    @property
     def pending_bytes(self) -> int:
         """Encoded bytes waiting in the group-commit buffer.
 

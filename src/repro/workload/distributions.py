@@ -123,10 +123,6 @@ class HotSetDistribution:
     def hot_ids(self) -> list[int]:
         return list(self._hot)
 
-    @property
-    def cold_ids(self) -> list[int]:
-        return list(self._cold)
-
     def sample(self) -> int:
         if not self._cold or self._rng.random() < self._hot_access_frac:
             return self._rng.choice(self._hot)
