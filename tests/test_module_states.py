@@ -600,6 +600,105 @@ def test_one_count_per_event():
     assert len(_adopted_fields(SRC / "repro")) == 44
 
 
+# -- nothing only tests read ----------------------------------------------------
+
+_SAFETY = "safety or reference code"
+_TOOL = "a tool tests hold the engine with"
+_TECHNIQUE = "a paper technique with no driver yet (DESIGN.md §3)"
+_CAPABILITY = "a capability whose tests would be deleted, not re-routed"
+KEEP_CLASSES = {_SAFETY, _TOOL, _TECHNIQUE, _CAPABILITY}
+
+#: ``(file under src/repro/, qualname)`` of public functions no driver
+#: names, and the class each is kept under (DESIGN.md §3, "What stays
+#: unreached, and why").
+TEST_ONLY = {
+    ("btree/tree.py", "BPlusTree.verify_order"): _SAFETY,
+    ("util/varint.py", "encode_svarint"): _SAFETY,
+    ("util/varint.py", "decode_svarint"): _SAFETY,
+    ("storage/buffer_pool.py", "BufferPool.drop_clean"): _TOOL,
+    ("storage/buffer_pool.py", "BufferPool.is_resident"): _TOOL,
+    ("storage/buffer_pool.py", "BufferPool.pinned_pages"): _TOOL,
+    ("core/index_cache/cache.py", "IndexCache.read_slot"): _TOOL,
+    ("shard/database.py", "ShardedDatabase.resident_shard"): _TOOL,
+    ("core/hot_cold/forwarding.py", "ForwardingTable.forget"): _TECHNIQUE,
+    ("core/hot_cold/tracker.py", "AccessTracker.keys_above"): _TECHNIQUE,
+    ("core/index_cache/cache.py", "IndexCache.invalidate_tuple"): _TECHNIQUE,
+    ("core/index_cache/cached_index.py", "CachedBTree.cached_item_count"): _TECHNIQUE,
+    ("core/index_cache/invalidation.py", "CacheInvalidation.after_restart"): _TECHNIQUE,
+    ("query/executor.py", "FkJoinCache.join_fetch"): _TECHNIQUE,
+    ("query/executor.py", "FkJoinCache.join_fetch_many"): _TECHNIQUE,
+    ("txn/manager.py", "Session.transaction"): _CAPABILITY,
+    ("util/bitpack.py", "packed_size"): _CAPABILITY,
+    ("util/varint.py", "uvarint_size"): _CAPABILITY,
+    ("util/stats.py", "StreamingStats.variance"): _CAPABILITY,
+}
+
+#: The trees a driver lives in (the option audit's driver set).
+DRIVER_TREES = ("src", "bench", "benchmarks", "examples")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name a module uses: variables, attributes, imported names and
+    identifier-shaped strings (``getattr`` targets, ``LAYER_ENTRYPOINTS``).
+    A ``def`` names nothing, so a definition is not its own reference."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.fullmatch(node.value):
+                used.add(node.value)
+    return used
+
+
+def _public_functions(src_root: Path):
+    """``(file under src_root, qualname, name)`` for every module function
+    and method of a public class whose name is public and not a dunder."""
+    def visit(rel, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "name", "_").startswith("_"):
+                continue
+            if isinstance(child, ast.ClassDef):
+                yield from visit(rel, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield rel, f"{prefix}{child.name}", child.name
+
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        yield from visit(rel, ast.parse(path.read_text()), "")
+
+
+def _test_only(root: Path) -> set[tuple[str, str]]:
+    """Public functions under ``root/src`` whose name no driver file uses."""
+    used = set()
+    for top in DRIVER_TREES:
+        for path in (root / top).rglob("*.py"):
+            if "tests" not in path.relative_to(root).parts:
+                used |= _names_used(ast.parse(path.read_text()))
+    return {
+        (rel, qual)
+        for rel, qual, name in _public_functions(root / "src" / "repro")
+        if name not in used
+    }
+
+
+def test_nothing_only_tests_read():
+    """A function only tests call is inspection residue (DESIGN.md §3): a
+    public function under ``src/`` that no driver names — the engine
+    itself, ``bench/``, ``benchmarks/`` or ``examples/`` — goes, and its
+    tests read what it computed from, unless ``TEST_ONLY`` names its keep
+    class; an entry whose function gains a driver reference goes."""
+    unread = _test_only(ROOT)
+    assert sorted(unread - TEST_ONLY.keys()) == []
+    assert sorted(TEST_ONLY.keys() - unread) == []
+    assert set(TEST_ONLY.values()) <= KEEP_CLASSES
+
+
 # -- the one eviction policy ---------------------------------------------------
 
 #: Victim of each of the 200 fetches ("." = none): page index 0-9.
