@@ -86,6 +86,11 @@ class _Frame:
     #: histogram when the frame leaves the pool, so the telemetry layer
     #: sees the hot/cold skew of what eviction is churning through.
     temperature: int = 0
+    #: A B+Tree node's key prefixes, ``key_width`` bytes each, kept by the
+    #: views over this frame once it served ``DECODE_AFTER`` byte ``searches``.
+    keys: list[bytes] | None = None
+    key_width: int = 0
+    searches: int = 0
 
 
 class BufferPool:
@@ -202,7 +207,8 @@ class BufferPool:
         """Allocate and format a fresh page; returned pinned and dirty."""
         page_id = self.disk.allocate_page()
         frame = self._install(page_id, bytearray(self.disk.page_size))
-        page = SlottedPage.format(frame.data, page_id, page_type)
+        page = SlottedPage(frame.data, frame)
+        page.reformat(page_id, page_type)
         frame.pin_count += 1
         frame.dirty = True
         return page
@@ -233,7 +239,7 @@ class BufferPool:
             frame = self._install(page_id, data)
         frame.temperature += 1
         frame.pin_count += 1
-        return SlottedPage(frame.data)
+        return SlottedPage(frame.data, frame)
 
     def unpin(self, page_id: int, dirty: bool = False, lsn: int | None = None) -> None:
         """Release one pin; ``dirty=True`` schedules a write-back.
@@ -540,6 +546,7 @@ class _WritePin(_ReadPin):
             self._pool.unpin(self._page_id, dirty=True, lsn=self._lsn)
         else:  # any BaseException; the page's buffer is the frame's bytes
             self._page.buffer[:] = self._snapshot
+            self._page.frame.keys = None
             self._pool.unpin(self._page_id, dirty=False)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from repro.errors import InvalidRidError, PageFormatError, PageFullError
@@ -69,17 +70,22 @@ _OFF_CHECKSUM = PAGE_CHECKSUM_OFFSET
 _TOMBSTONE_OFFSET = 0
 
 # Compiled codecs, applied straight to the frame's ``bytearray`` with
-# ``unpack_from`` / ``pack_into`` at every access (DESIGN.md §5).  Nothing
-# decoded is kept: a memo would need dropping on every write path and on
-# the index cache's direct window writes, and one C call per field group
-# costs less than that.  No long-lived ``memoryview`` either: a live export
-# makes the pool's ``frame.data[:] = snapshot`` restores raise ``BufferError``.
+# ``unpack_from`` / ``pack_into`` at every access (DESIGN.md §5), except a
+# searched node's key prefixes, kept on its pool frame (``bisect``) and
+# maintained by the ordered-directory writes; every other write drops them.
+# No long-lived ``memoryview``: a live export makes the pool's
+# ``frame.data[:] = snapshot`` restores raise ``BufferError``.
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _HEADER = struct.Struct("<HIBBHHHQIB")  # magic .. level, in header order
 _GEOMETRY = struct.Struct("<HHH")  # slot_count, free_lo, free_hi
 _PAIR = struct.Struct("<HH")  # (free_lo, free_hi) or one directory entry
+
+#: Byte searches a frame serves before its key prefixes are decoded: the
+#: ski-rental break-even of one decode (14–30 µs on ``point_fit``'s nodes)
+#: against one byte search (4.5–5.5 µs).  DESIGN.md §5, "Decoded once".
+DECODE_AFTER = 8
 
 
 def compute_page_checksum(buffer: bytes | bytearray) -> int:
@@ -115,11 +121,11 @@ class SlottedPage:
     """A mutable view over one page's ``bytearray``.
 
     The page does not own its buffer: the buffer pool does.  Constructing a
-    view is cheap; all state lives in the bytes, so two views over the same
-    buffer always agree.
+    view is cheap; all state lives in the bytes or, for :meth:`bisect`'s
+    key prefixes, on the pool frame every view over it shares.
     """
 
-    def __init__(self, buffer: bytearray) -> None:
+    def __init__(self, buffer: bytearray, frame=None) -> None:
         size = len(buffer)
         if size < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE:
             raise PageFormatError("buffer smaller than header + footer")
@@ -128,6 +134,8 @@ class SlottedPage:
         #: The raw page bytes (the index cache writes here directly).
         self.buffer = buffer
         self.size = size
+        #: The pool frame holding ``buffer`` (``None`` over a bare buffer).
+        self.frame = frame
 
     # -- construction ------------------------------------------------------
 
@@ -136,15 +144,21 @@ class SlottedPage:
         cls, buffer: bytearray, page_id: int, page_type: PageType
     ) -> "SlottedPage":
         """Initialise a fresh page in ``buffer`` and return a view over it."""
-        size = len(buffer)
-        buffer[:] = bytes(size)
         page = cls(buffer)
+        page.reformat(page_id, page_type)
+        return page
+
+    def reformat(self, page_id: int, page_type: PageType) -> None:
+        """Initialise this view's bytes as a fresh, empty page."""
+        buffer, size = self.buffer, self.size
+        buffer[:] = bytes(size)
+        if self.frame is not None:
+            self.frame.keys = None
         _HEADER.pack_into(
             buffer, _OFF_MAGIC, PAGE_MAGIC, page_id, page_type, 0, 0,
             PAGE_HEADER_SIZE, size - PAGE_FOOTER_SIZE, 0, NO_PAGE, 0,
         )
         _U16.pack_into(buffer, size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
-        return page
 
     def verify(self) -> None:
         """Raise :class:`PageFormatError` if the page bytes look corrupt."""
@@ -276,6 +290,8 @@ class SlottedPage:
             lo += SLOT_ENTRY_SIZE
         _GEOMETRY.pack_into(self.buffer, _OFF_SLOT_COUNT, count, lo, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
+        if self.frame is not None:
+            self.frame.keys = None
         return slot
 
     def read(self, slot: int) -> bytes:
@@ -299,6 +315,8 @@ class SlottedPage:
                 f"in-place update must keep length {length}, got {len(data)}"
             )
         self.buffer[offset : offset + len(data)] = data
+        if self.frame is not None and self.frame.keys is not None:
+            self.frame.keys[slot] = data[: self.frame.key_width]
 
     def delete(self, slot: int) -> None:
         """Tombstone a slot.  Record bytes stay until :meth:`compact`."""
@@ -308,6 +326,8 @@ class SlottedPage:
                 f"slot {slot} on page {self.page_id} already deleted"
             )
         self._set_slot_entry(slot, _TOMBSTONE_OFFSET, length)
+        if self.frame is not None:
+            self.frame.keys = None
 
     @property
     def is_formatted(self) -> bool:
@@ -372,6 +392,8 @@ class SlottedPage:
 
     def _grow_directory(self, count: int, grow: int, lo: int) -> None:
         """Append ``grow`` zeroed (tombstone, length 0) directory entries."""
+        if self.frame is not None:  # place_at and reserve_tombstones
+            self.frame.keys = None
         span = grow * SLOT_ENTRY_SIZE
         start = self._slot_entry_offset(count)
         self.buffer[start : start + span] = bytes(span)
@@ -394,11 +416,23 @@ class SlottedPage:
         ``position`` is the first entry in ``[lo, slot_count)`` whose key
         is ``>= key`` (``> key`` with ``upper``), and ``exact`` says the
         entry there equals ``key`` (never true with ``upper``).  The one
-        search both node views use: one ``unpack_from`` and one slice
-        compare per step, nothing decoded ahead of the probe.
+        search both node views use: one ``unpack_from`` and one slice compare
+        per step until the frame served ``DECODE_AFTER``, then one C ``bisect``
+        over its key prefixes: the same probes, so the same answers and errors.
         """
-        buf = self.buffer
         width = len(key)
+        frame = self.frame
+        if frame is not None:
+            keys = frame.keys
+            if keys is None and frame.searches >= DECODE_AFTER:
+                keys = self._decode_keys(frame, width)
+            if keys is not None and frame.key_width == width:
+                if upper:
+                    return bisect_right(keys, key, lo), False
+                pos = bisect_left(keys, key, lo)
+                return pos, pos < len(keys) and keys[pos] == key
+            frame.searches += 1
+        buf = self.buffer
         hi = _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]
         at_hi = None
         try:
@@ -419,6 +453,22 @@ class SlottedPage:
         except struct.error:  # entry past the page: reads as a tombstone
             pass
         raise InvalidRidError(f"slot {mid} on page {self.page_id} is deleted")
+
+    def _decode_keys(self, frame, width: int) -> list[bytes] | None:
+        """Each entry's leading ``width`` bytes onto ``frame``; refused, for
+        ``DECODE_AFTER`` more byte searches, if one is a tombstone, lies
+        past the page or is shorter than ``width``."""
+        buf = bytes(self.buffer)
+        count = _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]
+        if self._slot_entry_offset(count) <= self.size:
+            entries = struct.unpack_from(f"<{2 * count}H", buf, PAGE_HEADER_SIZE)
+            offsets, lengths = entries[::2], entries[1::2]
+            if _TOMBSTONE_OFFSET not in offsets and min(lengths, default=width) >= width:
+                frame.keys = [buf[offset : offset + width] for offset in offsets]
+                frame.key_width = width
+                return frame.keys
+        frame.searches = 0
+        return None
 
     def insert_at(self, position: int, data: bytes) -> None:
         """Insert a record so its directory entry lands at ``position``.
@@ -448,6 +498,12 @@ class SlottedPage:
             self.buffer, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
         )
         _PAIR.pack_into(self.buffer, start, new_hi, len(data))
+        frame = self.frame
+        if frame is not None and frame.keys is not None:
+            if len(data) < frame.key_width:
+                frame.keys = None
+            else:
+                frame.keys.insert(position, data[: frame.key_width])
 
     def remove_at(self, position: int) -> None:
         """Remove the directory entry at ``position``, shifting the rest down.
@@ -464,6 +520,8 @@ class SlottedPage:
         end = self._slot_entry_offset(count)
         self.buffer[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self.buffer[start:end]
         _PAIR.pack_into(self.buffer, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
+        if self.frame is not None and self.frame.keys is not None:
+            del self.frame.keys[position]
 
     def truncate(self, new_count: int) -> None:
         """Drop every directory entry at position >= ``new_count``.
@@ -481,6 +539,8 @@ class SlottedPage:
         _PAIR.pack_into(
             self.buffer, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
         )
+        if self.frame is not None and self.frame.keys is not None:
+            del self.frame.keys[new_count:]
 
     def _find_tombstone(self, count: int) -> int | None:
         for slot, (offset, _) in enumerate(self._directory(count)):

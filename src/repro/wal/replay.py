@@ -505,5 +505,5 @@ def _redo_one(pool, rec: WalRecord) -> bool:
     """
     with pool.page(rec.page_id, dirty=True, lsn=rec.lsn) as page:
         if not page.is_formatted:
-            page = SlottedPage.format(page.buffer, rec.page_id, PageType.HEAP)
+            page.reformat(rec.page_id, PageType.HEAP)
         return _apply_heap_redo(page, rec)

@@ -749,3 +749,79 @@ def test_lru_trace_is_pinned():
     temperature = registry.get("bufferpool.page_temperature")
     assert temperature.nonzero_buckets() == [(2.0, 59), (4.0, 64), (8.0, 1)]
     assert temperature.sum == 200.0
+
+
+# -- node bytes change only through the view ----------------------------------
+
+#: Writers to a page's bytes outside ``storage/page.py``, by
+#: ``(file, function)``.  A frame keeps a B+Tree node's decoded keys, which
+#: ``SlottedPage``'s own writes maintain or drop; these two touch no key.
+VIEW_BYPASSES = {
+    # the index cache writes inside the free window, where no record lies
+    ("src/repro/core/index_cache/cache.py", "IndexCache.write_slot"),
+    ("src/repro/core/index_cache/cache.py", "IndexCache.clear_slot"),
+    ("src/repro/core/index_cache/cache.py", "IndexCache.zero_window"),
+    ("src/repro/core/index_cache/cache.py", "IndexCache._swap_slots"),
+    # the write bracket restores its snapshot and drops the frame's keys
+    ("src/repro/storage/buffer_pool.py", "_WritePin.__exit__"),
+}
+
+
+def _page_byte_writers(path: Path) -> set[str]:
+    """Functions in ``path`` that write a ``….buffer`` (or a local bound to
+    one) by subscript assignment or ``pack_into``, or re-format one with
+    ``SlottedPage.format``."""
+
+    def is_buffer(node, aliases) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "buffer") or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    def writes(fn) -> bool:
+        aliases = {
+            target.id
+            for node in ast.walk(fn) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "buffer"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AugAssign) else []
+            )
+            if any(isinstance(t, ast.Subscript) and is_buffer(t.value, aliases)
+                   for t in targets):
+                return True
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("pack_into", "format") and node.args
+                    and is_buffer(node.args[0], aliases)):
+                return True
+        return False
+
+    found = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if writes(child):
+                    found.add(f"{prefix}{child.name}")
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_node_bytes_written_only_through_the_view():
+    """Outside ``storage/page.py`` nothing writes a page's bytes except
+    ``VIEW_BYPASSES``: a write that skips the view would leave a frame's
+    decoded keys answering searches for bytes that are gone.  An entry
+    that stops writing goes too."""
+    writers = {
+        (str(path.relative_to(ROOT)), name)
+        for path in sorted(MODULES.values())
+        if path != SRC / "repro" / "storage" / "page.py"
+        for name in _page_byte_writers(path)
+    }
+    assert sorted(writers - VIEW_BYPASSES) == []
+    assert sorted(VIEW_BYPASSES - writers) == []
