@@ -100,3 +100,109 @@ def test_span_attrs_recorded():
         pass
     (event,) = tracer.recent()
     assert dict(event.attrs) == {"table": "users", "index": "pk"}
+
+
+# -- the slotted bracket behaves as ``contextlib.contextmanager`` ------------
+
+
+def _yields_once():
+    yield "entered"
+
+
+def _never_yields():
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+def _yields_twice():
+    yield
+    yield
+
+
+def _swallows_value_error():
+    try:
+        yield
+    except ValueError:
+        pass
+
+
+def _reraises():
+    try:
+        yield
+    except Exception:
+        raise
+
+
+def _converts_to_key_error():
+    try:
+        yield
+    except ValueError:
+        raise KeyError("converted")
+
+
+def _yields_after_throw():
+    try:
+        yield
+    except ValueError:
+        yield
+
+
+def _raises_on_exit():
+    yield
+    raise KeyError("on exit")
+
+
+GENERATORS = (
+    _yields_once, _never_yields, _yields_twice, _swallows_value_error,
+    _reraises, _converts_to_key_error, _yields_after_throw, _raises_on_exit,
+)
+BODY_ERRORS = (
+    None, lambda: ValueError("body"), lambda: StopIteration("body"),
+    lambda: RuntimeError("body"), lambda: KeyError("body"),
+)
+
+
+def _slotted(gen_fn):
+    from repro.obs.tracer import _Bracket
+
+    bracket = _Bracket()
+    bracket.gen = gen_fn()
+    return bracket
+
+
+def _contextlib(gen_fn):
+    from contextlib import contextmanager
+
+    return contextmanager(gen_fn)()
+
+
+def _outcome(make, gen_fn, body_error):
+    thrown = body_error() if body_error is not None else None
+    try:
+        with make(gen_fn) as got:
+            if thrown is not None:
+                raise thrown
+    except BaseException as exc:
+        cause = exc.__cause__
+        return ("raised", type(exc), str(exc), exc is thrown,
+                type(cause), cause is thrown and cause is not None)
+    return ("done", got)
+
+
+@pytest.mark.parametrize("gen_fn", GENERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("body_error", BODY_ERRORS)
+def test_span_bracket_matches_contextmanager(gen_fn, body_error):
+    """``Tracer.span``'s bracket drives its generator exactly as
+    ``contextlib.contextmanager`` does: same value entered, same
+    exception (the very object, or a new one with the same cause) out,
+    same suppression, for well- and ill-behaved generators alike."""
+    assert _outcome(_slotted, gen_fn, body_error) == \
+        _outcome(_contextlib, gen_fn, body_error)
+
+
+def test_span_bracket_exit_without_an_exception_value():
+    """``__exit__(typ, None, tb)`` instantiates ``typ`` as contextlib does."""
+    for make in (_slotted, _contextlib):
+        cm = make(_swallows_value_error)
+        cm.__enter__()
+        assert cm.__exit__(ValueError, None, None) is True
