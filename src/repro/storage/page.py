@@ -83,8 +83,8 @@ _GEOMETRY = struct.Struct("<HHH")  # slot_count, free_lo, free_hi
 _PAIR = struct.Struct("<HH")  # (free_lo, free_hi) or one directory entry
 
 #: Byte searches a frame serves before its key prefixes are decoded: the
-#: ski-rental break-even of one decode (14–30 µs on ``point_fit``'s nodes)
-#: against one byte search (4.5–5.5 µs).  DESIGN.md §5, "Decoded once".
+#: ski-rental break-even of one decode (10–21 µs on ``point_fit``'s nodes)
+#: against one byte search (2.3–2.9 µs).  DESIGN.md §5, "Decoded once".
 DECODE_AFTER = 8
 
 

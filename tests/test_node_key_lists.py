@@ -85,7 +85,7 @@ operation = st.one_of(*ordered, *ordered, *others)
 probe = st.tuples(st.binary(min_size=WIDTH, max_size=WIDTH), st.integers(0, 3), st.booleans())
 
 
-def apply(pool: BufferPool, page: SlottedPage, op: str, at: int, data: bytes) -> None:
+def apply(pool: BufferPool, page: SlottedPage, op: str, at: int, data: bytes):
     at %= page.slot_count + 2  # mostly a valid position, sometimes one past
     if op == "update":
         old = page.read(at)
