@@ -70,7 +70,7 @@ from repro.obs.registry import (
 )
 from repro.obs.report import derived_rates, export_json, format_report
 from repro.obs.sampler import TelemetryPoint, TelemetrySampler, select
-from repro.obs.tracer import DEFAULT_RING_SIZE, SpanEvent, Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Counter",
@@ -90,8 +90,6 @@ __all__ = [
     "derived_rates",
     "export_json",
     "format_report",
-    "DEFAULT_RING_SIZE",
-    "SpanEvent",
     "Tracer",
     "QueryProfiler",
     "QueryProfile",

@@ -384,17 +384,10 @@ def _cmd_fleet(run: ObservedRun, args: argparse.Namespace) -> None:
 
 
 def _cmd_export(run: ObservedRun, args: argparse.Namespace) -> None:
-    extra_obs = {}
-    if run.trace is not None:
-        extra_obs["traces"] = run.trace.as_dicts(args.spans)
-    if run.journal is not None:
-        extra_obs["events"] = run.journal.as_dicts()
     text = export_json(
         run.registry,
         path=args.out,
         label="repro.obs",
-        tracer=getattr(run.database, "tracer", None),
-        span_limit=args.spans,
         extra={
             "profiler": run.profiler.as_dict(),
             "timeline": run.sampler.as_dict(),
@@ -404,13 +397,22 @@ def _cmd_export(run: ObservedRun, args: argparse.Namespace) -> None:
                 "elapsed_ns": run.elapsed_ns,
                 "shards": run.shards,
             },
-            **extra_obs,
+            "traces": run.trace.as_dicts(args.spans),
+            "events": run.journal.as_dicts(),
         },
     )
     if args.out:
         print(f"wrote {args.out}")
     else:
         print(text)
+
+
+def _count(text: str) -> int:
+    """argparse type of a "newest N" option: a count, never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top", parents=[common],
         help="per-fingerprint EXPLAIN-ANALYZE rollup and the slow-query log",
     )
-    p_top.add_argument("-n", type=int, default=10,
+    p_top.add_argument("-n", type=_count, default=10,
                        help="fingerprints / slow queries shown (default 10)")
     p_top.set_defaults(func=_cmd_top)
 
@@ -472,19 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser(
         "export", parents=[common],
-        help="metrics + spans + profiles + timeline + health as one JSON",
+        help="metrics + traces + events + profiles + timeline + health "
+        "as one JSON",
     )
     p_export.add_argument("--out", metavar="PATH",
                           help="write to PATH instead of stdout")
-    p_export.add_argument("--spans", type=int, default=64,
-                          help="newest tracer spans included (default 64)")
-    p_export.set_defaults(func=_cmd_export)
+    p_export.add_argument("--spans", type=_count, default=64,
+                          help="newest traces included (default 64)")
+    p_export.set_defaults(func=_cmd_export, force_observe=True)
 
     p_health = sub.add_parser(
         "health", parents=[common],
         help="SLO rule verdicts plus the controller's tuning audit ring",
     )
-    p_health.add_argument("--actions", type=int, default=16,
+    p_health.add_argument("--actions", type=_count, default=16,
                           help="newest tuning actions shown (default 16)")
     p_health.set_defaults(func=_cmd_health, force_adaptive=True)
 
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", parents=[common],
         help="adaptive knob state, tuning audit ring, and SLO verdicts",
     )
-    p_tune.add_argument("--actions", type=int, default=16,
+    p_tune.add_argument("--actions", type=_count, default=16,
                         help="newest tuning actions shown (default 16)")
     p_tune.set_defaults(func=_cmd_tune, force_adaptive=True)
 
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", parents=[common],
         help="§5j span trees of the replayed workload (+ Chrome export)",
     )
-    p_trace.add_argument("-n", type=int, default=4,
+    p_trace.add_argument("-n", type=_count, default=4,
                          help="newest span trees shown (default 4)")
     p_trace.add_argument("--chrome", metavar="PATH",
                          help="also write Chrome trace_event JSON to PATH")
@@ -510,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         "events", parents=[common],
         help="§5j causal event journal (checkpoints, tuning, SLO, faults)",
     )
-    p_events.add_argument("-n", type=int, default=20,
+    p_events.add_argument("-n", type=_count, default=20,
                           help="newest events shown (default 20)")
     p_events.add_argument("--kind", metavar="GLOB",
                           help="filter by kind, fnmatch glob ok "
@@ -524,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="§5j fleet rollup: cross-shard totals, skew, hot shard "
         "(defaults to --shards 2 when unset)",
     )
-    p_fleet.add_argument("-n", type=int, default=8,
+    p_fleet.add_argument("-n", type=_count, default=8,
                          help="most-skewed metrics shown (default 8)")
     p_fleet.set_defaults(func=_cmd_fleet, default_shards=2)
     return parser

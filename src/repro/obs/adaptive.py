@@ -390,7 +390,7 @@ class AdaptiveController:
     ) -> str:
         actions = self.actions
         if limit is not None:
-            actions = actions[-limit:]
+            actions = actions[max(len(actions) - limit, 0):]
         stats = self.stats
         header = (
             f"{title}: {stats.actions} applied, {len(actions)} shown, "

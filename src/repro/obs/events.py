@@ -199,15 +199,15 @@ class EventJournal:
             if t1 is not None and event.t_ns > t1:
                 continue
             out.append(event)
-        return out if limit is None else out[-limit:]
+        return out if limit is None else out[max(len(out) - limit, 0):]
 
     def last(self, n: int = 1) -> list[EngineEvent]:
-        return list(self._ring)[-n:]
+        return list(self._ring)[max(len(self._ring) - n, 0):]
 
     def as_dicts(self, limit: int | None = None) -> list[dict[str, object]]:
         events = list(self._ring)
         if limit is not None:
-            events = events[-limit:]
+            events = events[max(len(events) - limit, 0):]
         return [e.as_dict() for e in events]
 
     def format(self, limit: int = 20, **filters) -> str:

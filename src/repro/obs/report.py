@@ -109,37 +109,20 @@ def export_json(
     path: str | Path | None = None,
     label: str = "metrics",
     extra: dict | None = None,
-    tracer=None,
-    span_limit: int | None = None,
 ) -> str:
     """Serialize a snapshot (plus derived rates) to JSON.
 
     Returns the JSON text; with ``path`` also writes it to disk.  The
-    document holds a ``label``, a ``metrics`` tree, and a flat
-    ``derived`` map.
-
-    ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) additionally dumps
-    the recent-span ring buffer — at most ``span_limit`` newest spans —
-    as a ``spans`` list, so one export captures a full incident: the
-    aggregate counters *and* the exact operations leading up to it.
+    document holds a ``label``, a ``metrics`` tree, a flat ``derived``
+    map, and whatever ``extra`` adds at the top level (``repro.obs
+    export`` adds the newest span trees of the armed
+    :class:`~repro.obs.trace.TraceCollector` as ``traces``).
     """
     document = {
         "label": label,
         "metrics": registry.snapshot(),
         "derived": derived_rates(registry),
     }
-    if tracer is not None:
-        document["spans"] = [
-            {
-                "name": event.name,
-                "start_ns": event.start_ns,
-                "elapsed_ns": event.elapsed_ns,
-                "depth": event.depth,
-                "attrs": {str(k): repr(v) for k, v in event.attrs},
-                "error": event.error,
-            }
-            for event in tracer.recent(span_limit)
-        ]
     if extra:
         document.update(extra)
     text = json.dumps(document, indent=2, sort_keys=True)

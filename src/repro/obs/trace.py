@@ -216,7 +216,7 @@ class TraceCollector:
     def traces(self, n: int | None = None) -> list[Trace]:
         """The last ``n`` finished traces, oldest first (all if None)."""
         out = list(self._ring)
-        return out if n is None else out[-n:]
+        return out if n is None else out[max(len(out) - n, 0):]
 
     def clear(self) -> None:
         self._ring.clear()

@@ -5,15 +5,14 @@ observation (DESIGN.md §5k).  ``with tracer.span("query.lookup")`` charges
 the *simulated* nanoseconds that elapsed on the
 :class:`~repro.sim.cost_model.CostModel` clock into the ``span.<name>.ns``
 log2 histogram — deterministic, in the unit of the experiment figures —
-keeps the span in a bounded ring (:meth:`Tracer.recent`), and opens and
-closes whichever sinks are armed around the same body.
+and opens and closes whichever sinks are armed around the same body.
+The tracer keeps no span itself: an armed
+:class:`~repro.obs.trace.TraceCollector` is where spans are stored.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import _GeneratorContextManager
-from dataclasses import dataclass
 
 from repro.obs.registry import (
     Clock,
@@ -23,25 +22,7 @@ from repro.obs.registry import (
     resolve_registry,
 )
 
-#: Default capacity of the recent-span ring buffer.
-DEFAULT_RING_SIZE = 256
 _DONE = object()  # what ``next(gen, _DONE)`` returns once a span's body ran
-
-
-@dataclass(frozen=True)
-class SpanEvent:
-    """One finished span, as kept in the ring buffer."""
-
-    name: str
-    start_ns: float
-    end_ns: float
-    depth: int
-    attrs: tuple[tuple[str, object], ...] = ()
-    error: bool = False
-
-    @property
-    def elapsed_ns(self) -> float:
-        return self.end_ns - self.start_ns
 
 
 class _Bracket:
@@ -69,12 +50,13 @@ class _Bracket:
 
 
 class Tracer:
-    """Times spans, records them, and feeds the sinks armed on it.
+    """Times spans into histograms and feeds the sinks armed on it.
 
     ``clock`` follows :func:`~repro.obs.registry.resolve_clock`; with no
-    clock, spans still count (and nest, and ring-buffer) but measure
-    zero, and on the null registry they export nothing.  The sinks are
-    plain attributes, ``None`` until armed: ``profiler`` (a §5e
+    clock, spans still count but measure zero, and on the null registry
+    they export nothing.  The tracer holds no per-span state: a span's
+    tree, attributes and error flag live in the ``trace`` sink.  The
+    sinks are plain attributes, ``None`` until armed: ``profiler`` (a §5e
     :class:`~repro.obs.profiler.QueryProfiler`), ``trace`` (a §5j
     :class:`~repro.obs.trace.TraceCollector`, whose spans are tagged
     with ``shard``, this engine's id under a sharded facade) and
@@ -85,15 +67,9 @@ class Tracer:
         self,
         registry: MetricsRegistry | None = None,
         clock: Clock | object | None = None,
-        ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
         self.registry = resolve_registry(registry)
         self._clock = resolve_clock(clock)
-        #: Raw ``(name, start, end, depth, attrs, error)`` per finished
-        #: span; :meth:`recent`, the ring's one reader, builds the events.
-        self._ring: deque[tuple] = deque(maxlen=ring_size)
-        #: Current nesting depth (0 outside any span).
-        self.depth = 0
         self._histograms: dict[str, Histogram] = {}
         self.profiler = None
         self.trace = None
@@ -122,24 +98,24 @@ class Tracer:
         profile: tuple | None = None,
         trace: dict[str, object] | None = None,
         timed: bool = True,
-        **attrs: object,
     ) -> _Bracket:
-        """Bracket a block; exception-safe (errors still record the span).
+        """Bracket a block; exception-safe (an error is still timed, and
+        counted in ``span.<name>.errors``).
 
         ``profile`` is the argument tuple of ``QueryProfiler.begin``
         (``op, table[, index_name, index, project, batch]``) and ``trace``
         the attributes of the trace span ``name``; each goes only to an
         armed sink.  ``timed=False`` brackets for the sinks alone — no
-        histogram, ring event or depth — for ops without a ``span.*``
-        series and the lazy row scan, whose bracket outlives the call.
+        clock read, no histogram — for ops without a ``span.*`` series
+        and the lazy row scan, whose bracket outlives the call.
         The bracket is ``contextlib.contextmanager``'s over the generator
         :meth:`_span` (``span.__wrapped__``): seven calls, not nine.
         """
         bracket = _Bracket()
-        bracket.gen = self._span(name, profile, trace, timed, **attrs)
+        bracket.gen = self._span(name, profile, trace, timed)
         return bracket
 
-    def _span(self, name, profile=None, trace=None, timed=True, **attrs):
+    def _span(self, name, profile, trace, timed):
         """The generator :meth:`span` brackets."""
         profiler = self.profiler if profile is not None else None
         collector = self.trace if trace is not None else None
@@ -158,8 +134,6 @@ class Tracer:
                 raise
         if timed:
             start = self._clock()
-            depth = self.depth
-            self.depth = depth + 1
         error = False
         try:
             yield
@@ -168,12 +142,9 @@ class Tracer:
             raise
         finally:
             if timed:
-                self.depth = depth
-                end = self._clock()
-                self._histogram(name).record(end - start)
+                self._histogram(name).record(self._clock() - start)
                 if error:
                     self.registry.counter(f"span.{name}.errors").inc()
-                self._ring.append((name, start, end, depth, attrs, error))
             if profiled is not None:
                 profiler.end(profiled, error)
             if traced is not None:
@@ -187,18 +158,3 @@ class Tracer:
             hist = self.registry.histogram(f"span.{name}.ns")
             self._histograms[name] = hist
         return hist
-
-    def recent(self, n: int | None = None) -> list[SpanEvent]:
-        """The last ``n`` finished spans, oldest first (all if ``None``)."""
-        raw = list(self._ring)
-        return [
-            SpanEvent(
-                name, start, end, depth, tuple(sorted(attrs.items())), error
-            )
-            for name, start, end, depth, attrs, error in (
-                raw if n is None else raw[-n:]
-            )
-        ]
-
-    def clear(self) -> None:
-        self._ring.clear()

@@ -269,7 +269,7 @@ class Table:
         self.tracer.tick()
         with self.tracer.span(
             "query.insert", profile=("insert", self.name),
-            trace={"table": self.name}, table=self.name,
+            trace={"table": self.name},
         ):
             record = pack_record_map(self.schema, row)
             rid = self._wal_insert(record, txn_id=txn_id)
@@ -305,7 +305,7 @@ class Table:
         with self.tracer.span(
             "query.update",
             profile=("update", self.name, index_name, self.index(index_name)),
-            trace={"table": self.name}, table=self.name,
+            trace={"table": self.name},
         ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
@@ -338,7 +338,7 @@ class Table:
         with self.tracer.span(
             "query.delete",
             profile=("delete", self.name, index_name, self.index(index_name)),
-            trace={"table": self.name}, table=self.name,
+            trace={"table": self.name},
         ):
             rid = self._find_rid(index_name, key_value)
             if rid is None:
@@ -379,7 +379,7 @@ class Table:
         with self.tracer.span(
             "query.lookup",
             profile=("lookup", self.name, index_name, index, project),
-            trace={"table": self.name}, table=self.name, index=index_name,
+            trace={"table": self.name},
         ):
             return index.lookup(key_value, project)
 
@@ -404,7 +404,6 @@ class Table:
             "query.lookup_many",
             profile=("lookup_many", self.name, index_name, index, project, batch),
             trace={"table": self.name, "batch": batch},
-            table=self.name, index=index_name,
         ):
             return index.lookup_many(list(key_values), project)
 

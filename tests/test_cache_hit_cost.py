@@ -61,9 +61,9 @@ LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 MAX_CALLS_PLAIN_HIT = 16
 MAX_CALLS_PROMOTING_HIT = 37
 MAX_CALLS_LOOKUP_FROM_LEAF = 87
-MAX_CALLS_CACHED_HIT_LOOKUP = 121  # same key, same projection as the next
-MAX_CALLS_PLAIN_LOOKUP = 130
-MAX_CALLS_PLAIN_UPDATE = 234  # the one that closes a WAL group commit
+MAX_CALLS_CACHED_HIT_LOOKUP = 120  # same key, same projection as the next
+MAX_CALLS_PLAIN_LOOKUP = 129
+MAX_CALLS_PLAIN_UPDATE = 233  # the one that closes a WAL group commit
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 

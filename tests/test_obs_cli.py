@@ -64,7 +64,8 @@ def test_export_to_stdout_is_json(capsys):
     assert doc["health"]["ok"] is True
     assert doc["profiler"]["top"]
     assert doc["timeline"]["points"]
-    assert len(doc["spans"]) <= 8
+    assert len(doc["traces"]) <= 8
+    assert "spans" not in doc
     assert "metrics" in doc and "derived" in doc
 
 

@@ -117,21 +117,6 @@ def test_derived_rates_throughput_and_zero_duration_guard():
     assert rates["wal.bytes.per_sec"] == 250.0
 
 
-def test_export_json_includes_tracer_spans(tmp_path):
-    db = _drive_workload()
-    doc = json.loads(
-        export_json(db.metrics, tracer=db.tracer, span_limit=5)
-    )
-    assert len(doc["spans"]) == 5
-    span = doc["spans"][-1]
-    assert set(span) == {
-        "name", "start_ns", "elapsed_ns", "depth", "attrs", "error",
-    }
-    assert span["name"].startswith("query.")
-    # Without a tracer the key is absent entirely (document stays small).
-    assert "spans" not in json.loads(export_json(db.metrics))
-
-
 def test_snapshot_deterministic_under_seeded_rng():
     first = _drive_workload(metrics=MetricsRegistry(), seed=11)
     second = _drive_workload(metrics=MetricsRegistry(), seed=11)
