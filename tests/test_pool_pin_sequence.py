@@ -2,10 +2,15 @@
 
 A seeded mix over one small :class:`~repro.Database` (WAL on, a pool of
 ten frames so evictions and dirty write-backs happen all the time) with
-``BufferPool.fetch`` / ``unpin`` / ``new_page`` wrapped *on the instance*:
-every ``with pool.page(...)`` / ``pages_many(...)`` bracket reaches the
-pool through those three, so the record ``(call, page_id, dirty, lsn)`` is
-the complete story of which page was pinned when, how it was released and
+``BufferPool.page`` / ``fetch`` / ``unpin`` / ``new_page`` wrapped *on the
+instance*.  A ``with pool.page(...)`` bracket is logged at the bracket: a
+``fetch`` at the call and an ``unpin`` at its exit, with the ``dirty`` and
+``lsn`` the exit applies (a write bracket whose body raises releases
+clean), whether or not the pool's own ``page`` goes through ``fetch`` and
+``unpin``.  Only the outermost wrapped entry logs, so no pin is logged
+twice.  ``pages_many`` and direct callers reach ``fetch`` / ``unpin``
+themselves.  The record ``(call, page_id, dirty, lsn)`` is then the
+complete story of which page was pinned when, how it was released and
 with which LSN.  Any change to how a bracket is built must replay it to
 the byte: same pins in the same order, same ``dirty``/``lsn`` at release,
 hence the same hits, misses, evictions, write-backs, simulated ns and disk
@@ -35,21 +40,55 @@ def _row(i: int) -> dict:
 
 
 def _record_pins(pool, log: list) -> None:
-    fetch, unpin, new_page = pool.fetch, pool.unpin, pool.new_page
+    page, fetch, unpin, new_page = pool.page, pool.fetch, pool.unpin, pool.new_page
+    depth = [0]  # > 0 inside a wrapped entry: inner pool calls log nothing
+
+    def outermost(entry, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return entry(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    class Bracket:
+        def __init__(self, page_id, dirty, lsn, handle):
+            self.page_id, self.dirty, self.lsn = page_id, dirty, lsn
+            self.handle = handle
+
+        def __enter__(self):
+            return self.handle.__enter__()
+
+        def __exit__(self, exc_type, exc, tb):
+            ok = exc_type is None
+            log.append(("unpin", self.page_id, self.dirty and ok,
+                        self.lsn if self.dirty and ok else None))
+            return outermost(self.handle.__exit__, exc_type, exc, tb)
+
+    def recording_page(page_id, dirty=False, lsn=None):
+        if depth[0]:
+            return page(page_id, dirty=dirty, lsn=lsn)
+        log.append(("fetch", page_id, None, None))
+        handle = outermost(page, page_id, dirty=dirty, lsn=lsn)
+        return Bracket(page_id, dirty, lsn, handle)
 
     def recording_fetch(page_id):
-        log.append(("fetch", page_id, None, None))
-        return fetch(page_id)
+        if not depth[0]:
+            log.append(("fetch", page_id, None, None))
+        return outermost(fetch, page_id)
 
     def recording_unpin(page_id, dirty=False, lsn=None):
-        log.append(("unpin", page_id, dirty, lsn))
-        return unpin(page_id, dirty=dirty, lsn=lsn)
+        if not depth[0]:
+            log.append(("unpin", page_id, dirty, lsn))
+        return outermost(unpin, page_id, dirty=dirty, lsn=lsn)
 
     def recording_new_page(page_type):
-        page = new_page(page_type)
+        if depth[0]:
+            return new_page(page_type)
+        page = outermost(new_page, page_type)
         log.append(("new_page", page.page_id, int(page_type), None))
         return page
 
+    pool.page = recording_page
     pool.fetch = recording_fetch
     pool.unpin = recording_unpin
     pool.new_page = recording_new_page
