@@ -69,8 +69,12 @@ class CostHook(Protocol):
 
 @dataclass
 class _Frame:
+    """A resident page; also a read :meth:`BufferPool.page`'s ``with`` item."""
+
     page_id: int
     data: bytearray
+    #: The one view over ``data``, built at install and handed to every pin.
+    view: SlottedPage
     pin_count: int = 0
     dirty: bool = False
     #: Highest WAL LSN stamped on this frame (0 = no logged change).
@@ -86,11 +90,12 @@ class _Frame:
     #: histogram when the frame leaves the pool, so the telemetry layer
     #: sees the hot/cold skew of what eviction is churning through.
     temperature: int = 0
-    #: A B+Tree node's key prefixes, ``key_width`` bytes each, kept by the
-    #: views over this frame once it served ``DECODE_AFTER`` byte ``searches``.
-    keys: list[bytes] | None = None
-    key_width: int = 0
-    searches: int = 0
+
+    def __enter__(self) -> SlottedPage:
+        return self.view
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.pin_count -= 1
 
 
 class BufferPool:
@@ -207,14 +212,13 @@ class BufferPool:
         """Allocate and format a fresh page; returned pinned and dirty."""
         page_id = self.disk.allocate_page()
         frame = self._install(page_id, bytearray(self.disk.page_size))
-        page = SlottedPage(frame.data, frame)
-        page.reformat(page_id, page_type)
+        frame.view.reformat(page_id, page_type)
         frame.pin_count += 1
         frame.dirty = True
-        return page
+        return frame.view
 
     def fetch(self, page_id: int) -> SlottedPage:
-        """Pin a page and return a view over its frame bytes.
+        """Pin a page and return the view over its frame bytes.
 
         Raises :class:`CorruptPageError` if the page is quarantined or its
         bytes fail checksum/freshness validation even after the policy's
@@ -222,6 +226,10 @@ class BufferPool:
         disk keeps failing transiently.  The page is pinned only on
         success, so failed fetches never leak pins.
         """
+        return self._pin(page_id).view
+
+    def _pin(self, page_id: int) -> _Frame:
+        """The one pin body, :meth:`fetch`'s and :meth:`page`'s."""
         if page_id in self._quarantined:
             self._m_detected.inc()
             raise CorruptPageError(page_id, "is quarantined")
@@ -239,7 +247,7 @@ class BufferPool:
             frame = self._install(page_id, data)
         frame.temperature += 1
         frame.pin_count += 1
-        return SlottedPage(frame.data, frame)
+        return frame
 
     def unpin(self, page_id: int, dirty: bool = False, lsn: int | None = None) -> None:
         """Release one pin; ``dirty=True`` schedules a write-back.
@@ -263,11 +271,12 @@ class BufferPool:
 
     def page(
         self, page_id: int, dirty: bool = False, lsn: int | None = None
-    ) -> "_ReadPin":
+    ) -> "_Frame | _WritePin":
         """Pin for the duration of a ``with`` block.
 
         The pin is taken here, at the call: the handle returned carries
-        the already-pinned page, so it is only ever a ``with`` item.
+        the already-pinned page, so it is only ever a ``with`` item.  A
+        read pin's handle is the frame itself; its exit drops the pin.
         ``dirty=True`` marks the page dirty only when the body completes;
         ``lsn`` is passed through to :meth:`unpin` on that success path.
         If the body raises, the mutation may be half-applied, so the frame
@@ -275,10 +284,10 @@ class BufferPool:
         scheduling write-back of torn in-memory state is exactly the
         corruption this module exists to prevent.
         """
-        page = self.fetch(page_id)
+        frame = self._pin(page_id)
         if dirty:
-            return _WritePin(self, page_id, page, lsn)
-        return _ReadPin(self, page_id, page)
+            return _WritePin(self, page_id, frame.view, lsn)
+        return frame
 
     def fetch_many(self, page_ids: Iterable[int]) -> dict[int, SlottedPage]:
         """Pin a batch of pages, each **distinct** page exactly once.
@@ -489,7 +498,7 @@ class BufferPool:
     def _install(self, page_id: int, data: bytearray) -> _Frame:
         if len(self._frames) >= self.capacity:
             self._evict_one()
-        frame = _Frame(page_id=page_id, data=data)
+        frame = _Frame(page_id=page_id, data=data, view=SlottedPage(data))
         self._frames[page_id] = frame
         self._m_resident.set(len(self._frames))
         return frame
@@ -511,42 +520,27 @@ class BufferPool:
         raise BufferPoolError("all frames pinned; cannot evict")
 
 
-class _ReadPin:
-    """``with`` item of :meth:`BufferPool.page`: pinned at the call, left clean."""
+class _WritePin:
+    """``with`` item of :meth:`BufferPool.page` with ``dirty=True``:
+    snapshot at the pin, dirty only on success."""
 
-    __slots__ = ("_pool", "_page_id", "_page")
-
-    def __init__(self, pool: BufferPool, page_id: int, page: SlottedPage) -> None:
-        self._pool = pool
-        self._page_id = page_id
-        self._page = page
-
-    def __enter__(self) -> SlottedPage:
-        return self._page
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._pool.unpin(self._page_id)
-
-
-class _WritePin(_ReadPin):
-    """The ``dirty=True`` kind: snapshot at the pin, dirty only on success."""
-
-    __slots__ = ("_lsn", "_snapshot")
+    __slots__ = ("_pool", "_page_id", "_page", "_lsn", "_snapshot")
 
     def __init__(self, pool, page_id, page, lsn: int | None) -> None:
-        # no super().__init__(): a bracket is four calls, read or write
         self._pool = pool
         self._page_id = page_id
         self._page = page
         self._lsn = lsn
         self._snapshot = bytes(page.buffer)
 
+    def __enter__(self) -> SlottedPage:
+        return self._page
+
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self._pool.unpin(self._page_id, dirty=True, lsn=self._lsn)
         else:  # any BaseException; the page's buffer is the frame's bytes
-            self._page.buffer[:] = self._snapshot
-            self._page.frame.keys = None
+            self._page.restore(self._snapshot)
             self._pool.unpin(self._page_id, dirty=False)
 
 

@@ -70,11 +70,12 @@ _OFF_CHECKSUM = PAGE_CHECKSUM_OFFSET
 _TOMBSTONE_OFFSET = 0
 
 # Compiled codecs, applied straight to the frame's ``bytearray`` with
-# ``unpack_from`` / ``pack_into`` at every access (DESIGN.md §5), except a
-# searched node's key prefixes, kept on its pool frame (``bisect``) and
-# maintained by the ordered-directory writes; every other write drops them.
-# No long-lived ``memoryview``: a live export makes the pool's
-# ``frame.data[:] = snapshot`` restores raise ``BufferError``.
+# ``unpack_from`` / ``pack_into`` at every access (DESIGN.md §5), except the
+# page-type byte and a searched node's key prefixes, kept on the view
+# (``bisect``) and maintained by the ordered-directory writes; every other
+# write drops the prefixes.
+# No long-lived ``memoryview``: a live export makes the write bracket's
+# ``restore`` raise ``BufferError``.
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -82,7 +83,7 @@ _HEADER = struct.Struct("<HIBBHHHQIB")  # magic .. level, in header order
 _GEOMETRY = struct.Struct("<HHH")  # slot_count, free_lo, free_hi
 _PAIR = struct.Struct("<HH")  # (free_lo, free_hi) or one directory entry
 
-#: Byte searches a frame serves before its key prefixes are decoded: the
+#: Byte searches a view serves before its key prefixes are decoded: the
 #: ski-rental break-even of one decode (10–21 µs on ``point_fit``'s nodes)
 #: against one byte search (2.3–2.9 µs).  DESIGN.md §5, "Decoded once".
 DECODE_AFTER = 8
@@ -120,12 +121,15 @@ def page_checksum_ok(buffer: bytes | bytearray) -> bool:
 class SlottedPage:
     """A mutable view over one page's ``bytearray``.
 
-    The page does not own its buffer: the buffer pool does.  Constructing a
-    view is cheap; all state lives in the bytes or, for :meth:`bisect`'s
-    key prefixes, on the pool frame every view over it shares.
+    The page does not own its buffer: the buffer pool does, and keeps one
+    view per frame.  All state lives in the bytes except the page-type
+    byte and :meth:`bisect`'s key prefixes, which the view keeps beside
+    them and its own writes keep equal to them.
     """
 
-    def __init__(self, buffer: bytearray, frame=None) -> None:
+    __slots__ = ("buffer", "size", "type_code", "keys", "key_width", "searches")
+
+    def __init__(self, buffer: bytearray) -> None:
         size = len(buffer)
         if size < PAGE_HEADER_SIZE + PAGE_FOOTER_SIZE:
             raise PageFormatError("buffer smaller than header + footer")
@@ -134,8 +138,14 @@ class SlottedPage:
         #: The raw page bytes (the index cache writes here directly).
         self.buffer = buffer
         self.size = size
-        #: The pool frame holding ``buffer`` (``None`` over a bare buffer).
-        self.frame = frame
+        #: The raw page-type byte: equals a :class:`PageType` member as an
+        #: int, without constructing the enum (node views check every visit).
+        self.type_code = buffer[_OFF_TYPE]
+        #: A B+Tree node's key prefixes, ``key_width`` bytes each, decoded
+        #: once the view served ``DECODE_AFTER`` byte ``searches``.
+        self.keys: list[bytes] | None = None
+        self.key_width = 0
+        self.searches = 0
 
     # -- construction ------------------------------------------------------
 
@@ -152,13 +162,19 @@ class SlottedPage:
         """Initialise this view's bytes as a fresh, empty page."""
         buffer, size = self.buffer, self.size
         buffer[:] = bytes(size)
-        if self.frame is not None:
-            self.frame.keys = None
+        self.keys = None
         _HEADER.pack_into(
             buffer, _OFF_MAGIC, PAGE_MAGIC, page_id, page_type, 0, 0,
             PAGE_HEADER_SIZE, size - PAGE_FOOTER_SIZE, 0, NO_PAGE, 0,
         )
+        self.type_code = buffer[_OFF_TYPE]
         _U16.pack_into(buffer, size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
+
+    def restore(self, snapshot: bytes) -> None:
+        """Put back every byte of an earlier ``bytes(self.buffer)``."""
+        self.buffer[:] = snapshot
+        self.keys = None
+        self.type_code = self.buffer[_OFF_TYPE]
 
     def verify(self) -> None:
         """Raise :class:`PageFormatError` if the page bytes look corrupt."""
@@ -178,14 +194,8 @@ class SlottedPage:
         return _U32.unpack_from(self.buffer, _OFF_PAGE_ID)[0]
 
     @property
-    def type_code(self) -> int:
-        """The raw page-type byte: equals a :class:`PageType` member as an
-        int, without constructing the enum (node views check every visit)."""
-        return self.buffer[_OFF_TYPE]
-
-    @property
     def page_type(self) -> PageType:
-        return PageType(self.buffer[_OFF_TYPE])
+        return PageType(self.type_code)
 
     @property
     def slot_count(self) -> int:
@@ -290,8 +300,7 @@ class SlottedPage:
             lo += SLOT_ENTRY_SIZE
         _GEOMETRY.pack_into(self.buffer, _OFF_SLOT_COUNT, count, lo, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
-        if self.frame is not None:
-            self.frame.keys = None
+        self.keys = None
         return slot
 
     def read(self, slot: int) -> bytes:
@@ -315,8 +324,8 @@ class SlottedPage:
                 f"in-place update must keep length {length}, got {len(data)}"
             )
         self.buffer[offset : offset + len(data)] = data
-        if self.frame is not None and self.frame.keys is not None:
-            self.frame.keys[slot] = data[: self.frame.key_width]
+        if self.keys is not None:
+            self.keys[slot] = data[: self.key_width]
 
     def delete(self, slot: int) -> None:
         """Tombstone a slot.  Record bytes stay until :meth:`compact`."""
@@ -326,8 +335,7 @@ class SlottedPage:
                 f"slot {slot} on page {self.page_id} already deleted"
             )
         self._set_slot_entry(slot, _TOMBSTONE_OFFSET, length)
-        if self.frame is not None:
-            self.frame.keys = None
+        self.keys = None
 
     @property
     def is_formatted(self) -> bool:
@@ -392,8 +400,7 @@ class SlottedPage:
 
     def _grow_directory(self, count: int, grow: int, lo: int) -> None:
         """Append ``grow`` zeroed (tombstone, length 0) directory entries."""
-        if self.frame is not None:  # place_at and reserve_tombstones
-            self.frame.keys = None
+        self.keys = None  # place_at and reserve_tombstones
         span = grow * SLOT_ENTRY_SIZE
         start = self._slot_entry_offset(count)
         self.buffer[start : start + span] = bytes(span)
@@ -417,21 +424,19 @@ class SlottedPage:
         is ``>= key`` (``> key`` with ``upper``), and ``exact`` says the
         entry there equals ``key`` (never true with ``upper``).  The one
         search both node views use: one ``unpack_from`` and one slice compare
-        per step until the frame served ``DECODE_AFTER``, then one C ``bisect``
+        per step until the view served ``DECODE_AFTER``, then one C ``bisect``
         over its key prefixes: the same probes, so the same answers and errors.
         """
         width = len(key)
-        frame = self.frame
-        if frame is not None:
-            keys = frame.keys
-            if keys is None and frame.searches >= DECODE_AFTER:
-                keys = self._decode_keys(frame, width)
-            if keys is not None and frame.key_width == width:
-                if upper:
-                    return bisect_right(keys, key, lo), False
-                pos = bisect_left(keys, key, lo)
-                return pos, pos < len(keys) and keys[pos] == key
-            frame.searches += 1
+        keys = self.keys
+        if keys is None and self.searches >= DECODE_AFTER:
+            keys = self._decode_keys(width)
+        if keys is not None and self.key_width == width:
+            if upper:
+                return bisect_right(keys, key, lo), False
+            pos = bisect_left(keys, key, lo)
+            return pos, pos < len(keys) and keys[pos] == key
+        self.searches += 1
         buf = self.buffer
         hi = _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]
         at_hi = None
@@ -454,8 +459,8 @@ class SlottedPage:
             pass
         raise InvalidRidError(f"slot {mid} on page {self.page_id} is deleted")
 
-    def _decode_keys(self, frame, width: int) -> list[bytes] | None:
-        """Each entry's leading ``width`` bytes onto ``frame``; refused, for
+    def _decode_keys(self, width: int) -> list[bytes] | None:
+        """Each entry's leading ``width`` bytes onto the view; refused, for
         ``DECODE_AFTER`` more byte searches, if one is a tombstone, lies
         past the page or is shorter than ``width``."""
         buf = bytes(self.buffer)
@@ -464,10 +469,10 @@ class SlottedPage:
             entries = struct.unpack_from(f"<{2 * count}H", buf, PAGE_HEADER_SIZE)
             offsets, lengths = entries[::2], entries[1::2]
             if _TOMBSTONE_OFFSET not in offsets and min(lengths, default=width) >= width:
-                frame.keys = [buf[offset : offset + width] for offset in offsets]
-                frame.key_width = width
-                return frame.keys
-        frame.searches = 0
+                self.keys = [buf[offset : offset + width] for offset in offsets]
+                self.key_width = width
+                return self.keys
+        self.searches = 0
         return None
 
     def insert_at(self, position: int, data: bytes) -> None:
@@ -498,12 +503,11 @@ class SlottedPage:
             self.buffer, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
         )
         _PAIR.pack_into(self.buffer, start, new_hi, len(data))
-        frame = self.frame
-        if frame is not None and frame.keys is not None:
-            if len(data) < frame.key_width:
-                frame.keys = None
+        if self.keys is not None:
+            if len(data) < self.key_width:
+                self.keys = None
             else:
-                frame.keys.insert(position, data[: frame.key_width])
+                self.keys.insert(position, data[: self.key_width])
 
     def remove_at(self, position: int) -> None:
         """Remove the directory entry at ``position``, shifting the rest down.
@@ -520,8 +524,8 @@ class SlottedPage:
         end = self._slot_entry_offset(count)
         self.buffer[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self.buffer[start:end]
         _PAIR.pack_into(self.buffer, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
-        if self.frame is not None and self.frame.keys is not None:
-            del self.frame.keys[position]
+        if self.keys is not None:
+            del self.keys[position]
 
     def truncate(self, new_count: int) -> None:
         """Drop every directory entry at position >= ``new_count``.
@@ -539,8 +543,8 @@ class SlottedPage:
         _PAIR.pack_into(
             self.buffer, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
         )
-        if self.frame is not None and self.frame.keys is not None:
-            del self.frame.keys[new_count:]
+        if self.keys is not None:
+            del self.keys[new_count:]
 
     def _find_tombstone(self, count: int) -> int | None:
         for slot, (offset, _) in enumerate(self._directory(count)):

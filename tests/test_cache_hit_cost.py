@@ -13,11 +13,14 @@ occupied slot.
 The same count, with no slack, for whole ops on the plain path: a
 ``Table.lookup`` through a plain index and a one-column ``Table.update``
 under WAL, over ``point_fit``'s revision table at a tenth of its size.
-Every ``with pool.page(...)`` bracket is four calls on top of its
-``fetch`` and ``unpin`` (``page``, the handle's ``__init__``,
-``__enter__``, ``__exit__``); as a ``@contextmanager`` generator it was
-nine, and the three op budgets read 169 / 281 / 149 (the lookup answered
-from the leaf runs on a one-leaf tree: two brackets).
+A read ``with pool.page(...)`` bracket on a resident page is seven calls:
+``page``, the pin body with its frame lookup, cost hook and LRU move, and
+the frame's own ``__enter__`` and ``__exit__`` (the frame is the handle
+and keeps the page's one view).  With a new view and a handle per pin and
+``unpin`` at exit it was twelve; as a ``@contextmanager`` generator it was
+nine on top of ``fetch`` and ``unpin``, and the three op budgets read
+169 / 281 / 149 (the lookup answered from the leaf runs on a one-leaf
+tree: two brackets).
 
 And "a hit is cheaper than the heap": on one table with a cached and a
 plain index over the same key columns, both trees of height 2, a
@@ -60,10 +63,10 @@ LEAVES = ((1024, 29), (4096, 93), (8192, 14))
 
 MAX_CALLS_PLAIN_HIT = 16
 MAX_CALLS_PROMOTING_HIT = 37
-MAX_CALLS_LOOKUP_FROM_LEAF = 87
-MAX_CALLS_CACHED_HIT_LOOKUP = 120  # same key, same projection as the next
-MAX_CALLS_PLAIN_LOOKUP = 129
-MAX_CALLS_PLAIN_UPDATE = 233  # the one that closes a WAL group commit
+MAX_CALLS_LOOKUP_FROM_LEAF = 75
+MAX_CALLS_CACHED_HIT_LOOKUP = 101  # same key, same projection as the next
+MAX_CALLS_PLAIN_LOOKUP = 105
+MAX_CALLS_PLAIN_UPDATE = 207  # the one that closes a WAL group commit
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 

@@ -754,16 +754,16 @@ def test_lru_trace_is_pinned():
 # -- node bytes change only through the view ----------------------------------
 
 #: Writers to a page's bytes outside ``storage/page.py``, by
-#: ``(file, function)``.  A frame keeps a B+Tree node's decoded keys, which
-#: ``SlottedPage``'s own writes maintain or drop; these two touch no key.
+#: ``(file, function)``.  A frame's view keeps a B+Tree node's decoded keys
+#: and the page-type byte, which ``SlottedPage``'s own writes maintain or
+#: drop (the write bracket's rollback is ``SlottedPage.restore``); these
+#: touch neither.
 VIEW_BYPASSES = {
     # the index cache writes inside the free window, where no record lies
     ("src/repro/core/index_cache/cache.py", "IndexCache.write_slot"),
     ("src/repro/core/index_cache/cache.py", "IndexCache.clear_slot"),
     ("src/repro/core/index_cache/cache.py", "IndexCache.zero_window"),
     ("src/repro/core/index_cache/cache.py", "IndexCache._swap_slots"),
-    # the write bracket restores its snapshot and drops the frame's keys
-    ("src/repro/storage/buffer_pool.py", "_WritePin.__exit__"),
 }
 
 
@@ -814,9 +814,9 @@ def _page_byte_writers(path: Path) -> set[str]:
 
 def test_node_bytes_written_only_through_the_view():
     """Outside ``storage/page.py`` nothing writes a page's bytes except
-    ``VIEW_BYPASSES``: a write that skips the view would leave a frame's
-    decoded keys answering searches for bytes that are gone.  An entry
-    that stops writing goes too."""
+    ``VIEW_BYPASSES``: a write that skips the view would leave its decoded
+    keys and type byte answering for bytes that are gone.  An entry that
+    stops writing goes too."""
     writers = {
         (str(path.relative_to(ROOT)), name)
         for path in sorted(MODULES.values())

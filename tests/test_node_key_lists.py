@@ -1,15 +1,17 @@
-"""A pool frame's decoded node keys never answer differently from the bytes.
+"""A page view's decoded node keys never answer differently from the bytes.
 
-``SlottedPage.bisect`` over a pool frame switches, after
-``DECODE_AFTER`` byte searches, to a C ``bisect`` over the key prefixes
-the frame keeps.  Three checks hold that list to the bytes:
+``SlottedPage.bisect`` switches, after ``DECODE_AFTER`` byte searches, to
+a C ``bisect`` over the key prefixes the view keeps (a pool frame keeps
+one view).  Three checks hold that list, and the page-type byte the view
+also keeps, to the bytes:
 
 * a hypothesis run of random writes to one frame-backed node page —
   ordered-directory writes, heap-mode writes that leave tombstones and
   unsorted directories, records shorter than the key, compaction, cache
   writes into the free window and a write bracket that raises — after
-  every step of which the list equals a fresh decode of the bytes and
-  every search equals the byte search over a bare buffer;
+  every step of which the list equals a fresh decode of the bytes, the
+  type code equals the type byte, and every search equals the byte
+  search over a fresh view of the buffer;
 * ``drop_clean`` leaves no frame holding a list;
 * the fault drill and the WAL drill at their CLI seeds, with every
   search the list serves checked against the byte search and the list
@@ -55,7 +57,7 @@ def outcome(search, *args):
 
 
 def byte_search(page: SlottedPage, key: bytes, lo: int, upper: bool):
-    """The search over the bare bytes: a view with no frame."""
+    """The search over the bare bytes: a fresh view, no keys decoded."""
     return outcome(SlottedPage(page.buffer).bisect, key, lo, upper)
 
 
@@ -118,20 +120,20 @@ def apply(pool: BufferPool, page: SlottedPage, op: str, at: int, data: bytes):
 def test_frame_keys_equal_the_bytes_after_every_write(ops, probes):
     pool = BufferPool(SimulatedDisk(384), 4)
     page = pool.new_page(PageType.BTREE_LEAF)
-    frame = page.frame
     for op, at, data in ops:
         try:
             apply(pool, page, op, at, data)
         except (InvalidRidError, PageFullError):
             pass
-        if frame.keys is not None:
-            assert frame.keys == fresh_decode(page, frame.key_width)
-        frame.searches = DECODE_AFTER  # every search may decode
-        for key, lo, upper in probes + [(k, 0, False) for k in frame.keys or ()]:
+        if page.keys is not None:
+            assert page.keys == fresh_decode(page, page.key_width)
+        assert page.type_code == page.buffer[6]
+        page.searches = DECODE_AFTER  # every search may decode
+        for key, lo, upper in probes + [(k, 0, False) for k in page.keys or ()]:
             assert outcome(page.bisect, key, lo, upper) == \
                 byte_search(page, key, lo, upper)
-        if frame.keys is not None:
-            assert frame.keys == fresh_decode(page, WIDTH)
+        if page.keys is not None:
+            assert page.keys == fresh_decode(page, WIDTH)
 
 
 def test_a_refused_decode_waits_out_another_round_of_byte_searches():
@@ -142,10 +144,9 @@ def test_a_refused_decode_waits_out_another_round_of_byte_searches():
     for i in range(6):
         page.insert_at(i, bytes([i]) * 8)
     page.delete(2)
-    frame = page.frame
-    frame.searches = DECODE_AFTER
+    page.searches = DECODE_AFTER
     assert outcome(page.bisect, bytes([0]) * 4) == (0, True)
-    assert frame.keys is None and frame.searches == 1
+    assert page.keys is None and page.searches == 1
 
 
 def test_drop_clean_leaves_no_frame_holding_keys():
@@ -157,9 +158,9 @@ def test_drop_clean_leaves_no_frame_holding_keys():
     for _ in range(DECODE_AFTER + 1):
         for key in keys[::9]:
             assert tree.search(key) == key
-    assert any(frame.keys is not None for frame in pool._frames.values())
+    assert any(frame.view.keys is not None for frame in pool._frames.values())
     pool.drop_clean()
-    assert not any(frame.keys is not None for frame in pool._frames.values())
+    assert not any(frame.view.keys is not None for frame in pool._frames.values())
     assert tree.search(keys[17]) == keys[17]
 
 
@@ -172,10 +173,9 @@ def cross_checked(monkeypatch):
 
     def bisect(self, key, lo=0, upper=False):
         found = outcome(real_bisect, self, key, lo, upper)
-        frame = self.frame
-        if frame is not None and frame.keys is not None and frame.key_width == len(key):
+        if self.keys is not None and self.key_width == len(key):
             assert found == byte_search(self, key, lo, upper), (self.page_id, key)
-            assert frame.keys == fresh_decode(self, len(key)), self.page_id
+            assert self.keys == fresh_decode(self, len(key)), self.page_id
             checked[0] += 1
         if isinstance(found, tuple) and found[:1] == ("InvalidRidError",):
             raise InvalidRidError(found[1])

@@ -1,11 +1,16 @@
 """BufferPool: pinning, eviction, write-back, hit accounting, cost hooks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import BufferPoolError, CorruptPageError
+from repro.obs import NULL_REGISTRY
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.constants import PageType
 from repro.storage.disk import SimulatedDisk
+from repro.storage.page import DECODE_AFTER, SlottedPage
 
 
 def make_pool(capacity=4, hook=None):
@@ -127,6 +132,75 @@ def clean_pages(pool, n):
         pids.append(page.page_id)
     pool.flush_all()
     return pids
+
+
+def test_a_failed_reformat_restores_the_bytes_keys_and_type_code():
+    """WAL redo reformats a blank page inside a ``dirty=True`` bracket; if
+    the body then raises, the view's type code and key prefixes must go
+    back with the bytes, or the next pin reads a type the bytes lack."""
+    pool, _ = make_pool()
+    page = pool.new_page(PageType.BTREE_LEAF)
+    pid = page.page_id
+    for i in range(6):
+        page.insert_at(i, bytes([i]) * 8)
+    pool.unpin(pid, dirty=True)
+    page.searches = DECODE_AFTER
+    assert page.bisect(bytes([3]) * 4) == (3, True)
+    keys, before = list(page.keys), bytes(page.buffer)
+    with pytest.raises(RuntimeError):
+        with pool.page(pid, dirty=True) as view:
+            view.reformat(pid, PageType.HEAP)
+            assert (view.type_code, view.keys) == (PageType.HEAP, None)
+            raise RuntimeError("torn redo")
+    with pool.page(pid) as view:
+        assert bytes(view.buffer) == before
+        assert view.type_code == PageType.BTREE_LEAF == view.buffer[6]
+        assert view.keys is None
+        assert view.bisect(bytes([3]) * 4) == (3, True)
+        assert view.keys == keys
+    assert pool.pinned_pages == []
+
+
+def test_every_pin_of_a_frame_hands_out_its_one_view():
+    pool, _ = make_pool()
+    (pid,) = clean_pages(pool, 1)
+    assert pool.fetch(pid) is pool.fetch(pid)
+    with pool.page(pid) as read, pool.page(pid, dirty=True) as write:
+        assert read is write is pool.fetch(pid)
+    for _ in range(3):
+        pool.unpin(pid)
+    assert pool.pinned_pages == []
+
+
+class _WeakView(SlottedPage):
+    """A view a weak reference can watch (``SlottedPage`` has no slot for one)."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_evicted_and_dropped_frames_and_their_views_die_by_refcount(monkeypatch):
+    """The frame holds its view and the view holds only bytes: an evicted
+    frame, the frames of a dropped pool, and their views need no cycle
+    collector."""
+    monkeypatch.setattr("repro.storage.buffer_pool.SlottedPage", _WeakView)
+    gc.collect()
+    gc.disable()
+    try:
+        pool = BufferPool(SimulatedDisk(256), 2, registry=NULL_REGISTRY)
+        first, second, _ = clean_pages(pool, 3)  # evicts the first
+        frame = pool._frames[second]
+        evicted = weakref.ref(frame), weakref.ref(frame.view)
+        with pool.page(first):  # evicts the second, now the oldest
+            pass
+        assert not pool.is_resident(second)
+        frame = pool._frames[first]
+        dropped = weakref.ref(frame), weakref.ref(frame.view)
+        del frame
+        assert [ref() for ref in evicted] == [None, None]
+        del pool
+        assert [ref() for ref in dropped] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_bracket_on_a_quarantined_page_raises_and_pins_nothing():
