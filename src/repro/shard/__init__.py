@@ -1,8 +1,8 @@
 """Horizontal sharding: routing, scatter-gather, migration, recovery.
 
-The §3 locality argument scaled *out* (ROADMAP item 2): shards behave
-like memory tiers, and hot partitions migrate toward the shard whose
-buffer pool can hold them.  See DESIGN.md §5i.
+The §3 locality argument scaled *out* (ROADMAP items 9 and 16): shards
+behave like memory tiers, and hot partitions migrate toward the shard
+whose buffer pool can hold them.  See DESIGN.md §5i.
 """
 
 from repro.shard.database import (

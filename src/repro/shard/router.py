@@ -1,7 +1,7 @@
 """Shard placement: hash, range, and Zipf-aware hot-key spreading.
 
-The §3 locality argument scaled out (ROADMAP item 2): shards behave like
-memory tiers, and the router's job is to keep every shard's *hot*
+The §3 locality argument scaled out (ROADMAP items 9 and 16): shards
+behave like memory tiers, and the router keeps every shard's *hot*
 partition small enough to fit in that shard's buffer pool.  Three modes:
 
 * ``hash`` — stable CRC32 of the routing key modulo shard count.

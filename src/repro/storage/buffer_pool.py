@@ -1,10 +1,10 @@
 """Buffer pool: the RAM boundary where the paper's costs are charged.
 
-Every page access in the system flows through :meth:`BufferPool.fetch`.
-A hit costs one buffer-pool memory access; a miss additionally costs a
-disk read (and possibly a dirty write-back).  The cost model hooks are how
-the Figure 2(b)/2(c)/3 experiments translate hit/miss behaviour into
-simulated time.
+Every page access in the system is pinned by the one body that
+:meth:`BufferPool.fetch` and :meth:`BufferPool.page` share.  A hit costs
+one buffer-pool memory access; a miss additionally costs a disk read (and
+possibly a dirty write-back).  The cost model hooks are how the Figure
+2(b)/2(c)/3 experiments translate hit/miss behaviour into simulated time.
 
 Cache writes from the index cache deliberately do **not** dirty pages
 (§2.1.1: "cache modifications do not dirty the page") — callers signal
@@ -72,8 +72,7 @@ class _Frame:
     """A resident page; also a read :meth:`BufferPool.page`'s ``with`` item."""
 
     page_id: int
-    data: bytearray
-    #: The one view over ``data``, built at install and handed to every pin.
+    #: The one view over the frame's bytes, built at install for every pin.
     view: SlottedPage
     pin_count: int = 0
     dirty: bool = False
@@ -487,8 +486,8 @@ class BufferPool:
             self.wal.flush_to(frame.page_lsn)
         crc = None
         if self._verify_checksums:
-            crc = stamp_page_checksum(frame.data)
-        self._with_retry(self.disk.write_page, frame.page_id, bytes(frame.data))
+            crc = stamp_page_checksum(frame.view.buffer)
+        self._with_retry(self.disk.write_page, frame.page_id, bytes(frame.view.buffer))
         if crc is not None:
             self._expected_crc[frame.page_id] = crc
         self._m_writeback.inc()
@@ -498,7 +497,7 @@ class BufferPool:
     def _install(self, page_id: int, data: bytearray) -> _Frame:
         if len(self._frames) >= self.capacity:
             self._evict_one()
-        frame = _Frame(page_id=page_id, data=data, view=SlottedPage(data))
+        frame = _Frame(page_id=page_id, view=SlottedPage(data))
         self._frames[page_id] = frame
         self._m_resident.set(len(self._frames))
         return frame

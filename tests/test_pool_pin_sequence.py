@@ -65,8 +65,6 @@ def _record_pins(pool, log: list) -> None:
             return outermost(self.handle.__exit__, exc_type, exc, tb)
 
     def recording_page(page_id, dirty=False, lsn=None):
-        if depth[0]:
-            return page(page_id, dirty=dirty, lsn=lsn)
         log.append(("fetch", page_id, None, None))
         handle = outermost(page, page_id, dirty=dirty, lsn=lsn)
         return Bracket(page_id, dirty, lsn, handle)
@@ -82,8 +80,6 @@ def _record_pins(pool, log: list) -> None:
         return outermost(unpin, page_id, dirty=dirty, lsn=lsn)
 
     def recording_new_page(page_type):
-        if depth[0]:
-            return new_page(page_type)
         page = outermost(new_page, page_type)
         log.append(("new_page", page.page_id, int(page_type), None))
         return page

@@ -247,7 +247,7 @@ def test_failed_write_bracket_leaves_an_already_dirty_frame_as_it_was(error):
             page.insert(b"half-applied")
             page.delete(0)
             raise error
-    assert bytes(frame.data) == before
+    assert bytes(frame.view.buffer) == before
     assert (frame.dirty, frame.page_lsn, frame.rec_lsn) == (True, 9, 7)
     assert pool.dirty_rec_lsns() == [7] and pool.pinned_pages == []
 
@@ -263,7 +263,7 @@ def test_failed_read_bracket_unpins_and_keeps_what_the_body_wrote():
             page.buffer[lo] = 0xEE
             raise RuntimeError("boom")
     frame = pool._frames[pid]
-    assert (frame.data[lo], frame.dirty, frame.pin_count) == (0xEE, False, 0)
+    assert (frame.view.buffer[lo], frame.dirty, frame.pin_count) == (0xEE, False, 0)
 
 
 def test_stop_iteration_from_the_body_comes_out_as_stop_iteration():
