@@ -11,8 +11,9 @@ is ``a + b·slots``; ``b`` is the one ``crc_hqx`` that verifies each
 occupied slot.
 
 The same count, with no slack, for whole ops on the plain path: a
-``Table.lookup`` through a plain index and a one-column ``Table.update``
-under WAL, over ``point_fit``'s revision table at a tenth of its size.
+``Table.lookup`` through a plain index, and a one-column ``Table.update``
+and a ``Table.insert`` under WAL, over ``point_fit``'s revision table at
+a tenth of its size.
 A read ``with pool.page(...)`` bracket on a resident page is seven calls:
 ``page``, the pin body with its frame lookup, cost hook and LRU move, and
 the frame's own ``__enter__`` and ``__exit__`` (the frame is the handle
@@ -67,6 +68,7 @@ MAX_CALLS_LOOKUP_FROM_LEAF = 75
 MAX_CALLS_CACHED_HIT_LOOKUP = 101  # same key, same projection as the next
 MAX_CALLS_PLAIN_LOOKUP = 105
 MAX_CALLS_PLAIN_UPDATE = 207  # the one that closes a WAL group commit
+MAX_CALLS_PLAIN_INSERT = 218  # likewise; no counted insert splits a leaf
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
@@ -166,9 +168,9 @@ def test_lookup_answered_from_the_leaf_stays_under_its_call_budget():
     assert max(counts) <= MAX_CALLS_LOOKUP_FROM_LEAF, counts
 
 
-def test_plain_lookup_and_update_stay_under_their_call_budgets():
-    """Root, leaf in ``find_leaf``, leaf again in ``search``, heap page:
-    four brackets a lookup; an update adds the ``dirty=True`` heap one."""
+def _wal_revision_table():
+    """``point_fit``'s revision table at a tenth of its size, under WAL,
+    with a plain primary-key index of height 2."""
     data = generate(WikipediaConfig(n_pages=300, revisions_per_page_mean=4, seed=0))
     db = Database(wal=True)
     revision = db.create_table("revision", REVISION_SCHEMA)
@@ -176,7 +178,14 @@ def test_plain_lookup_and_update_stay_under_their_call_budgets():
     for row in data.revision_rows:
         revision.insert(row)
     assert revision.index("rev_pk").tree.height == 2
-    keys = [row["rev_id"] for row in data.revision_rows[::31]]
+    return data.revision_rows, revision
+
+
+def test_plain_lookup_and_update_stay_under_their_call_budgets():
+    """Root, leaf in ``find_leaf``, leaf again in ``search``, heap page:
+    four brackets a lookup; an update adds the ``dirty=True`` heap one."""
+    rows, revision = _wal_revision_table()
+    keys = [row["rev_id"] for row in rows[::31]]
     revision.lookup("rev_pk", keys[0])  # first use builds the span's histogram
     revision.update("rev_pk", keys[0], {"rev_len": 999})
     lookups, updates = [], []
@@ -188,6 +197,24 @@ def test_plain_lookup_and_update_stay_under_their_call_budgets():
         assert revision.lookup("rev_pk", key).values["rev_len"] == 1_000 + n
     assert max(lookups) <= MAX_CALLS_PLAIN_LOOKUP, lookups
     assert max(updates) <= MAX_CALLS_PLAIN_UPDATE, updates
+
+
+def test_plain_insert_stays_under_its_call_budget():
+    """Forty rows appended past the highest key: each lands in the
+    rightmost leaf without splitting it, and some close a WAL group
+    commit or open a heap page."""
+    rows, revision = _wal_revision_table()
+    tree = revision.index("rev_pk").tree
+    top = max(row["rev_id"] for row in rows)
+    revision.insert(dict(rows[-1], rev_id=top + 1))
+    splits = tree._m_split_leaf.value
+    inserts = [
+        count_calls(revision.insert, dict(rows[-1], rev_id=top + 2 + n))
+        for n in range(40)
+    ]
+    assert tree._m_split_leaf.value == splits
+    assert revision.lookup("rev_pk", top + 41).values["rev_len"] == rows[-1]["rev_len"]
+    assert max(inserts) <= MAX_CALLS_PLAIN_INSERT, inserts
 
 
 def test_leaf_answered_lookup_makes_fewer_calls_than_a_plain_one_on_the_same_key():

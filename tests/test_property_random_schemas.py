@@ -212,3 +212,68 @@ def test_odd_width_integers_round_trip_at_their_bounds():
         assert len(data) == 6
         assert data == u.to_bytes(3, "little") + i.to_bytes(3, "little", signed=True)
         assert unpack_record(schema, data) == (u, i)
+
+
+# -- pack_record against validate-then-pack, on near misses -------------------
+
+
+class _IntSub(int):
+    """An ``int`` subclass: ``validate`` takes it, its type is not ``int``."""
+
+
+class _StrSub(str):
+    pass
+
+
+def _near_misses(ptype) -> list:
+    """Values just outside (and just inside) ``ptype``'s domain."""
+    kind = ptype.kind.value
+    if kind == "bool":
+        return [0, 1, _IntSub(1), 1.0, None]
+    if kind in ("int", "uint", "timestamp", "date", "year"):
+        lo, hi = ptype.int_range()
+        return [lo - 1, lo, hi, hi + 1, True, False, _IntSub(hi), _IntSub(hi + 1),
+                1.0, None, "1"]
+    if kind == "float":
+        return [0, -1, 10**400, -(10**400), float("nan"), -0.0, float("inf"),
+                float("-inf"), True, _IntSub(2), None, "1.0"]
+    limit = ptype.size - 2 if kind == "varchar" else ptype.size
+    return ["a" * limit, "a" * (limit + 1), "é" * (limit // 2),
+            "é" * (limit // 2) + "é", "€" * (limit // 3 + 1), "\ud800",
+            _StrSub("b" * limit), b"a", None, 1]
+
+
+def _valid_or_near_miss(ptype):
+    return st.one_of(_value_strategy(ptype), st.sampled_from(_near_misses(ptype)))
+
+
+@st.composite
+def schema_and_near_misses(draw):
+    schema, _ = draw(schema_and_values())
+    values = tuple(draw(_valid_or_near_miss(col.ctype)) for col in schema.columns)
+    return schema, values
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` comes to: its bytes, or its error's type and text."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return type(exc), str(exc)
+
+
+def _validate_then_pack(schema, values) -> bytes:
+    """The reference: every column validated in order, then packed alone."""
+    for col, value in zip(schema.columns, values):
+        col.ctype.validate(value)
+    return b"".join(col.ctype.pack(v) for col, v in zip(schema.columns, values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(schema_and_near_misses())
+def test_pack_record_has_the_outcome_of_validate_then_pack(pair):
+    schema, values = pair
+    expected = _outcome(_validate_then_pack, schema, values)
+    assert _outcome(pack_record, schema, values) == expected
+    mapped = dict(zip(schema.names, values))
+    assert _outcome(pack_record_map, schema, mapped) == expected
