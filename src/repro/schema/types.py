@@ -77,11 +77,23 @@ class PhysicalType:
         elif kind is TypeKind.FLOAT:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeMismatchError(f"{self.name} expects float, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise TypeMismatchError(
+                    f"int of {value.bit_length()} bits out of range for {self.name}"
+                ) from None
         elif kind in (TypeKind.CHAR, TypeKind.VARCHAR, TypeKind.TIMESTAMP_STRING):
             if not isinstance(value, str):
                 raise TypeMismatchError(f"{self.name} expects str, got {value!r}")
+            try:
+                raw = value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise TypeMismatchError(
+                    f"{self.name} expects UTF-8 text: {exc.reason} at {exc.start}"
+                ) from None
             limit = self.size - 2 if kind is TypeKind.VARCHAR else self.size
-            if len(value.encode("utf-8")) > limit:
+            if len(raw) > limit:
                 raise TypeMismatchError(
                     f"string of {len(value)} chars exceeds {self.name}"
                 )

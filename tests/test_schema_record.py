@@ -12,7 +12,7 @@ from repro.schema.record import (
     unpack_record_map,
 )
 from repro.schema.schema import Schema
-from repro.schema.types import BOOL, INT32, UINT64, char
+from repro.schema.types import BOOL, FLOAT64, INT32, UINT64, char, varchar
 
 SCHEMA = Schema.of(
     ("id", UINT64),
@@ -188,6 +188,10 @@ def test_missing_columns_are_named_sorted():
     assert str(exc) == "missing values for columns ['active', 'id', 'tag']"
 
 
+#: A float column, and a VARCHAR beside it: the rows of two values.
+FLOATS = Schema.of(("x", FLOAT64), ("note", varchar(4)))
+
+
 @pytest.mark.parametrize("values", [
     (2**64, 0, True, "x"),        # out of range, unsigned
     (-1, 0, True, "x"),
@@ -200,12 +204,17 @@ def test_missing_columns_are_named_sorted():
     (0, 0, True, b"bytes"),
     (0.5, 0, True, "x"),
     (None, 0, True, "x"),
+    (0, 0, True, "\ud800"),       # a lone surrogate has no UTF-8
+    (10**400, "x"),               # an int beyond float range
+    (-(10**400), "x"),
+    (0.5, "\udfff"),
 ])
 def test_bad_values_are_type_mismatches(values):
     from repro.errors import TypeMismatchError
 
-    _raises(TypeMismatchError, pack_record, SCHEMA, values)
-    _raises(TypeMismatchError, pack_record_map, SCHEMA, dict(zip(SCHEMA.names, values)))
+    schema = FLOATS if len(values) == len(FLOATS) else SCHEMA
+    _raises(TypeMismatchError, pack_record, schema, values)
+    _raises(TypeMismatchError, pack_record_map, schema, dict(zip(schema.names, values)))
 
 
 def test_used_schema_still_copies_and_pickles():
