@@ -11,6 +11,7 @@ column by column, with no per-projection state to keep.
 
 from __future__ import annotations
 
+import struct
 from typing import Mapping, Sequence
 
 from repro.errors import SchemaError
@@ -18,7 +19,24 @@ from repro.schema.schema import Schema
 
 
 def pack_record(schema: Schema, values: Sequence[object]) -> bytes:
-    """Pack positional ``values`` into the schema's fixed-width layout."""
+    """Pack positional ``values`` into the schema's fixed-width layout.
+
+    A row of exact column types goes straight to the ``Struct``, which
+    refuses an int out of range; any other row, or one refused there, is
+    validated column by column and raises the first column's refusal."""
+    packer, pre, _ = schema.codec
+    if tuple(map(type, values)) == packer.types:
+        row = list(values)
+        try:
+            for i, step in pre:
+                row[i] = step(row[i])
+            for i, width in packer.texts:
+                if len(row[i]) > width:
+                    break
+            else:
+                return packer.pack(*row)
+        except (struct.error, OverflowError, UnicodeEncodeError):
+            pass
     if len(values) != len(schema):
         raise SchemaError(
             f"expected {len(schema)} values, got {len(values)}"
@@ -27,7 +45,6 @@ def pack_record(schema: Schema, values: Sequence[object]) -> bytes:
     # integer code and truncates over-long strings), so validate first.
     for col, value in zip(schema.columns, values):
         col.ctype.validate(value)
-    packer, pre, _ = schema.codec
     if pre:
         values = list(values)
         for i, step in pre:

@@ -14,7 +14,22 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.errors import SchemaError
-from repro.schema.types import PhysicalType
+from repro.schema.types import PhysicalType, TypeKind
+
+#: The one Python type per kind that ``pack_record`` hands straight to the
+#: ``Struct``; any other value is judged by :meth:`PhysicalType.validate`.
+_EXACT_TYPE: dict[TypeKind, type] = {
+    TypeKind.BOOL: bool, TypeKind.FLOAT: float,
+    TypeKind.CHAR: str, TypeKind.VARCHAR: str, TypeKind.TIMESTAMP_STRING: str,
+    TypeKind.INT: int, TypeKind.UINT: int, TypeKind.TIMESTAMP: int,
+    TypeKind.DATE: int, TypeKind.YEAR: int,
+}
+
+
+class _RecordStruct(struct.Struct):
+    """The record's ``Struct``, with what ``pack_record`` checks first:
+    each column's exact ``types``, each text column's ``(position,
+    width)`` in ``texts`` (an ``Ns`` code truncates a longer value)."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +101,18 @@ class Schema:
     # -- geometry ----------------------------------------------------------
 
     @cached_property
-    def codec(self) -> tuple[struct.Struct, tuple, tuple]:
+    def codec(self) -> tuple[_RecordStruct, tuple, tuple]:
         """``(struct, pre, post)``: ONE compiled ``Struct`` for the whole
         record, built on first use from each column's
         :meth:`PhysicalType.wire`, and the ``(position, step)`` pairs to
         apply before packing / after unpacking (``schema.record`` does)."""
         wires = [col.ctype.wire() for col in self.columns]
+        packer = _RecordStruct("<" + "".join(code for code, _, _ in wires))
+        packer.types = tuple(_EXACT_TYPE[col.ctype.kind] for col in self.columns)
+        packer.texts = tuple((i, col.size) for i, col in enumerate(self.columns)
+                             if packer.types[i] is str)
         return (
-            struct.Struct("<" + "".join(code for code, _, _ in wires)),
+            packer,
             tuple((i, pre) for i, (_, pre, _) in enumerate(wires) if pre),
             tuple((i, post) for i, (_, _, post) in enumerate(wires) if post),
         )

@@ -277,3 +277,13 @@ def test_pack_record_has_the_outcome_of_validate_then_pack(pair):
     assert _outcome(pack_record, schema, values) == expected
     mapped = dict(zip(schema.names, values))
     assert _outcome(pack_record_map, schema, mapped) == expected
+
+
+def test_fast_path_type_table_covers_every_kind():
+    """Every kind has the exact type its fast path admits, and that type's
+    zero value is one ``validate`` accepts for the kind."""
+    from repro.schema.schema import _EXACT_TYPE
+
+    assert set(_EXACT_TYPE) == set(TypeKind)
+    for kind, exact in _EXACT_TYPE.items():
+        PhysicalType(kind, 4, kind.name).validate(exact())
