@@ -27,6 +27,7 @@ carry JSON catalog metadata.
 from __future__ import annotations
 
 import json
+import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -40,6 +41,10 @@ PAYLOAD_PREFIX_SIZE = 9
 #: Sanity cap on a single payload (a record is one tuple or one JSON
 #: catalog snapshot, never anywhere near this).
 MAX_PAYLOAD = 1 << 24
+
+_PREFIX = struct.Struct("<QB")  # payload prefix: lsn, record type
+_PAIR = struct.Struct("<II")  # frame header; a (page_id, slot) address
+_ADDR_TXN = struct.Struct("<III")  # a heap op's address and txn id
 
 
 class RecordType(IntEnum):
@@ -154,11 +159,12 @@ def _encode_body(record: WalRecord) -> bytes:
             raise WalError(f"{rtype.name} record requires meta['txn']")
         return json.dumps(record.meta, sort_keys=True).encode("utf-8")
     head = _encode_name(record.table)
-    addr = record.page_id.to_bytes(4, "little") + record.slot.to_bytes(4, "little")
     if rtype in HEAP_OP_TYPES:
         if record.txn_id < 0 or record.txn_id > 0xFFFFFFFF:
             raise WalError(f"txn_id {record.txn_id} outside u32 range")
-        addr += record.txn_id.to_bytes(4, "little")
+        addr = _ADDR_TXN.pack(record.page_id, record.slot, record.txn_id)
+    else:
+        addr = _PAIR.pack(record.page_id, record.slot)
     if rtype in (RecordType.INSERT, RecordType.UPDATE):
         if not record.payload:
             raise WalError(f"{rtype.name} record requires tuple payload")
@@ -166,10 +172,7 @@ def _encode_body(record: WalRecord) -> bytes:
     if rtype is RecordType.DELETE:
         return head + addr
     if rtype is RecordType.HOT_COLD_MOVE:
-        dst = record.aux_page.to_bytes(4, "little") + record.aux_slot.to_bytes(
-            4, "little"
-        )
-        return head + addr + dst
+        return head + addr + _PAIR.pack(record.aux_page, record.aux_slot)
     if rtype is RecordType.INDEX_CACHE_DROP:
         return head
     raise WalError(f"unencodable record type {rtype!r}")  # pragma: no cover
@@ -179,18 +182,10 @@ def encode_frame(record: WalRecord) -> bytes:
     """Encode one record as a complete, CRC-stamped frame."""
     if record.lsn < 1:
         raise WalError(f"LSNs are 1-based, got {record.lsn}")
-    payload = (
-        record.lsn.to_bytes(8, "little")
-        + bytes([int(record.rtype)])
-        + _encode_body(record)
-    )
+    payload = _PREFIX.pack(record.lsn, record.rtype) + _encode_body(record)
     if len(payload) > MAX_PAYLOAD:
         raise WalError(f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD")
-    return (
-        len(payload).to_bytes(4, "little")
-        + zlib.crc32(payload).to_bytes(4, "little")
-        + payload
-    )
+    return _PAIR.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _decode_body(lsn: int, rtype: RecordType, body: bytes) -> WalRecord:

@@ -16,7 +16,9 @@ and a ``Table.insert`` under WAL, over ``point_fit``'s revision table at
 a tenth of its size.  A written row is checked by one exact-type compare
 in the record codec; with ``PhysicalType.validate`` called per column
 (8 ``validate``, 7 ``int_range`` and 15 ``isinstance`` for a revision row)
-the update read 207 and the insert 218.
+the update read 207 and the insert 218.  Its redo record's fields are
+three compiled ``Struct`` packs; as seven ``int.to_bytes`` they cost
+each write three calls more.
 A read ``with pool.page(...)`` bracket on a resident page is seven calls:
 ``page``, the pin body with its frame lookup, cost hook and LRU move, and
 the frame's own ``__enter__`` and ``__exit__`` (the frame is the handle
@@ -70,8 +72,8 @@ MAX_CALLS_PROMOTING_HIT = 37
 MAX_CALLS_LOOKUP_FROM_LEAF = 75
 MAX_CALLS_CACHED_HIT_LOOKUP = 101  # same key, same projection as the next
 MAX_CALLS_PLAIN_LOOKUP = 105
-MAX_CALLS_PLAIN_UPDATE = 172  # the one that closes a WAL group commit
-MAX_CALLS_PLAIN_INSERT = 183  # likewise; no counted insert splits a leaf
+MAX_CALLS_PLAIN_UPDATE = 169  # the one that closes a WAL group commit
+MAX_CALLS_PLAIN_INSERT = 180  # likewise; no counted insert splits a leaf
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
