@@ -222,7 +222,7 @@ class _IntSub(int):
 
 
 class _StrSub(str):
-    pass
+    """A ``str`` subclass, likewise."""
 
 
 def _near_misses(ptype) -> list:
