@@ -14,10 +14,9 @@ minimal physical schema (§4.1) and re-reporting sizes.
 from __future__ import annotations
 
 from repro.btree.keycodec import UIntKey
-from repro.btree.tree import BPlusTree
 from repro.core.encoding.migrate import migrate_table
 from repro.core.hot_cold.manager import OnlineHotColdManager
-from repro.core.hot_cold.partitioner import HotColdPartitionedTable, Partition
+from repro.core.hot_cold.partitioner import HotColdPartitionedTable
 from repro.core.index_cache.agg_cache import AggregateCachingReader
 from repro.query.database import Database
 from repro.storage.buffer_pool import BufferPool
@@ -61,16 +60,12 @@ def aggregate_demo(data) -> None:
 
 
 def manager_demo(data) -> None:
-    pool = BufferPool(SimulatedDisk(4096), 100_000)
-
-    def partition():
-        return Partition(
-            heap=HeapFile(pool, append_only=True),
-            tree=BPlusTree(pool, key_size=4, value_size=8),
-        )
-
+    db = Database(data_pool_pages=100_000)
+    for side in ("hot", "cold"):
+        db.create_table(f"revision_{side}", REVISION_SCHEMA, append_only=True)
+        db.create_index(f"revision_{side}", f"rev_{side}", ("rev_id",))
     table = HotColdPartitionedTable(
-        REVISION_SCHEMA, ("rev_id",), partition(), partition()
+        db.table("revision_hot"), db.table("revision_cold")
     )
     rev_ids = []
     for row in data.revision_rows:

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.hot_cold.partitioner import HotColdPartitionedTable
+from repro.core.hot_cold.partitioner import (
+    HotColdPartitionedTable,
+    identity_index,
+)
 from repro.core.hot_cold.tracker import AccessTracker
 from repro.errors import StorageError, WorkloadError
 from repro.obs.registry import MetricsRegistry, resolve_registry
@@ -212,13 +215,9 @@ class OnlineHotColdManager:
         return report
 
     def _hot_residents(self) -> list[object]:
-        """Keys currently in the hot partition (decoded from the index)."""
-        keys = []
-        tree = self.table.hot.tree
-        codec = self.table.key_codec
-        for key_bytes, _ in tree.items():
-            keys.append(codec.decode(key_bytes))
-        return keys
+        """Keys currently in the hot partition (decoded from its index)."""
+        index = identity_index(self.table.hot)
+        return [index.key_codec.decode(key) for key, _ in index.tree.items()]
 
     def hot_hit_rate(self) -> float:
         """Fraction of lookups served by the hot partition so far."""

@@ -6,44 +6,26 @@ tuples get their own heap **and their own index**, and because the hot set
 is small, that index fits in RAM — the paper's 27.1 GB → 1.4 GB, 8.4×
 effect.
 
-:class:`HotColdPartitionedTable` is the generic mechanism: two
-(heap, index) pairs behind one lookup interface, plus demote/promote moves.
-The Wikipedia revision *policy* — "newly inserted revision tuples replace
-the previously hot tuple for the same page, which is then moved to the
-cold partition" — lives in ``workload.wikipedia``, driving this mechanism.
+:class:`HotColdPartitionedTable` is the generic mechanism: a layout over
+two catalog :class:`~repro.query.table.Table`\\ s — each its own heap and
+identity index — behind one lookup interface, plus demote/promote moves.
+The layout keeps only placement; every byte it stores goes through
+``Table``, so both sides have the WAL, failure-atomic writes,
+``check_database`` and ``obs`` like any other table.  The Wikipedia
+revision *policy* — "newly inserted revision tuples replace the
+previously hot tuple for the same page, which is then moved to the cold
+partition" — lives in ``workload.wikipedia``, driving this mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.keycodec import codec_for_columns
-from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.forwarding import ForwardingTable
-from repro.errors import QueryError, StorageError
-from repro.schema.record import pack_record_map, unpack_fields
-from repro.schema.schema import Schema
-from repro.storage.heap import HeapFile, Rid, RID_SIZE
-
-
-@dataclass
-class Partition:
-    """One physical partition: a heap and its primary index."""
-
-    heap: HeapFile
-    tree: BPlusTree
-
-    @property
-    def num_rows(self) -> int:
-        return self.tree.num_entries
-
-    @property
-    def heap_bytes(self) -> int:
-        return self.heap.size_bytes
-
-    @property
-    def index_bytes(self) -> int:
-        return self.tree.size_bytes
+from repro.errors import DuplicateKeyError, QueryError, StorageError
+from repro.query.table import AnyIndex, Table
+from repro.schema.record import unpack_record_map
+from repro.storage.heap import Rid
 
 
 @dataclass
@@ -57,36 +39,44 @@ class PartitionStats:
     hot_heap_bytes: int
     cold_heap_bytes: int
 
+
+def identity_index(table: Table) -> AnyIndex:
+    """The index a layout keys ``table`` by: its identity index."""
+    return table.index(table.identity_index_name)
+
+
 class HotColdPartitionedTable:
-    """A logical table stored as a hot partition plus a cold partition."""
+    """A logical table stored as a hot ``Table`` plus a cold ``Table``."""
 
     def __init__(
         self,
-        schema: Schema,
-        key_columns: tuple[str, ...],
-        hot: Partition,
-        cold: Partition,
+        hot: Table,
+        cold: Table,
         forwarding: ForwardingTable | None = None,
-        wal=None,
-        wal_label: str = "hot_cold",
     ) -> None:
-        if hot.tree.value_size != RID_SIZE or cold.tree.value_size != RID_SIZE:
-            raise QueryError("partition indexes must be RID-valued")
-        self.schema = schema
-        #: The key maker: key value or row -> ordered bytes.
-        self.key_codec = codec_for_columns(
-            [schema.column(c) for c in key_columns]
-        )
-        self.encode_key = self.key_codec.encode_key
+        """Refused before any row is written when the sides differ in
+        schema or identity key (a moved row must land where a lookup by
+        the same key finds it), or log to different WAL writers: a move
+        is a dst insert, a src delete and a ``HOT_COLD_MOVE`` marker, and
+        split across two logs it could not replay atomically."""
+        if (
+            hot.schema != cold.schema
+            or identity_index(hot).key_codec.columns
+            != identity_index(cold).key_codec.columns
+        ):
+            raise QueryError(
+                f"tables {hot.name!r} and {cold.name!r} differ in schema "
+                "or identity key"
+            )
+        if hot.wal is not cold.wal:
+            raise QueryError(
+                f"tables {hot.name!r} and {cold.name!r} log to different "
+                "WAL writers"
+            )
+        self.schema = hot.schema
         self.hot = hot
         self.cold = cold
         self._forwarding = forwarding
-        # Optional WalWriter (duck-typed).  Partition heaps are not
-        # catalog tables, so moves are logged as HOT_COLD_MOVE markers —
-        # a forensic trail of src→dst relocations that replay skips (it
-        # is not a heap-op kind), not a redo obligation.
-        self._wal = wal
-        self._wal_label = wal_label
         self.hot_lookups = 0
         self.cold_lookups = 0
         self.demotions = 0
@@ -96,12 +86,7 @@ class HotColdPartitionedTable:
 
     def insert(self, row: dict[str, object], hot: bool = True) -> Rid:
         """Insert a row into the chosen partition."""
-        part = self.hot if hot else self.cold
-        record = pack_record_map(self.schema, row)
-        rid = part.heap.insert(record)
-        key = self.key_codec.encode_row(row)
-        part.tree.insert(key, rid.to_bytes())
-        return rid
+        return (self.hot if hot else self.cold).insert(row)
 
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
@@ -111,41 +96,31 @@ class HotColdPartitionedTable:
         The access skew the partitioning exploits means almost every
         lookup resolves in the (small, RAM-resident) hot partition.
         """
-        key = self.encode_key(key_value)
-        project = project if project is not None else self.schema.names
-        rid_bytes = self.hot.tree.search(key)
-        if rid_bytes is not None:
+        result = self.hot.lookup(self.hot.identity_index_name, key_value, project)
+        if result.found:
             self.hot_lookups += 1
-            record = self.hot.heap.fetch(Rid.from_bytes(rid_bytes))
-            return unpack_fields(self.schema, record, project)
-        rid_bytes = self.cold.tree.search(key)
-        if rid_bytes is None:
+            return result.values
+        result = self.cold.lookup(
+            self.cold.identity_index_name, key_value, project
+        )
+        if not result.found:
             return None
         self.cold_lookups += 1
-        record = self.cold.heap.fetch(Rid.from_bytes(rid_bytes))
-        return unpack_fields(self.schema, record, project)
+        return result.values
 
     def warm_records(self, key_values: list[object], hot: bool) -> None:
         """Best-effort batched prefetch of move sources.
 
         A migration batch reads each source record once (the copy half of
-        copy-then-delete); probing the keys through the source index's
-        batched lookup and pulling the RIDs page-ordered pins every
-        source page once, so the per-key moves that follow hit the pool.
-        Faults here are swallowed — warming is an optimisation, and the
-        per-key move path handles (and accounts) its own faults.
+        copy-then-delete); probing the keys through the source's batched
+        lookup pulls the RIDs page-ordered and pins every source page
+        once, so the per-key moves that follow hit the pool.  Faults here
+        are swallowed — warming is an optimisation, and the per-key move
+        path handles (and accounts) its own faults.
         """
         src = self.hot if hot else self.cold
-        encoded = [self.encode_key(kv) for kv in key_values]
-        if not encoded:
-            return
         try:
-            found = src.tree.lookup_many(encoded)
-            rids = [
-                Rid.from_bytes(v) for v in found.values() if v is not None
-            ]
-            if rids:
-                src.heap.fetch_many(rids)
+            src.lookup_many(src.identity_index_name, key_values)
         except StorageError:
             pass
 
@@ -164,51 +139,51 @@ class HotColdPartitionedTable:
         return moved
 
     def is_hot(self, key_value: object) -> bool:
-        return self.hot.tree.search(self.encode_key(key_value)) is not None
+        return identity_index(self.hot).find_rid(key_value) is not None
 
     def stats(self) -> PartitionStats:
+        hot_tree = identity_index(self.hot).tree
+        cold_tree = identity_index(self.cold).tree
         return PartitionStats(
-            hot_rows=self.hot.num_rows,
-            cold_rows=self.cold.num_rows,
-            hot_index_bytes=self.hot.index_bytes,
-            cold_index_bytes=self.cold.index_bytes,
-            hot_heap_bytes=self.hot.heap_bytes,
-            cold_heap_bytes=self.cold.heap_bytes,
+            hot_rows=hot_tree.num_entries,
+            cold_rows=cold_tree.num_entries,
+            hot_index_bytes=hot_tree.size_bytes,
+            cold_index_bytes=cold_tree.size_bytes,
+            hot_heap_bytes=self.hot.heap.size_bytes,
+            cold_heap_bytes=self.cold.heap.size_bytes,
         )
 
     # -- internals ---------------------------------------------------------------
 
-    def _move(self, key_value: object, src: Partition, dst: Partition) -> bool:
+    def _move(self, key_value: object, src: Table, dst: Table) -> bool:
         """Relocate one row, copy-then-delete, failure-atomic for readers.
 
-        The destination copy commits (heap row + index entry) *before*
-        anything is removed from the source, so an I/O failure at any
-        point leaves the partition map consistent for lookups: either the
-        move never happened, or the row transiently exists in both
-        partitions — and the hot-first :meth:`lookup` order resolves the
-        duplicate to the correct bytes in both the demote and the promote
-        direction.  A failed move can be retried verbatim (the dst index
-        insert is an upsert); at worst an aborted move leaks an orphaned,
-        unindexed heap record — space, never answers.
+        The destination copy commits (``Table.insert``, itself
+        failure-atomic) *before* ``Table.delete`` removes the source, so
+        an I/O failure at any point leaves the partition map consistent
+        for lookups: either the move never happened, or the row
+        transiently exists in both partitions — and the hot-first
+        :meth:`lookup` order resolves the duplicate to the correct bytes
+        in both the demote and the promote direction.  A failed move can
+        be retried verbatim: a copy that survived a failed delete is
+        found by the retry's refused insert, which then completes the
+        delete.  The move is then logged as a ``HOT_COLD_MOVE`` marker —
+        a forensic trail of src→dst relocations that replay skips (the
+        insert and delete it names are already redo records).
         """
-        key = self.encode_key(key_value)
-        rid_bytes = src.tree.search(key)
-        if rid_bytes is None:
+        old_rid = identity_index(src).find_rid(key_value)
+        if old_rid is None:
             return False
-        old_rid = Rid.from_bytes(rid_bytes)
-        record = src.heap.fetch(old_rid)
-        new_rid = dst.heap.insert(record)
+        row = unpack_record_map(src.schema, src.heap.fetch(old_rid))
         try:
-            dst.tree.insert(key, new_rid.to_bytes(), upsert=True)
-        except BaseException:
-            # The copy never became visible; withdraw the heap row so the
-            # abort leaves the destination exactly as it was.
-            dst.heap.delete(new_rid)
-            raise
-        src.tree.delete(key)
-        src.heap.delete(old_rid)
+            new_rid = dst.insert(row)
+        except DuplicateKeyError:
+            new_rid = identity_index(dst).find_rid(key_value)
+            if new_rid is None:
+                raise  # a duplicate on another index, not an earlier copy
+        src.delete(src.identity_index_name, key_value)
         if self._forwarding is not None:
             self._forwarding.record_move(old_rid, new_rid)
-        if self._wal is not None:
-            self._wal.log_hot_cold_move(self._wal_label, old_rid, new_rid)
+        if src.wal is not None:
+            src.wal.log_hot_cold_move(src.name, old_rid, new_rid)
         return True

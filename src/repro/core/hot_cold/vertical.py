@@ -8,20 +8,18 @@ names the tension: reconstructing a row that spans fragments costs a merge.
 
 ``recommend_vertical_split`` is the analytic side: given projection
 frequencies it proposes a two-fragment split and predicts bytes-read per
-query.  :class:`VerticallyPartitionedTable` is the mechanism: one heap +
-index per fragment, merged on demand.
+query.  :class:`VerticallyPartitionedTable` is the mechanism: a layout
+over one ``Table`` per fragment, merged on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.keycodec import codec_for_columns
-from repro.btree.tree import BPlusTree
+from repro.core.hot_cold.partitioner import identity_index
 from repro.errors import QueryError, SchemaError
-from repro.schema.record import pack_record_map, unpack_fields
+from repro.query.table import Table
 from repro.schema.schema import Schema
-from repro.storage.heap import HeapFile, Rid, RID_SIZE
 
 
 @dataclass(frozen=True)
@@ -130,46 +128,40 @@ def recommend_update_split(
 class VerticallyPartitionedTable:
     """A table stored as column-group fragments, merged on demand.
 
-    Every fragment record stores the key columns plus the fragment's own
-    columns; each fragment has its own RID index keyed on the key columns.
-    A lookup touches only the fragments its projection needs and counts
+    Each fragment is a catalog :class:`~repro.query.table.Table` whose
+    schema is the shared key plus the fragment's own columns, keyed by an
+    identity index on that key; every byte goes through ``Table``.  A
+    lookup touches only the fragments its projection needs and counts
     merges when it needs more than one.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        key_columns: tuple[str, ...],
-        fragments: tuple[tuple[str, ...], ...],
-        heaps: list[HeapFile],
-        trees: list[BPlusTree],
-    ) -> None:
-        if len(fragments) != len(heaps) or len(fragments) != len(trees):
-            raise QueryError("one heap and one tree per fragment required")
-        covered: set[str] = set(key_columns)
-        for fragment in fragments:
-            dup = covered & set(fragment)
+    def __init__(self, schema: Schema, fragments: tuple[Table, ...]) -> None:
+        """Refused before any row is written when the fragments' identity
+        keys differ (``QueryError``) or their columns do not partition
+        ``schema``'s non-key columns (``SchemaError``)."""
+        if not fragments:
+            raise SchemaError("a vertical split needs at least one fragment")
+        key = identity_index(fragments[0]).key_codec.columns
+        covered: set[str] = set(key)
+        columns = []
+        for table in fragments:
+            if identity_index(table).key_codec.columns != key:
+                raise QueryError(
+                    f"fragment {table.name!r} is not keyed by {list(key)}"
+                )
+            own = [n for n in table.schema.names if n not in key]
+            dup = covered & set(own)
             if dup:
                 raise SchemaError(f"columns {sorted(dup)} in multiple fragments")
-            covered |= set(fragment)
+            covered |= set(own)
+            columns.append(own)
         missing = set(schema.names) - covered
         if missing:
             raise SchemaError(f"columns {sorted(missing)} not in any fragment")
-        for tree in trees:
-            if tree.value_size != RID_SIZE:
-                raise QueryError("fragment indexes must be RID-valued")
-        self._schema = schema
-        #: The key maker: key value or row -> ordered bytes.
-        self.key_codec = codec_for_columns(
-            [schema.column(c) for c in key_columns]
-        )
-        self.encode_key = self.key_codec.encode_key
+        self.schema = schema
         self.fragments = fragments
-        self._frag_schemas = [
-            schema.project(list(key_columns) + list(frag)) for frag in fragments
-        ]
-        self._heaps = heaps
-        self._trees = trees
+        self._key = key
+        self._columns = columns
         self.lookups = 0
         self.fragment_fetches = 0
         self.merges = 0
@@ -177,44 +169,32 @@ class VerticallyPartitionedTable:
 
     def insert(self, row: dict[str, object]) -> None:
         """Insert a row, splitting it across every fragment."""
-        key = self.key_codec.encode_row(row)
-        for frag_schema, heap, tree in zip(
-            self._frag_schemas, self._heaps, self._trees
-        ):
-            record = pack_record_map(
-                frag_schema, {n: row[n] for n in frag_schema.names}
-            )
-            rid = heap.insert(record)
-            tree.insert(key, rid.to_bytes())
+        for table in self.fragments:
+            table.insert({n: row[n] for n in table.schema.names})
 
     def lookup(
         self, key_value: object, project: tuple[str, ...] | None = None
     ) -> dict[str, object] | None:
         """Fetch only the fragments the projection touches."""
-        project = project if project is not None else self._schema.names
-        key = self.encode_key(key_value)
+        project = project if project is not None else self.schema.names
         needed = [
-            i
-            for i, frag in enumerate(self.fragments)
-            if set(project) & set(frag)
+            i for i, own in enumerate(self._columns) if set(project) & set(own)
         ]
         if not needed:
             needed = [0]  # key-only projection: confirm existence cheaply
         self.lookups += 1
         result: dict[str, object] = {}
         for i in needed:
-            rid_bytes = self._trees[i].search(key)
-            if rid_bytes is None:
+            table = self.fragments[i]
+            wanted = tuple(
+                n for n in table.schema.names if n in project or n in self._key
+            )
+            found = table.lookup(table.identity_index_name, key_value, wanted)
+            if not found.found:
                 return None
-            record = self._heaps[i].fetch(Rid.from_bytes(rid_bytes))
             self.fragment_fetches += 1
-            self.bytes_read += len(record)
-            frag_schema = self._frag_schemas[i]
-            wanted = [
-                n for n in frag_schema.names
-                if n in project or n in self.key_codec.columns
-            ]
-            result.update(unpack_fields(frag_schema, record, wanted))
+            self.bytes_read += table.schema.record_size
+            result.update(found.values)
         if len(needed) > 1:
             self.merges += 1
         return {name: result[name] for name in project if name in result}

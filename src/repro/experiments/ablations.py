@@ -40,6 +40,7 @@ from repro.core.index_cache.policy import (
 from repro.core.semantic_ids.embedding import EmbeddedId, plan_reassignment
 from repro.core.semantic_ids.routing import RoutingComparison, compare_routers
 from repro.experiments.runner import print_table, since
+from repro.query.database import Database
 from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64, char
@@ -271,22 +272,19 @@ def run_vertical_ablation(
     )
 
     # Unsplit baseline.
-    pool = BufferPool(SimulatedDisk(4096), 1 << 20)
-    heap = HeapFile(pool)
-    table = Table("revision", REVISION_SCHEMA, heap)
+    db = Database(4096, 1 << 20)
+    table = db.create_table("revision", REVISION_SCHEMA)
     rids = {}
     for row in data.revision_rows:
         rids[row["rev_id"]] = table.insert(row)
 
-    # Split table per the recommendation.
-    pool2 = BufferPool(SimulatedDisk(4096), 1 << 20)
-    fragments = (plan.hot_columns, plan.cold_columns)
-    heaps = [HeapFile(pool2) for _ in fragments]
-    trees = [
-        BPlusTree(pool2, key_size=4, value_size=RID_SIZE) for _ in fragments
-    ]
+    # Split table per the recommendation: one table per fragment.
+    db2 = Database(4096, 1 << 20)
+    for name, columns in (("hot", plan.hot_columns), ("cold", plan.cold_columns)):
+        db2.create_table(name, REVISION_SCHEMA.project(["rev_id", *columns]))
+        db2.create_index(name, f"{name}_pk", ("rev_id",))
     vtable = VerticallyPartitionedTable(
-        REVISION_SCHEMA, ("rev_id",), fragments, heaps, trees
+        REVISION_SCHEMA, (db2.table("hot"), db2.table("cold"))
     )
     for row in data.revision_rows:
         vtable.insert(row)

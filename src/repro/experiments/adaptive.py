@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.manager import OnlineHotColdManager
-from repro.core.hot_cold.partitioner import HotColdPartitionedTable, Partition
+from repro.core.hot_cold.partitioner import HotColdPartitionedTable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs.adaptive import (
@@ -53,6 +53,7 @@ from repro.obs.health import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TelemetrySampler
 from repro.query.database import Database
+from repro.query.table import PlainIndex, Table
 from repro.schema import UINT32, Schema, char
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -148,9 +149,10 @@ def _build(config: AdaptiveConfig, adaptive: bool) -> _Engine:
     for i in range(config.n_rows):
         table.insert({"k": i, "pad": f"p{i:010d}", "n": i % 97})
 
-    # The hot/cold bundle lives on its own (small) pool but shares the
-    # metrics registry and the simulated clock, so its hit/miss counters
-    # land in the same telemetry windows the controller judges.
+    # The hot/cold pair lives on its own (small) pool over a pristine
+    # disk — the database's disk is the fault-injected one — but shares
+    # the metrics registry and the simulated clock, so its hit/miss
+    # counters land in the same telemetry windows the controller judges.
     hc_pool = BufferPool(
         SimulatedDisk(config.page_size),
         config.hc_pool_pages,
@@ -158,15 +160,16 @@ def _build(config: AdaptiveConfig, adaptive: bool) -> _Engine:
         registry=metrics,
     )
 
-    def partition() -> Partition:
-        return Partition(
-            heap=HeapFile(hc_pool, append_only=True),
-            tree=BPlusTree(hc_pool, key_size=4, value_size=RID_SIZE),
+    def side(name: str) -> Table:
+        heap = HeapFile(hc_pool, append_only=True)
+        tree = BPlusTree(hc_pool, key_size=4, value_size=RID_SIZE)
+        part = Table(name, HC_SCHEMA, heap)
+        part.attach_index(
+            f"{name}_pk", PlainIndex(tree, heap, HC_SCHEMA, ("item_id",))
         )
+        return part
 
-    hc_table = HotColdPartitionedTable(
-        HC_SCHEMA, ("item_id",), partition(), partition()
-    )
+    hc_table = HotColdPartitionedTable(side("hc_hot"), side("hc_cold"))
     for i in range(config.n_items):
         hc_table.insert({"item_id": i, "body": f"b{i:06d}"}, hot=False)
     manager = OnlineHotColdManager(

@@ -14,9 +14,11 @@ Claims to reproduce (shape, not absolute ms): clustering 54% ≈ 1.8×,
 clustering 100% ≈ 2.15×, partitioning ≈ 8.4×, and the hot-partition index
 ~19× smaller than the full index (the paper's 27.1 GB → 1.4 GB).
 
-This experiment runs the *real engine*: real heaps, real B+Trees, one
-cost-hooked buffer pool sized well below the full working set, so the
-factors emerge from page-touch behaviour rather than being painted on.
+This experiment runs the *real engine*: each configuration is a
+:class:`~repro.query.database.Database` with one cost-hooked buffer pool
+sized well below the full working set, and the partitioned one is a
+hot/cold layout over two of its tables, so the factors emerge from
+page-touch behaviour rather than being painted on.
 """
 
 from __future__ import annotations
@@ -24,17 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.hot_cold.cluster import cluster_hot_tuples
-from repro.core.hot_cold.partitioner import (
-    HotColdPartitionedTable,
-    Partition,
-)
+from repro.core.hot_cold.partitioner import HotColdPartitionedTable
 from repro.experiments.runner import print_table
+from repro.query.database import Database
 from repro.query.table import PlainIndex, Table
 from repro.sim.cost_model import CostModel, CostPreset, END_TO_END_PRESET
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile, RID_SIZE
-from repro.btree.tree import BPlusTree
 from repro.util.rng import DeterministicRng
 from repro.util.units import NS_PER_MS
 from repro.workload.wikipedia import (
@@ -75,50 +71,42 @@ class Fig3Config:
 
 def _build_flat(
     data: WikipediaData, config: Fig3Config, cost: CostModel
-) -> tuple[Table, PlainIndex, BufferPool]:
+) -> tuple[Table, PlainIndex, Database]:
     """The unpartitioned revision table, ingested in temporal order."""
-    disk = SimulatedDisk(config.page_size)
-    pool = BufferPool(disk, config.pool_pages, cost_hook=cost)
-    heap = HeapFile(pool, append_only=True)
-    table = Table("revision", REVISION_SCHEMA, heap)
-    tree = BPlusTree(pool, key_size=4, value_size=RID_SIZE, name="rev_pk")
-    index = PlainIndex(tree, heap, REVISION_SCHEMA, ("rev_id",))
-    table.attach_index("rev_pk", index)
+    db = Database(config.page_size, config.pool_pages, cost_model=cost)
+    table = db.create_table("revision", REVISION_SCHEMA, append_only=True)
+    index = db.create_index("revision", "rev_pk", ("rev_id",))
     for row in data.revision_rows:
         table.insert(row)
-    return table, index, pool
+    return table, index, db
 
 
 def _build_partitioned(
     data: WikipediaData, config: Fig3Config, cost: CostModel
-) -> tuple[HotColdPartitionedTable, BufferPool]:
+) -> tuple[HotColdPartitionedTable, Database]:
     """Hot/cold partitioned layout: latest revisions get their own
     partition and index."""
-    disk = SimulatedDisk(config.page_size)
-    pool = BufferPool(disk, config.pool_pages, cost_hook=cost)
-    hot = Partition(
-        heap=HeapFile(pool, append_only=True),
-        tree=BPlusTree(pool, key_size=4, value_size=RID_SIZE, name="rev_hot"),
+    db = Database(config.page_size, config.pool_pages, cost_model=cost)
+    for side in ("hot", "cold"):
+        db.create_table(f"revision_{side}", REVISION_SCHEMA, append_only=True)
+        db.create_index(f"revision_{side}", f"rev_{side}", ("rev_id",))
+    table = HotColdPartitionedTable(
+        db.table("revision_hot"), db.table("revision_cold")
     )
-    cold = Partition(
-        heap=HeapFile(pool, append_only=True),
-        tree=BPlusTree(pool, key_size=4, value_size=RID_SIZE, name="rev_cold"),
-    )
-    table = HotColdPartitionedTable(REVISION_SCHEMA, ("rev_id",), hot, cold)
     hot_ids = data.hot_rev_ids
     for row in data.revision_rows:
         table.insert(row, hot=row["rev_id"] in hot_ids)
-    return table, pool
+    return table, db
 
 
 def _measure(
-    lookup, trace: list[int], warmup: int, cost: CostModel, pool: BufferPool
+    lookup, trace: list[int], warmup: int, cost: CostModel, db: Database
 ) -> tuple[float, float]:
     """Warm up, then measure simulated cost and disk reads per lookup."""
     for rev_id in trace[:warmup]:
         lookup(rev_id)
     cost.reset()
-    reads_before = pool.disk.reads
+    reads_before = db.disk.reads
     measured = trace[warmup:]
     for rev_id in measured:
         cost.on_query()
@@ -126,7 +114,7 @@ def _measure(
     n = len(measured)
     return (
         cost.now_ns / n / NS_PER_MS,
-        (pool.disk.reads - reads_before) / n,
+        (db.disk.reads - reads_before) / n,
     )
 
 
@@ -150,7 +138,7 @@ def run(
 
     for fraction in cluster_fractions:
         cost = CostModel(preset)
-        table, index, pool = _build_flat(data, config, cost)
+        table, index, db = _build_flat(data, config, cost)
         if fraction > 0:
             hot_keys = [
                 index.encode_key(rev_id) for rev_id in sorted(data.hot_rev_ids)
@@ -161,7 +149,7 @@ def run(
             )
         cost_ms, reads = _measure(
             lambda rid: table.lookup("rev_pk", rid, _PROJECT),
-            trace, config.warmup_lookups, cost, pool,
+            trace, config.warmup_lookups, cost, db,
         )
         if baseline_cost is None:
             baseline_cost = cost_ms
@@ -177,10 +165,10 @@ def run(
         )
 
     cost = CostModel(preset)
-    part_table, pool = _build_partitioned(data, config, cost)
+    part_table, db = _build_partitioned(data, config, cost)
     cost_ms, reads = _measure(
         lambda rid: part_table.lookup(rid, _PROJECT),
-        trace, config.warmup_lookups, cost, pool,
+        trace, config.warmup_lookups, cost, db,
     )
     stats = part_table.stats()
     assert baseline_cost is not None

@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.btree.tree import BPlusTree
 from repro.experiments import fig3
 from repro.experiments.runner import print_table
-from repro.query.table import PlainIndex, Table
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile, RID_SIZE
+from repro.query.database import Database
+from repro.query.table import PlainIndex
 from repro.util.units import fmt_bytes
 from repro.workload.wikipedia import (
     REVISION_SCHEMA,
@@ -52,7 +49,7 @@ class HeadlineResult:
 
 
 def _hot_working_set_bytes(
-    table: Table, index: PlainIndex, hot_rev_ids: set[int], page_size: int
+    index: PlainIndex, hot_rev_ids: set[int], page_size: int
 ) -> int:
     """Bytes of pages the hot workload touches: distinct heap pages holding
     hot tuples, distinct index leaves owning hot keys, plus index
@@ -86,30 +83,25 @@ def run(
     hot = data.hot_rev_ids
 
     # Baseline: flat table, declared (wasteful) physical encoding.
-    disk = SimulatedDisk(page_size)
-    pool = BufferPool(disk, 1 << 20)
-    heap = HeapFile(pool, append_only=True)
-    table = Table("revision", REVISION_SCHEMA_DECLARED, heap)
-    tree = BPlusTree(pool, key_size=8, value_size=RID_SIZE, name="rev_pk")
-    index = PlainIndex(tree, heap, REVISION_SCHEMA_DECLARED, ("rev_id",))
-    table.attach_index("rev_pk", index)
+    db = Database(page_size, 1 << 20)
+    table = db.create_table(
+        "revision", REVISION_SCHEMA_DECLARED, append_only=True
+    )
+    index = db.create_index("revision", "rev_pk", ("rev_id",))
     for row in data.revision_rows:
         table.insert(declared_revision_row(row))
-    baseline_ram = _hot_working_set_bytes(table, index, hot, page_size)
+    baseline_ram = _hot_working_set_bytes(index, hot, page_size)
 
     # Optimized: hot partition only, compact physical encoding.
-    disk2 = SimulatedDisk(page_size)
-    pool2 = BufferPool(disk2, 1 << 20)
-    hot_heap = HeapFile(pool2, append_only=True)
-    hot_table = Table("revision_hot", REVISION_SCHEMA, hot_heap)
-    hot_tree = BPlusTree(pool2, key_size=4, value_size=RID_SIZE,
-                         name="rev_hot_pk")
-    hot_index = PlainIndex(hot_tree, hot_heap, REVISION_SCHEMA, ("rev_id",))
-    hot_table.attach_index("rev_hot_pk", hot_index)
+    db2 = Database(page_size, 1 << 20)
+    hot_table = db2.create_table(
+        "revision_hot", REVISION_SCHEMA, append_only=True
+    )
+    hot_index = db2.create_index("revision_hot", "rev_hot_pk", ("rev_id",))
     for row in data.revision_rows:
         if row["rev_id"] in hot:
             hot_table.insert(row)
-    optimized_ram = _hot_working_set_bytes(hot_table, hot_index, hot, page_size)
+    optimized_ram = _hot_working_set_bytes(hot_index, hot, page_size)
 
     speedup = 0.0
     if measure_query_speedup:

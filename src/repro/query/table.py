@@ -174,7 +174,7 @@ class Table:
         #: failure-atomic compensation paths log their undo as ordinary
         #: redo records so replay always lands on the state the engine
         #: actually reached.
-        self._wal = wal
+        self.wal = wal
         #: Write observers (e.g. FkJoinCaches keyed on this table as the
         #: join parent) notified after every update/delete so derived
         #: caches living *outside* this table's indexes can invalidate.
@@ -529,28 +529,28 @@ class Table:
         record is not at least buffered.  A heap failure abandons the
         LSN: gaps are legal.
         """
-        if self._wal is None:
+        if self.wal is None:
             return self.heap.insert(record)
-        lsn = self._wal.reserve_lsn()
+        lsn = self.wal.reserve_lsn()
         rid = self.heap.insert(record, lsn=lsn)
-        self._wal.log_insert(self.name, rid, record, lsn=lsn, txn_id=txn_id)
+        self.wal.log_insert(self.name, rid, record, lsn=lsn, txn_id=txn_id)
         return rid
 
     def _wal_update(self, rid: Rid, record: bytes, txn_id: int = 0) -> None:
-        if self._wal is None:
+        if self.wal is None:
             self.heap.update(rid, record)
             return
-        lsn = self._wal.reserve_lsn()
+        lsn = self.wal.reserve_lsn()
         self.heap.update(rid, record, lsn=lsn)
-        self._wal.log_update(self.name, rid, record, lsn=lsn, txn_id=txn_id)
+        self.wal.log_update(self.name, rid, record, lsn=lsn, txn_id=txn_id)
 
     def _wal_delete(self, rid: Rid, txn_id: int = 0) -> None:
-        if self._wal is None:
+        if self.wal is None:
             self.heap.delete(rid)
             return
-        lsn = self._wal.reserve_lsn()
+        lsn = self.wal.reserve_lsn()
         self.heap.delete(rid, lsn=lsn)
-        self._wal.log_delete(self.name, rid, lsn=lsn, txn_id=txn_id)
+        self.wal.log_delete(self.name, rid, lsn=lsn, txn_id=txn_id)
 
     def _find_rid(self, index_name: str, key_value: object) -> Rid | None:
         return self.index(index_name).find_rid(key_value)

@@ -109,7 +109,7 @@ class WalRecord:
     * heap ops (INSERT/UPDATE/DELETE): ``table``, ``page_id``, ``slot``,
       the owning ``txn_id`` (0 = autocommit, outside any transaction),
       and for insert/update the tuple ``payload``;
-    * HOT_COLD_MOVE: ``table`` (the partitioned table's label), source
+    * HOT_COLD_MOVE: ``table`` (the name of the move's source table), source
       ``(page_id, slot)`` and destination ``(aux_page, aux_slot)``;
     * INDEX_CACHE_DROP: ``table`` holds the index name;
     * JSON types (CREATE_TABLE/CREATE_INDEX/CHECKPOINT and the TXN

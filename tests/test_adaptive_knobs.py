@@ -166,26 +166,15 @@ def test_cache_admission_inherited_by_future_indexes():
 
 
 def make_manager(**kwargs):
-    from repro.btree.tree import BPlusTree
-    from repro.core.hot_cold.partitioner import (
-        HotColdPartitionedTable,
-        Partition,
-    )
-    from repro.storage.heap import HeapFile
+    from repro.core.hot_cold.partitioner import HotColdPartitionedTable
 
     registry = MetricsRegistry()
-    pool = BufferPool(SimulatedDisk(4096), 64)
+    db = Database(page_size=4096, data_pool_pages=64)
     hc_schema = Schema.of(("item_id", UINT32), ("body", char(8)))
-
-    def partition():
-        return Partition(
-            heap=HeapFile(pool, append_only=True),
-            tree=BPlusTree(pool, key_size=4, value_size=8),
-        )
-
-    table = HotColdPartitionedTable(
-        hc_schema, ("item_id",), partition(), partition()
-    )
+    for side in ("hot", "cold"):
+        db.create_table(side, hc_schema, append_only=True)
+        db.create_index(side, f"{side}_pk", ("item_id",))
+    table = HotColdPartitionedTable(db.table("hot"), db.table("cold"))
     for i in range(40):
         table.insert({"item_id": i, "body": f"b{i}"}, hot=False)
     defaults = dict(hot_capacity=8, ops_per_epoch=1_000, registry=registry)

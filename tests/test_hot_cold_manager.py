@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.manager import OnlineHotColdManager
-from repro.core.hot_cold.partitioner import HotColdPartitionedTable, Partition
+from repro.core.hot_cold.partitioner import HotColdPartitionedTable
 from repro.errors import WorkloadError
+from repro.query.database import Database
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, char
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile
 from repro.util.rng import DeterministicRng
 from repro.workload.distributions import HotSetDistribution
 
@@ -18,15 +15,11 @@ SCHEMA = Schema.of(("item_id", UINT32), ("body", char(16)))
 
 
 def build(n=400, hot_capacity=40, ops_per_epoch=1000, budget=100):
-    pool = BufferPool(SimulatedDisk(512), 1 << 20)
-
-    def partition():
-        return Partition(
-            heap=HeapFile(pool, append_only=True),
-            tree=BPlusTree(pool, key_size=4, value_size=8),
-        )
-
-    table = HotColdPartitionedTable(SCHEMA, ("item_id",), partition(), partition())
+    db = Database(page_size=512, data_pool_pages=1 << 20)
+    for side in ("hot", "cold"):
+        db.create_table(side, SCHEMA, append_only=True)
+        db.create_index(side, f"{side}_pk", ("item_id",))
+    table = HotColdPartitionedTable(db.table("hot"), db.table("cold"))
     for i in range(n):
         table.insert({"item_id": i, "body": f"b{i}"}, hot=False)  # all cold
     manager = OnlineHotColdManager(

@@ -2,29 +2,22 @@
 
 import pytest
 
-from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.forwarding import ForwardingTable
-from repro.core.hot_cold.partitioner import HotColdPartitionedTable, Partition
+from repro.core.hot_cold.partitioner import HotColdPartitionedTable
+from repro.query.database import Database
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, char
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile
 
 SCHEMA = Schema.of(("rev_id", UINT32), ("body", char(20)))
 
 
 def build(forwarding=None):
-    pool = BufferPool(SimulatedDisk(512), 1 << 20)
-
-    def partition():
-        return Partition(
-            heap=HeapFile(pool, append_only=True),
-            tree=BPlusTree(pool, key_size=4, value_size=8),
-        )
-
+    db = Database(page_size=512, data_pool_pages=1 << 20)
+    for side in ("hot", "cold"):
+        db.create_table(side, SCHEMA, append_only=True)
+        db.create_index(side, f"{side}_pk", ("rev_id",))
     return HotColdPartitionedTable(
-        SCHEMA, ("rev_id",), partition(), partition(), forwarding=forwarding
+        db.table("hot"), db.table("cold"), forwarding=forwarding
     )
 
 

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.vertical import (
     VerticallyPartitionedTable,
     recommend_vertical_split,
 )
 from repro.errors import QueryError, SchemaError
+from repro.query.database import Database
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, char
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile
 
 SCHEMA = Schema.of(
     ("id", UINT32),
@@ -45,10 +42,12 @@ def test_recommendation_requires_positive_frequency():
 
 
 def build_table(fragments):
-    pool = BufferPool(SimulatedDisk(512), 1 << 20)
-    heaps = [HeapFile(pool) for _ in fragments]
-    trees = [BPlusTree(pool, key_size=4, value_size=8) for _ in fragments]
-    return VerticallyPartitionedTable(SCHEMA, KEY, fragments, heaps, trees)
+    db = Database(page_size=512, data_pool_pages=1 << 20)
+    for i, columns in enumerate(fragments):
+        db.create_table(f"f{i}", SCHEMA.project([*KEY, *columns]))
+        db.create_index(f"f{i}", f"f{i}_pk", KEY)
+    tables = tuple(db.table(f"f{i}") for i in range(len(fragments)))
+    return VerticallyPartitionedTable(SCHEMA, tables)
 
 
 def row(i):
@@ -99,9 +98,3 @@ def test_fragment_validation():
         build_table((("hot_a",), ("hot_a", "cold_blob")))  # duplicated
     with pytest.raises(SchemaError):
         build_table((("hot_a",),))  # hot_b, cold_blob uncovered
-    pool = BufferPool(SimulatedDisk(512), 16)
-    with pytest.raises(QueryError):
-        VerticallyPartitionedTable(
-            SCHEMA, KEY, (("hot_a", "hot_b", "cold_blob"),),
-            [HeapFile(pool)], [],
-        )

@@ -272,11 +272,6 @@ SET_BY_NOBODY = {
         _STARRED + " (default_plan(*self._page_filters(...)))",
     ("shard/database.py", "ShardedDatabase.__init__", "_adopt"):
         "ShardedDatabase.adopt passes it as cls(...)",
-    ("core/hot_cold/partitioner.py", "HotColdPartitionedTable.__init__", "wal"):
-        "the only route to WalWriter.log_hot_cold_move, a paper technique",
-    ("core/hot_cold/partitioner.py", "HotColdPartitionedTable.__init__",
-     "wal_label"):
-        "the only route to WalWriter.log_hot_cold_move, a paper technique",
     ("util/varint.py", "decode_svarint", "offset"):
         "reference decoder: mirrors decode_uvarint's offset",
 }
