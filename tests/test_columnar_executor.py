@@ -288,3 +288,120 @@ def test_dropped_and_recreated_table_gets_fresh_mirror():
     fresh.insert({"id": 1, "cat": "c0", "n": 5, "d": 0, "flag": True})
     assert list(fresh.scan()) == list(fresh.scan(use_columnar=False))
     assert len(list(fresh.scan())) == 1
+
+
+# -- seeded writes across sealed segments --------------------------------------
+
+AGG_SPECS = [("count", None), ("sum", "n"), ("min", "n"), ("max", "d"),
+             ("avg", "d")]
+
+
+def assert_every_answer_identical(table) -> None:
+    """All 14 predicate shapes, scan (two projections) and aggregate, on
+    both executors: list-identical, asked twice so a reused answer is
+    checked as well as a fresh one."""
+    for predicate in PREDICATES:
+        for project in (None, ("d", "id")):
+            expected = list(table.scan(predicate, project, use_columnar=False))
+            assert list(table.scan(predicate, project)) == expected
+            assert list(table.scan(predicate, project)) == expected
+        expected = table.aggregate(AGG_SPECS, predicate, use_columnar=False)
+        assert table.aggregate(AGG_SPECS, predicate) == expected
+        assert table.aggregate(AGG_SPECS, predicate) == expected
+
+
+def _row(i: int, rng) -> dict[str, object]:
+    return {"id": i, "cat": f"c{rng.randrange(6)}", "n": rng.randrange(250),
+            "d": rng.randint(-40, 40), "flag": rng.random() < 0.4}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_writes_keep_every_answer_identical(seed):
+    """Updates, deletes and inserts that land on tombstoned slots, over a
+    multi-page heap mirrored in 16-row segments; every answer after every
+    write equals the row executor's."""
+    import random
+
+    rng = random.Random(seed)
+    db = Database(page_size=1024, seed=seed, wal=False)
+    db.create_table("t", SCHEMA)
+    db.create_index("t", "pk", ("id",))
+    table = db.table("t")
+    rids = {i: table.insert(_row(i, rng)) for i in range(160)}
+    assert table.heap.num_pages > 2
+    db.enable_columnar(segment_rows=16)
+    assert_every_answer_identical(table)
+    segments = table.columnar.store.segments
+    assert len(segments) == 10 and all(s.sealed for s in segments[:-1])
+
+    # A write to a sealed middle segment (row 40 is segment 2's), then a
+    # query straight after it.
+    table.update("pk", 40, {"n": 3, "d": -39, "flag": True})
+    assert_every_answer_identical(table)
+
+    dead: set = set()
+    reused = 0
+    next_id = 1000
+    for _ in range(36):
+        draw = rng.random()
+        live = sorted(rids)
+        if draw < 0.5:
+            key = rng.choice(live)
+            table.update("pk", key, {"n": rng.randrange(250),
+                                     "d": rng.randint(-40, 40),
+                                     "flag": rng.random() < 0.5})
+        elif draw < 0.75:
+            key = rng.choice(live)
+            dead.add(rids.pop(key))
+            assert table.delete("pk", key)
+        else:
+            rid = table.insert(_row(next_id, rng))
+            reused += rid in dead
+            dead.discard(rid)
+            rids[next_id] = rid
+            next_id += 1
+        assert_every_answer_identical(table)
+    assert reused > 0  # some insert took a tombstoned slot's RID
+    assert table.columnar.store.live_rows == len(rids)
+
+
+def test_fragment_cache_counts_pinned():
+    """The whole-query fragment cache over one scripted sequence: every
+    hit, miss and epoch invalidation it counts."""
+    _, table, manager = make_db()
+    p, q = ColumnRange("n", 40, 160), ColumnEq("cat", "c2")
+    specs = [("count", None), ("sum", "n")]
+    stats = manager.stats
+    seen = []
+
+    def step(action) -> None:
+        action()
+        seen.append(
+            (stats.cache_hits, stats.cache_misses, stats.cache_invalidations)
+        )
+
+    step(lambda: list(table.scan(p)))
+    step(lambda: list(table.scan(p)))
+    step(lambda: table.aggregate(specs, p))
+    step(lambda: table.aggregate(specs, p))
+    step(lambda: list(table.scan(q)))
+    step(lambda: table.update("pk", 5, {"n": 41}))
+    step(lambda: list(table.scan(p)))
+    step(lambda: table.aggregate(specs, p))
+    step(lambda: list(table.scan(p)))
+    step(lambda: table.insert(
+        {"id": 900, "cat": "c2", "n": 50, "d": 0, "flag": False}))
+    step(lambda: list(table.scan(q)))
+    step(lambda: table.delete("pk", 7))
+    step(lambda: table.aggregate(specs, q))
+    step(lambda: list(table.scan(p, ("id",))))
+    step(lambda: list(table.scan(p)))
+    step(lambda: list(table.scan(p)))
+    step(lambda: list(table.scan(p, ("id",))))
+    assert seen == [
+        (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 2, 0), (2, 3, 0),
+        (2, 3, 0), (2, 4, 1), (2, 5, 2), (3, 5, 2),
+        (3, 5, 2), (3, 6, 3), (3, 6, 3), (3, 7, 3), (3, 8, 3),
+        (3, 9, 4), (4, 9, 4), (5, 9, 4),
+    ]
+    assert len(manager.cache) == 5
