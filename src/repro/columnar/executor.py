@@ -16,11 +16,20 @@ the segment's live mask in exactly once at the top, so ``Not`` composes
 correctly (``Not(Eq)`` must not resurrect dead rows).  An unsupported
 predicate type compiles to ``None`` and the caller falls back to the
 row executor — the oracle path is always available.
+
+Every per-segment result — the selection, the selected rows' master
+dicts, the partial aggregate — is memoised in the segment's ``memo``
+under the canonical predicate text (DESIGN.md §5h).  A write drops only
+the written segment's memo, so :func:`scan_rows` and
+:func:`aggregate_segments` after a write recompute that one segment and
+combine the rest as they were.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 
 from repro.errors import QueryError
 from repro.query.predicates import (
@@ -37,6 +46,9 @@ from repro.schema.schema import Schema
 
 #: Aggregate ops understood by :func:`aggregate_segments`.
 AGG_OPS = ("count", "sum", "min", "max", "avg")
+
+#: ``_present(x)`` is ``x is not None``, called from C by ``filter``.
+_present = partial(is_not, None)
 
 
 def compile_predicate(predicate: Predicate, schema: Schema):
@@ -100,35 +112,75 @@ def compile_predicate(predicate: Predicate, schema: Schema):
     return None
 
 
-def select_segments(segments, kernel) -> list[list[bool]]:
-    """Per-segment selection vectors: kernel output ANDed with liveness."""
-    selections: list[list[bool]] = []
-    for segment in segments:
-        raw = kernel(segment.columns, segment.count)
-        if segment.live_count == segment.count:
-            selections.append(raw)
-        else:
-            selections.append(
-                [a and b for a, b in zip(raw, segment.live)]
-            )
-    return selections
+def _remember(memo: dict, key, value, cap: int):
+    """Keep ``value`` in a segment's memo, first dropping the oldest entry
+    if the memo already holds ``cap``."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
-def materialize(store, selections, project) -> list[dict[str, object]]:
-    """Build row dicts for selected positions, in heap order."""
-    segments = store.segments
-    vectors = [
-        [(name, segment.columns[name]) for name in project]
-        for segment in segments
-    ]
-    rows: list[dict[str, object]] = []
-    append = rows.append
-    for seg_index, position in store.heap_order():
-        if selections[seg_index][position]:
-            append(
-                {name: vector[position] for name, vector in vectors[seg_index]}
+def _segment_selection(segment, kernel, pkey: str, cap: int) -> list[bool]:
+    """The segment's selection vector (kernel output ANDed with
+    liveness), memoised under the predicate's key."""
+    selection = segment.memo.get(pkey)
+    if selection is None:
+        selection = kernel(segment.columns, segment.count)
+        if segment.live_count != segment.count:
+            selection = [a and b for a, b in zip(selection, segment.live)]
+        _remember(segment.memo, pkey, selection, cap)
+    return selection
+
+
+def _selected_rows(segment, selection, project) -> list[dict[str, object]]:
+    """Master row dicts of the selected positions, in position order."""
+    if not project:  # zip() over no vectors would end at once
+        return [{} for _ in compress(selection, selection)]
+    columns = segment.columns
+    values = zip(*[compress(columns[name], selection) for name in project])
+    return list(map(dict, map(zip, repeat(project), values)))
+
+
+def _selected_keys(segment, kernel, pkey: str, cap: int) -> list[int]:
+    """Heap keys of the selected positions, in position order."""
+    key = ("keys", pkey)
+    keys = segment.memo.get(key)
+    if keys is None:
+        selection = _segment_selection(segment, kernel, pkey, cap)
+        keys = _remember(
+            segment.memo, key, list(compress(segment.keys, selection)), cap
+        )
+    return keys
+
+
+def scan_rows(store, kernel, pkey: str, project, cap: int):
+    """Master row dicts of every selected row, in heap order.
+
+    Each segment's rows are memoised under ``(project, predicate)``, so
+    after a write only the written segment builds its rows again.
+    """
+    key = ("scan", project, pkey)
+    per_segment = []
+    for segment in store.segments:
+        rows = segment.memo.get(key)
+        if rows is None:
+            selection = _segment_selection(segment, kernel, pkey, cap)
+            rows = _remember(
+                segment.memo, key, _selected_rows(segment, selection, project),
+                cap,
             )
-    return rows
+        per_segment.append(rows)
+    rows = list(chain.from_iterable(per_segment))
+    if store.in_position_order:
+        return rows
+    # Some insert took a slot before rows inserted earlier: order the rows
+    # by heap key (a sort of a few runs, since most rows are in place).
+    keys = list(chain.from_iterable(
+        [_selected_keys(s, kernel, pkey, cap) for s in store.segments]
+    ))
+    in_heap_order = sorted(range(len(keys)), key=keys.__getitem__)
+    return list(map(rows.__getitem__, in_heap_order))
 
 
 def normalize_specs(specs, schema: Schema) -> list[tuple[str, str | None]]:
@@ -150,37 +202,61 @@ def spec_label(op: str, column: str | None) -> str:
     return "count" if op == "count" else f"{op}({column})"
 
 
-def aggregate_segments(segments, selections, specs) -> dict[str, object]:
-    """Fold aggregates over selected positions, one column at a time.
+def _segment_partial(segment, kernel, pkey: str, specs, cap: int) -> tuple:
+    """``(count, value per spec)`` over the segment's selected rows: the
+    count, or the sum (``sum``/``avg``), min or max of the spec's column;
+    memoised under ``(specs, predicate)``."""
+    key = ("aggregate", specs, pkey)
+    folded = segment.memo.get(key)
+    if folded is None:
+        selection = _segment_selection(segment, kernel, pkey, cap)
+        columns = segment.columns
+        count = sum(selection)
+        values = [count]
+        for op, column in specs:
+            if op == "count":
+                values.append(count)
+                continue
+            chunk = compress(columns[column], selection)
+            if op == "min":
+                values.append(min(chunk, default=None))
+            elif op == "max":
+                values.append(max(chunk, default=None))
+            else:  # sum, avg
+                values.append(sum(chunk))
+        folded = _remember(segment.memo, key, tuple(values), cap)
+    return folded
 
-    Empty selections yield SQL-ish identities: ``count`` 0, ``sum`` 0,
-    ``min``/``max``/``avg`` None — matching the row-path fold exactly.
+
+def aggregate_segments(store, kernel, pkey: str, specs, cap: int) -> dict:
+    """Fold the segments' partial aggregates, in segment order.
+
+    Sums add per-segment sums from 0, as a fold over every selected
+    position chunked by segment would; empty selections yield SQL-ish
+    identities: ``count`` 0, ``sum`` 0, ``min``/``max``/``avg`` None —
+    matching the row-path fold exactly.
     """
-    count = sum(sum(selection) for selection in selections)
+    partials = [
+        _segment_partial(segment, kernel, pkey, specs, cap)
+        for segment in store.segments
+    ]
+    count = sum(map(itemgetter(0), partials))
     out: dict[str, object] = {}
-    for op, column in specs:
+    for index, (op, column) in enumerate(specs, 1):
         label = spec_label(op, column)
         if label in out:
             continue
+        values = map(itemgetter(index), partials)
         if op == "count":
             out[label] = count
-            continue
-        chunks = [
-            compress(segment.columns[column], selection)
-            for segment, selection in zip(segments, selections)
-        ]
-        if op == "sum":
-            out[label] = sum(sum(chunk) for chunk in chunks)
+        elif op == "sum":
+            out[label] = sum(values)
         elif op == "min":
-            mins = [m for m in (min(c, default=None) for c in chunks)
-                    if m is not None]
-            out[label] = min(mins, default=None)
+            out[label] = min(filter(_present, values), default=None)
         elif op == "max":
-            maxes = [m for m in (max(c, default=None) for c in chunks)
-                     if m is not None]
-            out[label] = max(maxes, default=None)
+            out[label] = max(filter(_present, values), default=None)
         else:  # avg
-            total = sum(sum(chunk) for chunk in chunks)
+            total = sum(values)
             out[label] = (total / count) if count else None
     return out
 

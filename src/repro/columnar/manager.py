@@ -24,8 +24,7 @@ from repro.columnar.cache import ColumnarStats, IntermediateCache
 from repro.columnar.executor import (
     aggregate_segments,
     compile_predicate,
-    materialize,
-    select_segments,
+    scan_rows,
 )
 from repro.columnar.store import SEGMENT_ROWS, ColumnStore
 from repro.obs.registry import MetricsRegistry, resolve_registry
@@ -67,6 +66,8 @@ class ColumnarManager:
         self._stores: dict[str, ColumnStore] = {}
         self.stats = ColumnarStats()
         self.cache = IntermediateCache(self.stats, cache_entries)
+        #: Entries each segment's memo may hold: the fragment cache's bound.
+        self.memo_entries = max(1, cache_entries)
         registry = resolve_registry(registry)
         self._m_scans = registry.counter("columnar.scans")
         self._m_aggregates = registry.counter("columnar.aggregates")
@@ -102,6 +103,14 @@ class ColumnarManager:
         self._stores.pop(table_name, None)
         self.cache.discard_table(table_name)
         self.sync_gauges()
+
+    def clear_fragments(self) -> None:
+        """Forget every reusable intermediate: the cached fragments and
+        each segment's memo, so the next query runs its kernels afresh."""
+        self.cache.clear()
+        for store in self._stores.values():
+            for segment in store.segments:
+                segment.memo.clear()
 
     def current_csn(self) -> int:
         """The engine CSN *without* force-building a txn manager (a
@@ -172,39 +181,35 @@ class TableColumnar:
         store = self.store
         store.ensure_current()
         manager._m_scans.inc()
-        key = (
-            "scan",
-            self._table.name,
-            tuple(project),
-            predicate_key(predicate),
-        )
+        project = tuple(project)
+        pkey = predicate_key(predicate)
+        key = ("scan", self._table.name, project, pkey)
         epoch, csn = store.epoch, manager.current_csn()
         cached = manager.cache.get(key, epoch, csn)
         if cached is None:
-            selections = select_segments(store.segments, kernel)
-            cached = materialize(store, selections, tuple(project))
+            cached = scan_rows(
+                store, kernel, pkey, project, manager.memo_entries
+            )
             manager.cache.put(key, epoch, csn, cached)
         manager.sync_gauges()
-        # Serve copies: callers may mutate result dicts; the cached
-        # master must stay pristine.
-        return [dict(row) for row in cached]
+        # Serve copies: callers may mutate result dicts; the masters, shared
+        # with the segments' memos, must stay pristine.
+        return list(map(dict.copy, cached))
 
     def aggregate(self, kernel, predicate, specs) -> dict[str, object]:
         manager = self._manager
         store = self.store
         store.ensure_current()
         manager._m_aggregates.inc()
-        key = (
-            "aggregate",
-            self._table.name,
-            tuple(specs),
-            predicate_key(predicate),
-        )
+        specs = tuple(specs)
+        pkey = predicate_key(predicate)
+        key = ("aggregate", self._table.name, specs, pkey)
         epoch, csn = store.epoch, manager.current_csn()
         cached = manager.cache.get(key, epoch, csn)
         if cached is None:
-            selections = select_segments(store.segments, kernel)
-            cached = aggregate_segments(store.segments, selections, specs)
+            cached = aggregate_segments(
+                store, kernel, pkey, specs, manager.memo_entries
+            )
             manager.cache.put(key, epoch, csn, cached)
         manager.sync_gauges()
         return dict(cached)

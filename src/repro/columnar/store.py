@@ -17,9 +17,19 @@ wrong answer.  Every mutation bumps ``epoch`` — the fingerprint cache's
 validity token.
 
 Scans must be *byte-identical* to the row executor, which yields rows
-in heap order (ascending page id, ascending live slot).  The store
-tracks position-by-RID so :meth:`heap_order_positions` can emit exactly
-that order even though segment order is insertion order.
+in heap order (heap pages in allocation order, ascending live slot),
+while segment order is insertion order: an insert that takes a
+tombstoned slot lands, in heap order, before rows inserted earlier.
+So each position records its row's heap key, ``(page rank, slot)``
+packed in one int, when the row is appended.  While every append's key
+exceeds all earlier ones, heap order is segment order
+(``in_position_order``); after one that does not, a scan sorts its
+selected rows by key.
+
+Each segment also keeps a ``memo`` of work derived from its own vectors
+alone (selections, scan rows, partial aggregates; see
+:mod:`repro.columnar.executor`).  Every mutation of the segment drops
+it, so a query after a write recomputes only the segment written.
 """
 
 from __future__ import annotations
@@ -35,39 +45,58 @@ from repro.storage.heap import Rid
 SEGMENT_ROWS = 1024
 
 
+def _heap_key(page_rank: int, slot: int) -> int:
+    """A row's place in heap order as one int: page rank, then slot (a
+    slot number is a u16 directory index, so 16 bits hold it)."""
+    return page_rank << 16 | slot
+
+
 class ColumnSegment:
     """A fixed-capacity chunk of the mirror: decoded vectors + liveness."""
 
-    __slots__ = ("columns", "live", "count", "live_count", "sealed", "_encoded")
+    __slots__ = (
+        "columns", "live", "keys", "count", "live_count", "sealed", "memo",
+        "_encoded",
+    )
 
     def __init__(self, names: tuple[str, ...]) -> None:
         self.columns: dict[str, list] = {name: [] for name in names}
         self.live: list[bool] = []
+        #: Each position's heap key (``_heap_key``), fixed at append.
+        self.keys: list[int] = []
         self.count = 0
         self.live_count = 0
         self.sealed = False
+        #: Work derived from this segment's vectors alone, keyed by
+        #: predicate: a pure function of them, so every mutation drops it
+        #: and it needs no validity token.
+        self.memo: dict = {}
         self._encoded: dict[str, EncodedColumn] | None = None
 
-    def append(self, row: dict[str, object]) -> int:
+    def append(self, row: dict[str, object], key: int) -> int:
         position = self.count
         for name, vector in self.columns.items():
             vector.append(row[name])
         self.live.append(True)
+        self.keys.append(key)
         self.count += 1
         self.live_count += 1
         self._encoded = None
+        self.memo.clear()
         return position
 
     def patch(self, position: int, row: dict[str, object]) -> None:
         for name, vector in self.columns.items():
             vector[position] = row[name]
         self._encoded = None
+        self.memo.clear()
 
     def kill(self, position: int) -> None:
         if self.live[position]:
             self.live[position] = False
             self.live_count -= 1
             self._encoded = None
+            self.memo.clear()
 
     def encoded_columns(self, schema: Schema) -> dict[str, EncodedColumn]:
         """Encoded form of every column (cached until the next mutation)."""
@@ -92,16 +121,22 @@ class ColumnStore:
         self._schema: Schema = table.schema
         self._segment_rows = max(1, segment_rows)
         self.segments: list[ColumnSegment] = []
-        #: Rid -> (segment index, position); the bridge back to heap order.
+        #: Rid -> (segment index, position) of its row.
         self._positions: dict[Rid, tuple[int, int]] = {}
+        #: True while every append's heap key exceeded all before it, so
+        #: heap order is segment order and a scan may concatenate its
+        #: segments' rows as they are.
+        self.in_position_order = True
+        #: The largest heap key appended since the last rebuild.
+        self._last_key = -1
+        #: Heap page id -> its rank in the heap's allocation order.
+        self._page_rank: dict[int, int] = {}
         self.built = False
         #: Bumped on every mutation (and on invalidate); cache validity token.
         self.epoch = 0
         #: Set when a notification can't be applied in place (unknown RID);
         #: the next read rebuilds instead of guessing.
         self._stale = False
-        #: Heap-order (segment, position) list, memoized per epoch.
-        self._order: list[tuple[int, int]] | None = None
 
     # -- maintenance -------------------------------------------------------
 
@@ -111,12 +146,13 @@ class ColumnStore:
         self._stale = False
         self.segments = []
         self._positions = {}
-        self._order = None
+        self.in_position_order = True
+        self._last_key = -1
+        self._page_rank = {}
         self.epoch += 1
 
     def note_insert(self, rid: Rid, row: dict[str, object]) -> None:
         self.epoch += 1
-        self._order = None
         if not self.built:
             return
         if rid in self._positions:  # heap slot reuse out from under us
@@ -127,7 +163,15 @@ class ColumnStore:
                 self.segments[-1].sealed = True
                 self.stats.segments_sealed += 1
             self.segments.append(ColumnSegment(self._schema.names))
-        position = self.segments[-1].append(row)
+        rank = self._page_rank.get(rid.page_id)
+        if rank is None:  # a page the heap allocated since the last lookup
+            rank = self._rank_pages()[rid.page_id]
+        key = _heap_key(rank, rid.slot)
+        if key < self._last_key:  # a slot before a row inserted earlier
+            self.in_position_order = False
+        else:
+            self._last_key = key
+        position = self.segments[-1].append(row, key)
         self._positions[rid] = (len(self.segments) - 1, position)
 
     def note_update(self, rid: Rid, row: dict[str, object]) -> None:
@@ -149,6 +193,14 @@ class ColumnStore:
             self._stale = True
             return
         self.segments[where[0]].kill(where[1])
+
+    def _rank_pages(self) -> dict[int, int]:
+        """Re-read the heap's page allocation order (pages only append)."""
+        self._page_rank = {
+            page_id: rank
+            for rank, page_id in enumerate(self.table.heap.page_ids)
+        }
+        return self._page_rank
 
     # -- consistency -------------------------------------------------------
 
@@ -172,6 +224,9 @@ class ColumnStore:
         names = self._schema.names
         segments = self.segments
         positions = self._positions
+        page_rank = self._rank_pages()
+        key = -1
+        # The heap scans in heap order, so the keys come ascending.
         for rid, record in self.table.heap.scan():
             row = unpack_record_map(self._schema, record)
             if not segments or segments[-1].count >= self._segment_rows:
@@ -179,33 +234,11 @@ class ColumnStore:
                     segments[-1].sealed = True
                     self.stats.segments_sealed += 1
                 segments.append(ColumnSegment(names))
-            positions[rid] = (len(segments) - 1, segments[-1].append(row))
+            key = _heap_key(page_rank[rid.page_id], rid.slot)
+            positions[rid] = (len(segments) - 1, segments[-1].append(row, key))
+        self._last_key = key
         self.built = True
         self.stats.rebuilds += 1
-
-    # -- reads -------------------------------------------------------------
-
-    def heap_order(self) -> list[tuple[int, int]]:
-        """(segment, position) pairs in heap order — the exact row order
-        ``Table._scan_rows`` produces, so materialized output is
-        list-identical to the row executor's.  Memoized until the next
-        insert or rebuild; deleted positions may linger in the memo and
-        are skipped by the liveness mask the executor applies.
-        """
-        if self._order is None:
-            by_page: dict[int, list[tuple[int, Rid]]] = {}
-            for rid in self._positions:
-                by_page.setdefault(rid.page_id, []).append((rid.slot, rid))
-            order: list[tuple[int, int]] = []
-            positions = self._positions
-            for page_id in self.table.heap.page_ids:
-                slots = by_page.get(page_id)
-                if not slots:
-                    continue
-                slots.sort()
-                order.extend(positions[rid] for _, rid in slots)
-            self._order = order
-        return self._order
 
     # -- accounting --------------------------------------------------------
 

@@ -9,8 +9,8 @@ bit-packing, dictionaries) that the row format leaves on the table.
 
 Two timing regimes are reported because both are design points:
 
-* **cold** — fragment cache cleared before every query, so the number
-  is pure kernel-vs-row-loop execution;
+* **cold** — fragment cache and every segment's memo cleared before
+  every query, so the number is pure kernel-vs-row-loop execution;
 * **reused** — the analytical loop repeats its query shapes, so the
   intermediate-result cache (keyed by normalized fingerprint + predicate
   constants, invalidated by write epoch and commit CSN) serves copies.
@@ -161,12 +161,12 @@ def run(
     row_scan_s = _time_scans(table, predicates, use_columnar=False)
     row_agg_s = _time_aggs(table, predicates, use_columnar=False)
 
-    # Cold: clear the fragment cache before each query so the number is
-    # kernel execution, not memoization.
+    # Cold: clear the fragment cache and the segment memos before each
+    # query so the number is kernel execution, not memoization.
     def cold(timer):
         total = 0.0
         for predicate in predicates:
-            manager.cache.clear()
+            manager.clear_fragments()
             total += timer(table, [predicate], use_columnar=True)
         return total
 
@@ -174,7 +174,7 @@ def run(
     col_agg_cold_s = cold(_time_aggs)
 
     # Reused: the repeated-shape loop as-is, cache warm from here on.
-    manager.cache.clear()
+    manager.clear_fragments()
     stats = manager.stats
     hits_before, misses_before = stats.cache_hits, stats.cache_misses
     col_scan_reused_s = _time_scans(table, predicates, use_columnar=True)

@@ -301,12 +301,16 @@ class Database:
         Every table — existing and future — gains a column-major mirror
         of its heap: scans and aggregates whose predicate compiles to a
         batch kernel run over whole column vectors (one interpreter step
-        per segment instead of per tuple), with reusable fragments cached
-        under the PR-5 query fingerprint and invalidated by table epoch +
-        engine CSN.  The row executor remains the oracle: unsupported
-        predicates, or ``use_columnar=False``, take the unchanged row
-        path.  Idempotent; strictly opt-in (until this runs, the
-        per-operation cost is a single ``is not None`` test).
+        per segment instead of per tuple).  Whole answers are cached
+        under the query fingerprint plus the predicate's constants and
+        invalidated by table epoch + engine CSN; beneath them each
+        segment memoises its own selections, rows and partial aggregates
+        until that segment is written, so a query after a write re-runs
+        its kernel on the written segment only.  The row executor
+        remains the oracle: unsupported predicates, or
+        ``use_columnar=False``, take the unchanged row path.
+        Idempotent; strictly opt-in (until this runs, the per-operation
+        cost is a single ``is not None`` test).
         """
         if self.columnar is None:
             from repro.columnar.manager import ColumnarManager

@@ -32,6 +32,12 @@ And "a hit is cheaper than the heap": on one table with a cached and a
 plain index over the same key columns, both trees of height 2, a
 ``Table.lookup`` answered from the leaf makes fewer calls than a plain
 ``Table.lookup`` of the same key with the same projection.
+
+A columnar scan and aggregate right after a one-row update, on a mirror
+of eight 512-row segments: only the written segment runs its kernel and
+builds its rows again, with no Python call per row, so the count does
+not grow with the table.  When every segment re-ran and a dict
+comprehension built each selected row, the pair read 2 323 calls.
 """
 
 import gc
@@ -45,6 +51,9 @@ from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import CacheInvalidation
 from repro.core.index_cache.policy import SwapPolicy
+from repro.experiments.columnar import AGG_SPECS
+from repro.experiments.columnar import SCHEMA as HOT_SCHEMA
+from repro.query.predicates import ColumnRange
 from repro.query.table import Table
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, UINT64
@@ -75,6 +84,7 @@ MAX_CALLS_PLAIN_LOOKUP = 105
 MAX_CALLS_PLAIN_UPDATE = 169  # the one that closes a WAL group commit
 MAX_CALLS_PLAIN_INSERT = 180  # likewise; no counted insert splits a leaf
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
+MAX_CALLS_COLUMNAR_QUERY_AFTER_WRITE = 249  # one scan + one aggregate
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
 
@@ -254,3 +264,33 @@ def test_leaf_answered_lookup_makes_fewer_calls_than_a_plain_one_on_the_same_key
             page.lookup("cached", key, project).values
     assert len(hits) >= 5, hits
     assert max(hits) <= MAX_CALLS_CACHED_HIT_LOOKUP < min(plains), (hits, plains)
+
+
+def test_columnar_query_after_a_write_stays_under_its_call_budget():
+    """``analytic_columnar``'s shape at a third of its size: after each
+    update, in a different segment each time, one scan and one aggregate
+    of the same predicate."""
+    db = Database(wal=False)
+    hot = db.create_table("hot", HOT_SCHEMA)
+    db.create_index("hot", "pk", ("id",))
+    for i in range(4096):
+        hot.insert({"id": i, "cat": f"c{i % 6}", "n": (i * 13) % 500,
+                    "d": i % 401 - 200, "flag": i % 4 == 0})
+    db.enable_columnar(segment_rows=512)
+    predicate = ColumnRange("n", 0, 120)
+
+    def query():
+        return list(hot.scan(predicate, ("id", "n"))), hot.aggregate(
+            AGG_SPECS, predicate
+        )
+
+    query()  # builds the mirror, the memos and the spans' histograms
+    counts = []
+    for k, key in enumerate(range(100, 4096, 450)):
+        hot.update("pk", key, {"n": k, "d": -k})
+        counts.append(count_calls(query))
+        assert query() == (
+            list(hot.scan(predicate, ("id", "n"), use_columnar=False)),
+            hot.aggregate(AGG_SPECS, predicate, use_columnar=False),
+        )
+    assert max(counts) <= MAX_CALLS_COLUMNAR_QUERY_AFTER_WRITE, counts

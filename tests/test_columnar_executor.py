@@ -405,3 +405,57 @@ def test_fragment_cache_counts_pinned():
         (3, 9, 4), (4, 9, 4), (5, 9, 4),
     ]
     assert len(manager.cache) == 5
+
+
+# -- per-segment memo ----------------------------------------------------------
+
+
+def test_write_drops_only_its_segments_memo():
+    """A query after a write reuses every segment's memoised work but the
+    written segment's, and answers as the row executor does."""
+    _, table, _ = make_db(n_rows=256, segment_rows=64)
+    predicate = ColumnRange("n", 40, 160)
+    list(table.scan(predicate))
+    table.aggregate(AGG_SPECS, predicate)
+    segments = table.columnar.store.segments
+    before = [dict(segment.memo) for segment in segments]
+    assert all(len(memo) == 3 for memo in before)  # selection, rows, partial
+    table.update("pk", 100, {"n": 41})  # row 100 is segment 1's
+    assert [len(segment.memo) for segment in segments] == [3, 0, 3, 3]
+    assert list(table.scan(predicate)) == list(
+        table.scan(predicate, use_columnar=False)
+    )
+    assert table.aggregate(AGG_SPECS, predicate) == table.aggregate(
+        AGG_SPECS, predicate, use_columnar=False
+    )
+    for index in (0, 2, 3):  # the very same objects: nothing recomputed
+        memo = segments[index].memo
+        assert all(memo[key] is value for key, value in before[index].items())
+    assert len(segments[1].memo) == 3
+
+
+def test_segment_memo_bounded_by_cache_entries():
+    """Ten times ``cache_entries`` distinct predicates leave every
+    segment's memo at its cap, never above it."""
+    _, table, manager = make_db(n_rows=64, segment_rows=16)
+    cap = manager.memo_entries
+    for k in range(10 * cap):
+        predicate = ColumnEq("n", k)
+        list(table.scan(predicate, ("id",)))
+        table.aggregate([("count", None)], predicate)
+    memo_sizes = [len(segment.memo) for segment in table.columnar.store.segments]
+    assert memo_sizes == [cap] * 4
+    assert len(manager.cache) == cap
+
+
+def test_clear_fragments_drops_segment_memos_too():
+    """``experiments.columnar``'s cold regime clears before each query;
+    a cleared manager must keep no segment's work either."""
+    _, table, manager = make_db(segment_rows=64)
+    predicate = ColumnEq("cat", "c1")
+    expected = list(table.scan(predicate))
+    assert all(segment.memo for segment in table.columnar.store.segments)
+    manager.clear_fragments()
+    assert len(manager.cache) == 0
+    assert not any(segment.memo for segment in table.columnar.store.segments)
+    assert list(table.scan(predicate)) == expected
