@@ -19,10 +19,10 @@ row executor — the oracle path is always available.
 
 Every per-segment result — the selection, the selected rows' master
 dicts, the partial aggregate — is memoised in the segment's ``memo``
-under the canonical predicate text (DESIGN.md §5h).  A write drops only
-the written segment's memo, so :func:`scan_rows` and
-:func:`aggregate_segments` after a write recompute that one segment and
-combine the rest as they were.
+under the canonical predicate text (DESIGN.md §5h), and the combined
+answer in the store's.  A write drops only the written segment's memo,
+so :func:`scan_rows` and :func:`aggregate_segments` after a write
+recompute that one segment and combine the rest as they were.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from functools import partial
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter
 
+from repro.columnar.store import remember
 from repro.errors import QueryError
 from repro.query.predicates import (
     And,
@@ -112,16 +113,7 @@ def compile_predicate(predicate: Predicate, schema: Schema):
     return None
 
 
-def _remember(memo: dict, key, value, cap: int):
-    """Keep ``value`` in a segment's memo, first dropping the oldest entry
-    if the memo already holds ``cap``."""
-    if len(memo) >= cap:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-def _segment_selection(segment, kernel, pkey: str, cap: int) -> list[bool]:
+def _segment_selection(segment, kernel, pkey: str) -> list[bool]:
     """The segment's selection vector (kernel output ANDed with
     liveness), memoised under the predicate's key."""
     selection = segment.memo.get(pkey)
@@ -129,7 +121,7 @@ def _segment_selection(segment, kernel, pkey: str, cap: int) -> list[bool]:
         selection = kernel(segment.columns, segment.count)
         if segment.live_count != segment.count:
             selection = [a and b for a, b in zip(selection, segment.live)]
-        _remember(segment.memo, pkey, selection, cap)
+        remember(segment.memo, pkey, selection)
     return selection
 
 
@@ -142,19 +134,19 @@ def _selected_rows(segment, selection, project) -> list[dict[str, object]]:
     return list(map(dict, map(zip, repeat(project), values)))
 
 
-def _selected_keys(segment, kernel, pkey: str, cap: int) -> list[int]:
+def _selected_keys(segment, kernel, pkey: str) -> list[int]:
     """Heap keys of the selected positions, in position order."""
     key = ("keys", pkey)
     keys = segment.memo.get(key)
     if keys is None:
-        selection = _segment_selection(segment, kernel, pkey, cap)
-        keys = _remember(
-            segment.memo, key, list(compress(segment.keys, selection)), cap
+        selection = _segment_selection(segment, kernel, pkey)
+        keys = remember(
+            segment.memo, key, list(compress(segment.keys, selection))
         )
     return keys
 
 
-def scan_rows(store, kernel, pkey: str, project, cap: int):
+def scan_rows(store, kernel, pkey: str, project):
     """Master row dicts of every selected row, in heap order.
 
     Each segment's rows are memoised under ``(project, predicate)``, so
@@ -165,10 +157,9 @@ def scan_rows(store, kernel, pkey: str, project, cap: int):
     for segment in store.segments:
         rows = segment.memo.get(key)
         if rows is None:
-            selection = _segment_selection(segment, kernel, pkey, cap)
-            rows = _remember(
-                segment.memo, key, _selected_rows(segment, selection, project),
-                cap,
+            selection = _segment_selection(segment, kernel, pkey)
+            rows = remember(
+                segment.memo, key, _selected_rows(segment, selection, project)
             )
         per_segment.append(rows)
     rows = list(chain.from_iterable(per_segment))
@@ -177,7 +168,7 @@ def scan_rows(store, kernel, pkey: str, project, cap: int):
     # Some insert took a slot before rows inserted earlier: order the rows
     # by heap key (a sort of a few runs, since most rows are in place).
     keys = list(chain.from_iterable(
-        [_selected_keys(s, kernel, pkey, cap) for s in store.segments]
+        [_selected_keys(s, kernel, pkey) for s in store.segments]
     ))
     in_heap_order = sorted(range(len(keys)), key=keys.__getitem__)
     return list(map(rows.__getitem__, in_heap_order))
@@ -202,14 +193,14 @@ def spec_label(op: str, column: str | None) -> str:
     return "count" if op == "count" else f"{op}({column})"
 
 
-def _segment_partial(segment, kernel, pkey: str, specs, cap: int) -> tuple:
+def _segment_partial(segment, kernel, pkey: str, specs) -> tuple:
     """``(count, value per spec)`` over the segment's selected rows: the
     count, or the sum (``sum``/``avg``), min or max of the spec's column;
     memoised under ``(specs, predicate)``."""
     key = ("aggregate", specs, pkey)
     folded = segment.memo.get(key)
     if folded is None:
-        selection = _segment_selection(segment, kernel, pkey, cap)
+        selection = _segment_selection(segment, kernel, pkey)
         columns = segment.columns
         count = sum(selection)
         values = [count]
@@ -224,11 +215,11 @@ def _segment_partial(segment, kernel, pkey: str, specs, cap: int) -> tuple:
                 values.append(max(chunk, default=None))
             else:  # sum, avg
                 values.append(sum(chunk))
-        folded = _remember(segment.memo, key, tuple(values), cap)
+        folded = remember(segment.memo, key, tuple(values))
     return folded
 
 
-def aggregate_segments(store, kernel, pkey: str, specs, cap: int) -> dict:
+def aggregate_segments(store, kernel, pkey: str, specs) -> dict:
     """Fold the segments' partial aggregates, in segment order.
 
     Sums add per-segment sums from 0, as a fold over every selected
@@ -237,7 +228,7 @@ def aggregate_segments(store, kernel, pkey: str, specs, cap: int) -> dict:
     matching the row-path fold exactly.
     """
     partials = [
-        _segment_partial(segment, kernel, pkey, specs, cap)
+        _segment_partial(segment, kernel, pkey, specs)
         for segment in store.segments
     ]
     count = sum(map(itemgetter(0), partials))

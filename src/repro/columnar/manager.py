@@ -1,10 +1,10 @@
 """ColumnarManager: wiring, metrics, and the per-table binding.
 
 One manager per database (built by ``Database.enable_columnar()``): it
-owns a :class:`~repro.columnar.store.ColumnStore` per attached table,
-the shared :class:`~repro.columnar.cache.IntermediateCache`, and the
-``columnar.*`` metrics family.  Instruments register at construction so
-the metric-name lint sees the family even before any columnar read.
+owns a :class:`~repro.columnar.store.ColumnStore` per attached table
+and the ``columnar.*`` metrics family.  Instruments register at
+construction so the metric-name lint sees the family even before any
+columnar read.
 
 Each attached table gets a :class:`TableColumnar` binding (the table's
 ``columnar`` attribute).  The binding is deliberately thin: the table
@@ -12,21 +12,20 @@ calls ``plan_scan`` first — a ``None`` plan means "predicate not
 vectorizable, use the row path" and the table falls through *before*
 opening its profiler bracket, so an operation is never double-bracketed.
 
-Counts: the stores and the cache count into one
-:class:`~repro.columnar.cache.ColumnarStats` that the registry adopts,
+Counts: the stores count into one
+:class:`~repro.columnar.store.ColumnarStats` that the registry adopts,
 so :meth:`MetricsRegistry.reset` zeroes the family like every other and
 :meth:`ColumnarManager.sync_gauges` sets only gauges.
 """
 
 from __future__ import annotations
 
-from repro.columnar.cache import ColumnarStats, IntermediateCache
 from repro.columnar.executor import (
     aggregate_segments,
     compile_predicate,
     scan_rows,
 )
-from repro.columnar.store import SEGMENT_ROWS, ColumnStore
+from repro.columnar.store import SEGMENT_ROWS, ColumnarStats, ColumnStore
 from repro.obs.registry import MetricsRegistry, resolve_registry
 
 
@@ -52,22 +51,16 @@ def predicate_key(predicate) -> str:
 
 
 class ColumnarManager:
-    """Owns the columnar mirrors, the fragment cache, and ``columnar.*``."""
+    """Owns the columnar mirrors and ``columnar.*``."""
 
     def __init__(
         self,
-        database,
         registry: MetricsRegistry | None = None,
         segment_rows: int = SEGMENT_ROWS,
-        cache_entries: int = 256,
     ) -> None:
-        self._db = database
         self._segment_rows = segment_rows
         self._stores: dict[str, ColumnStore] = {}
         self.stats = ColumnarStats()
-        self.cache = IntermediateCache(self.stats, cache_entries)
-        #: Entries each segment's memo may hold: the fragment cache's bound.
-        self.memo_entries = max(1, cache_entries)
         registry = resolve_registry(registry)
         self._m_scans = registry.counter("columnar.scans")
         self._m_aggregates = registry.counter("columnar.aggregates")
@@ -98,25 +91,19 @@ class ColumnarManager:
         return table.columnar
 
     def detach(self, table_name: str) -> None:
-        """Forget a dropped table: its mirror and every cached fragment, so
-        a table re-created under the name starts from nothing."""
+        """Forget a dropped table: its mirror and its memoised answers go
+        with its store, so a table re-created under the name starts from
+        nothing."""
         self._stores.pop(table_name, None)
-        self.cache.discard_table(table_name)
         self.sync_gauges()
 
     def clear_fragments(self) -> None:
-        """Forget every reusable intermediate: the cached fragments and
+        """Forget every reusable intermediate: each store's answers and
         each segment's memo, so the next query runs its kernels afresh."""
-        self.cache.clear()
         for store in self._stores.values():
+            store.memo.clear()
             for segment in store.segments:
                 segment.memo.clear()
-
-    def current_csn(self) -> int:
-        """The engine CSN *without* force-building a txn manager (a
-        database that never opened a session has no commits: CSN 0)."""
-        manager = self._db._txn_manager
-        return manager.current_csn if manager is not None else 0
 
     # -- metrics -----------------------------------------------------------
 
@@ -124,11 +111,15 @@ class ColumnarManager:
         self._m_fallbacks.inc()
 
     def sync_gauges(self) -> None:
-        """Publish the stores' and the cache's levels."""
-        stores = self._stores.values()
-        self._m_rows.set(float(sum(s.live_rows for s in stores)))
-        self._m_segments.set(float(sum(len(s.segments) for s in stores)))
-        self._m_cache_entries.set(float(len(self.cache)))
+        """Publish the stores' levels."""
+        rows = segments = answers = 0
+        for store in self._stores.values():
+            rows += store.live_rows
+            segments += len(store.segments)
+            answers += len(store.memo)
+        self._m_rows.set(float(rows))
+        self._m_segments.set(float(segments))
+        self._m_cache_entries.set(float(answers))
 
     def refresh_encoding_stats(self) -> tuple[int, int]:
         """Publish ``columnar.bytes_encoded``/``bytes_raw``.
@@ -183,18 +174,13 @@ class TableColumnar:
         manager._m_scans.inc()
         project = tuple(project)
         pkey = predicate_key(predicate)
-        key = ("scan", self._table.name, project, pkey)
-        epoch, csn = store.epoch, manager.current_csn()
-        cached = manager.cache.get(key, epoch, csn)
-        if cached is None:
-            cached = scan_rows(
-                store, kernel, pkey, project, manager.memo_entries
-            )
-            manager.cache.put(key, epoch, csn, cached)
+        rows = store.answer(
+            ("scan", project, pkey), scan_rows, kernel, pkey, project
+        )
         manager.sync_gauges()
         # Serve copies: callers may mutate result dicts; the masters, shared
         # with the segments' memos, must stay pristine.
-        return list(map(dict.copy, cached))
+        return list(map(dict.copy, rows))
 
     def aggregate(self, kernel, predicate, specs) -> dict[str, object]:
         manager = self._manager
@@ -203,13 +189,8 @@ class TableColumnar:
         manager._m_aggregates.inc()
         specs = tuple(specs)
         pkey = predicate_key(predicate)
-        key = ("aggregate", self._table.name, specs, pkey)
-        epoch, csn = store.epoch, manager.current_csn()
-        cached = manager.cache.get(key, epoch, csn)
-        if cached is None:
-            cached = aggregate_segments(
-                store, kernel, pkey, specs, manager.memo_entries
-            )
-            manager.cache.put(key, epoch, csn, cached)
+        answer = store.answer(
+            ("aggregate", specs, pkey), aggregate_segments, kernel, pkey, specs
+        )
         manager.sync_gauges()
-        return dict(cached)
+        return dict(answer)

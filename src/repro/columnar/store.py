@@ -13,8 +13,7 @@ table notifies it after every applied heap mutation
 builds lazily on first columnar read and rebuilds whenever it detects
 it has diverged from the heap (e.g. out-of-band heap surgery by the
 recovery layer), so a stale mirror degrades to a rebuild, never to a
-wrong answer.  Every mutation bumps ``epoch`` — the fingerprint cache's
-validity token.
+wrong answer.
 
 Scans must be *byte-identical* to the row executor, which yields rows
 in heap order (heap pages in allocation order, ascending live slot),
@@ -26,15 +25,20 @@ exceeds all earlier ones, heap order is segment order
 (``in_position_order``); after one that does not, a scan sorts its
 selected rows by key.
 
-Each segment also keeps a ``memo`` of work derived from its own vectors
-alone (selections, scan rows, partial aggregates; see
-:mod:`repro.columnar.executor`).  Every mutation of the segment drops
-it, so a query after a write recomputes only the segment written.
+Reuse follows one rule at two levels (DESIGN.md §5h): a memo holds
+only what is a pure function of the vectors beneath it, and every write
+to those vectors drops it, so no entry needs a validity token.  Each
+segment's ``memo`` holds work derived from its own vectors alone
+(selections, scan rows, partial aggregates; see
+:mod:`repro.columnar.executor`), so a query after a write recomputes
+only the segment written.  The store's ``memo`` holds whole answers,
+and any write to the table drops it.
 """
 
 from __future__ import annotations
 
-from repro.columnar.cache import ColumnarStats
+from dataclasses import dataclass
+
 from repro.columnar.codecs import EncodedColumn, encode_column, raw_bytes
 from repro.schema.record import unpack_record_map
 from repro.schema.schema import Schema
@@ -43,6 +47,31 @@ from repro.storage.heap import Rid
 #: Rows per segment: large enough that one kernel dispatch amortizes over
 #: ~1k tuples, small enough that a patch re-encode stays cheap.
 SEGMENT_ROWS = 1024
+
+#: Entries a store's memo, and each segment's, may hold.
+MEMO_ENTRIES = 256
+
+
+@dataclass
+class ColumnarStats:
+    """One manager's columnar counts, bumped by its stores and adopted by
+    its registry: plain ints, so the registry never holds a store or a
+    memoised answer, and a dropped table's counts stay."""
+
+    rebuilds: int = 0
+    segments_sealed: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_invalidations: int = 0
+
+
+def remember(memo: dict, key, value):
+    """Keep ``value`` in ``memo``, first dropping the oldest entry if the
+    memo already holds ``MEMO_ENTRIES``."""
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def _heap_key(page_rank: int, slot: int) -> int:
@@ -91,12 +120,15 @@ class ColumnSegment:
         self._encoded = None
         self.memo.clear()
 
-    def kill(self, position: int) -> None:
-        if self.live[position]:
-            self.live[position] = False
-            self.live_count -= 1
-            self._encoded = None
-            self.memo.clear()
+    def kill(self, position: int) -> bool:
+        """Mark ``position`` dead; False if it already was."""
+        if not self.live[position]:
+            return False
+        self.live[position] = False
+        self.live_count -= 1
+        self._encoded = None
+        self.memo.clear()
+        return True
 
     def encoded_columns(self, schema: Schema) -> dict[str, EncodedColumn]:
         """Encoded form of every column (cached until the next mutation)."""
@@ -121,6 +153,11 @@ class ColumnStore:
         self._schema: Schema = table.schema
         self._segment_rows = max(1, segment_rows)
         self.segments: list[ColumnSegment] = []
+        #: Live positions over every segment, kept as they change.
+        self.live_rows = 0
+        #: Whole answers, keyed ``(verb, projection or specs, predicate
+        #: key)``: dropped by every write to the table.
+        self.memo: dict = {}
         #: Rid -> (segment index, position) of its row.
         self._positions: dict[Rid, tuple[int, int]] = {}
         #: True while every append's heap key exceeded all before it, so
@@ -132,8 +169,6 @@ class ColumnStore:
         #: Heap page id -> its rank in the heap's allocation order.
         self._page_rank: dict[int, int] = {}
         self.built = False
-        #: Bumped on every mutation (and on invalidate); cache validity token.
-        self.epoch = 0
         #: Set when a notification can't be applied in place (unknown RID);
         #: the next read rebuilds instead of guessing.
         self._stale = False
@@ -145,14 +180,29 @@ class ColumnStore:
         self.built = False
         self._stale = False
         self.segments = []
+        self.live_rows = 0
         self._positions = {}
         self.in_position_order = True
         self._last_key = -1
         self._page_rank = {}
-        self.epoch += 1
+        self._drop_answers()
+
+    def _drop_answers(self) -> None:
+        self.stats.cache_invalidations += len(self.memo)
+        self.memo.clear()
+
+    def answer(self, key: tuple, compute, *args):
+        """The answer memoised under ``key``, else ``compute(self, *args)``
+        remembered under it; counted as a hit or a miss."""
+        value = self.memo.get(key)
+        if value is None:
+            self.stats.cache_misses += 1
+            return remember(self.memo, key, compute(self, *args))
+        self.stats.cache_hits += 1
+        return value
 
     def note_insert(self, rid: Rid, row: dict[str, object]) -> None:
-        self.epoch += 1
+        self._drop_answers()
         if not self.built:
             return
         if rid in self._positions:  # heap slot reuse out from under us
@@ -173,9 +223,10 @@ class ColumnStore:
             self._last_key = key
         position = self.segments[-1].append(row, key)
         self._positions[rid] = (len(self.segments) - 1, position)
+        self.live_rows += 1
 
     def note_update(self, rid: Rid, row: dict[str, object]) -> None:
-        self.epoch += 1
+        self._drop_answers()
         if not self.built:
             return
         where = self._positions.get(rid)
@@ -185,14 +236,15 @@ class ColumnStore:
         self.segments[where[0]].patch(where[1], row)
 
     def note_delete(self, rid: Rid) -> None:
-        self.epoch += 1
+        self._drop_answers()
         if not self.built:
             return
         where = self._positions.pop(rid, None)
         if where is None:
             self._stale = True
             return
-        self.segments[where[0]].kill(where[1])
+        if self.segments[where[0]].kill(where[1]):
+            self.live_rows -= 1
 
     def _rank_pages(self) -> dict[int, int]:
         """Re-read the heap's page allocation order (pages only append)."""
@@ -203,10 +255,6 @@ class ColumnStore:
         return self._page_rank
 
     # -- consistency -------------------------------------------------------
-
-    @property
-    def live_rows(self) -> int:
-        return sum(segment.live_count for segment in self.segments)
 
     def ensure_current(self) -> None:
         """Rebuild if the mirror is unbuilt, flagged stale, or has visibly
@@ -236,6 +284,7 @@ class ColumnStore:
                 segments.append(ColumnSegment(names))
             key = _heap_key(page_rank[rid.page_id], rid.slot)
             positions[rid] = (len(segments) - 1, segments[-1].append(row, key))
+        self.live_rows = len(positions)
         self._last_key = key
         self.built = True
         self.stats.rebuilds += 1

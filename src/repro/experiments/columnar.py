@@ -9,11 +9,13 @@ bit-packing, dictionaries) that the row format leaves on the table.
 
 Two timing regimes are reported because both are design points:
 
-* **cold** — fragment cache and every segment's memo cleared before
-  every query, so the number is pure kernel-vs-row-loop execution;
+* **cold** — the store's memoised answers and every segment's memo
+  cleared before every query, so the number is pure kernel-vs-row-loop
+  execution;
 * **reused** — the analytical loop repeats its query shapes, so the
-  intermediate-result cache (keyed by normalized fingerprint + predicate
-  constants, invalidated by write epoch and commit CSN) serves copies.
+  store's memo of whole answers (keyed by verb, projection or specs and
+  the predicate's constants, dropped by any write to the table) serves
+  copies.
 
 Wall time is inherently machine-dependent; the identity check and the
 compression ratio are exact (pinned in ``tests/test_experiments_smoke.py``),
@@ -107,7 +109,7 @@ def _build(n_rows: int, seed: int, segment_rows: int | None):
 
 def _query_mix(n_queries: int, seed: int):
     """Zipf over a small family of predicate shapes — analytical loops
-    repeat their shapes, which is exactly what the fragment cache banks on."""
+    repeat their shapes, which is exactly what the answer memo banks on."""
     rng = DeterministicRng(seed + 1)
     shapes = [
         ColumnRange("n", 0, 120),
@@ -161,7 +163,7 @@ def run(
     row_scan_s = _time_scans(table, predicates, use_columnar=False)
     row_agg_s = _time_aggs(table, predicates, use_columnar=False)
 
-    # Cold: clear the fragment cache and the segment memos before each
+    # Cold: clear the memoised answers and the segment memos before each
     # query so the number is kernel execution, not memoization.
     def cold(timer):
         total = 0.0
@@ -173,7 +175,7 @@ def run(
     col_scan_cold_s = cold(_time_scans)
     col_agg_cold_s = cold(_time_aggs)
 
-    # Reused: the repeated-shape loop as-is, cache warm from here on.
+    # Reused: the repeated-shape loop as-is, memo warm from here on.
     manager.clear_fragments()
     stats = manager.stats
     hits_before, misses_before = stats.cache_hits, stats.cache_misses

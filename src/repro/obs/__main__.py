@@ -108,7 +108,7 @@ def run_observed_workload(
 
     With ``columnar=True`` the §5h vectorized executor is attached and a
     scan + aggregate run per sampler chunk, so the ``columnar.*`` family
-    carries real traffic (mirror maintenance, fragment cache churn).
+    carries real traffic (mirror maintenance, memoised answers dropped).
 
     With ``observe=True`` the §5j trace collector and event journal are
     armed (they always are when ``shards > 0``).  ``shards=N`` runs the

@@ -301,13 +301,13 @@ class Database:
         Every table — existing and future — gains a column-major mirror
         of its heap: scans and aggregates whose predicate compiles to a
         batch kernel run over whole column vectors (one interpreter step
-        per segment instead of per tuple).  Whole answers are cached
-        under the query fingerprint plus the predicate's constants and
-        invalidated by table epoch + engine CSN; beneath them each
-        segment memoises its own selections, rows and partial aggregates
-        until that segment is written, so a query after a write re-runs
-        its kernel on the written segment only.  The row executor
-        remains the oracle: unsupported predicates, or
+        per segment instead of per tuple).  Each table's mirror memoises
+        whole answers, keyed by verb, projection or specs and the
+        predicate's canonical text, until the next write to the table;
+        beneath them each segment memoises its own selections, rows and
+        partial aggregates until that segment is written, so a query
+        after a write re-runs its kernel on the written segment only.
+        The row executor remains the oracle: unsupported predicates, or
         ``use_columnar=False``, take the unchanged row path.
         Idempotent; strictly opt-in (until this runs, the per-operation
         cost is a single ``is not None`` test).
@@ -317,7 +317,6 @@ class Database:
             from repro.columnar.store import SEGMENT_ROWS
 
             self.columnar = ColumnarManager(
-                self,
                 registry=self.metrics,
                 segment_rows=segment_rows or SEGMENT_ROWS,
             )
@@ -584,7 +583,7 @@ class Database:
 
         Refused on a WAL-armed database: the log has no DROP record, so
         recovery would bring the table back with its rows.  The columnar
-        mirror and its cached fragments go with the table.
+        mirror and its memoised answers go with the table.
         """
         if self.wal is not None:
             raise QueryError(

@@ -84,7 +84,7 @@ MAX_CALLS_PLAIN_LOOKUP = 105
 MAX_CALLS_PLAIN_UPDATE = 169  # the one that closes a WAL group commit
 MAX_CALLS_PLAIN_INSERT = 180  # likewise; no counted insert splits a leaf
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
-MAX_CALLS_COLUMNAR_QUERY_AFTER_WRITE = 249  # one scan + one aggregate
+MAX_CALLS_COLUMNAR_QUERY_AFTER_WRITE = 183  # one scan + one aggregate
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
 

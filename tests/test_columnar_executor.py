@@ -4,7 +4,7 @@ The contract under test: with the columnar mirror attached, every scan
 and aggregate the batch kernels can serve is *list-identical* (same
 rows, same values, same heap order) to the unchanged row executor, for
 every predicate shape, across inserts/updates/deletes, and through the
-fragment cache.  Unsupported predicates must fall back, counted, and
+memoised answers.  Unsupported predicates must fall back, counted, and
 still be correct.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columnar.store import MEMO_ENTRIES
 from repro.errors import QueryError
 from repro.query.database import Database
 from repro.query.predicates import (
@@ -251,9 +252,9 @@ def test_reset_obs_zeroes_columnar_family():
 
 
 def test_drop_forgets_the_mirror_and_its_cached_fragments():
-    """A table re-created under a dropped name, after as many writes, has
-    the dropped table's store epoch: a fragment kept past the drop would
-    match its ``(epoch, CSN)`` and serve the dropped rows."""
+    """A table re-created under a dropped name, after as many writes, asks
+    the same questions the dropped one did: an answer kept past the drop
+    would serve the dropped rows."""
     db = Database(seed=3, wal=False)
     db.enable_columnar()
 
@@ -331,12 +332,17 @@ def test_seeded_writes_keep_every_answer_identical(seed):
     assert table.heap.num_pages > 2
     db.enable_columnar(segment_rows=16)
     assert_every_answer_identical(table)
-    segments = table.columnar.store.segments
+    store = table.columnar.store
+    segments = store.segments
     assert len(segments) == 10 and all(s.sealed for s in segments[:-1])
+
+    def assert_live_rows_kept() -> None:
+        assert store.live_rows == sum(s.live_count for s in store.segments)
 
     # A write to a sealed middle segment (row 40 is segment 2's), then a
     # query straight after it.
     table.update("pk", 40, {"n": 3, "d": -39, "flag": True})
+    assert_live_rows_kept()
     assert_every_answer_identical(table)
 
     dead: set = set()
@@ -360,14 +366,15 @@ def test_seeded_writes_keep_every_answer_identical(seed):
             dead.discard(rid)
             rids[next_id] = rid
             next_id += 1
+        assert_live_rows_kept()
         assert_every_answer_identical(table)
     assert reused > 0  # some insert took a tombstoned slot's RID
-    assert table.columnar.store.live_rows == len(rids)
+    assert store.live_rows == len(rids)
 
 
 def test_fragment_cache_counts_pinned():
-    """The whole-query fragment cache over one scripted sequence: every
-    hit, miss and epoch invalidation it counts."""
+    """The store's memo of whole answers over one scripted sequence: every
+    hit, miss and answer a write drops, as it counts them."""
     _, table, manager = make_db()
     p, q = ColumnRange("n", 40, 160), ColumnEq("cat", "c2")
     specs = [("count", None), ("sum", "n")]
@@ -400,11 +407,24 @@ def test_fragment_cache_counts_pinned():
     step(lambda: list(table.scan(p, ("id",))))
     assert seen == [
         (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 2, 0), (2, 3, 0),
-        (2, 3, 0), (2, 4, 1), (2, 5, 2), (3, 5, 2),
-        (3, 5, 2), (3, 6, 3), (3, 6, 3), (3, 7, 3), (3, 8, 3),
-        (3, 9, 4), (4, 9, 4), (5, 9, 4),
+        (2, 3, 3), (2, 4, 3), (2, 5, 3), (3, 5, 3),
+        (3, 5, 5), (3, 6, 5), (3, 6, 6), (3, 7, 6), (3, 8, 6),
+        (3, 9, 6), (4, 9, 6), (5, 9, 6),
     ]
-    assert len(manager.cache) == 5
+    assert len(table.columnar.store.memo) == 3
+
+
+def test_write_keeps_no_dead_answer():
+    """A write drops every answer the table held at once, not on the
+    next query that asks for one, so a dropped answer keeps no rows."""
+    db, table, _ = make_db()
+    p, q = ColumnRange("n", 40, 160), ColumnEq("cat", "c2")
+    list(table.scan(p))
+    list(table.scan(q))
+    table.aggregate(AGG_SPECS, p)
+    table.update("pk", 5, {"n": 41})
+    assert list(table.scan(p)) == list(table.scan(p, use_columnar=False))
+    assert db.metrics.get("columnar.cache.entries").value == 1
 
 
 # -- per-segment memo ----------------------------------------------------------
@@ -435,17 +455,17 @@ def test_write_drops_only_its_segments_memo():
 
 
 def test_segment_memo_bounded_by_cache_entries():
-    """Ten times ``cache_entries`` distinct predicates leave every
-    segment's memo at its cap, never above it."""
-    _, table, manager = make_db(n_rows=64, segment_rows=16)
-    cap = manager.memo_entries
+    """Ten times ``MEMO_ENTRIES`` distinct predicates leave the store's
+    memo and every segment's at its cap, never above it."""
+    _, table, _ = make_db(n_rows=64, segment_rows=16)
+    cap = MEMO_ENTRIES
     for k in range(10 * cap):
         predicate = ColumnEq("n", k)
         list(table.scan(predicate, ("id",)))
         table.aggregate([("count", None)], predicate)
     memo_sizes = [len(segment.memo) for segment in table.columnar.store.segments]
     assert memo_sizes == [cap] * 4
-    assert len(manager.cache) == cap
+    assert len(table.columnar.store.memo) == cap
 
 
 def test_clear_fragments_drops_segment_memos_too():
@@ -456,6 +476,6 @@ def test_clear_fragments_drops_segment_memos_too():
     expected = list(table.scan(predicate))
     assert all(segment.memo for segment in table.columnar.store.segments)
     manager.clear_fragments()
-    assert len(manager.cache) == 0
+    assert len(table.columnar.store.memo) == 0
     assert not any(segment.memo for segment in table.columnar.store.segments)
     assert list(table.scan(predicate)) == expected

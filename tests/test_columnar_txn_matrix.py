@@ -187,8 +187,8 @@ def test_columnar_abort_leaves_no_trace_every_schedule():
 
 
 def test_columnar_fragment_cache_never_serves_across_commit():
-    """A cached scan fragment captured before a commit must not be
-    served after it: the CSN term of the invalidation rule."""
+    """A scan answered before a session's write must not be served after
+    its commit: the write itself drops the table's memoised answers."""
     db = make_db()
     table = db.table("t")
     baseline = list(table.scan())
@@ -200,3 +200,22 @@ def test_columnar_fragment_cache_never_serves_across_commit():
     assert after == list(table.scan(use_columnar=False))
     assert [r["score"] for r in after] == [321]
     assert baseline != after
+
+
+def test_commit_that_writes_no_heap_row_keeps_the_answers():
+    """A session's update reaches the heap, and the mirror, when it runs;
+    its commit writes no heap row, so a scan memoised between the two is
+    still the answer after the commit."""
+    db = make_db()
+    table = db.table("t")
+    stats = db.columnar.stats
+    s = db.session()
+    s.begin()
+    s.update("t", 1, {"score": 321})
+    before = list(table.scan())
+    s.commit()
+    hits = stats.cache_hits
+    after = list(table.scan())
+    assert stats.cache_hits == hits + 1
+    assert after == before == list(table.scan(use_columnar=False))
+    assert [r["score"] for r in after] == [321]

@@ -372,9 +372,9 @@ PINNED = [('heal-wal',
    'columnar': {'aggregates': 1,
                 'bytes_encoded': 0.0,
                 'bytes_raw': 0.0,
-                'cache': {'entries': 2.0,
+                'cache': {'entries': 1.0,
                           'hits': 1,
-                          'invalidations': 1,
+                          'invalidations': 2,
                           'misses': 3},
                 'fallbacks': 1,
                 'rebuilds': 1,
@@ -424,7 +424,7 @@ PINNED = [('heal-wal',
    'columnar': {'aggregates': 0,
                 'bytes_encoded': 0.0,
                 'bytes_raw': 0.0,
-                'cache': {'entries': 2.0,
+                'cache': {'entries': 1.0,
                           'hits': 1,
                           'invalidations': 1,
                           'misses': 1},

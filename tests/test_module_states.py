@@ -256,8 +256,6 @@ _STARRED = "its one caller passes it through *args, which the AST cannot see"
 #: ``(file under src/repro/, qualname, parameter)`` that no call passes,
 #: and why each stays (DESIGN.md §3, "Which options anyone sets").
 SET_BY_NOBODY = {
-    ("columnar/manager.py", "ColumnarManager.__init__", "cache_entries"):
-        _OWNER_BOUND,
     ("obs/adaptive.py", "AdaptiveController.__init__", "audit_capacity"):
         _OWNER_BOUND,
     ("obs/events.py", "EventJournal.__init__", "capacity"):

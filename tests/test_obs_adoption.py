@@ -264,7 +264,7 @@ def test_a_dropped_engine_on_a_shared_registry_is_collected():
 def _holders(registry):
     """``(component, holder)`` pairs built standalone on ``registry``."""
     sampler = TelemetrySampler(registry, clock=None)
-    columnar = ColumnarManager(object(), registry=registry)
+    columnar = ColumnarManager(registry=registry)
     recovery = RecoveryManager(object(), registry=registry)
     controller = AdaptiveController(sampler, registry=registry)
     profiler = QueryProfiler(registry)

@@ -61,7 +61,6 @@ def test_columnar_entry_points_importable():
     from repro.columnar import (  # noqa: F401
         ColumnarManager,
         ColumnStore,
-        IntermediateCache,
         compile_predicate,
         decode_column,
         encode_column,
