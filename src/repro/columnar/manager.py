@@ -25,7 +25,7 @@ from repro.columnar.executor import (
     compile_predicate,
     scan_rows,
 )
-from repro.columnar.store import SEGMENT_ROWS, ColumnarStats, ColumnStore
+from repro.columnar.store import SEGMENT_ROWS, ColumnarStats, ColumnStore, remember
 from repro.obs.registry import MetricsRegistry, resolve_registry
 
 
@@ -107,9 +107,6 @@ class ColumnarManager:
 
     # -- metrics -----------------------------------------------------------
 
-    def count_fallback(self) -> None:
-        self._m_fallbacks.inc()
-
     def sync_gauges(self) -> None:
         """Publish the stores' levels."""
         rows = segments = answers = 0
@@ -138,12 +135,13 @@ class ColumnarManager:
 class TableColumnar:
     """One table's handle into the columnar subsystem."""
 
-    __slots__ = ("_manager", "_table", "store")
+    __slots__ = ("_manager", "_table", "store", "_plans")
 
     def __init__(self, manager: ColumnarManager, table, store: ColumnStore):
         self._manager = manager
         self._table = table
         self.store = store
+        self._plans: dict = {}  # id(predicate) -> plan; see plan_scan
 
     # -- write notifications (called by Table after each applied write) ----
 
@@ -159,21 +157,27 @@ class TableColumnar:
     # -- planning ----------------------------------------------------------
 
     def plan_scan(self, predicate):
-        """A kernel for ``predicate``, or None → row-path fallback."""
-        kernel = compile_predicate(predicate, self._table.schema)
-        if kernel is None:
-            self._manager.count_fallback()
-        return kernel
+        """``(predicate, kernel, predicate key)`` once per predicate object
+        (kept, so its id is not reused), or None → row-path fallback."""
+        plan = self._plans.get(id(predicate))
+        if plan is None or plan[0] is not predicate:
+            kernel = compile_predicate(predicate, self._table.schema)
+            plan = remember(self._plans, id(predicate), (
+                predicate, kernel, kernel and predicate_key(predicate)))
+        if plan[1] is None:
+            self._manager._m_fallbacks.inc()
+            return None
+        return plan
 
     # -- execution (called inside the table's profiler bracket) ------------
 
-    def scan(self, kernel, predicate, project) -> list[dict[str, object]]:
+    def scan(self, plan, project) -> list[dict[str, object]]:
         manager = self._manager
         store = self.store
         store.ensure_current()
         manager._m_scans.inc()
         project = tuple(project)
-        pkey = predicate_key(predicate)
+        _, kernel, pkey = plan
         rows = store.answer(
             ("scan", project, pkey), scan_rows, kernel, pkey, project
         )
@@ -182,13 +186,13 @@ class TableColumnar:
         # with the segments' memos, must stay pristine.
         return list(map(dict.copy, rows))
 
-    def aggregate(self, kernel, predicate, specs) -> dict[str, object]:
+    def aggregate(self, plan, specs) -> dict[str, object]:
         manager = self._manager
         store = self.store
         store.ensure_current()
         manager._m_aggregates.inc()
         specs = tuple(specs)
-        pkey = predicate_key(predicate)
+        _, kernel, pkey = plan
         answer = store.answer(
             ("aggregate", specs, pkey), aggregate_segments, kernel, pkey, specs
         )

@@ -10,6 +10,8 @@ notify cached indexes so stale cache entries are invalidated through the
 
 from __future__ import annotations
 
+import struct
+from operator import itemgetter
 from typing import Iterator, Union
 
 from repro.btree.keycodec import codec_for_columns
@@ -20,10 +22,12 @@ from repro.core.index_cache.cached_index import (
 from repro.errors import QueryError, ReproError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracer import Tracer
-from repro.query.predicates import Predicate, TruePredicate
+from repro.query.predicates import (
+    And, ColumnEq, ColumnIn, ColumnRange, Not, Or, Predicate, TruePredicate)
 from repro.schema.record import (
     pack_record_map,
     unpack_fields,
+    unpack_record,
     unpack_record_map,
 )
 from repro.schema.schema import Schema
@@ -147,6 +151,21 @@ class PlainIndex:
 
 
 AnyIndex = Union[PlainIndex, CachedBTree]
+
+_EVERY_ROW = TruePredicate()  # one object: plan_scan memoises by object
+
+
+def _columns_read(predicate: Predicate) -> tuple[str, ...] | None:
+    """What ``predicate.matches`` reads; None: a foreign class may read any."""
+    kind = type(predicate)
+    if kind in (ColumnEq, ColumnIn, ColumnRange):
+        return (predicate.column,)
+    if kind not in (TruePredicate, Not, And, Or):
+        return None
+    parts = () if kind is TruePredicate else (
+        (predicate.inner,) if kind is Not else predicate.parts)
+    reads = [_columns_read(part) for part in parts]
+    return None if None in reads else sum(reads, ())
 
 
 class Table:
@@ -427,13 +446,13 @@ class Table:
         interleaved with a half-drained scan are charged to the scan's
         fingerprint.
         """
-        predicate = predicate if predicate is not None else TruePredicate()
+        predicate = predicate if predicate is not None else _EVERY_ROW
         project = project if project is not None else self.schema.names
         if use_columnar and self.columnar is not None:
             # Plan *before* opening the bracket: an unsupported predicate
             # falls through to the row path without a second bracket.
-            kernel = self.columnar.plan_scan(predicate)
-            if kernel is not None:
+            plan = self.columnar.plan_scan(predicate)
+            if plan is not None:
                 # The columnar path materializes inside the bracket, so
                 # it can be trace-spanned; the lazy row path cannot (a
                 # span over a half-drained iterator would dangle) — its
@@ -443,7 +462,7 @@ class Table:
                     profile=("scan", self.name, None, None, project),
                     trace={"table": self.name, "columnar": True},
                 ):
-                    return iter(self.columnar.scan(kernel, predicate, project))
+                    return iter(self.columnar.scan(plan, project))
         if self.tracer.profiler is None:
             return self._scan_rows(predicate, project)
         return self._profiled_scan(predicate, project)
@@ -468,36 +487,51 @@ class Table:
         from repro.columnar.executor import aggregate_rows, normalize_specs
 
         self.tracer.tick()
-        predicate = predicate if predicate is not None else TruePredicate()
+        predicate = predicate if predicate is not None else _EVERY_ROW
         normalized = tuple(normalize_specs(specs, self.schema))
         labels = tuple(
             "count" if op == "count" else f"{op}({column})"
             for op, column in normalized
         )
-        kernel = None
+        plan = None
         trace: dict[str, object] = {"table": self.name}
         if use_columnar and self.columnar is not None:
-            kernel = self.columnar.plan_scan(predicate)
-            if kernel is not None:
+            plan = self.columnar.plan_scan(predicate)
+            if plan is not None:
                 trace["columnar"] = True
         with self.tracer.span(
             "query.aggregate", timed=False,
             profile=("aggregate", self.name, None, None, labels),
             trace=trace,
         ):
-            if kernel is not None:
-                return self.columnar.aggregate(kernel, predicate, normalized)
-            return aggregate_rows(
-                self._scan_rows(predicate, self.schema.names), normalized
-            )
+            if plan is not None:
+                return self.columnar.aggregate(plan, normalized)
+            columns = tuple(dict.fromkeys(c for _, c in normalized if c))
+            return aggregate_rows(self._scan_rows(predicate, columns), normalized)
 
     def _scan_rows(
         self, predicate: Predicate, project: tuple[str, ...]
     ) -> Iterator[dict[str, object]]:
+        """Heap-order rows, decoded only as far as answer and predicate read."""
+        names = self.schema.names
+        codec, _, post = self.schema.codec
+        project = tuple(project)
+        fields = names if (reads := _columns_read(predicate)) is None else tuple(
+            name for name in dict.fromkeys(project + reads) if name in names)
+        steps = [(names[i], step) for i, step in post if names[i] in fields]
+        # Two spares keep ``itemgetter``'s result a tuple; ``zip`` drops them.
+        pick = itemgetter(*map(names.index, fields), 0, 0)
+        whole = fields == project  # the decoded dict is the answer's row
         for _, record in self.heap.scan():
-            row = unpack_record_map(self.schema, record)
+            try:
+                row = dict(zip(fields, pick(codec.unpack(record))))
+            except struct.error:  # a wrong length: the codec's own refusal
+                unpack_record(self.schema, record)
+                raise
+            for name, step in steps:
+                row[name] = step(row[name])
             if predicate.matches(row):
-                yield {name: row[name] for name in project}
+                yield row if whole else {name: row[name] for name in project}
 
     def _profiled_scan(
         self, predicate: Predicate, project: tuple[str, ...]

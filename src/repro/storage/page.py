@@ -552,19 +552,21 @@ class SlottedPage:
                 return slot
         return None
 
-    def live_slots(self) -> Iterator[int]:
-        """Yield slot numbers that hold live records."""
-        # Reads the live bytes one slot per step: callers write to the
-        # page between steps (``HeapFile.scan`` holds the pin across
-        # yields), and a slot deleted meanwhile must not be yielded.
-        for slot in range(self.slot_count):
-            if self.slot_is_live(slot):
-                yield slot
-
     def records(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot, record_bytes)`` for every live record."""
-        for slot in self.live_slots():
-            yield slot, self.read(slot)
+        """Yield ``(slot, record_bytes)`` per live record (DESIGN.md §5, *Walks*)."""
+        buf = self.buffer
+        for slot in range(self.slot_count):
+            try:
+                offset, length = _PAIR.unpack_from(
+                    buf, PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE)
+            except struct.error:  # entry past the page: reads as a tombstone
+                return
+            if offset != _TOMBSTONE_OFFSET:
+                yield slot, bytes(buf[offset : offset + length])
+
+    def live_slots(self) -> Iterator[int]:
+        """Yield the slot of every live record, read as :meth:`records` reads."""
+        return (slot for slot, _ in self.records())
 
     # -- maintenance -------------------------------------------------------
 
