@@ -27,9 +27,9 @@ recompute that one segment and combine the rest as they were.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, repeat
-from operator import is_not, itemgetter
+from operator import add, is_not, itemgetter
 
 from repro.columnar.store import remember
 from repro.errors import QueryError
@@ -253,40 +253,31 @@ def aggregate_segments(store, kernel, pkey: str, specs) -> dict:
 
 
 def aggregate_rows(rows, specs) -> dict[str, object]:
-    """Row-path oracle fold over an iterable of row dicts."""
-    count = 0
-    sums: dict[str, object] = {}
-    mins: dict[str, object] = {}
-    maxes: dict[str, object] = {}
-    needed = {column for op, column in specs if column is not None}
-    want_sum = {c for op, c in specs if op in ("sum", "avg")}
-    want_min = {c for op, c in specs if op == "min"}
-    want_max = {c for op, c in specs if op == "max"}
-    for row in rows:
-        count += 1
-        for column in needed:
-            value = row[column]
-            if column in want_sum:
-                sums[column] = sums.get(column, 0) + value
-            if column in want_min:
-                best = mins.get(column)
-                if best is None or value < best:
-                    mins[column] = value
-            if column in want_max:
-                best = maxes.get(column)
-                if best is None or value > best:
-                    maxes[column] = value
+    """Row-path oracle fold over an iterable of row dicts.
+
+    Each spec column's values are collected once and folded per op: a sum
+    adds left to right from 0 with ``+`` (``sum()`` of floats rounds
+    differently from Python 3.12 on), and ``min``/``max`` keep the first
+    winner under ``<``/``>``.
+    """
+    rows = list(rows)
+    count = len(rows)
+    values = {
+        column: list(map(itemgetter(column), rows))
+        for column in dict.fromkeys(c for _, c in specs if c is not None)
+    }
     out: dict[str, object] = {}
     for op, column in specs:
         label = spec_label(op, column)
         if op == "count":
             out[label] = count
-        elif op == "sum":
-            out[label] = sums.get(column, 0)
         elif op == "min":
-            out[label] = mins.get(column)
+            out[label] = min(values[column], default=None)
         elif op == "max":
-            out[label] = maxes.get(column)
+            out[label] = max(values[column], default=None)
+        elif op == "sum":
+            out[label] = reduce(add, values[column], 0)
         else:  # avg
-            out[label] = (sums.get(column, 0) / count) if count else None
+            total = reduce(add, values[column], 0)
+            out[label] = (total / count) if count else None
     return out

@@ -379,7 +379,6 @@ def run_covering_ablation(
             index.lookup(zipf.sample(), proj)
         for _ in range(n_lookups):  # warm
             one_lookup()
-        pool.reset_counters()
         reads_before = pool.disk.reads
         covering = isinstance(index, CoveringIndex)
         if covering:

@@ -69,8 +69,12 @@ class Counter:
         return total
 
     def reset(self) -> None:
-        """Read 0 from here on; adopted fields keep their own counts."""
-        self._direct -= self.value
+        """Read 0 from here on; adopted fields keep their own counts, and
+        an adopted :class:`Counter` is zeroed by its own registry."""
+        self._direct = -sum(
+            getattr(holder, field) for holder, field in self._sources
+            if not isinstance(holder, Counter)
+        )
 
 
 class Gauge:
@@ -263,7 +267,9 @@ class MetricsRegistry:
         The counter named ``name`` reads ``holder.<field>`` on every
         :attr:`Counter.value` from now on; the registry keeps ``holder``
         alive to do so.  Several holders may feed one name (two pools sum
-        into ``bufferpool.hit``), and one field may feed several names.
+        into ``bufferpool.hit``), and one field may feed several names.  A
+        holder may be another registry's :class:`Counter` (field
+        ``value``), as each ``fleet.<counter>`` adopts its shards'.
         """
         for field, name in fields.items():
             self.counter(name)._sources.append((holder, field))

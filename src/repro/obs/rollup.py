@@ -13,14 +13,14 @@ closes that gap with two pieces:
   :class:`~repro.obs.sampler.TelemetrySampler` at the view makes
   wildcard selectors (``rate:shard.*.bufferpool.hit``) meaningful.
 
-* :meth:`FleetRollup.refresh` — materializes fleet-level aggregates as
-  real ``fleet.*`` instruments in the facade registry: counters summed
-  (delta-incremented, so the sampler reads plain rates),
-  gauges summed, log2 histograms *merged bucket-wise* (exact at bucket
-  granularity), plus per-metric min/max/mean across shards and the
-  headline skew gauge ``fleet.imbalance.heat`` = hottest shard's page
-  traffic over the mean — hot-shard imbalance as a first-class signal
-  with its own SLO rule (:data:`FLEET_SLO_RULES`).
+* :meth:`FleetRollup.refresh` — fleet-level aggregates as real
+  ``fleet.*`` instruments in the facade registry: each counter adopts
+  the shard counters of its name, so it reads their sum whenever asked;
+  gauges are summed and log2 histograms *merged bucket-wise* (exact at
+  bucket granularity) at each refresh, plus per-metric min/max/mean
+  across shards and the headline skew gauge ``fleet.imbalance.heat`` =
+  hottest shard's page traffic over the mean — hot-shard imbalance as a
+  first-class signal with its own SLO rule (:data:`FLEET_SLO_RULES`).
 
 ``format_report`` groups rows by first name segment, so the
 materialized family shows up as its own ``fleet`` section for free.
@@ -149,6 +149,8 @@ class FleetRollup:
         self._target = target
         #: Per-metric cross-shard stats from the last :meth:`refresh`.
         self.stats: dict[str, FleetStat] = {}
+        #: ``(shard index, name)`` of every shard counter adopted so far.
+        self._adopted: set[tuple[int, str]] = set()
         self._refreshes = target.counter("fleet.refreshes")
         self._shards_gauge = target.gauge("fleet.shards")
         self._imbalance = target.gauge("fleet.imbalance.heat")
@@ -156,44 +158,38 @@ class FleetRollup:
         self._shards_gauge.set(len(registries))
 
     def refresh(self) -> dict[str, FleetStat]:
-        """Re-materialize every ``fleet.<name>`` aggregate.
+        """Re-materialize every ``fleet.<name>`` gauge and histogram.
 
-        Every ``fleet.<counter>`` ends equal to the cross-shard sum: it
-        is raised by the *delta* (so the sampler reads a plain rate), or,
-        when the sum is below it because a shard registry was reset, it
-        is reset and raised to the sum — the sampler's shrink rule.
-        Gauges are set to the sum; histograms are reset and bucket-merged.
+        A shard counter is adopted into ``fleet.<counter>`` the first time
+        a refresh sees it, so that counter reads the cross-shard sum at
+        any time, between refreshes and after a shard reset too.  Gauges
+        are set to the sum; histograms are reset and bucket-merged.
         """
         merged: dict[str, list] = {}
-        for reg in self._registries:
+        for i, reg in enumerate(self._registries):
             for name, instrument in reg.items():
                 merged.setdefault(name, []).append(instrument)
+                if (isinstance(instrument, Counter)
+                        and (i, name) not in self._adopted):
+                    self._adopted.add((i, name))
+                    self._target.adopt(instrument, {"value": f"fleet.{name}"})
         stats: dict[str, FleetStat] = {}
         for name, instruments in merged.items():
             kinds = {type(i) for i in instruments}
             if len(kinds) != 1:  # pragma: no cover - shards are uniform
                 continue
             first = instruments[0]
-            fleet_name = f"fleet.{name}"
-            if isinstance(first, Counter):
-                values = [i.value for i in instruments]
-                total = sum(values)
-                fleet = self._target.counter(fleet_name)
-                if total < fleet.value:
-                    fleet.reset()
-                if total > fleet.value:
-                    fleet.inc(total - fleet.value)
-                stats[name] = FleetStat(name, total, tuple(values))
-            elif isinstance(first, Gauge):
-                values = [i.value for i in instruments]
-                total = sum(values)
-                self._target.gauge(fleet_name).set(total)
-                stats[name] = FleetStat(name, total, tuple(values))
-            elif isinstance(first, Histogram):
-                fleet = self._target.histogram(fleet_name)
+            if isinstance(first, Histogram):
+                fleet = self._target.histogram(f"fleet.{name}")
                 fleet.reset()
                 for hist in instruments:
                     fleet.merge_from(hist)
+                continue
+            values = [i.value for i in instruments]
+            total = sum(values)
+            if isinstance(first, Gauge):
+                self._target.gauge(f"fleet.{name}").set(total)
+            stats[name] = FleetStat(name, total, tuple(values))
         self.stats = stats
         heat = [
             sum(

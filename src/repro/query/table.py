@@ -11,6 +11,7 @@ notify cached indexes so stale cache entries are invalidated through the
 from __future__ import annotations
 
 import struct
+from itertools import starmap
 from operator import itemgetter
 from typing import Iterator, Union
 
@@ -484,15 +485,16 @@ class Table:
         """
         # Lazy: repro.columnar ↔ repro.query would cycle at import time
         # (core.encoding's package init imports Table for migrate).
-        from repro.columnar.executor import aggregate_rows, normalize_specs
+        from repro.columnar.executor import (
+            aggregate_rows,
+            normalize_specs,
+            spec_label,
+        )
 
         self.tracer.tick()
         predicate = predicate if predicate is not None else _EVERY_ROW
         normalized = tuple(normalize_specs(specs, self.schema))
-        labels = tuple(
-            "count" if op == "count" else f"{op}({column})"
-            for op, column in normalized
-        )
+        labels = tuple(starmap(spec_label, normalized))
         plan = None
         trace: dict[str, object] = {"table": self.name}
         if use_columnar and self.columnar is not None:

@@ -44,16 +44,12 @@ from repro.storage.page import (
 from repro.storage.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 #: The pool's own counts the registry reads (``MetricsRegistry.adopt``),
-#: each beside what :meth:`BufferPool.reset_counters` took from it, so
-#: ``bufferpool.*`` sums the whole run with no pool -> registry reference
-#: (that cycle would leave every dropped engine to the cycle collector).
+#: with no pool -> registry reference (that cycle would leave every
+#: dropped engine to the cycle collector).
 _ADOPTED = {
     "hits": "bufferpool.hit",
     "misses": "bufferpool.miss",
     "evictions": "bufferpool.eviction",
-    "_reset_hits": "bufferpool.hit",
-    "_reset_misses": "bufferpool.miss",
-    "_reset_evictions": "bufferpool.eviction",
 }
 
 
@@ -127,7 +123,6 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._reset_hits = self._reset_misses = self._reset_evictions = 0
         #: page id -> CRC32 of the bytes this pool last wrote back; the
         #: freshness half of validation (catches stuck pages whose stale
         #: contents still carry an internally consistent stamp).
@@ -193,17 +188,6 @@ class BufferPool:
             for f in self._frames.values()
             if f.dirty and f.rec_lsn > 0
         ]
-
-    def reset_counters(self) -> None:
-        """Zero ``hits``/``misses``/``evictions`` between experiment
-        phases.  Each count is first moved to
-        its ``_reset_*`` twin, so the ``bufferpool.*`` counters keep summing
-        the whole run; :meth:`MetricsRegistry.reset` is the one way to zero
-        those."""
-        self._reset_hits += self.hits
-        self._reset_misses += self.misses
-        self._reset_evictions += self.evictions
-        self.hits = self.misses = self.evictions = 0
 
     # -- page lifecycle ------------------------------------------------------
 

@@ -95,6 +95,7 @@ MAX_CALLS_PLAIN_INSERT = 180  # likewise; no counted insert splits a leaf
 MAX_CALLS_FILL = 44  # ``a``: geometry, one classification pass, the policy
 MAX_CALLS_COLUMNAR_QUERY_AFTER_WRITE = 139  # one scan + one aggregate
 MAX_CALLS_ROW_SCAN_PER_ROW = 7.19  # calls / rows, page brackets included
+MAX_CALLS_ROW_AGGREGATE_PER_ROW = 7.2125  # likewise; the fold adds none
 MAX_CALLS_FILL_PER_SLOT = 1  # ``b``
 
 
@@ -319,3 +320,18 @@ def test_row_scan_stays_under_its_per_row_call_budget():
     calls = count_calls(scan)
     assert len(rows) == revision.num_rows == 1_200
     assert calls / len(rows) <= MAX_CALLS_ROW_SCAN_PER_ROW, calls
+
+
+def test_row_aggregate_stays_under_its_per_row_call_budget():
+    """``shard_fleet``'s aggregate by the row executor: the fold reads
+    each spec column once per row and calls nothing per row."""
+    _, revision = _wal_revision_table()
+    specs = [("count", None), ("sum", "rev_len"), ("max", "rev_id")]
+
+    def aggregate():
+        return revision.aggregate(specs, use_columnar=False)
+
+    answer = aggregate()  # first use builds the span's histogram
+    calls = count_calls(aggregate)
+    assert answer["count"] == revision.num_rows == 1_200
+    assert calls / revision.num_rows <= MAX_CALLS_ROW_AGGREGATE_PER_ROW, calls

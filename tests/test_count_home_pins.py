@@ -41,15 +41,15 @@ OBS_PINS = {
     ),
     "report": (
         {
-            68: "fleet.wal.bytes                               7066",
-            70: "fleet.wal.flushes                             16",
+            68: "fleet.wal.bytes                               7794",
+            70: "fleet.wal.flushes                             18",
         },
         "da049551a7e966de3bb467aace323519154bb70ba98ceccf0b95ba42ac487734",
     ),
     "export": (
         {
-            372: '        "bytes": 7066,',
-            374: '        "flushes": 16,',
+            372: '        "bytes": 7794,',
+            374: '        "flushes": 18,',
         },
         "702608ca3621aa15909fb5f726e28d5093a5f4da83c6ea5dfbf82a1d343a9881",
     ),

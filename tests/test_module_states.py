@@ -347,8 +347,7 @@ def test_no_parameter_is_set_by_nobody():
 #: holds, and why.
 INSTRUMENT_RESETS = {
     ("obs/rollup.py", "FleetRollup.refresh"):
-        "rebuilds fleet.* from the shard registries: each histogram is "
-        "re-merged, a counter above the shard sum is reset and raised to it",
+        "each fleet histogram is re-merged",
 }
 
 #: Names of the per-component reset paths ``MetricsRegistry.reset`` replaced.
@@ -541,9 +540,11 @@ def _adopted_fields(src_root: Path) -> set[tuple[str, tuple[str, ...], str]]:
                     continue
                 holder, fields = call.args
                 fields = consts.get(getattr(fields, "id", None), fields)
-                chain = _chain(holder)
-                assert chain and chain[0] == "self", ast.unparse(call)
                 assert isinstance(fields, ast.Dict), ast.unparse(call)
+                chain = _chain(holder)
+                if [key.value for key in fields.keys] == ["value"]:
+                    continue  # another registry's Counter: read, never written
+                assert chain and chain[0] == "self", ast.unparse(call)
                 for key in fields.keys:
                     adopted.add((cls.name, tuple(chain[1:]), key.value))
     return adopted
@@ -552,8 +553,7 @@ def _adopted_fields(src_root: Path) -> set[tuple[str, tuple[str, ...], str]]:
 def _foreign_writes(src_root: Path) -> list[str]:
     """Assignments to an adopted holder's field outside the class that
     adopted it (``index.stats.hits = 0``, ``pool.misses = 0``): a count the
-    registry reads must only grow, except through the owner's own method
-    (``BufferPool.reset_counters`` moves its counts to adopted twins)."""
+    registry reads must only grow, except through the owner's own method."""
     adopted = _adopted_fields(src_root)
     writes = []
     for rel, owner, qual, fn in _functions(src_root):
@@ -586,11 +586,11 @@ def test_one_count_per_event():
     assert sorted(TWIN_COUNTS.keys() - twins) == []
     assert _delta_folds(SRC / "repro") == []
     assert _foreign_writes(SRC / "repro") == []
-    # the pool's 3 (+3 reset twins), CachedBTree 8, IndexCache 7,
+    # the pool's 3, CachedBTree 8, IndexCache 7,
     # CacheInvalidation 3, FkJoinCache 4, RecoveryStats 4, AdaptiveStats 6,
     # ColumnarStats 5, ProfilerCounts 1: a miscount means the lint stopped
     # seeing an adopt call
-    assert len(_adopted_fields(SRC / "repro")) == 44
+    assert len(_adopted_fields(SRC / "repro")) == 41
 
 
 # -- nothing only tests read ----------------------------------------------------
@@ -715,7 +715,7 @@ def test_lru_trace_is_pinned():
         pool.unpin(pids[-1], dirty=True)
     pool.flush_all()
     pool.drop_clean()
-    pool.reset_counters()
+    start = (pool.hits, pool.misses, pool.evictions)
     registry.reset()
 
     trace = [
@@ -737,7 +737,9 @@ def test_lru_trace_is_pinned():
             pool.unpin(held)
 
     assert "".join(victims) == LRU_VICTIMS
-    assert (pool.hits, pool.misses, pool.evictions) == (76, 124, 120)
+    assert (pool.hits, pool.misses, pool.evictions) == tuple(
+        n + m for n, m in zip(start, (76, 124, 120))
+    )
     pool.drop_clean()
     temperature = registry.get("bufferpool.page_temperature")
     assert temperature.nonzero_buckets() == [(2.0, 59), (4.0, 64), (8.0, 1)]

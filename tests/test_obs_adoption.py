@@ -4,11 +4,10 @@
 counters, so ``Counter.value`` is the direct ``inc()`` total plus every
 adopted field.  Each case below fails on a plausible wrong design: a
 fresh counter per adoption, a reset that only zeroes the direct part, a
-``reset_counters`` that drops its counts, a null registry that holds its
-holders, an adoption taken before the constructor's refusals, a
-component adopted whole instead of through a holder of ints (a shared
-registry would then keep the engine alive), or two healers that do not
-sum.
+null registry that holds its holders, an adoption taken before the
+constructor's refusals, a component adopted whole instead of through a
+holder of ints (a shared registry would then keep the engine alive), or
+two healers that do not sum.
 """
 
 from __future__ import annotations
@@ -46,13 +45,11 @@ SCHEMA = Schema.of(
 PROJECT = ("id", "score")
 
 
-def _pool(registry, pages: int = 1) -> tuple[BufferPool, list[int]]:
+def _pool(registry) -> tuple[BufferPool, list[int]]:
     pool = BufferPool(SimulatedDisk(256), 4, registry=registry)
-    pids = []
-    for _ in range(pages):
-        pids.append(pool.new_page(PageType.HEAP).page_id)
-        pool.unpin(pids[-1], dirty=True)
-    return pool, pids
+    pid = pool.new_page(PageType.HEAP).page_id
+    pool.unpin(pid, dirty=True)
+    return pool, [pid]
 
 
 def _touch(pool: BufferPool, page_id: int, times: int = 1) -> None:
@@ -113,23 +110,6 @@ def test_two_pools_on_one_registry_sum():
     assert registry.counter("bufferpool.hit").value == 2 + 5 + 1
 
 
-def test_reset_counters_hands_the_phase_over_to_the_registry():
-    registry = MetricsRegistry()
-    pool, pids = _pool(registry, pages=6)  # 6 pages through 4 frames
-    for pid in pids:
-        _touch(pool, pid)
-    run = (pool.hits, pool.misses, pool.evictions)
-    assert run[1] and run[2]
-    pool.reset_counters()
-    assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
-    _touch(pool, pids[-1], 3)
-    assert pool.hits == 3  # the phase
-    counts = registry.snapshot()["bufferpool"]
-    assert (counts["hit"], counts["miss"], counts["eviction"]) == (
-        run[0] + 3, run[1], run[2]
-    )  # the whole run
-
-
 def test_a_component_on_the_null_registry_counts_and_is_not_held():
     pool, (pid,) = _pool(NULL_REGISTRY)
     _touch(pool, pid, 2)
@@ -151,7 +131,6 @@ def test_a_dropped_pool_and_its_registry_need_no_cycle_collector():
         registry = MetricsRegistry()
         pool, (pid,) = _pool(registry)
         _touch(pool, pid, 2)
-        pool.reset_counters()
         ref = weakref.ref(pool)
         del pool, registry
         assert ref() is None

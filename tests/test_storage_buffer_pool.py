@@ -340,16 +340,6 @@ def test_capacity_validation():
         BufferPool(disk, 0)
 
 
-def test_reset_counters():
-    pool, _ = make_pool()
-    pid = pool.new_page(PageType.HEAP).page_id
-    pool.unpin(pid)
-    pool.fetch(pid)
-    pool.unpin(pid)
-    pool.reset_counters()
-    assert pool.hits == pool.misses == pool.evictions == 0
-
-
 def test_reset_counters_keeps_obs_counters_by_default():
     from repro.obs import MetricsRegistry
 
@@ -360,9 +350,6 @@ def test_reset_counters_keeps_obs_counters_by_default():
     pool.unpin(pid)
     pool.fetch(pid)
     pool.unpin(pid)
-    pool.reset_counters()
-    # Local phase counters reset; the run-wide obs counters keep summing.
-    assert pool.hits == 0
     snap = registry.snapshot()["bufferpool"]
     assert snap["hit"] == 1
     assert snap["resident_pages"] == len(pool._frames)
@@ -396,8 +383,7 @@ def test_frames_share_bytes_between_views():
 
 
 def test_reset_counters_resets_fault_counters_when_asked():
-    """``registry.reset()`` zeroes the faults.* family the pool bumps;
-    the pool's own ``reset_counters`` leaves it alone."""
+    """``registry.reset()`` zeroes the faults.* family the pool bumps."""
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -408,7 +394,6 @@ def test_reset_counters_resets_fault_counters_when_asked():
     registry.counter("faults.recovered").inc(2)
     registry.counter("faults.unrecoverable").inc(1)
     registry.counter("faults.retries").inc(5)
-    pool.reset_counters()   # default: faults.* keeps accumulating
     snap = registry.snapshot()["faults"]
     assert snap == {"detected": 3, "recovered": 2,
                     "unrecoverable": 1, "retries": 5}
