@@ -243,6 +243,10 @@ def run_observed_workload(
             db.flush_wals()
         else:
             db.wal.flush()
+    if rollup is not None:
+        # After the final flush, so the merged histograms and the counters
+        # the report prints beside them read one instant.
+        rollup.refresh()
     return ObservedRun(
         registry=registry,
         profiler=QueryProfiler.fold(shard_profilers) if shards else profiler,

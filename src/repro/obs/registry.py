@@ -70,10 +70,11 @@ class Counter:
 
     def reset(self) -> None:
         """Read 0 from here on; adopted fields keep their own counts, and
-        an adopted :class:`Counter` is zeroed by its own registry."""
+        an adopted instrument (a :class:`Counter`, a :class:`Histogram`'s
+        count) is zeroed by its own registry."""
         self._direct = -sum(
             getattr(holder, field) for holder, field in self._sources
-            if not isinstance(holder, Counter)
+            if not isinstance(holder, (Counter, Histogram))
         )
 
 
@@ -269,10 +270,15 @@ class MetricsRegistry:
         alive to do so.  Several holders may feed one name (two pools sum
         into ``bufferpool.hit``), and one field may feed several names.  A
         holder may be another registry's :class:`Counter` (field
-        ``value``), as each ``fleet.<counter>`` adopts its shards'.
+        ``value``), as each ``fleet.<counter>`` adopts its shards', or a
+        :class:`Histogram` (field ``count``).  Adopting a pair the counter
+        already reads is a no-op: two facades on one registry share its
+        ``shard.fanout.shards`` histogram, and count it once.
         """
         for field, name in fields.items():
-            self.counter(name)._sources.append((holder, field))
+            sources = self.counter(name)._sources
+            if not any(h is holder and f == field for h, f in sources):
+                sources.append((holder, field))
 
     # -- introspection -------------------------------------------------------
 

@@ -524,7 +524,7 @@ class Table:
         # Two spares keep ``itemgetter``'s result a tuple; ``zip`` drops them.
         pick = itemgetter(*map(names.index, fields), 0, 0)
         whole = fields == project  # the decoded dict is the answer's row
-        for _, record in self.heap.scan():
+        for record in self.heap.records():
             try:
                 row = dict(zip(fields, pick(codec.unpack(record))))
             except struct.error:  # a wrong length: the codec's own refusal

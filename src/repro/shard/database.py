@@ -25,7 +25,7 @@ recovers to exactly one owner (:mod:`repro.shard.recovery`, DESIGN.md §5i).
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -101,14 +101,20 @@ class ShardedTable:
         #: when the first index is created or restored.
         self.routing_index: str | None = None
         self.routing_key: KeyCodec | None = None
+        #: Each shard's own :class:`Table`, resolved once, so an op reaches
+        #: shard ``i``'s with no catalog walk.  The facade builds a new
+        #: sharded table whenever the shards' tables are created or
+        #: recovered, so the list never outlives them.
+        self._on: list[Table] = [db.table(name) for db in sdb.shards]
+        self._every = range(len(self._on))
 
     @property
     def num_rows(self) -> int:
-        return sum(self.shard_table(i).num_rows for i in self._all_shards())
+        return sum(table.num_rows for table in self._on)
 
     def shard_table(self, i: int) -> Table:
         """The shard-local :class:`Table` living on shard ``i``."""
-        return self._sdb.shard(i).table(self.name)
+        return self._on[i]
 
     # -- routing -------------------------------------------------------------
 
@@ -124,63 +130,48 @@ class ShardedTable:
         self._require_routing()
         return self.routing_key.key_of_row(row)
 
-    def _route(self, key: object) -> int:
-        router = self._sdb.router
-        shard = router.shard_of(key)
-        router.record_access(key)
-        if self._sdb.trace is not None:
-            # Routing runs before the op's root span is minted: the hop
-            # waits for the bracket (``_charge``) to put it in the baggage.
-            self._sdb._pending_hops.append(shard)
-        return shard
+    def _everywhere(self, fn, *args) -> list:
+        """The bracket's calls of ``fn`` on every shard's table, in order."""
+        return [(i, fn, (table, *args)) for i, table in enumerate(self._on)]
 
-    def _owners(self, index_name: str, key_value: object) -> list[int]:
-        """Which shards a keyed op asks: the routed one on the routing
-        index; on any other (still unique) index the owner is unknown, so
-        every shard in order."""
+    def _keyed(self, op: str, index_name: str, key_value, fn, args, answered):
+        """A keyed op: the routed owner on the routing index; on any other
+        (still unique) index the owner is unknown, so every shard in order,
+        up to the first whose result ``answered`` accepts.  Returns the
+        last result."""
+        sdb = self._sdb
         if index_name == self.routing_index:
-            return [self._route(key_value)]
-        return self._all_shards()
-
-    def _all_shards(self) -> list[int]:
-        return list(range(self._sdb.n_shards))
-
-    def _fan_out(self, op: str, shards: list[int], call, answered=None, **baggage):
-        """The one bracket of every op: charge ``shards`` (all of them — a
-        broadcast occupies every machine it was sent to) and run
-        ``call(i)`` on each in order, up to the first result ``answered``
-        accepts.  Returns the results gathered, for the op's gather rule."""
-        results = []
-        with self._sdb._charge(shards, op=op, table=self.name, **baggage):
-            for i in shards:
-                results.append(self._sdb._call(i, call, i))
-                if answered is not None and answered(results[-1]):
-                    break
-        return results
+            shard = sdb.router.route(key_value)
+            shards = (shard,)
+            calls = ((shard, fn, (self._on[shard], *args)),)
+        else:
+            shards = self._every
+            calls = self._everywhere(fn, *args)
+        return sdb._fan_out(op, shards, calls, answered, table=self.name)[-1]
 
     # -- writes --------------------------------------------------------------
 
     def insert(self, row: dict[str, object]):
-        return self._fan_out(
-            "insert", [self._route(self.key_of_row(row))],
-            lambda i: self.shard_table(i).insert(row),
+        sdb = self._sdb
+        shard = sdb.router.route(self.key_of_row(row))
+        return sdb._fan_out(
+            "insert", (shard,), ((shard, Table.insert, (self._on[shard], row)),),
+            table=self.name,
         )[-1]
 
     def update(
         self, index_name: str, key_value: object, changes: dict[str, object]
     ) -> bool:
-        return self._fan_out(
-            "update", self._owners(index_name, key_value),
-            lambda i: self.shard_table(i).update(index_name, key_value, changes),
-            answered=bool,
-        )[-1]
+        return self._keyed(
+            "update", index_name, key_value, Table.update,
+            (index_name, key_value, changes), bool,
+        )
 
     def delete(self, index_name: str, key_value: object) -> bool:
-        return self._fan_out(
-            "delete", self._owners(index_name, key_value),
-            lambda i: self.shard_table(i).delete(index_name, key_value),
-            answered=bool,
-        )[-1]
+        return self._keyed(
+            "delete", index_name, key_value, Table.delete,
+            (index_name, key_value), bool,
+        )
 
     # -- reads ---------------------------------------------------------------
 
@@ -191,11 +182,10 @@ class ShardedTable:
         project: tuple[str, ...] | None = None,
     ):
         """The owner's result, or the last shard's miss."""
-        return self._fan_out(
-            "lookup", self._owners(index_name, key_value),
-            lambda i: self.shard_table(i).lookup(index_name, key_value, project),
-            answered=_found,
-        )[-1]
+        return self._keyed(
+            "lookup", index_name, key_value, Table.lookup,
+            (index_name, key_value, project), _found,
+        )
 
     def lookup_many(
         self,
@@ -212,16 +202,21 @@ class ShardedTable:
         """
         if index_name != self.routing_index:
             return [self.lookup(index_name, k, project) for k in key_values]
+        route = self._sdb.router.route
         by_shard: dict[int, list[int]] = {}
         for pos, key in enumerate(key_values):
-            by_shard.setdefault(self._route(key), []).append(pos)
+            by_shard.setdefault(route(key), []).append(pos)
         shards = sorted(by_shard)
-        batches = self._fan_out(
+        batches = self._sdb._fan_out(
             "lookup_many", shards,
-            lambda i: self.shard_table(i).lookup_many(
-                index_name, [key_values[p] for p in by_shard[i]], project
-            ),
-            batch=len(key_values),
+            [
+                (i, Table.lookup_many, (
+                    self._on[i], index_name,
+                    [key_values[p] for p in by_shard[i]], project,
+                ))
+                for i in shards
+            ],
+            table=self.name, batch=len(key_values),
         )
         results: list = [None] * len(key_values)
         for i, got in zip(shards, batches):
@@ -247,14 +242,16 @@ class ShardedTable:
         project_out = self.schema.names if project is None else tuple(project)
         fetch = tuple(dict.fromkeys(project_out + self.routing_key.columns))
         sort_key = self.routing_key.key_of_row
-        streams = self._fan_out(
-            "scan", self._all_shards(),
-            lambda i: sorted(
-                self.shard_table(i).scan(
-                    predicate, fetch, use_columnar=use_columnar
-                ),
+
+        def sorted_scan(table: Table) -> list:
+            return sorted(
+                table.scan(predicate, fetch, use_columnar=use_columnar),
                 key=sort_key,
-            ),
+            )
+
+        streams = self._sdb._fan_out(
+            "scan", self._every, self._everywhere(sorted_scan),
+            table=self.name,
         )
         merged = heapq.merge(*streams, key=sort_key)
         if fetch == project_out:
@@ -287,11 +284,10 @@ class ShardedTable:
             else:
                 partial.append((op, column))
         partial = list(dict.fromkeys(partial))
-        pieces = self._fan_out(
-            "aggregate", self._all_shards(),
-            lambda i: self.shard_table(i).aggregate(
-                partial, predicate, use_columnar
-            ),
+        pieces = self._sdb._fan_out(
+            "aggregate", self._every,
+            self._everywhere(Table.aggregate, partial, predicate, use_columnar),
+            table=self.name,
         )
         def total(label: str):
             return sum(p[label] for p in pieces)
@@ -368,7 +364,6 @@ class ShardedDatabase:
         self.trace = None
         self.journal = None
         self.rollup = None
-        self._pending_hops: list[int] = []
 
         if _adopt is not None:
             dbs, regs, router = _adopt
@@ -414,8 +409,10 @@ class ShardedDatabase:
             ]
         self._m_count = metrics.gauge("shard.count")
         self._m_count.set(float(len(self._dbs)))
-        self._m_fanout_ops = metrics.counter("shard.fanout.ops")
         self._m_fanout_shards = metrics.histogram("shard.fanout.shards")
+        # One count per fan-out: ``shard.fanout.ops`` is the width
+        # histogram's own count.
+        metrics.adopt(self._m_fanout_shards, {"count": "shard.fanout.ops"})
         self._m_rebalances = metrics.counter("shard.rebalance.runs")
         self._m_keys_moved = metrics.counter("shard.rebalance.keys_moved")
         self._m_intents = metrics.counter("shard.migration.intents")
@@ -496,6 +493,7 @@ class ShardedDatabase:
             )
             for i, db in enumerate(self._dbs):
                 db.attach_tracing(self.trace, shard=i)
+            self.router.hops = []
             if self.journal is not None:
                 self.journal.trace_source = self.trace
         return self.trace
@@ -560,23 +558,82 @@ class ShardedDatabase:
             "fragment_hits": val("columnar.cache.hits"),
         }
 
-    # -- internals -----------------------------------------------------------
+    # -- the bracket -----------------------------------------------------------
 
-    def _call(self, i: int, fn, *args, **kwargs):
-        """Delegate one engine call to shard ``i``, healing if armed.
+    def _fan_out(self, op: str, shards, calls, answered=None, **baggage) -> list:
+        """The one bracket of every facade op and every key migration.
 
-        Under an active trace the call runs inside a ``shard.exec``
-        fan-out span tagged with the shard id and the work it caused
-        there (pages touched, WAL bytes, cache/fragment hits, rows).
+        Runs ``calls`` — ``(shard, fn, args)`` — in order, up to the first
+        result ``answered`` accepts, and returns the results.  Charges
+        ``shards`` (all of them: a broadcast occupies every machine it was
+        sent to) by advancing :attr:`sim_now_ns` by the slowest one's
+        cost-model delta, and records the fan-out width, also when a call
+        raises.  Unarmed, a call is ``fn(*args)`` and the loops here call
+        nothing.  With tracing armed the block runs under a root span
+        ``shard.<op>`` whose context carries the router's pending hops and
+        ``baggage``, annotated with the width on exit; with tracing or
+        recovery armed each shard call goes through :meth:`_call`.  Shard
+        ``None`` marks facade-side work (a migration's body), which makes
+        its own shard calls through :meth:`_call`.
         """
+        dbs = self._dbs
+        starts = []
+        width = 0
+        for i in shards:
+            starts += (dbs[i].cost_model.now_ns,)
+            width += 1
+        trace = self.trace
+        root = None
+        if trace is not None:
+            hops, self.router.hops = self.router.hops, []
+            if hops and trace.active is not None:
+                for hop in hops:
+                    trace.record_hop(hop)
+            elif hops:
+                baggage["hops"] = hops
+            root = trace.begin(f"shard.{op}", baggage=baggage)
+        armed = trace is not None or self._use_recovery
+        results = []
+        error = False
+        try:
+            for i, fn, args in calls:
+                if armed and i is not None:
+                    result = self._call(i, fn, args)
+                else:
+                    result = fn(*args)
+                results += (result,)
+                if answered is not None and answered(result):
+                    break
+        except BaseException:
+            error = True
+            raise
+        finally:
+            elapsed = 0.0
+            for i, start in zip(shards, starts):
+                delta = dbs[i].cost_model.now_ns - start
+                if delta > elapsed:
+                    elapsed = delta
+            self.sim_now_ns += elapsed
+            self._m_fanout_shards.record(width)
+            if root is not None:
+                trace.annotate(fanout=width)
+                trace.end(root, error)
+        return results
+
+    def _call(self, i: int, fn, args: tuple):
+        """One armed shard call: healed through shard ``i``'s recovery
+        manager when recovery is on, and, under an active trace, run
+        inside a ``shard.exec`` span tagged with the shard id and the work
+        it caused there (pages touched, WAL bytes, cache/fragment hits,
+        rows)."""
         trace = self.trace
         traced = trace is not None and trace.active is not None
         before = self._shard_work(i) if traced else None
         with trace.span("shard.exec", shard=i) if traced else _INERT as span:
             if self._use_recovery:
-                result = self._dbs[i].recovery.call(fn, *args, **kwargs)
+                result = self._dbs[i].recovery.call(fn, *args)
             else:
-                result = fn(*args, **kwargs)
+                result = fn(*args)
             if traced:
                 span.attrs.update({
                     k: v - before[k]
@@ -585,41 +642,6 @@ class ShardedDatabase:
                 if isinstance(result, list):
                     span.attrs["rows"] = len(result)
         return result
-
-    @contextmanager
-    def _charge(self, ids: list[int], op: str | None = None, **baggage):
-        """Advance the parallel sim clock by max over involved shards.
-
-        With tracing armed and ``op`` given, the whole block runs under
-        a root span named ``shard.<op>`` whose context carries the
-        pending router hops and ``baggage``; the root is annotated with
-        the fan-out width on exit.
-        """
-        trace = self.trace if op is not None else None
-        root = _INERT
-        if trace is not None:
-            hops = self._pending_hops
-            self._pending_hops = []
-            if hops and trace.active is not None:
-                for hop in hops:
-                    trace.record_hop(hop)
-            elif hops:
-                baggage["hops"] = hops
-            root = trace.trace(f"shard.{op}", **baggage)
-        with root:
-            starts = [self._dbs[i].cost_model.now_ns for i in ids]
-            try:
-                yield
-            finally:
-                deltas = [
-                    self._dbs[i].cost_model.now_ns - start
-                    for i, start in zip(ids, starts)
-                ]
-                self.sim_now_ns += max(deltas, default=0.0)
-                self._m_fanout_ops.inc()
-                self._m_fanout_shards.record(len(ids))
-                if trace is not None:
-                    trace.annotate(fanout=len(ids))
 
     # -- DDL (fans out to every shard) ---------------------------------------
 
@@ -719,7 +741,7 @@ class ShardedDatabase:
 
     def _migrate_key(self, key: object, src: int, dst: int) -> int:
         """Copy-then-delete one key from ``src`` to ``dst``, riding both
-        shards' WALs.
+        shards' WALs, in one bracket charged to both shards.
 
         Protocol (per table holding the key): (1) append a SHARD_MIGRATE
         intent to the *destination* log; (2) insert the copy there; (3)
@@ -733,38 +755,43 @@ class ShardedDatabase:
         """
         seq = self._migration_seq
         self._migration_seq += 1
-        src_db, dst_db = self._dbs[src], self._dbs[dst]
-        moved = 0
-        with self._charge([src, dst], op="migrate_key", src=src, dst=dst):
-            for name, stable in self._tables.items():
-                if stable.routing_index is None:
-                    continue
-                found = self._call(
-                    src, src_db.table(name).lookup, stable.routing_index, key
-                )
-                if not found.found:
-                    continue
-                row = dict(found.values)
-                intent = {
-                    "table": name, "key": json_safe_key(key),
-                    "src": src, "dst": dst, "seq": seq,
-                }
-                if dst_db.wal is not None:
-                    dst_db.wal.log_shard_migrate(intent)
-                    self._m_intents.inc()
-                if self.journal is not None:
-                    self.journal.emit("migration.intent", shard=dst, **intent)
-                self._call(dst, dst_db.table(name).insert, row)
-                if dst_db.wal is not None:
-                    dst_db.wal.flush()
-                self._call(
-                    src, src_db.table(name).delete, stable.routing_index, key
-                )
-                moved += 1
-                if self.journal is not None:
-                    self.journal.emit("migration.commit", shard=dst, **intent)
+        moved = self._fan_out(
+            "migrate_key", (src, dst),
+            ((None, self._move_key, (key, src, dst, seq)),),
+            src=src, dst=dst,
+        )[0]
         if moved:
             self._m_migrations.inc()
+        return moved
+
+    def _move_key(self, key: object, src: int, dst: int, seq: int) -> int:
+        """:meth:`_migrate_key`'s body, inside its bracket: the protocol
+        for every sharded table; returns the rows moved."""
+        dst_wal = self._dbs[dst].wal
+        moved = 0
+        for name, stable in self._tables.items():
+            index = stable.routing_index
+            if index is None:
+                continue
+            found = self._call(src, Table.lookup, (stable._on[src], index, key))
+            if not found.found:
+                continue
+            intent = {
+                "table": name, "key": json_safe_key(key),
+                "src": src, "dst": dst, "seq": seq,
+            }
+            if dst_wal is not None:
+                dst_wal.log_shard_migrate(intent)
+                self._m_intents.inc()
+            if self.journal is not None:
+                self.journal.emit("migration.intent", shard=dst, **intent)
+            self._call(dst, Table.insert, (stable._on[dst], dict(found.values)))
+            if dst_wal is not None:
+                dst_wal.flush()
+            self._call(src, Table.delete, (stable._on[src], index, key))
+            moved += 1
+            if self.journal is not None:
+                self.journal.emit("migration.commit", shard=dst, **intent)
         return moved
 
     # -- invariants -----------------------------------------------------------

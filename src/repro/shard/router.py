@@ -104,8 +104,13 @@ class ShardRouter:
         self._overrides: dict[object, int] = {}
         #: The live access tracker (``zipf`` mode only).
         self.tracker = AccessTracker(decay=decay) if mode == "zipf" else None
+        #: Operations routed (``shard.router.routes``).
+        self.routes = 0
+        #: Hops routed but not yet claimed by a trace root: a list while
+        #: the facade's tracing is armed, None otherwise.
+        self.hops: list[int] | None = None
         reg = resolve_registry(registry)
-        self._m_routes = reg.counter("shard.router.routes")
+        reg.adopt(self, {"routes": "shard.router.routes"})
         self._m_overrides = reg.gauge("shard.router.overrides")
 
     # -- placement -----------------------------------------------------------
@@ -123,13 +128,31 @@ class ShardRouter:
 
     def shard_of(self, key: object) -> int:
         """Route one operation on ``key`` (counts ``shard.router.routes``)."""
-        self._m_routes.inc()
+        self.routes += 1
         return self.placement(key)
 
     def record_access(self, key: object) -> None:
         """Feed the zipf-mode tracker; a no-op in hash/range modes."""
         if self.tracker is not None:
             self.tracker.record(key)
+
+    def route(self, key: object) -> int:
+        """:meth:`shard_of` and :meth:`record_access` in one call — the
+        facade's: count the route, place the key (override, else base,
+        spelled out so a route is one frame), feed the zipf-mode tracker
+        and, with tracing armed, queue the hop for the next trace root."""
+        self.routes += 1
+        if key in self._overrides:
+            shard = self._overrides[key]
+        elif self.mode == "range":
+            shard = bisect_right(self._boundaries, key)
+        else:
+            shard = stable_key_hash(key) % self.n_shards
+        if self.tracker is not None:
+            self.tracker.record(key)
+        if self.hops is not None:
+            self.hops.append(shard)
+        return shard
 
     def advance_epoch(self) -> None:
         """Decay tracked counts one epoch (zipf mode; no-op otherwise)."""

@@ -171,6 +171,15 @@ class HeapFile:
                 for slot, data in page.records():
                     yield Rid(page_id, slot), data
 
+    def records(self) -> Iterator[bytes]:
+        """Every live record's bytes in page order: :meth:`scan` for a
+        reader of rows alone (the row executor), with no ``Rid`` built
+        per row."""
+        for page_id in self._page_ids:
+            with self.pool.page(page_id) as page:
+                for _, data in page.records():
+                    yield data
+
     def adopt_pages(self, page_ids: list[int]) -> None:
         """Take ownership of existing heap pages (WAL-replay restore).
 
