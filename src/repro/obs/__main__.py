@@ -244,8 +244,7 @@ def run_observed_workload(
         else:
             db.wal.flush()
     if rollup is not None:
-        # After the final flush, so the merged histograms and the counters
-        # the report prints beside them read one instant.
+        # after the final flush: merged histograms and counters, one instant
         rollup.refresh()
     return ObservedRun(
         registry=registry,

@@ -271,9 +271,7 @@ class MetricsRegistry:
         into ``bufferpool.hit``), and one field may feed several names.  A
         holder may be another registry's :class:`Counter` (field
         ``value``), as each ``fleet.<counter>`` adopts its shards', or a
-        :class:`Histogram` (field ``count``).  Adopting a pair the counter
-        already reads is a no-op: two facades on one registry share its
-        ``shard.fanout.shards`` histogram, and count it once.
+        :class:`Histogram` (``count``); adopting a pair twice counts it once.
         """
         for field, name in fields.items():
             sources = self.counter(name)._sources

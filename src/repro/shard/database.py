@@ -25,11 +25,9 @@ recovers to exactly one owner (:mod:`repro.shard.recovery`, DESIGN.md §5i).
 from __future__ import annotations
 
 import heapq
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.btree.keycodec import KeyCodec
 from repro.btree.tree import SPLIT_FRACTION
 from repro.errors import QueryError
 from repro.obs.registry import (
@@ -48,8 +46,6 @@ from repro.wal.log import GROUP_COMMIT_RECORDS
 #: Heap-pool frames per shard unless told otherwise; a recovered fleet
 #: gets the same.
 SHARD_POOL_PAGES = 256
-#: What an unarmed bracket enters instead of a span (stateless, so shared).
-_INERT = nullcontext()
 #: A lookup is answered by the shard that found the key.
 _found = attrgetter("found")
 
@@ -97,16 +93,16 @@ class ShardedTable:
         self._sdb = sdb
         self.name = name
         self.schema = schema
-        #: Name + key maker of the routing (first/identity) index; set
-        #: when the first index is created or restored.
-        self.routing_index: str | None = None
-        self.routing_key: KeyCodec | None = None
-        #: Each shard's own :class:`Table`, resolved once, so an op reaches
-        #: shard ``i``'s with no catalog walk.  The facade builds a new
-        #: sharded table whenever the shards' tables are created or
-        #: recovered, so the list never outlives them.
+        #: Shard ``i``'s own :class:`Table` is ``_on[i]``: no catalog walk
+        #: per op (the facade builds a new sharded table on every create or
+        #: recovery, so the list never outlives the tables).
         self._on: list[Table] = [db.table(name) for db in sdb.shards]
         self._every = range(len(self._on))
+        #: Name + key maker of the routing (first/identity) index; set
+        #: when the first index is created, or here for a recovered table.
+        names = self._on[0].index_names
+        self.routing_index = names[0] if names else None
+        self.routing_key = self._on[0].index(names[0]).key_codec if names else None
 
     @property
     def num_rows(self) -> int:
@@ -135,29 +131,22 @@ class ShardedTable:
         return [(i, fn, (table, *args)) for i, table in enumerate(self._on)]
 
     def _keyed(self, op: str, index_name: str, key_value, fn, args, answered):
-        """A keyed op: the routed owner on the routing index; on any other
+        """The routed owner's result on the routing index; on any other
         (still unique) index the owner is unknown, so every shard in order,
-        up to the first whose result ``answered`` accepts.  Returns the
-        last result."""
-        sdb = self._sdb
-        if index_name == self.routing_index:
-            shard = sdb.router.route(key_value)
-            shards = (shard,)
-            calls = ((shard, fn, (self._on[shard], *args)),)
+        up to the first whose result ``answered`` accepts."""
+        if index_name != self.routing_index:
+            calls, shards = self._everywhere(fn, *args), self._every
         else:
-            shards = self._every
-            calls = self._everywhere(fn, *args)
-        return sdb._fan_out(op, shards, calls, answered, table=self.name)[-1]
+            shards = (self._sdb.router.shard_of(key_value),)
+            calls = ((shards[0], fn, (self._on[shards[0]], *args)),)
+        return self._sdb._fan_out(op, shards, calls, answered, table=self.name)[-1]
 
     # -- writes --------------------------------------------------------------
 
     def insert(self, row: dict[str, object]):
-        sdb = self._sdb
-        shard = sdb.router.route(self.key_of_row(row))
-        return sdb._fan_out(
-            "insert", (shard,), ((shard, Table.insert, (self._on[shard], row)),),
-            table=self.name,
-        )[-1]
+        shard = self._sdb.router.shard_of(self.key_of_row(row))
+        calls = ((shard, Table.insert, (self._on[shard], row)),)
+        return self._sdb._fan_out("insert", (shard,), calls, table=self.name)[-1]
 
     def update(
         self, index_name: str, key_value: object, changes: dict[str, object]
@@ -202,21 +191,15 @@ class ShardedTable:
         """
         if index_name != self.routing_index:
             return [self.lookup(index_name, k, project) for k in key_values]
-        route = self._sdb.router.route
+        route = self._sdb.router.shard_of
         by_shard: dict[int, list[int]] = {}
         for pos, key in enumerate(key_values):
             by_shard.setdefault(route(key), []).append(pos)
         shards = sorted(by_shard)
+        calls = [(i, Table.lookup_many, (self._on[i], index_name, [
+            key_values[p] for p in by_shard[i]], project)) for i in shards]
         batches = self._sdb._fan_out(
-            "lookup_many", shards,
-            [
-                (i, Table.lookup_many, (
-                    self._on[i], index_name,
-                    [key_values[p] for p in by_shard[i]], project,
-                ))
-                for i in shards
-            ],
-            table=self.name, batch=len(key_values),
+            "lookup_many", shards, calls, table=self.name, batch=len(key_values)
         )
         results: list = [None] * len(key_values)
         for i, got in zip(shards, batches):
@@ -410,8 +393,7 @@ class ShardedDatabase:
         self._m_count = metrics.gauge("shard.count")
         self._m_count.set(float(len(self._dbs)))
         self._m_fanout_shards = metrics.histogram("shard.fanout.shards")
-        # One count per fan-out: ``shard.fanout.ops`` is the width
-        # histogram's own count.
+        # One count per fan-out: the width histogram's.
         metrics.adopt(self._m_fanout_shards, {"count": "shard.fanout.ops"})
         self._m_rebalances = metrics.counter("shard.rebalance.runs")
         self._m_keys_moved = metrics.counter("shard.rebalance.keys_moved")
@@ -437,12 +419,7 @@ class ShardedDatabase:
 
     def _restore_tables(self) -> None:
         for table in self._dbs[0].catalog.tables():
-            stable = ShardedTable(self, table.name, table.schema)
-            names = table.index_names
-            if names:
-                stable.routing_index = names[0]
-                stable.routing_key = table.index(names[0]).key_codec
-            self._tables[table.name] = stable
+            self._tables[table.name] = ShardedTable(self, table.name, table.schema)
 
     # -- properties ----------------------------------------------------------
 
@@ -561,21 +538,15 @@ class ShardedDatabase:
     # -- the bracket -----------------------------------------------------------
 
     def _fan_out(self, op: str, shards, calls, answered=None, **baggage) -> list:
-        """The one bracket of every facade op and every key migration.
-
-        Runs ``calls`` — ``(shard, fn, args)`` — in order, up to the first
-        result ``answered`` accepts, and returns the results.  Charges
-        ``shards`` (all of them: a broadcast occupies every machine it was
-        sent to) by advancing :attr:`sim_now_ns` by the slowest one's
-        cost-model delta, and records the fan-out width, also when a call
-        raises.  Unarmed, a call is ``fn(*args)`` and the loops here call
-        nothing.  With tracing armed the block runs under a root span
-        ``shard.<op>`` whose context carries the router's pending hops and
-        ``baggage``, annotated with the width on exit; with tracing or
-        recovery armed each shard call goes through :meth:`_call`.  Shard
-        ``None`` marks facade-side work (a migration's body), which makes
-        its own shard calls through :meth:`_call`.
-        """
+        """The one bracket of every op and key migration: run ``calls``
+        (``(shard, fn, args)``) in order up to the first result ``answered``
+        accepts, add the slowest of ``shards``' clock deltas to
+        :attr:`sim_now_ns` (all of them: a broadcast occupies every machine
+        it was sent to) and record the width, also when a call raises.
+        Unarmed a call is ``fn(*args)`` and the loops call nothing; armed,
+        a root span ``shard.<op>`` carries the router's hops and
+        ``baggage``, and each shard call goes through :meth:`_call`.  Shard
+        ``None`` is facade-side work (a migration's body)."""
         dbs = self._dbs
         starts = []
         width = 0
@@ -621,26 +592,23 @@ class ShardedDatabase:
         return results
 
     def _call(self, i: int, fn, args: tuple):
-        """One armed shard call: healed through shard ``i``'s recovery
-        manager when recovery is on, and, under an active trace, run
-        inside a ``shard.exec`` span tagged with the shard id and the work
-        it caused there (pages touched, WAL bytes, cache/fragment hits,
-        rows)."""
+        """One shard call, healed when recovery is on and, under an active
+        trace, inside a ``shard.exec`` span carrying the work it caused on
+        shard ``i`` (pages touched, WAL bytes, cache/fragment hits, rows)."""
+        if self._use_recovery:
+            fn, args = self._dbs[i].recovery.call, (fn, *args)
         trace = self.trace
-        traced = trace is not None and trace.active is not None
-        before = self._shard_work(i) if traced else None
-        with trace.span("shard.exec", shard=i) if traced else _INERT as span:
-            if self._use_recovery:
-                result = self._dbs[i].recovery.call(fn, *args)
-            else:
-                result = fn(*args)
-            if traced:
-                span.attrs.update({
-                    k: v - before[k]
-                    for k, v in self._shard_work(i).items() if v != before[k]
-                })
-                if isinstance(result, list):
-                    span.attrs["rows"] = len(result)
+        if trace is None or trace.active is None:
+            return fn(*args)
+        before = self._shard_work(i)
+        with trace.span("shard.exec", shard=i) as span:
+            result = fn(*args)
+            span.attrs.update({
+                k: v - before[k]
+                for k, v in self._shard_work(i).items() if v != before[k]
+            })
+            if isinstance(result, list):
+                span.attrs["rows"] = len(result)
         return result
 
     # -- DDL (fans out to every shard) ---------------------------------------
@@ -755,18 +723,14 @@ class ShardedDatabase:
         """
         seq = self._migration_seq
         self._migration_seq += 1
-        moved = self._fan_out(
-            "migrate_key", (src, dst),
-            ((None, self._move_key, (key, src, dst, seq)),),
-            src=src, dst=dst,
-        )[0]
+        calls = ((None, self._move_key, (key, src, dst, seq)),)
+        moved = self._fan_out("migrate_key", (src, dst), calls, src=src, dst=dst)[0]
         if moved:
             self._m_migrations.inc()
         return moved
 
     def _move_key(self, key: object, src: int, dst: int, seq: int) -> int:
-        """:meth:`_migrate_key`'s body, inside its bracket: the protocol
-        for every sharded table; returns the rows moved."""
+        """:meth:`_migrate_key`'s body: the protocol for every table."""
         dst_wal = self._dbs[dst].wal
         moved = 0
         for name, stable in self._tables.items():

@@ -49,7 +49,7 @@ def stable_key_hash(key: object) -> int:
         raw = "\x1f".join(repr(part) for part in key)
     else:
         raw = repr(key)
-    return zlib.crc32(raw.encode("utf-8"))
+    return zlib.crc32(bytes(raw, "utf-8"))  # a type call: no frame
 
 
 class ShardRouter:
@@ -104,10 +104,9 @@ class ShardRouter:
         self._overrides: dict[object, int] = {}
         #: The live access tracker (``zipf`` mode only).
         self.tracker = AccessTracker(decay=decay) if mode == "zipf" else None
-        #: Operations routed (``shard.router.routes``).
+        #: Operations routed (``shard.router.routes``); and, while the
+        #: facade's tracing is armed, the hops no trace root claimed yet.
         self.routes = 0
-        #: Hops routed but not yet claimed by a trace root: a list while
-        #: the facade's tracing is armed, None otherwise.
         self.hops: list[int] | None = None
         reg = resolve_registry(registry)
         reg.adopt(self, {"routes": "shard.router.routes"})
@@ -127,32 +126,21 @@ class ShardRouter:
         return override if override is not None else self.base_shard(key)
 
     def shard_of(self, key: object) -> int:
-        """Route one operation on ``key`` (counts ``shard.router.routes``)."""
+        """Route one operation on ``key``: count it, place it, feed the
+        zipf-mode tracker and, while tracing is armed, queue the hop."""
         self.routes += 1
-        return self.placement(key)
-
-    def record_access(self, key: object) -> None:
-        """Feed the zipf-mode tracker; a no-op in hash/range modes."""
-        if self.tracker is not None:
-            self.tracker.record(key)
-
-    def route(self, key: object) -> int:
-        """:meth:`shard_of` and :meth:`record_access` in one call — the
-        facade's: count the route, place the key (override, else base,
-        spelled out so a route is one frame), feed the zipf-mode tracker
-        and, with tracing armed, queue the hop for the next trace root."""
-        self.routes += 1
-        if key in self._overrides:
-            shard = self._overrides[key]
-        elif self.mode == "range":
-            shard = bisect_right(self._boundaries, key)
-        else:
-            shard = stable_key_hash(key) % self.n_shards
+        over = self._overrides
+        shard = over[key] if key in over else self.base_shard(key)
         if self.tracker is not None:
             self.tracker.record(key)
         if self.hops is not None:
             self.hops.append(shard)
         return shard
+
+    def record_access(self, key: object) -> None:
+        """Feed the zipf-mode tracker alone; a no-op in hash/range modes."""
+        if self.tracker is not None:
+            self.tracker.record(key)
 
     def advance_epoch(self) -> None:
         """Decay tracked counts one epoch (zipf mode; no-op otherwise)."""
@@ -208,7 +196,3 @@ class ShardRouter:
         else:
             self._overrides[key] = dst
         self._m_overrides.set(float(len(self._overrides)))
-
-    def set_override(self, key: object, shard: int) -> None:
-        """Install an override directly (recovery's residency rebuild)."""
-        self.apply_move(key, shard)

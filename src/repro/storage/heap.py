@@ -172,9 +172,7 @@ class HeapFile:
                     yield Rid(page_id, slot), data
 
     def records(self) -> Iterator[bytes]:
-        """Every live record's bytes in page order: :meth:`scan` for a
-        reader of rows alone (the row executor), with no ``Rid`` built
-        per row."""
+        """:meth:`scan` without a ``Rid`` per row, for the row executor."""
         for page_id in self._page_ids:
             with self.pool.page(page_id) as page:
                 for _, data in page.records():

@@ -1,7 +1,7 @@
 """The facade's one router call and the shard tables its ops reach.
 
-``ShardRouter.route`` is ``shard_of`` and ``record_access`` in one call
-(plus the pending trace hop when tracing is armed), and every
+``ShardRouter.shard_of`` counts the route, places the key, feeds the zipf
+tracker and, with tracing armed, queues the hop, in one call; every
 :class:`ShardedTable` op reaches its shard's :class:`Table` by index,
 with no catalog walk: the list is resolved when the facade creates or
 recovers the table.  A fan-out is counted once, as the width histogram's
@@ -34,7 +34,7 @@ def _fleet(wal: bool = False, metrics=None) -> tuple[ShardedDatabase, object]:
 
 
 @pytest.mark.parametrize("mode", ["hash", "zipf", "range"])
-def test_route_is_shard_of_and_record_access_in_one_call(mode):
+def test_a_route_counts_places_feeds_the_tracker_and_queues_the_hop(mode):
     boundaries = (9, 40) if mode == "range" else None
     keys = [k for k in KEYS if isinstance(k, int)] if mode == "range" else KEYS
     one = ShardRouter(3, mode=mode, boundaries=boundaries)
@@ -42,17 +42,16 @@ def test_route_is_shard_of_and_record_access_in_one_call(mode):
     one.apply_move(9, (one.placement(9) + 1) % 3)
     two.apply_move(9, (two.placement(9) + 1) % 3)
     for key in keys:
-        routed = one.route(key)
-        assert routed == two.shard_of(key) == two.placement(key)
+        assert one.shard_of(key) == two.placement(key)
         two.record_access(key)
-    assert one.routes == two.routes == len(keys)
+    assert one.routes == len(keys)
     if mode == "zipf":
         assert [one.tracker.count_of(k) for k in keys] == [
             two.tracker.count_of(k) for k in keys
         ]
     assert one.hops is None  # nothing queued while tracing is off
     one.hops = []
-    assert [one.route(k) for k in keys[:3]] == one.hops
+    assert [one.shard_of(k) for k in keys[:3]] == one.hops
 
 
 def test_shard_tables_are_reached_without_a_catalog_walk(monkeypatch):
