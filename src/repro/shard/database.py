@@ -196,8 +196,8 @@ class ShardedTable:
         for pos, key in enumerate(key_values):
             by_shard.setdefault(route(key), []).append(pos)
         shards = sorted(by_shard)
-        calls = [(i, Table.lookup_many, (self._on[i], index_name, [
-            key_values[p] for p in by_shard[i]], project)) for i in shards]
+        calls = [(i, Table.lookup_many, (self._on[i], index_name,
+                  [key_values[p] for p in by_shard[i]], project)) for i in shards]
         batches = self._sdb._fan_out(
             "lookup_many", shards, calls, table=self.name, batch=len(key_values)
         )
