@@ -205,7 +205,7 @@ def recover_sharded(
     overrides = 0
     for key, owner in owners.items():
         if owner != router.base_shard(key):
-            router.apply_move(key, owner)
+            router.set_override(key, owner)
             overrides += 1
 
     sdb.flush_wals()

@@ -196,3 +196,7 @@ class ShardRouter:
         else:
             self._overrides[key] = dst
         self._m_overrides.set(float(len(self._overrides)))
+
+    def set_override(self, key: object, shard: int) -> None:
+        """Install an override directly (recovery's residency rebuild)."""
+        self.apply_move(key, shard)
