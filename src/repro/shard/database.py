@@ -134,11 +134,11 @@ class ShardedTable:
         """The routed owner's result on the routing index; on any other
         (still unique) index the owner is unknown, so every shard in order,
         up to the first whose result ``answered`` accepts."""
-        if index_name != self.routing_index:
-            calls, shards = self._everywhere(fn, *args), self._every
+        if index_name == self.routing_index:
+            shard = self._sdb.router.shard_of(key_value)
+            shards, calls = (shard,), ((shard, fn, (self._on[shard], *args)),)
         else:
-            shards = (self._sdb.router.shard_of(key_value),)
-            calls = ((shards[0], fn, (self._on[shards[0]], *args)),)
+            shards, calls = self._every, self._everywhere(fn, *args)
         return self._sdb._fan_out(op, shards, calls, answered, table=self.name)[-1]
 
     # -- writes --------------------------------------------------------------
