@@ -149,7 +149,9 @@ class Histogram:
         self._max = float("-inf")
 
     def record(self, value: float) -> None:
-        self._buckets[bucket_index(value)] += 1
+        # bucket_index's rule inline: no frame and no min per record.
+        index = 0 if value < 1 else int(value).bit_length()
+        self._buckets[index if index < HISTOGRAM_BUCKETS else -1] += 1
         self.count += 1
         self.sum += value
         if value < self._min:

@@ -2,12 +2,12 @@
 
 A crash can land at any byte of any shard's log, including mid-migration
 (after the ``SHARD_MIGRATE`` intent and copy-insert are durable on the
-destination but before the source's delete is).  Per-shard
-:func:`repro.wal.replay.recover` restores each engine to its own durable
-prefix — which, for an in-flight migration, can leave a key resident on
-*two* shards, on the *wrong* shard, or split across shards for different
-co-partitioned tables.  :func:`recover_sharded` resolves all of that to
-exactly one owner per key:
+destination but before the source's delete is).  Per-shard replay
+(:mod:`repro.wal.replay`, from one scan of each log) restores each engine
+to its own durable prefix — which, for an in-flight migration, can leave
+a key resident on *two* shards, on the *wrong* shard, or split across
+shards for different co-partitioned tables.  :func:`recover_sharded`
+resolves all of that to exactly one owner per key:
 
 1. **Residency walk** — scan every shard's copy of every table and build
    ``key -> {table: [shards holding it]}``.
@@ -42,8 +42,10 @@ from repro.obs.registry import (
 )
 from repro.shard.database import SHARD_POOL_PAGES, ShardedDatabase, key_from_json
 from repro.shard.router import ShardRouter, stable_key_hash
-from repro.wal.record import RecordType, scan_wal
-from repro.wal.replay import RecoveryReport, recover, wal_device
+from repro.storage.constants import DEFAULT_PAGE_SIZE
+from repro.wal.log import GROUP_COMMIT_RECORDS
+from repro.wal.record import RecordType
+from repro.wal.replay import RecoveryReport, _open_log, _replay
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,15 @@ def recover_sharded(
     m_reloc = metrics.counter("shard.recovery.relocations")
     m_overrides = metrics.counter("shard.recovery.overrides_rebuilt")
 
-    # -- 0. harvest durable migration intents before replay mutates logs ----
-    # (replay truncates torn tails only, but read first for clarity; the
-    # valid prefix is identical either way).
-    intents: list[dict] = []
-    for i, wal in enumerate(wals):
-        for rec in scan_wal(wal_device(wal).data).records:
-            if rec.rtype is RecordType.SHARD_MIGRATE:
-                intents.append(dict(rec.meta))
+    # -- 0. open every log once: its one decode yields the durable
+    # migration intents here and feeds the shard's replay below.
+    opened = [_open_log(wal, shard_metrics[i]) for i, wal in enumerate(wals)]
+    intents = [
+        dict(rec.meta)
+        for _device, scan, _ns in opened
+        for rec in scan.records
+        if rec.rtype is RecordType.SHARD_MIGRATE
+    ]
     max_seq = max((int(m["seq"]) for m in intents), default=0)
 
     last = journal.last(1) if journal is not None else []
@@ -126,13 +129,12 @@ def recover_sharded(
 
     # -- 1. per-shard replay -------------------------------------------------
     dbs, reports = [], []
-    for i, wal in enumerate(wals):
-        db, report = recover(
-            wal,
-            data_pool_pages=SHARD_POOL_PAGES,
-            seed=seed + i,
-            metrics=shard_metrics[i],
-            journal=journal,
+    for i, (device, scan, open_ns) in enumerate(opened):
+        db, report = _replay(
+            device, scan, open_ns, disk=None, page_size=DEFAULT_PAGE_SIZE,
+            data_pool_pages=SHARD_POOL_PAGES, seed=seed + i,
+            metrics=shard_metrics[i], retry_policy=None,
+            group_commit_records=GROUP_COMMIT_RECORDS, journal=journal,
             journal_shard=i,
         )
         dbs.append(db)

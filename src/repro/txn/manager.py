@@ -47,7 +47,6 @@ from repro.errors import (
     TxnStateError,
 )
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.wal.record import RecordType, scan_wal
 
 #: Version-chain key: ``(table_name, encoded_identity_key)``.
 VKey = tuple
@@ -71,19 +70,12 @@ class TransactionManager:
         self._pending: dict[VKey, int] = {}
         self._active: dict[int, Session] = {}
         self._next_session_id = 1
-        # Continue the txn-id / CSN sequences of whatever the WAL already
-        # holds (a manager over a recovered database must not reuse ids).
-        max_txn = 0
-        max_csn = 0
-        if db.wal is not None:
-            for rec in scan_wal(db.wal.all_bytes()).records:
-                if rec.txn_id > max_txn:
-                    max_txn = rec.txn_id
-                if rec.rtype is RecordType.TXN_COMMIT:
-                    max_csn = max(max_csn, rec.csn)
-        self._next_txn_id = max_txn + 1
+        # Continue the txn-id / CSN sequences from the writer's marks
+        # (a manager over a recovered database must not reuse ids).
+        wal = db.wal
+        self._next_txn_id = (wal.max_txn_id if wal is not None else 0) + 1
         #: CSN of the most recent commit (new snapshots read this).
-        self.current_csn = max_csn
+        self.current_csn = wal.max_csn if wal is not None else 0
         self._m_sessions = reg.counter("txn.sessions")
         self._m_begins = reg.counter("txn.begins")
         self._m_commits = reg.counter("txn.commits")

@@ -167,7 +167,8 @@ def run_wal_drill(
             live.update(oracle)
 
     db.wal.flush()
-    final_oracle = _oracle(scan_wal(db.wal.device.data).records)
+    durable = scan_wal(db.wal.device.data).records
+    final_oracle = _oracle(durable)
     got = {r["id"]: (r["name"], r["score"]) for r in table.scan()}
     wrong += sum(
         1 for k in set(final_oracle) | set(got)
@@ -180,7 +181,7 @@ def run_wal_drill(
         crashes=crashes_done,
         torn_tails=torn_tails,
         checkpoints=checkpoints,
-        records_durable=len(scan_wal(db.wal.device.data).records),
+        records_durable=len(durable),
         page_rebuilds=page_rebuilds,
         wrong_results=wrong,
         check_ok=check.ok,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.errors import SimulatedCrashError, WalError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.storage.heap import Rid
-from repro.wal.record import RecordType, WalRecord, encode_frame, scan_wal
+from repro.wal.record import RecordType, ScanResult, WalRecord, encode_frame
 
 #: Records per group-commit append unless told otherwise — one name for
 #: the writer, both database facades and recovery, so a restarted engine
@@ -101,6 +101,10 @@ class WalWriter:
     (see :mod:`repro.wal.record`) — and appends compensation records for
     whatever it undid, reusing the normal record types, so the log
     always redoes to the state the engine actually reached.
+
+    ``scan`` is recovery's one decode of ``device`` (a fresh device's is
+    empty): the writer continues its LSN, txn-id and CSN sequences from
+    it, and refuses one that does not cover the device.
     """
 
     def __init__(
@@ -108,10 +112,16 @@ class WalWriter:
         device: WalDevice | None = None,
         registry: MetricsRegistry | None = None,
         group_commit_records: int = GROUP_COMMIT_RECORDS,
+        scan: ScanResult = ScanResult(records=(), valid_bytes=0, torn=False),
     ) -> None:
         if group_commit_records < 1:
             raise WalError("group_commit_records must be >= 1")
         self.device = device if device is not None else WalDevice()
+        if scan.valid_bytes != self.device.size:
+            raise WalError(
+                f"scan covers {scan.valid_bytes} of the device's "
+                f"{self.device.size} bytes"
+            )
         #: Records per group-commit device append (the adaptive knob).
         self.group_commit_records = group_commit_records
         #: Optional §5j hooks: ``tracer`` is the owning engine's Tracer
@@ -125,12 +135,17 @@ class WalWriter:
         self.journal_shard: int | None = None
         self._buffer: list[bytes] = []
         self._buffered_lsn = 0
-        # Continue the LSN sequence of whatever the device already holds
-        # (a writer over a survived log after restart).
-        durable = scan_wal(self.device.data)
-        self._flushed_lsn = durable.max_lsn
+        records = scan.records
+        self._flushed_lsn = scan.max_lsn
         #: The LSN the next reservation will return.
-        self.next_lsn = durable.max_lsn + 1
+        self.next_lsn = scan.max_lsn + 1
+        #: Highest txn id and commit CSN logged: where a session manager
+        #: continues (DESIGN.md §5g).
+        self.max_txn_id = max((r.txn_id for r in records), default=0)
+        self.max_csn = max(
+            (r.csn for r in records if r.rtype is RecordType.TXN_COMMIT),
+            default=0,
+        )
         reg = resolve_registry(registry)
         self._m_records = reg.counter("wal.records")
         self._m_bytes = reg.counter("wal.bytes")
@@ -210,6 +225,8 @@ class WalWriter:
         ))
 
     def log_txn_begin(self, txn_id: int) -> int:
+        if txn_id > self.max_txn_id:
+            self.max_txn_id = txn_id
         return self._log(WalRecord(
             lsn=self.reserve_lsn(), rtype=RecordType.TXN_BEGIN,
             meta={"txn": txn_id}, txn_id=txn_id,
@@ -222,6 +239,8 @@ class WalWriter:
         from many sessions batch into one device append; a session that
         needs synchronous durability calls :meth:`flush` after.
         """
+        if csn > self.max_csn:
+            self.max_csn = csn
         return self._log(WalRecord(
             lsn=self.reserve_lsn(), rtype=RecordType.TXN_COMMIT,
             meta={"txn": txn_id, "csn": csn}, txn_id=txn_id,

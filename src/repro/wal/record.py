@@ -87,6 +87,11 @@ class RecordType(IntEnum):
     SHARD_MIGRATE = 12
 
 
+#: ``RecordType`` by its type byte, ``None`` for a byte no type owns: the
+#: scan reads a frame's type with one index, not an enum call.
+_TYPE_OF_BYTE = tuple(
+    next((t for t in RecordType if t == byte), None) for byte in range(256)
+)
 #: Record types that redo mutates heap pages for.
 HEAP_OP_TYPES = frozenset({RecordType.INSERT, RecordType.UPDATE, RecordType.DELETE})
 #: Transaction bracket records (JSON bodies carrying ``{"txn": id}``).
@@ -291,8 +296,10 @@ def scan_wal(data: bytes) -> ScanResult:
         if zlib.crc32(payload) != crc:
             break
         lsn = int.from_bytes(payload[:8], "little")
+        rtype = _TYPE_OF_BYTE[payload[8]]
+        if rtype is None:
+            break
         try:
-            rtype = RecordType(payload[8])
             record = _decode_body(lsn, rtype, payload[9:])
         except (ValueError, WalError, UnicodeDecodeError,
                 json.JSONDecodeError):

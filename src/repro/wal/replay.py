@@ -32,7 +32,7 @@ must not import this module — reach it as ``repro.wal.replay``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import CorruptPageError, WalError
 from repro.obs.registry import (
@@ -48,6 +48,7 @@ from repro.wal.log import GROUP_COMMIT_RECORDS, WalDevice, WalWriter
 from repro.wal.record import (
     HEAP_OP_TYPES,
     RecordType,
+    ScanResult,
     WalRecord,
     scan_wal,
 )
@@ -172,17 +173,6 @@ def _apply_heap_redo(page: SlottedPage, rec: WalRecord) -> bool:
     raise WalError(f"not a heap redo record: {rec.rtype!r}")  # pragma: no cover
 
 
-def wal_device(wal) -> WalDevice:
-    """The device behind a log given as a :class:`WalWriter` (whose
-    unflushed buffer dies with the "process"), a :class:`WalDevice`, or
-    raw bytes."""
-    if isinstance(wal, WalWriter):
-        return wal.device
-    if isinstance(wal, WalDevice):
-        return wal
-    return WalDevice(initial=bytes(wal))
-
-
 def recover(
     wal,
     *,
@@ -221,13 +211,47 @@ def recover(
         ``(database, report)`` — the database holds every committed
         (durable-LSN) write and nothing else, with all indexes rebuilt.
     """
-    from repro.query.database import Database  # late: avoids import cycle
-
-    started = time.perf_counter_ns()
     if metrics is None:
         ambient = get_default_registry()
         metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+    return _replay(
+        *_open_log(wal, metrics),
+        disk=disk, page_size=page_size, data_pool_pages=data_pool_pages,
+        seed=seed, metrics=metrics, retry_policy=retry_policy,
+        group_commit_records=group_commit_records, journal=journal,
+        journal_shard=journal_shard,
+    )
+
+
+def _open_log(
+    wal, metrics: MetricsRegistry
+) -> tuple[WalDevice, ScanResult, int]:
+    """Open a log given as a :class:`WalWriter` (whose unflushed buffer
+    dies with the "process"), a :class:`WalDevice` or raw bytes: decode
+    it once and truncate a torn tail.  Replay, the rebuilt writer and
+    sharded recovery's intents all read the returned scan; the int is
+    what the open took, in ns."""
+    started = time.perf_counter_ns()
     m_torn = metrics.counter("wal.torn_tail_truncations")
+    device = wal.device if isinstance(wal, WalWriter) else wal
+    if not isinstance(device, WalDevice):
+        device = WalDevice(initial=bytes(device))
+    scan = scan_wal(device.data)
+    if scan.torn:
+        device.truncate_at(scan.valid_bytes)
+        m_torn.inc()
+    return device, scan, time.perf_counter_ns() - started
+
+
+def _replay(
+    device: WalDevice, scan: ScanResult, open_ns: int, *, disk, page_size: int,
+    data_pool_pages: int, seed: int, metrics: MetricsRegistry, retry_policy,
+    group_commit_records: int, journal, journal_shard: int | None,
+):
+    """:func:`recover` past the open; ``replay_ns`` adds ``open_ns``."""
+    from repro.query.database import Database  # late: avoids import cycle
+
+    started = time.perf_counter_ns() - open_ns
     m_applied = metrics.counter("wal.replay.records_applied")
     m_rebuilds = metrics.counter("wal.replay.page_rebuilds")
     m_replay_ns = metrics.histogram("wal.replay.ns")
@@ -236,11 +260,6 @@ def recover(
     # detected == recovered + unrecoverable ledger balanced.
     m_recovered = metrics.counter("faults.recovered")
 
-    device = wal_device(wal)
-    scan = scan_wal(device.data)
-    if scan.torn:
-        device.truncate_at(scan.valid_bytes)
-        m_torn.inc()
     records = scan.records
     journal_events = []
 
@@ -306,6 +325,7 @@ def recover(
             device=device,
             registry=metrics,
             group_commit_records=group_commit_records,
+            scan=scan,
         ),
         disk=disk,
     )
@@ -435,8 +455,6 @@ def _rollback_in_flight(db, records, page_size: int) -> tuple[int, int]:
     slot, so reverse replay restores the original bytes even across
     repeated crash/recover cycles that already half-compensated).
     """
-    from repro.storage.heap import Rid
-
     seen: set[int] = set()
     resolved: set[int] = set()
     for rec in records:
@@ -463,30 +481,21 @@ def _rollback_in_flight(db, records, page_size: int) -> tuple[int, int]:
     pool = db.data_pool
     undo_records = 0
     for rec, pre in reversed(loser_ops):
-        rid = Rid(rec.page_id, rec.slot)
-        lsn = writer.reserve_lsn()
-        if rec.rtype is RecordType.DELETE:
-            if pre is None:  # pragma: no cover - delete of a dead slot
-                continue
-            comp = WalRecord(
-                lsn=lsn, rtype=RecordType.INSERT, table=rec.table,
-                page_id=rec.page_id, slot=rec.slot, payload=pre,
-                txn_id=rec.txn_id,
-            )
-            writer.log_insert(rec.table, rid, pre, lsn=lsn, txn_id=rec.txn_id)
-        elif pre is not None:
-            comp = WalRecord(
-                lsn=lsn, rtype=RecordType.UPDATE, table=rec.table,
-                page_id=rec.page_id, slot=rec.slot, payload=pre,
-                txn_id=rec.txn_id,
-            )
-            writer.log_update(rec.table, rid, pre, lsn=lsn, txn_id=rec.txn_id)
+        if pre is None and rec.rtype is RecordType.DELETE:  # pragma: no cover
+            continue  # a delete of a dead slot
+        # Undo an insert by a delete, a delete or an update by its
+        # pre-image: an ordinary heap record under the loser's txn id,
+        # logged and applied as the one record it is.
+        if pre is None:
+            rtype = RecordType.DELETE
+        elif rec.rtype is RecordType.DELETE:
+            rtype = RecordType.INSERT
         else:
-            comp = WalRecord(
-                lsn=lsn, rtype=RecordType.DELETE, table=rec.table,
-                page_id=rec.page_id, slot=rec.slot, txn_id=rec.txn_id,
-            )
-            writer.log_delete(rec.table, rid, lsn=lsn, txn_id=rec.txn_id)
+            rtype = RecordType.UPDATE
+        comp = replace(
+            rec, lsn=writer.reserve_lsn(), rtype=rtype, payload=pre or b""
+        )
+        writer._log(comp)
         _redo_one(pool, comp)
         undo_records += 1
     for txn_id in sorted(losers):

@@ -87,6 +87,20 @@ def test_histogram_bucket_boundaries():
     assert bucket_upper_bound(HISTOGRAM_BUCKETS - 1) == float("inf")
 
 
+def test_histogram_record_buckets_by_bucket_index():
+    # ``record`` inlines the rule; ``bucket_index`` is its one statement.
+    values = [0, 0.5, 1, 1.0, float(2**40) - 0.5, 2**62, 2**63, 2**64,
+              2**200, 1e300]
+    for k in range(1, 70):
+        values += [2**k - 1, 2**k, float(2**k) * (1 - 2**-52)]
+    for value in values:
+        h = MetricsRegistry().histogram("h")
+        h.record(value)
+        counts = h.bucket_counts()
+        assert counts.index(1) == bucket_index(value), value
+        assert sum(counts) == 1
+
+
 def test_histogram_summary_stats():
     reg = MetricsRegistry()
     h = reg.histogram("lat")
