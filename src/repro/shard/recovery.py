@@ -42,7 +42,6 @@ from repro.obs.registry import (
 )
 from repro.shard.database import SHARD_POOL_PAGES, ShardedDatabase, key_from_json
 from repro.shard.router import ShardRouter, stable_key_hash
-from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.wal.log import GROUP_COMMIT_RECORDS
 from repro.wal.record import RecordType
 from repro.wal.replay import RecoveryReport, _open_log, _replay
@@ -131,11 +130,9 @@ def recover_sharded(
     dbs, reports = [], []
     for i, (device, scan, open_ns) in enumerate(opened):
         db, report = _replay(
-            device, scan, open_ns, disk=None, page_size=DEFAULT_PAGE_SIZE,
-            data_pool_pages=SHARD_POOL_PAGES, seed=seed + i,
-            metrics=shard_metrics[i], retry_policy=None,
+            device, scan, open_ns, metrics=shard_metrics[i],
             group_commit_records=GROUP_COMMIT_RECORDS, journal=journal,
-            journal_shard=i,
+            journal_shard=i, data_pool_pages=SHARD_POOL_PAGES, seed=seed + i,
         )
         dbs.append(db)
         reports.append(report)

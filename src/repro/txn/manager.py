@@ -70,8 +70,8 @@ class TransactionManager:
         self._pending: dict[VKey, int] = {}
         self._active: dict[int, Session] = {}
         self._next_session_id = 1
-        # Continue the txn-id / CSN sequences from the writer's marks
-        # (a manager over a recovered database must not reuse ids).
+        # Start after the writer's high-water marks (a manager over a
+        # recovered database must not reuse ids).
         wal = db.wal
         self._next_txn_id = (wal.max_txn_id if wal is not None else 0) + 1
         #: CSN of the most recent commit (new snapshots read this).

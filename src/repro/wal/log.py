@@ -139,8 +139,8 @@ class WalWriter:
         self._flushed_lsn = scan.max_lsn
         #: The LSN the next reservation will return.
         self.next_lsn = scan.max_lsn + 1
-        #: Highest txn id and commit CSN logged: where a session manager
-        #: continues (DESIGN.md §5g).
+        #: Highest txn id and commit CSN in the log this writer opened
+        #: over: where its session manager starts (DESIGN.md §5g).
         self.max_txn_id = max((r.txn_id for r in records), default=0)
         self.max_csn = max(
             (r.csn for r in records if r.rtype is RecordType.TXN_COMMIT),
@@ -225,8 +225,6 @@ class WalWriter:
         ))
 
     def log_txn_begin(self, txn_id: int) -> int:
-        if txn_id > self.max_txn_id:
-            self.max_txn_id = txn_id
         return self._log(WalRecord(
             lsn=self.reserve_lsn(), rtype=RecordType.TXN_BEGIN,
             meta={"txn": txn_id}, txn_id=txn_id,
@@ -239,8 +237,6 @@ class WalWriter:
         from many sessions batch into one device append; a session that
         needs synchronous durability calls :meth:`flush` after.
         """
-        if csn > self.max_csn:
-            self.max_csn = csn
         return self._log(WalRecord(
             lsn=self.reserve_lsn(), rtype=RecordType.TXN_COMMIT,
             meta={"txn": txn_id, "csn": csn}, txn_id=txn_id,

@@ -215,11 +215,10 @@ def recover(
         ambient = get_default_registry()
         metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
     return _replay(
-        *_open_log(wal, metrics),
-        disk=disk, page_size=page_size, data_pool_pages=data_pool_pages,
-        seed=seed, metrics=metrics, retry_policy=retry_policy,
+        *_open_log(wal, metrics), metrics=metrics,
         group_commit_records=group_commit_records, journal=journal,
-        journal_shard=journal_shard,
+        journal_shard=journal_shard, disk=disk, page_size=page_size,
+        data_pool_pages=data_pool_pages, seed=seed, retry_policy=retry_policy,
     )
 
 
@@ -244,11 +243,12 @@ def _open_log(
 
 
 def _replay(
-    device: WalDevice, scan: ScanResult, open_ns: int, *, disk, page_size: int,
-    data_pool_pages: int, seed: int, metrics: MetricsRegistry, retry_policy,
-    group_commit_records: int, journal, journal_shard: int | None,
+    device: WalDevice, scan: ScanResult, open_ns: int, *,
+    metrics: MetricsRegistry, group_commit_records: int, journal,
+    journal_shard: int | None, disk=None, **engine,
 ):
-    """:func:`recover` past the open; ``replay_ns`` adds ``open_ns``."""
+    """:func:`recover` past the open: ``engine`` is the rest of the
+    rebuilt Database's configuration; ``replay_ns`` adds ``open_ns``."""
     from repro.query.database import Database  # late: avoids import cycle
 
     started = time.perf_counter_ns() - open_ns
@@ -316,11 +316,7 @@ def _replay(
                 pages_of[rec.table].append(rec.page_id)
 
     db = Database(
-        page_size=page_size,
-        data_pool_pages=data_pool_pages,
-        seed=seed,
         metrics=metrics,
-        retry_policy=retry_policy,
         wal=WalWriter(
             device=device,
             registry=metrics,
@@ -328,7 +324,9 @@ def _replay(
             scan=scan,
         ),
         disk=disk,
+        **engine,
     )
+    page_size = db.disk.page_size
 
     # -- redo ----------------------------------------------------------------
     pool = db.data_pool
@@ -390,9 +388,7 @@ def _replay(
     # reverse log order, closed by TXN_ABORT — so the log stays
     # redo-only and a crash *during this rollback* just leaves a longer
     # in-flight tail for the next recovery to converge on.
-    txns_rolled_back, undo_records = _rollback_in_flight(
-        db, records, page_size
-    )
+    txns_rolled_back, undo_records = _rollback_in_flight(db, records)
     if txns_rolled_back:
         metrics.counter("wal.replay.txn_rollbacks").inc(txns_rolled_back)
 
@@ -442,7 +438,7 @@ def _replay(
     return db, report
 
 
-def _rollback_in_flight(db, records, page_size: int) -> tuple[int, int]:
+def _rollback_in_flight(db, records) -> tuple[int, int]:
     """Undo every in-flight transaction's durable heap ops.
 
     A transaction is in flight when its heap ops appear in the durable
