@@ -715,8 +715,6 @@ def run_fault_drill(
         # invariant walk (which reports, rather than heals, corruption).
         for db, registry in zip(target.engines, target.registries):
             sweeper = RecoveryManager(db, max_heals=256, registry=registry)
-            sweeper.journal = db.recovery.journal
-            sweeper.journal_shard = db.recovery.journal_shard
             sweeper.call(lambda: sum(1 for _ in db.table(TABLE).scan()))
 
     health = None

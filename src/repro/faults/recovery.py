@@ -24,8 +24,9 @@ faults.unrecoverable`` ledger balanced: the pool counts each detection,
 and exactly one resolution is counted here (or in the pool's own
 corrective-re-read path) per detection.
 
-Duck-typed against the ``Database`` surface (catalog + tables + indexes)
-so the module imports nothing from ``repro.query``.
+Duck-typed against the ``Database`` surface (catalog + tables + indexes,
+and the tracer whose journal it emits into) so the module imports
+nothing from ``repro.query``.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ class RecoveryManager:
             raise RecoveryError("max_heals must be at least 1")
         self._db = database
         self.max_heals = max_heals
-        #: Optional repro.obs.events.EventJournal (+ the shard id this
-        #: engine runs as, None for a standalone database).  When set,
-        #: every detection/heal/unrecoverable transition it counts is
-        #: journaled; when None the fault path pays one is-None test.
-        self.journal = None
-        self.journal_shard: int | None = None
         self.stats = RecoveryStats()
         resolve_registry(registry).adopt(self.stats, {
             "recovered": "faults.recovered",
@@ -76,8 +71,12 @@ class RecoveryManager:
         })
 
     def _emit(self, kind: str, **payload) -> None:
-        if self.journal is not None:
-            self.journal.emit(kind, shard=self.journal_shard, **payload)
+        """Journal a transition it counts into the journal armed on the
+        database's tracer, under its shard id; with none armed the fault
+        path pays one is-None test."""
+        tracer = self._db.tracer
+        if tracer.journal is not None:
+            tracer.journal.emit(kind, shard=tracer.shard, **payload)
 
     def call(self, fn, *args, **kwargs):
         """Run ``fn``, healing and retrying on page corruption.

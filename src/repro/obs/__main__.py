@@ -142,13 +142,27 @@ def run_observed_workload(
         trace_collector = db.enable_tracing()
         journal = db.enable_events()
         rollup = db.enable_rollup()
-        schema = Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
-        table = db.create_table("t", schema)
-        # The cached index is created first, so it is the routing index:
-        # point ops touch one shard, scans and aggregates scatter.
-        db.create_cached_index("t", "pk_cache", ("k",), ("name", "n"))
-        for k in range(n_rows):
-            table.insert({"k": k, "name": f"r{k}", "n": k % 97})
+    else:
+        db = Database(
+            seed=seed, metrics=registry, data_pool_pages=pool_pages, wal=wal,
+        )
+        trace_collector = db.enable_tracing() if observe else None
+        journal = db.enable_events() if observe else None
+
+    def make_row(k: int) -> dict:
+        return {"k": k, "name": f"r{k}", "n": k % 97}
+
+    schema = Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
+    table = db.create_table("t", schema)
+    if not shards:
+        db.create_index("t", "pk", ("k",))
+    # Sharded, the cached index is the first one, so it is the routing
+    # index: point ops touch one shard, scans and aggregates scatter.
+    db.create_cached_index("t", "pk_cache", ("k",), ("name", "n"))
+    for k in range(n_rows):
+        table.insert(make_row(k))
+
+    if shards:
         shard_profilers = [
             db.shard(i).enable_profiling(slow_log_size=64)
             for i in range(shards)
@@ -166,21 +180,6 @@ def run_observed_workload(
         if columnar:
             db.enable_columnar()
     else:
-        db = Database(
-            seed=seed, metrics=registry, data_pool_pages=pool_pages, wal=wal,
-        )
-        if observe:
-            trace_collector = db.enable_tracing()
-            journal = db.enable_events()
-        else:
-            trace_collector = journal = None
-        schema = Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
-        table = db.create_table("t", schema)
-        db.create_index("t", "pk", ("k",))
-        db.create_cached_index("t", "pk_cache", ("k",), ("name", "n"))
-        for k in range(n_rows):
-            table.insert({"k": k, "name": f"r{k}", "n": k % 97})
-
         profiler = db.enable_profiling(slow_log_size=64)
         sampler = TelemetrySampler(
             registry, clock=db.cost_model, capacity=max(samples + 1, 16),
@@ -193,7 +192,7 @@ def run_observed_workload(
     trace = build_mixed_trace(
         n_ops,
         existing_keys=list(range(n_rows)),
-        make_row=lambda k: {"k": k, "name": f"r{k}", "n": k % 97},
+        make_row=make_row,
         make_changes=lambda k: {"n": (k * 31) % 1_000},
         next_key=lambda i: n_rows + i,
         alpha=alpha,

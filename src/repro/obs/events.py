@@ -18,9 +18,10 @@ carries the facade clock reading and, when one is active, the
 trees and sampler windows.
 
 Query surface: :meth:`EventJournal.query` filters by kind (exact or
-``fnmatch`` glob), shard, trace id, and time range.  Reports embed
-slices of it (``DrillReport.events``, ``RecoveryReport.events``) for
-crash forensics.  Off path: one ``is None`` test per emit site.
+``fnmatch`` glob), shard, trace id, and time range.  The drill report
+embeds a slice of it (``DrillReport.events``) for crash forensics;
+recovery reports carry none, since the journal already holds them.
+Off path: one ``is None`` test per emit site.
 """
 
 from __future__ import annotations
@@ -200,9 +201,6 @@ class EventJournal:
                 continue
             out.append(event)
         return out if limit is None else out[max(len(out) - limit, 0):]
-
-    def last(self, n: int = 1) -> list[EngineEvent]:
-        return list(self._ring)[max(len(self._ring) - n, 0):]
 
     def as_dicts(self, limit: int | None = None) -> list[dict[str, object]]:
         events = list(self._ring)

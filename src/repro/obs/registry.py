@@ -415,6 +415,17 @@ def resolve_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
     return registry if registry is not None else _default_registry
 
 
+def engine_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
+    """``registry`` if given, else the ambient default if one is
+    installed, else a fresh :class:`MetricsRegistry`: an engine always
+    counts, unless handed :data:`NULL_REGISTRY` explicitly."""
+    if registry is not None:
+        return registry
+    if _default_registry is not NULL_REGISTRY:
+        return _default_registry
+    return MetricsRegistry()
+
+
 #: A resolved clock: zero arguments, returns simulated nanoseconds.
 Clock = Callable[[], float]
 

@@ -58,9 +58,11 @@ class Tracer:
     tree, attributes and error flag live in the ``trace`` sink.  The
     sinks are plain attributes, ``None`` until armed: ``profiler`` (a §5e
     :class:`~repro.obs.profiler.QueryProfiler`), ``trace`` (a §5j
-    :class:`~repro.obs.trace.TraceCollector`, whose spans are tagged
-    with ``shard``, this engine's id under a sharded facade) and
-    ``ticker`` (anything with a ``tick()``: the §5f controller).
+    :class:`~repro.obs.trace.TraceCollector`), ``journal`` (a §5j
+    :class:`~repro.obs.events.EventJournal`, which the engine's emitters
+    read when they emit) and ``ticker`` (anything with a ``tick()``: the
+    §5f controller).  ``shard`` is this engine's id under a sharded
+    facade (``None`` standalone); it tags the engine's spans and events.
     """
 
     def __init__(
@@ -73,16 +75,19 @@ class Tracer:
         self._histograms: dict[str, Histogram] = {}
         self.profiler = None
         self.trace = None
+        self.journal = None
         self.shard: int | None = None
         self.ticker = None
 
-    def arm(self, profiler=None, trace=None, shard=None, ticker=None) -> None:
+    def arm(self, profiler=None, trace=None, journal=None, ticker=None) -> None:
         """Arm sinks, once per engine; those left ``None`` keep what they
-        had, and ``shard`` is set together with ``trace``."""
+        had."""
         if profiler is not None:
             self.profiler = profiler
         if trace is not None:
-            self.trace, self.shard = trace, shard
+            self.trace = trace
+        if journal is not None:
+            self.journal = journal
         if ticker is not None:
             self.ticker = ticker
 

@@ -21,11 +21,7 @@ from repro.core.index_cache.cached_index import CachedBTree
 from repro.core.index_cache.invalidation import LOG_THRESHOLD, CacheInvalidation
 from repro.core.index_cache.latching import LatchSimulator
 from repro.errors import CatalogError, QueryError
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    get_default_registry,
-)
+from repro.obs.registry import MetricsRegistry, engine_registry
 from repro.obs.tracer import Tracer
 from repro.query.table import AnyIndex, PlainIndex, Table
 from repro.schema.catalog import Catalog
@@ -110,9 +106,7 @@ class Database:
                 exclusive with ``fault_injector`` (pass a ready
                 :class:`~repro.faults.disk.FaultyDisk` instead).
         """
-        if metrics is None:
-            ambient = get_default_registry()
-            metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+        metrics = engine_registry(metrics)
         #: The registry every subsystem of this database emits into.
         self.metrics = metrics
         #: The injector driving this database's disk, if faults are wired.
@@ -151,7 +145,8 @@ class Database:
         self.cost_model = cost_model
         #: Span tracer charging simulated time from the cost model; the
         #: engine's one op bracket (DESIGN.md §5k): profiler, trace
-        #: collector and controller are armed on it, never per table.
+        #: collector, event journal and controller are armed on it,
+        #: never per table, and it holds the engine's shard id.
         self.tracer = Tracer(metrics, clock=cost_model)
         if self.wal is not None:
             self.wal.tracer = self.tracer
@@ -174,9 +169,6 @@ class Database:
         self._txn_manager = None
         #: The columnar manager, once :meth:`enable_columnar` has run.
         self.columnar = None
-        #: The §5j event journal, once :meth:`enable_events` has run.
-        self.journal = None
-        self._journal_shard: int | None = None
         #: Database-wide cache-fill admission fraction, pushed into every
         #: cached index (existing and future) by :meth:`set_cache_admission`.
         self.cache_admission = 1.0
@@ -202,6 +194,11 @@ class Database:
     def trace(self) -> "TraceCollector | None":
         """The §5j trace collector, once :meth:`enable_tracing` has run."""
         return self.tracer.trace
+
+    @property
+    def journal(self) -> "EventJournal | None":
+        """The §5j event journal, once :meth:`enable_events` has run."""
+        return self.tracer.journal
 
     @property
     def pool_partition(self) -> float:
@@ -419,24 +416,17 @@ class Database:
             ))
         return self.journal
 
-    def attach_tracing(self, collector, shard: int | None = None) -> None:
+    def attach_tracing(self, collector) -> None:
         """Adopt an externally owned trace collector (the sharded
-        facade's), tagging this engine's spans with ``shard``."""
-        self.tracer.arm(trace=collector, shard=shard)
+        facade's); spans carry the tracer's ``shard``."""
+        self.tracer.arm(trace=collector)
         if self.journal is not None:
             self.journal.trace_source = collector
 
-    def attach_events(self, journal, shard: int | None = None) -> None:
-        """Adopt an externally owned event journal (the sharded
-        facade's), tagging this engine's events with ``shard``."""
-        self.journal = journal
-        self._journal_shard = shard
-        if self.wal is not None:
-            self.wal.journal = journal
-            self.wal.journal_shard = shard
-        if self._recovery is not None:
-            self._recovery.journal = journal
-            self._recovery.journal_shard = shard
+    def attach_events(self, journal) -> None:
+        """Adopt an externally owned event journal (the sharded facade's,
+        or recovery's); events carry the tracer's ``shard``."""
+        self.tracer.arm(journal=journal)
         if self.tracer.ticker is not None:
             self.tracer.ticker.journal = journal
 
@@ -458,9 +448,6 @@ class Database:
             from repro.faults.recovery import RecoveryManager
 
             self._recovery = RecoveryManager(self, registry=self.metrics)
-            if self.journal is not None:
-                self._recovery.journal = self.journal
-                self._recovery.journal_shard = self._journal_shard
         return self._recovery
 
     def check(self) -> "CheckReport":

@@ -34,7 +34,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    get_default_registry,
+    engine_registry,
 )
 from repro.query.database import Database, require_empty_for_index
 from repro.query.table import Table
@@ -331,9 +331,7 @@ class ShardedDatabase:
                 shard's :class:`~repro.faults.recovery.RecoveryManager`
                 (heal + retry on corruption), like the fault drill does.
         """
-        if metrics is None:
-            ambient = get_default_registry()
-            metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+        metrics = engine_registry(metrics)
         #: The parent registry (the ``shard.*`` family lives here).
         self.metrics = metrics
         self._use_recovery = recovery
@@ -390,6 +388,10 @@ class ShardedDatabase:
                 )
                 for i in range(n_shards)
             ]
+        # Each engine's shard id lives once, on its tracer: its spans and
+        # journaled events read it there, whatever is armed and when.
+        for i, db in enumerate(self._dbs):
+            db.tracer.shard = i
         self._m_count = metrics.gauge("shard.count")
         self._m_count.set(float(len(self._dbs)))
         self._m_fanout_shards = metrics.histogram("shard.fanout.shards")
@@ -468,8 +470,8 @@ class ShardedDatabase:
                     i: db.cost_model for i, db in enumerate(self._dbs)
                 },
             )
-            for i, db in enumerate(self._dbs):
-                db.attach_tracing(self.trace, shard=i)
+            for db in self._dbs:
+                db.attach_tracing(self.trace)
             self.router.hops = []
             if self.journal is not None:
                 self.journal.trace_source = self.trace
@@ -491,8 +493,8 @@ class ShardedDatabase:
                 registry=self.metrics,
                 trace_source=self.trace,
             )
-            for i, db in enumerate(self._dbs):
-                db.attach_events(self.journal, shard=i)
+            for db in self._dbs:
+                db.attach_events(self.journal)
         return self.journal
 
     def enable_rollup(self):

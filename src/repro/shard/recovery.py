@@ -35,11 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    get_default_registry,
-)
+from repro.obs.registry import MetricsRegistry, engine_registry
 from repro.shard.database import SHARD_POOL_PAGES, ShardedDatabase, key_from_json
 from repro.shard.router import ShardRouter, stable_key_hash
 from repro.wal.log import GROUP_COMMIT_RECORDS
@@ -61,9 +57,6 @@ class ShardRecoveryReport:
     #: Router overrides reinstalled from physical residency.
     overrides_rebuilt: int
     keys_checked: int = 0
-    #: §5j journal records emitted during this recovery (as dicts, in
-    #: causal order) when a journal was passed in; empty otherwise.
-    events: tuple = ()
 
 
 def recover_sharded(
@@ -91,8 +84,8 @@ def recover_sharded(
             residency).
         journal: optional §5j :class:`~repro.obs.events.EventJournal` —
             each shard's replay phases plus the facade-level
-            reconciliation journal themselves into it, the rebuilt
-            facade adopts it, and the report carries the new records.
+            reconciliation journal themselves into it, and the rebuilt
+            facade and its shards keep journaling into it.
 
     Returns:
         ``(sharded_database, report)`` with exactly one owner per key;
@@ -102,8 +95,7 @@ def recover_sharded(
     n = len(wals)
     if n < 1:
         raise ValueError("need at least one shard WAL")
-    ambient = get_default_registry()
-    metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+    metrics = engine_registry(None)
     shard_metrics = [MetricsRegistry() for _ in range(n)]
 
     m_dups = metrics.counter("shard.recovery.duplicates_resolved")
@@ -121,8 +113,6 @@ def recover_sharded(
     ]
     max_seq = max((int(m["seq"]) for m in intents), default=0)
 
-    last = journal.last(1) if journal is not None else []
-    seq_watermark = last[0].seq if last else 0
     if journal is not None:
         journal.emit("recovery.begin", shards=n, intents=len(intents))
 
@@ -211,7 +201,6 @@ def recover_sharded(
     m_dups.inc(duplicates)
     m_reloc.inc(relocations)
     m_overrides.inc(overrides)
-    events: tuple = ()
     if journal is not None:
         journal.emit(
             "recovery.end",
@@ -221,13 +210,9 @@ def recover_sharded(
             overrides_rebuilt=overrides,
             keys_checked=len(owners),
         )
-        # The rebuilt facade keeps journaling into the same log.
+        # The rebuilt facade keeps journaling into the same log; each
+        # shard's replay already attached it to that shard.
         sdb.journal = journal
-        for i, db in enumerate(dbs):
-            db.attach_events(journal, shard=i)
-        events = tuple(
-            e.as_dict() for e in journal if e.seq > seq_watermark
-        )
     return sdb, ShardRecoveryReport(
         per_shard=tuple(reports),
         intents_seen=len(intents),
@@ -235,5 +220,4 @@ def recover_sharded(
         relocations=relocations,
         overrides_rebuilt=overrides,
         keys_checked=len(owners),
-        events=events,
     )

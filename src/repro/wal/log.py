@@ -124,15 +124,11 @@ class WalWriter:
             )
         #: Records per group-commit device append (the adaptive knob).
         self.group_commit_records = group_commit_records
-        #: Optional §5j hooks: ``tracer`` is the owning engine's Tracer
-        #: (flushes become spans of the trace collector armed on it);
-        #: ``journal`` is set by ``Database.enable_events`` (or the
-        #: sharded facade, which also sets ``journal_shard`` to this
-        #: engine's shard id).  Off path: one is-None test per
-        #: flush/checkpoint.
+        #: The owning engine's Tracer, the writer's one §5j hook:
+        #: flushes become spans of the trace collector armed on it, and
+        #: checkpoints are journaled into its journal under its shard id.
+        #: Off path: is-None tests, no call, per flush/checkpoint.
         self.tracer = None
-        self.journal = None
-        self.journal_shard: int | None = None
         self._buffer: list[bytes] = []
         self._buffered_lsn = 0
         records = scan.records
@@ -339,10 +335,11 @@ class WalWriter:
         self._log(WalRecord(lsn=lsn, rtype=RecordType.CHECKPOINT, meta=meta))
         self.flush()
         self._m_checkpoints.inc()
-        if self.journal is not None:
-            self.journal.emit(
+        tracer = self.tracer
+        if tracer is not None and tracer.journal is not None:
+            tracer.journal.emit(
                 "wal.checkpoint",
-                shard=self.journal_shard,
+                shard=tracer.shard,
                 lsn=lsn,
                 redo_from=meta["redo_from"],
             )

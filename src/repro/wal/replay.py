@@ -35,11 +35,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CorruptPageError, WalError
-from repro.obs.registry import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-    get_default_registry,
-)
+from repro.obs.registry import MetricsRegistry, engine_registry
 from repro.schema.schema import Column, Schema
 from repro.schema.types import PhysicalType, TypeKind
 from repro.storage.constants import DEFAULT_PAGE_SIZE, PageType
@@ -79,9 +75,6 @@ class RecoveryReport:
     txns_rolled_back: int = 0
     #: Compensation records appended for those rollbacks.
     undo_records: int = 0
-    #: §5j forensics: the ``recovery.*`` EngineEvents this recovery
-    #: emitted (as dicts), when a journal was passed to :func:`recover`.
-    events: tuple = ()
 
 
 def schema_from_meta(columns: list) -> Schema:
@@ -204,16 +197,16 @@ def recover(
             which continues the survived log device.
         journal: optional :class:`~repro.obs.events.EventJournal`; the
             recovery phases (``recovery.begin`` → ``recovery.redo`` →
-            ``recovery.end``) are journaled under ``journal_shard`` and
-            the emitted events ride back on ``report.events``.
+            ``recovery.end``) are journaled under ``journal_shard``, and
+            the rebuilt engine keeps journaling into it.
+        journal_shard: the rebuilt engine's shard id (its
+            ``tracer.shard``), which tags its spans and events.
 
     Returns:
         ``(database, report)`` — the database holds every committed
         (durable-LSN) write and nothing else, with all indexes rebuilt.
     """
-    if metrics is None:
-        ambient = get_default_registry()
-        metrics = ambient if ambient is not NULL_REGISTRY else MetricsRegistry()
+    metrics = engine_registry(metrics)
     return _replay(
         *_open_log(wal, metrics), metrics=metrics,
         group_commit_records=group_commit_records, journal=journal,
@@ -261,13 +254,10 @@ def _replay(
     m_recovered = metrics.counter("faults.recovered")
 
     records = scan.records
-    journal_events = []
 
     def _emit(kind: str, **payload) -> None:
         if journal is not None:
-            journal_events.append(
-                journal.emit(kind, shard=journal_shard, **payload)
-            )
+            journal.emit(kind, shard=journal_shard, **payload)
 
     _emit(
         "recovery.begin",
@@ -326,6 +316,7 @@ def _replay(
         disk=disk,
         **engine,
     )
+    db.tracer.shard = journal_shard
     page_size = db.disk.page_size
 
     # -- redo ----------------------------------------------------------------
@@ -418,7 +409,7 @@ def _replay(
     )
     if journal is not None:
         # The rebuilt engine keeps journaling into the same log.
-        db.attach_events(journal, shard=journal_shard)
+        db.attach_events(journal)
     report = RecoveryReport(
         valid_bytes=scan.valid_bytes,
         torn_tail=scan.torn,
@@ -433,7 +424,6 @@ def _replay(
         replay_ns=elapsed,
         txns_rolled_back=txns_rolled_back,
         undo_records=undo_records,
-        events=tuple(e.as_dict() for e in journal_events),
     )
     return db, report
 

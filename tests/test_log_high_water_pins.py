@@ -212,7 +212,7 @@ def test_fleet_recovery_continues_each_shard_and_the_migration_seq():
     first = next(iter(journal))
     assert (first.kind, first.shard) == ("recovery.begin", None)
     assert dict(first.payload) == {"shards": 2, "intents": 4}
-    kinds = [(e["kind"], e["shard"]) for e in report.events]
+    kinds = [(e.kind, e.shard) for e in journal]
     assert kinds[:4] == [
         ("recovery.begin", None),
         ("recovery.begin", 0),

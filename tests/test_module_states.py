@@ -590,6 +590,36 @@ def test_one_count_per_event():
     assert len(_adopted_fields(SRC / "repro")) == 43
 
 
+# -- one home for the journal ---------------------------------------------------
+
+#: The classes that hold an event journal of their own: the engine's
+#: tracer, the sharded facade (which has no tracer) and the two obs
+#: components built standalone.  Everything else reads its engine's tracer.
+JOURNAL_HOLDERS = {
+    "Tracer", "ShardedDatabase", "AdaptiveController", "HealthChecker",
+}
+
+
+def test_one_home_for_the_journal():
+    """An engine's journal and shard id live on its tracer (DESIGN.md
+    §5k): only ``JOURNAL_HOLDERS`` assign ``self.journal``, and
+    ``journal_shard`` is only a parameter of recovery's entry points,
+    which hand it to the rebuilt engine's tracer, never a field."""
+    holders, shard_uses = set(), set()
+    for _rel, owner, qual, fn in _functions(SRC / "repro"):
+        for node in ast.walk(fn):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            if any(_chain(t) == ["self", "journal"] for t in targets):
+                holders.add(owner)
+            if isinstance(node, ast.Attribute) and node.attr == "journal_shard":
+                shard_uses.add(f"{qual}: attribute")
+            name = getattr(node, "arg", None) or getattr(node, "id", None)
+            if isinstance(node, (ast.arg, ast.Name)) and name == "journal_shard":
+                shard_uses.add(qual.split(".")[0])
+    assert holders == JOURNAL_HOLDERS
+    assert shard_uses == {"recover", "_replay"}
+
+
 # -- nothing only tests read ----------------------------------------------------
 
 _SAFETY = "safety or reference code"

@@ -95,7 +95,7 @@ def test_query_filters_compose():
         "migration.commit", "rebalance.end"
     ]
     assert journal.query(trace_id=123) == []
-    assert len(journal.last(3)) == 3
+    assert len(journal.query(limit=3)) == 3
     assert "migration.intent" in journal.format(kind="migration.*")
     assert "(empty)" in EventJournal().format()
 
@@ -173,8 +173,7 @@ def test_crash_recovery_journals_phases_in_order():
     assert kinds[-1] == "recovery.end"
     assert "recovery.redo" in kinds
     assert all(e.shard == 3 for e in journal)
-    assert report.events  # the report carries the same records
-    assert [e["kind"] for e in report.events] == kinds
+    assert kinds == ["recovery.begin", "recovery.redo", "recovery.end"]
     # The recovered engine keeps journaling into the same log.
     assert db2.journal is journal
 
@@ -193,7 +192,7 @@ def test_sharded_recovery_reconciliation_journals():
 
     journal = EventJournal(registry=MetricsRegistry())
     sdb2, report = recover_sharded(wals, seed=6, journal=journal)
-    kinds = [e["kind"] for e in report.events]
+    kinds = [e.kind for e in journal]
     assert kinds[0] == "recovery.begin"
     assert kinds[-1] == "recovery.end"
     assert kinds.count("recovery.begin") == 3  # facade + one per shard

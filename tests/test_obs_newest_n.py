@@ -72,7 +72,6 @@ def _cli(argv, capsys):
 READERS = [
     ("TraceCollector.traces", lambda n, _: len(_collector().traces(n))),
     ("EventJournal.query", lambda n, _: len(_journal().query(limit=n))),
-    ("EventJournal.last", lambda n, _: len(_journal().last(n))),
     ("EventJournal.as_dicts", lambda n, _: len(_journal().as_dicts(n))),
     ("AdaptiveController.format_audit",
      lambda n, _: _audit(n).count("\n  #")),

@@ -11,6 +11,7 @@ from repro import Database, MetricsRegistry, Schema, UINT32, UINT64, char
 from repro.obs import NULL_REGISTRY, Tracer
 from repro.query.executor import FkJoinCache
 from repro.query.predicates import ColumnRange, Predicate
+from repro.shard.database import ShardedDatabase
 from repro.util.rng import DeterministicRng
 from repro.wal.replay import recover
 
@@ -220,11 +221,31 @@ def test_enable_order_does_not_change_the_wiring(order):
     assert tracer.trace is db.trace is not None
     assert tracer.ticker is db.adaptive is not None
     assert tracer.shard is None
-    assert db.adaptive.journal is db.journal is not None
-    assert db.wal.journal is db.journal
-    assert db.recovery.journal is db.journal
+    assert tracer.journal is db.journal is not None
+    assert db.adaptive.journal is db.journal
     assert db.journal.trace_source is db.trace
     assert db.wal.tracer is tracer and t.tracer is tracer
+    # Every emitter reaches the one journal, whatever the order.
+    db.checkpoint()
+    assert db.recovery.heal(min(t.index("pk").tree.leaf_page_ids))
+    (checkpoint,) = db.journal.query(kind="wal.checkpoint")
+    (healed,) = db.journal.query(kind="fault.recovered")
+    assert checkpoint.shard is None and healed.shard is None
+    assert dict(healed.payload)["action"] == "index_rebuild"
+
+
+@pytest.mark.parametrize("events_first", [True, False],
+                         ids=["events-then-tracing", "tracing-then-events"])
+def test_each_shard_journals_under_its_own_id(events_first):
+    sdb = ShardedDatabase(2, seed=3, wal=True)
+    arms = [sdb.enable_events, sdb.enable_tracing]
+    for arm in arms if events_first else arms[::-1]:
+        arm()
+    sdb.checkpoint()
+    checkpoints = sdb.journal.query(kind="wal.checkpoint")
+    assert [e.shard for e in checkpoints] == [0, 1]
+    for i, db in enumerate(sdb.shards):
+        assert db.journal is sdb.journal and db.tracer.shard == i
 
 
 # -- the inert tracer ---------------------------------------------------------
