@@ -248,3 +248,30 @@ def test_format_timeline_empty_sampler():
 
     sampler = TelemetrySampler(MetricsRegistry(), clock=lambda: 0.0)
     assert "no sampled series" in format_timeline(sampler)
+
+
+def test_smaller_pool_turns_reused_pins_into_reads_with_identical_rows():
+    """One seeded replay at two pool sizes: the 6-page pool reads pages
+    the 64-page pool only reuses, and both end with the same rows."""
+    runs = {
+        pool: run_observed_workload(n_rows=400, n_ops=800, pool_pages=pool)
+        for pool in (6, 64)
+    }
+    rows = {
+        pool: sorted(
+            (r["k"], r["name"], r["n"]) for r in run.database.table("t").scan()
+        )
+        for pool, run in runs.items()
+    }
+    assert len(rows[6]) == 436
+    assert rows[6] == rows[64]
+    read = {
+        pool: sum(s.pages_read for s in run.profiler.top())
+        for pool, run in runs.items()
+    }
+    reused = {
+        pool: sum(s.pages_reused for s in run.profiler.top())
+        for pool, run in runs.items()
+    }
+    assert read[6] > 0 and read[64] == 0
+    assert reused[64] > reused[6]
