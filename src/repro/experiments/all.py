@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments.all                # everything (~3-4 min)
+    python -m repro.experiments.all                # everything (~2-3 min)
     python -m repro.experiments.all fig2a fig3     # just the named ones
     python -m repro.experiments.all --json         # + metrics JSON to
                                                    #   experiments_metrics.json
@@ -24,7 +24,6 @@ from pathlib import Path
 from repro.experiments import (
     ablations,
     adaptive,
-    batched,
     capacity,
     columnar,
     encoding_waste,
@@ -34,10 +33,8 @@ from repro.experiments import (
     fig3,
     fill_factor,
     headline,
-    obs,
     shard,
     txn,
-    wal,
 )
 from repro.obs import MetricsRegistry, derived_rates, use_registry
 
@@ -51,11 +48,8 @@ _DRIVERS = {
     "fill_factor": fill_factor.main,
     "headline": headline.main,
     "ablations": ablations.main,
-    "batched": batched.main,
     "columnar": columnar.main,
     "shard": shard.main,
-    "wal": wal.main,
-    "obs": obs.main,
     "adaptive": adaptive.main,
     "txn": txn.main,
 }

@@ -213,13 +213,7 @@ class AdaptiveController:
         if audit_capacity < 1:
             raise ObservabilityError("audit_capacity must be >= 1")
         self.sampler = sampler
-        #: Optional repro.obs.events.EventJournal — every applied
-        #: TuningAction also lands there as a ``tuning.action`` record,
-        #: ordered against faults, migrations, and SLO transitions (the
-        #: checker journals those into it too).  ``Database.attach_events``
-        #: sets it late when adaptive was armed first.
-        self.journal = journal
-        self._checker = HealthChecker(sampler, tuple(rules))
+        self._checker = HealthChecker(sampler, tuple(rules), journal=journal)
         rule_names = {r.name for r in self._checker.rules}
         self._knobs: dict[str, Knob] = {}
         for knob in knobs:
@@ -265,6 +259,19 @@ class AdaptiveController:
         self._m_enabled.set(1.0 if self._enabled else 0.0)
 
     @property
+    def journal(self):
+        """Optional repro.obs.events.EventJournal, held by the checker:
+        every applied TuningAction also lands there as a ``tuning.action``
+        record, ordered against faults, migrations, and the SLO
+        transitions the checker journals.  ``Database.attach_events``
+        sets it late when adaptive was armed first."""
+        return self._checker.journal
+
+    @journal.setter
+    def journal(self, journal) -> None:
+        self._checker.journal = journal
+
+    @property
     def actions(self) -> list[TuningAction]:
         """The audit ring, oldest first (bounded by ``audit_capacity``)."""
         return list(self._audit)
@@ -303,7 +310,6 @@ class AdaptiveController:
             return []
         # Windows judged on their rates: every non-degenerate one.
         evaluated = stats.ticks - stats.degenerate_windows
-        self._checker.journal = self.journal
         report = self._checker.evaluate()
         results = {r.rule.name: r for r in report.results}
         for result in report.results:
@@ -358,10 +364,11 @@ class AdaptiveController:
             )
             stats.actions += 1
             self._audit.append(action)
-            if self.journal is not None:
+            journal = self._checker.journal
+            if journal is not None:
                 from repro.obs.events import TUNING_ACTION
 
-                self.journal.emit(
+                journal.emit(
                     TUNING_ACTION,
                     knob=knob.name,
                     rule=rule.name,

@@ -413,7 +413,7 @@ class QueryProfiler:
         ranked = sorted(self._slow, key=lambda p: (-p.elapsed_ns, p.seq))
         return ranked if n is None else ranked[:n]
 
-    def format_top(self, n: int = 10, title: str = "query profiles") -> str:
+    def format_top(self, n: int = 10) -> str:
         """Text table of :meth:`top`, `EXPLAIN ANALYZE` rollup style."""
         # Late import mirrors report.py: obs must stay importable from the
         # lowest layers without dragging the experiments package along.
@@ -438,7 +438,7 @@ class QueryProfiler:
             for s in self.top(n)
         ]
         if not rows:
-            return f"{title}: (no operations profiled)"
+            return "query profiles: (no operations profiled)"
         with contextlib.redirect_stdout(io.StringIO()):
             return print_table(
                 [
@@ -446,7 +446,7 @@ class QueryProfiler:
                     "read", "cache_hr", "heap", "wal_B", "retries",
                 ],
                 rows,
-                title=title,
+                title="query profiles",
             )
 
     def as_dict(self) -> dict:

@@ -2,7 +2,7 @@
 
 These are smoke + shape tests: tiny workloads, loose assertions.  The full
 paper-scale claims are asserted by ``benchmarks/``; the engine drivers
-(batched, columnar, shard) have no bench there, so their deterministic
+(columnar, shard) have no bench there, so their deterministic
 facts are literals here.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.experiments import (
     ablations,
-    batched,
     capacity,
     columnar,
     encoding_waste,
@@ -188,15 +187,6 @@ def test_columnar_small():
     # The seeded table's row-format and encoded sizes, to the byte: more
     # encoded bytes means a column codec stopped engaging.
     assert (r.raw_bytes, r.encoded_bytes) == (16_128, 3_264)
-
-
-def test_batched_small_fsm_examines_5x_fewer_pages():
-    # run() itself raises if a batched answer differs from the scalar one.
-    r = batched.run(n_rows=1_000, n_batches=8)
-    assert r.fsm_speedup >= 5.0
-    assert (r.fsm_linear_examined, r.fsm_bucketed_examined) == (
-        1_466_174, 21_154,
-    )
 
 
 def test_shard_small_scales_out_and_spreads_hot_keys():

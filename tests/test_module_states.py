@@ -593,11 +593,10 @@ def test_one_count_per_event():
 # -- one home for the journal ---------------------------------------------------
 
 #: The classes that hold an event journal of their own: the engine's
-#: tracer, the sharded facade (which has no tracer) and the two obs
-#: components built standalone.  Everything else reads its engine's tracer.
-JOURNAL_HOLDERS = {
-    "Tracer", "ShardedDatabase", "AdaptiveController", "HealthChecker",
-}
+#: tracer, the sharded facade (which has no tracer) and the health
+#: checker built standalone (an adaptive controller reads and writes its
+#: checker's).  Everything else reads its engine's tracer.
+JOURNAL_HOLDERS = {"Tracer", "ShardedDatabase", "HealthChecker"}
 
 
 def test_one_home_for_the_journal():
