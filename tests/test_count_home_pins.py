@@ -1,9 +1,10 @@
 """Byte pins for the outputs that read where the engine keeps its counts.
 
 ``python -m repro.obs fleet|report|export --shards 2`` print the fleet
-rollup's ``fleet.*`` instruments, and A5 (``run_covering_ablation``)
-measures a phase of a buffer pool's counts.  Each output is pinned by
-sha256.  ``report`` and ``export`` print the facade registry after a
+rollup's ``fleet.*`` instruments, ``top|health|events|trace --shards 2``
+print the folded profiler, the fleet SLO verdicts, the journal and the
+span trees beside them, and A5 (``run_covering_ablation``) measures a
+phase of a buffer pool's counts.  Each output is pinned by sha256.  ``report`` and ``export`` print the facade registry after a
 rollup refresh that follows the last WAL flush, so the merged histograms
 and the counters beside them read one instant and the digest covers every
 line.  (When the last refresh came before that flush, ``fleet.wal.flushes``
@@ -47,6 +48,22 @@ OBS_PINS = {
     "export": (
         {},
         "8db822458d853596399b204a20a8a7ecc9c5ddccb58c943aeb9f6edc325fb849",
+    ),
+    "top": (
+        {},
+        "aa2b8a4be4387c9bb7fe7455ebf3f349af2f03f062c29534b1830abcb7fd84a8",
+    ),
+    "health": (
+        {},
+        "e271eea822b1d70c3230259548f58964c9e68ddd5c49b603af7adec1d093c219",
+    ),
+    "events": (
+        {},
+        "a184100f39011aee87b353c466527b84ecd8fd1c2fe9b02671bbae11c2314ef2",
+    ),
+    "trace": (
+        {},
+        "e12d44c729531b9d98afa9cfc2e0b66ef84c3c64fa8efc45f08c0cc6da90f289",
     ),
 }
 

@@ -152,6 +152,33 @@ def test_rollup_from_sharded_database_source():
     assert sdb.fleet_view().get("shard.0.bufferpool.hit") is not None
 
 
+def test_sharded_snapshot_nests_each_shard_registry_under_its_index():
+    """``ShardedDatabase.snapshot()`` is the facade registry's snapshot
+    with shard ``i``'s own snapshot under ``["shard"][str(i)]``, beside
+    the facade's ``shard.*`` instruments."""
+    from repro.shard.database import ShardedDatabase
+
+    sdb = ShardedDatabase(2, mode="hash", seed=8)
+    t = sdb.create_table("t", Schema.of(("k", UINT64), ("v", UINT32)))
+    sdb.create_index("t", "pk", ("k",))
+    for i in range(20):
+        t.insert({"k": i, "v": i})
+    for k in range(0, 20, 3):
+        t.lookup("pk", k)
+    snap = sdb.snapshot()
+    for i in range(2):
+        shard_snap = sdb.shard_registry(i).snapshot()
+        assert shard_snap["bufferpool"]["hit"] > 0
+        assert snap["shard"][str(i)] == shard_snap
+    facade = sdb.metrics.snapshot()
+    assert {k: v for k, v in snap.items() if k != "shard"} == {
+        k: v for k, v in facade.items() if k != "shard"
+    }
+    assert {k: v for k, v in snap["shard"].items() if k not in ("0", "1")} == (
+        facade["shard"]
+    )
+
+
 def test_fleet_counter_equals_shard_sum_after_a_shard_reset():
     """A shard registry reset shrinks the shard sum below the fleet
     counter; the next refresh lands the counter on the sum again."""
