@@ -47,7 +47,7 @@ OBS_PINS = {
     ),
     "export": (
         {},
-        "8db822458d853596399b204a20a8a7ecc9c5ddccb58c943aeb9f6edc325fb849",
+        "3384c213c674b25fc330cfcfacb61e758474210934dcea4aa25553d60c54ebfa",
     ),
     "top": (
         {},

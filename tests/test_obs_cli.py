@@ -180,6 +180,25 @@ def test_sharded_report_and_trace(capsys):
     assert "[shard 0]" in out or "[shard 1]" in out
 
 
+def test_sharded_timeline_shows_the_fleet_series(capsys):
+    """Sharded, the sampler reads the facade registry, so the default
+    series are read from the rollup's ``fleet.*`` family."""
+    assert main(["timeline", "--shards", "2", *TINY]) == 0
+    out = capsys.readouterr().out
+    shown = [
+        line.split()[0] for line in out.splitlines()[1:]
+        if not line.startswith(" ")
+    ]
+    assert shown == [
+        "derived.fleet.bufferpool.hit_rate",
+        "derived.fleet.index_cache.hit_rate",
+        "rate.fleet.profiler.ops",
+        "rate.fleet.wal.bytes",
+        "rate.fleet.bufferpool.eviction",
+        "gauge.fleet.bufferpool.quarantined_pages",
+    ]
+
+
 def test_sharded_events_journal_migrations(capsys):
     assert main(["events", "--shards", "3", "--kind", "migration.*",
                  *TINY]) == 0

@@ -109,12 +109,8 @@ def test_format_report_includes_percentiles():
 def test_derived_rates_throughput_and_zero_duration_guard():
     reg = MetricsRegistry()
     reg.counter("wal.bytes").inc(500)
-    # No window: hit rates only (none here), never a division error.
+    # Hit rates only (none here): throughput is the sampler's windows.
     assert derived_rates(reg) == {}
-    assert derived_rates(reg, elapsed_ns=0.0) == {}
-    assert derived_rates(reg, elapsed_ns=-5.0) == {}
-    rates = derived_rates(reg, elapsed_ns=2e9)
-    assert rates["wal.bytes.per_sec"] == 250.0
 
 
 def test_snapshot_deterministic_under_seeded_rng():

@@ -1,4 +1,4 @@
-"""§5j fleet rollups: merged registry view, fleet.* materialization,
+"""§5j fleet rollups: fleet.* materialization, the sharded snapshot,
 skew stats, selector rewriting, and the fleet SLO wiring."""
 
 import pytest
@@ -7,7 +7,6 @@ from repro.obs import MetricsRegistry
 from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker
 from repro.obs.rollup import (
     FLEET_SLO_RULES,
-    FleetRegistryView,
     FleetRollup,
     FleetStat,
     fleet_rules,
@@ -22,54 +21,6 @@ pytestmark = pytest.mark.trace
 def _shards(n=2):
     regs = [MetricsRegistry() for _ in range(n)]
     return MetricsRegistry(), regs
-
-
-# -- merged view --------------------------------------------------------------
-
-
-def test_view_prefixes_shard_names_and_routes_get():
-    parent, regs = _shards(2)
-    parent.counter("shard.fanout.ops").inc(5)
-    regs[0].counter("bufferpool.hit").inc(3)
-    regs[1].counter("bufferpool.hit").inc(7)
-    view = FleetRegistryView(parent, regs)
-    assert view.n_shards == 2
-    names = view.names()
-    assert "shard.fanout.ops" in names
-    assert "shard.0.bufferpool.hit" in names
-    assert "shard.1.bufferpool.hit" in names
-    assert view.get("shard.1.bufferpool.hit").value == 7
-    assert view.get("shard.fanout.ops").value == 5  # parent fallback
-    assert view.get("shard.9.bufferpool.hit") is None
-    snap = view.snapshot()
-    assert snap["shard"]["0"]["bufferpool"]["hit"] == 3
-
-
-def test_sampler_over_view_sums_wildcards_and_derives_per_shard():
-    parent, regs = _shards(2)
-    clock = {"t": 0.0}
-    view = FleetRegistryView(parent, regs)
-    sampler = TelemetrySampler(view, clock=lambda: clock["t"])
-    regs[0].counter("bufferpool.hit").inc(1)
-    regs[0].counter("bufferpool.miss").inc(1)
-    regs[1].counter("bufferpool.hit").inc(1)
-    sampler.sample()
-    regs[0].counter("bufferpool.hit").inc(6)
-    regs[1].counter("bufferpool.hit").inc(2)
-    regs[1].counter("bufferpool.miss").inc(4)
-    clock["t"] = 1e9
-    point = sampler.sample()
-    from repro.obs.sampler import select
-
-    # Satellite 2: wildcard selectors aggregate across the fleet.
-    assert select(point, "rate:shard.*.bufferpool.hit") == 8.0
-    assert select(point, "rate.shard.*.bufferpool.miss") == 4.0
-    assert select(point, "rate:shard.*.nope") is None
-    # The hit/miss suffix derivation runs per shard under the prefix:
-    # shard 1's window saw 2 hits and 4 misses.
-    assert select(point, "derived.shard.1.bufferpool.hit_rate") == (
-        pytest.approx(1 / 3)
-    )
 
 
 # -- rollup materialization ---------------------------------------------------
@@ -149,7 +100,7 @@ def test_rollup_from_sharded_database_source():
         sdb.shard_registry(i).counter("bufferpool.hit").value
         for i in range(2)
     )
-    assert sdb.fleet_view().get("shard.0.bufferpool.hit") is not None
+    assert sdb.snapshot()["shard"]["0"]["bufferpool"]["hit"] > 0
 
 
 def test_sharded_snapshot_nests_each_shard_registry_under_its_index():
@@ -207,17 +158,11 @@ def test_fleet_counter_equals_shard_sum_after_a_shard_reset():
     assert fleet.value == total
 
 
-def test_rollup_requires_a_source():
-    with pytest.raises(ValueError):
-        FleetRollup()
-
-
 # -- selector rewriting and fleet SLO rules -----------------------------------
 
 
 def test_fleet_selector_rewrites_every_kind():
     assert fleet_selector("rate.wal.bytes") == "rate.fleet.wal.bytes"
-    assert fleet_selector("rate:wal.bytes") == "rate:fleet.wal.bytes"
     assert (
         fleet_selector("derived.bufferpool.hit_rate")
         == "derived.fleet.bufferpool.hit_rate"

@@ -217,41 +217,8 @@ def test_select_grammar():
         select(point, "rate")
     with pytest.raises(ObservabilityError):
         select(point, "ratio:rate.c.hit")  # no '/'
-
-
-def test_select_colon_spelling_is_equivalent():
-    point, _sampler_obj = _point()
-    assert select(point, "rate:c.hit") == select(point, "rate.c.hit")
-    assert select(point, "gauge:g.level") == 7
-    assert select(point, "p50:h.lat") == 32
-    assert select(point, "ratio:rate:c.hit/rate:c.miss") == 3.0
-
-
-def test_select_wildcards_aggregate_across_matches():
-    reg = MetricsRegistry()
-    sampler, clock = _sampler(reg)
-    for i in range(3):
-        reg.counter(f"shard.{i}.bufferpool.hit").inc(1)
-    reg.gauge("shard.0.pool.level").set(4)
-    reg.gauge("shard.1.pool.level").set(6)
-    reg.histogram("shard.0.lat").record(8)
-    reg.histogram("shard.1.lat").record(512)
-    sampler.sample()
-    for i in range(3):
-        reg.counter(f"shard.{i}.bufferpool.hit").inc(i + 1)
-    reg.histogram("shard.0.lat").record(8)
-    reg.histogram("shard.1.lat").record(512)
-    clock["t"] = 1e9
-    point = sampler.sample()
-    # Rates and gauges sum across matches (fleet totals)...
-    assert select(point, "rate:shard.*.bufferpool.hit") == 6.0
-    assert select(point, "gauge.shard.*.pool.level") == 10
-    # ...percentiles take the worst case across matches.
-    assert select(point, "p99.shard.*.lat") >= 512
-    # No matches behaves exactly like a missing literal.
-    assert select(point, "rate.shard.*.nope") is None
-    assert select(point, "p95.shard.*.nope") is None
-    assert select(point, "ratio:rate.shard.*.bufferpool.hit/rate.nope") is None
+    with pytest.raises(ObservabilityError):
+        select(point, "rate:c.hit")  # the kind ends at a '.', never a ':'
 
 
 def test_series_and_selectors_listing():

@@ -33,25 +33,23 @@ def _fleet(wal: bool = False, metrics=None) -> tuple[ShardedDatabase, object]:
     return sdb, table
 
 
-@pytest.mark.parametrize("mode", ["hash", "zipf", "range"])
+@pytest.mark.parametrize("mode", ["hash", "zipf"])
 def test_a_route_counts_places_feeds_the_tracker_and_queues_the_hop(mode):
-    boundaries = (9, 40) if mode == "range" else None
-    keys = [k for k in KEYS if isinstance(k, int)] if mode == "range" else KEYS
-    one = ShardRouter(3, mode=mode, boundaries=boundaries)
-    two = ShardRouter(3, mode=mode, boundaries=boundaries)
+    one = ShardRouter(3, mode=mode)
+    two = ShardRouter(3, mode=mode)
     one.apply_move(9, (one.placement(9) + 1) % 3)
     two.apply_move(9, (two.placement(9) + 1) % 3)
-    for key in keys:
+    for key in KEYS:
         assert one.shard_of(key) == two.placement(key)
         two.record_access(key)
-    assert one.routes == len(keys)
+    assert one.routes == len(KEYS)
     if mode == "zipf":
-        assert [one.tracker.count_of(k) for k in keys] == [
-            two.tracker.count_of(k) for k in keys
+        assert [one.tracker.count_of(k) for k in KEYS] == [
+            two.tracker.count_of(k) for k in KEYS
         ]
     assert one.hops is None  # nothing queued while tracing is off
     one.hops = []
-    assert [one.shard_of(k) for k in keys[:3]] == one.hops
+    assert [one.shard_of(k) for k in KEYS[:3]] == one.hops
 
 
 def test_shard_tables_are_reached_without_a_catalog_walk(monkeypatch):

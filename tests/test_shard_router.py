@@ -26,21 +26,6 @@ def test_every_key_routes_to_exactly_one_shard(key, n):
     assert router.shard_of(key) == shard  # stable under repetition
 
 
-@given(key=st.integers(min_value=-(10**6), max_value=10**6))
-def test_range_mode_places_by_bisect(key):
-    router = ShardRouter(4, mode="range", boundaries=(-100, 0, 1000))
-    shard = router.shard_of(key)
-    assert 0 <= shard < 4
-    if key < -100:
-        assert shard == 0
-    elif key < 0:
-        assert shard == 1
-    elif key < 1000:
-        assert shard == 2
-    else:
-        assert shard == 3
-
-
 @given(key=keys)
 def test_stable_key_hash_is_process_independent(key):
     # Pure function of the key bytes: recomputing (as recovery does in a
@@ -71,9 +56,8 @@ def test_stable_key_hash_known_values():
 )
 @settings(max_examples=40)
 def test_modes_deterministic_under_identical_history(mode, sample):
-    boundaries = (100, 300) if mode == "range" else None
-    a = ShardRouter(3, mode=mode, boundaries=boundaries)
-    b = ShardRouter(3, mode=mode, boundaries=boundaries)
+    a = ShardRouter(3, mode=mode)
+    b = ShardRouter(3, mode=mode)
     for key in sample:
         a.record_access(key)
         b.record_access(key)
@@ -174,12 +158,6 @@ def test_invalid_configurations_rejected():
         ShardRouter(0)
     with pytest.raises(QueryError):
         ShardRouter(2, mode="nonsense")
-    with pytest.raises(QueryError):
-        ShardRouter(3, mode="range", boundaries=(1,))  # needs exactly 2
-    with pytest.raises(QueryError):
-        ShardRouter(3, mode="range", boundaries=(5, 1))  # unsorted
-    with pytest.raises(QueryError):
-        ShardRouter(2, mode="hash", boundaries=(1,))
     with pytest.raises(QueryError):
         ShardRouter(2, mode="zipf", hot_fraction=0.0)
     with pytest.raises(QueryError):
