@@ -15,7 +15,6 @@ from repro.obs.events import (
 )
 from repro.obs.rollup import (
     FLEET_SLO_RULES,
-    FleetRegistryView,
     FleetRollup,
     FleetStat,
     fleet_rules,
@@ -122,7 +121,6 @@ __all__ = [
     "EngineEvent",
     "EventJournal",
     "FLEET_SLO_RULES",
-    "FleetRegistryView",
     "FleetRollup",
     "FleetStat",
     "fleet_rules",

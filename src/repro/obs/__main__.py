@@ -17,9 +17,10 @@ Usage::
 Every subcommand accepts ``--shards N``: the same workload then runs
 over a :class:`~repro.shard.ShardedDatabase` (zipf router, per-shard
 WALs and registries) with §5j tracing, the event journal, and the fleet
-rollup armed; the sampler reads the merged
-:class:`~repro.obs.rollup.FleetRegistryView`, so wildcard selectors
-like ``rate:shard.*.bufferpool.hit`` resolve in timelines.
+rollup armed; the sampler reads the facade registry, where the rollup
+keeps the ``fleet.*`` aggregates, so the SLO rules and the default
+timeline series are the single-engine ones rewritten by
+:func:`~repro.obs.rollup.fleet_selector`.
 
 Every subcommand drives the same seeded workload: a table with a plain
 primary index and a §2.1 cached index, loaded and then replayed with a
@@ -40,6 +41,7 @@ from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker, HealthReport
 from repro.obs.profiler import QueryProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import export_json, format_report
+from repro.obs.rollup import fleet_selector
 from repro.obs.sampler import TelemetrySampler, select
 
 #: Series the ``timeline`` subcommand shows by default, in order, when
@@ -113,9 +115,9 @@ def run_observed_workload(
     With ``observe=True`` the §5j trace collector and event journal are
     armed (they always are when ``shards > 0``).  ``shards=N`` runs the
     replay over a :class:`~repro.shard.ShardedDatabase`: the cached
-    index doubles as the routing index, the sampler reads the merged
-    fleet view, the rollup refreshes once per chunk, and the SLO rule
-    set gains the fleet skew rule.  ``adaptive`` is single-engine only
+    index doubles as the routing index, the sampler reads the facade
+    registry's ``fleet.*`` family, the rollup refreshes once per chunk,
+    and the SLO rule set gains the fleet skew rule.  ``adaptive`` is single-engine only
     (the controller tunes one engine's knobs) and is ignored sharded.
     """
     # Late imports: repro.obs stays importable from the lowest layers;
@@ -168,7 +170,7 @@ def run_observed_workload(
             for i in range(shards)
         ]
         sampler = TelemetrySampler(
-            db.fleet_view(), clock=lambda: db.sim_now_ns,
+            registry, clock=lambda: db.sim_now_ns,
             capacity=max(samples + 1, 16), interval_ns=1_000_000.0,
         )
         checker = HealthChecker(
@@ -327,9 +329,12 @@ def _cmd_top(run: ObservedRun, args: argparse.Namespace) -> None:
 
 
 def _cmd_timeline(run: ObservedRun, args: argparse.Namespace) -> None:
-    selectors = tuple(args.selector) if args.selector else (
-        DEFAULT_TIMELINE_SELECTORS
-    )
+    if args.selector:
+        selectors = tuple(args.selector)
+    elif run.shards:
+        selectors = tuple(map(fleet_selector, DEFAULT_TIMELINE_SELECTORS))
+    else:
+        selectors = DEFAULT_TIMELINE_SELECTORS
     # Fail fast on a selector typo instead of silently skipping it.
     last = run.sampler.last()
     if args.selector and last is not None:

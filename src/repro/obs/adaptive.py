@@ -491,8 +491,6 @@ def hot_cold_knobs(manager) -> list[Knob]:
 #: table can mention every known pairing unconditionally.
 _DEFAULT_BINDING_TABLE: tuple[tuple[str, str, str], ...] = (
     ("bufferpool-hit-rate-floor", "pool.data_fraction", "up"),
-    ("lookup-p95-latency-ceiling", "pool.data_fraction", "up"),
-    ("lookup-p95-latency-ceiling", "index_cache.admission", "up"),
     ("wal-flush-amplification-ceiling", "wal.group_commit_records", "up"),
 )
 

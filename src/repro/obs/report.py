@@ -16,17 +16,11 @@ from pathlib import Path
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
-def derived_rates(
-    registry: MetricsRegistry, elapsed_ns: float | None = None
-) -> dict[str, float]:
+def derived_rates(registry: MetricsRegistry) -> dict[str, float]:
     """``<prefix>.hit_rate`` for every prefix with hit+miss counters.
 
-    With ``elapsed_ns`` (the window the registry's counts accumulated
-    over, in simulated ns) every counter additionally derives a
-    ``<name>.per_sec`` throughput row.  Zero-duration windows are
-    guarded: ``elapsed_ns <= 0`` yields no throughput rows at all rather
-    than a division error — callers snapshotting twice at the same
-    logical instant get hit rates only.
+    Since-boot rates only: throughput over a window is the
+    :class:`~repro.obs.sampler.TelemetrySampler`'s ``rate.<counter>``.
     """
     names = set(registry.names())
     rates: dict[str, float] = {}
@@ -43,11 +37,6 @@ def derived_rates(
             continue
         total = hit.value + miss.value
         rates[f"{prefix}.hit_rate"] = hit.value / total if total else 0.0
-    if elapsed_ns is not None and elapsed_ns > 0:
-        for name in sorted(names):
-            instrument = registry.get(name)
-            if isinstance(instrument, Counter):
-                rates[f"{name}.per_sec"] = instrument.value * 1e9 / elapsed_ns
     return rates
 
 

@@ -1,35 +1,27 @@
 """Fleet-wide rollups over per-shard metric registries.
 
-PR 9 left ``shard.<i>.*`` as N raw namespaced dumps: to know the fleet's
-buffer-pool hit rate an operator had to sum counters by hand, and no
-SLO rule could see cross-shard skew at all.  :class:`FleetRollup`
-closes that gap with two pieces:
+Per-shard registries alone are N raw dumps (``shard.<i>.*`` in a
+snapshot): to know the fleet's buffer-pool hit rate an operator would
+sum counters by hand, and no SLO rule could see cross-shard skew.
+:meth:`FleetRollup.refresh` closes that gap with fleet-level aggregates
+as real ``fleet.*`` instruments in the facade registry: each counter
+adopts the shard counters of its name, so it reads their sum whenever
+asked; gauges are summed and log2 histograms *merged bucket-wise*
+(exact at bucket granularity) at each refresh, plus per-metric
+min/max/mean across shards and the headline skew gauge
+``fleet.imbalance.heat`` = hottest shard's page traffic over the mean —
+hot-shard imbalance as a first-class signal with its own SLO rule
+(:data:`FLEET_SLO_RULES`).
 
-* :class:`FleetRegistryView` — a read-only *merged view* presenting the
-  facade registry's instruments plus every shard registry's under a
-  ``shard.<i>.`` prefix, duck-typed to the slice of the
-  ``MetricsRegistry`` surface the sampler and report consume
-  (``items``/``names``/``get``/``snapshot``).  Pointing one
-  :class:`~repro.obs.sampler.TelemetrySampler` at the view makes
-  wildcard selectors (``rate:shard.*.bufferpool.hit``) meaningful.
-
-* :meth:`FleetRollup.refresh` — fleet-level aggregates as real
-  ``fleet.*`` instruments in the facade registry: each counter adopts
-  the shard counters of its name, so it reads their sum whenever asked;
-  gauges are summed and log2 histograms *merged bucket-wise* (exact at
-  bucket granularity) at each refresh, plus per-metric min/max/mean
-  across shards and the headline skew gauge ``fleet.imbalance.heat`` =
-  hottest shard's page traffic over the mean — hot-shard imbalance as a
-  first-class signal with its own SLO rule (:data:`FLEET_SLO_RULES`).
-
-``format_report`` groups rows by first name segment, so the
-materialized family shows up as its own ``fleet`` section for free.
+``fleet.*`` is the one fleet aggregate: a sampler over the facade
+registry reads it, :func:`fleet_selector` rewrites a single-engine
+selector onto it, and ``format_report`` groups rows by first name
+segment, so the family shows up as its own ``fleet`` section for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from repro.obs.health import SloRule
 from repro.obs.registry import (
@@ -73,78 +65,13 @@ class FleetStat:
         return self.max / mean if mean > 0 else 0.0
 
 
-class FleetRegistryView:
-    """Read-only merged registry view: facade instruments as-is, shard
-    ``i``'s instruments as ``shard.<i>.<name>``.
-
-    Only the read surface is provided — the view is a lens, not a home;
-    instruments are created in their owning registries.
-    """
-
-    def __init__(
-        self,
-        parent: MetricsRegistry,
-        shard_registries: list[MetricsRegistry],
-    ) -> None:
-        self._parent = parent
-        self._shards = list(shard_registries)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def items(self) -> Iterator[tuple[str, object]]:
-        for name, instrument in self._parent.items():
-            yield name, instrument
-        for i, reg in enumerate(self._shards):
-            prefix = f"shard.{i}."
-            for name, instrument in reg.items():
-                yield prefix + name, instrument
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.items()]
-
-    def get(self, name: str):
-        if name.startswith("shard."):
-            rest = name[len("shard."):]
-            head, _, leaf = rest.partition(".")
-            if head.isdigit() and leaf:
-                i = int(head)
-                if 0 <= i < len(self._shards):
-                    found = self._shards[i].get(leaf)
-                    if found is not None:
-                        return found
-        return self._parent.get(name)
-
-    def snapshot(self) -> dict:
-        root = self._parent.snapshot()
-        shard_node = root.setdefault("shard", {})
-        for i, reg in enumerate(self._shards):
-            shard_node[str(i)] = reg.snapshot()
-        return root
-
-
 class FleetRollup:
-    """Aggregates shard registries into ``fleet.*`` facade instruments.
-
-    ``source`` is anything with ``n_shards``, ``shard_registry(i)``, and
-    ``metrics`` (a :class:`~repro.shard.database.ShardedDatabase`), or
-    pass ``registries=[...]`` + ``target=`` explicitly.
-    """
+    """Aggregates shard ``registries`` into ``fleet.*`` instruments in
+    ``target`` (the facade registry)."""
 
     def __init__(
-        self,
-        source=None,
-        registries: list[MetricsRegistry] | None = None,
-        target: MetricsRegistry | None = None,
+        self, registries: list[MetricsRegistry], target: MetricsRegistry
     ) -> None:
-        if source is not None:
-            registries = [
-                source.shard_registry(i) for i in range(source.n_shards)
-            ]
-            target = source.metrics if target is None else target
-        if registries is None or target is None:
-            raise ValueError("FleetRollup needs a source or registries+target")
         self._registries = registries
         self._target = target
         #: Per-metric cross-shard stats from the last :meth:`refresh`.
@@ -237,10 +164,9 @@ def fleet_selector(selector: str) -> str:
         num, den = selector[len("ratio:"):].split("/", 1)
         return f"ratio:{fleet_selector(num)}/{fleet_selector(den)}"
     for kind in _SELECTOR_KINDS:
-        for sep in (".", ":"):
-            head = kind + sep
-            if selector.startswith(head):
-                return f"{head}fleet.{selector[len(head):]}"
+        head = kind + "."
+        if selector.startswith(head):
+            return f"{head}fleet.{selector[len(head):]}"
     return selector
 
 
@@ -255,8 +181,7 @@ def fleet_rules(rules) -> tuple[SloRule, ...]:
 
 
 #: Fleet-level SLO rules: evaluate against a sampler whose registry is
-#: the facade's (where ``fleet.*`` is materialized) or a
-#: :class:`FleetRegistryView`.
+#: the facade's (where ``fleet.*`` is materialized).
 FLEET_SLO_RULES = (
     SloRule(
         name="fleet_heat_balance",

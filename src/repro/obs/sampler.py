@@ -32,16 +32,13 @@ Selectors address one number inside a point for timelines and SLO rules:
 ``rate.<counter>``, ``gauge.<gauge>``, ``derived.<prefix>.hit_rate``,
 ``p50.<hist>``/``p95.<hist>``/``p99.<hist>``, and
 ``ratio:<sel>/<sel>`` (zero/absent denominators yield no value, never a
-division error).  The kind may be spelled with a colon
-(``rate:wal.bytes``), and the name may be an ``fnmatch`` glob:
-``rate:shard.*.bufferpool.hit`` sums the matching counters across every
-shard (sampled through a §5j ``FleetRegistryView``), while percentile
-globs take the *max* over matches — the fleet's worst case.
+division error).  Names are literal: a fleet's totals are the §5j
+``fleet.*`` instruments of the facade registry, addressed like any
+other (``rate.fleet.wal.bytes``).
 """
 
 from __future__ import annotations
 
-import fnmatch
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -97,18 +94,11 @@ class TelemetryPoint:
 _SELECTOR_KINDS = ("rate", "gauge", "derived", "p50", "p95", "p99")
 
 
-def _is_glob(name: str) -> bool:
-    return "*" in name or "?" in name or "[" in name
-
-
 def select(point: TelemetryPoint, selector: str) -> float | None:
     """Resolve a selector against one point (``None`` when absent).
 
     ``ratio:<a>/<b>`` divides two sub-selectors and is guarded: a zero or
-    missing denominator yields ``None``, never an error.  A glob name
-    aggregates every match: sum for rates/gauges/derived (fleet totals
-    across ``shard.<i>.`` prefixes), max for percentiles (fleet worst
-    case); no matches yield ``None``, exactly like a missing literal.
+    missing denominator yields ``None``, never an error.
     """
     if selector.startswith("ratio:"):
         body = selector[len("ratio:"):]
@@ -120,14 +110,9 @@ def select(point: TelemetryPoint, selector: str) -> float | None:
         if num is None or not den:
             return None
         return num / den
-    for kind in _SELECTOR_KINDS:
-        if selector.startswith(kind) and selector[len(kind):len(kind) + 1] == ":":
-            name = selector[len(kind) + 1:]
-            break
-    else:
-        kind, sep, name = selector.partition(".")
-        if not sep or not name:
-            raise ObservabilityError(f"bad selector {selector!r}")
+    kind, sep, name = selector.partition(".")
+    if not sep or not name:
+        raise ObservabilityError(f"bad selector {selector!r}")
     if kind == "rate":
         values: dict[str, float] = point.rates
     elif kind == "gauge":
@@ -135,13 +120,6 @@ def select(point: TelemetryPoint, selector: str) -> float | None:
     elif kind == "derived":
         values = point.derived
     elif kind in ("p50", "p95", "p99"):
-        if _is_glob(name):
-            matched = [
-                q[kind]
-                for hist_name, q in point.percentiles.items()
-                if fnmatch.fnmatchcase(hist_name, name) and kind in q
-            ]
-            return max(matched) if matched else None
         quantiles = point.percentiles.get(name)
         return quantiles.get(kind) if quantiles else None
     else:
@@ -149,11 +127,6 @@ def select(point: TelemetryPoint, selector: str) -> float | None:
             f"unknown selector kind {kind!r} "
             "(want rate/gauge/derived/p50/p95/p99)"
         )
-    if _is_glob(name):
-        matched = [
-            v for k, v in values.items() if fnmatch.fnmatchcase(k, name)
-        ]
-        return sum(matched) if matched else None
     return values.get(name)
 
 

@@ -313,8 +313,7 @@ class ShardedDatabase:
         """
         Args:
             n_shards, mode, hot_fraction: router configuration (see
-                :class:`ShardRouter`); ``range`` placement is the
-                router's alone, so the facade refuses it (no boundaries).
+                :class:`ShardRouter`).
             page_size, data_pool_pages, retry_policy: per-shard engine
                 configuration — ``data_pool_pages`` is **per shard**
                 (shards model machines, each brings its own RAM).
@@ -503,20 +502,17 @@ class ShardedDatabase:
         if self.rollup is None:
             from repro.obs.rollup import FleetRollup
 
-            self.rollup = FleetRollup(self)
+            self.rollup = FleetRollup(self._shard_metrics, self.metrics)
         return self.rollup
-
-    def fleet_view(self):
-        """Read-only merged registry view — parent names plus
-        ``shard.<i>.*`` — for sampling without copying any counter."""
-        from repro.obs.rollup import FleetRegistryView
-
-        return FleetRegistryView(self.metrics, self._shard_metrics)
 
     def snapshot(self) -> dict:
         """Parent snapshot with per-shard registries nested under
         ``shard.<i>`` (so ``shard.0.bufferpool.hit`` is addressable)."""
-        return self.fleet_view().snapshot()
+        root = self.metrics.snapshot()
+        shard_node = root.setdefault("shard", {})
+        for i, reg in enumerate(self._shard_metrics):
+            shard_node[str(i)] = reg.snapshot()
+        return root
 
     def _shard_work(self, i: int) -> dict[str, float]:
         """Registry-derived work totals for shard ``i`` — two calls

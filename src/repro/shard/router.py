@@ -1,15 +1,13 @@
-"""Shard placement: hash, range, and Zipf-aware hot-key spreading.
+"""Shard placement: hash and Zipf-aware hot-key spreading.
 
 The §3 locality argument scaled out (ROADMAP items 9 and 16): shards
 behave like memory tiers, and the router keeps every shard's *hot*
-partition small enough to fit in that shard's buffer pool.  Three modes:
+partition small enough to fit in that shard's buffer pool.  Two modes:
 
 * ``hash`` — stable CRC32 of the routing key modulo shard count.
   ``hash()`` is salted per process (PYTHONHASHSEED), so the router never
   uses it: placement must be identical across runs and across the crash
   boundary (recovery re-derives base placement from key bytes alone).
-* ``range`` — ``n_shards - 1`` sorted boundaries, bisect placement;
-  keys below the first boundary go to shard 0, and so on.
 * ``zipf`` — hash base placement plus an override map maintained from
   live :class:`~repro.core.hot_cold.tracker.AccessTracker` stats:
   :meth:`plan_rebalance` ranks the hot fraction of tracked keys by
@@ -27,14 +25,13 @@ applies a plan one failure-atomic migration at a time and calls
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
 
 from repro.core.hot_cold.tracker import AccessTracker
 from repro.errors import QueryError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 
 #: Placement modes the router understands.
-ROUTER_MODES = ("hash", "range", "zipf")
+ROUTER_MODES = ("hash", "zipf")
 
 
 def stable_key_hash(key: object) -> int:
@@ -59,7 +56,6 @@ class ShardRouter:
         self,
         n_shards: int,
         mode: str = "hash",
-        boundaries: tuple | None = None,
         hot_fraction: float = 0.05,
         decay: float = 0.5,
         registry: MetricsRegistry | None = None,
@@ -68,9 +64,6 @@ class ShardRouter:
         Args:
             n_shards: how many shards placement targets.
             mode: one of :data:`ROUTER_MODES`.
-            boundaries: ``range`` mode only — ``n_shards - 1`` sorted
-                split points; a key routes to the leftmost shard whose
-                boundary exceeds it.
             hot_fraction: ``zipf`` mode — fraction of *tracked* keys a
                 rebalance plan treats as hot (the paper's ~5%).
             decay: per-epoch multiplier for the access tracker.
@@ -82,19 +75,6 @@ class ShardRouter:
             raise QueryError(
                 f"unknown router mode {mode!r}; expected one of {ROUTER_MODES}"
             )
-        if mode == "range":
-            if boundaries is None or len(boundaries) != n_shards - 1:
-                raise QueryError(
-                    f"range mode over {n_shards} shard(s) needs exactly "
-                    f"{n_shards - 1} boundaries"
-                )
-            self._boundaries = tuple(boundaries)
-            if list(self._boundaries) != sorted(self._boundaries):
-                raise QueryError("range boundaries must be sorted ascending")
-        else:
-            if boundaries is not None:
-                raise QueryError(f"mode {mode!r} takes no boundaries")
-            self._boundaries = ()
         if not 0.0 < hot_fraction <= 1.0:
             raise QueryError("hot_fraction must be in (0, 1]")
         self.n_shards = n_shards
@@ -116,8 +96,6 @@ class ShardRouter:
 
     def base_shard(self, key: object) -> int:
         """Placement before any override — pure function of the key."""
-        if self.mode == "range":
-            return bisect_right(self._boundaries, key)
         return stable_key_hash(key) % self.n_shards
 
     def placement(self, key: object) -> int:
@@ -138,7 +116,7 @@ class ShardRouter:
         return shard
 
     def record_access(self, key: object) -> None:
-        """Feed the zipf-mode tracker alone; a no-op in hash/range modes."""
+        """Feed the zipf-mode tracker alone; a no-op in hash mode."""
         if self.tracker is not None:
             self.tracker.record(key)
 
