@@ -117,8 +117,9 @@ def run_observed_workload(
     replay over a :class:`~repro.shard.ShardedDatabase`: the cached
     index doubles as the routing index, the sampler reads the facade
     registry's ``fleet.*`` family, the rollup refreshes once per chunk,
-    and the SLO rule set gains the fleet skew rule.  ``adaptive`` is single-engine only
-    (the controller tunes one engine's knobs) and is ignored sharded.
+    and the SLO rule set gains the fleet skew rule.  ``adaptive`` is
+    single-engine only (the controller tunes one engine's knobs) and is
+    ignored sharded.
     """
     # Late imports: repro.obs stays importable from the lowest layers;
     # only the CLI pulls in the query and workload packages.

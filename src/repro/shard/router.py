@@ -78,7 +78,6 @@ class ShardRouter:
         if not 0.0 < hot_fraction <= 1.0:
             raise QueryError("hot_fraction must be in (0, 1]")
         self.n_shards = n_shards
-        self.mode = mode
         self.hot_fraction = hot_fraction
         #: key -> shard, installed by completed migrations only.
         self._overrides: dict[object, int] = {}
