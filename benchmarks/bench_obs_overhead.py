@@ -16,9 +16,8 @@ directions:
 
 * **disabled tax** — profiling and tracing are opt-in, so the
   per-operation cost of their *off* state (one ``Tracer.span`` bracket
-  with no sink armed, one ``TelemetrySampler.tick`` clock check) must
-  also stay under 5% of the NullRegistry workload, measured in isolation
-  the same way; and
+  with no sink armed) must also stay under 5% of the NullRegistry
+  workload, measured in isolation the same way; and
 * **enabled determinism** — the full pipeline's event counts on the
   seeded replay workload are pinned against the committed baseline
   (``benchmarks/baselines/obs_overhead.json``), so a telemetry
@@ -127,18 +126,15 @@ def bench_observed_and_silent_runs_agree(run_check):
 
 
 def bench_disabled_telemetry_tax_under_5_percent(run_check):
-    """Profiler/sampler *off* must cost <5% of the NullRegistry workload.
+    """Profiler/tracing *off* must cost <5% of the NullRegistry workload.
 
     The bracket stays compiled into every Table operation; this times
     the per-operation off-state work — one ``tracer.span(...)`` carrying
-    the profile and trace arguments with neither sink armed, plus one
-    interval-gated ``sampler.tick()`` — once per workload operation, in
-    isolation.
+    the profile and trace arguments with neither sink armed — once per
+    workload operation, in isolation.
     """
 
     def body():
-        from repro.obs.sampler import TelemetrySampler
-
         start = time.perf_counter()
         db = _run_workload(NULL_REGISTRY)
         loop_s = time.perf_counter() - start
@@ -146,14 +142,10 @@ def bench_disabled_telemetry_tax_under_5_percent(run_check):
         tracer = db.tracer
         assert tracer.profiler is None  # opt-in: never armed here
         assert tracer.trace is None
-        sampler = TelemetrySampler(
-            NULL_REGISTRY, clock=db.cost_model, interval_ns=float("inf")
-        )
-        sampler.sample()  # baseline; every tick below is the no-op path
 
         events = N_ROWS + N_LOOKUPS  # one hook crossing per operation
         off_s = min(
-            _time_disabled_hooks(tracer, sampler, events) for _ in range(3)
+            _time_disabled_hooks(tracer, events) for _ in range(3)
         )
 
         tax = off_s / loop_s
@@ -167,9 +159,8 @@ def bench_disabled_telemetry_tax_under_5_percent(run_check):
     run_check(body)
 
 
-def _time_disabled_hooks(tracer, sampler, n):
+def _time_disabled_hooks(tracer, n):
     span = tracer.span
-    tick = sampler.tick
     project = ("name", "n")
     start = time.perf_counter()
     for _ in range(n):
@@ -179,65 +170,6 @@ def _time_disabled_hooks(tracer, sampler, n):
             trace={"table": "t"},
         ):
             pass
-        tick()
-    return time.perf_counter() - start
-
-
-def bench_disabled_controller_tax_under_5_percent(run_check):
-    """Adaptive control *off* must cost <5% of the NullRegistry workload.
-
-    Two off-states exist and both are timed, once per workload operation
-    in isolation: the detached state (the per-operation
-    ``tracer.tick()`` with no ticker armed, the only cost until
-    ``Database.enable_adaptive`` runs) and the attached-but-disabled
-    state (``controller.tick()`` returning before it touches the
-    sampler).  The gate takes the worse of the two.
-    """
-
-    def body():
-        from repro.obs import AdaptiveController
-        from repro.obs.sampler import TelemetrySampler
-
-        start = time.perf_counter()
-        db = _run_workload(NULL_REGISTRY)
-        loop_s = time.perf_counter() - start
-
-        tracer = db.tracer
-        assert tracer.ticker is None  # opt-in: never armed here
-        events = N_ROWS + N_LOOKUPS  # one hook crossing per operation
-
-        detached_s = min(
-            _time_controller_hook(tracer, events) for _ in range(3)
-        )
-        tracer.ticker = AdaptiveController(
-            TelemetrySampler(
-                NULL_REGISTRY, clock=db.cost_model, interval_ns=float("inf")
-            ),
-            registry=NULL_REGISTRY,
-            enabled=False,
-        )
-        disabled_s = min(
-            _time_controller_hook(tracer, events) for _ in range(3)
-        )
-        tracer.ticker = None
-
-        tax = max(detached_s, disabled_s) / loop_s
-        print(
-            f"disabled-controller tax: {events} hook crossings, "
-            f"detached {detached_s * 1e3:.2f} ms / disabled "
-            f"{disabled_s * 1e3:.2f} ms vs {loop_s * 1e3:.1f} ms workload "
-            f"({tax:.2%})"
-        )
-        assert tax < 0.05
-
-    run_check(body)
-
-
-def _time_controller_hook(tracer, n):
-    tick = tracer.tick  # the exact hot-path call
-    start = time.perf_counter()
-    for _ in range(n):
-        tick()
     return time.perf_counter() - start
 
 

@@ -184,9 +184,7 @@ def _build(config: AdaptiveConfig, adaptive: bool) -> _Engine:
         WAL_FLUSH_AMPLIFICATION_RULE,
         HOTCOLD_HIT_RATE_RULE,
     )
-    sampler = TelemetrySampler(
-        metrics, clock=db.cost_model, interval_ns=float("inf"), capacity=32
-    )
+    sampler = TelemetrySampler(metrics, clock=db.cost_model, capacity=32)
     checker = HealthChecker(sampler, rules)
     controller = None
     if adaptive:

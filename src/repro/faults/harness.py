@@ -10,7 +10,7 @@ replays a mixed lookup/update/insert/delete workload through the
 :class:`~repro.faults.recovery.RecoveryManager`, then sweeps, digests
 and folds one :class:`DrillReport` over all engines.  What a mode adds
 is an entry in an op-index schedule or one ``if`` arm, never a second
-loop: power cuts, telemetry and the adaptive controller (single engine);
+loop: power cuts and the adaptive controller's windows (single engine);
 :class:`_SessionOps` in place of the autocommit op mix (sessions); two
 hot-key rebalances under tracing, journal and rollup (sharded).
 
@@ -42,7 +42,6 @@ from repro.errors import SimulatedCrashError, TxnConflictError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.recovery import RecoveryManager
-from repro.obs.health import DEFAULT_SLO_RULES, HealthChecker
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TelemetrySampler
 from repro.query.database import Database
@@ -63,8 +62,9 @@ TABLE = "revision"
 CRASH_RESTARTS = 2
 #: Operations between fuzzy checkpoints (WAL-backed drills).
 CHECKPOINT_EVERY = 1_000
-#: Telemetry samples across the op budget (single-engine drills).
-TELEMETRY_SAMPLES = 16
+#: Operations per window an adaptive drill samples and feeds its
+#: controller (single engine).
+ADAPTIVE_WINDOW_OPS = 10
 #: Three corrective re-reads: at a 2% read-flip rate, one re-read would
 #: misdiagnose back-to-back flips as at-rest corruption.
 DRILL_RETRY = RetryPolicy(corrupt_rereads=3)
@@ -94,13 +94,6 @@ class DrillReport:
     crash_restarts: int = 0
     #: Redo records the WAL writer emitted over the whole drill.
     wal_records: int = 0
-    #: Telemetry samples taken across the drill (0 = sampling off).
-    telemetry_points: int = 0
-    #: SLO verdicts over the drill's sampled telemetry — *recorded*, not
-    #: enforced: a drill that quarantines pages mid-flight legitimately
-    #: breaches the quarantine ceiling and still passes on correctness.
-    health_ok: bool = True
-    health: dict = field(default_factory=dict)
     #: Knob adjustments applied by the adaptive controller across the
     #: whole drill, every restart included (0 = controller off).
     tuning_actions: int = 0
@@ -362,7 +355,7 @@ class _Target:
             retry_policy=DRILL_RETRY,
         )
         if db.adaptive is not None:  # fresh engine, fresh controller
-            self.engines[0].enable_adaptive()
+            self.engines[0].enable_adaptive(sampler=db.adaptive.sampler)
         self.restarts += 1
         injector.arm(self.plans[0])
 
@@ -559,17 +552,12 @@ def run_fault_drill(
     bit for bit.  ``wal=False`` reverts to the PR-2 drill (no durability,
     no heap-targeted faults, no restarts).
 
-    Single-engine drills also sample telemetry on an operation cadence
-    (:class:`~repro.obs.sampler.TelemetrySampler`) and evaluate the
-    default SLO rules at the end; the verdicts land in the report as data
-    (``health_ok``, ``health``) but never affect ``passed`` — the drill
-    judges correctness, the health checker judges service levels, and a
-    drill is *supposed* to hurt.
-
     ``adaptive=True`` arms the engine's
-    :class:`~repro.obs.adaptive.AdaptiveController` for the whole drill —
-    including across crash restarts, where the fresh database gets a
-    fresh controller.  The controller may retune knobs mid-drill while
+    :class:`~repro.obs.adaptive.AdaptiveController` for the whole drill
+    and feeds it one :class:`~repro.obs.sampler.TelemetrySampler` window
+    every :data:`ADAPTIVE_WINDOW_OPS` operations — including across crash
+    restarts, where the fresh database gets a fresh controller over the
+    same sampler.  The controller may retune knobs mid-drill while
     faults fly; the drill's correctness verdict must be unaffected, which
     is exactly what this flag exists to prove (sharded drills ignore it).
 
@@ -603,8 +591,17 @@ def run_fault_drill(
         target.insert(row)
     # Armed *after* the bulk load so tuning reacts to the drill's mixed
     # workload, not to the insert storm.
+    sampler = None
     if adaptive and not shards:
-        target.engines[0].enable_adaptive()
+        # The clock closure re-reads the engine: a crash restart swaps in
+        # a fresh database (and cost model); the clock jumping backwards
+        # produces one degenerate window — no rates — and recovers.
+        sampler = TelemetrySampler(
+            target.registries[0],
+            clock=lambda: target.engines[0].cost_model.now_ns,
+        )
+        target.engines[0].enable_adaptive(sampler=sampler)
+        sampler.sample()
     for injector, plan in zip(target.injectors, target.plans):
         injector.arm(plan)
 
@@ -632,24 +629,11 @@ def run_fault_drill(
         cuts = range(1, CRASH_RESTARTS + 1)
         schedule = {round(n_ops * j / (CRASH_RESTARTS + 1)): restart for j in cuts}
 
-    sampler = None
-    if not shards:
-        # The clock closure re-reads the engine: a crash restart swaps in
-        # a fresh database (and cost model); the clock jumping backwards
-        # produces one degenerate window — no rates — and recovers.
-        sampler = TelemetrySampler(
-            target.registries[0],
-            clock=lambda: target.engines[0].cost_model.now_ns,
-            capacity=TELEMETRY_SAMPLES + 1,
-        )
-        sampler.sample()
-        sample_every = max(1, n_ops // TELEMETRY_SAMPLES)
-
     for op_i in range(n_ops):
         if op_i in schedule:
             schedule[op_i]()
-        if sampler is not None and op_i and op_i % sample_every == 0:
-            sampler.sample()
+        if sampler is not None and op_i and op_i % ADAPTIVE_WINDOW_OPS == 0:
+            target.engines[0].adaptive.evaluate(sampler.sample())
         if wal and op_i and op_i % CHECKPOINT_EVERY == 0:
             target.checkpoint()
         if session_ops is not None:
@@ -717,15 +701,11 @@ def run_fault_drill(
             sweeper = RecoveryManager(db, max_heals=256, registry=registry)
             sweeper.call(lambda: sum(1 for _ in db.table(TABLE).scan()))
 
-    health = None
     if shards:
         # One traced full-fanout aggregate after the guns go quiet: its span
         # tree must cover every shard (the report's acceptance exhibit).
         target.facade.table(TABLE).aggregate([("count", None)])
         target.facade.rollup.refresh()
-    else:
-        sampler.sample()
-        health = HealthChecker(sampler, DEFAULT_SLO_RULES).evaluate()
 
     check_ok, check_problems = target.check()
     snapshot, per_engine = target.snapshot()
@@ -759,9 +739,6 @@ def run_fault_drill(
         heap_page_rebuilds=total("recovery", "heap_page_rebuilds") + replayed_pages,
         crash_restarts=target.restarts,
         wal_records=total("wal", "records"),
-        telemetry_points=sampler.samples_taken if sampler is not None else 0,
-        health_ok=health.ok if health is not None else True,
-        health=health.as_dict() if health is not None else {},
         tuning_actions=total("adaptive", "actions"),
         sessions=sessions,
         txn_commits=total("txn", "commits"),

@@ -103,8 +103,7 @@ def run_observed_workload(
     windows regardless of trace length.
 
     With ``adaptive=True`` an :class:`~repro.obs.adaptive.AdaptiveController`
-    is attached over the *same* sampler (its per-operation tick disabled
-    by an infinite interval) and fed each chunk's point explicitly, so
+    is attached over the *same* sampler and fed each chunk's point, so
     the control loop runs chunk-synchronously and the sample count stays
     identical to a non-adaptive run.
 
@@ -171,8 +170,7 @@ def run_observed_workload(
             for i in range(shards)
         ]
         sampler = TelemetrySampler(
-            registry, clock=lambda: db.sim_now_ns,
-            capacity=max(samples + 1, 16), interval_ns=1_000_000.0,
+            registry, clock=lambda: db.sim_now_ns, capacity=max(samples + 1, 16)
         )
         checker = HealthChecker(
             sampler, fleet_rules(DEFAULT_SLO_RULES) + tuple(FLEET_SLO_RULES),
@@ -186,7 +184,6 @@ def run_observed_workload(
         profiler = db.enable_profiling(slow_log_size=64)
         sampler = TelemetrySampler(
             registry, clock=db.cost_model, capacity=max(samples + 1, 16),
-            interval_ns=float("inf") if adaptive else 1_000_000.0,
         )
         checker = HealthChecker(sampler, DEFAULT_SLO_RULES, journal=journal)
         controller = db.enable_adaptive(sampler=sampler) if adaptive else None

@@ -26,15 +26,14 @@ and a human-readable reason.  Operators read the ring through
 ``python -m repro.obs tune`` (or ``health``); nothing is ever tuned
 silently.
 
-The controller runs on the engine's :class:`~repro.sim.cost_model.CostModel`
-clock: :meth:`AdaptiveController.tick` is cheap enough to call per
-operation (``Table`` does, when attached) and samples a new telemetry
-window only when the sampler's interval has elapsed in *simulated* time.
-Drivers that sample manually call :meth:`AdaptiveController.evaluate`
-with each fresh point instead.  A degenerate window — zero duration, or
-a backward clock after a crash-restart swaps the cost model — is counted
-and skipped: no rates resolve in it, so acting on it would be acting on
-noise.
+The controller judges the windows its driver samples: whoever calls
+``sampler.sample()`` — the ``repro.obs`` replay once per chunk, the
+adaptive experiment once per phase step, an adaptive fault drill every
+few operations — feeds each point to :meth:`AdaptiveController.evaluate`.
+No engine operation calls the controller, so arming it costs the hot
+path nothing.  A degenerate window — zero duration, or a backward clock
+after a crash-restart swaps the cost model — is counted and skipped: no
+rates resolve in it, so acting on it would be acting on noise.
 
 This module imports only sibling ``repro.obs`` modules.  Knob factories
 for concrete subsystems (:func:`database_knobs`, :func:`hot_cold_knobs`)
@@ -206,7 +205,6 @@ class AdaptiveController:
         knobs: Iterable[Knob] = (),
         bindings: Iterable[KnobBinding] = (),
         registry: MetricsRegistry | None = None,
-        enabled: bool = True,
         audit_capacity: int = 64,
         journal=None,
     ) -> None:
@@ -233,7 +231,6 @@ class AdaptiveController:
         self._streaks: dict[str, int] = {}
         self._cooldown_until: dict[str, int] = {}
         self._audit: deque[TuningAction] = deque(maxlen=audit_capacity)
-        self._enabled = bool(enabled)
         self.stats = AdaptiveStats()
         reg = resolve_registry(registry)
         reg.adopt(self.stats, {
@@ -244,19 +241,8 @@ class AdaptiveController:
             "saturated": "adaptive.saturated",
             "degenerate_windows": "adaptive.degenerate_windows",
         })
-        self._m_enabled = reg.gauge("adaptive.enabled")
-        self._m_enabled.set(1.0 if self._enabled else 0.0)
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        self._m_enabled.set(1.0 if self._enabled else 0.0)
 
     @property
     def journal(self):
@@ -278,26 +264,11 @@ class AdaptiveController:
 
     # -- the control loop ----------------------------------------------------
 
-    def tick(self) -> list[TuningAction] | None:
-        """Per-operation hook: sample if the interval elapsed, then act.
-
-        Returns ``None`` when disabled or inside the sampling interval
-        (the overwhelmingly common case — two attribute reads and a clock
-        compare), else the actions the fresh window triggered.
-        """
-        if not self._enabled:
-            return None
-        point = self.sampler.tick()
-        if point is None:
-            return None
-        return self.evaluate(point)
-
     def evaluate(self, point: TelemetryPoint) -> list[TuningAction]:
         """Judge one freshly sampled window and apply any due actions.
 
-        Drivers that call ``sampler.sample()`` themselves (chunked
-        replays, experiments) feed each point here; :meth:`tick` is the
-        self-clocked wrapper over the same logic.
+        Call it between operations, where no pin is held, so a knob
+        change (pool resize, WAL flush) is safe.
         """
         stats = self.stats
         stats.ticks += 1
@@ -382,8 +353,7 @@ class AdaptiveController:
     # -- rendering -----------------------------------------------------------
 
     def format_knobs(self, title: str = "adaptive knobs") -> str:
-        state = "enabled" if self._enabled else "disabled"
-        lines = [f"{title}: {len(self._knobs)} knob(s), controller {state}"]
+        lines = [f"{title}: {len(self._knobs)} knob(s)"]
         for name in sorted(self._knobs):
             knob = self._knobs[name]
             lines.append(

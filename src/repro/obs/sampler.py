@@ -135,25 +135,20 @@ class TelemetrySampler:
 
     ``clock`` follows :func:`~repro.obs.registry.resolve_clock`; pass
     ``None`` when every :meth:`sample` call gets an explicit timestamp.
-    ``interval_ns`` is the :meth:`tick` cadence; ticks inside the
-    interval are free no-ops, so hooking ``tick()`` into a per-operation
-    loop gives interval-spaced samples.
+    The sampler has no cadence of its own: a window ends when its driver
+    calls :meth:`sample`.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
         clock: Clock | object | None = None,
-        interval_ns: float = 1_000_000.0,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         if capacity < 1:
             raise ObservabilityError("sampler capacity must be >= 1")
-        if interval_ns < 0:
-            raise ObservabilityError("sampler interval_ns must be >= 0")
         self._registry = resolve_registry(registry)
         self._clock = resolve_clock(clock)
-        self.interval_ns = float(interval_ns)
         self._points: deque[TelemetryPoint] = deque(maxlen=capacity)
         self._prev_counters: dict[str, int] = {}
         self._prev_buckets: dict[str, list[int]] = {}
@@ -166,13 +161,6 @@ class TelemetrySampler:
     @property
     def capacity(self) -> int:
         return self._points.maxlen or 0
-
-    def tick(self) -> TelemetryPoint | None:
-        """Sample iff at least ``interval_ns`` elapsed since the last one."""
-        now = self._clock()
-        if self._last_t is not None and now - self._last_t < self.interval_ns:
-            return None
-        return self.sample(now)
 
     def sample(self, now_ns: float | None = None) -> TelemetryPoint:
         """Take one sample at ``now_ns`` (default: the clock's now).
@@ -275,7 +263,6 @@ class TelemetrySampler:
 
     def as_dict(self) -> dict:
         return {
-            "interval_ns": self.interval_ns,
             "capacity": self.capacity,
             "samples_taken": self.samples_taken,
             "points": [p.as_dict() for p in self._points],

@@ -60,8 +60,7 @@ class Tracer:
     :class:`~repro.obs.profiler.QueryProfiler`), ``trace`` (a §5j
     :class:`~repro.obs.trace.TraceCollector`), ``journal`` (a §5j
     :class:`~repro.obs.events.EventJournal`, which the engine's emitters
-    read when they emit) and ``ticker`` (anything with a ``tick()``: the
-    §5f controller).  ``shard`` is this engine's id under a sharded
+    read when they emit).  ``shard`` is this engine's id under a sharded
     facade (``None`` standalone); it tags the engine's spans and events.
     """
 
@@ -77,9 +76,8 @@ class Tracer:
         self.trace = None
         self.journal = None
         self.shard: int | None = None
-        self.ticker = None
 
-    def arm(self, profiler=None, trace=None, journal=None, ticker=None) -> None:
+    def arm(self, profiler=None, trace=None, journal=None) -> None:
         """Arm sinks, once per engine; those left ``None`` keep what they
         had."""
         if profiler is not None:
@@ -88,14 +86,6 @@ class Tracer:
             self.trace = trace
         if journal is not None:
             self.journal = journal
-        if ticker is not None:
-            self.ticker = ticker
-
-    def tick(self) -> None:
-        """Tick the armed controller.  Called *before* a span opens: no
-        pin is held, so a knob change (pool resize, WAL flush) is safe."""
-        if self.ticker is not None:
-            self.ticker.tick()
 
     def span(
         self,

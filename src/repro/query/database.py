@@ -109,8 +109,6 @@ class Database:
         metrics = engine_registry(metrics)
         #: The registry every subsystem of this database emits into.
         self.metrics = metrics
-        #: The injector driving this database's disk, if faults are wired.
-        self.fault_injector = fault_injector
         if disk is not None:
             if fault_injector is not None:
                 raise QueryError(
@@ -122,7 +120,6 @@ class Database:
                     f"database wants {page_size}"
                 )
             self.disk = disk
-            self.fault_injector = getattr(disk, "injector", None)
         elif fault_injector is not None:
             from repro.faults.disk import FaultyDisk
 
@@ -145,8 +142,8 @@ class Database:
         self.cost_model = cost_model
         #: Span tracer charging simulated time from the cost model; the
         #: engine's one op bracket (DESIGN.md §5k): profiler, trace
-        #: collector, event journal and controller are armed on it,
-        #: never per table, and it holds the engine's shard id.
+        #: collector and event journal are armed on it, never per table,
+        #: and it holds the engine's shard id.
         self.tracer = Tracer(metrics, clock=cost_model)
         if self.wal is not None:
             self.wal.tracer = self.tracer
@@ -169,10 +166,12 @@ class Database:
         self._txn_manager = None
         #: The columnar manager, once :meth:`enable_columnar` has run.
         self.columnar = None
+        #: The adaptive controller, once :meth:`enable_adaptive` has run.
+        self.adaptive = None
         #: Database-wide cache-fill admission fraction, pushed into every
         #: cached index (existing and future) by :meth:`set_cache_admission`.
         self.cache_admission = 1.0
-        # Knob-state gauges (visible with the controller disabled too).
+        # Knob-state gauges (visible with no controller armed too).
         self._m_knob_data_pages = metrics.gauge("adaptive.knob.pool.data_pages")
         self._m_knob_data_pages.set(float(self.data_pool.capacity))
         if self.index_pool is not self.data_pool:
@@ -184,11 +183,6 @@ class Database:
             self._m_knob_index_pages = None
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def adaptive(self) -> "AdaptiveController | None":
-        """The adaptive controller, once :meth:`enable_adaptive` has run."""
-        return self.tracer.ticker
 
     @property
     def trace(self) -> "TraceCollector | None":
@@ -330,26 +324,26 @@ class Database:
     ) -> "AdaptiveController":
         """Attach an :class:`~repro.obs.adaptive.AdaptiveController`.
 
-        Armed on the engine's tracer (DESIGN.md §5k), so every table —
-        existing and future — ticks the controller before each
-        operation; the controller samples a telemetry window when the
-        sampler's interval of *simulated* time has elapsed, judges the SLO
-        rules, and steps the registered knobs (see
-        :mod:`repro.obs.adaptive` for the hysteresis contract).
+        The controller judges the windows of ``sampler`` — by default a
+        fresh :class:`~repro.obs.sampler.TelemetrySampler` on this
+        database's registry and cost model — as its driver feeds them:
+        ``controller.evaluate(controller.sampler.sample())`` between
+        operations judges the SLO rules over the window since the last
+        sample and steps the registered knobs (see
+        :mod:`repro.obs.adaptive` for the hysteresis contract).  No
+        table operation calls it.
 
         Defaults wire the full loop for this database: the standard SLO
         rules (plus the WAL flush-amplification rule when a WAL is
         attached), :func:`~repro.obs.adaptive.database_knobs`, and
         :func:`~repro.obs.adaptive.default_bindings`.  Pass ``rules``/
         ``knobs``/``bindings`` explicitly to extend the loop (e.g. with
-        hot/cold manager knobs).  Drivers that sample manually can hand
-        in their own ``sampler`` (built on this database's cost model)
-        and push points through ``controller.evaluate``.
+        hot/cold manager knobs).
 
         Strictly opt-in; idempotent: calling again returns the
         installed controller.
         """
-        if self.tracer.ticker is None:
+        if self.adaptive is None:
             from repro.obs.adaptive import (
                 AdaptiveController,
                 WAL_FLUSH_AMPLIFICATION_RULE,
@@ -369,15 +363,15 @@ class Database:
                 knobs = database_knobs(self)
             if bindings is None:
                 bindings = default_bindings(knobs, rules)
-            self.tracer.arm(ticker=AdaptiveController(
+            self.adaptive = AdaptiveController(
                 sampler,
                 rules=rules,
                 knobs=knobs,
                 bindings=bindings,
                 registry=self.metrics,
                 journal=self.journal,
-            ))
-        return self.tracer.ticker
+            )
+        return self.adaptive
 
     def enable_tracing(self) -> "TraceCollector":
         """Attach a §5j :class:`~repro.obs.trace.TraceCollector`.
@@ -427,8 +421,8 @@ class Database:
         """Adopt an externally owned event journal (the sharded facade's,
         or recovery's); events carry the tracer's ``shard``."""
         self.tracer.arm(journal=journal)
-        if self.tracer.ticker is not None:
-            self.tracer.ticker.journal = journal
+        if self.adaptive is not None:
+            self.adaptive.journal = journal
 
     def checkpoint(self) -> int:
         """Append a fuzzy checkpoint record (see

@@ -286,7 +286,6 @@ class Table:
         (0 = autocommit); the session layer passes it so crash recovery
         can tell committed writes from in-flight ones.
         """
-        self.tracer.tick()
         with self.tracer.span(
             "query.insert", profile=("insert", self.name),
             trace={"table": self.name},
@@ -320,7 +319,6 @@ class Table:
 
         Refused by :meth:`check_changes` before anything is logged.
         """
-        self.tracer.tick()
         self.check_changes(changes)
         with self.tracer.span(
             "query.update",
@@ -354,7 +352,6 @@ class Table:
         the delete either happens completely or not at all, and can be
         retried verbatim after a heal.
         """
-        self.tracer.tick()
         with self.tracer.span(
             "query.delete",
             profile=("delete", self.name, index_name, self.index(index_name)),
@@ -394,7 +391,6 @@ class Table:
         project: tuple[str, ...] | None = None,
     ) -> LookupResult:
         """Point lookup through the named index."""
-        self.tracer.tick()
         index = self.index(index_name)
         with self.tracer.span(
             "query.lookup",
@@ -417,7 +413,6 @@ class Table:
         ``BufferPool.fetch_many``).  Results align positionally with
         ``key_values`` and equal a per-key :meth:`lookup` loop.
         """
-        self.tracer.tick()
         index = self.index(index_name)
         batch = len(key_values)
         with self.tracer.span(
@@ -491,7 +486,6 @@ class Table:
             spec_label,
         )
 
-        self.tracer.tick()
         predicate = predicate if predicate is not None else _EVERY_ROW
         normalized = tuple(normalize_specs(specs, self.schema))
         labels = tuple(starmap(spec_label, normalized))

@@ -56,7 +56,6 @@ class ShardRecoveryReport:
     relocations: int
     #: Router overrides reinstalled from physical residency.
     overrides_rebuilt: int
-    keys_checked: int = 0
 
 
 def recover_sharded(
@@ -219,5 +218,4 @@ def recover_sharded(
         duplicates_resolved=duplicates,
         relocations=relocations,
         overrides_rebuilt=overrides,
-        keys_checked=len(owners),
     )

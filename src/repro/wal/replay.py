@@ -58,7 +58,6 @@ class RecoveryReport:
     torn_tail: bool
     records_scanned: int
     records_applied: int
-    checkpoint_lsn: int
     redo_from: int
     max_lsn: int
     #: Every durable LSN — an operation "committed" iff its LSN is here.
@@ -68,7 +67,6 @@ class RecoveryReport:
     page_rebuilds: int
     #: table name -> live rows after recovery.
     tables: dict[str, int] = field(default_factory=dict)
-    replay_ns: int = 0
     #: In-flight transactions (heap ops durable, no TXN_COMMIT/TXN_ABORT
     #: in the durable prefix) rolled back by appending compensation
     #: records — the crash-during-commit losers.
@@ -241,7 +239,8 @@ def _replay(
     journal_shard: int | None, disk=None, **engine,
 ):
     """:func:`recover` past the open: ``engine`` is the rest of the
-    rebuilt Database's configuration; ``replay_ns`` adds ``open_ns``."""
+    rebuilt Database's configuration; the ``wal.replay.ns`` sample adds
+    ``open_ns``."""
     from repro.query.database import Database  # late: avoids import cycle
 
     started = time.perf_counter_ns() - open_ns
@@ -287,7 +286,6 @@ def _replay(
 
     # With a survived disk, changes below the checkpoint's redo_from are
     # provably on disk; a blank disk needs the whole history.
-    checkpoint_lsn = checkpoint.lsn if checkpoint is not None else 0
     redo_from = checkpoint.redo_from if disk is not None and checkpoint else 1
 
     # -- page ownership ------------------------------------------------------
@@ -399,8 +397,7 @@ def _replay(
             tuple(meta["cached_fields"]), float(meta["split_fraction"]),
         )
 
-    elapsed = time.perf_counter_ns() - started
-    m_replay_ns.record(elapsed)
+    m_replay_ns.record(time.perf_counter_ns() - started)
     _emit(
         "recovery.end",
         tables=len(tables),
@@ -415,13 +412,11 @@ def _replay(
         torn_tail=scan.torn,
         records_scanned=len(records),
         records_applied=applied,
-        checkpoint_lsn=checkpoint_lsn,
         redo_from=redo_from,
         max_lsn=scan.max_lsn,
         lsns=scan.lsns,
         page_rebuilds=page_rebuilds,
         tables=tables,
-        replay_ns=elapsed,
         txns_rolled_back=txns_rolled_back,
         undo_records=undo_records,
     )

@@ -26,7 +26,7 @@ ADAPTIVE_PINS = {
         "297a4bdede659f0b5c609d1c4e9fe240ff021cd8d02e2c1e1e51088f24ab4709",
     ),
     ("tune",): (
-        {1: "adaptive knobs: 2 knob(s), controller enabled"},
+        {1: "adaptive knobs: 2 knob(s)"},
         "2086e616f0558740fd9c69fee4800593b3af96ec439d7137c6b52d10da758ead",
     ),
     ("timeline", "--adaptive"): (

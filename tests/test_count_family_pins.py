@@ -272,7 +272,6 @@ PINNED = [('heal-wal',
                 'breach_windows': 5,
                 'cooldown_skips': 1,
                 'degenerate_windows': 1,
-                'enabled': 1.0,
                 'knob': {'pool': {'data_pages': 64.0},
                          'wal': {'group_commit_records': 8.0}},
                 'saturated': 2,
@@ -312,7 +311,6 @@ PINNED = [('heal-wal',
                 'breach_windows': 5,
                 'cooldown_skips': 1,
                 'degenerate_windows': 1,
-                'enabled': 1.0,
                 'knob': {'pool': {'data_pages': 1024.0},
                          'wal': {'group_commit_records': 8.0}},
                 'saturated': 2,
@@ -364,7 +362,6 @@ PINNED = [('heal-wal',
                 'breach_windows': 5,
                 'cooldown_skips': 1,
                 'degenerate_windows': 1,
-                'enabled': 1.0,
                 'knob': {'pool': {'data_pages': 1024.0},
                          'wal': {'group_commit_records': 8.0}},
                 'saturated': 2,
@@ -416,7 +413,6 @@ PINNED = [('heal-wal',
                 'breach_windows': 0,
                 'cooldown_skips': 0,
                 'degenerate_windows': 0,
-                'enabled': 1.0,
                 'knob': {'pool': {'data_pages': 1024.0},
                          'wal': {'group_commit_records': 8.0}},
                 'saturated': 0,
@@ -468,7 +464,6 @@ PINNED = [('heal-wal',
                 'breach_windows': 0,
                 'cooldown_skips': 0,
                 'degenerate_windows': 0,
-                'enabled': 1.0,
                 'knob': {'pool': {'data_pages': 1024.0},
                          'wal': {'group_commit_records': 8.0}},
                 'saturated': 0,

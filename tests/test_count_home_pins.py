@@ -47,7 +47,7 @@ OBS_PINS = {
     ),
     "export": (
         {},
-        "3384c213c674b25fc330cfcfacb61e758474210934dcea4aa25553d60c54ebfa",
+        "82e32e3fb1e3fdbe2c7bb5c8a69acbeb38c580fd7aa43dee07bd30501787e24b",
     ),
     "top": (
         {},

@@ -83,3 +83,17 @@ def test_fault_drill_passes_with_controller_armed():
     again = run_fault_drill(n_pages=60, n_ops=300, seed=1, adaptive=True)
     assert again.digest == report.digest
     assert again.tuning_actions == report.tuning_actions
+
+
+def test_default_adaptive_drill_retunes_and_replays_the_plain_drill():
+    """At default size the drill feeds its controller a window every
+    ``ADAPTIVE_WINDOW_OPS`` operations, across both crash restarts: the
+    knobs move, and the sweep and fault history are the plain drill's."""
+    from repro.faults.harness import run_fault_drill
+
+    report = run_fault_drill(adaptive=True)
+    assert report.passed
+    assert report.tuning_actions >= 1
+    assert report.digest == (
+        "b34e119944d8b374449ace13e5ef828ffa18ec931ff0970fc184b79f6c4553b9"
+    )

@@ -40,7 +40,10 @@ def _healed_engine():
     """A WAL engine with events, tracing and adaptive armed, two
     checkpoints, and a seeded plan that flips one stored bit in an index
     leaf and one in a heap page: the lookup that trips over the leaf heals
-    the index, and the rebuild's heap scan redo-heals the heap page."""
+    the index, and the rebuild's heap scan redo-heals the heap page.  The
+    controller is fed a window after the load and one every 50 lookups
+    after it, the first of them the heal's, whose SLO breaches it
+    journals."""
     registry = MetricsRegistry()
     injector = FaultInjector(seed=7, registry=registry)
     db = Database(
@@ -49,12 +52,14 @@ def _healed_engine():
     )
     journal = db.enable_events()
     db.enable_tracing()
-    db.enable_adaptive()
+    controller = db.enable_adaptive()
+    controller.sampler.sample()  # baseline: no window yet
     table = db.create_table("t", SCHEMA)
     index = db.create_index("t", "pk", ("k",))
     for i in range(N_ROWS):
         table.insert({"k": i, "n": i * 3})
     db.checkpoint()
+    controller.evaluate(controller.sampler.sample())
     leaves = set(index.tree.leaf_page_ids)
     heap = set(table.heap.page_ids)
     injector.arm(FaultPlan.of(
@@ -68,6 +73,8 @@ def _healed_engine():
     injector.disarm()
     for i in range(N_ROWS):
         assert db.recovery.call(table.lookup, "pk", i).values["n"] == i * 3
+        if i % 50 == 0:
+            controller.evaluate(controller.sampler.sample())
     db.checkpoint()
     return db, journal
 
@@ -76,8 +83,10 @@ def test_single_engine_stream_is_pinned():
     db, journal = _healed_engine()
     stats = db.recovery.stats
     assert stats.index_rebuilds >= 1 and stats.heap_page_rebuilds >= 1
+    breaches = [dict(e.payload)["rule"] for e in journal.query(kind="slo.breach")]
+    assert breaches == ["quarantine-ceiling", "lookup-p95-latency-ceiling"]
     assert _digest(journal) == (
-        "c34bcef99ecf435d6eee725e1abd931e926c0801dfe5371749a0f9544194c700"
+        "eb6118af86c220665e649dbe89fc53393160db53de764148bffe55e044bb552d"
     )
 
 

@@ -193,8 +193,7 @@ def test_no_accessor_property_wraps_a_private_attribute():
     """A read-only view of a field is the field (DESIGN.md §3): a property
     whose body is ``return self._x`` costs a frame per read and tells the
     reader nothing the attribute would not.  The one allowance is a
-    property whose setter does more than store (``AdaptiveController
-    .enabled`` also moves a gauge)."""
+    property whose setter does more than store."""
     offenders = []
     for path in MODULES.values():
         for cls in ast.walk(ast.parse(path.read_text())):

@@ -221,26 +221,6 @@ def test_quantized_step_counts_as_saturated():
     assert loop.controller.actions == []
 
 
-def test_disabled_controller_ticks_for_free():
-    holder = Holder()
-    registry = MetricsRegistry()
-    clock = {"t": 0.0}
-    sampler = TelemetrySampler(
-        registry, clock=lambda: clock["t"], interval_ns=100.0
-    )
-    controller = AdaptiveController(
-        sampler, rules=(SIGNAL_RULE,), knobs=[make_knob(holder)],
-        bindings=[binding()], registry=registry, enabled=False,
-    )
-    clock["t"] = 1_000.0
-    assert controller.tick() is None
-    assert sampler.samples_taken == 0                # never reached the sampler
-    assert registry.get("adaptive.enabled").value == 0.0
-    controller.enabled = True
-    assert controller.tick() is not None             # baseline sample
-    assert registry.get("adaptive.enabled").value == 1.0
-
-
 def test_audit_ring_is_bounded_and_renders():
     holder = Holder(0.0)
     loop = Loop(

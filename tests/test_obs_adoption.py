@@ -191,7 +191,8 @@ def test_index_cache_miss_reads_the_caches_own_misses():
 
 def _armed_engine(registry):
     """A WAL engine with every adopted component armed and counting: a
-    heal, a session, the adaptive controller, profiling and columnar."""
+    heal, a session, the adaptive controller (fed one window), profiling
+    and columnar."""
     db = Database(seed=0, wal=True, data_pool_pages=64, metrics=registry)
     table = db.create_table("t", SCHEMA)
     db.create_index("t", "pk", ("id",))
@@ -199,9 +200,10 @@ def _armed_engine(registry):
     for i in range(60):
         table.insert({"id": i, "name": f"n{i}", "score": i})
     db.enable_profiling()
-    db.enable_adaptive()
+    controller = db.enable_adaptive()
     db.enable_columnar()
     db.recovery.call(table.lookup, "pk", 3)
+    controller.evaluate(controller.sampler.sample())
     session = db.session()
     with session.transaction():
         session.update("t", 4, {"score": 40})
@@ -222,7 +224,7 @@ def test_a_dropped_engine_on_a_shared_registry_is_collected():
         registry = MetricsRegistry()
         db = _armed_engine(registry)
         held = (
-            db.recovery.stats, db.tracer.ticker.stats, db.tracer.profiler.counts,
+            db.recovery.stats, db.adaptive.stats, db.tracer.profiler.counts,
             db.columnar.stats,
         )
         ref = weakref.ref(db)

@@ -1,7 +1,8 @@
 """The op bracket contract (DESIGN.md §5k): one ``Tracer.span`` per
 operation feeds the histogram, the profiler and the trace collector, is
-armed once per engine, and keeps the historical asymmetries (what ticks,
-what has a ``span.*`` series, what nests)."""
+armed once per engine, and keeps the historical asymmetries (what has a
+``span.*`` series, what nests).  No operation calls the §5f controller:
+it judges only the windows its driver feeds it."""
 
 import itertools
 
@@ -56,46 +57,42 @@ def test_every_op_is_observed_exactly_once_with_everything_armed():
     collector = db.enable_tracing()
     controller = db.enable_adaptive()
     db.enable_columnar()
-    ticks = []
-    real_tick = controller.tick
-    controller.tick = lambda: (ticks.append(1), real_tick())[1]
 
     pred = ColumnRange("n", 0, 3)
     specs = [("count", None), ("sum", "n")]
-    # (label, call, profiled op, trace root, span.* sample, ticks)
+    # (label, call, profiled op, trace root, span.* sample)
     cases = [
         ("insert", lambda: t.insert({"k": 100, "name": "x", "n": 1}),
-         "insert", "query.insert", "insert", 1),
+         "insert", "query.insert", "insert"),
         ("update", lambda: t.update("pk", 100, {"n": 2}),
-         "update", "query.update", "update", 1),
+         "update", "query.update", "update"),
         ("lookup", lambda: t.lookup("pk", 100),
-         "lookup", "query.lookup", "lookup", 1),
+         "lookup", "query.lookup", "lookup"),
         ("lookup_many", lambda: t.lookup_many("pk", [1, 2, 100]),
-         "lookup_many", "query.lookup_many", "lookup_many", 1),
+         "lookup_many", "query.lookup_many", "lookup_many"),
         ("delete", lambda: t.delete("pk", 100),
-         "delete", "query.delete", "delete", 1),
+         "delete", "query.delete", "delete"),
         ("row scan", lambda: list(t.scan(pred, use_columnar=False)),
-         "scan", None, None, 0),
+         "scan", None, None),
         ("columnar scan", lambda: list(t.scan(pred)),
-         "scan", "query.scan", None, 0),
+         "scan", "query.scan", None),
         ("row aggregate", lambda: t.aggregate(specs, pred, use_columnar=False),
-         "aggregate", "query.aggregate", None, 1),
+         "aggregate", "query.aggregate", None),
         ("columnar aggregate", lambda: t.aggregate(specs, pred),
-         "aggregate", "query.aggregate", None, 1),
+         "aggregate", "query.aggregate", None),
         # A join has no span of its own; on a cold cache its parent
-        # lookup nests inside the join's profile but still traces,
-        # ticks and is timed as the lookup it is.
+        # lookup nests inside the join's profile but still traces and
+        # is timed as the lookup it is.
         ("join_fetch", lambda: join.join_fetch(rids[0], ("cid", "name")),
-         "join", "query.lookup", "lookup", 1),
+         "join", "query.lookup", "lookup"),
         ("join_fetch_many",
          lambda: join.join_fetch_many(rids[1:4], ("cid", "n")),
-         "join_many", "query.lookup_many", "lookup_many", 1),
+         "join_many", "query.lookup_many", "lookup_many"),
     ]
-    for label, call, op, root, timed, n_ticks in cases:
+    for label, call, op, root, timed in cases:
         profiles = profiler.operations
         finished = len(collector.traces())
         spans = _span_counts(db)
-        del ticks[:]
         call()
         assert profiler.operations == profiles + 1, label
         newest = max(profiler.slow_queries(), key=lambda p: p.seq)
@@ -108,7 +105,7 @@ def test_every_op_is_observed_exactly_once_with_everything_armed():
             if count != spans.get(name, 0)
         }
         assert grown == ({timed: 1} if timed else {}), label
-        assert len(ticks) == n_ticks, label
+        assert controller.stats.ticks == 0, label  # no op judges a window
         assert collector.active is None and profiler._depth == 0, label
     assert collector.active is None
     scan_trace = [tr for tr in collector.traces() if tr.root.name == "query.scan"]
@@ -219,7 +216,7 @@ def test_enable_order_does_not_change_the_wiring(order):
     tracer = db.tracer
     assert tracer.profiler is db.tracer.profiler is not None
     assert tracer.trace is db.trace is not None
-    assert tracer.ticker is db.adaptive is not None
+    assert db.adaptive is not None
     assert tracer.shard is None
     assert tracer.journal is db.journal is not None
     assert db.adaptive.journal is db.journal
@@ -261,4 +258,3 @@ def test_tracer_without_registry_or_clock_is_inert():
             pass
     assert tracer._clock() == 0.0  # what both spans read: each measures zero
     assert tracer.registry.snapshot() == {}
-    tracer.tick()  # no ticker armed: a no-op
