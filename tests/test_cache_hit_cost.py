@@ -63,10 +63,10 @@ update and insert read 105 / 169 / 180, the leaf-answered lookup 101
 and both facade hops 15.
 
 No op calls the adaptive controller, armed or not: it judges only the
-windows its driver feeds it.  When every ``Table`` op first called
-``Tracer.tick``, the plain lookup, update and insert read 103 / 165 /
-176, the leaf-answered lookup 99 and the columnar pair 138, and arming
-the controller added 3 calls to each lookup and update.
+windows its driver feeds it.  When every ``Table`` op opened with a
+``Tracer.tick`` call, the plain lookup, update and insert read 103 /
+165 / 176, the leaf-answered lookup 99 and the columnar pair 138, and
+arming the controller added 3 calls to each lookup and update.
 """
 
 import gc
