@@ -28,8 +28,9 @@ silently.
 
 The controller judges the windows its driver samples: whoever calls
 ``sampler.sample()`` — the ``repro.obs`` replay once per chunk, the
-adaptive experiment once per phase step, an adaptive fault drill every
-few operations — feeds each point to :meth:`AdaptiveController.evaluate`.
+adaptive experiment every ``chunk`` operations, an adaptive fault drill
+every few operations — feeds each point to
+:meth:`AdaptiveController.evaluate`.
 No engine operation calls the controller, so arming it costs the hot
 path nothing.  A degenerate window — zero duration, or a backward clock
 after a crash-restart swaps the cost model — is counted and skipped: no
