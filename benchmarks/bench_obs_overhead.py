@@ -186,7 +186,9 @@ def bench_enabled_telemetry_matches_baseline(run_check):
     def body():
         from repro.obs.__main__ import run_observed_workload
 
-        run = run_observed_workload()  # baseline was recorded at defaults
+        # the baseline was recorded with a 48-page pool, which never
+        # evicts after the load
+        run = run_observed_workload(pool_pages=48)
         top = run.profiler.top()
         point = {
             "profiled_ops": run.profiler.operations,

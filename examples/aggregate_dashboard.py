@@ -74,15 +74,16 @@ def manager_demo(data) -> None:
 
     manager = OnlineHotColdManager(
         table, hot_capacity=len(rev_ids) // 20,
-        ops_per_epoch=2_000, migration_budget=400,
+        ops_per_epoch=2_000, migration_budget=400, registry=db.metrics,
     )
     dist = HotSetDistribution(
         len(rev_ids), 0.05, 0.999, DeterministicRng(2)
     )
     for _ in range(12_000):
         manager.lookup(rev_ids[dist.sample()])
+    rebalances = db.metrics.get("hotcold.rebalances").value
     print(
-        f"\nonline manager: {len(manager.reports)} rebalances, hot "
+        f"\nonline manager: {rebalances} rebalances, hot "
         f"partition at {table.hot.num_rows} rows, hot-partition hit rate "
         f"{manager.hot_hit_rate():.1%}"
     )

@@ -21,13 +21,9 @@ class BTreeStats:
     num_entries: int
     height: int
     leaf_pages: int
-    internal_pages: int
     size_bytes: int
     leaf_fill_mean: float
-    leaf_fill_min: float
-    leaf_fill_max: float
     free_bytes_total: int
-    key_bytes_total: int
 
     def cache_capacity(self, item_size: int) -> int:
         """How many cache items of ``item_size`` bytes the free space holds.
@@ -44,22 +40,16 @@ def collect_stats(tree: BPlusTree) -> BTreeStats:
     """Walk the tree's leaves and produce a :class:`BTreeStats` snapshot."""
     fills = StreamingStats()
     free_total = 0
-    key_total = 0
     for page_id in tree.leaf_page_ids:
         with tree.pool.page(page_id) as page:
             fills.add(page.fill_factor)
             free_total += page.free_bytes
-            key_total += page.live_record_bytes
     return BTreeStats(
         name=tree.name,
         num_entries=tree.num_entries,
         height=tree.height,
         leaf_pages=len(tree.leaf_page_ids),
-        internal_pages=len(tree.internal_page_ids),
         size_bytes=tree.size_bytes,
         leaf_fill_mean=fills.mean,
-        leaf_fill_min=fills.min,
-        leaf_fill_max=fills.max,
         free_bytes_total=free_total,
-        key_bytes_total=key_total,
     )

@@ -95,7 +95,6 @@ class MigrationReport:
     new_record_bytes: int
     old_heap_pages: int
     new_heap_pages: int
-    recommendations: tuple[TypeRecommendation, ...]
 
     @property
     def record_shrink_fraction(self) -> float:
@@ -170,7 +169,6 @@ def migrate_table(
         new_record_bytes=optimized.record_size,
         old_heap_pages=table.heap.num_pages,
         new_heap_pages=target_heap.num_pages,
-        recommendations=tuple(recommendations),
     )
     reg = get_default_registry()
     reg.counter("encoding.migrate.tables").inc()

@@ -5,7 +5,7 @@ from repro.core.hot_cold.tracker import AccessTracker
 from repro.core.hot_cold.forwarding import ForwardingTable
 from repro.core.hot_cold.cluster import ClusterReport, cluster_hot_tuples
 from repro.core.hot_cold.partitioner import HotColdPartitionedTable
-from repro.core.hot_cold.manager import OnlineHotColdManager, RebalanceReport
+from repro.core.hot_cold.manager import OnlineHotColdManager
 from repro.core.hot_cold.vertical import (
     VerticalPartitioning,
     VerticallyPartitionedTable,
@@ -20,7 +20,6 @@ __all__ = [
     "cluster_hot_tuples",
     "HotColdPartitionedTable",
     "OnlineHotColdManager",
-    "RebalanceReport",
     "VerticalPartitioning",
     "VerticallyPartitionedTable",
     "recommend_vertical_split",

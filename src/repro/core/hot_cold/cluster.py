@@ -26,11 +26,8 @@ class ClusterReport:
     """What a clustering pass did."""
 
     hot_tuples: int
-    requested_fraction: float
     moved: int
     skipped_missing: int
-    pages_before: int
-    pages_after: int
 
 def cluster_hot_tuples(
     heap: HeapFile,
@@ -70,7 +67,6 @@ def cluster_hot_tuples(
     else:
         chosen = list(hot_keys)
 
-    pages_before = heap.num_pages
     moved = 0
     skipped = 0
     for key in chosen:
@@ -88,9 +84,6 @@ def cluster_hot_tuples(
         moved += 1
     return ClusterReport(
         hot_tuples=len(hot_keys),
-        requested_fraction=fraction,
         moved=moved,
         skipped_missing=skipped,
-        pages_before=pages_before,
-        pages_after=heap.num_pages,
     )

@@ -16,8 +16,6 @@ with a reorganisation storm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.hot_cold.partitioner import (
     HotColdPartitionedTable,
     identity_index,
@@ -25,19 +23,6 @@ from repro.core.hot_cold.partitioner import (
 from repro.core.hot_cold.tracker import AccessTracker
 from repro.errors import StorageError, WorkloadError
 from repro.obs.registry import MetricsRegistry, resolve_registry
-
-
-@dataclass(frozen=True)
-class RebalanceReport:
-    """What one epoch's rebalance did."""
-
-    epoch: int
-    promoted: int
-    demoted: int
-    hot_rows_after: int
-    #: Moves that hit a storage fault mid-migration and rolled back to a
-    #: consistent partition map (see ``HotColdPartitionedTable._move``).
-    aborted: int = 0
 
 
 class OnlineHotColdManager:
@@ -72,7 +57,6 @@ class OnlineHotColdManager:
         self.ops_per_epoch = ops_per_epoch
         self._budget = migration_budget
         self._ops_since_rebalance = 0
-        self.reports: list[RebalanceReport] = []
         reg = resolve_registry(registry)
         self._m_lookups = reg.counter("hotcold.lookups")
         self._m_rebalances = reg.counter("hotcold.rebalances")
@@ -130,15 +114,17 @@ class OnlineHotColdManager:
 
     # -- rebalancing ---------------------------------------------------------------
 
-    def rebalance(self) -> RebalanceReport:
+    def rebalance(self) -> None:
         """Migrate toward "hot partition = hottest ``hot_capacity`` keys".
 
         Promotions (cold keys hotter than the coldest hot resident) are
         applied before demotions, both bounded by the migration budget.
         A move that hits a storage fault mid-flight is counted as aborted
-        and skipped — ``HotColdPartitionedTable._move`` guarantees the
-        abort leaves the partition map consistent, and an aborted move
-        still spends budget (its I/O was real).
+        (``hotcold.migration_aborts``) and skipped —
+        ``HotColdPartitionedTable._move`` guarantees the abort leaves the
+        partition map consistent, and an aborted move still spends budget
+        (its I/O was real).  What each pass did is counted in the
+        ``hotcold.*`` instruments, not kept.
         """
         self._ops_since_rebalance = 0
         want_hot = set(self.tracker.hottest(self.hot_capacity))
@@ -194,14 +180,6 @@ class OnlineHotColdManager:
                     excess -= 1
                     budget -= 1
         self.tracker.advance_epoch()
-        report = RebalanceReport(
-            epoch=self.tracker.epoch,
-            promoted=promoted,
-            demoted=demoted,
-            hot_rows_after=self.table.hot.num_rows,
-            aborted=aborted,
-        )
-        self.reports.append(report)
         self._m_rebalances.inc()
         self._m_promotions.inc(promoted)
         self._m_demotions.inc(demoted)
@@ -212,7 +190,6 @@ class OnlineHotColdManager:
             (promoted + demoted) * self.table.schema.record_size
         )
         self._m_hot_rows.set(self.table.hot.num_rows)
-        return report
 
     def _hot_residents(self) -> list[object]:
         """Keys currently in the hot partition (decoded from its index)."""

@@ -35,9 +35,6 @@ class PartitionStats:
     hot_rows: int
     cold_rows: int
     hot_index_bytes: int
-    cold_index_bytes: int
-    hot_heap_bytes: int
-    cold_heap_bytes: int
 
 
 def identity_index(table: Table) -> AnyIndex:
@@ -143,14 +140,10 @@ class HotColdPartitionedTable:
 
     def stats(self) -> PartitionStats:
         hot_tree = identity_index(self.hot).tree
-        cold_tree = identity_index(self.cold).tree
         return PartitionStats(
             hot_rows=hot_tree.num_entries,
-            cold_rows=cold_tree.num_entries,
+            cold_rows=identity_index(self.cold).tree.num_entries,
             hot_index_bytes=hot_tree.size_bytes,
-            cold_index_bytes=cold_tree.size_bytes,
-            hot_heap_bytes=self.hot.heap.size_bytes,
-            cold_heap_bytes=self.cold.heap.size_bytes,
         )
 
     # -- internals ---------------------------------------------------------------

@@ -72,7 +72,6 @@ class EmbeddedId:
 class IdReassignmentPlan:
     """Old-id → new-id mapping realising a placement decision."""
 
-    scheme: EmbeddedId
     mapping: dict[int, int]
 
     def new_id(self, old_id: int) -> int:
@@ -149,4 +148,4 @@ def plan_reassignment(
         local = counters.get(partition, 0)
         counters[partition] = local + 1
         mapping[old_id] = scheme.encode(partition, local)
-    return IdReassignmentPlan(scheme=scheme, mapping=mapping)
+    return IdReassignmentPlan(mapping=mapping)

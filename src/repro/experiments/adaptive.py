@@ -28,7 +28,7 @@ tallies and the same audit trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.btree.tree import BPlusTree
 from repro.core.hot_cold.manager import OnlineHotColdManager
@@ -70,12 +70,12 @@ HC_SCHEMA = Schema.of(("item_id", UINT32), ("body", char(16)))
 #: ``hotcold.hit``/``hotcold.miss`` counters through the sampler's
 #: derived-hit-rate selector.
 HOTCOLD_HIT_RATE_RULE = SloRule(
+    # the hot partition must absorb the skewed lookups
     name="hotcold-hit-rate-floor",
     selector="derived.hotcold.hit_rate",
     op=">=",
     threshold=0.5,
     window=3,
-    description="the hot partition must absorb the skewed lookups",
 )
 
 
@@ -112,8 +112,6 @@ class EngineRun:
     hot_hit_rate: float
     wrong_results: int
     controller: AdaptiveController | None = None
-    #: (phase label, rule name) -> breach windows, for the narrative.
-    by_phase: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -230,22 +228,19 @@ def _run_engine(config: AdaptiveConfig, adaptive: bool) -> EngineRun:
     wrong = 0
     windows = 0
     tally: dict[str, int] = {}
-    by_phase: dict[tuple[str, str], int] = {}
 
-    def close_window(phase: str) -> None:
+    def close_window() -> None:
         nonlocal windows
         point = engine.sampler.sample()
         windows += 1
         report = engine.checker.evaluate()
         for result in report.breaches:
             tally[result.rule.name] = tally.get(result.rule.name, 0) + 1
-            key = (phase, result.rule.name)
-            by_phase[key] = by_phase.get(key, 0) + 1
         if engine.controller is not None:
             engine.controller.evaluate(point)
 
     op_serial = 0
-    for phase, alpha, child, faults in _PHASES:
+    for _label, alpha, child, faults in _PHASES:
         db_dist = ZipfianDistribution(
             config.n_rows, alpha, rng.child(10 + child)
         )
@@ -276,7 +271,7 @@ def _run_engine(config: AdaptiveConfig, adaptive: bool) -> EngineRun:
                     wrong += 1
             engine.manager.lookup(hc_dist.sample())
             if op_serial % config.chunk == 0:
-                close_window(phase)
+                close_window()
         if faults:
             engine.injector.disarm()
 
@@ -290,7 +285,6 @@ def _run_engine(config: AdaptiveConfig, adaptive: bool) -> EngineRun:
         hot_hit_rate=engine.manager.hot_hit_rate(),
         wrong_results=wrong,
         controller=engine.controller,
-        by_phase=by_phase,
     )
 
 

@@ -52,7 +52,6 @@ class Fig3Row:
     cost_ms_per_lookup: float
     disk_reads_per_lookup: float
     index_bytes: int          # the index the hot path descends
-    total_index_bytes: int    # all indexes of the configuration
     speedup: float            # vs the 0% baseline
 
 
@@ -159,7 +158,6 @@ def run(
                 cost_ms_per_lookup=cost_ms,
                 disk_reads_per_lookup=reads,
                 index_bytes=index.tree.size_bytes,
-                total_index_bytes=index.tree.size_bytes,
                 speedup=baseline_cost / cost_ms if cost_ms else float("inf"),
             )
         )
@@ -178,7 +176,6 @@ def run(
             cost_ms_per_lookup=cost_ms,
             disk_reads_per_lookup=reads,
             index_bytes=stats.hot_index_bytes,
-            total_index_bytes=stats.hot_index_bytes + stats.cold_index_bytes,
             speedup=baseline_cost / cost_ms if cost_ms else float("inf"),
         )
     )

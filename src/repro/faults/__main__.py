@@ -26,6 +26,7 @@ import argparse
 import sys
 
 from repro.faults.harness import run_fault_drill
+from repro.util.cli import at_least
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,20 +39,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="drill seed")
     parser.add_argument(
-        "--ops", type=int, default=3_000, help="mixed operations to replay"
+        "--ops", type=at_least(0), default=3_000,
+        help="mixed operations to replay",
     )
     parser.add_argument(
-        "--pages", type=int, default=300, help="Wikipedia pages to generate"
+        "--pages", type=at_least(1), default=300,
+        help="Wikipedia pages to generate",
     )
     parser.add_argument(
-        "--pool-pages", type=int, default=16, help="buffer-pool frames"
+        "--pool-pages", type=at_least(2), default=16, help="buffer-pool frames"
     )
     parser.add_argument(
-        "--sessions", type=int, default=0,
+        "--sessions", type=at_least(0), default=0,
         help="interleaved MVCC sessions (0 = autocommit drill)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0,
+        "--shards", type=at_least(0), default=0,
         help="shard the drill over N engines (0 = single engine)",
     )
     parser.add_argument(

@@ -94,9 +94,6 @@ class DrillReport:
     crash_restarts: int = 0
     #: Redo records the WAL writer emitted over the whole drill.
     wal_records: int = 0
-    #: Knob adjustments applied by the adaptive controller across the
-    #: whole drill, every restart included (0 = controller off).
-    tuning_actions: int = 0
     #: Concurrent logical sessions interleaved by the drill (0 = the
     #: classic autocommit drill).
     sessions: int = 0
@@ -158,19 +155,18 @@ class DrillReport:
         )
 
 
-def default_plan(is_index_page, is_heap_page=None) -> FaultPlan:
+def default_plan(is_index_page, is_heap_page) -> FaultPlan:
     """The drill's standard mix.
 
     Transient faults and read-path flips hit everything — they heal by
     retry/re-read.  At-rest corruption aimed at index pages heals by
-    rebuild-from-heap.  When ``is_heap_page`` is given (a WAL is
-    attached), bit flips and torn writes are aimed at heap pages too:
-    their full history is in the log, so they heal by redo.  Stuck
-    writes stay index-only — a heap page that keeps its old, internally
-    valid bytes is only caught by the pool's freshness memory, which a
-    restart legitimately loses.
+    rebuild-from-heap.  Bit flips and torn writes are aimed at heap pages
+    too: their full history is in the write-ahead log, so they heal by
+    redo.  Stuck writes stay index-only — a heap page that keeps its old,
+    internally valid bytes is only caught by the pool's freshness memory,
+    which a restart legitimately loses.
     """
-    specs = [
+    return FaultPlan.of(
         FaultSpec(FaultKind.TRANSIENT_READ_ERROR, probability=0.02),
         FaultSpec(FaultKind.TRANSIENT_WRITE_ERROR, probability=0.02),
         FaultSpec(FaultKind.READ_BIT_FLIP, probability=0.02),
@@ -179,17 +175,11 @@ def default_plan(is_index_page, is_heap_page=None) -> FaultPlan:
         ),
         FaultSpec(FaultKind.TORN_WRITE, probability=0.02, page_filter=is_index_page),
         FaultSpec(FaultKind.STUCK_WRITE, probability=0.02, page_filter=is_index_page),
-    ]
-    if is_heap_page is not None:
-        specs += [
-            FaultSpec(
-                FaultKind.WRITE_BIT_FLIP, probability=0.01, page_filter=is_heap_page
-            ),
-            FaultSpec(
-                FaultKind.TORN_WRITE, probability=0.01, page_filter=is_heap_page
-            ),
-        ]
-    return FaultPlan.of(*specs)
+        FaultSpec(
+            FaultKind.WRITE_BIT_FLIP, probability=0.01, page_filter=is_heap_page
+        ),
+        FaultSpec(FaultKind.TORN_WRITE, probability=0.01, page_filter=is_heap_page),
+    )
 
 
 def _mirror_from_wal(records) -> dict[int, dict[str, object]]:
@@ -231,7 +221,7 @@ class _Target:
     filters included) reads the list live, never a saved engine.
     """
 
-    def __init__(self, seed: int, pool_pages: int, wal: bool, shards: int) -> None:
+    def __init__(self, seed: int, pool_pages: int, shards: int) -> None:
         self._seed = seed
         self._pool_pages = pool_pages
         self.registries = [MetricsRegistry() for _ in range(shards or 1)]
@@ -257,7 +247,7 @@ class _Target:
                 shard_metrics=self.registries,
                 fault_injectors=self.injectors,
                 retry_policy=DRILL_RETRY,
-                wal=wal,
+                wal=True,
                 recovery=True,
             )
             # §5j: the sharded drill always runs observed — cross-shard
@@ -276,20 +266,19 @@ class _Target:
                 metrics=self.registries[0],
                 fault_injector=self.injectors[0],
                 retry_policy=DRILL_RETRY,
-                wal=wal,
+                wal=True,
             )
             self.engines = [root]
         root.create_table(TABLE, REVISION_SCHEMA)
         root.create_cached_index(TABLE, "rev_pk", ("rev_id",), CACHED_FIELDS)
         self.plans = [
-            default_plan(*self._page_filters(i, wal))
-            for i in range(len(self.engines))
+            default_plan(*self._page_filters(i)) for i in range(len(self.engines))
         ]
         self.restarts = 0
         #: Pages quarantined by engines that have since crashed away.
         self.quarantined_before_restarts = 0
 
-    def _page_filters(self, i: int, wal: bool):
+    def _page_filters(self, i: int):
         def is_index_page(page_id: int) -> bool:
             # Re-read per call: rebuilds and restarts swap the tree out.
             tree = self.engines[i].table(TABLE).index("rev_pk").tree
@@ -298,7 +287,7 @@ class _Target:
         def is_heap_page(page_id: int) -> bool:
             return self.engines[i].table(TABLE).heap.owns_page(page_id)
 
-        return is_index_page, (is_heap_page if wal else None)
+        return is_index_page, is_heap_page
 
     def _op(self, method: str, *args):
         """One healed table call: the facade heals per delegated shard
@@ -540,7 +529,6 @@ def run_fault_drill(
     revisions_per_page: int = 4,
     n_ops: int = 3_000,
     pool_pages: int = 16,
-    wal: bool = True,
     adaptive: bool = False,
     sessions: int = 0,
     shards: int = 0,
@@ -549,8 +537,9 @@ def run_fault_drill(
 
     Deterministic end to end: the same arguments produce the same faults,
     the same recoveries, the same restarts, and the same report digest,
-    bit for bit.  ``wal=False`` reverts to the PR-2 drill (no durability,
-    no heap-targeted faults, no restarts).
+    bit for bit.  Every engine runs with a write-ahead log, so heap pages
+    take faults too (they heal by redo) and the single engine survives
+    power cuts.
 
     ``adaptive=True`` arms the engine's
     :class:`~repro.obs.adaptive.AdaptiveController` for the whole drill
@@ -581,7 +570,7 @@ def run_fault_drill(
     """
     if shards and sessions:
         raise ValueError("shards and sessions are mutually exclusive")
-    target = _Target(seed, pool_pages, bool(wal), shards)
+    target = _Target(seed, pool_pages, shards)
     data = generate(
         WikipediaConfig(
             n_pages=n_pages, revisions_per_page_mean=revisions_per_page, seed=seed
@@ -619,13 +608,12 @@ def run_fault_drill(
         if session_ops is not None:
             session_ops.reset()
 
-    # What each mode adds at fixed op indices: power cuts (single engine,
-    # WAL only) or hot-key rebalances (sharded; never at op 0).
-    schedule: dict[int, object] = {}
+    # What each mode adds at fixed op indices: power cuts (single engine)
+    # or hot-key rebalances (sharded; never at op 0).
     if shards:
         thirds = (n_ops // 3, 2 * n_ops // 3)
         schedule = {at: target.facade.rebalance for at in thirds if at}
-    elif wal:
+    else:
         cuts = range(1, CRASH_RESTARTS + 1)
         schedule = {round(n_ops * j / (CRASH_RESTARTS + 1)): restart for j in cuts}
 
@@ -634,7 +622,7 @@ def run_fault_drill(
             schedule[op_i]()
         if sampler is not None and op_i and op_i % ADAPTIVE_WINDOW_OPS == 0:
             target.engines[0].adaptive.evaluate(sampler.sample())
-        if wal and op_i and op_i % CHECKPOINT_EVERY == 0:
+        if op_i and op_i % CHECKPOINT_EVERY == 0:
             target.checkpoint()
         if session_ops is not None:
             wrong += session_ops.step()
@@ -692,14 +680,13 @@ def run_fault_drill(
                       fault.tear_at)).encode()
             )
 
-    if wal:
-        # Cached lookups can answer without the heap, so a heap page
-        # corrupted at rest may still be undetected; a full scan through
-        # a wide-budget healer redo-recovers any stragglers before the
-        # invariant walk (which reports, rather than heals, corruption).
-        for db, registry in zip(target.engines, target.registries):
-            sweeper = RecoveryManager(db, max_heals=256, registry=registry)
-            sweeper.call(lambda: sum(1 for _ in db.table(TABLE).scan()))
+    # Cached lookups can answer without the heap, so a heap page
+    # corrupted at rest may still be undetected; a full scan through a
+    # wide-budget healer redo-recovers any stragglers before the
+    # invariant walk (which reports, rather than heals, corruption).
+    for db, registry in zip(target.engines, target.registries):
+        sweeper = RecoveryManager(db, max_heals=256, registry=registry)
+        sweeper.call(lambda: sum(1 for _ in db.table(TABLE).scan()))
 
     if shards:
         # One traced full-fanout aggregate after the guns go quiet: its span
@@ -739,7 +726,6 @@ def run_fault_drill(
         heap_page_rebuilds=total("recovery", "heap_page_rebuilds") + replayed_pages,
         crash_restarts=target.restarts,
         wal_records=total("wal", "records"),
-        tuning_actions=total("adaptive", "actions"),
         sessions=sessions,
         txn_commits=total("txn", "commits"),
         txn_aborts=total("txn", "aborts"),

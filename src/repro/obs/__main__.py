@@ -43,6 +43,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.report import export_json, format_report
 from repro.obs.rollup import fleet_selector
 from repro.obs.sampler import TelemetrySampler, select
+from repro.util.cli import at_least
 
 #: Series the ``timeline`` subcommand shows by default, in order, when
 #: they resolved in at least one sample.
@@ -86,13 +87,12 @@ def run_observed_workload(
     n_rows: int = 400,
     n_ops: int = 4_000,
     seed: int = 0,
-    pool_pages: int = 48,
+    pool_pages: int = 6,
     batch: int = 8,
     samples: int = 24,
     alpha: float = 1.1,
     wal: bool = True,
     adaptive: bool = False,
-    columnar: bool = False,
     shards: int = 0,
     observe: bool = False,
 ) -> ObservedRun:
@@ -107,10 +107,6 @@ def run_observed_workload(
     the control loop runs chunk-synchronously and the sample count stays
     identical to a non-adaptive run.
 
-    With ``columnar=True`` the §5h vectorized executor is attached and a
-    scan + aggregate run per sampler chunk, so the ``columnar.*`` family
-    carries real traffic (mirror maintenance, memoised answers dropped).
-
     With ``observe=True`` the §5j trace collector and event journal are
     armed (they always are when ``shards > 0``).  ``shards=N`` runs the
     replay over a :class:`~repro.shard.ShardedDatabase`: the cached
@@ -123,7 +119,6 @@ def run_observed_workload(
     # Late imports: repro.obs stays importable from the lowest layers;
     # only the CLI pulls in the query and workload packages.
     from repro.query.database import Database
-    from repro.query.predicates import ColumnRange
     from repro.schema.schema import Schema
     from repro.schema.types import UINT32, UINT64, char
     from repro.workload.replay import build_mixed_trace, replay
@@ -177,9 +172,6 @@ def run_observed_workload(
             journal=journal,
         )
         controller = None
-        columnar_mgr = None
-        if columnar:
-            db.enable_columnar()
     else:
         profiler = db.enable_profiling(slow_log_size=64)
         sampler = TelemetrySampler(
@@ -187,7 +179,6 @@ def run_observed_workload(
         )
         checker = HealthChecker(sampler, DEFAULT_SLO_RULES, journal=journal)
         controller = db.enable_adaptive(sampler=sampler) if adaptive else None
-        columnar_mgr = db.enable_columnar() if columnar else None
 
     trace = build_mixed_trace(
         n_ops,
@@ -214,10 +205,6 @@ def run_observed_workload(
         )
         replayed += result.operations
         chunks_done += 1
-        if columnar:
-            table.aggregate([("count", None), ("sum", "n")],
-                            ColumnRange("n", 0, 48))
-            list(table.scan(ColumnRange("n", 0, 8), project=("k", "n")))
         if journal is not None and chunks_done == mid_chunk:
             # Give the journal a real mid-run story: a fuzzy checkpoint
             # (per shard when sharded) and, sharded, one hot-key
@@ -235,8 +222,6 @@ def run_observed_workload(
             # SLO transitions journal themselves as they happen, not
             # only at the end-of-run verdict.
             checker.evaluate()
-    if columnar_mgr is not None:
-        columnar_mgr.refresh_encoding_stats()
     if wal:
         if shards:
             db.flush_wals()
@@ -412,26 +397,18 @@ def _cmd_export(run: ObservedRun, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _count(text: str) -> int:
-    """argparse type of a "newest N" option: a count, never negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rows", type=int, default=400,
+    common.add_argument("--rows", type=at_least(1), default=400,
                         help="rows loaded before the replay (default 400)")
-    common.add_argument("--ops", type=int, default=4_000,
+    common.add_argument("--ops", type=at_least(0), default=4_000,
                         help="replayed trace length (default 4000)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--pool-pages", type=int, default=48,
-                        help="buffer-pool capacity in pages (default 48)")
-    common.add_argument("--batch", type=int, default=8,
+    common.add_argument("--pool-pages", type=at_least(2), default=6,
+                        help="buffer-pool capacity in pages (default 6)")
+    common.add_argument("--batch", type=at_least(1), default=8,
                         help="lookup_many batch size (default 8)")
-    common.add_argument("--samples", type=int, default=24,
+    common.add_argument("--samples", type=at_least(1), default=24,
                         help="telemetry samples across the replay (default 24)")
     common.add_argument("--alpha", type=float, default=1.1,
                         help="Zipf skew of the trace (default 1.1)")
@@ -441,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach the AdaptiveController to the run "
                         "(always on for the health/tune subcommands; "
                         "single-engine only)")
-    common.add_argument("--shards", type=int, default=0, metavar="N",
+    common.add_argument("--shards", type=at_least(0), default=0, metavar="N",
                         help="run the workload over a ShardedDatabase with "
                         "N shards (0 = single engine; arms §5j tracing, "
                         "the event journal, and the fleet rollup)")
@@ -462,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top", parents=[common],
         help="per-fingerprint EXPLAIN-ANALYZE rollup and the slow-query log",
     )
-    p_top.add_argument("-n", type=_count, default=10,
+    p_top.add_argument("-n", type=at_least(0), default=10,
                        help="fingerprints / slow queries shown (default 10)")
     p_top.set_defaults(func=_cmd_top)
 
@@ -474,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--selector", action="append", metavar="SEL",
         help="series selector (repeatable), e.g. derived.bufferpool.hit_rate",
     )
-    p_timeline.add_argument("--width", type=int, default=60)
+    p_timeline.add_argument("--width", type=at_least(1), default=60)
     p_timeline.set_defaults(func=_cmd_timeline)
 
     p_export = sub.add_parser(
@@ -484,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument("--out", metavar="PATH",
                           help="write to PATH instead of stdout")
-    p_export.add_argument("--spans", type=_count, default=64,
+    p_export.add_argument("--spans", type=at_least(0), default=64,
                           help="newest traces included (default 64)")
     p_export.set_defaults(func=_cmd_export, force_observe=True)
 
@@ -492,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health", parents=[common],
         help="SLO rule verdicts plus the controller's tuning audit ring",
     )
-    p_health.add_argument("--actions", type=_count, default=16,
+    p_health.add_argument("--actions", type=at_least(0), default=16,
                           help="newest tuning actions shown (default 16)")
     p_health.set_defaults(func=_cmd_health, force_adaptive=True)
 
@@ -500,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", parents=[common],
         help="adaptive knob state, tuning audit ring, and SLO verdicts",
     )
-    p_tune.add_argument("--actions", type=_count, default=16,
+    p_tune.add_argument("--actions", type=at_least(0), default=16,
                         help="newest tuning actions shown (default 16)")
     p_tune.set_defaults(func=_cmd_tune, force_adaptive=True)
 
@@ -508,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", parents=[common],
         help="§5j span trees of the replayed workload (+ Chrome export)",
     )
-    p_trace.add_argument("-n", type=_count, default=4,
+    p_trace.add_argument("-n", type=at_least(0), default=4,
                          help="newest span trees shown (default 4)")
     p_trace.add_argument("--chrome", metavar="PATH",
                          help="also write Chrome trace_event JSON to PATH")
@@ -518,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
         "events", parents=[common],
         help="§5j causal event journal (checkpoints, tuning, SLO, faults)",
     )
-    p_events.add_argument("-n", type=_count, default=20,
+    p_events.add_argument("-n", type=at_least(0), default=20,
                           help="newest events shown (default 20)")
     p_events.add_argument("--kind", metavar="GLOB",
                           help="filter by kind, fnmatch glob ok "
                           "(e.g. migration.*)")
-    p_events.add_argument("--shard", type=int, default=None,
+    p_events.add_argument("--shard", type=at_least(0), default=None,
                           help="filter by shard id")
     p_events.set_defaults(func=_cmd_events, force_observe=True)
 
@@ -532,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="§5j fleet rollup: cross-shard totals, skew, hot shard "
         "(defaults to --shards 2 when unset)",
     )
-    p_fleet.add_argument("-n", type=_count, default=8,
+    p_fleet.add_argument("-n", type=at_least(0), default=8,
                          help="most-skewed metrics shown (default 8)")
     p_fleet.set_defaults(func=_cmd_fleet, default_shards=2)
     return parser

@@ -59,12 +59,12 @@ from repro.obs.sampler import TelemetryPoint, TelemetrySampler
 #: above 0.5 over the window means batches average under two records —
 #: the group-commit window is too small for the write rate.
 WAL_FLUSH_AMPLIFICATION_RULE = SloRule(
+    # group commit must amortise >= 2 records per device append
     name="wal-flush-amplification-ceiling",
     selector="ratio:rate.wal.flushes/rate.wal.records",
     op="<=",
     threshold=0.5,
     window=3,
-    description="group commit must amortise >= 2 records per device append",
 )
 
 
@@ -86,7 +86,6 @@ class Knob:
     hi: float
     step: float
     kind: str = "float"
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("int", "float"):
@@ -399,26 +398,26 @@ def database_knobs(db) -> list[Knob]:
     knobs: list[Knob] = []
     if db.index_pool is not db.data_pool:
         knobs.append(Knob(
+            # fraction of total pool frames holding heap pages
             name="pool.data_fraction",
             getter=lambda: db.pool_partition,
             setter=lambda value: db.set_pool_partition(value),
             lo=0.1, hi=0.9, step=0.1,
-            description="fraction of total pool frames holding heap pages",
         ))
     if db.wal is not None:
         knobs.append(Knob(
+            # records per WAL group-commit device append
             name="wal.group_commit_records",
             getter=lambda: db.wal.group_commit_records,
             setter=lambda value: db.set_group_commit(value),
             lo=1, hi=64, step=8, kind="int",
-            description="records per WAL group-commit device append",
         ))
     knobs.append(Knob(
+        # fraction of piggy-back cache fills admitted
         name="index_cache.admission",
         getter=lambda: db.cache_admission,
         setter=lambda value: db.set_cache_admission(value),
         lo=0.1, hi=1.0, step=0.3,
-        description="fraction of piggy-back cache fills admitted",
     ))
     return knobs
 
@@ -435,6 +434,7 @@ def hot_cold_knobs(manager) -> list[Knob]:
     epoch = manager.ops_per_epoch
     return [
         Knob(
+            # target rows in the hot partition (hot fraction)
             name="hotcold.hot_capacity",
             getter=lambda: manager.hot_capacity,
             setter=manager.set_hot_capacity,
@@ -442,9 +442,9 @@ def hot_cold_knobs(manager) -> list[Knob]:
             hi=cap * 8,
             step=max(1, cap // 2),
             kind="int",
-            description="target rows in the hot partition (hot fraction)",
         ),
         Knob(
+            # lookups between hot/cold rebalances (cadence)
             name="hotcold.ops_per_epoch",
             getter=lambda: manager.ops_per_epoch,
             setter=manager.set_ops_per_epoch,
@@ -452,7 +452,6 @@ def hot_cold_knobs(manager) -> list[Knob]:
             hi=epoch * 4,
             step=max(1, epoch // 2),
             kind="int",
-            description="lookups between hot/cold rebalances (cadence)",
         ),
     ]
 

@@ -42,7 +42,6 @@ class SloRule:
     op: str
     threshold: float
     window: int = 1
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
@@ -122,44 +121,44 @@ class HealthReport:
 #: not that a workload got mildly colder.
 DEFAULT_SLO_RULES: tuple[SloRule, ...] = (
     SloRule(
+        # a working set this skewed must mostly hit the pool
         name="bufferpool-hit-rate-floor",
         selector="derived.bufferpool.hit_rate",
         op=">=",
         threshold=0.20,
         window=5,
-        description="a working set this skewed must mostly hit the pool",
     ),
     SloRule(
+        # confirmed-corrupt pages awaiting recovery
         name="quarantine-ceiling",
         selector="gauge.bufferpool.quarantined_pages",
         op="<=",
         threshold=0.0,
-        description="confirmed-corrupt pages awaiting recovery",
     ),
     SloRule(
+        # every detected fault must resolve as recovered
         name="unrecoverable-fault-ceiling",
         selector="rate.faults.unrecoverable",
         op="<=",
         threshold=0.0,
         window=5,
-        description="every detected fault must resolve as recovered",
     ),
     SloRule(
+        # logged bytes per profiled operation stay page-bounded
         name="wal-overhead-ceiling",
         selector="ratio:rate.wal.bytes/rate.profiler.ops",
         op="<=",
         threshold=4096.0,
         window=5,
-        description="logged bytes per profiled operation stay page-bounded",
     ),
     SloRule(
+        # p95 point lookups stay memory-resident (a 5 ms simulated disk read in
+        # the tail means the pool is thrashing)
         name="lookup-p95-latency-ceiling",
         selector="p95.span.query.lookup.ns",
         op="<=",
         threshold=1_000_000.0,
         window=5,
-        description="p95 point lookups stay memory-resident (a 5 ms "
-        "simulated disk read in the tail means the pool is thrashing)",
     ),
 )
 

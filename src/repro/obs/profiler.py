@@ -267,7 +267,6 @@ class QueryProfiler:
         clock: Clock | object | None = None,
         wal=None,
         slow_log_size: int = 64,
-        slow_threshold_ns: float = 0.0,
         max_fingerprints: int = DEFAULT_MAX_FINGERPRINTS,
     ) -> None:
         reg = resolve_registry(registry)
@@ -281,7 +280,6 @@ class QueryProfiler:
         self._m_fingerprints = reg.gauge("profiler.fingerprints")
         self._stats: dict[str, FingerprintStats] = {}
         self._slow: deque[QueryProfile] = deque(maxlen=slow_log_size)
-        self._slow_threshold_ns = float(slow_threshold_ns)
         self._max_fingerprints = max_fingerprints
         self._depth = 0
         self.counts = ProfilerCounts()
@@ -370,8 +368,7 @@ class QueryProfiler:
                 self._stats[profile.fingerprint] = stats
             self._m_fingerprints.set(len(self._stats))
         stats.absorb(profile)
-        if profile.elapsed_ns >= self._slow_threshold_ns:
-            self._slow.append(profile)
+        self._slow.append(profile)
 
     @classmethod
     def fold(cls, profilers: list["QueryProfiler"]) -> "QueryProfiler":

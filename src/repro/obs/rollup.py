@@ -184,10 +184,10 @@ def fleet_rules(rules) -> tuple[SloRule, ...]:
 #: the facade's (where ``fleet.*`` is materialized).
 FLEET_SLO_RULES = (
     SloRule(
+        # hottest shard carries <= 2.5x the mean page traffic
         name="fleet_heat_balance",
         selector="gauge.fleet.imbalance.heat",
         op="<=",
         threshold=2.5,
-        description="hottest shard carries <= 2.5x the mean page traffic",
     ),
 )

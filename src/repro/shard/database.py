@@ -69,9 +69,7 @@ def key_from_json(raw: object) -> object:
 class RebalanceReport:
     """What one :meth:`ShardedDatabase.rebalance` pass did."""
 
-    planned: int
     keys_moved: int
-    rows_moved: int
 
 
 @dataclass
@@ -701,9 +699,7 @@ class ShardedDatabase:
             self.journal.emit(
                 "rebalance.end", keys_moved=keys_moved, rows_moved=rows_moved
             )
-        return RebalanceReport(
-            planned=len(plan), keys_moved=keys_moved, rows_moved=rows_moved
-        )
+        return RebalanceReport(keys_moved=keys_moved)
 
     def _migrate_key(self, key: object, src: int, dst: int) -> int:
         """Copy-then-delete one key from ``src`` to ``dst``, riding both

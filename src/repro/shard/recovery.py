@@ -45,17 +45,10 @@ from repro.wal.replay import RecoveryReport, _open_log, _replay
 
 @dataclass(frozen=True)
 class ShardRecoveryReport:
-    """What :func:`recover_sharded` replayed and reconciled."""
+    """What :func:`recover_sharded` replayed, shard by shard; what it
+    reconciled is counted in the ``shard.recovery.*`` counters."""
 
     per_shard: tuple[RecoveryReport, ...]
-    #: Durable SHARD_MIGRATE intents seen across all logs.
-    intents_seen: int
-    #: Keys found resident on more than one shard (loser copies deleted).
-    duplicates_resolved: int
-    #: Rows moved because they survived only on a non-owner shard.
-    relocations: int
-    #: Router overrides reinstalled from physical residency.
-    overrides_rebuilt: int
 
 
 def recover_sharded(
@@ -212,10 +205,4 @@ def recover_sharded(
         # The rebuilt facade keeps journaling into the same log; each
         # shard's replay already attached it to that shard.
         sdb.journal = journal
-    return sdb, ShardRecoveryReport(
-        per_shard=tuple(reports),
-        intents_seen=len(intents),
-        duplicates_resolved=duplicates,
-        relocations=relocations,
-        overrides_rebuilt=overrides,
-    )
+    return sdb, ShardRecoveryReport(per_shard=tuple(reports))

@@ -23,6 +23,7 @@ from repro.schema.record import unpack_record_map
 from repro.schema.schema import Schema
 from repro.schema.types import UINT32, char
 from repro.txn.oracle import committed_positional_fold
+from repro.util.cli import at_least
 from repro.util.rng import DeterministicRng
 from repro.wal.record import scan_wal
 
@@ -199,17 +200,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="drill seed")
     parser.add_argument(
-        "--ops", type=int, default=2_000, help="mixed operations to run"
+        "--ops", type=at_least(0), default=2_000,
+        help="mixed operations to run",
     )
     parser.add_argument(
-        "--crashes", type=int, default=4, help="power cuts to schedule"
+        "--crashes", type=at_least(0), default=4, help="power cuts to schedule"
     )
     parser.add_argument(
-        "--group-commit", type=int, default=8,
+        "--group-commit", type=at_least(1), default=8,
         help="records per group-commit batch",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=400,
+        "--checkpoint-every", type=at_least(0), default=400,
         help="ops between fuzzy checkpoints (0 = never)",
     )
     args = parser.parse_args(argv)

@@ -57,7 +57,6 @@ class RecoveryReport:
     valid_bytes: int
     torn_tail: bool
     records_scanned: int
-    records_applied: int
     redo_from: int
     max_lsn: int
     #: Every durable LSN — an operation "committed" iff its LSN is here.
@@ -67,12 +66,6 @@ class RecoveryReport:
     page_rebuilds: int
     #: table name -> live rows after recovery.
     tables: dict[str, int] = field(default_factory=dict)
-    #: In-flight transactions (heap ops durable, no TXN_COMMIT/TXN_ABORT
-    #: in the durable prefix) rolled back by appending compensation
-    #: records — the crash-during-commit losers.
-    txns_rolled_back: int = 0
-    #: Compensation records appended for those rollbacks.
-    undo_records: int = 0
 
 
 def schema_from_meta(columns: list) -> Schema:
@@ -377,7 +370,7 @@ def _replay(
     # reverse log order, closed by TXN_ABORT — so the log stays
     # redo-only and a crash *during this rollback* just leaves a longer
     # in-flight tail for the next recovery to converge on.
-    txns_rolled_back, undo_records = _rollback_in_flight(db, records)
+    txns_rolled_back = _rollback_in_flight(db, records)
     if txns_rolled_back:
         metrics.counter("wal.replay.txn_rollbacks").inc(txns_rolled_back)
 
@@ -411,20 +404,18 @@ def _replay(
         valid_bytes=scan.valid_bytes,
         torn_tail=scan.torn,
         records_scanned=len(records),
-        records_applied=applied,
         redo_from=redo_from,
         max_lsn=scan.max_lsn,
         lsns=scan.lsns,
         page_rebuilds=page_rebuilds,
         tables=tables,
-        txns_rolled_back=txns_rolled_back,
-        undo_records=undo_records,
     )
     return db, report
 
 
-def _rollback_in_flight(db, records) -> tuple[int, int]:
-    """Undo every in-flight transaction's durable heap ops.
+def _rollback_in_flight(db, records) -> int:
+    """Undo every in-flight transaction's durable heap ops; returns how
+    many transactions it rolled back.
 
     A transaction is in flight when its heap ops appear in the durable
     prefix but neither its TXN_COMMIT nor its TXN_ABORT does — commit
@@ -445,7 +436,7 @@ def _rollback_in_flight(db, records) -> tuple[int, int]:
             resolved.add(rec.txn_id)
     losers = seen - resolved
     if not losers:
-        return 0, 0
+        return 0
     state: dict[tuple[str, int, int], bytes] = {}
     loser_ops: list[tuple[WalRecord, bytes | None]] = []
     for rec in records:
@@ -460,7 +451,6 @@ def _rollback_in_flight(db, records) -> tuple[int, int]:
             state[addr] = rec.payload
     writer = db.wal
     pool = db.data_pool
-    undo_records = 0
     for rec, pre in reversed(loser_ops):
         if pre is None and rec.rtype is RecordType.DELETE:  # pragma: no cover
             continue  # a delete of a dead slot
@@ -478,11 +468,10 @@ def _rollback_in_flight(db, records) -> tuple[int, int]:
         )
         writer._log(comp)
         _redo_one(pool, comp)
-        undo_records += 1
     for txn_id in sorted(losers):
         writer.log_txn_abort(txn_id)
     writer.flush()
-    return len(losers), undo_records
+    return len(losers)
 
 
 def _redo_one(pool, rec: WalRecord) -> bool:

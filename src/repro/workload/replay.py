@@ -9,7 +9,7 @@ usual OLTP mix from a skewed key distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import WorkloadError
@@ -24,13 +24,9 @@ class ReplayResult:
     """What a replay did, by operation kind."""
 
     lookups: int = 0
-    lookups_found: int = 0
     inserts: int = 0
     updates: int = 0
-    updates_applied: int = 0
     deletes: int = 0
-    deletes_applied: int = 0
-    errors: list[str] = field(default_factory=list)
 
     @property
     def operations(self) -> int:
@@ -42,14 +38,13 @@ def replay(
     index_name: str,
     operations: Iterable[Operation],
     project: tuple[str, ...] | None = None,
-    stop_on_error: bool = True,
     lookup_batch_size: int = 1,
 ) -> ReplayResult:
     """Apply a trace to ``table`` through ``index_name``.
 
     LOOKUP uses ``op.key``; INSERT needs ``op.row``; UPDATE needs
-    ``op.key`` and ``op.changes``; DELETE needs ``op.key``.  Errors either
-    raise (default) or are collected in the result.
+    ``op.key`` and ``op.changes``; DELETE needs ``op.key``.  The first
+    error raises.
 
     ``lookup_batch_size > 1`` turns on the batched read fast path: runs
     of *consecutive* LOOKUP operations are grouped and issued through
@@ -64,51 +59,34 @@ def replay(
     pending: list[Operation] = []
 
     def flush() -> None:
-        if not pending:
-            return
-        batch, pending[:] = list(pending), []
-        try:
-            found = table.lookup_many(
-                index_name, [op.key for op in batch], project
-            )
-            result.lookups_found += sum(1 for r in found if r.found)
-        except Exception as exc:
-            if stop_on_error:
-                raise
-            result.errors.append(f"lookup_batch(×{len(batch)}): {exc}")
+        if pending:
+            table.lookup_many(index_name, [op.key for op in pending], project)
+            pending.clear()
 
     for op in operations:
-        try:
-            if op.kind is OpKind.LOOKUP:
-                result.lookups += 1
-                if lookup_batch_size > 1:
-                    pending.append(op)
-                    if len(pending) >= lookup_batch_size:
-                        flush()
-                    continue
-                if table.lookup(index_name, op.key, project).found:
-                    result.lookups_found += 1
-                continue
-            flush()
-            if op.kind is OpKind.INSERT:
-                if op.row is None:
-                    raise WorkloadError("INSERT operation without a row")
-                table.insert(op.row)
-                result.inserts += 1
-            elif op.kind is OpKind.UPDATE:
-                if op.changes is None:
-                    raise WorkloadError("UPDATE operation without changes")
-                result.updates += 1
-                if table.update(index_name, op.key, op.changes):
-                    result.updates_applied += 1
-            elif op.kind is OpKind.DELETE:
-                result.deletes += 1
-                if table.delete(index_name, op.key):
-                    result.deletes_applied += 1
-        except Exception as exc:
-            if stop_on_error:
-                raise
-            result.errors.append(f"{op.kind.value}({op.key!r}): {exc}")
+        if op.kind is OpKind.LOOKUP:
+            result.lookups += 1
+            if lookup_batch_size > 1:
+                pending.append(op)
+                if len(pending) >= lookup_batch_size:
+                    flush()
+            else:
+                table.lookup(index_name, op.key, project)
+            continue
+        flush()
+        if op.kind is OpKind.INSERT:
+            if op.row is None:
+                raise WorkloadError("INSERT operation without a row")
+            table.insert(op.row)
+            result.inserts += 1
+        elif op.kind is OpKind.UPDATE:
+            if op.changes is None:
+                raise WorkloadError("UPDATE operation without changes")
+            result.updates += 1
+            table.update(index_name, op.key, op.changes)
+        elif op.kind is OpKind.DELETE:
+            result.deletes += 1
+            table.delete(index_name, op.key)
     flush()
     return result
 

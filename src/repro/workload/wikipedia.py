@@ -22,7 +22,7 @@ experiments actually depend on — and what this generator reproduces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.schema.schema import Schema
@@ -124,7 +124,6 @@ class WikipediaData:
     page_rows: list[dict[str, object]]
     revision_rows: list[dict[str, object]]  # temporal (insertion) order
     latest_rev_by_page: dict[int, int]
-    rev_count_by_page: dict[int, int] = field(default_factory=dict)
 
     @property
     def hot_rev_ids(self) -> set[int]:
@@ -150,7 +149,6 @@ def generate(config: WikipediaConfig) -> WikipediaData:
 
     revision_rows: list[dict[str, object]] = []
     latest_rev_by_page: dict[int, int] = {}
-    rev_count_by_page: dict[int, int] = {}
     # Every page gets revision 0 up front (a page exists because it was
     # created); the remaining edits follow the zipf temporal stream.
     next_rev_id = 1
@@ -181,7 +179,6 @@ def generate(config: WikipediaConfig) -> WikipediaData:
             }
         )
         latest_rev_by_page[page] = rev_id
-        rev_count_by_page[page] = rev_count_by_page.get(page, 0) + 1
 
     page_rows = []
     for page in range(config.n_pages):
@@ -200,7 +197,6 @@ def generate(config: WikipediaConfig) -> WikipediaData:
         page_rows=page_rows,
         revision_rows=revision_rows,
         latest_rev_by_page=latest_rev_by_page,
-        rev_count_by_page=rev_count_by_page,
     )
 
 

@@ -199,13 +199,13 @@ def test_hotcold_setters_update_gauges_and_validate():
 
 
 def test_hotcold_shorter_epoch_takes_effect_at_next_lookup():
-    manager, _registry = make_manager(ops_per_epoch=10_000)
+    manager, registry = make_manager(ops_per_epoch=10_000)
     for _ in range(30):
         manager.lookup(3)
     assert manager.table.hot.num_rows == 0       # epoch never reached
     manager.set_ops_per_epoch(10)
     manager.lookup(3)                            # accumulated ops trigger now
-    assert len(manager.reports) == 1
+    assert registry.get("hotcold.rebalances").value == 1
     assert manager.table.is_hot(3)
 
 

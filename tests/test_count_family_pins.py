@@ -85,9 +85,9 @@ def _adaptive(registry) -> list[int]:
     value = {"v": 9.0}
     controller = AdaptiveController(
         sampler,
-        rules=(SloRule(
+        rules=(SloRule(  # the pin signal stays at zero
             name="pin-ceiling", selector="gauge.pin.signal", op="<=",
-            threshold=0.0, window=1, description="pin signal stays at zero",
+            threshold=0.0, window=1,
         ),),
         knobs=[Knob(
             name="pin.value", getter=lambda: value["v"],

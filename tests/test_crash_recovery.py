@@ -208,6 +208,7 @@ def test_wal_on_and_off_runs_agree_and_group_commit_batches():
     from repro.schema.schema import Schema
     from repro.schema.types import UINT32, UINT64, char
     from repro.workload.replay import build_mixed_trace, replay
+    from tests.test_workload_replay import Answers
 
     def row(k):
         return {"k": k, "name": f"row{k:08d}", "n": k % 13}
@@ -225,14 +226,16 @@ def test_wal_on_and_off_runs_agree_and_group_commit_batches():
             lambda i: 300 + i, lookup_frac=0.3, update_frac=0.3,
             insert_frac=0.3, seed=11,
         )
-        result = replay(t, "pk", trace, project=("k", "n"))
+        answers = Answers(t)
+        result = replay(answers, "pk", trace, project=("k", "n"))
         if wal:
             db.checkpoint()
-        return db, (result, sorted(tuple(r.values()) for r in t.scan()))
+        return db, (result, answers.found, answers.updated, answers.deleted,
+                    sorted(tuple(r.values()) for r in t.scan()))
 
     walled, with_wal = run(wal=True)
     _, without = run(wal=False)
-    assert with_wal == without and with_wal[0].lookups_found == 189
+    assert with_wal == without and sum(with_wal[1]) == 189
     stats = walled.metrics.snapshot()["wal"]
     assert (stats["records"], stats["bytes"], stats["flushes"]) == (
         1_015, 55_610, 127,

@@ -82,7 +82,8 @@ def test_fault_drill_passes_with_controller_armed():
     )
     again = run_fault_drill(n_pages=60, n_ops=300, seed=1, adaptive=True)
     assert again.digest == report.digest
-    assert again.tuning_actions == report.tuning_actions
+    assert (again.metrics["adaptive"]["actions"]
+            == report.metrics["adaptive"]["actions"])
 
 
 def test_default_adaptive_drill_retunes_and_replays_the_plain_drill():
@@ -93,7 +94,7 @@ def test_default_adaptive_drill_retunes_and_replays_the_plain_drill():
 
     report = run_fault_drill(adaptive=True)
     assert report.passed
-    assert report.tuning_actions >= 1
+    assert report.metrics["adaptive"]["actions"] >= 1
     assert report.digest == (
         "b34e119944d8b374449ace13e5ef828ffa18ec931ff0970fc184b79f6c4553b9"
     )

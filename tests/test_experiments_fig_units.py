@@ -34,6 +34,6 @@ def test_fig3_config_defaults_are_consistent():
 def test_fig3_row_speedup_semantics():
     row = Fig3Row(
         label="x", cost_ms_per_lookup=1.0, disk_reads_per_lookup=0.1,
-        index_bytes=100, total_index_bytes=100, speedup=2.0,
+        index_bytes=100, speedup=2.0,
     )
     assert row.speedup == 2.0

@@ -67,19 +67,6 @@ def test_drill_redo_recovers_heap_pages(drill):
     assert "redo-recovered" in drill.summary()
 
 
-def test_drill_without_wal_still_passes():
-    # Backward compatibility: the PR-2 drill shape (no WAL, no crashes,
-    # index faults only) must keep passing unchanged.
-    legacy = run_fault_drill(seed=0, n_ops=1_200, wal=False)
-    assert legacy.passed
-    assert legacy.crash_restarts == 0
-    assert legacy.wal_records == 0
-    assert legacy.heap_page_rebuilds == 0
-    assert legacy.digest == (
-        "de0b739daca3cf4ebe66aee27c4bd1029f7ba865ff9324a32ed5eb7773f25550"
-    )
-
-
 def test_drill_is_reproducible_bit_for_bit(drill):
     again = run_fault_drill(seed=0)
     assert again.digest == drill.digest

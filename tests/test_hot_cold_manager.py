@@ -24,31 +24,36 @@ def build(n=400, hot_capacity=40, ops_per_epoch=1000, budget=100):
         table.insert({"item_id": i, "body": f"b{i}"}, hot=False)  # all cold
     manager = OnlineHotColdManager(
         table, hot_capacity=hot_capacity, ops_per_epoch=ops_per_epoch,
-        migration_budget=budget,
+        migration_budget=budget, registry=db.metrics,
     )
-    return manager
+    return manager, db.metrics
+
+
+def count(registry, name: str) -> float:
+    """The ``hotcold.<name>`` counter or gauge the manager keeps."""
+    return registry.get(f"hotcold.{name}").value
 
 
 def test_lookups_return_rows():
-    manager = build()
+    manager, _registry = build()
     assert manager.lookup(7) == {"item_id": 7, "body": "b7"}
     assert manager.lookup(99999) is None
 
 
 def test_rebalance_promotes_hot_keys():
-    manager = build(hot_capacity=10, ops_per_epoch=10**9)
+    manager, registry = build(hot_capacity=10, ops_per_epoch=10**9)
     for _ in range(50):
         for key in range(10):
             manager.lookup(key)
-    report = manager.rebalance()
-    assert report.promoted == 10
+    manager.rebalance()
+    assert count(registry, "promotions") == 10
     for key in range(10):
         assert manager.table.is_hot(key)
-    assert report.hot_rows_after == 10
+    assert count(registry, "hot_rows") == 10
 
 
 def test_rebalance_demotes_cooled_keys():
-    manager = build(hot_capacity=5, ops_per_epoch=10**9, budget=50)
+    manager, _registry = build(hot_capacity=5, ops_per_epoch=10**9, budget=50)
     for key in range(5):
         for _ in range(20):
             manager.lookup(key)
@@ -66,19 +71,19 @@ def test_rebalance_demotes_cooled_keys():
 
 
 def test_migration_budget_bounds_moves():
-    manager = build(hot_capacity=100, ops_per_epoch=10**9, budget=7)
+    manager, registry = build(hot_capacity=100, ops_per_epoch=10**9, budget=7)
     for key in range(100):
         manager.lookup(key)
-    report = manager.rebalance()
-    assert report.promoted + report.demoted <= 7
+    manager.rebalance()
+    assert count(registry, "promotions") + count(registry, "demotions") <= 7
 
 
 def test_automatic_rebalance_after_epoch():
-    manager = build(hot_capacity=20, ops_per_epoch=300)
+    manager, registry = build(hot_capacity=20, ops_per_epoch=300)
     dist = HotSetDistribution(400, 0.05, 0.99, DeterministicRng(1))
     for _ in range(2000):
         manager.lookup(dist.sample())
-    assert len(manager.reports) >= 5
+    assert count(registry, "rebalances") >= 5
     # after convergence, most lookups are served hot
     before = manager.table.hot_lookups + manager.table.cold_lookups
     manager.table.hot_lookups = 0
@@ -89,7 +94,7 @@ def test_automatic_rebalance_after_epoch():
 
 
 def test_validation():
-    manager = build()
+    manager, _registry = build()
     with pytest.raises(WorkloadError):
         OnlineHotColdManager(manager.table, hot_capacity=0)
     with pytest.raises(WorkloadError):

@@ -136,5 +136,5 @@ def test_obs_events_stdout_is_pinned(capsys):
     assert main(["events"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "63b7e80bbc7a4f77e9eb595992c927b9bab184c0ed548aa47c36c58463ca4df9"
+        "f012673b327e0a1ff96e38195a8f12770d2e1740f7bd606dce0e6c0fdaf54e3d"
     )

@@ -25,7 +25,7 @@ from repro.schema.schema import Schema
 from repro.schema.types import INT64, UINT32, char, varchar
 from repro.shard.database import ShardedDatabase
 from repro.shard.recovery import recover_sharded
-from repro.wal.record import scan_wal
+from repro.wal.record import RecordType, scan_wal
 from repro.wal.replay import recover
 
 SCHEMA = Schema.of(("id", UINT32), ("name", char(8)), ("score", UINT32))
@@ -115,10 +115,13 @@ def test_recover_sharded_decodes_each_record_of_each_log_once(decodes):
     sdb.flush_wals()
     logs = [bytes(db.wal.device.data) for db in sdb.shards]
     records = sum(len(scan_wal(log).records) for log in logs)
+    intents = sum(
+        r.rtype is RecordType.SHARD_MIGRATE
+        for log in logs for r in scan_wal(log).records
+    )
     decodes[0] = 0
-    _sdb, report = recover_sharded(logs, mode="zipf", hot_fraction=0.1,
-                                   seed=3)
-    assert report.intents_seen > 0
+    recover_sharded(logs, mode="zipf", hot_fraction=0.1, seed=3)
+    assert intents > 0
     assert decodes[0] == records
 
 

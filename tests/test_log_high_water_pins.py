@@ -28,6 +28,7 @@ from repro.shard.database import ShardedDatabase
 from repro.shard.recovery import recover_sharded
 from repro.wal.record import RecordType, scan_wal
 from repro.wal.replay import recover
+from tests.test_txn_crash import rolled_back, undo_records
 
 pytestmark = pytest.mark.txn
 
@@ -101,7 +102,7 @@ def log() -> bytes:
 
 def test_recovered_writer_continues_the_lsn_sequence(log):
     db, report = _recover(log)
-    assert (report.max_lsn, report.txns_rolled_back, report.undo_records) == (
+    assert (report.max_lsn, rolled_back(db), undo_records(log, db)) == (
         27, 1, 2,
     )
     # Rolling the in-flight session back appends its two compensation
@@ -113,7 +114,7 @@ def test_recovered_writer_continues_the_lsn_sequence(log):
 def test_recovered_writer_with_no_loser_continues_at_max_lsn_plus_one():
     db = _logged_engine(in_flight=False)
     db2, report = _recover(bytes(db.wal.device.data))
-    assert report.txns_rolled_back == 0
+    assert rolled_back(db2) == 0
     assert db2.wal.next_lsn == report.max_lsn + 1 == db.wal.next_lsn == 25
 
 
@@ -140,7 +141,7 @@ def test_commit_after_restart_outranks_every_logged_csn_and_recovers(log):
     assert 60 not in expected  # the in-flight insert was rolled back
 
     db2, report2 = _recover(bytes(db.wal.device.data))
-    assert report2.txns_rolled_back == 0
+    assert rolled_back(db2) == 0
     assert check_database(db2).ok
     assert _rows(db2) == expected
     assert db2.txn_manager.current_csn == 2
@@ -197,11 +198,18 @@ def test_fleet_recovery_continues_each_shard_and_the_migration_seq():
     assert [s.max_lsn for s in scans] == [36, 40]
 
     journal = EventJournal(registry=MetricsRegistry())
-    sdb, report = recover_sharded(
+    sdb, _report = recover_sharded(
         logs, mode="zipf", hot_fraction=0.1, seed=3, journal=journal,
     )
-    assert report.intents_seen == 4
-    assert (report.duplicates_resolved, report.relocations) == (0, 0)
+    begin = [
+        dict(e.payload) for e in journal.query(kind="recovery.begin")
+        if e.shard is None
+    ]
+    assert [payload["intents"] for payload in begin] == [4]
+    assert tuple(
+        sdb.metrics.get(f"shard.recovery.{name}").value
+        for name in ("duplicates_resolved", "relocations")
+    ) == (0, 0)
     assert sdb._migration_seq == max(int(m["seq"]) for m in intents) + 1 == 5
     for i, shard in enumerate(sdb.shards):
         assert shard.wal.next_lsn == scans[i].max_lsn + 1

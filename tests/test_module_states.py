@@ -16,7 +16,9 @@ import re
 from collections import defaultdict
 from pathlib import Path
 
+from repro.faults.harness import run_fault_drill
 from repro.obs import MetricsRegistry
+from repro.obs.__main__ import run_observed_workload
 from repro.query.database import Database
 from repro.shard.database import ShardedDatabase
 from repro.shard.recovery import recover_sharded
@@ -239,6 +241,12 @@ SIGNATURES = {
         "wal disk page_size data_pool_pages seed metrics retry_policy "
         "group_commit_records journal journal_shard",
     recover_sharded: "wals seed mode hot_fraction journal",
+    run_fault_drill:
+        "seed n_pages revisions_per_page n_ops pool_pages adaptive sessions "
+        "shards",
+    run_observed_workload:
+        "n_rows n_ops seed pool_pages batch samples alpha wal adaptive shards "
+        "observe",
 }
 
 
@@ -265,8 +273,6 @@ SET_BY_NOBODY = {
         _STARRED + " (profiler.begin(*profile))",
     ("obs/profiler.py", "QueryProfiler.begin", "batch"):
         _STARRED + " (profiler.begin(*profile))",
-    ("faults/harness.py", "default_plan", "is_heap_page"):
-        _STARRED + " (default_plan(*self._page_filters(...)))",
     ("shard/database.py", "ShardedDatabase.__init__", "_adopt"):
         "ShardedDatabase.adopt passes it as cls(...)",
     ("util/varint.py", "decode_svarint", "offset"):
@@ -624,7 +630,8 @@ _SAFETY = "safety or reference code"
 _TOOL = "a tool tests hold the engine with"
 _TECHNIQUE = "a paper technique with no driver yet (DESIGN.md §3)"
 _CAPABILITY = "a capability whose tests would be deleted, not re-routed"
-KEEP_CLASSES = {_SAFETY, _TOOL, _TECHNIQUE, _CAPABILITY}
+_RESULT = "a field of a paper technique's result that the technique's tests read"
+KEEP_CLASSES = {_SAFETY, _TOOL, _TECHNIQUE, _CAPABILITY, _RESULT}
 
 #: ``(file under src/repro/, qualname)`` of public functions no driver
 #: names, and the class each is kept under (DESIGN.md §3, "What stays
@@ -654,6 +661,17 @@ TEST_ONLY = {
 #: The trees a driver lives in (the option audit's driver set).
 DRIVER_TREES = ("src", "bench", "benchmarks", "examples")
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+@functools.cache
+def _driver_modules(root: Path) -> tuple[ast.AST, ...]:
+    """Every parsed file under ``DRIVER_TREES``, test directories aside."""
+    return tuple(
+        ast.parse(path.read_text())
+        for top in DRIVER_TREES
+        for path in sorted((root / top).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
+    )
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -693,11 +711,7 @@ def _public_functions(src_root: Path):
 
 def _test_only(root: Path) -> set[tuple[str, str]]:
     """Public functions under ``root/src`` whose name no driver file uses."""
-    used = set()
-    for top in DRIVER_TREES:
-        for path in (root / top).rglob("*.py"):
-            if "tests" not in path.relative_to(root).parts:
-                used |= _names_used(ast.parse(path.read_text()))
+    used = set().union(*map(_names_used, _driver_modules(root)))
     return {
         (rel, qual)
         for rel, qual, name in _public_functions(root / "src" / "repro")
@@ -715,6 +729,80 @@ def test_nothing_only_tests_read():
     assert sorted(unread - TEST_ONLY.keys()) == []
     assert sorted(TEST_ONLY.keys() - unread) == []
     assert set(TEST_ONLY.values()) <= KEEP_CLASSES
+
+
+#: ``(file under src/repro/, "Class.field")`` of dataclass fields no driver
+#: reads, and the class each is kept under (DESIGN.md §3, "Which fields
+#: anyone reads"): the results of §2–§4 techniques, which their own tests
+#: read.
+TEST_ONLY_FIELDS = {
+    ("core/hot_cold/cluster.py", "ClusterReport.hot_tuples"): _RESULT,
+    ("core/hot_cold/cluster.py", "ClusterReport.moved"): _RESULT,
+    ("core/hot_cold/cluster.py", "ClusterReport.skipped_missing"): _RESULT,
+    ("core/hot_cold/partitioner.py", "PartitionStats.hot_rows"): _RESULT,
+    ("core/hot_cold/partitioner.py", "PartitionStats.cold_rows"): _RESULT,
+    ("core/index_cache/advisor.py", "AdvisorChoice.stability"): _RESULT,
+    ("core/index_cache/advisor.py", "AdvisorChoice.capacity_factor"): _RESULT,
+    ("core/index_cache/agg_cache.py", "AggregateStats.leaves_visited"): _RESULT,
+    ("core/index_cache/agg_cache.py", "AggregateStats.leaves_computed"): _RESULT,
+    ("core/index_cache/agg_cache.py", "AggregateStats.partial_leaves"): _RESULT,
+    ("workload/trace.py", "ScenarioResult.capacity_start"): _RESULT,
+    ("workload/trace.py", "ScenarioResult.capacity_end"): _RESULT,
+}
+
+
+def _dataclass_fields(src_root: Path):
+    """``(file under src_root, "Class.field", field)`` for every annotated
+    field of a ``@dataclass`` (``ClassVar`` ones aside)."""
+    for path in sorted(src_root.rglob("*.py")):
+        rel = path.relative_to(src_root).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+                for d in cls.decorator_list
+            ):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield rel, f"{cls.name}.{stmt.target.id}", stmt.target.id
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Attributes a module loads and identifier-shaped strings it spells
+    (``getattr`` targets, snapshot keys).  A keyword argument or an
+    assignment writes a field; neither reads it."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.fullmatch(node.value):
+                read.add(node.value)
+    return read
+
+
+def _fields_only_tests_read(root: Path) -> set[tuple[str, str]]:
+    """Dataclass fields under ``root/src`` whose name no driver file reads."""
+    read = set().union(*map(_names_read, _driver_modules(root)))
+    return {
+        (rel, qual)
+        for rel, qual, name in _dataclass_fields(root / "src" / "repro")
+        if name not in read
+    }
+
+
+def test_no_field_only_tests_read():
+    """A field no driver reads is a bit nobody uses (DESIGN.md §3): a
+    dataclass field under ``src/`` whose name no driver loads goes, with
+    the code that computes it, and its tests read the fact it copied (a
+    counter, a journal payload, the log, the tree), unless
+    ``TEST_ONLY_FIELDS`` names its keep class; an entry whose field gains a
+    driver read goes."""
+    unread = _fields_only_tests_read(ROOT)
+    assert sorted(unread - TEST_ONLY_FIELDS.keys()) == []
+    assert sorted(TEST_ONLY_FIELDS.keys() - unread) == []
+    assert set(TEST_ONLY_FIELDS.values()) <= KEEP_CLASSES
 
 
 # -- the one eviction policy ---------------------------------------------------

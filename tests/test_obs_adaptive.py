@@ -11,12 +11,12 @@ from repro.obs.sampler import TelemetrySampler
 pytestmark = pytest.mark.obs
 
 SIGNAL_RULE = SloRule(
+    # test signal must stay at zero
     name="signal-ceiling",
     selector="gauge.test.signal",
     op="<=",
     threshold=0.0,
     window=1,
-    description="test signal must stay at zero",
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.__main__ import (
+    DEFAULT_TIMELINE_SELECTORS,
     format_timeline,
     main,
     run_observed_workload,
@@ -267,6 +268,21 @@ def test_format_timeline_empty_sampler():
 
     sampler = TelemetrySampler(MetricsRegistry(), clock=lambda: 0.0)
     assert "no sampled series" in format_timeline(sampler)
+
+
+def test_default_run_evicts_in_every_window(capsys):
+    """At default arguments the pool is smaller than the loaded table, so
+    every default timeline series carries a signal: each window after the
+    baseline misses and evicts, and the default health verdict stays OK."""
+    run = run_observed_workload()
+    for selector in DEFAULT_TIMELINE_SELECTORS:
+        assert run.sampler.series(selector), selector
+    hit_rates = [v for _t, v in run.sampler.series("derived.bufferpool.hit_rate")]
+    evictions = [v for _t, v in run.sampler.series("rate.bufferpool.eviction")]
+    assert len(hit_rates) == len(evictions) == run.sampler.samples_taken - 1
+    assert max(hit_rates) < 1 and min(evictions) > 0
+    assert main(["health"]) == 0
+    assert capsys.readouterr().out.startswith("engine health: OK\n")
 
 
 def test_smaller_pool_turns_reused_pins_into_reads_with_identical_rows():

@@ -42,20 +42,45 @@ def _flatten(tree, prefix=""):
             yield name
 
 
+def _columnar_names():
+    """The §5h batch executor's ``columnar.*`` family (mirror gauges,
+    fragment-cache counters): a columnar engine whose scans and
+    aggregates repeat between writes, so maintenance, cached answers and
+    dropped ones all register."""
+    from repro.obs import MetricsRegistry
+    from repro.query.database import Database
+    from repro.query.predicates import ColumnRange
+    from repro.schema import UINT32, UINT64, Schema, char
+
+    registry = MetricsRegistry()
+    db = Database(metrics=registry, data_pool_pages=16)
+    table = db.create_table(
+        "t", Schema.of(("k", UINT64), ("name", char(12)), ("n", UINT32))
+    )
+    db.create_index("t", "pk", ("k",))
+    for k in range(120):
+        table.insert({"k": k, "name": f"r{k}", "n": k % 97})
+    mirror = db.enable_columnar()
+    for k in range(4):
+        for _ in range(2):
+            table.aggregate([("count", None), ("sum", "n")],
+                            ColumnRange("n", 0, 48))
+            list(table.scan(ColumnRange("n", 0, 8), project=("k", "n")))
+        table.update("pk", k, {"n": (k * 31) % 1_000})
+    mirror.refresh_encoding_stats()
+    return registry.names()
+
+
 def _runtime_names():
     from repro.faults.harness import run_fault_drill
     from repro.obs.__main__ import run_observed_workload
 
-    names = set()
     # adaptive=True arms the controller, so the ``adaptive.*`` loop
-    # counters and knob gauges register alongside the v2 pipeline's;
-    # columnar=True arms the §5h batch executor and its ``columnar.*``
-    # family (mirror gauges, fragment-cache counters).
+    # counters and knob gauges register alongside the v2 pipeline's.
     run = run_observed_workload(
         n_rows=120, n_ops=600, samples=4, pool_pages=16, adaptive=True,
-        columnar=True,
     )
-    names.update(run.registry.names())
+    names = set(run.registry.names()) | set(_columnar_names())
     # The fault drill reaches the names the clean workload never touches:
     # the fault ledger, recovery actions, and WAL crash-restart replay.
     report = run_fault_drill(n_pages=60, n_ops=300, seed=1)

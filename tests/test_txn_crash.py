@@ -30,7 +30,7 @@ from repro.txn.oracle import (
     serial_fold,
     txn_outcomes,
 )
-from repro.wal.record import RecordType, frame_boundaries, scan_wal
+from repro.wal.record import HEAP_OP_TYPES, RecordType, frame_boundaries, scan_wal
 from repro.wal.replay import recover
 
 pytestmark = pytest.mark.txn
@@ -52,6 +52,19 @@ def fresh_db() -> Database:
     for i in range(1, 9):
         table.insert({"id": i, "name": f"r{i}", "score": i * 10})
     return db
+
+
+def rolled_back(db) -> int:
+    """Loser transactions the recovery that built ``db`` rolled back."""
+    counter = db.metrics.get("wal.replay.txn_rollbacks")
+    return counter.value if counter is not None else 0
+
+
+def undo_records(log: bytes, db) -> int:
+    """Compensation records the recovery that built ``db`` from ``log``
+    appended to it."""
+    appended = scan_wal(db.wal.device.data).records[len(scan_wal(log).records):]
+    return sum(r.rtype in HEAP_OP_TYPES for r in appended)
 
 
 def build_txn_log() -> bytes:
@@ -141,11 +154,11 @@ def test_every_boundary_cut_agrees_with_both_oracles(full_log, boundaries):
     for cut in boundaries:
         prefix = full_log[:cut]
         records = scan_wal(prefix).records
-        db, report = recover(
+        db, _ = recover(
             prefix, page_size=PAGE_SIZE,
             data_pool_pages=POOL_PAGES, seed=SEED,
         )
-        rollback_seen += report.txns_rolled_back
+        rollback_seen += rolled_back(db)
         got = engine_rows(db)
         assert got == serial_by_key(records), f"serial fold @ {cut}"
         assert got == positional_by_key(records), f"positional fold @ {cut}"
@@ -167,11 +180,11 @@ def test_crash_between_commit_record_and_data_flush():
     s.delete("t", 2)
     s.commit(flush=True)
     # Recover from the log alone — the "disk" dies with every data page.
-    db2, report = recover(
+    db2, _ = recover(
         db.wal.device.data, page_size=PAGE_SIZE,
         data_pool_pages=POOL_PAGES, seed=SEED,
     )
-    assert report.txns_rolled_back == 0
+    assert rolled_back(db2) == 0
     table = db2.table("t")
     assert table.lookup("by_id", 50).values["score"] == 500
     assert table.lookup("by_id", 1).values["score"] == 11
@@ -185,12 +198,12 @@ def test_ops_without_commit_record_roll_back():
     s.insert("t", {"id": 50, "name": "lose", "score": 500})
     s.update("t", 1, {"score": 11})
     db.wal.flush()                     # ops durable, commit never logged
-    db2, report = recover(
+    db2, _ = recover(
         db.wal.device.data, page_size=PAGE_SIZE,
         data_pool_pages=POOL_PAGES, seed=SEED,
     )
-    assert report.txns_rolled_back == 1
-    assert report.undo_records == 2
+    assert rolled_back(db2) == 1
+    assert undo_records(db.wal.device.data, db2) == 2
     table = db2.table("t")
     assert table.lookup("by_id", 50).found is False
     assert table.lookup("by_id", 1).values["score"] == 10
@@ -221,11 +234,11 @@ def test_deletes_stranded_without_commit_record_roll_back():
     )
     # Cut between the last DELETE and the TXN_COMMIT frame.
     prefix = log[: bounds[commit_at - 1]]
-    db2, report = recover(
+    db2, _ = recover(
         prefix, page_size=PAGE_SIZE,
         data_pool_pages=POOL_PAGES, seed=SEED,
     )
-    assert report.txns_rolled_back == 1
+    assert rolled_back(db2) == 1
     table = db2.table("t")
     assert table.lookup("by_id", 3).values["score"] == 30
     assert table.lookup("by_id", 7).values["score"] == 70
@@ -269,19 +282,19 @@ def test_crash_mid_abort_converges_at_every_cut():
 def test_recovery_is_idempotent_across_repeated_crashes(full_log):
     """recover → crash again with no new writes → recover: the second
     pass must change nothing (no double-apply, no fresh rollbacks)."""
-    db1, report1 = recover(
+    db1, _ = recover(
         full_log, page_size=PAGE_SIZE,
         data_pool_pages=POOL_PAGES, seed=SEED,
     )
-    assert report1.txns_rolled_back >= 1
+    assert rolled_back(db1) >= 1
     state1 = engine_rows(db1)
     log1 = bytes(db1.wal.device.data)
-    db2, report2 = recover(
+    db2, _ = recover(
         log1, page_size=PAGE_SIZE,
         data_pool_pages=POOL_PAGES, seed=SEED,
     )
-    assert report2.txns_rolled_back == 0
-    assert report2.undo_records == 0
+    assert rolled_back(db2) == 0
+    assert undo_records(log1, db2) == 0
     assert engine_rows(db2) == state1
     assert bytes(db2.wal.device.data) == log1   # nothing appended
     assert check_database(db2).ok
