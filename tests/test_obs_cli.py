@@ -1,5 +1,6 @@
 """``python -m repro.obs``: every subcommand end-to-end on a tiny replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -221,6 +222,21 @@ def test_fleet_subcommand(capsys):
 def test_tune_rejects_shards(capsys):
     assert main(["tune", "--shards", "2", *TINY]) == 2
     assert "single-engine" in capsys.readouterr().err
+
+
+#: sha256 of the single-engine ``top`` and ``export`` stdout at TINY: the
+#: profiler's rollup, slow log and JSON export, byte for byte.
+SINGLE_ENGINE_PINS = {
+    "top": "6d2ca15332da88ce2016fa89d3c53fc7f7da24617ef2d28fd9d9637d3417da64",
+    "export": "d43a7ccaade03b23539eb258498652cb009c5010550ca9e96f5ad201ac357ac9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_ENGINE_PINS))
+def test_single_engine_profile_output_is_pinned(command, capsys):
+    assert main([command, *TINY]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SINGLE_ENGINE_PINS[command]
 
 
 def test_sharded_workload_is_deterministic():

@@ -6,6 +6,7 @@ import pytest
 from repro import Database, MetricsRegistry, Schema, UINT32, UINT64, char
 from repro.errors import QueryError
 from repro.obs.profiler import (
+    CAPTURED_COUNTERS,
     DEFAULT_MAX_FINGERPRINTS,
     OVERFLOW_FINGERPRINT,
     QueryProfiler,
@@ -282,6 +283,34 @@ def test_as_dict_and_format_top_render():
     assert "(no operations profiled)" in QueryProfiler(
         MetricsRegistry()
     ).format_top()
+
+
+def test_fold_merges_rollups_by_fingerprint():
+    """One profiler folds to its own rollup; two copies of it double every
+    sum and keep every maximum."""
+    db, t = _db(wal=True, wal_group_commit=4)
+    profiler = db.enable_profiling()
+    for i in range(30):
+        t.lookup("cache", i % 12, ("name", "n"))
+        if i % 3 == 0:
+            t.update("pk", i, {"n": 1})
+    t.lookup_many("pk", [1, 2, 3], ("k",))
+    top = profiler.as_dict()["top"]
+    assert QueryProfiler.fold([profiler]).as_dict()["top"] == top
+    doubled = {
+        row["fingerprint"]: row
+        for row in QueryProfiler.fold([profiler, profiler]).as_dict()["top"]
+    }
+    assert len(doubled) == len(top) == 3
+    summed = [name for name, _metric in CAPTURED_COUNTERS] + [
+        "wal_bytes", "pages_pinned", "calls", "errors", "rows", "total_ns",
+    ]
+    for row in top:
+        twice = doubled[row["fingerprint"]]
+        assert {k: twice[k] for k in summed} == {k: 2 * row[k] for k in summed}
+        assert twice["max_ns"] == row["max_ns"]
+        assert twice["plan"] == row["plan"]
+    assert any(row["wal_bytes"] for row in top)
 
 
 def test_profiling_off_by_default_and_opt_in():
