@@ -15,22 +15,23 @@ values).  Two read surfaces fall out:
   individual profiles (the slow-query log), ranked by elapsed cost.
 
 WAL byte attribution is group-commit-aware: the profiler reads the
-writer's durable byte counter *plus* its in-memory buffer, so a record
-that merely parks in the group-commit buffer is still charged to the
-operation that logged it, not to whichever later operation happens to
-trip the flush.
+writer's :attr:`~repro.wal.log.WalWriter.logged_bytes` (flushed *plus*
+buffered), so a record that merely parks in the group-commit buffer is
+still charged to the operation that logged it, not to whichever later
+operation happens to trip the flush.
 
 Profiling is strictly opt-in (``Database.enable_profiling`` arms the
 profiler on the engine's tracer, DESIGN.md §5k): unarmed, the op bracket
 skips it, and the NullRegistry zero-overhead guarantee is untouched.
-This module imports only :mod:`repro.obs.registry`, so the query layer
-can depend on it without cycles.
+This module imports only :mod:`repro.obs.registry` and
+:mod:`repro.util.table`, so the query layer can depend on it without
+cycles.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -39,6 +40,7 @@ from repro.obs.registry import (
     resolve_clock,
     resolve_registry,
 )
+from repro.util.table import format_table
 
 #: Fingerprints beyond this many aggregate under :data:`OVERFLOW_FINGERPRINT`
 #: so a fingerprint explosion (e.g. a bug interpolating keys into table
@@ -49,7 +51,7 @@ DEFAULT_MAX_FINGERPRINTS = 512
 OVERFLOW_FINGERPRINT = "(other)"
 
 #: Registry counters captured around every operation, as
-#: ``(profile_field, metric_name)``.  Deltas of these are what a profile
+#: ``(count, metric_name)``.  Deltas of these are what a profile
 #: reports, so they reconcile with registry totals by construction.
 CAPTURED_COUNTERS: tuple[tuple[str, str], ...] = (
     ("pages_reused", "bufferpool.hit"),
@@ -99,18 +101,15 @@ def fingerprint(
     return "".join(parts)
 
 
-@dataclass
-class QueryProfile:
-    """One profiled operation: the EXPLAIN ANALYZE line items."""
+#: Every count a profile and a rollup carry, in :class:`_Counts` order:
+#: the captured registry deltas, then the WAL bytes the operation logged.
+COUNTS = tuple(name for name, _metric in CAPTURED_COUNTERS) + ("wal_bytes",)
 
-    seq: int
-    fingerprint: str
-    op: str
-    table: str
-    index: str | None
-    plan: str
-    batch: int = 1
-    elapsed_ns: float = 0.0
+
+@dataclass(kw_only=True)
+class _Counts:
+    """The engine work behind one operation, or behind a rollup of them."""
+
     pages_reused: int = 0   # buffer-pool hits (already resident)
     pages_read: int = 0     # buffer-pool misses (disk reads)
     evictions: int = 0
@@ -119,14 +118,29 @@ class QueryProfile:
     heap_fetches: int = 0
     descents: int = 0
     wal_records: int = 0
-    wal_bytes: int = 0
     retries: int = 0
-    error: bool = False
+    wal_bytes: int = 0
 
     @property
     def pages_pinned(self) -> int:
-        """Total page pins the operation took (reused + read)."""
+        """Total page pins taken (reused + read)."""
         return self.pages_reused + self.pages_read
+
+    def _add(self, other: "_Counts") -> None:
+        for name in COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+@dataclass(kw_only=True)
+class QueryProfile(_Counts):
+    """One profiled operation: the EXPLAIN ANALYZE line items."""
+
+    seq: int
+    fingerprint: str
+    op: str
+    batch: int = 1
+    elapsed_ns: float = 0.0
+    error: bool = False
 
     def line(self) -> str:
         """One slow-log line, dashboard-ready."""
@@ -141,8 +155,8 @@ class QueryProfile:
         )
 
 
-@dataclass
-class FingerprintStats:
+@dataclass(kw_only=True)
+class FingerprintStats(_Counts):
     """Aggregate of every profile sharing a fingerprint."""
 
     fingerprint: str
@@ -152,24 +166,10 @@ class FingerprintStats:
     rows: int = 0
     total_ns: float = 0.0
     max_ns: float = 0.0
-    pages_reused: int = 0
-    pages_read: int = 0
-    evictions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    heap_fetches: int = 0
-    descents: int = 0
-    wal_records: int = 0
-    wal_bytes: int = 0
-    retries: int = 0
 
     @property
     def mean_ns(self) -> float:
         return self.total_ns / self.calls if self.calls else 0.0
-
-    @property
-    def pages_pinned(self) -> int:
-        return self.pages_reused + self.pages_read
 
     @property
     def cache_hit_rate(self) -> float:
@@ -177,22 +177,22 @@ class FingerprintStats:
         return self.cache_hits / probes if probes else 0.0
 
     def absorb(self, p: QueryProfile) -> None:
+        """Charge one profile."""
         self.calls += 1
         self.errors += int(p.error)
         self.rows += p.batch
         self.total_ns += p.elapsed_ns
-        if p.elapsed_ns > self.max_ns:
-            self.max_ns = p.elapsed_ns
-        self.pages_reused += p.pages_reused
-        self.pages_read += p.pages_read
-        self.evictions += p.evictions
-        self.cache_hits += p.cache_hits
-        self.cache_misses += p.cache_misses
-        self.heap_fetches += p.heap_fetches
-        self.descents += p.descents
-        self.wal_records += p.wal_records
-        self.wal_bytes += p.wal_bytes
-        self.retries += p.retries
+        self.max_ns = max(self.max_ns, p.elapsed_ns)
+        self._add(p)
+
+    def merge(self, other: "FingerprintStats") -> None:
+        """Fold another rollup of this fingerprint (another shard's) in."""
+        self.calls += other.calls
+        self.errors += other.errors
+        self.rows += other.rows
+        self.total_ns += other.total_ns
+        self.max_ns = max(self.max_ns, other.max_ns)
+        self._add(other)
 
     def as_dict(self) -> dict:
         return {
@@ -205,17 +205,8 @@ class FingerprintStats:
             "mean_ns": self.mean_ns,
             "max_ns": self.max_ns,
             "pages_pinned": self.pages_pinned,
-            "pages_reused": self.pages_reused,
-            "pages_read": self.pages_read,
-            "evictions": self.evictions,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
-            "heap_fetches": self.heap_fetches,
-            "descents": self.descents,
-            "wal_records": self.wal_records,
-            "wal_bytes": self.wal_bytes,
-            "retries": self.retries,
+            **{name: getattr(self, name) for name in COUNTS},
         }
 
 
@@ -272,10 +263,10 @@ class QueryProfiler:
         reg = resolve_registry(registry)
         self._clock = resolve_clock(clock)
         self._wal = wal
-        self._counters = [
-            (fname, reg.counter(metric)) for fname, metric in CAPTURED_COUNTERS
-        ]
-        self._wal_bytes = reg.counter("wal.bytes")
+        self._counters = [reg.counter(metric) for _name, metric in CAPTURED_COUNTERS]
+        # Registered without a WAL too, so the dashboard and the
+        # wal-overhead rule read a zero there rather than nothing.
+        reg.counter("wal.bytes")
         self._m_errors = reg.counter("profiler.errors")
         self._m_fingerprints = reg.gauge("profiler.fingerprints")
         self._stats: dict[str, FingerprintStats] = {}
@@ -309,19 +300,17 @@ class QueryProfiler:
         if self._depth:
             return None
         project_t = tuple(project) if project is not None else None
+        shape = op, table, index_name, index, project_t, batch
         profile = QueryProfile(
             seq=self.counts.operations,
             fingerprint=fingerprint(op, table, index_name, project_t, batch),
             op=op,
-            table=table,
-            index=index_name,
-            plan=_plan_shape(op, table, index_name, index, project_t, batch),
             batch=batch,
         )
         # PlainIndex keeps heap fetches as a plain attribute (no registry
         # counter on that path); fold its delta in when the index is known.
-        plain_before = getattr(index, "heap_fetches", None) if index is not None else None
-        token = profile, index, plain_before, self._capture(), self._clock()
+        plain_before = getattr(index, "heap_fetches", None)
+        token = profile, shape, plain_before, self._capture(), self._clock()
         # Open only once nothing above can raise: a malformed argument
         # must not leave every later operation looking nested.
         self._depth = 1
@@ -331,29 +320,25 @@ class QueryProfiler:
         """Close and absorb the profile behind ``token`` (``None``: no-op)."""
         if token is None:
             return
-        profile, index, plain_before, before, start = token
+        profile, shape, plain_before, before, start = token
         self._depth = 0
         profile.elapsed_ns = self._clock() - start
         profile.error = error
-        after = self._capture()
         self.counts.operations += 1
-        for i, (fname, _counter) in enumerate(self._counters):
-            setattr(profile, fname, after[i] - before[i])
-        profile.wal_bytes = after[-1] - before[-1]
+        for name, now, then in zip(COUNTS, self._capture(), before):
+            setattr(profile, name, now - then)
         if plain_before is not None:
-            plain_after = getattr(index, "heap_fetches", plain_before)
-            profile.heap_fetches += plain_after - plain_before
-        self._absorb(profile)
+            index = shape[3]  # the index object begin() was given
+            profile.heap_fetches += index.heap_fetches - plain_before
+        self._absorb(profile, shape)
 
     def _capture(self) -> list[int]:
-        values = [counter.value for _fname, counter in self._counters]
-        wal_bytes = self._wal_bytes.value
-        if self._wal is not None:
-            wal_bytes += self._wal.pending_bytes
-        values.append(wal_bytes)
+        """The :data:`COUNTS` totals now, in order."""
+        values = [counter.value for counter in self._counters]
+        values.append(self._wal.logged_bytes if self._wal is not None else 0)
         return values
 
-    def _absorb(self, profile: QueryProfile) -> None:
+    def _absorb(self, profile: QueryProfile, shape: tuple) -> None:
         if profile.error:
             self._m_errors.inc()
         stats = self._stats.get(profile.fingerprint)
@@ -361,36 +346,31 @@ class QueryProfiler:
             if len(self._stats) >= self._max_fingerprints:
                 stats = self._stats.get(OVERFLOW_FINGERPRINT)
                 if stats is None:
-                    stats = FingerprintStats(OVERFLOW_FINGERPRINT, "(overflow)")
-                    self._stats[OVERFLOW_FINGERPRINT] = stats
+                    stats = self._stats[OVERFLOW_FINGERPRINT] = FingerprintStats(
+                        fingerprint=OVERFLOW_FINGERPRINT, plan="(overflow)",
+                    )
             else:
-                stats = FingerprintStats(profile.fingerprint, profile.plan)
-                self._stats[profile.fingerprint] = stats
+                stats = self._stats[profile.fingerprint] = FingerprintStats(
+                    fingerprint=profile.fingerprint, plan=_plan_shape(*shape),
+                )
             self._m_fingerprints.set(len(self._stats))
         stats.absorb(profile)
         self._slow.append(profile)
 
     @classmethod
     def fold(cls, profilers: list["QueryProfiler"]) -> "QueryProfiler":
-        """A fleet's profile, on no registry: per-shard rollups folded by
-        fingerprint (counters summed, ``max_ns`` maxed) and every shard's
-        slow log in one ring, which :meth:`slow_queries` ranks by
-        ``(-elapsed_ns, seq)``."""
+        """A fleet's profile, on no registry: per-shard rollups merged by
+        fingerprint and every shard's slow log in one ring, which
+        :meth:`slow_queries` ranks by ``(-elapsed_ns, seq)``."""
         fleet = cls(NULL_REGISTRY, slow_log_size=64 * len(profilers))
         for profiler in profilers:
             for stats in profiler.top():
                 mine = fleet._stats.get(stats.fingerprint)
                 if mine is None:
-                    fleet._stats[stats.fingerprint] = replace(stats)
-                    continue
-                for f in fields(stats):
-                    if f.name == "max_ns":
-                        mine.max_ns = max(mine.max_ns, stats.max_ns)
-                    elif f.name not in ("fingerprint", "plan"):
-                        setattr(
-                            mine, f.name,
-                            getattr(mine, f.name) + getattr(stats, f.name),
-                        )
+                    mine = fleet._stats[stats.fingerprint] = FingerprintStats(
+                        fingerprint=stats.fingerprint, plan=stats.plan,
+                    )
+                mine.merge(stats)
             fleet._slow.extend(profiler.slow_queries())
             fleet.counts.operations += profiler.operations
         return fleet
@@ -412,13 +392,6 @@ class QueryProfiler:
 
     def format_top(self, n: int = 10) -> str:
         """Text table of :meth:`top`, `EXPLAIN ANALYZE` rollup style."""
-        # Late import mirrors report.py: obs must stay importable from the
-        # lowest layers without dragging the experiments package along.
-        import contextlib
-        import io
-
-        from repro.experiments.runner import print_table
-
         rows = [
             [
                 s.fingerprint,
@@ -436,15 +409,14 @@ class QueryProfiler:
         ]
         if not rows:
             return "query profiles: (no operations profiled)"
-        with contextlib.redirect_stdout(io.StringIO()):
-            return print_table(
-                [
-                    "fingerprint", "calls", "total_ns", "mean_ns", "pinned",
-                    "read", "cache_hr", "heap", "wal_B", "retries",
-                ],
-                rows,
-                title="query profiles",
-            )
+        return format_table(
+            [
+                "fingerprint", "calls", "total_ns", "mean_ns", "pinned",
+                "read", "cache_hr", "heap", "wal_B", "retries",
+            ],
+            rows,
+            title="query profiles",
+        )
 
     def as_dict(self) -> dict:
         """JSON-safe export: the 32 costliest fingerprints of the ranked

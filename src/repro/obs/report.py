@@ -1,19 +1,18 @@
 """Export surfaces: text dashboard and machine-readable JSON.
 
-:func:`format_report` renders a registry as per-subsystem tables (via the
-experiments' :func:`~repro.experiments.runner.print_table` formatter) with
-derived hit rates next to the raw counts.  :func:`export_json` writes the
+:func:`format_report` renders a registry as per-subsystem tables (via
+:func:`~repro.util.table.format_table`) with derived hit rates next to the
+raw counts.  :func:`export_json` writes the
 same snapshot as one JSON document (``label`` / ``metrics`` / ``derived``).
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.util.table import format_table
 
 
 def derived_rates(registry: MetricsRegistry) -> dict[str, float]:
@@ -48,10 +47,6 @@ def format_report(
     Counters and gauges print their value; histograms print count, mean,
     p50, and max; derived ``*.hit_rate`` rows sit beside their counters.
     """
-    # Imported here: repro.obs must stay importable from the lowest layers
-    # (storage, btree) without dragging the experiments package along.
-    from repro.experiments.runner import print_table
-
     rows: list[tuple[str, object]] = []
     for name, instrument in registry.items():
         if isinstance(instrument, Histogram):
@@ -78,19 +73,10 @@ def format_report(
         else:
             subsystem = name.split(".", 1)[0]
         by_subsystem.setdefault(subsystem, []).append((name, value))
-    # print_table prints as a side effect (the experiment drivers rely on
-    # that); here the caller decides what to do with the text, so swallow
-    # the echo and return the formatted sections only.
-    with contextlib.redirect_stdout(io.StringIO()):
-        sections = [
-            print_table(
-                ["metric", "value"],
-                table_rows,
-                title=f"{title} — {subsystem}",
-            )
-            for subsystem, table_rows in sorted(by_subsystem.items())
-        ]
-    return "\n\n".join(sections)
+    return "\n\n".join(
+        format_table(["metric", "value"], table_rows, title=f"{title} — {subsystem}")
+        for subsystem, table_rows in sorted(by_subsystem.items())
+    )
 
 
 def export_json(

@@ -525,8 +525,7 @@ class ShardedDatabase:
         return {
             "pages": val("bufferpool.hit") + val("bufferpool.miss"),
             "pool_hits": val("bufferpool.hit"),
-            "wal_bytes": val("wal.bytes")
-            + (float(wal.pending_bytes) if wal is not None else 0.0),
+            "wal_bytes": float(wal.logged_bytes) if wal is not None else 0.0,
             "cache_hits": val("index_cache.hit"),
             "fragment_hits": val("columnar.cache.hits"),
         }

@@ -158,15 +158,15 @@ class WalWriter:
     # -- properties ----------------------------------------------------------
 
     @property
-    def pending_bytes(self) -> int:
-        """Encoded bytes waiting in the group-commit buffer.
+    def logged_bytes(self) -> int:
+        """Encoded bytes this log has taken: flushed plus buffered.
 
         The ``wal.bytes`` counter moves only at flush time; the query
-        profiler adds this to it so a record's bytes are attributed to
-        the operation that *logged* it, independent of group-commit
-        flush timing.
+        profiler and the facade's per-shard work read this instead, so a
+        record's bytes are charged to the operation that *logged* it,
+        independent of group-commit flush timing.
         """
-        return sum(len(frame) for frame in self._buffer)
+        return self._m_bytes.value + sum(len(frame) for frame in self._buffer)
 
     def set_group_commit(self, group_commit_records: int) -> None:
         """Retune the group-commit window on a live writer.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import _fmt, oracle_hit_rate, print_table
+from repro.experiments.runner import oracle_hit_rate, print_table
+from repro.util.table import _fmt
 
 
 class TestFmt:

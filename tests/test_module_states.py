@@ -160,6 +160,20 @@ def test_design_module_map_matches_the_tree():
         assert files | {"__init__.py"} == on_disk | {"__init__.py"}, directory
 
 
+def test_only_experiments_import_experiments():
+    """The experiment drivers sit on top of the engine: a module outside
+    ``experiments/`` that imports one, late imports too, pulls the figure
+    code into whatever imports it (``obs`` shares tables through
+    ``util/table.py`` instead)."""
+    offenders = sorted(
+        module
+        for module, path in MODULES.items()
+        if module.split(".")[1:2] != ["experiments"]
+        and any(m.split(".")[1:2] == ["experiments"] for m in _imports(path))
+    )
+    assert offenders == []
+
+
 def test_row_to_key_is_spelled_only_in_the_key_codec():
     """Row -> key bytes / key value lives in ``btree/keycodec.py`` (a
     codec from ``codec_for_columns`` knows its columns); a hand-rolled

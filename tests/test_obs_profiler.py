@@ -1,15 +1,19 @@
 """QueryProfiler: fingerprints, per-query deltas, WAL attribution,
 slow-query log, and reconciliation with registry totals."""
 
+import dataclasses
+
 import pytest
 
 from repro import Database, MetricsRegistry, Schema, UINT32, UINT64, char
 from repro.errors import QueryError
 from repro.obs.profiler import (
     CAPTURED_COUNTERS,
+    COUNTS,
     DEFAULT_MAX_FINGERPRINTS,
     OVERFLOW_FINGERPRINT,
     QueryProfiler,
+    _Counts,
     batch_bucket,
     fingerprint,
 )
@@ -200,10 +204,10 @@ def test_profiles_reconcile_with_registry_totals():
         name: reg.get(name).value
         for name in (
             "bufferpool.hit", "bufferpool.miss",
-            "index_cache.hit", "index_cache.miss", "wal.bytes",
+            "index_cache.hit", "index_cache.miss",
         )
     }
-    wal_pending_before = db.wal.pending_bytes
+    wal_before = db.wal.logged_bytes
     profiler = db.enable_profiling()
     for i in range(40):
         t.lookup("cache", i % 25, ("name", "n"))
@@ -226,10 +230,7 @@ def test_profiles_reconcile_with_registry_totals():
     assert misses == (
         reg.get("index_cache.miss").value - before["index_cache.miss"]
     )
-    assert wal_bytes == (
-        reg.get("wal.bytes").value + db.wal.pending_bytes
-        - before["wal.bytes"] - wal_pending_before
-    )
+    assert wal_bytes == db.wal.logged_bytes - wal_before
     assert wal_bytes > 0  # the updates really logged something
 
 
@@ -311,6 +312,12 @@ def test_fold_merges_rollups_by_fingerprint():
         assert twice["max_ns"] == row["max_ns"]
         assert twice["plan"] == row["plan"]
     assert any(row["wal_bytes"] for row in top)
+
+
+def test_counts_are_the_count_fields_in_order():
+    """The loops over ``COUNTS`` (capture, absorb, merge, export) cover
+    exactly the fields ``_Counts`` declares."""
+    assert COUNTS == tuple(f.name for f in dataclasses.fields(_Counts))
 
 
 def test_profiling_off_by_default_and_opt_in():
