@@ -98,9 +98,10 @@ def run_observed_workload(
 ) -> ObservedRun:
     """Load, replay, profile, sample, and health-check one workload.
 
-    The replay trace is chunked into ``samples`` slices with one sampler
-    snapshot between slices, so the timeline has that many non-degenerate
-    windows regardless of trace length.
+    The replay trace is chunked into ``samples`` slices (the last takes
+    the remainder) with one sampler snapshot after each, so the timeline
+    has exactly that many windows after a baseline sample (one per
+    operation when the trace is shorter).
 
     With ``adaptive=True`` an :class:`~repro.obs.adaptive.AdaptiveController`
     is attached over the *same* sampler and fed each chunk's point, so
@@ -194,13 +195,15 @@ def run_observed_workload(
     )
     start_ns = clock_now()
     sampler.sample()  # baseline: gauges only, no window yet
+    # The last chunk takes the remainder: no short tail window after it.
     chunk = max(1, len(trace) // max(1, samples))
-    mid_chunk = max(1, (len(trace) // chunk) // 2)
+    bounds = list(range(0, len(trace), chunk))[:max(1, samples)] + [len(trace)]
+    mid_chunk = max(1, (len(bounds) - 1) // 2)
     replayed = 0
     chunks_done = 0
-    for lo in range(0, len(trace), chunk):
+    for lo, hi in zip(bounds, bounds[1:]):
         result = replay(
-            table, "pk_cache", trace[lo:lo + chunk],
+            table, "pk_cache", trace[lo:hi],
             project=("k", "name"), lookup_batch_size=batch,
         )
         replayed += result.operations

@@ -269,6 +269,14 @@ def test_sharded_profile_covers_every_shard():
     assert slow == sorted(slow, reverse=True) and len(slow) > 64
 
 
+def test_workload_takes_exactly_samples_windows():
+    """310 ops over 4 samples: the last chunk takes the 2-op remainder, so
+    the run samples a baseline and 4 windows, not a fifth 2-op one."""
+    run = run_observed_workload(n_rows=60, n_ops=310, samples=4, pool_pages=16)
+    assert run.replayed_ops == 310
+    assert run.sampler.samples_taken == 5
+
+
 def test_sparkline_rendering():
     assert sparkline([]) == "(no data)"
     assert sparkline([5.0, 5.0, 5.0]) == "===" or len(sparkline([5.0] * 3)) == 3
