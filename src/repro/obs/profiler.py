@@ -131,7 +131,7 @@ class _Counts:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass(kw_only=True)
+@dataclass
 class QueryProfile(_Counts):
     """One profiled operation: the EXPLAIN ANALYZE line items."""
 
@@ -155,7 +155,7 @@ class QueryProfile(_Counts):
         )
 
 
-@dataclass(kw_only=True)
+@dataclass
 class FingerprintStats(_Counts):
     """Aggregate of every profile sharing a fingerprint."""
 
@@ -346,13 +346,11 @@ class QueryProfiler:
             if len(self._stats) >= self._max_fingerprints:
                 stats = self._stats.get(OVERFLOW_FINGERPRINT)
                 if stats is None:
-                    stats = self._stats[OVERFLOW_FINGERPRINT] = FingerprintStats(
-                        fingerprint=OVERFLOW_FINGERPRINT, plan="(overflow)",
-                    )
+                    stats = FingerprintStats(OVERFLOW_FINGERPRINT, "(overflow)")
+                    self._stats[OVERFLOW_FINGERPRINT] = stats
             else:
-                stats = self._stats[profile.fingerprint] = FingerprintStats(
-                    fingerprint=profile.fingerprint, plan=_plan_shape(*shape),
-                )
+                stats = FingerprintStats(profile.fingerprint, _plan_shape(*shape))
+                self._stats[profile.fingerprint] = stats
             self._m_fingerprints.set(len(self._stats))
         stats.absorb(profile)
         self._slow.append(profile)
@@ -365,12 +363,9 @@ class QueryProfiler:
         fleet = cls(NULL_REGISTRY, slow_log_size=64 * len(profilers))
         for profiler in profilers:
             for stats in profiler.top():
-                mine = fleet._stats.get(stats.fingerprint)
-                if mine is None:
-                    mine = fleet._stats[stats.fingerprint] = FingerprintStats(
-                        fingerprint=stats.fingerprint, plan=stats.plan,
-                    )
-                mine.merge(stats)
+                fleet._stats.setdefault(
+                    stats.fingerprint, FingerprintStats(stats.fingerprint, stats.plan)
+                ).merge(stats)
             fleet._slow.extend(profiler.slow_queries())
             fleet.counts.operations += profiler.operations
         return fleet

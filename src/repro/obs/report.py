@@ -2,8 +2,8 @@
 
 :func:`format_report` renders a registry as per-subsystem tables (via
 :func:`~repro.util.table.format_table`) with derived hit rates next to the
-raw counts.  :func:`export_json` writes the
-same snapshot as one JSON document (``label`` / ``metrics`` / ``derived``).
+raw counts.  :func:`export_json` writes the same snapshot as one JSON
+document (``label`` / ``metrics`` / ``derived``).
 """
 
 from __future__ import annotations

@@ -159,9 +159,10 @@ class WalWriter:
 
     @property
     def logged_bytes(self) -> int:
-        """Encoded bytes this log has taken: flushed plus buffered.
+        """Encoded bytes this log has taken: the flushed ones the
+        ``wal.bytes`` counter holds plus those in the group-commit buffer.
 
-        The ``wal.bytes`` counter moves only at flush time; the query
+        The counter moves only at flush time; the query
         profiler and the facade's per-shard work read this instead, so a
         record's bytes are charged to the operation that *logged* it,
         independent of group-commit flush timing.
